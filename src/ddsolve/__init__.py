@@ -9,14 +9,12 @@ backs every classification with a verifiable certificate.
 from .barriers import (
     BarrierAtom,
     DomainBarrier,
-    LocalMetric,
     atom_eval,
     atom_interior_margin,
     atom_support,
     box,
     halfline_lower,
     halfline_upper,
-    local_norm,
     soc,
 )
 from .errors import (
@@ -25,7 +23,6 @@ from .errors import (
     CorrectorStall,
     DomainViolation,
     FactorizationFailure,
-    NewtonDivergence,
     ParseError,
     PredictorStall,
     ProjectionOutsideCone,

@@ -13,13 +13,16 @@ where K is the second-order cone {w : w1 >= |wbar|} and w = z + d.  The
 conjugate of a shifted barrier picks up a linear term:
 Phi*(y) = phi*(y) - <y, d> on the (unshifted) dual cone factor.
 
-All evaluators work on the atom-local coordinates; assembling over the
-full image space is done by :class:`DomainBarrier`.
+Atom kinds are known in this module only.  :class:`DomainBarrier` groups
+the atoms once: one vectorized interval group for all halflines and boxes
+and one group per cone.  The per-atom evaluators ``atom_eval``,
+``atom_interior_margin`` and ``atom_support`` evaluate a one-atom
+:class:`DomainBarrier`, so they run the solver's own formulas.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -97,11 +100,9 @@ def soc(coords: Sequence[int], offset: Sequence[float] | None = None) -> Barrier
     return BarrierAtom(SOC, tuple(coords), tuple(offset))
 
 
-def _soc_parts(w: np.ndarray):
-    """Return (w1, |wbar|, w'Jw) for the canonical cone coordinates."""
-    head = w[0]
-    tail_norm = float(np.linalg.norm(w[1:]))
-    return head, tail_norm, (head - tail_norm) * (head + tail_norm)
+def _one_atom_barrier(atom: BarrierAtom) -> "DomainBarrier":
+    """The atom alone, relabelled onto coordinates 0..dim-1."""
+    return DomainBarrier([replace(atom, coords=tuple(range(atom.dim)))], atom.dim)
 
 
 def atom_interior_margin(atom: BarrierAtom, u, side: str = PRIMAL) -> float:
@@ -109,25 +110,7 @@ def atom_interior_margin(atom: BarrierAtom, u, side: str = PRIMAL) -> float:
     factor (conjugate).  Positive iff strictly interior; the box conjugate
     factor is the whole line, reported as +inf."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    if side == PRIMAL:
-        w = u + atom.offset_vec
-        if atom.kind == HALFLINE_LOWER:
-            return float(w[0] - atom.lower)
-        if atom.kind == HALFLINE_UPPER:
-            return float(atom.upper - w[0])
-        if atom.kind == BOX:
-            return float(min(w[0] - atom.lower, atom.upper - w[0]))
-        head, tail, _ = _soc_parts(w)
-        return float(head - tail)
-    if atom.kind == HALFLINE_LOWER:
-        return float(-u[0])
-    if atom.kind == HALFLINE_UPPER:
-        return float(u[0])
-    if atom.kind == BOX:
-        return np.inf
-    # dual cone of the soc factor is -K
-    head, tail, _ = _soc_parts(-u)
-    return float(head - tail)
+    return float(_one_atom_barrier(atom).margins(u, side)[0])
 
 
 def atom_eval(atom: BarrierAtom, u, side: str = PRIMAL, order: int = 0):
@@ -151,85 +134,12 @@ def atom_eval(atom: BarrierAtom, u, side: str = PRIMAL, order: int = 0):
         raise ValueError(f"point has length {u.shape}, atom has {atom.dim}")
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
-    if not np.all(np.isfinite(u)) or atom_interior_margin(atom, u, side) <= 0.0:
-        raise DomainViolation(f"{atom.kind} atom: point not strictly interior ({side} side)")
-    d = atom.offset_vec
-
-    if atom.kind == HALFLINE_LOWER:
-        if side == PRIMAL:
-            s = u[0] + d[0] - atom.lower
-            if order == 0:
-                return float(-np.log(s))
-            if order == 1:
-                return np.array([-1.0 / s])
-            return np.array([[1.0 / s**2]])
-        y = u[0]
-        a = atom.lower - d[0]
-        if order == 0:
-            return float(-1.0 - np.log(-y) + a * y)
-        if order == 1:
-            return np.array([a - 1.0 / y])
-        return np.array([[1.0 / y**2]])
-
-    if atom.kind == HALFLINE_UPPER:
-        if side == PRIMAL:
-            s = atom.upper - d[0] - u[0]
-            if order == 0:
-                return float(-np.log(s))
-            if order == 1:
-                return np.array([1.0 / s])
-            return np.array([[1.0 / s**2]])
-        y = u[0]
-        b = atom.upper - d[0]
-        if order == 0:
-            return float(-1.0 - np.log(y) + b * y)
-        if order == 1:
-            return np.array([b - 1.0 / y])
-        return np.array([[1.0 / y**2]])
-
-    if atom.kind == BOX:
-        lo = atom.lower - d[0]
-        width = atom.upper - atom.lower
-        if side == PRIMAL:
-            s1 = u[0] - lo
-            s2 = lo + width - u[0]
-            if order == 0:
-                return float(-np.log(s1) - np.log(s2))
-            if order == 1:
-                return np.array([-1.0 / s1 + 1.0 / s2])
-            return np.array([[1.0 / s1**2 + 1.0 / s2**2]])
-        y = u[0]
-        # maximizer of y*s + ln s + ln(width - s); this root form avoids
-        # cancellation for either sign of y
-        t = y * width
-        s = 2.0 * width / (2.0 - t + np.sqrt(t * t + 4.0))
-        if order == 0:
-            return float(y * (lo + s) + np.log(s) + np.log(width - s))
-        if order == 1:
-            return np.array([lo + s])
-        return np.array([[1.0 / (1.0 / s**2 + 1.0 / (width - s) ** 2)]])
-
-    # soc
-    k = atom.dim
-    sign = np.ones(k)
-    sign[1:] = -1.0
-    if side == PRIMAL:
-        w = u + d
-        jw = sign * w
-        _, _, q = _soc_parts(w)
-        if order == 0:
-            return float(-np.log(q))
-        if order == 1:
-            return -2.0 * jw / q
-        return -2.0 * np.diag(sign) / q + 4.0 * np.outer(jw, jw) / q**2
-    y = u
-    jy = sign * y
-    _, _, p = _soc_parts(-y)
+    barrier = _one_atom_barrier(atom)
     if order == 0:
-        return float(-2.0 + np.log(4.0) - np.log(p) - y @ d)
+        return barrier.value(u, side)
     if order == 1:
-        return -2.0 * jy / p - d
-    return -2.0 * np.diag(sign) / p + 4.0 * np.outer(jy, jy) / p**2
+        return barrier.grad(u, side)
+    return barrier.hess(u, side).dense()
 
 
 def atom_support(atom: BarrierAtom, y) -> float:
@@ -238,73 +148,212 @@ def atom_support(atom: BarrierAtom, y) -> float:
     Returns +inf exactly when ``y`` lies outside the dual cone factor.
     The shift contributes ``-<y, offset>``.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    d = atom.offset_vec
-    if atom.kind == HALFLINE_LOWER:
-        if y[0] > 0.0:
-            return np.inf
-        return float((atom.lower - d[0]) * y[0])
-    if atom.kind == HALFLINE_UPPER:
-        if y[0] < 0.0:
-            return np.inf
-        return float((atom.upper - d[0]) * y[0])
-    if atom.kind == BOX:
-        bound = atom.upper if y[0] >= 0.0 else atom.lower
-        return float((bound - d[0]) * y[0])
-    head, tail, _ = _soc_parts(-y)
-    if head < tail:
-        return np.inf
-    return float(-(y @ d))
+    return _one_atom_barrier(atom).support(np.atleast_1d(np.asarray(y, dtype=float)))
 
 
-@dataclass(frozen=True)
-class LocalMetric:
-    """A positive-definite local metric (barrier Hessian at a point)."""
-
-    matrix: np.ndarray
-    side: str = PRIMAL
+def _first_exit(slack: np.ndarray, dslack: np.ndarray) -> float:
+    """Smallest s > 0 at which some positive slack + s * dslack reaches 0."""
+    hit = (dslack < 0.0) & (slack > 0.0)
+    return float(np.min(slack[hit] / -dslack[hit], initial=np.inf))
 
 
-def local_norm(metric: LocalMetric, v, mode: str = "direct") -> float:
-    """Local norm ||v||_H (direct) or the conjugate norm ||v||_{H^-1} (inverse).
+class _IntervalGroup:
+    """Every halfline and box atom: lower <= z + d <= upper per coordinate,
+    a missing side being an infinite bound.
 
-    Raises FactorizationFailure if the metric is numerically indefinite.
+    The dual factor of {w >= l} is y <= 0, of {w <= u} is y >= 0 and of a
+    box the whole line, so both sides are intervals.  Halflines come
+    before boxes, so each conjugate closed form acts on one slice.
     """
-    H = np.atleast_2d(np.asarray(metric.matrix, dtype=float))
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    try:
-        chol = np.linalg.cholesky(H)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationFailure("local metric is not positive definite") from exc
-    if mode == "direct":
-        return float(np.linalg.norm(chol.T @ v))
-    if mode == "inverse":
-        return float(np.linalg.norm(np.linalg.solve(chol, v)))
-    raise ValueError("mode must be 'direct' or 'inverse'")
+
+    def __init__(self, atoms: Sequence[BarrierAtom]):
+        atoms = sorted(atoms, key=lambda a: a.kind == BOX)
+        self.idx = np.array([a.coords[0] for a in atoms])
+        self.d = np.array([a.offset[0] for a in atoms])
+        self.lower = np.array([-np.inf if a.lower is None else a.lower for a in atoms])
+        self.upper = np.array([np.inf if a.upper is None else a.upper for a in atoms])
+        self.bounds = {
+            PRIMAL: (self.lower, self.upper),
+            CONJUGATE: (np.where(self.lower == -np.inf, 0.0, -np.inf),
+                        np.where(self.upper == np.inf, 0.0, np.inf)),
+        }
+        nh = self.nh = sum(a.kind != BOX for a in atoms)
+        # bounds on the unshifted coordinate, for the support function and
+        # the conjugates: each halfline's finite bound, each box's corner
+        # and width
+        self.lower_sh, self.upper_sh = self.lower - self.d, self.upper - self.d
+        self.half_bound = np.where(self.lower == -np.inf, self.upper_sh, self.lower_sh)[:nh]
+        self.box_lo = self.lower_sh[nh:]
+        self.box_width = (self.upper - self.lower)[nh:]
+
+    def _slacks(self, z, side):
+        w = z[..., self.idx]
+        if side == PRIMAL:
+            w = w + self.d
+        lo, hi = self.bounds[side]
+        return w, w - lo, hi - w
+
+    def _interior(self, z, side):
+        w, s_lo, s_hi = self._slacks(z, side)
+        if not np.all((s_lo > 0.0) & (s_hi > 0.0)):
+            raise DomainViolation(f"interval atom: point not strictly interior ({side} side)")
+        return w, s_lo, s_hi
+
+    def _box_root(self, y):
+        # maximizer of y*s + ln s + ln(width - s); this root form avoids
+        # cancellation for either sign of y
+        t = y * self.box_width
+        return 2.0 * self.box_width / (2.0 - t + np.sqrt(t * t + 4.0))
+
+    def margins(self, z, side):
+        _, s_lo, s_hi = self._slacks(z, side)
+        return np.minimum(s_lo, s_hi)
+
+    def value(self, z, side):
+        w, s_lo, s_hi = self._interior(z, side)
+        if side == PRIMAL:
+            return -(np.sum(np.log(s_lo[s_lo < np.inf])) + np.sum(np.log(s_hi[s_hi < np.inf])))
+        yh, yb = w[:self.nh], w[self.nh:]
+        s = self._box_root(yb)
+        return (np.sum(-1.0 - np.log(np.abs(yh)) + self.half_bound * yh)
+                + np.sum(yb * (self.box_lo + s) + np.log(s) + np.log(self.box_width - s)))
+
+    def grad(self, z, side):
+        w, s_lo, s_hi = self._interior(z, side)
+        if side == PRIMAL:
+            return -1.0 / s_lo + 1.0 / s_hi
+        return np.concatenate([self.half_bound - 1.0 / w[:self.nh],
+                               self.box_lo + self._box_root(w[self.nh:])])
+
+    def hess(self, z, side):
+        w, s_lo, s_hi = self._interior(z, side)
+        if side == PRIMAL:
+            return _DiagonalBlock(1.0 / s_lo**2 + 1.0 / s_hi**2)
+        s = self._box_root(w[self.nh:])
+        return _DiagonalBlock(np.concatenate([
+            1.0 / w[:self.nh] ** 2, 1.0 / (1.0 / s**2 + 1.0 / (self.box_width - s) ** 2)]))
+
+    def support(self, y):
+        y = y[self.idx]
+        dual_lo, dual_hi = self.bounds[CONJUGATE]
+        if np.any((y < dual_lo) | (y > dual_hi)):
+            return np.inf
+        # at y = 0 the term is 0; an infinite bound must not meet it
+        bound = np.where(y > 0.0, self.upper_sh, np.where(y < 0.0, self.lower_sh, 0.0))
+        return float(np.sum(bound * y))
+
+    def step_to_boundary(self, z, dz, side):
+        _, s_lo, s_hi = self._slacks(z, side)
+        dw = dz[self.idx]
+        return min(_first_exit(s_lo, dw), _first_exit(s_hi, -dw))
+
+    def interior_point(self):
+        mid = np.where(self.lower == -np.inf, self.upper - 1.0,
+                       np.where(self.upper == np.inf, self.lower + 1.0,
+                                0.5 * (self.lower + self.upper)))
+        return mid - self.d
 
 
-class _ScalarBlock:
-    """1x1 metric block."""
+class _ConeGroup:
+    """One second-order cone atom: z + d in K (primal), -y in K (dual)."""
 
-    def __init__(self, h: float):
-        if not h > 0.0 or not np.isfinite(h):
-            raise FactorizationFailure(f"scalar metric entry {h} is not positive")
-        self.h = float(h)
+    def __init__(self, atom: BarrierAtom):
+        self.idx = np.asarray(atom.coords)
+        self.d = atom.offset_vec
+        self.sign = np.ones(atom.dim)
+        self.sign[1:] = -1.0
+
+    def _canonical(self, z, side):
+        w = z[..., self.idx]
+        return w + self.d if side == PRIMAL else -w
+
+    def _interior(self, z, side):
+        """(w, q) with w the canonical cone point and q = (w1 - t)(w1 + t)."""
+        w = self._canonical(z, side)
+        head, t = w[0], np.linalg.norm(w[1:])
+        if not head - t > 0.0:
+            raise DomainViolation(f"soc atom: point not strictly interior ({side} side)")
+        return w, (head - t) * (head + t)
+
+    def margins(self, z, side):
+        w = self._canonical(z, side)
+        return (w[..., 0] - np.linalg.norm(w[..., 1:], axis=-1))[..., None]
+
+    def value(self, z, side):
+        w, q = self._interior(z, side)
+        if side == PRIMAL:
+            return -np.log(q)
+        return -2.0 + np.log(4.0) - np.log(q) - z[self.idx] @ self.d
+
+    def grad(self, z, side):
+        w, q = self._interior(z, side)
+        if side == PRIMAL:
+            return -2.0 * (self.sign * w) / q
+        return -2.0 * (self.sign * z[self.idx]) / q - self.d
+
+    def hess(self, z, side):
+        # the conjugate Hessian at y equals the primal Hessian at -y
+        w, _ = self._interior(z, side)
+        return _SocBlock(w)
+
+    def support(self, y):
+        w = -y[self.idx]
+        if w[0] < np.linalg.norm(w[1:]):
+            return np.inf
+        return float(-(y[self.idx] @ self.d))
+
+    def step_to_boundary(self, z, dz, side):
+        w = self._canonical(z, side)
+        dw = dz[self.idx] if side == PRIMAL else -dz[self.idx]
+        # boundary of {w1 >= |wbar|} along the ray: quadratic in s
+        a = float(dw @ (self.sign * dw))
+        b = 2.0 * float(w @ (self.sign * dw))
+        c0 = float(w @ (self.sign * w))
+        roots = []
+        if abs(a) > 0.0:
+            disc = b * b - 4.0 * a * c0
+            if disc >= 0.0:
+                sq = np.sqrt(disc)
+                roots = [(-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)]
+        elif b != 0.0:
+            roots = [-c0 / b]
+        pos = [r for r in roots if r > 0.0]
+        # the head can also cross zero before the quadratic does
+        if dw[0] < 0.0 and w[0] > 0.0:
+            pos.append(-w[0] / dw[0])
+        return min(pos, default=np.inf)
+
+    def interior_point(self):
+        w = np.zeros(self.idx.size)
+        w[0] = 2.0
+        return w - self.d
+
+
+class _DiagonalBlock:
+    """Diagonal metric block over the interval coordinates."""
+
+    def __init__(self, h: np.ndarray):
+        if not np.all((h > 0.0) & (h < np.inf)):
+            raise FactorizationFailure("diagonal metric entry is not positive and finite")
+        self.h = h
+
+    def _column(self, v):
+        return self.h if v.ndim == 1 else self.h[:, None]
 
     def matvec(self, v):
-        return self.h * v
+        return self._column(v) * v
 
     def solve(self, v):
-        return v / self.h
+        return v / self._column(v)
 
     def quad(self, v):
-        return self.h * float(v[0]) ** 2
+        return float(self.h @ (v * v))
 
     def inv_quad(self, v):
-        return float(v[0]) ** 2 / self.h
+        return float(np.sum(v * v / self.h))
 
     def dense(self):
-        return np.array([[self.h]])
+        return np.diag(self.h)
 
 
 class _SocBlock:
@@ -314,7 +363,8 @@ class _SocBlock:
     -2J/q + 4(Jw)(Jw)'/q^2 has eigenvalue 2/(w1-t)^2 on (1, -wbar/t)/sqrt2,
     2/(w1+t)^2 on (1, wbar/t)/sqrt2, and 2/q on the tail complement.
     Working with these closed forms stays accurate at conditioning where a
-    dense Cholesky of the assembled matrix breaks down.
+    dense Cholesky of the assembled matrix breaks down.  ``matvec`` and
+    ``solve`` act on a vector or on the columns of a (k, r) array.
     """
 
     def __init__(self, w: np.ndarray):
@@ -331,17 +381,17 @@ class _SocBlock:
         self.lam_tail = 2.0 / (margin * (head + t))
 
     def _split(self, v):
-        head = float(v[0])
-        proj = float(v[1:] @ self.unit)
-        perp = v[1:] - proj * self.unit
+        head = v[0]
+        proj = self.unit @ v[1:]
+        perp = v[1:] - np.multiply.outer(self.unit, proj)
         a = (head + proj) / np.sqrt(2.0)   # coefficient on (1, unit)/sqrt(2)
         b = (head - proj) / np.sqrt(2.0)   # coefficient on (1, -unit)/sqrt(2)
         return a, b, perp
 
     def _assemble(self, a, b, perp):
-        out = np.empty(self.k)
+        out = np.empty((self.k,) + np.shape(a))
         out[0] = (a + b) / np.sqrt(2.0)
-        out[1:] = ((a - b) / np.sqrt(2.0)) * self.unit + perp
+        out[1:] = np.multiply.outer(self.unit, (a - b) / np.sqrt(2.0)) + perp
         return out
 
     def matvec(self, v):
@@ -363,98 +413,113 @@ class _SocBlock:
                 + float(perp @ perp) / self.lam_tail)
 
     def dense(self):
-        return np.column_stack([self.matvec(col) for col in np.eye(self.k)])
-
-
-def _metric_block(atom: BarrierAtom, u: np.ndarray, side: str):
-    """Structured Hessian block of the atom barrier (or conjugate) at u."""
-    if atom_interior_margin(atom, u, side) <= 0.0:
-        raise DomainViolation(f"{atom.kind} atom: metric point not strictly interior ({side})")
-    if atom.kind == SOC:
-        # the conjugate Hessian at y equals the primal Hessian at -y
-        w = u + atom.offset_vec if side == PRIMAL else -u
-        return _SocBlock(w)
-    h = float(atom_eval(atom, u, side, 2)[0, 0])
-    return _ScalarBlock(h)
+        return self.matvec(np.eye(self.k))
 
 
 class BlockMetric:
-    """Block-diagonal metric over the atom product (one block per atom)."""
+    """Block-diagonal metric over the atom product: a diagonal block over
+    the interval coordinates and a spectral block per cone.
 
-    def __init__(self, atoms: Sequence[BarrierAtom], blocks: Sequence):
-        self.atoms = list(atoms)
-        self.blocks = list(blocks)
-        self.m = sum(a.dim for a in self.atoms)
+    ``matvec`` and ``solve`` take a vector of length m or an (m, k) array,
+    whose columns they transform in one call.
+    """
+
+    def __init__(self, m: int, blocks: Sequence):
+        self.m = m
+        self.blocks = list(blocks)   # (coordinate indices, block) pairs
 
     def dense(self) -> np.ndarray:
         out = np.zeros((self.m, self.m))
-        for atom, blk in zip(self.atoms, self.blocks):
-            idx = np.asarray(atom.coords)
+        for idx, blk in self.blocks:
             out[np.ix_(idx, idx)] = blk.dense()
         return out
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.m)
-        for atom, blk in zip(self.atoms, self.blocks):
-            idx = np.asarray(atom.coords)
+        out = np.zeros(v.shape)
+        for idx, blk in self.blocks:
             out[idx] = blk.matvec(v[idx])
         return out
 
     def solve(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.m)
-        for atom, blk in zip(self.atoms, self.blocks):
-            idx = np.asarray(atom.coords)
+        out = np.zeros(v.shape)
+        for idx, blk in self.blocks:
             out[idx] = blk.solve(v[idx])
         return out
 
     def quad(self, v: np.ndarray) -> float:
-        return float(sum(blk.quad(v[np.asarray(atom.coords)])
-                         for atom, blk in zip(self.atoms, self.blocks)))
+        return float(sum(blk.quad(v[idx]) for idx, blk in self.blocks))
 
     def inv_quad(self, v: np.ndarray) -> float:
-        """v' H^-1 v, one structured block solve per atom."""
-        return float(sum(blk.inv_quad(v[np.asarray(atom.coords)])
-                         for atom, blk in zip(self.atoms, self.blocks)))
+        """v' H^-1 v, one structured block solve per group."""
+        return float(sum(blk.inv_quad(v[idx]) for idx, blk in self.blocks))
 
 
 class DomainBarrier:
-    """Product barrier over an atom list covering the image space."""
+    """Product barrier over an atom list covering the image space.
+
+    The atoms are grouped once, here: one interval group holds every
+    halfline and box, and each cone is a group of its own.  A group with
+    no atoms is not built.  Each method is a loop over the groups.
+    """
 
     def __init__(self, atoms: Sequence[BarrierAtom], m: int):
         self.atoms = tuple(atoms)
         self.m = int(m)
         self.theta = float(sum(a.theta for a in self.atoms))
+        scalars = [a for a in self.atoms if a.kind != SOC]
+        self.groups = ([_IntervalGroup(scalars)] if scalars else []) \
+            + [_ConeGroup(a) for a in self.atoms if a.kind == SOC]
 
-    def _local(self, z: np.ndarray, atom: BarrierAtom) -> np.ndarray:
-        return z[np.asarray(atom.coords)]
+    def _require_finite(self, z: np.ndarray, side: str):
+        if not np.all(np.isfinite(z)):
+            raise DomainViolation(f"point has non-finite entries ({side} side)")
 
     def value(self, z: np.ndarray, side: str = PRIMAL) -> float:
-        return sum(atom_eval(a, self._local(z, a), side, 0) for a in self.atoms)
+        self._require_finite(z, side)
+        return float(sum(g.value(z, side) for g in self.groups))
 
     def grad(self, z: np.ndarray, side: str = PRIMAL) -> np.ndarray:
+        self._require_finite(z, side)
         out = np.zeros(self.m)
-        for a in self.atoms:
-            out[np.asarray(a.coords)] = atom_eval(a, self._local(z, a), side, 1)
+        for g in self.groups:
+            out[g.idx] = g.grad(z, side)
         return out
 
     def hess(self, z: np.ndarray, side: str = PRIMAL) -> BlockMetric:
-        return BlockMetric(
-            self.atoms, [_metric_block(a, self._local(z, a), side) for a in self.atoms])
+        self._require_finite(z, side)
+        return BlockMetric(self.m, [(g.idx, g.hess(z, side)) for g in self.groups])
 
     def support(self, y: np.ndarray) -> float:
         total = 0.0
-        for a in self.atoms:
-            s = atom_support(a, self._local(y, a))
+        for g in self.groups:
+            s = g.support(y)
             if np.isinf(s):
                 return np.inf
             total += s
         return total
 
     def margins(self, z: np.ndarray, side: str = PRIMAL) -> np.ndarray:
-        return np.array([atom_interior_margin(a, self._local(z, a), side) for a in self.atoms])
+        """One slack per atom, interval atoms first, then one per cone.
+        ``z`` may carry a leading batch axis."""
+        return np.concatenate([g.margins(z, side) for g in self.groups], axis=-1)
 
     def min_margin(self, z: np.ndarray, side: str = PRIMAL) -> float:
         return float(np.min(self.margins(z, side)))
 
     def interior(self, z: np.ndarray, side: str = PRIMAL) -> bool:
         return bool(np.all(np.isfinite(z))) and self.min_margin(z, side) > 0.0
+
+    def step_to_boundary(self, z: np.ndarray, dz: np.ndarray, side: str = PRIMAL) -> float:
+        """sup { t : z + s*dz stays in the closed set for s in [0, t] }.
+
+        Exact for linear motion; +inf when the ray never exits.
+        """
+        return min((g.step_to_boundary(z, dz, side) for g in self.groups), default=np.inf)
+
+    def interior_point(self) -> np.ndarray:
+        """A canonical strictly interior point: one unit inside each
+        halfline, the middle of each box, (2, 0, ..., 0) in each cone."""
+        z = np.zeros(self.m)
+        for g in self.groups:
+            z[g.idx] = g.interior_point()
+        return z

@@ -36,6 +36,11 @@ from .path import FollowerOptions, FollowResult, follow
 INPUT_ERROR_EXIT = 4
 
 
+def _is_integral(v) -> bool:
+    return not isinstance(v, bool) and (
+        isinstance(v, int) or (isinstance(v, float) and v.is_integer()))
+
+
 def _parse_atom(entry, index):
     if not isinstance(entry, dict):
         raise ParseError(f"atom {index} must be an object", field=f"atoms[{index}]")
@@ -45,6 +50,12 @@ def _parse_atom(entry, index):
         raise ParseError(f"atom {index} has unknown type {kind!r}", field=f"atoms[{index}].type")
     if not isinstance(coords, list) or not coords:
         raise ParseError(f"atom {index} needs a coords list", field=f"atoms[{index}].coords")
+    if not all(_is_integral(i) for i in coords):
+        raise ParseError(f"atom {index} coords must be integers, got {coords}",
+                         field=f"atoms[{index}].coords")
+    if kind != barriers.SOC and len(coords) != 1:
+        raise ParseError(f"atom {index}: a {kind} atom takes exactly one coordinate",
+                         field=f"atoms[{index}].coords")
     zero_based = [int(i) - 1 for i in coords]
     if any(i < 0 for i in zero_based):
         raise ParseError(f"atom {index} coords are 1-based", field=f"atoms[{index}].coords")
@@ -151,33 +162,23 @@ def _certificate_dict(cert) -> dict | None:
 def _attempt_strict(problem, start, result: FollowResult, eps):
     """Upgrade a weak certificate by the local-norm projection detectors."""
     report = result.report
-    terminal = result.iterates[-1]
-    notes = {}
     if report.status == status_engine.INFEASIBILITY_CERTIFICATE:
-        try:
-            cert = status_engine.strict_infeasibility_certificate(problem, start, terminal)
-            verification = status_engine.verify_certificate(problem, start, cert)
-            if verification.passed:
-                report.certificate, report.verification = cert, verification
-                notes["strict_projection"] = "succeeded"
-            else:
-                notes["strict_projection"] = ("verification failed: "
-                                              + ", ".join(verification.failed_names()))
-        except SolverError as exc:
-            notes["strict_projection"] = f"{type(exc).__name__}: {exc}"
+        project, extra = status_engine.strict_infeasibility_certificate, ()
     elif report.status == status_engine.UNBOUNDEDNESS_CERTIFICATE:
-        try:
-            cert = status_engine.strict_unboundedness_certificate(problem, start, terminal, eps)
-            verification = status_engine.verify_certificate(problem, start, cert)
-            if verification.passed:
-                report.certificate, report.verification = cert, verification
-                notes["strict_projection"] = "succeeded"
-            else:
-                notes["strict_projection"] = ("verification failed: "
-                                              + ", ".join(verification.failed_names()))
-        except SolverError as exc:
-            notes["strict_projection"] = f"{type(exc).__name__}: {exc}"
-    report.diagnostics.update(notes)
+        project, extra = status_engine.strict_unboundedness_certificate, (eps,)
+    else:
+        return
+    try:
+        cert = project(problem, start, result.iterates[-1], *extra)
+        verification = status_engine.verify_certificate(problem, start, cert)
+        if verification.passed:
+            report.certificate, report.verification = cert, verification
+            note = "succeeded"
+        else:
+            note = "verification failed: " + ", ".join(verification.failed_names())
+    except SolverError as exc:
+        note = f"{type(exc).__name__}: {exc}"
+    report.diagnostics["strict_projection"] = note
 
 
 def run_solve(problem: Problem, start: StartData, eps: float, *, strict: bool = False,

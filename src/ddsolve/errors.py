@@ -45,10 +45,6 @@ class ProjectionOutsideDomain(SolverError):
     """Strict-unboundedness projection landed outside the primal domain."""
 
 
-class NewtonDivergence(SolverError):
-    """Unconstrained Newton minimization failed to converge."""
-
-
 class ParseError(SolverError):
     """Problem file could not be parsed.
 

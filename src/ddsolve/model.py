@@ -16,15 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .barriers import (
-    BOX,
-    CONJUGATE,
-    HALFLINE_LOWER,
-    HALFLINE_UPPER,
-    PRIMAL,
-    BarrierAtom,
-    DomainBarrier,
-)
+from .barriers import CONJUGATE, PRIMAL, DomainBarrier
 from .errors import AtomCoverage, BadConstants, DomainViolation, RankDeficient
 
 DUAL_EQ_TOL = 1e-9
@@ -98,26 +90,11 @@ class StartData:
     y_tau0: float
 
 
-def _atom_canonical_interior(atom: BarrierAtom) -> np.ndarray:
-    d = atom.offset_vec
-    if atom.kind == HALFLINE_LOWER:
-        return np.array([atom.lower + 1.0]) - d
-    if atom.kind == HALFLINE_UPPER:
-        return np.array([atom.upper - 1.0]) - d
-    if atom.kind == BOX:
-        return np.array([0.5 * (atom.lower + atom.upper)]) - d
-    w = np.zeros(atom.dim)
-    w[0] = 2.0
-    return w - d
-
-
 def make_start(problem: Problem, z0=None) -> StartData:
-    """Build start data from ``z0`` (default: per-atom canonical interior
-    point).  ``y0`` is always recomputed as the barrier gradient."""
+    """Build start data from ``z0`` (default: the barrier's canonical
+    interior point).  ``y0`` is always recomputed as the barrier gradient."""
     if z0 is None:
-        z0 = np.zeros(problem.m)
-        for atom in problem.atoms:
-            z0[np.asarray(atom.coords)] = _atom_canonical_interior(atom)
+        z0 = problem.barrier.interior_point()
     else:
         z0 = np.asarray(z0, dtype=float).copy()
         if z0.shape != (problem.m,):
@@ -182,25 +159,10 @@ def mu_of(problem: Problem, start: StartData, x, tau: float, y) -> float:
     return float(-(y @ start.z0 + float(tau) * inner) / (problem.xi * problem.theta))
 
 
-def mu_forms(problem: Problem, start: StartData, x, tau: float, y) -> tuple:
-    """All three algebraic forms of the path parameter (they agree on Q)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    tau = float(tau)
-    xith = problem.xi * problem.theta
-    u = shifted_image(problem, start, x, tau)
-    cx = float(problem.c @ x)
-    f1 = tau / xith * (-start.y_tau0 - tau * cx - float(y @ u))
-    f2 = -(float(y @ start.z0) + tau * (start.y_tau0 + float(y @ (problem.A @ x)))
-           + tau * tau * cx) / xith
-    f3 = mu_of(problem, start, x, tau, y)
-    return f1, f2, f3
-
-
 def proximity_at(problem: Problem, start: StartData, x, tau: float, y, mu: float) -> float:
     """Distance to the path point at parameter ``mu``:
     || A x + z0/tau - conj_grad((tau/mu) y) ||  in the inverse conjugate-
-    Hessian norm at (tau/mu) y.  One Cholesky solve per atom block.
+    Hessian norm at (tau/mu) y.  One structured solve per barrier group.
     """
     if not mu > 0.0:
         raise DomainViolation(f"path parameter must be positive, got {mu}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barriers import BOX, CONJUGATE, HALFLINE_LOWER, HALFLINE_UPPER, PRIMAL, SOC
+from .barriers import CONJUGATE, PRIMAL
 from .errors import (
     CorrectorStall,
     DomainViolation,
@@ -27,6 +27,7 @@ from .errors import (
     PredictorStall,
 )
 from .model import (
+    DUAL_EQ_TOL,
     Iterate,
     Problem,
     StartData,
@@ -135,8 +136,7 @@ def _kkt_solve(problem, start, x, tau, y, mu, b_dual, b_cent, b_gap):
     g = problem.barrier.grad(u, PRIMAL)
     H = problem.barrier.hess(u, PRIMAL)
     s = mu / tau
-    HA = np.column_stack([H.matvec(A[:, j]) for j in range(problem.n)]) \
-        if problem.n else np.zeros((problem.m, 0))
+    HA = H.matvec(A)
     Hz0 = H.matvec(start.z0)
     Hu = H.matvec(u)
     p_vec = (mu / tau**2) * g + (mu / tau**3) * Hz0
@@ -159,60 +159,6 @@ def _kkt_solve(problem, start, x, tau, y, mu, b_dual, b_cent, b_gap):
     dx, dtau = sol[:n], float(sol[n])
     dy = b_cent + s * (HA @ dx) - p_vec * dtau
     return dx, dtau, dy
-
-
-def _max_step_to_boundary(problem, z, dz, side) -> float:
-    """sup { t : z + s*dz stays in the closed set for s in [0, t] }.
-
-    Exact for linear motion; +inf when the ray never exits.
-    """
-    t_max = np.inf
-    for atom in problem.atoms:
-        idx = np.asarray(atom.coords)
-        if side == PRIMAL:
-            w = z[idx] + atom.offset_vec
-            dw = dz[idx]
-        else:
-            if atom.kind == BOX:
-                continue  # dual factor is the whole line
-            # halfline duals are sign constraints; soc dual is -K
-            w = z[idx].copy()
-            dw = dz[idx].copy()
-        if atom.kind == SOC:
-            if side == CONJUGATE:
-                w, dw = -w, -dw
-            # boundary of {w1 >= |wbar|} along the ray: quadratic in s
-            sgn = np.ones(atom.dim)
-            sgn[1:] = -1.0
-            a = float(dw @ (sgn * dw))
-            b = 2.0 * float(w @ (sgn * dw))
-            c0 = float(w @ (sgn * w))
-            roots = []
-            if abs(a) > 0.0:
-                disc = b * b - 4.0 * a * c0
-                if disc >= 0.0:
-                    sq = np.sqrt(disc)
-                    roots = [(-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)]
-            elif b != 0.0:
-                roots = [-c0 / b]
-            pos = [r for r in roots if r > 0.0]
-            # the head can also cross zero before the quadratic does
-            if dw[0] < 0.0 and w[0] > 0.0:
-                pos.append(-w[0] / dw[0])
-            if pos:
-                t_max = min(t_max, min(pos))
-            continue
-        if atom.kind == HALFLINE_LOWER:
-            slacks = [(w[0] - atom.lower, dw[0])] if side == PRIMAL else [(-w[0], -dw[0])]
-        elif atom.kind == HALFLINE_UPPER:
-            slacks = [(atom.upper - w[0], -dw[0])] if side == PRIMAL else [(w[0], dw[0])]
-        else:  # box, primal side
-            slacks = [(w[0] - atom.lower, dw[0]), (atom.upper - w[0], -dw[0])]
-        for slack, dslack in slacks:
-            if dslack < 0.0 and slack > 0.0:
-                t_max = min(t_max, slack / (-dslack))
-    return t_max
-
 
 
 def _interior_after(problem, start, x, tau, y) -> bool:
@@ -270,11 +216,11 @@ def corrector_step(problem: Problem, start: StartData, point: Iterate, mu: float
         if dtau < 0.0:
             alpha = min(alpha, options.boundary_fraction * tau / (-dtau))
         alpha = min(alpha, options.boundary_fraction
-                    * _max_step_to_boundary(problem, y, dy, CONJUGATE))
+                    * problem.barrier.step_to_boundary(y, dy, CONJUGATE))
         u = shifted_image(problem, start, x, tau)
         du_lin = problem.A @ dx - start.z0 * (dtau / tau**2)
         alpha = min(alpha, options.boundary_fraction
-                    * _max_step_to_boundary(problem, u, du_lin, PRIMAL))
+                    * problem.barrier.step_to_boundary(u, du_lin, PRIMAL))
         while alpha > 1e-18 and not _interior_after(
                 problem, start, x + alpha * dx, tau + alpha * dtau, y + alpha * dy):
             alpha *= 0.5
@@ -315,11 +261,11 @@ def predictor_step(problem: Problem, start: StartData, point: Iterate,
     if ttau < 0.0:
         dmu = min(dmu, options.boundary_fraction * tau / (-ttau))
     dmu = min(dmu, options.boundary_fraction
-              * _max_step_to_boundary(problem, y, ty, CONJUGATE))
+              * problem.barrier.step_to_boundary(y, ty, CONJUGATE))
     u = shifted_image(problem, start, x, tau)
     du_lin = problem.A @ tx - start.z0 * (ttau / tau**2)
     dmu = min(dmu, options.boundary_fraction
-              * _max_step_to_boundary(problem, u, du_lin, PRIMAL))
+              * problem.barrier.step_to_boundary(u, du_lin, PRIMAL))
 
     radius = options.predictor_radius * problem.kappa
     while dmu > 1e-12 * mu:
@@ -339,7 +285,7 @@ def _check_invariants(problem, start, it: Iterate, violations: list):
     """Per-iterate runtime assertions: membership, proximity, gap sandwich,
     the tau floor, and the weak-detector inequality."""
     slack = 1e-8
-    tol = 1e-9 * (1.0 + float(np.linalg.norm(problem.c)))
+    tol = DUAL_EQ_TOL * (1.0 + float(np.linalg.norm(problem.c)))
     if not it.tau > 0.0:
         violations.append(f"tau not positive at mu={it.mu:.3e}")
     u = shifted_image(problem, start, it.x, it.tau)

@@ -283,8 +283,7 @@ def iteration_limit_report(problem, start, point: Iterate) -> StatusReport:
 
 def _weighted_projection(metric, constraints, rhs, v):
     """argmin (w-v)' H (w-v)  s.t.  constraints' w = rhs  (H = metric)."""
-    k = constraints.shape[1]
-    hinv_c = np.column_stack([metric.solve(constraints[:, j]) for j in range(k)])
+    hinv_c = metric.solve(constraints)
     gram = constraints.T @ hinv_c
     lam = np.linalg.solve(gram, constraints.T @ v - rhs)
     return v - hinv_c @ lam
@@ -337,8 +336,7 @@ def strict_unboundedness_certificate(problem: Problem, start: StartData,
     u = shifted_image(problem, start, x, tau)
     metric = problem.barrier.hess(u, PRIMAL)
     try:
-        AH = np.column_stack([metric.matvec(problem.A[:, j]) for j in range(problem.n)])
-        gram = problem.A.T @ AH
+        gram = problem.A.T @ metric.matvec(problem.A)
         target = problem.A.T @ metric.matvec(u)
         xhat = np.linalg.solve(gram, target)
         if float(problem.c @ xhat) > -1.0 / eps:

@@ -4,7 +4,7 @@ These recompute analysis quantities independently of the path follower:
 grid search with refinement for feasibility measures, damped Newton for
 the analytic center shifted by the objective, bisection for the
 feasibility measure of strictly feasible instances.  They exist for the
-test suite; nothing in the solver calls them.
+test suite and are not part of the installed package.
 """
 
 from __future__ import annotations
@@ -13,11 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barriers import BOX, CONJUGATE, HALFLINE_LOWER, HALFLINE_UPPER, PRIMAL
-from .errors import NewtonDivergence
-from .model import Problem, StartData, support_function
+from ddsolve.barriers import BOX, CONJUGATE, HALFLINE_LOWER, HALFLINE_UPPER, PRIMAL
+from ddsolve.errors import SolverError
+from ddsolve.model import Problem, StartData, support_function
 
 T_SUP_SENTINEL = 1.0e6
+
+
+class NewtonDivergence(SolverError):
+    """Unconstrained Newton minimization failed to converge."""
 
 
 @dataclass(frozen=True)
@@ -41,24 +45,6 @@ def _grid(box, resolution):
         return axes[0][:, None]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     return pts.reshape(-1, len(axes))
-
-
-def _batch_margins(problem, Z):
-    """Per-row minimum primal margin of the image points Z (N x m)."""
-    out = np.full(Z.shape[0], np.inf)
-    for atom in problem.atoms:
-        idx = np.asarray(atom.coords)
-        W = Z[:, idx] + atom.offset_vec
-        if atom.kind == HALFLINE_LOWER:
-            margin = W[:, 0] - atom.lower
-        elif atom.kind == HALFLINE_UPPER:
-            margin = atom.upper - W[:, 0]
-        elif atom.kind == BOX:
-            margin = np.minimum(W[:, 0] - atom.lower, atom.upper - W[:, 0])
-        else:
-            margin = W[:, 0] - np.linalg.norm(W[:, 1:], axis=1)
-        out = np.minimum(out, margin)
-    return out
 
 
 def _batch_dist(problem, Z):
@@ -122,7 +108,7 @@ def _feasible_at(inst: OracleInstance, shift: np.ndarray) -> bool:
     problem = inst.problem
 
     def margin(X):
-        return _batch_margins(problem, X @ problem.A.T + shift)
+        return problem.barrier.margins(X @ problem.A.T + shift).min(axis=-1)
 
     _, v = _refine(margin, inst.box, inst.resolution, x_tol=1e-9)
     return v >= 0.0
@@ -166,7 +152,7 @@ def compute_xbar1(inst: OracleInstance) -> CenterResult:
     barrier = problem.barrier
 
     def margin(X):
-        return _batch_margins(problem, X @ problem.A.T)
+        return problem.barrier.margins(X @ problem.A.T).min(axis=-1)
 
     x0, v = _refine(margin, inst.box, inst.resolution, x_tol=1e-6)
     if not v > 0.0:
@@ -180,8 +166,7 @@ def compute_xbar1(inst: OracleInstance) -> CenterResult:
             y = barrier.grad(z, PRIMAL)
             return CenterResult(x=x, y=y, y_tau=float(-problem.xi * problem.theta - y @ z))
         H = barrier.hess(z, PRIMAL)
-        AH = np.column_stack([H.matvec(problem.A[:, j]) for j in range(problem.n)])
-        step = -np.linalg.solve(problem.A.T @ AH, g)
+        step = -np.linalg.solve(problem.A.T @ H.matvec(problem.A), g)
         f0 = barrier.value(z, PRIMAL) + float(problem.c @ x)
         alpha, accepted = 1.0, False
         while alpha > 1e-14:

@@ -10,7 +10,7 @@ import numpy as np
 import ddsolve as dd
 from ddsolve.cli import main
 from ddsolve.model import shifted_image
-from ddsolve.oracles import OracleInstance, oracle_sigma_f, oracle_sigma_p, oracle_tp
+from oracles import OracleInstance, oracle_sigma_f, oracle_sigma_p, oracle_tp
 from ddsolve.status import Certificate, stop_params, verify_certificate
 
 from test_barriers import ATOM_CASES, sample_dual_interior, sample_interior, sample_member

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ddsolve as dd
-from ddsolve.barriers import CONJUGATE, PRIMAL, _metric_block
+from ddsolve.barriers import CONJUGATE, PRIMAL
 
 RNG_SEED = 20240817
 
@@ -180,24 +180,46 @@ def test_domain_violation_raised():
 
 
 def test_local_norm_worked_values():
-    ident = dd.LocalMetric(np.eye(2))
-    assert dd.local_norm(ident, [3.0, 4.0], "direct") == pytest.approx(5.0)
-    diag = dd.LocalMetric(np.diag([4.0, 1.0]))
-    assert dd.local_norm(diag, [1.0, 0.0], "direct") == pytest.approx(2.0)
-    assert dd.local_norm(diag, [1.0, 0.0], "inverse") == pytest.approx(0.5)
-    with pytest.raises(dd.FactorizationFailure):
-        dd.local_norm(dd.LocalMetric(np.diag([1.0, -1.0])), [1.0, 1.0])
+    # two halflines z >= 0: the Hessian at (1, 1) is the identity and at
+    # (0.5, 1) it is diag(4, 1)
+    barrier = dd.DomainBarrier([dd.halfline_lower(0, 0.0), dd.halfline_lower(1, 0.0)], 2)
+    ident = barrier.hess(np.array([1.0, 1.0]), PRIMAL)
+    assert np.sqrt(ident.quad(np.array([3.0, 4.0]))) == pytest.approx(5.0)
+    diag = barrier.hess(np.array([0.5, 1.0]), PRIMAL)
+    assert np.allclose(diag.dense(), np.diag([4.0, 1.0]))
+    assert np.sqrt(diag.quad(np.array([1.0, 0.0]))) == pytest.approx(2.0)
+    assert np.sqrt(diag.inv_quad(np.array([1.0, 0.0]))) == pytest.approx(0.5)
+    # no metric at a point outside the domain, nor where an entry vanishes
+    with pytest.raises(dd.DomainViolation):
+        barrier.hess(np.array([0.5, -1.0]), PRIMAL)
+    with np.errstate(over="ignore"), pytest.raises(dd.FactorizationFailure):
+        barrier.hess(np.array([1e200, 1.0]), PRIMAL)
+
+
+def _mixed_barrier():
+    atoms = [dd.box(0, -1.0, 2.5, offset=0.8), dd.soc([1, 2, 3], [0.1, -0.2, 0.3]),
+             dd.halfline_lower(4, lower=0.7, offset=-0.3), dd.halfline_upper(5, upper=2.0)]
+    return atoms, dd.DomainBarrier(atoms, 6)
+
+
+def _sample_point(atoms, m, rng, side):
+    sampler = sample_interior if side == PRIMAL else sample_dual_interior
+    z = np.zeros(m)
+    for atom in atoms:
+        z[np.asarray(atom.coords)] = sampler(atom, rng)
+    return z
 
 
 def test_generalized_cauchy_schwarz():
+    # |<s, x>| <= ||x||_H ||s||_{H^-1} for barrier Hessians of mixed atoms
+    atoms, barrier = _mixed_barrier()
     rng = np.random.default_rng(RNG_SEED + 5)
-    for _ in range(100):
-        B = rng.normal(size=(3, 3))
-        H = B @ B.T + 0.1 * np.eye(3)
-        metric = dd.LocalMetric(H)
-        x, s = rng.normal(size=3), rng.normal(size=3)
+    for k in range(100):
+        side = PRIMAL if k % 2 else CONJUGATE
+        metric = barrier.hess(_sample_point(atoms, 6, rng, side), side)
+        x, s = rng.normal(size=6), rng.normal(size=6)
         lhs = abs(float(s @ x))
-        rhs = dd.local_norm(metric, x, "direct") * dd.local_norm(metric, s, "inverse")
+        rhs = np.sqrt(metric.quad(x)) * np.sqrt(metric.inv_quad(s))
         assert lhs <= rhs * (1.0 + 1e-12)
 
 
@@ -244,8 +266,112 @@ def test_block_metric_matches_dense():
 def test_soc_block_stays_finite_at_extreme_conditioning():
     # near the cone boundary at large scale a dense Cholesky fails; the
     # spectral block must keep producing finite, positive quantities
-    blk = _metric_block(dd.soc([0, 1, 2]), np.array([1e4 + 1e-7, 1e4, 0.0]), PRIMAL)
+    barrier = dd.DomainBarrier([dd.soc([0, 1, 2])], 3)
+    blk = barrier.hess(np.array([1e4 + 1e-7, 1e4, 0.0]), PRIMAL)
     v = np.array([1.0, 2.0, 3.0])
     assert np.isfinite(blk.quad(v)) and blk.quad(v) > 0
     assert np.isfinite(blk.inv_quad(v)) and blk.inv_quad(v) > 0
     assert np.all(np.isfinite(blk.solve(v)))
+
+
+# interleaved coordinates: every scalar kind, two cones of different sizes
+GROUPED_ATOMS = [
+    dd.soc([1, 5, 8], [0.1, -0.2, 0.3]),
+    dd.halfline_lower(2, lower=0.7, offset=-0.3),
+    dd.soc([0, 3, 9, 11], [0.5, 0.0, -0.4, 0.2]),
+    dd.box(6, -1.0, 2.5, offset=0.8),
+    dd.halfline_upper(4, upper=2.0, offset=0.4),
+    dd.box(10, 0.0, 1.0),
+    dd.halfline_lower(7, lower=-1.0),
+]
+GROUPED_M = 12
+
+
+def _scatter(pieces):
+    """Assemble per-atom vectors (or matrices) onto the image coordinates."""
+    if np.ndim(pieces[0][1]) == 2:
+        out = np.zeros((GROUPED_M, GROUPED_M))
+        for atom, block in pieces:
+            out[np.ix_(atom.coords, atom.coords)] = block
+        return out
+    out = np.zeros(GROUPED_M)
+    for atom, piece in pieces:
+        out[list(atom.coords)] = piece
+    return out
+
+
+@pytest.mark.parametrize("side", [PRIMAL, CONJUGATE])
+def test_grouped_barrier_matches_one_atom_barriers(side):
+    barrier = dd.DomainBarrier(GROUPED_ATOMS, GROUPED_M)
+    rng = np.random.default_rng(RNG_SEED + 8)
+    for _ in range(20):
+        z = _sample_point(GROUPED_ATOMS, GROUPED_M, rng, side)
+        local = [(a, z[list(a.coords)]) for a in GROUPED_ATOMS]
+        assert barrier.value(z, side) == pytest.approx(
+            sum(dd.atom_eval(a, u, side, 0) for a, u in local), rel=1e-12, abs=1e-12)
+        assert np.allclose(barrier.grad(z, side),
+                           _scatter([(a, dd.atom_eval(a, u, side, 1)) for a, u in local]),
+                           rtol=1e-12, atol=0.0)
+        assert np.allclose(barrier.hess(z, side).dense(),
+                           _scatter([(a, dd.atom_eval(a, u, side, 2)) for a, u in local]),
+                           rtol=1e-12, atol=1e-15)
+        assert barrier.min_margin(z, side) == min(
+            dd.atom_interior_margin(a, u, side) for a, u in local)
+        # a batch of points gives the per-point margins row by row
+        Z = np.stack([z, 2.0 * z - 1.0])
+        assert np.array_equal(barrier.margins(Z, side),
+                              np.stack([barrier.margins(Z[0], side), barrier.margins(Z[1], side)]))
+
+
+def test_grouped_support_both_sides_of_the_dual_cone():
+    barrier = dd.DomainBarrier(GROUPED_ATOMS, GROUPED_M)
+    rng = np.random.default_rng(RNG_SEED + 9)
+    for _ in range(20):
+        y = _sample_point(GROUPED_ATOMS, GROUPED_M, rng, CONJUGATE)
+        expected = sum(dd.atom_support(a, y[list(a.coords)]) for a in GROUPED_ATOMS)
+        assert np.isfinite(expected)
+        assert barrier.support(y) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        for atom in GROUPED_ATOMS:
+            if atom.kind == "box":
+                continue  # its dual factor is the whole line
+            outside = y.copy()
+            outside[list(atom.coords)] *= -1.0
+            assert np.isinf(dd.atom_support(atom, outside[list(atom.coords)]))
+            assert barrier.support(outside) == np.inf
+    # a halfline at y = 0 contributes 0, not inf * 0
+    zero = dd.DomainBarrier([dd.halfline_lower(0, 1.0), dd.halfline_upper(1, 2.0)], 2)
+    assert zero.support(np.zeros(2)) == 0.0
+
+
+@pytest.mark.parametrize("side", [PRIMAL, CONJUGATE])
+def test_grouped_metric_acts_on_columns(side):
+    barrier = dd.DomainBarrier(GROUPED_ATOMS, GROUPED_M)
+    rng = np.random.default_rng(RNG_SEED + 10)
+    metric = barrier.hess(_sample_point(GROUPED_ATOMS, GROUPED_M, rng, side), side)
+    V = rng.normal(size=(GROUPED_M, 5))
+    for op in (metric.matvec, metric.solve):
+        columns = np.column_stack([op(V[:, j]) for j in range(V.shape[1])])
+        assert np.allclose(op(V), columns, rtol=1e-13, atol=0.0)
+    assert metric.matvec(V[:, :0]).shape == (GROUPED_M, 0)
+
+
+@pytest.mark.parametrize("side", [PRIMAL, CONJUGATE])
+def test_step_to_boundary_matches_bisection(side):
+    barrier = dd.DomainBarrier(GROUPED_ATOMS, GROUPED_M)
+    rng = np.random.default_rng(RNG_SEED + 11)
+    for _ in range(20):
+        z = _sample_point(GROUPED_ATOMS, GROUPED_M, rng, side)
+        dz = rng.normal(size=GROUPED_M)
+        t = barrier.step_to_boundary(z, dz, side)
+        if not np.isfinite(t):
+            assert barrier.interior(z + 1e8 * dz, side)
+            continue
+        lo, hi = 0.0, 2.0 * t + 1.0
+        assert not barrier.interior(z + hi * dz, side)
+        while hi - lo > 1e-12 * hi:
+            mid = 0.5 * (lo + hi)
+            if barrier.interior(z + mid * dz, side):
+                lo = mid
+            else:
+                hi = mid
+        assert t == pytest.approx(lo, rel=1e-9)

@@ -44,6 +44,33 @@ def test_parse_reports_field_on_bad_atom(tmp_path):
     assert "atoms[0]" in str(err.value)
 
 
+def test_parse_rejects_fractional_coords(tmp_path, capsys):
+    # int() would truncate these to [1] and [2] and solve the wrong problem
+    doc = {"n": 1, "m": 2, "A": [[1.0], [-1.0]], "c": [1.0],
+           "atoms": [{"type": "halfline_lower", "coords": [1.7], "bounds": 0.0},
+                     {"type": "halfline_lower", "coords": [2.9], "bounds": -1.0}]}
+    path = tmp_path / "bad.dd"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(dd.ParseError) as err:
+        parse_problem_file(str(path))
+    assert err.value.field == "atoms[0].coords"
+    assert main(["solve", str(path)]) == 4
+    assert "atoms[0].coords" in json.loads(capsys.readouterr().out)["error"]
+
+
+def test_parse_rejects_several_coords_on_scalar_atom(tmp_path, capsys):
+    doc = {"n": 1, "m": 2, "A": [[1.0], [-1.0]], "c": [1.0],
+           "atoms": [{"type": "halfline_lower", "coords": [1, 2], "bounds": 0.0}]}
+    path = tmp_path / "bad.dd"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(dd.ParseError) as err:
+        parse_problem_file(str(path))
+    assert err.value.field == "atoms[0].coords"
+    assert main(["solve", str(path)]) == 4
+    out = json.loads(capsys.readouterr().out)
+    assert "exactly one coordinate" in out["error"] and "partition" not in out["error"]
+
+
 def test_parse_rejects_scalar_soc_offset(tmp_path):
     doc = {"n": 2, "m": 3, "A": [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]], "c": [-1.0, 1.0],
            "atoms": [{"type": "soc", "coords": [1, 2, 3], "offset": 1.0}]}

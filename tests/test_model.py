@@ -4,7 +4,22 @@ import numpy as np
 import pytest
 
 import ddsolve as dd
-from ddsolve.model import dual_residual, mu_forms, shifted_image
+from ddsolve.model import dual_residual, mu_of, shifted_image
+
+
+def mu_forms(problem, start, x, tau, y):
+    """All three algebraic forms of the path parameter (they agree on Q)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    tau = float(tau)
+    xith = problem.xi * problem.theta
+    u = shifted_image(problem, start, x, tau)
+    cx = float(problem.c @ x)
+    f1 = tau / xith * (-start.y_tau0 - tau * cx - float(y @ u))
+    f2 = -(float(y @ start.z0) + tau * (start.y_tau0 + float(y @ (problem.A @ x)))
+           + tau * tau * cx) / xith
+    f3 = mu_of(problem, start, x, tau, y)
+    return f1, f2, f3
 
 
 def test_validate_two_halflines():

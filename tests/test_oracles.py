@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import ddsolve as dd
-from ddsolve.oracles import (
+from oracles import (
+    NewtonDivergence,
     OracleInstance,
     compute_xbar1,
     oracle_sigma_f,
@@ -74,7 +75,7 @@ def test_center_point_box(box_inst, box_problem):
 
 
 def test_center_diverges_without_interior(inf_inst):
-    with pytest.raises(dd.NewtonDivergence):
+    with pytest.raises(NewtonDivergence):
         compute_xbar1(inf_inst)
 
 

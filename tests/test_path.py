@@ -5,7 +5,7 @@ import pytest
 
 import ddsolve as dd
 from ddsolve.model import make_iterate, shifted_image
-from ddsolve.oracles import OracleInstance, oracle_sigma_f
+from oracles import OracleInstance, oracle_sigma_f
 from ddsolve.path import _kkt_solve
 
 
