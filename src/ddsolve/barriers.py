@@ -151,6 +151,12 @@ def atom_support(atom: BarrierAtom, y) -> float:
     return _one_atom_barrier(atom).support(np.atleast_1d(np.asarray(y, dtype=float)))
 
 
+def _norm(t: np.ndarray):
+    """Euclidean norm of a contiguous 1-d array: the formula np.linalg.norm
+    itself uses for it, so the same bits, without its dispatch."""
+    return np.sqrt(t.dot(t))
+
+
 def _first_exit(slack: np.ndarray, dslack: np.ndarray) -> float:
     """Smallest s > 0 at which some positive slack + s * dslack reaches 0."""
     hit = (dslack < 0.0) & (slack > 0.0)
@@ -270,14 +276,16 @@ class _ConeGroup:
     def _interior(self, z, side):
         """(w, q) with w the canonical cone point and q = (w1 - t)(w1 + t)."""
         w = self._canonical(z, side)
-        head, t = w[0], np.linalg.norm(w[1:])
+        head, t = w[0], _norm(w[1:])
         if not head - t > 0.0:
             raise DomainViolation(f"soc atom: point not strictly interior ({side} side)")
         return w, (head - t) * (head + t)
 
     def margins(self, z, side):
         w = self._canonical(z, side)
-        return (w[..., 0] - np.linalg.norm(w[..., 1:], axis=-1))[..., None]
+        tail = w[..., 1:]
+        # np.linalg.norm(tail, axis=-1), written out as numpy computes it
+        return (w[..., 0] - np.sqrt(np.add.reduce(tail * tail, axis=-1)))[..., None]
 
     def value(self, z, side):
         w, q = self._interior(z, side)
@@ -298,7 +306,7 @@ class _ConeGroup:
 
     def support(self, y):
         w = -y[self.idx]
-        if w[0] < np.linalg.norm(w[1:]):
+        if w[0] < _norm(w[1:]):
             return np.inf
         return float(-(y[self.idx] @ self.d))
 
@@ -370,7 +378,7 @@ class _SocBlock:
     def __init__(self, w: np.ndarray):
         w = np.asarray(w, dtype=float)
         head = float(w[0])
-        t = float(np.linalg.norm(w[1:]))
+        t = float(_norm(w[1:]))
         margin = head - t
         if not margin > 0.0 or not np.isfinite(margin):
             raise FactorizationFailure("soc metric point is not interior to the cone")
@@ -471,7 +479,7 @@ class DomainBarrier:
             + [_ConeGroup(a) for a in self.atoms if a.kind == SOC]
 
     def _require_finite(self, z: np.ndarray, side: str):
-        if not np.all(np.isfinite(z)):
+        if not np.isfinite(z).all():
             raise DomainViolation(f"point has non-finite entries ({side} side)")
 
     def value(self, z: np.ndarray, side: str = PRIMAL) -> float:
@@ -507,7 +515,10 @@ class DomainBarrier:
         return float(np.min(self.margins(z, side)))
 
     def interior(self, z: np.ndarray, side: str = PRIMAL) -> bool:
-        return bool(np.all(np.isfinite(z))) and self.min_margin(z, side) > 0.0
+        """Strict interiority, checked group by group: stops at the first
+        group with a non-positive margin."""
+        return bool(np.isfinite(z).all()) and all(
+            g.margins(z, side).min() > 0.0 for g in self.groups)
 
     def step_to_boundary(self, z: np.ndarray, dz: np.ndarray, side: str = PRIMAL) -> float:
         """sup { t : z + s*dz stays in the closed set for s in [0, t] }.

@@ -41,6 +41,18 @@ def _is_integral(v) -> bool:
         isinstance(v, int) or (isinstance(v, float) and v.is_integer()))
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _number(doc, key, default) -> float:
+    """Optional numeric entry: a JSON number or absent."""
+    value = doc.get(key, default)
+    if not _is_number(value):
+        raise ParseError(f"{key} must be a number, got {value!r}", field=key)
+    return float(value)
+
+
 def _parse_atom(entry, index):
     if not isinstance(entry, dict):
         raise ParseError(f"atom {index} must be an object", field=f"atoms[{index}]")
@@ -95,8 +107,11 @@ def parse_problem_file(path) -> tuple[Problem, StartData]:
     for key in ("n", "m", "A", "c", "atoms"):
         if key not in doc:
             raise ParseError(f"missing required entry {key!r}", field=key)
+    for key in ("n", "m"):
+        if not _is_integral(doc[key]):
+            raise ParseError(f"{key} must be an integer, got {doc[key]!r}", field=key)
+    n, m = int(doc["n"]), int(doc["m"])
     try:
-        n, m = int(doc["n"]), int(doc["m"])
         A = np.asarray(doc["A"], dtype=float)
         c = np.asarray(doc["c"], dtype=float)
     except (TypeError, ValueError) as exc:
@@ -105,12 +120,17 @@ def parse_problem_file(path) -> tuple[Problem, StartData]:
         raise ParseError(f"A has shape {A.shape}, expected ({m}, {n})", field="A")
     if c.shape != (n,):
         raise ParseError(f"c has length {c.shape}, expected {n}", field="c")
+    if not isinstance(doc["atoms"], list):
+        raise ParseError("atoms must be a list of atom objects", field="atoms")
     atoms = [_parse_atom(entry, i) for i, entry in enumerate(doc["atoms"])]
-    problem = validate_problem(A, c, atoms, xi=float(doc.get("xi", 2.0)),
-                               kappa=float(doc.get("kappa", 0.25)))
+    problem = validate_problem(A, c, atoms, xi=_number(doc, "xi", 2.0),
+                               kappa=_number(doc, "kappa", 0.25))
     z0 = doc.get("z0")
-    start = make_start(problem, None if z0 is None else np.asarray(z0, dtype=float))
-    return problem, start
+    if z0 is not None:
+        if not isinstance(z0, list) or not all(_is_number(v) for v in z0):
+            raise ParseError("z0 must be a list of numbers", field="z0")
+        z0 = np.asarray(z0, dtype=float)
+    return problem, make_start(problem, z0)
 
 
 def _as_floats(vec):

@@ -11,13 +11,13 @@ anchored at a chosen interior point z0 with y0 the barrier gradient there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .barriers import CONJUGATE, PRIMAL, DomainBarrier
-from .errors import AtomCoverage, BadConstants, DomainViolation, RankDeficient
+from .errors import AtomCoverage, BadConstants, DomainViolation, RankDeficient, ValidationError
 
 DUAL_EQ_TOL = 1e-9
 
@@ -48,6 +48,18 @@ class Problem:
     def theta(self) -> float:
         return self.barrier.theta
 
+    # per-problem constants of the follower, formed on first use
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """A'A."""
+        return self.A.T @ self.A
+
+    @cached_property
+    def c_inf(self) -> float:
+        """||c||_inf (0 when there are no columns)."""
+        return float(np.max(np.abs(self.c))) if self.n else 0.0
+
 
 def validate_problem(A, c, atoms, xi: float = 2.0, kappa: float = 0.25) -> Problem:
     """Check dimensions, atom coverage, rank and solver constants.
@@ -59,6 +71,9 @@ def validate_problem(A, c, atoms, xi: float = 2.0, kappa: float = 0.25) -> Probl
     m, n = A.shape
     if c.shape != (n,):
         raise AtomCoverage(f"c has shape {c.shape}, expected ({n},)")
+    for name, data in (("A", A), ("c", c)):
+        if not np.isfinite(data).all():
+            raise ValidationError(f"{name} has non-finite entries")
     atoms = tuple(atoms)
     covered = sorted(i for a in atoms for i in a.coords)
     if covered != list(range(m)):
@@ -66,8 +81,8 @@ def validate_problem(A, c, atoms, xi: float = 2.0, kappa: float = 0.25) -> Probl
             f"atom coords {covered} do not partition the {m} image coordinates")
     xi = float(xi)
     kappa = float(kappa)
-    if not xi > 1.0:
-        raise BadConstants(f"xi must exceed 1, got {xi}")
+    if not 1.0 < xi < np.inf:
+        raise BadConstants(f"xi must be finite and exceed 1, got {xi}")
     if not kappa >= 0.0 or not xi - 1.0 - kappa > 0.0:
         raise BadConstants(f"need kappa >= 0 and xi - 1 - kappa > 0, got xi={xi} kappa={kappa}")
     if n > m:
@@ -88,6 +103,16 @@ class StartData:
     z0: np.ndarray
     y0: np.ndarray
     y_tau0: float
+    # ||A'y0||_inf and the problem it was formed for; see aty0_inf
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def aty0_inf(self, problem: Problem) -> float:
+        """||A'y0||_inf, formed once per problem the start is used with."""
+        memo = self._memo
+        if memo.get("problem") is not problem:
+            memo["problem"] = problem
+            memo["aty0_inf"] = float(np.max(np.abs(problem.A.T @ self.y0), initial=0.0))
+        return memo["aty0_inf"]
 
 
 def make_start(problem: Problem, z0=None) -> StartData:
@@ -159,10 +184,13 @@ def mu_of(problem: Problem, start: StartData, x, tau: float, y) -> float:
     return float(-(y @ start.z0 + float(tau) * inner) / (problem.xi * problem.theta))
 
 
-def proximity_at(problem: Problem, start: StartData, x, tau: float, y, mu: float) -> float:
+def proximity_at(problem: Problem, start: StartData, x, tau: float, y, mu: float,
+                 *, u=None) -> float:
     """Distance to the path point at parameter ``mu``:
     || A x + z0/tau - conj_grad((tau/mu) y) ||  in the inverse conjugate-
     Hessian norm at (tau/mu) y.  One structured solve per barrier group.
+
+    ``u``, if given, is the shifted image A x + z0/tau, already formed.
     """
     if not mu > 0.0:
         raise DomainViolation(f"path parameter must be positive, got {mu}")
@@ -170,7 +198,8 @@ def proximity_at(problem: Problem, start: StartData, x, tau: float, y, mu: float
     v = (float(tau) / float(mu)) * y
     if not problem.barrier.interior(v, CONJUGATE):
         raise DomainViolation("scaled dual point left the dual cone interior")
-    u = shifted_image(problem, start, x, tau)
+    if u is None:
+        u = shifted_image(problem, start, x, tau)
     resid = u - problem.barrier.grad(v, CONJUGATE)
     metric = problem.barrier.hess(v, CONJUGATE)
     return float(np.sqrt(max(metric.inv_quad(resid), 0.0)))
@@ -187,12 +216,15 @@ def proximity(problem: Problem, start: StartData, x, tau: float, y) -> float:
     return proximity_at(problem, start, x, tau, y, mu_of(problem, start, x, tau, y))
 
 
-def make_iterate(problem: Problem, start: StartData, x, tau: float, y) -> Iterate:
+def make_iterate(problem: Problem, start: StartData, x, tau: float, y, *,
+                 u=None) -> Iterate:
+    """The point with its path parameter and proximity; ``u`` as in
+    :func:`proximity_at`."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     mu = mu_of(problem, start, x, tau, y)
     return Iterate(x=x, tau=float(tau), y=y, mu=mu,
-                   proximity=proximity_at(problem, start, x, tau, y, mu))
+                   proximity=proximity_at(problem, start, x, tau, y, mu, u=u))
 
 
 def support_function(problem: Problem, y) -> float:

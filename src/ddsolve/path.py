@@ -46,20 +46,22 @@ class Residuals:
 
     All three vanish together exactly when the point solves the system at
     that mu (interiority is enforced as a domain condition, not a residual).
+    ``u`` is the shifted image they were evaluated at and ``g`` the primal
+    barrier gradient there, kept for the Newton step at the same point.
     """
 
     r_dual: np.ndarray
     r_cent: np.ndarray
     r_gap: float
+    u: np.ndarray
+    g: np.ndarray
 
     def scaled_norm(self, problem: Problem, start: StartData, x, tau, y, mu) -> float:
         """Max residual norm, each block scaled by its natural magnitude."""
         tau = float(tau)
-        c_inf = float(np.max(np.abs(problem.c))) if problem.n else 0.0
-        scale_dual = 1.0 + float(np.max(np.abs(problem.A.T @ start.y0))) + tau * c_inf
+        scale_dual = 1.0 + start.aty0_inf(problem) + tau * problem.c_inf
         scale_cent = 1.0 + float(np.max(np.abs(y)))
-        u = shifted_image(problem, start, x, tau)
-        scale_gap = (1.0 + abs(float(problem.c @ x)) + abs(float(y @ u)) / tau
+        scale_gap = (1.0 + abs(float(problem.c @ x)) + abs(float(y @ self.u)) / tau
                      + problem.theta * problem.xi * mu / tau**2 + abs(start.y_tau0) / tau)
         parts = [abs(self.r_gap) / scale_gap, float(np.max(np.abs(self.r_cent))) / scale_cent]
         if problem.n:
@@ -107,33 +109,38 @@ class FollowResult:
     mu_log_slope: float
 
 
-def residuals(problem: Problem, start: StartData, x, tau: float, y, mu: float) -> Residuals:
-    """Residuals of equations (b), (c), (d) at the given point and mu."""
+def residuals(problem: Problem, start: StartData, x, tau: float, y, mu: float,
+              *, u=None) -> Residuals:
+    """Residuals of equations (b), (c), (d) at the given point and mu.
+
+    ``u``, if given, is the shifted image at (x, tau), already verified
+    interior to D with tau > 0; otherwise it is formed and checked here.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     tau = float(tau)
-    if not tau > 0.0:
-        raise DomainViolation(f"tau must be positive, got {tau}")
-    u = shifted_image(problem, start, x, tau)
-    if not problem.barrier.interior(u, PRIMAL):
-        raise DomainViolation("shifted image point left the domain interior")
+    if u is None:
+        if not tau > 0.0:
+            raise DomainViolation(f"tau must be positive, got {tau}")
+        u = shifted_image(problem, start, x, tau)
+        if not problem.barrier.interior(u, PRIMAL):
+            raise DomainViolation("shifted image point left the domain interior")
     g = problem.barrier.grad(u, PRIMAL)
     r_dual = problem.A.T @ (y - start.y0) + (tau - 1.0) * problem.c
     r_cent = y - (mu / tau) * g
     r_gap = (float(problem.c @ x) + float(y @ u) / tau
              + problem.theta * problem.xi * mu / tau**2 + start.y_tau0 / tau)
-    return Residuals(r_dual=r_dual, r_cent=r_cent, r_gap=float(r_gap))
+    return Residuals(r_dual=r_dual, r_cent=r_cent, r_gap=float(r_gap), u=u, g=g)
 
 
-def _kkt_solve(problem, start, x, tau, y, mu, b_dual, b_cent, b_gap):
-    """Solve the linearized path system for (dx, dtau, dy).
+def _kkt_solve(problem, start, x, tau, y, mu, u, g, b_dual, b_cent, b_gap):
+    """Solve the linearized path system for (dx, dtau, dy) at the point
+    with shifted image ``u`` and primal barrier gradient ``g`` there.
 
     The y block is eliminated through the centering rows (identity in y),
     leaving a dense (n+1) x (n+1) system in (dx, dtau).
     """
     A = problem.A
-    u = shifted_image(problem, start, x, tau)
-    g = problem.barrier.grad(u, PRIMAL)
     H = problem.barrier.hess(u, PRIMAL)
     s = mu / tau
     HA = H.matvec(A)
@@ -161,11 +168,15 @@ def _kkt_solve(problem, start, x, tau, y, mu, b_dual, b_cent, b_gap):
     return dx, dtau, dy
 
 
-def _interior_after(problem, start, x, tau, y) -> bool:
+def _interior_after(problem, start, x, tau, y):
+    """The shifted image at a trial point if tau > 0, it is interior to D
+    and y is interior to D*; None otherwise."""
     if not tau > 0.0:
-        return False
+        return None
     u = shifted_image(problem, start, x, tau)
-    return problem.barrier.interior(u, PRIMAL) and problem.barrier.interior(y, CONJUGATE)
+    if problem.barrier.interior(u, PRIMAL) and problem.barrier.interior(y, CONJUGATE):
+        return u
+    return None
 
 
 def _restore_dual_equality(problem, start, x, tau, y):
@@ -177,9 +188,8 @@ def _restore_dual_equality(problem, start, x, tau, y):
     if problem.n == 0:
         return y
     rhs = problem.A.T @ (start.y0 - y) - (tau - 1.0) * problem.c
-    gram = problem.A.T @ problem.A
     try:
-        corr = np.linalg.solve(gram, rhs)
+        corr = np.linalg.solve(problem.gram, rhs)
     except np.linalg.LinAlgError:
         return y
     return y + problem.A @ corr
@@ -197,17 +207,21 @@ def corrector_step(problem: Problem, start: StartData, point: Iterate, mu: float
     kappa = problem.kappa
     target = options.corrector_target * kappa
     x, tau, y = point.x.copy(), point.tau, point.y.copy()
+    # shifted image at (x, tau) once a fraction-to-boundary check has
+    # verified it; the first step forms and checks its own
+    u = None
     last_res = np.inf
     for _ in range(options.corrector_max_steps):
         y = _restore_dual_equality(problem, start, x, tau, y)
-        prox = proximity_at(problem, start, x, tau, y, mu)
-        res = residuals(problem, start, x, tau, y, mu)
+        prox = proximity_at(problem, start, x, tau, y, mu, u=u)
+        res = residuals(problem, start, x, tau, y, mu, u=u)
+        u = res.u
         rnorm = res.scaled_norm(problem, start, x, tau, y, mu)
         if prox <= target and (rnorm <= options.corrector_residual_tol
                                or rnorm >= 0.9 * last_res):
             break
         last_res = rnorm
-        dx, dtau, dy = _kkt_solve(problem, start, x, tau, y, mu,
+        dx, dtau, dy = _kkt_solve(problem, start, x, tau, y, mu, u, res.g,
                                   -res.r_dual, -res.r_cent, -res.r_gap)
         # fraction-to-boundary step: tau positivity and dual-cone motion are
         # exact; the shifted image moves nonlinearly in tau, so its linear
@@ -217,23 +231,24 @@ def corrector_step(problem: Problem, start: StartData, point: Iterate, mu: float
             alpha = min(alpha, options.boundary_fraction * tau / (-dtau))
         alpha = min(alpha, options.boundary_fraction
                     * problem.barrier.step_to_boundary(y, dy, CONJUGATE))
-        u = shifted_image(problem, start, x, tau)
         du_lin = problem.A @ dx - start.z0 * (dtau / tau**2)
         alpha = min(alpha, options.boundary_fraction
                     * problem.barrier.step_to_boundary(u, du_lin, PRIMAL))
-        while alpha > 1e-18 and not _interior_after(
-                problem, start, x + alpha * dx, tau + alpha * dtau, y + alpha * dy):
+        u = None
+        while alpha > 1e-18:
+            xn, taun, yn = x + alpha * dx, tau + alpha * dtau, y + alpha * dy
+            u = _interior_after(problem, start, xn, taun, yn)
+            if u is not None:
+                break
             alpha *= 0.5
-        if alpha <= 1e-18:
+        if u is None:
             raise CorrectorStall("step length underflow while correcting")
-        x = x + alpha * dx
-        tau = tau + alpha * dtau
-        y = y + alpha * dy
+        x, tau, y = xn, taun, yn
     else:
         raise CorrectorStall(
             f"proximity {prox:.3e} above target {target:.3e} after "
             f"{options.corrector_max_steps} Newton steps")
-    return make_iterate(problem, start, x, tau, y)
+    return make_iterate(problem, start, x, tau, y, u=u)
 
 
 def predictor_step(problem: Problem, start: StartData, point: Iterate,
@@ -251,18 +266,17 @@ def predictor_step(problem: Problem, start: StartData, point: Iterate,
     """
     mu = point.mu
     x, tau, y = point.x, point.tau, point.y
-    tx, ttau, ty = _kkt_solve(
-        problem, start, x, tau, y, mu,
-        np.zeros(problem.n),
-        problem.barrier.grad(shifted_image(problem, start, x, tau), PRIMAL) / tau,
-        -problem.theta * problem.xi / tau**2)
+    u = shifted_image(problem, start, x, tau)
+    g = problem.barrier.grad(u, PRIMAL)
+    tx, ttau, ty = _kkt_solve(problem, start, x, tau, y, mu, u, g,
+                              np.zeros(problem.n), g / tau,
+                              -problem.theta * problem.xi / tau**2)
 
     dmu = options.predictor_trial_factor * mu
     if ttau < 0.0:
         dmu = min(dmu, options.boundary_fraction * tau / (-ttau))
     dmu = min(dmu, options.boundary_fraction
               * problem.barrier.step_to_boundary(y, ty, CONJUGATE))
-    u = shifted_image(problem, start, x, tau)
     du_lin = problem.A @ tx - start.z0 * (ttau / tau**2)
     dmu = min(dmu, options.boundary_fraction
               * problem.barrier.step_to_boundary(u, du_lin, PRIMAL))
@@ -270,9 +284,10 @@ def predictor_step(problem: Problem, start: StartData, point: Iterate,
     radius = options.predictor_radius * problem.kappa
     while dmu > 1e-12 * mu:
         xn, taun, yn = x + dmu * tx, tau + dmu * ttau, y + dmu * ty
-        if _interior_after(problem, start, xn, taun, yn):
+        un = _interior_after(problem, start, xn, taun, yn)
+        if un is not None:
             try:
-                prox = proximity_at(problem, start, xn, taun, yn, mu + dmu)
+                prox = proximity_at(problem, start, xn, taun, yn, mu + dmu, u=un)
             except DomainViolation:
                 prox = np.inf
             if prox <= radius:
@@ -350,11 +365,12 @@ def follow(problem: Problem, start: StartData, options: FollowerOptions = Follow
         return float(np.polyfit(ks, logmu, 1)[0])
 
     def finish(report):
+        log_slope = slope()
         report.diagnostics.update(
-            iterations=len(trace) - 1, mu_log_slope=slope(),
+            iterations=len(trace) - 1, mu_log_slope=log_slope,
             invariant_violations=len(violations))
         return FollowResult(report=report, trace=trace, iterates=iterates,
-                            invariant_violations=violations, mu_log_slope=slope())
+                            invariant_violations=violations, mu_log_slope=log_slope)
 
     # the initial point is recorded but not status-checked: checks run
     # after correctors only (the anchor can satisfy a stop test by

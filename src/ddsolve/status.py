@@ -200,9 +200,10 @@ def _eps_feasibility_report(problem, start, x, tau, y, eps: float) -> Verificati
     return rep
 
 
-def _base_report(problem, start, point: Iterate, status: str) -> StatusReport:
+def _base_report(problem, start, point: Iterate, status: str,
+                 sp: StopParams) -> StatusReport:
+    """Report skeleton; ``sp`` are the point's stop parameters."""
     ds = support_function(problem, point.y)
-    sp = stop_params(problem, start, point.x, point.tau, point.y)
     return StatusReport(
         status=status,
         x=point.x,
@@ -223,7 +224,7 @@ def check_status(problem: Problem, start: StartData, point: Iterate, eps: float)
     sp = stop_params(problem, start, x, tau, y)
 
     if sp.max() <= eps:
-        report = _base_report(problem, start, point, EPS_SOLUTION)
+        report = _base_report(problem, start, point, EPS_SOLUTION, sp)
         cert = Certificate(kind="optimal-pair", strict=False, eps=eps,
                            x=x, y=y / tau, tau=tau)
         report.certificate = cert
@@ -233,21 +234,21 @@ def check_status(problem: Problem, start: StartData, point: Iterate, eps: float)
     scaled = (tau / mu) * y
     ds_scaled = support_function(problem, scaled)
     if (tau / mu) * float(np.linalg.norm(problem.A.T @ y)) <= eps and ds_scaled < 0.0:
-        report = _base_report(problem, start, point, INFEASIBILITY_CERTIFICATE)
+        report = _base_report(problem, start, point, INFEASIBILITY_CERTIFICATE, sp)
         cert = Certificate(kind="infeasibility", strict=False, eps=eps, y=scaled)
         report.certificate = cert
         report.verification = verify_certificate(problem, start, cert)
         return _enforce(report)
 
     if float(problem.c @ x) <= -1.0 / eps:
-        report = _base_report(problem, start, point, UNBOUNDEDNESS_CERTIFICATE)
+        report = _base_report(problem, start, point, UNBOUNDEDNESS_CERTIFICATE, sp)
         cert = Certificate(kind="unboundedness", strict=False, eps=eps, x=x, tau=tau)
         report.certificate = cert
         report.verification = verify_certificate(problem, start, cert)
         return _enforce(report)
 
     if mu >= 1.0 / (problem.theta * eps**3):
-        report = _base_report(problem, start, point, ILL_CONDITIONED)
+        report = _base_report(problem, start, point, ILL_CONDITIONED, sp)
         report.verification = _eps_feasibility_report(problem, start, x, tau, y, eps)
         return report
 
@@ -270,13 +271,15 @@ def _enforce(report: StatusReport) -> StatusReport:
 
 
 def numerical_failure_report(problem, start, point: Iterate, exc: Exception) -> StatusReport:
-    report = _base_report(problem, start, point, NUMERICAL_FAILURE)
+    report = _base_report(problem, start, point, NUMERICAL_FAILURE,
+                          stop_params(problem, start, point.x, point.tau, point.y))
     report.diagnostics["reason"] = f"{type(exc).__name__}: {exc}"
     return report
 
 
 def iteration_limit_report(problem, start, point: Iterate) -> StatusReport:
-    report = _base_report(problem, start, point, ITERATION_LIMIT)
+    report = _base_report(problem, start, point, ITERATION_LIMIT,
+                          stop_params(problem, start, point.x, point.tau, point.y))
     report.diagnostics["reason"] = "iteration cap reached before any status fired"
     return report
 

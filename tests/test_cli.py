@@ -71,6 +71,46 @@ def test_parse_rejects_several_coords_on_scalar_atom(tmp_path, capsys):
     assert "exactly one coordinate" in out["error"] and "partition" not in out["error"]
 
 
+BOX_DOC = {"n": 1, "m": 1, "A": [[1.0]], "c": [1.0],
+           "atoms": [{"type": "box", "coords": [1], "bounds": [0.0, 1.0]}]}
+
+
+@pytest.mark.parametrize("change,field", [
+    ({"xi": None}, "xi"),
+    ({"xi": "three"}, "xi"),
+    ({"kappa": None}, "kappa"),
+    ({"kappa": [0.25]}, "kappa"),
+    ({"z0": ["half"]}, "z0"),
+    ({"z0": [None]}, "z0"),
+    ({"atoms": {"type": "box", "coords": [1], "bounds": [0.0, 1.0]}}, "atoms"),
+    ({"atoms": 3}, "atoms"),
+    # int() would truncate these to 1 and solve the wrong problem
+    ({"n": 1.7}, "n"),
+    ({"m": 1.5}, "m"),
+], ids=["xi-null", "xi-text", "kappa-null", "kappa-list", "z0-text", "z0-null",
+        "atoms-object", "atoms-number", "n-fractional", "m-fractional"])
+def test_parse_rejects_malformed_entry(change, field, tmp_path, capsys):
+    path = tmp_path / "bad.dd"
+    path.write_text(json.dumps({**BOX_DOC, **change}))
+    with pytest.raises(dd.ParseError) as err:
+        parse_problem_file(str(path))
+    assert err.value.field == field
+    assert main(["solve", str(path)]) == 4
+    assert f"(field: {field})" in json.loads(capsys.readouterr().out)["error"]
+
+
+@pytest.mark.parametrize("change", [{"A": [[float("nan")]]}, {"c": [float("inf")]}],
+                         ids=["A-nan", "c-inf"])
+def test_non_finite_data_is_input_error(change, tmp_path, capsys):
+    # NaN in A used to escape as an uncaught LinAlgError from the rank check
+    path = tmp_path / "bad.dd"
+    path.write_text(json.dumps({**BOX_DOC, **change}))
+    with pytest.raises(dd.ValidationError):
+        parse_problem_file(str(path))
+    assert main(["solve", str(path)]) == 4
+    assert "non-finite" in json.loads(capsys.readouterr().out)["error"]
+
+
 def test_parse_rejects_scalar_soc_offset(tmp_path):
     doc = {"n": 2, "m": 3, "A": [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]], "c": [-1.0, 1.0],
            "atoms": [{"type": "soc", "coords": [1, 2, 3], "offset": 1.0}]}

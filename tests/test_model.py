@@ -53,6 +53,28 @@ def test_validate_bad_constants():
         dd.validate_problem([[1.0]], [1.0], atoms, xi=1.0)
     with pytest.raises(dd.BadConstants):
         dd.validate_problem([[1.0]], [1.0], atoms, xi=2.0, kappa=1.5)
+    with pytest.raises(dd.BadConstants):
+        # an infinite xi passes xi - 1 - kappa > 0 but makes mu NaN
+        dd.validate_problem([[1.0]], [1.0], atoms, xi=np.inf)
+
+
+def test_validate_rejects_non_finite_data():
+    atoms = [dd.halfline_lower(0)]
+    for A, c in (([[np.nan]], [1.0]), ([[np.inf]], [1.0]), ([[1.0]], [np.nan])):
+        with pytest.raises(dd.ValidationError, match="non-finite"):
+            dd.validate_problem(A, c, atoms)
+
+
+def test_per_problem_constants(inf_problem):
+    # formed on first use, and a start used with a second problem gets
+    # that problem's value, not the first one's
+    problem, start = inf_problem
+    start = dd.StartData(start.z0, start.y0, start.y_tau0)
+    assert np.array_equal(problem.gram, problem.A.T @ problem.A)
+    assert problem.c_inf == 1.0
+    assert start.aty0_inf(problem) == float(np.max(np.abs(problem.A.T @ start.y0)))
+    scaled = dd.validate_problem(2.0 * problem.A, problem.c, problem.atoms)
+    assert start.aty0_inf(scaled) == 2.0 * start.aty0_inf(problem)
 
 
 def test_default_start_box(box_problem):

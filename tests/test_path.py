@@ -1,9 +1,12 @@
 """Predictor-corrector mechanics and end-to-end follower behavior."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import ddsolve as dd
+import ddsolve.path as path_module
 from ddsolve.model import make_iterate, shifted_image
 from oracles import OracleInstance, oracle_sigma_f
 from ddsolve.path import _kkt_solve
@@ -81,9 +84,10 @@ def test_predictor_tangent_satisfies_dual_equation(box_problem):
     problem, start = box_problem
     point = make_iterate(problem, start, np.zeros(1), 1.0, start.y0)
     u = shifted_image(problem, start, point.x, point.tau)
+    g = problem.barrier.grad(u, "primal")
     tx, ttau, ty = _kkt_solve(
-        problem, start, point.x, point.tau, point.y, point.mu,
-        np.zeros(problem.n), problem.barrier.grad(u, "primal") / point.tau,
+        problem, start, point.x, point.tau, point.y, point.mu, u, g,
+        np.zeros(problem.n), g / point.tau,
         -problem.theta * problem.xi / point.tau**2)
     resid = problem.A.T @ ty + ttau * problem.c
     assert np.max(np.abs(resid)) <= 1e-9
@@ -157,6 +161,77 @@ def test_follower_with_other_neighborhood_constants(xi, kappa):
     for it in result.iterates:
         if it.mu >= 1.0:
             assert it.tau >= floor - 1e-8
+
+
+class _GramCounter(np.ndarray):
+    """An embedding matrix that counts the products A'A formed from it:
+    matrix products whose operands are both views of it."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul and all(isinstance(v, _GramCounter) for v in inputs):
+            type(self).products += 1
+        plain = [np.asarray(v) if isinstance(v, _GramCounter) else v for v in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+@pytest.mark.parametrize("fixture,run,eps", [("box_problem", "box_run", 1e-6),
+                                             ("inf_problem", "inf_run", 1e-6),
+                                             ("soc_problem", "soc_run", 1e-4)])
+def test_evaluation_budget(fixture, run, eps, request, monkeypatch):
+    # every Newton point is evaluated once: one primal gradient per
+    # residuals call and per predictor tangent, one primal Hessian per
+    # KKT solve, and A'A formed once per problem, not per corrector step
+    base, start = request.getfixturevalue(fixture)
+    reference = request.getfixturevalue(run)
+    problem = replace(base, A=base.A.view(_GramCounter))
+    monkeypatch.setattr(_GramCounter, "products", 0)
+    counts = dict.fromkeys(["grad", "hess", "residuals", "tangents", "kkt"], 0)
+
+    def count_primal(name):
+        original = getattr(dd.barriers.DomainBarrier, name)
+
+        def wrapped(self, z, side="primal"):
+            counts[name] += side == "primal"
+            return original(self, z, side)
+        monkeypatch.setattr(dd.barriers.DomainBarrier, name, wrapped)
+
+    def count_calls(name, key):
+        original = getattr(path_module, name)
+
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(path_module, name, wrapped)
+
+    count_primal("grad")
+    count_primal("hess")
+    count_calls("residuals", "residuals")
+    count_calls("predictor_step", "tangents")
+    count_calls("_kkt_solve", "kkt")
+
+    result = dd.follow(problem, start, dd.FollowerOptions(eps=eps))
+    # the counting wrappers do not perturb the run
+    assert result.trace == reference.trace
+    assert counts["residuals"] > 0 and counts["tangents"] == len(result.trace) - 1
+    assert counts["grad"] == counts["residuals"] + counts["tangents"]
+    assert counts["hess"] == counts["kkt"]
+    assert _GramCounter.products == 1
+    dd.follow(problem, start, dd.FollowerOptions(eps=1e-6, max_iters=3))
+    assert _GramCounter.products == 1
+
+
+@pytest.mark.parametrize("fixture,run", [("box_problem", "box_run"),
+                                         ("inf_problem", "inf_run"),
+                                         ("soc_problem", "soc_run")])
+def test_reused_evaluations_match_public_functions(fixture, run, request):
+    # the follower hands each point's shifted image on instead of forming
+    # it again; the public function, forming everything itself, must give
+    # every recorded proximity bit for bit
+    problem, start = request.getfixturevalue(fixture)
+    for it in request.getfixturevalue(run).iterates:
+        assert dd.proximity_at(problem, start, it.x, it.tau, it.y, it.mu) == it.proximity
 
 
 def test_iteration_limit_status(box_problem):
