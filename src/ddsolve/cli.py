@@ -13,7 +13,8 @@ Problem files are JSON documents::
 
 Atom entries use 1-based coordinates.  ``bounds`` is a scalar for the
 halfline types and a [lower, upper] pair for boxes; ``offset`` is a scalar
-(halfline/box) or a vector (soc).
+(halfline/box) or a vector (soc).  Every numeric entry must be a JSON
+number: a numeric string such as "1.0" is an input error.
 
 Exit codes: 0 eps-solution, 1 infeasible, 2 unbounded, 3 ill-conditioned
 (mu cap), 4 input error, 5 numerical failure or iteration limit.
@@ -45,6 +46,12 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _has_text(value) -> bool:
+    """A string, or a list holding one: float() would take a numeric one."""
+    return isinstance(value, str) or (
+        isinstance(value, list) and any(isinstance(v, str) for v in value))
+
+
 def _number(doc, key, default) -> float:
     """Optional numeric entry: a JSON number or absent."""
     value = doc.get(key, default)
@@ -73,6 +80,10 @@ def _parse_atom(entry, index):
         raise ParseError(f"atom {index} coords are 1-based", field=f"atoms[{index}].coords")
     bounds = entry.get("bounds")
     offset = entry.get("offset", 0.0)
+    for key, value in (("bounds", bounds), ("offset", offset)):
+        if _has_text(value):
+            raise ParseError(f"atom {index} {key} must hold numbers, got {value!r}",
+                             field=f"atoms[{index}].{key}")
     try:
         if kind == barriers.HALFLINE_LOWER:
             return barriers.halfline_lower(zero_based[0], lower=float(bounds),
@@ -112,10 +123,15 @@ def parse_problem_file(path) -> tuple[Problem, StartData]:
             raise ParseError(f"{key} must be an integer, got {doc[key]!r}", field=key)
     n, m = int(doc["n"]), int(doc["m"])
     try:
-        A = np.asarray(doc["A"], dtype=float)
-        c = np.asarray(doc["c"], dtype=float)
+        A = np.asarray(doc["A"])
+        c = np.asarray(doc["c"])
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad numeric data: {exc}") from exc
+    for key, data in (("A", A), ("c", c)):
+        # inferred, not converted: a numeric string would convert silently
+        if data.dtype.kind not in "iuf":
+            raise ParseError(f"{key} must hold JSON numbers only", field=key)
+    A, c = A.astype(float), c.astype(float)
     if A.shape != (m, n):
         raise ParseError(f"A has shape {A.shape}, expected ({m}, {n})", field="A")
     if c.shape != (n,):

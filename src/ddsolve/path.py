@@ -8,9 +8,16 @@ The central path at parameter mu is the unique solution of
     (d)  <c,x> + <y, u>/tau = -theta*xi*mu/tau^2 - y_tau0/tau
 
 started at (x, tau, y) = (0, 1, y0), which solves the system at mu = 1.
-The follower alternates a tangent predictor (increasing mu, staying within
+The follower alternates a predictor (increasing mu, staying within
 proximity 2*kappa) with a Newton corrector (restoring proximity kappa/2 at
 fixed mu), and consults the status engine after every corrector.
+
+The predictor is second-order in s = ln mu once a previous tangent exists:
+the secant of the tangents dp/ds at the last two iterates estimates
+p''(s), so each iteration still solves for one tangent.  A point on that
+curve is accepted at its own path parameter mu_of(point), the one the gap
+equation (d) gives, not at a declared one.  The first iteration steps
+along the tangent alone.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from .model import (
     dual_residual,
     gap_bounds,
     make_iterate,
+    mu_of,
     proximity_at,
     shifted_image,
 )
@@ -109,6 +117,17 @@ class FollowResult:
     mu_log_slope: float
 
 
+def _checked_image(problem, start, x, tau):
+    """The shifted image at (x, tau); DomainViolation unless tau > 0 and
+    the image is interior to D."""
+    if not tau > 0.0:
+        raise DomainViolation(f"tau must be positive, got {tau}")
+    u = shifted_image(problem, start, x, tau)
+    if not problem.barrier.interior(u, PRIMAL):
+        raise DomainViolation("shifted image point left the domain interior")
+    return u
+
+
 def residuals(problem: Problem, start: StartData, x, tau: float, y, mu: float,
               *, u=None) -> Residuals:
     """Residuals of equations (b), (c), (d) at the given point and mu.
@@ -120,11 +139,7 @@ def residuals(problem: Problem, start: StartData, x, tau: float, y, mu: float,
     y = np.asarray(y, dtype=float)
     tau = float(tau)
     if u is None:
-        if not tau > 0.0:
-            raise DomainViolation(f"tau must be positive, got {tau}")
-        u = shifted_image(problem, start, x, tau)
-        if not problem.barrier.interior(u, PRIMAL):
-            raise DomainViolation("shifted image point left the domain interior")
+        u = _checked_image(problem, start, x, tau)
     g = problem.barrier.grad(u, PRIMAL)
     r_dual = problem.A.T @ (y - start.y0) + (tau - 1.0) * problem.c
     r_cent = y - (mu / tau) * g
@@ -207,15 +222,14 @@ def corrector_step(problem: Problem, start: StartData, point: Iterate, mu: float
     kappa = problem.kappa
     target = options.corrector_target * kappa
     x, tau, y = point.x.copy(), point.tau, point.y.copy()
-    # shifted image at (x, tau) once a fraction-to-boundary check has
-    # verified it; the first step forms and checks its own
-    u = None
+    # shifted image at (x, tau), checked here and then by each step's
+    # fraction-to-boundary search
+    u = _checked_image(problem, start, x, tau)
     last_res = np.inf
     for _ in range(options.corrector_max_steps):
         y = _restore_dual_equality(problem, start, x, tau, y)
         prox = proximity_at(problem, start, x, tau, y, mu, u=u)
         res = residuals(problem, start, x, tau, y, mu, u=u)
-        u = res.u
         rnorm = res.scaled_norm(problem, start, x, tau, y, mu)
         if prox <= target and (rnorm <= options.corrector_residual_tol
                                or rnorm >= 0.9 * last_res):
@@ -252,14 +266,27 @@ def corrector_step(problem: Problem, start: StartData, point: Iterate, mu: float
 
 
 def predictor_step(problem: Problem, start: StartData, point: Iterate,
-                   options: FollowerOptions = FollowerOptions()):
-    """Advance along the path tangent as far as the outer neighborhood
-    allows; returns (predicted point, new mu).
+                   options: FollowerOptions = FollowerOptions(), *, memo=None):
+    """Advance along the path as far as the outer neighborhood allows;
+    returns (predicted point, new mu).
 
-    The tangent solves the mu-derivative of the path system, so the dual
-    linear equation is preserved exactly along the motion.  The step is
-    backtracked (halving) from the fraction-to-boundary cap until proximity
-    at the advanced mu is within predictor_radius * kappa.
+    The tangent dp/dmu solves the mu-derivative of the path system.  Its
+    first trial increase dmu is the fraction-to-boundary cap along it, and
+    the trials halve dmu until one is accepted.
+
+    ``memo``, if given, carries the tangent from call to call: the step
+    reads the previous (s, dp/ds) from ``memo["tangent"]`` and stores its
+    own, with s = ln mu and dp/ds = mu * t.  With a previous tangent the
+    trial points lie on the second-order curve in s,
+
+        p + ds * mu*t + ds^2/2 * (mu*t - mu_prev*t_prev) / (s - s_prev),
+
+    with ds = log1p(dmu/mu), and a trial is accepted at its own path
+    parameter mu_of(point) if that exceeds mu and proximity there is within
+    predictor_radius * kappa.  Without one (the first iteration), the trial
+    points are p + dmu * t, accepted at the declared mu + dmu.  Every
+    tangent satisfies A'ty + ttau c = 0, so both motions keep the dual
+    linear equation.
 
     Raises PredictorStall when no relative increase of at least 1e-12
     is acceptable.
@@ -281,17 +308,38 @@ def predictor_step(problem: Problem, start: StartData, point: Iterate,
     dmu = min(dmu, options.boundary_fraction
               * problem.barrier.step_to_boundary(u, du_lin, PRIMAL))
 
+    # the second-order curve in s = ln mu acts on the stacked (x, tau, y)
+    n = problem.n
+    prev = None
+    if memo is not None:
+        prev = memo.get("tangent")
+        s, vel = float(np.log(mu)), mu * np.concatenate([tx, [ttau], ty])
+        memo["tangent"] = (s, vel)
+        if prev is not None:
+            p = np.concatenate([x, [tau], y])
+            acc = (vel - prev[1]) / (s - prev[0])
+
     radius = options.predictor_radius * problem.kappa
     while dmu > 1e-12 * mu:
-        xn, taun, yn = x + dmu * tx, tau + dmu * ttau, y + dmu * ty
+        if prev is None:
+            xn, taun, yn = x + dmu * tx, tau + dmu * ttau, y + dmu * ty
+            mun = mu + dmu
+        else:
+            ds = float(np.log1p(dmu / mu))
+            pn = p + ds * vel + (0.5 * ds * ds) * acc
+            xn, taun, yn = pn[:n], float(pn[n]), pn[n + 1:]
         un = _interior_after(problem, start, xn, taun, yn)
         if un is not None:
-            try:
-                prox = proximity_at(problem, start, xn, taun, yn, mu + dmu, u=un)
-            except DomainViolation:
-                prox = np.inf
+            if prev is not None:
+                mun = mu_of(problem, start, xn, taun, yn)
+            prox = np.inf
+            if mun > mu:
+                try:
+                    prox = proximity_at(problem, start, xn, taun, yn, mun, u=un)
+                except DomainViolation:
+                    pass
             if prox <= radius:
-                return Iterate(x=xn, tau=taun, y=yn, mu=mu + dmu, proximity=prox), mu + dmu
+                return Iterate(x=xn, tau=taun, y=yn, mu=mun, proximity=prox), mun
         dmu *= 0.5
     raise PredictorStall(f"could not advance the path parameter beyond {mu:.6e}")
 
@@ -346,7 +394,8 @@ def follow(problem: Problem, start: StartData, options: FollowerOptions = Follow
     iterates: list = []
     violations: list = []
 
-    def record(it: Iterate) -> TraceRow:
+    def record(it: Iterate):
+        """Trace, check and emit the iterate; returns its stop parameters."""
         sp = status_engine.stop_params(problem, start, it.x, it.tau, it.y)
         row = TraceRow(iter=len(trace), mu=it.mu, tau=it.tau, gap=sp.gap,
                        p_feas=sp.p_feas, d_feas=sp.d_feas, proximity=it.proximity)
@@ -355,7 +404,7 @@ def follow(problem: Problem, start: StartData, options: FollowerOptions = Follow
         _check_invariants(problem, start, it, violations)
         if on_iterate is not None:
             on_iterate(row)
-        return row
+        return sp
 
     def slope() -> float:
         if len(trace) < 2:
@@ -377,15 +426,16 @@ def follow(problem: Problem, start: StartData, options: FollowerOptions = Follow
     # construction, e.g. when A'y0 happens to vanish)
     record(point)
 
+    memo: dict = {}  # the last tangent, for the second-order predictor
     for _ in range(options.max_iters):
         try:
-            predicted, mu_new = predictor_step(problem, start, point, options)
+            predicted, mu_new = predictor_step(problem, start, point, options, memo=memo)
             point = corrector_step(problem, start, predicted, mu_new, options)
         except (PredictorStall, CorrectorStall, DomainViolation, FactorizationFailure) as exc:
             report = status_engine.numerical_failure_report(problem, start, point, exc)
             return finish(report)
-        record(point)
-        report = status_engine.check_status(problem, start, point, options.eps)
+        sp = record(point)
+        report = status_engine.check_status(problem, start, point, options.eps, sp=sp)
         if report is not None:
             return finish(report)
     report = status_engine.iteration_limit_report(problem, start, point)

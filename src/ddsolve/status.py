@@ -216,12 +216,17 @@ def _base_report(problem, start, point: Iterate, status: str,
         })
 
 
-def check_status(problem: Problem, start: StartData, point: Iterate, eps: float):
-    """Run the termination checks in precedence order; None if none fired."""
+def check_status(problem: Problem, start: StartData, point: Iterate, eps: float,
+                 *, sp: StopParams | None = None):
+    """Run the termination checks in precedence order; None if none fired.
+
+    ``sp``, if given, are the point's stop parameters, already formed.
+    """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     x, tau, y, mu = point.x, point.tau, point.y, point.mu
-    sp = stop_params(problem, start, x, tau, y)
+    if sp is None:
+        sp = stop_params(problem, start, x, tau, y)
 
     if sp.max() <= eps:
         report = _base_report(problem, start, point, EPS_SOLUTION, sp)

@@ -87,8 +87,16 @@ BOX_DOC = {"n": 1, "m": 1, "A": [[1.0]], "c": [1.0],
     # int() would truncate these to 1 and solve the wrong problem
     ({"n": 1.7}, "n"),
     ({"m": 1.5}, "m"),
+    # numeric strings would be converted by float() and solved as numbers
+    ({"A": [["1.0"]]}, "A"),
+    ({"A": [[True]]}, "A"),
+    ({"c": ["1"]}, "c"),
+    ({"atoms": [{"type": "box", "coords": [1], "bounds": ["0", "1"]}]}, "atoms[0].bounds"),
+    ({"atoms": [{"type": "box", "coords": [1], "bounds": [0.0, 1.0], "offset": "0.5"}]},
+     "atoms[0].offset"),
 ], ids=["xi-null", "xi-text", "kappa-null", "kappa-list", "z0-text", "z0-null",
-        "atoms-object", "atoms-number", "n-fractional", "m-fractional"])
+        "atoms-object", "atoms-number", "n-fractional", "m-fractional",
+        "A-text", "A-bool", "c-text", "bounds-text", "offset-text"])
 def test_parse_rejects_malformed_entry(change, field, tmp_path, capsys):
     path = tmp_path / "bad.dd"
     path.write_text(json.dumps({**BOX_DOC, **change}))

@@ -69,6 +69,17 @@ def test_corrector_stall_raises(box_problem):
         dd.corrector_step(problem, start, point, 1.0, dd.FollowerOptions(corrector_max_steps=1))
 
 
+@pytest.mark.parametrize("x,tau,message", [
+    (5.0, 1.0, "shifted image point left the domain interior"),
+    (0.0, -1.0, "tau must be positive"),
+])
+def test_corrector_rejects_start_outside_domain(box_problem, x, tau, message):
+    problem, start = box_problem
+    point = dd.Iterate(x=np.array([x]), tau=tau, y=start.y0.copy(), mu=1.0, proximity=np.nan)
+    with pytest.raises(dd.DomainViolation, match=message):
+        dd.corrector_step(problem, start, point, 1.0)
+
+
 @pytest.mark.parametrize("fixture,run", [("box_problem", "box_run"),
                                          ("inf_problem", "inf_run"),
                                          ("unb_problem", "unb_run")])
@@ -114,6 +125,127 @@ def test_predictor_interiority_preserved(soc_problem):
         assert problem.barrier.min_margin(u, "primal") > 0.0
         assert problem.barrier.min_margin(predicted.y, "conjugate") > 0.0
         point = dd.corrector_step(problem, start, predicted, mu_new)
+
+
+def _first_order_predictor(problem, start, point, options=dd.FollowerOptions()):
+    """Reference first-order predictor: trial points p + dmu * t, dmu
+    halved from the fraction-to-boundary cap along the tangent t until
+    proximity at mu + dmu is within the outer radius."""
+    mu, x, tau, y = point.mu, point.x, point.tau, point.y
+    u = shifted_image(problem, start, x, tau)
+    g = problem.barrier.grad(u, "primal")
+    tx, ttau, ty = _kkt_solve(problem, start, x, tau, y, mu, u, g, np.zeros(problem.n),
+                              g / tau, -problem.theta * problem.xi / tau**2)
+    dmu = options.predictor_trial_factor * mu
+    if ttau < 0.0:
+        dmu = min(dmu, options.boundary_fraction * tau / (-ttau))
+    dmu = min(dmu, options.boundary_fraction
+              * problem.barrier.step_to_boundary(y, ty, "conjugate"))
+    du = problem.A @ tx - start.z0 * (ttau / tau**2)
+    dmu = min(dmu, options.boundary_fraction
+              * problem.barrier.step_to_boundary(u, du, "primal"))
+    while True:
+        xn, taun, yn = x + dmu * tx, tau + dmu * ttau, y + dmu * ty
+        if (taun > 0.0 and problem.barrier.interior(yn, "conjugate")
+                and problem.barrier.interior(shifted_image(problem, start, xn, taun), "primal")):
+            prox = dd.proximity_at(problem, start, xn, taun, yn, mu + dmu)
+            if prox <= options.predictor_radius * problem.kappa:
+                return xn, taun, yn, mu + dmu, prox
+        dmu *= 0.5
+
+
+def _predict_and_correct(problem, start, steps):
+    """``steps`` iterations of the follower's loop with one tangent memo;
+    yields (point, predicted, mu_new) per iteration."""
+    point = make_iterate(problem, start, np.zeros(problem.n), 1.0, start.y0)
+    memo = {}
+    for _ in range(steps):
+        predicted, mu_new = dd.predictor_step(problem, start, point, memo=memo)
+        yield point, predicted, mu_new
+        point = dd.corrector_step(problem, start, predicted, mu_new)
+
+
+@pytest.mark.parametrize("fixture", ["box_problem", "inf_problem", "soc_problem"])
+def test_predictor_without_previous_tangent_is_first_order(fixture, request):
+    # a direct call, and the first call of a run, step along the tangent
+    # exactly as the first-order predictor does
+    problem, start = request.getfixturevalue(fixture)
+    points = [point for point, _, _ in _predict_and_correct(problem, start, 4)]
+    for point in points:
+        xr, taur, yr, mur, proxr = _first_order_predictor(problem, start, point)
+        for memo in (None, {}):
+            predicted, mu_new = dd.predictor_step(problem, start, point, memo=memo)
+            assert np.array_equal(predicted.x, xr) and np.array_equal(predicted.y, yr)
+            assert (predicted.tau, predicted.mu, mu_new, predicted.proximity) == \
+                (taur, mur, mur, proxr)
+
+
+@pytest.mark.parametrize("fixture", ["box_problem", "soc_problem", "tangent_problem"])
+def test_curve_points_keep_dual_equation_and_neighborhood(fixture, request):
+    # after the first iteration the trial points lie on the second-order
+    # curve; each accepted one keeps the dual linear equation of the point
+    # it left, lies beyond its mu at its own path parameter, and is within
+    # the outer radius there
+    problem, start = request.getfixturevalue(fixture)
+    curve_points = 0
+    for k, (point, predicted, mu_new) in enumerate(_predict_and_correct(problem, start, 8)):
+        first_order = dd.predictor_step(problem, start, point)[0]
+        if k == 0:
+            assert np.array_equal(predicted.x, first_order.x)
+            continue
+        assert not np.array_equal(predicted.x, first_order.x)
+        curve_points += 1
+        moved = (problem.A.T @ (predicted.y - point.y)
+                 + (predicted.tau - point.tau) * problem.c)
+        assert np.max(np.abs(moved)) <= 1e-9
+        own = dd.mu_of(problem, start, predicted.x, predicted.tau, predicted.y)
+        assert predicted.mu == mu_new == own > point.mu
+        prox = dd.proximity_at(problem, start, predicted.x, predicted.tau, predicted.y, own)
+        assert prox == predicted.proximity <= 2.0 * problem.kappa
+    assert curve_points == 7
+
+
+@pytest.mark.parametrize("fixture", ["box_problem", "inf_problem", "soc_problem"])
+def test_curve_bending_back_is_not_accepted(fixture, request):
+    # a previous tangent five times this one, one unit of s back, bends the
+    # curve back along the path for the larger trial steps; those points
+    # are near the path at a smaller own mu and must be passed over
+    problem, start = request.getfixturevalue(fixture)
+    point = list(_predict_and_correct(problem, start, 4))[-1][0]
+    memo = {}
+    dd.predictor_step(problem, start, point, memo=memo)
+    s, vel = memo["tangent"]
+    predicted, mu_new = dd.predictor_step(problem, start, point,
+                                          memo={"tangent": (s - 1.0, 5.0 * vel)})
+    own = dd.mu_of(problem, start, predicted.x, predicted.tau, predicted.y)
+    assert predicted.mu == mu_new == own > point.mu
+
+
+def _two_cone_problem(rng, n=12, k=12):
+    """Two SOC(k) atoms on a random n-column embedding, strictly primal-dual
+    feasible by construction as in _random_strictly_feasible_problem."""
+    A = rng.normal(size=(2 * k, n))
+    x_int = rng.normal(size=n)
+    atoms, y_int = [], []
+    for first in (0, k):
+        w = rng.normal(size=k)
+        w[0] = np.linalg.norm(w[1:]) + rng.uniform(0.5, 2.0)
+        atoms.append(dd.soc(range(first, first + k), w - A[first:first + k] @ x_int))
+        tail = rng.normal(size=k - 1)
+        y_int.extend([-(np.linalg.norm(tail) + rng.uniform(0.2, 2.0)), *tail])
+    problem = dd.validate_problem(A, -A.T @ np.asarray(y_int), atoms)
+    assert problem.barrier.interior(A @ x_int, "primal")
+    assert problem.barrier.interior(np.asarray(y_int), "conjugate")
+    return problem
+
+
+@pytest.mark.parametrize("seed", [0, 2, 3])
+def test_two_cone_instance_solves_in_few_iterations(seed):
+    # the first-order predictor takes 77 to 150 iterations on these seeds
+    problem = _two_cone_problem(np.random.default_rng(seed))
+    result = dd.follow(problem, dd.default_z0(problem), dd.FollowerOptions(eps=1e-6))
+    assert result.report.status == "EpsSolution"
+    assert result.report.diagnostics["iterations"] <= 60
 
 
 @pytest.mark.parametrize("run,expected", [
