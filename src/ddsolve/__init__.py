@@ -9,9 +9,6 @@ backs every classification with a verifiable certificate.
 from .barriers import (
     BarrierAtom,
     DomainBarrier,
-    atom_eval,
-    atom_interior_margin,
-    atom_support,
     box,
     halfline_lower,
     halfline_upper,

@@ -15,14 +15,12 @@ Phi*(y) = phi*(y) - <y, d> on the (unshifted) dual cone factor.
 
 Atom kinds are known in this module only.  :class:`DomainBarrier` groups
 the atoms once: one vectorized interval group for all halflines and boxes
-and one group per cone.  The per-atom evaluators ``atom_eval``,
-``atom_interior_margin`` and ``atom_support`` evaluate a one-atom
-:class:`DomainBarrier`, so they run the solver's own formulas.
+and one group per cone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -98,57 +96,6 @@ def soc(coords: Sequence[int], offset: Sequence[float] | None = None) -> Barrier
     if offset is None:
         offset = (0.0,) * len(tuple(coords))
     return BarrierAtom(SOC, tuple(coords), tuple(offset))
-
-
-def _one_atom_barrier(atom: BarrierAtom) -> "DomainBarrier":
-    """The atom alone, relabelled onto coordinates 0..dim-1."""
-    return DomainBarrier([replace(atom, coords=tuple(range(atom.dim)))], atom.dim)
-
-
-def atom_interior_margin(atom: BarrierAtom, u, side: str = PRIMAL) -> float:
-    """Smallest slack of ``u`` in the atom set (primal) or its dual-cone
-    factor (conjugate).  Positive iff strictly interior; the box conjugate
-    factor is the whole line, reported as +inf."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    return float(_one_atom_barrier(atom).margins(u, side)[0])
-
-
-def atom_eval(atom: BarrierAtom, u, side: str = PRIMAL, order: int = 0):
-    """Evaluate the atom barrier (or its conjugate) and derivatives.
-
-    Parameters
-    ----------
-    u : array_like of the atom's length
-        Evaluation point in atom-local coordinates.
-    side : "primal" or "conjugate"
-    order : 0, 1 or 2
-        Value, gradient (1-d array) or Hessian (2-d array).
-
-    Raises
-    ------
-    DomainViolation
-        If ``u`` is not strictly interior to the relevant domain.
-    """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if u.shape != (atom.dim,):
-        raise ValueError(f"point has length {u.shape}, atom has {atom.dim}")
-    if order not in (0, 1, 2):
-        raise ValueError("order must be 0, 1 or 2")
-    barrier = _one_atom_barrier(atom)
-    if order == 0:
-        return barrier.value(u, side)
-    if order == 1:
-        return barrier.grad(u, side)
-    return barrier.hess(u, side).dense()
-
-
-def atom_support(atom: BarrierAtom, y) -> float:
-    """Support function of the atom set at ``y`` (extended real).
-
-    Returns +inf exactly when ``y`` lies outside the dual cone factor.
-    The shift contributes ``-<y, offset>``.
-    """
-    return _one_atom_barrier(atom).support(np.atleast_1d(np.asarray(y, dtype=float)))
 
 
 def _norm(t: np.ndarray):

@@ -9,8 +9,10 @@ The central path at parameter mu is the unique solution of
 
 started at (x, tau, y) = (0, 1, y0), which solves the system at mu = 1.
 The follower alternates a predictor (increasing mu, staying within
-proximity 2*kappa) with a Newton corrector (restoring proximity kappa/2 at
-fixed mu), and consults the status engine after every corrector.
+proximity PREDICTOR_RADIUS * kappa = 2 kappa) with a Newton corrector
+(restoring proximity CORRECTOR_TARGET * kappa = kappa/2 at fixed mu), and
+consults the status engine after every corrector.  Both neighbourhoods are
+constants of the complexity analysis, not options.
 
 The predictor is second-order in s = ln mu once a previous tangent exists:
 the secant of the tangents dp/ds at the last two iterates estimates
@@ -77,24 +79,20 @@ class Residuals:
         return max(parts)
 
 
+PREDICTOR_RADIUS = 2.0     # in units of kappa
+CORRECTOR_TARGET = 0.5     # in units of kappa
+BOUNDARY_FRACTION = 0.99
+CORRECTOR_MAX_STEPS = 50
+CORRECTOR_RESIDUAL_TOL = 1e-10
+PREDICTOR_TRIAL_FACTOR = 1e6   # first trial dmu = this * mu (if no boundary cap)
+
+
 @dataclass(frozen=True)
 class FollowerOptions:
     """Knobs of the predictor-corrector loop."""
 
     eps: float = 1e-8
     max_iters: int = 500
-    predictor_radius: float = 2.0     # in units of kappa
-    corrector_target: float = 0.5     # in units of kappa
-    boundary_fraction: float = 0.99
-    corrector_max_steps: int = 50
-    corrector_residual_tol: float = 1e-10
-    predictor_trial_factor: float = 1e6   # first trial dmu = this * mu (if no boundary cap)
-
-    def validate(self):
-        if not 0.0 < self.corrector_target < 1.0 < self.predictor_radius:
-            raise ValueError("need corrector_target < 1 < predictor_radius (kappa units)")
-        if not 0.0 < self.boundary_fraction < 1.0:
-            raise ValueError("boundary_fraction must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -194,6 +192,21 @@ def _interior_after(problem, start, x, tau, y):
     return None
 
 
+def _step_bound(problem, start, tau, y, u, dx, dtau, dy, cap):
+    """Fraction-to-boundary bound, at most ``cap``, on the step length along
+    (dx, dtau, dy) from the point with shifted image ``u``.
+
+    Tau positivity and dual-cone motion are exact; the shifted image moves
+    nonlinearly in tau, so its bound holds for the linearized motion
+    A dx - z0 dtau/tau^2 only, and callers check the trial point itself.
+    """
+    if dtau < 0.0:
+        cap = min(cap, BOUNDARY_FRACTION * tau / (-dtau))
+    cap = min(cap, BOUNDARY_FRACTION * problem.barrier.step_to_boundary(y, dy, CONJUGATE))
+    du_lin = problem.A @ dx - start.z0 * (dtau / tau**2)
+    return min(cap, BOUNDARY_FRACTION * problem.barrier.step_to_boundary(u, du_lin, PRIMAL))
+
+
 def _restore_dual_equality(problem, start, x, tau, y):
     """Project y back onto the dual linear equation (minimal-norm change).
 
@@ -210,44 +223,32 @@ def _restore_dual_equality(problem, start, x, tau, y):
     return y + problem.A @ corr
 
 
-def corrector_step(problem: Problem, start: StartData, point: Iterate, mu: float,
-                   options: FollowerOptions = FollowerOptions()) -> Iterate:
+def corrector_step(problem: Problem, start: StartData, point: Iterate, mu: float) -> Iterate:
     """Damped Newton steps at fixed mu until the point is within
-    kappa * corrector_target of the path (residuals polished further while
+    CORRECTOR_TARGET * kappa of the path (residuals polished further while
     they keep improving).
 
     Raises CorrectorStall if the proximity target is not met within
-    ``corrector_max_steps`` steps.
+    CORRECTOR_MAX_STEPS steps.
     """
-    kappa = problem.kappa
-    target = options.corrector_target * kappa
+    target = CORRECTOR_TARGET * problem.kappa
     x, tau, y = point.x.copy(), point.tau, point.y.copy()
     # shifted image at (x, tau), checked here and then by each step's
     # fraction-to-boundary search
     u = _checked_image(problem, start, x, tau)
     last_res = np.inf
-    for _ in range(options.corrector_max_steps):
+    for _ in range(CORRECTOR_MAX_STEPS):
         y = _restore_dual_equality(problem, start, x, tau, y)
         prox = proximity_at(problem, start, x, tau, y, mu, u=u)
         res = residuals(problem, start, x, tau, y, mu, u=u)
         rnorm = res.scaled_norm(problem, start, x, tau, y, mu)
-        if prox <= target and (rnorm <= options.corrector_residual_tol
-                               or rnorm >= 0.9 * last_res):
+        if prox <= target and (rnorm <= CORRECTOR_RESIDUAL_TOL or rnorm >= 0.9 * last_res):
             break
         last_res = rnorm
         dx, dtau, dy = _kkt_solve(problem, start, x, tau, y, mu, u, res.g,
                                   -res.r_dual, -res.r_cent, -res.r_gap)
-        # fraction-to-boundary step: tau positivity and dual-cone motion are
-        # exact; the shifted image moves nonlinearly in tau, so its linear
-        # estimate is safeguarded by halving below
-        alpha = 1.0
-        if dtau < 0.0:
-            alpha = min(alpha, options.boundary_fraction * tau / (-dtau))
-        alpha = min(alpha, options.boundary_fraction
-                    * problem.barrier.step_to_boundary(y, dy, CONJUGATE))
-        du_lin = problem.A @ dx - start.z0 * (dtau / tau**2)
-        alpha = min(alpha, options.boundary_fraction
-                    * problem.barrier.step_to_boundary(u, du_lin, PRIMAL))
+        # the image's linearized bound is safeguarded by halving
+        alpha = _step_bound(problem, start, tau, y, u, dx, dtau, dy, 1.0)
         u = None
         while alpha > 1e-18:
             xn, taun, yn = x + alpha * dx, tau + alpha * dtau, y + alpha * dy
@@ -261,12 +262,11 @@ def corrector_step(problem: Problem, start: StartData, point: Iterate, mu: float
     else:
         raise CorrectorStall(
             f"proximity {prox:.3e} above target {target:.3e} after "
-            f"{options.corrector_max_steps} Newton steps")
+            f"{CORRECTOR_MAX_STEPS} Newton steps")
     return make_iterate(problem, start, x, tau, y, u=u)
 
 
-def predictor_step(problem: Problem, start: StartData, point: Iterate,
-                   options: FollowerOptions = FollowerOptions(), *, memo=None):
+def predictor_step(problem: Problem, start: StartData, point: Iterate, *, memo=None):
     """Advance along the path as far as the outer neighborhood allows;
     returns (predicted point, new mu).
 
@@ -283,7 +283,7 @@ def predictor_step(problem: Problem, start: StartData, point: Iterate,
 
     with ds = log1p(dmu/mu), and a trial is accepted at its own path
     parameter mu_of(point) if that exceeds mu and proximity there is within
-    predictor_radius * kappa.  Without one (the first iteration), the trial
+    PREDICTOR_RADIUS * kappa.  Without one (the first iteration), the trial
     points are p + dmu * t, accepted at the declared mu + dmu.  Every
     tangent satisfies A'ty + ttau c = 0, so both motions keep the dual
     linear equation.
@@ -299,14 +299,7 @@ def predictor_step(problem: Problem, start: StartData, point: Iterate,
                               np.zeros(problem.n), g / tau,
                               -problem.theta * problem.xi / tau**2)
 
-    dmu = options.predictor_trial_factor * mu
-    if ttau < 0.0:
-        dmu = min(dmu, options.boundary_fraction * tau / (-ttau))
-    dmu = min(dmu, options.boundary_fraction
-              * problem.barrier.step_to_boundary(y, ty, CONJUGATE))
-    du_lin = problem.A @ tx - start.z0 * (ttau / tau**2)
-    dmu = min(dmu, options.boundary_fraction
-              * problem.barrier.step_to_boundary(u, du_lin, PRIMAL))
+    dmu = _step_bound(problem, start, tau, y, u, tx, ttau, ty, PREDICTOR_TRIAL_FACTOR * mu)
 
     # the second-order curve in s = ln mu acts on the stacked (x, tau, y)
     n = problem.n
@@ -319,7 +312,7 @@ def predictor_step(problem: Problem, start: StartData, point: Iterate,
             p = np.concatenate([x, [tau], y])
             acc = (vel - prev[1]) / (s - prev[0])
 
-    radius = options.predictor_radius * problem.kappa
+    radius = PREDICTOR_RADIUS * problem.kappa
     while dmu > 1e-12 * mu:
         if prev is None:
             xn, taun, yn = x + dmu * tx, tau + dmu * ttau, y + dmu * ty
@@ -388,7 +381,6 @@ def follow(problem: Problem, start: StartData, options: FollowerOptions = Follow
     Returns the full trace; numerical trouble is reported as a
     NumericalFailure status rather than an exception.
     """
-    options.validate()
     point = make_iterate(problem, start, np.zeros(problem.n), 1.0, start.y0)
     trace: list = []
     iterates: list = []
@@ -429,8 +421,8 @@ def follow(problem: Problem, start: StartData, options: FollowerOptions = Follow
     memo: dict = {}  # the last tangent, for the second-order predictor
     for _ in range(options.max_iters):
         try:
-            predicted, mu_new = predictor_step(problem, start, point, options, memo=memo)
-            point = corrector_step(problem, start, predicted, mu_new, options)
+            predicted, mu_new = predictor_step(problem, start, point, memo=memo)
+            point = corrector_step(problem, start, predicted, mu_new)
         except (PredictorStall, CorrectorStall, DomainViolation, FactorizationFailure) as exc:
             report = status_engine.numerical_failure_report(problem, start, point, exc)
             return finish(report)

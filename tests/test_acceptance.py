@@ -13,7 +13,8 @@ from ddsolve.model import shifted_image
 from oracles import OracleInstance, oracle_sigma_f, oracle_sigma_p, oracle_tp
 from ddsolve.status import Certificate, stop_params, verify_certificate
 
-from test_barriers import ATOM_CASES, sample_dual_interior, sample_interior, sample_member
+from test_barriers import (ATOM_CASES, atom_eval, sample_dual_interior, sample_interior,
+                           sample_member)
 
 PRIMAL, CONJUGATE = "primal", "conjugate"
 
@@ -33,13 +34,13 @@ def test_criterion_1_barrier_calculus():
     for kind, atom in sorted(ATOM_CASES.items()):
         for _ in range(100):
             z = sample_interior(atom, rng)
-            y = dd.atom_eval(atom, z, PRIMAL, 1)
+            y = atom_eval(atom, z, PRIMAL, 1)
             # conjugate round trip and Fenchel-Young equality
-            back = dd.atom_eval(atom, y, CONJUGATE, 1)
+            back = atom_eval(atom, y, CONJUGATE, 1)
             if np.max(np.abs(back - z)) > 1e-10:
                 failures.append(f"{kind}: round trip {np.max(np.abs(back - z)):.2e}")
                 break
-            fy = dd.atom_eval(atom, z, PRIMAL, 0) + dd.atom_eval(atom, y, CONJUGATE, 0) \
+            fy = atom_eval(atom, z, PRIMAL, 0) + atom_eval(atom, y, CONJUGATE, 0) \
                 - float(y @ z)
             if abs(fy) > 1e-10:
                 failures.append(f"{kind}: Fenchel-Young {fy:.2e}")
@@ -47,31 +48,31 @@ def test_criterion_1_barrier_calculus():
             # theta property
             w = sample_dual_interior(atom, rng)
             member = sample_member(atom, rng)
-            if float(w @ (member - dd.atom_eval(atom, w, CONJUGATE, 1))) > atom.theta + 1e-10:
+            if float(w @ (member - atom_eval(atom, w, CONJUGATE, 1))) > atom.theta + 1e-10:
                 failures.append(f"{kind}: theta property violated")
                 break
             # monotone-gradient self-concordance bound
             a, b = sample_interior(atom, rng), sample_interior(atom, rng)
-            ga, gb = dd.atom_eval(atom, a, PRIMAL, 1), dd.atom_eval(atom, b, PRIMAL, 1)
-            H = dd.atom_eval(atom, a, PRIMAL, 2)
+            ga, gb = atom_eval(atom, a, PRIMAL, 1), atom_eval(atom, b, PRIMAL, 1)
+            H = atom_eval(atom, a, PRIMAL, 2)
             r = float(np.sqrt((b - a) @ H @ (b - a)))
             if float((gb - ga) @ (b - a)) < r * r / (1.0 + r) - 1e-10:
                 failures.append(f"{kind}: monotone-gradient inequality violated")
                 break
         # derivatives against central differences at a well-conditioned point
         z = sample_interior(atom, rng, scale=1.0)
-        g = dd.atom_eval(atom, z, PRIMAL, 1)
-        H = dd.atom_eval(atom, z, PRIMAL, 2)
+        g = atom_eval(atom, z, PRIMAL, 1)
+        H = atom_eval(atom, z, PRIMAL, 2)
         for i in range(atom.dim):
             h = 1e-6 * max(1.0, abs(z[i]))
             zp, zm = z.copy(), z.copy()
             zp[i] += h
             zm[i] -= h
-            fd = (dd.atom_eval(atom, zp, PRIMAL, 0) - dd.atom_eval(atom, zm, PRIMAL, 0)) / (2 * h)
+            fd = (atom_eval(atom, zp, PRIMAL, 0) - atom_eval(atom, zm, PRIMAL, 0)) / (2 * h)
             if abs(fd - g[i]) > 1e-6 * (1.0 + abs(g[i])):
                 failures.append(f"{kind}: gradient vs finite differences")
-            fd_col = (dd.atom_eval(atom, zp, PRIMAL, 1)
-                      - dd.atom_eval(atom, zm, PRIMAL, 1)) / (2 * h)
+            fd_col = (atom_eval(atom, zp, PRIMAL, 1)
+                      - atom_eval(atom, zm, PRIMAL, 1)) / (2 * h)
             if np.max(np.abs(fd_col - H[:, i])) > 1e-6 * (1.0 + np.max(np.abs(H))):
                 failures.append(f"{kind}: Hessian vs finite differences")
     elapsed = time.perf_counter() - t0

@@ -1,5 +1,7 @@
 """Barrier calculus: closed forms, conjugacy, local norms."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,29 @@ ATOM_CASES = {
     "box": dd.box(0, -1.0, 2.5, offset=0.8),
     "soc": dd.soc([0, 1, 2], [0.1, -0.2, 0.3]),
 }
+
+
+def _one_atom(atom):
+    """The atom alone, as a barrier on coordinates 0..dim-1."""
+    return dd.DomainBarrier([replace(atom, coords=tuple(range(atom.dim)))], atom.dim)
+
+
+def atom_eval(atom, u, side=PRIMAL, order=0):
+    """Value, gradient or dense Hessian (order 0, 1, 2) of the one-atom
+    barrier at ``u``, in atom-local coordinates."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    barrier = _one_atom(atom)
+    if order == 0:
+        return barrier.value(u, side)
+    return barrier.grad(u, side) if order == 1 else barrier.hess(u, side).dense()
+
+
+def atom_margin(atom, u, side=PRIMAL):
+    return float(_one_atom(atom).margins(np.atleast_1d(np.asarray(u, dtype=float)), side)[0])
+
+
+def atom_support(atom, y):
+    return _one_atom(atom).support(np.atleast_1d(np.asarray(y, dtype=float)))
 
 
 def sample_interior(atom, rng, scale=5.0):
@@ -49,7 +74,7 @@ def sample_member(atom, rng):
     z = sample_interior(atom, rng)
     if rng.uniform() < 0.3:
         # push to the boundary along the inward slack
-        margin = dd.atom_interior_margin(atom, z, PRIMAL)
+        margin = atom_margin(atom, z, PRIMAL)
         if atom.kind == "halfline_lower":
             z = z - margin
         elif atom.kind == "halfline_upper":
@@ -66,8 +91,8 @@ def test_conjugate_round_trip(kind):
     rng = np.random.default_rng(RNG_SEED)
     for _ in range(100):
         z = sample_interior(atom, rng)
-        y = dd.atom_eval(atom, z, PRIMAL, 1)
-        z_back = dd.atom_eval(atom, y, CONJUGATE, 1)
+        y = atom_eval(atom, z, PRIMAL, 1)
+        z_back = atom_eval(atom, y, CONJUGATE, 1)
         assert np.max(np.abs(z_back - z)) <= 1e-10
 
 
@@ -77,8 +102,8 @@ def test_fenchel_young_equality_at_gradient(kind):
     rng = np.random.default_rng(RNG_SEED + 1)
     for _ in range(100):
         z = sample_interior(atom, rng)
-        y = dd.atom_eval(atom, z, PRIMAL, 1)
-        val = dd.atom_eval(atom, z, PRIMAL, 0) + dd.atom_eval(atom, y, CONJUGATE, 0)
+        y = atom_eval(atom, z, PRIMAL, 1)
+        val = atom_eval(atom, z, PRIMAL, 0) + atom_eval(atom, y, CONJUGATE, 0)
         assert abs(val - float(y @ z)) <= 1e-10
 
 
@@ -90,7 +115,7 @@ def test_theta_property(kind):
     for _ in range(100):
         y = sample_dual_interior(atom, rng)
         z = sample_member(atom, rng)
-        zstar = dd.atom_eval(atom, y, CONJUGATE, 1)
+        zstar = atom_eval(atom, y, CONJUGATE, 1)
         assert float(y @ (z - zstar)) <= atom.theta + 1e-10
 
 
@@ -104,9 +129,9 @@ def test_monotone_gradient_inequality(kind, side):
     sampler = sample_interior if side == PRIMAL else sample_dual_interior
     for _ in range(100):
         a, b = sampler(atom, rng), sampler(atom, rng)
-        ga = dd.atom_eval(atom, a, side, 1)
-        gb = dd.atom_eval(atom, b, side, 1)
-        H = dd.atom_eval(atom, a, side, 2)
+        ga = atom_eval(atom, a, side, 1)
+        gb = atom_eval(atom, b, side, 1)
+        H = atom_eval(atom, a, side, 2)
         r = float(np.sqrt((b - a) @ H @ (b - a)))
         assert float((gb - ga) @ (b - a)) >= r * r / (1.0 + r) - 1e-10
 
@@ -119,64 +144,64 @@ def test_derivatives_match_finite_differences(kind, side):
     sampler = sample_interior if side == PRIMAL else sample_dual_interior
     for _ in range(25):
         z = sampler(atom, rng, scale=2.0)
-        g = dd.atom_eval(atom, z, side, 1)
-        H = dd.atom_eval(atom, z, side, 2)
+        g = atom_eval(atom, z, side, 1)
+        H = atom_eval(atom, z, side, 2)
         for i in range(atom.dim):
             h = 1e-6 * max(1.0, abs(z[i]))
             zp, zm = z.copy(), z.copy()
             zp[i] += h
             zm[i] -= h
-            fd_g = (dd.atom_eval(atom, zp, side, 0) - dd.atom_eval(atom, zm, side, 0)) / (2 * h)
+            fd_g = (atom_eval(atom, zp, side, 0) - atom_eval(atom, zm, side, 0)) / (2 * h)
             assert abs(fd_g - g[i]) <= 1e-6 * (1.0 + abs(g[i]))
-            fd_H = (dd.atom_eval(atom, zp, side, 1) - dd.atom_eval(atom, zm, side, 1)) / (2 * h)
+            fd_H = (atom_eval(atom, zp, side, 1) - atom_eval(atom, zm, side, 1)) / (2 * h)
             assert np.max(np.abs(fd_H - H[:, i])) <= 1e-6 * (1.0 + np.max(np.abs(H)))
 
 
 def test_halfline_worked_values():
     atom = dd.halfline_lower(0, lower=0.0)
-    assert dd.atom_eval(atom, [1.0], PRIMAL, 0) == pytest.approx(0.0, abs=1e-15)
-    assert dd.atom_eval(atom, [1.0], PRIMAL, 1)[0] == pytest.approx(-1.0)
+    assert atom_eval(atom, [1.0], PRIMAL, 0) == pytest.approx(0.0, abs=1e-15)
+    assert atom_eval(atom, [1.0], PRIMAL, 1)[0] == pytest.approx(-1.0)
     # Fenchel equality at the gradient point: Phi(1) + Phi*(-1) = <-1, 1>
-    assert dd.atom_eval(atom, [-1.0], CONJUGATE, 0) == pytest.approx(-1.0)
+    assert atom_eval(atom, [-1.0], CONJUGATE, 0) == pytest.approx(-1.0)
 
 
 def test_soc_worked_values():
     atom = dd.soc([0, 1, 2])
-    assert dd.atom_eval(atom, [2.0, 0.0, 0.0], PRIMAL, 0) == pytest.approx(-np.log(4.0))
-    grad = dd.atom_eval(atom, [2.0, 0.0, 0.0], PRIMAL, 1)
+    assert atom_eval(atom, [2.0, 0.0, 0.0], PRIMAL, 0) == pytest.approx(-np.log(4.0))
+    grad = atom_eval(atom, [2.0, 0.0, 0.0], PRIMAL, 1)
     assert np.allclose(grad, [-1.0, 0.0, 0.0])
 
 
 def test_support_worked_values():
     lower = dd.halfline_lower(0, lower=0.0)
-    assert dd.atom_support(lower, [-1.0]) == pytest.approx(0.0)
-    assert np.isinf(dd.atom_support(lower, [1.0]))
+    assert atom_support(lower, [-1.0]) == pytest.approx(0.0)
+    assert np.isinf(atom_support(lower, [1.0]))
     b = dd.box(0, 0.0, 1.0)
-    assert dd.atom_support(b, [-1.0]) == pytest.approx(0.0)
-    assert dd.atom_support(b, [1.0]) == pytest.approx(1.0)
+    assert atom_support(b, [-1.0]) == pytest.approx(0.0)
+    assert atom_support(b, [1.0]) == pytest.approx(1.0)
     cone = dd.soc([0, 1], [0.0, 0.0])
-    assert dd.atom_support(cone, [-1.0, 0.0]) == pytest.approx(0.0)
-    assert np.isinf(dd.atom_support(cone, [1.0, 0.0]))
+    assert atom_support(cone, [-1.0, 0.0]) == pytest.approx(0.0)
+    assert np.isinf(atom_support(cone, [1.0, 0.0]))
 
 
 def test_interior_margin_worked_values():
     lower = dd.halfline_lower(0, lower=0.0)
-    assert dd.atom_interior_margin(lower, [0.5], PRIMAL) == pytest.approx(0.5)
+    assert atom_margin(lower, [0.5], PRIMAL) == pytest.approx(0.5)
     cone = dd.soc([0, 1, 2])
-    assert dd.atom_interior_margin(cone, [1.0, 1.0, 0.0], PRIMAL) == pytest.approx(0.0)
+    assert atom_margin(cone, [1.0, 1.0, 0.0], PRIMAL) == pytest.approx(0.0)
     b = dd.box(0, 0.0, 1.0)
-    assert np.isinf(dd.atom_interior_margin(b, [123.0], CONJUGATE))
+    assert np.isinf(atom_margin(b, [123.0], CONJUGATE))
 
 
 def test_domain_violation_raised():
     atom = dd.halfline_lower(0, lower=0.0)
     with pytest.raises(dd.DomainViolation):
-        dd.atom_eval(atom, [-0.5], PRIMAL, 0)
+        atom_eval(atom, [-0.5], PRIMAL, 0)
     with pytest.raises(dd.DomainViolation):
-        dd.atom_eval(atom, [0.5], CONJUGATE, 0)  # dual factor is y < 0
+        atom_eval(atom, [0.5], CONJUGATE, 0)  # dual factor is y < 0
     cone = dd.soc([0, 1])
     with pytest.raises(dd.DomainViolation):
-        dd.atom_eval(cone, [1.0, 2.0], PRIMAL, 0)
+        atom_eval(cone, [1.0, 2.0], PRIMAL, 0)
 
 
 def test_local_norm_worked_values():
@@ -232,17 +257,17 @@ def test_soc_conjugate_against_numeric_inversion():
         y = sample_dual_interior(atom, rng)
         z = sample_interior(atom, rng, scale=1.0)  # warm start for Newton
         for _ in range(100):
-            g = dd.atom_eval(atom, z, PRIMAL, 1)
+            g = atom_eval(atom, z, PRIMAL, 1)
             resid = g - y
             if np.max(np.abs(resid)) <= 1e-12:
                 break
-            H = dd.atom_eval(atom, z, PRIMAL, 2)
+            H = atom_eval(atom, z, PRIMAL, 2)
             step = -np.linalg.solve(H, resid)
             alpha = 1.0
-            while alpha > 1e-16 and dd.atom_interior_margin(atom, z + alpha * step, PRIMAL) <= 0:
+            while alpha > 1e-16 and atom_margin(atom, z + alpha * step, PRIMAL) <= 0:
                 alpha *= 0.5
             z = z + alpha * step
-        closed = dd.atom_eval(atom, y, CONJUGATE, 1)
+        closed = atom_eval(atom, y, CONJUGATE, 1)
         assert np.max(np.abs(closed - z)) <= 1e-8 * (1.0 + np.max(np.abs(z)))
 
 
@@ -308,15 +333,15 @@ def test_grouped_barrier_matches_one_atom_barriers(side):
         z = _sample_point(GROUPED_ATOMS, GROUPED_M, rng, side)
         local = [(a, z[list(a.coords)]) for a in GROUPED_ATOMS]
         assert barrier.value(z, side) == pytest.approx(
-            sum(dd.atom_eval(a, u, side, 0) for a, u in local), rel=1e-12, abs=1e-12)
+            sum(atom_eval(a, u, side, 0) for a, u in local), rel=1e-12, abs=1e-12)
         assert np.allclose(barrier.grad(z, side),
-                           _scatter([(a, dd.atom_eval(a, u, side, 1)) for a, u in local]),
+                           _scatter([(a, atom_eval(a, u, side, 1)) for a, u in local]),
                            rtol=1e-12, atol=0.0)
         assert np.allclose(barrier.hess(z, side).dense(),
-                           _scatter([(a, dd.atom_eval(a, u, side, 2)) for a, u in local]),
+                           _scatter([(a, atom_eval(a, u, side, 2)) for a, u in local]),
                            rtol=1e-12, atol=1e-15)
         assert barrier.min_margin(z, side) == min(
-            dd.atom_interior_margin(a, u, side) for a, u in local)
+            atom_margin(a, u, side) for a, u in local)
         # a batch of points gives the per-point margins row by row
         Z = np.stack([z, 2.0 * z - 1.0])
         assert np.array_equal(barrier.margins(Z, side),
@@ -328,7 +353,7 @@ def test_grouped_support_both_sides_of_the_dual_cone():
     rng = np.random.default_rng(RNG_SEED + 9)
     for _ in range(20):
         y = _sample_point(GROUPED_ATOMS, GROUPED_M, rng, CONJUGATE)
-        expected = sum(dd.atom_support(a, y[list(a.coords)]) for a in GROUPED_ATOMS)
+        expected = sum(atom_support(a, y[list(a.coords)]) for a in GROUPED_ATOMS)
         assert np.isfinite(expected)
         assert barrier.support(y) == pytest.approx(expected, rel=1e-12, abs=1e-12)
         for atom in GROUPED_ATOMS:
@@ -336,7 +361,7 @@ def test_grouped_support_both_sides_of_the_dual_cone():
                 continue  # its dual factor is the whole line
             outside = y.copy()
             outside[list(atom.coords)] *= -1.0
-            assert np.isinf(dd.atom_support(atom, outside[list(atom.coords)]))
+            assert np.isinf(atom_support(atom, outside[list(atom.coords)]))
             assert barrier.support(outside) == np.inf
     # a halfline at y = 0 contributes 0, not inf * 0
     zero = dd.DomainBarrier([dd.halfline_lower(0, 1.0), dd.halfline_upper(1, 2.0)], 2)

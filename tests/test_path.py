@@ -47,26 +47,27 @@ def test_corrector_fixed_point_on_path(box_problem):
     assert np.allclose(out.y, point.y, atol=1e-12)
 
 
-def test_corrector_returns_to_known_path_point(box_problem):
+def test_corrector_returns_to_known_path_point(box_problem, monkeypatch):
     # the mu=1 path point is (0, 1, y0) by construction and unique; a
     # perturbed start must come back to it
     problem, start = box_problem
     x = np.array([1e-3])
     point = dd.Iterate(x=x, tau=1.0, y=start.y0.copy(), mu=1.0, proximity=np.nan)
-    opts = dd.FollowerOptions(corrector_max_steps=5)
-    out = dd.corrector_step(problem, start, point, 1.0, opts)
+    monkeypatch.setattr(path_module, "CORRECTOR_MAX_STEPS", 5)
+    out = dd.corrector_step(problem, start, point, 1.0)
     assert out.proximity <= 0.5 * problem.kappa
     assert abs(out.x[0]) <= 1e-8
     assert abs(out.tau - 1.0) <= 1e-8
     assert abs(out.y[0] - start.y0[0]) <= 1e-8
 
 
-def test_corrector_stall_raises(box_problem):
+def test_corrector_stall_raises(box_problem, monkeypatch):
     problem, start = box_problem
     x = np.array([1e-3])
     point = dd.Iterate(x=x, tau=1.0, y=start.y0.copy(), mu=1.0, proximity=np.nan)
+    monkeypatch.setattr(path_module, "CORRECTOR_MAX_STEPS", 1)
     with pytest.raises(dd.CorrectorStall):
-        dd.corrector_step(problem, start, point, 1.0, dd.FollowerOptions(corrector_max_steps=1))
+        dd.corrector_step(problem, start, point, 1.0)
 
 
 @pytest.mark.parametrize("x,tau,message", [
@@ -127,7 +128,7 @@ def test_predictor_interiority_preserved(soc_problem):
         point = dd.corrector_step(problem, start, predicted, mu_new)
 
 
-def _first_order_predictor(problem, start, point, options=dd.FollowerOptions()):
+def _first_order_predictor(problem, start, point):
     """Reference first-order predictor: trial points p + dmu * t, dmu
     halved from the fraction-to-boundary cap along the tangent t until
     proximity at mu + dmu is within the outer radius."""
@@ -136,20 +137,20 @@ def _first_order_predictor(problem, start, point, options=dd.FollowerOptions()):
     g = problem.barrier.grad(u, "primal")
     tx, ttau, ty = _kkt_solve(problem, start, x, tau, y, mu, u, g, np.zeros(problem.n),
                               g / tau, -problem.theta * problem.xi / tau**2)
-    dmu = options.predictor_trial_factor * mu
+    dmu = path_module.PREDICTOR_TRIAL_FACTOR * mu
     if ttau < 0.0:
-        dmu = min(dmu, options.boundary_fraction * tau / (-ttau))
-    dmu = min(dmu, options.boundary_fraction
+        dmu = min(dmu, path_module.BOUNDARY_FRACTION * tau / (-ttau))
+    dmu = min(dmu, path_module.BOUNDARY_FRACTION
               * problem.barrier.step_to_boundary(y, ty, "conjugate"))
     du = problem.A @ tx - start.z0 * (ttau / tau**2)
-    dmu = min(dmu, options.boundary_fraction
+    dmu = min(dmu, path_module.BOUNDARY_FRACTION
               * problem.barrier.step_to_boundary(u, du, "primal"))
     while True:
         xn, taun, yn = x + dmu * tx, tau + dmu * ttau, y + dmu * ty
         if (taun > 0.0 and problem.barrier.interior(yn, "conjugate")
                 and problem.barrier.interior(shifted_image(problem, start, xn, taun), "primal")):
             prox = dd.proximity_at(problem, start, xn, taun, yn, mu + dmu)
-            if prox <= options.predictor_radius * problem.kappa:
+            if prox <= path_module.PREDICTOR_RADIUS * problem.kappa:
                 return xn, taun, yn, mu + dmu, prox
         dmu *= 0.5
 
