@@ -20,6 +20,7 @@ and one group per cone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -68,6 +69,9 @@ class BarrierAtom:
                 raise ValueError("soc atom needs at least 2 coordinates")
         elif k != 1:
             raise ValueError(f"{self.kind} atom takes exactly one coordinate")
+        for v in (*self.offset, self.lower, self.upper):
+            if v is not None and not math.isfinite(v):
+                raise ValueError(f"{self.kind} atom bounds and offset must be finite")
         if self.kind == BOX and not self.lower < self.upper:
             raise ValueError("box atom requires lower < upper")
 
@@ -152,11 +156,18 @@ class _IntervalGroup:
             raise DomainViolation(f"interval atom: point not strictly interior ({side} side)")
         return w, s_lo, s_hi
 
-    def _box_root(self, y):
-        # maximizer of y*s + ln s + ln(width - s); this root form avoids
-        # cancellation for either sign of y
+    def _box_slacks(self, y):
+        """(s, width - s) at the maximizer s of y*s + ln s + ln(width - s).
+
+        The smaller slack takes the root form whose denominator has no
+        cancellation for either sign of t = y*width; the larger one, at
+        least width/2, is its difference from the width.
+        """
         t = y * self.box_width
-        return 2.0 * self.box_width / (2.0 - t + np.sqrt(t * t + 4.0))
+        small = 2.0 * self.box_width / (2.0 + np.abs(t) + np.sqrt(t * t + 4.0))
+        large = self.box_width - small
+        upper_side = t > 0.0
+        return np.where(upper_side, large, small), np.where(upper_side, small, large)
 
     def margins(self, z, side):
         _, s_lo, s_hi = self._slacks(z, side)
@@ -167,24 +178,24 @@ class _IntervalGroup:
         if side == PRIMAL:
             return -(np.sum(np.log(s_lo[s_lo < np.inf])) + np.sum(np.log(s_hi[s_hi < np.inf])))
         yh, yb = w[:self.nh], w[self.nh:]
-        s = self._box_root(yb)
+        s, s_hi = self._box_slacks(yb)
         return (np.sum(-1.0 - np.log(np.abs(yh)) + self.half_bound * yh)
-                + np.sum(yb * (self.box_lo + s) + np.log(s) + np.log(self.box_width - s)))
+                + np.sum(yb * (self.box_lo + s) + np.log(s) + np.log(s_hi)))
 
     def grad(self, z, side):
         w, s_lo, s_hi = self._interior(z, side)
         if side == PRIMAL:
             return -1.0 / s_lo + 1.0 / s_hi
         return np.concatenate([self.half_bound - 1.0 / w[:self.nh],
-                               self.box_lo + self._box_root(w[self.nh:])])
+                               self.box_lo + self._box_slacks(w[self.nh:])[0]])
 
     def hess(self, z, side):
         w, s_lo, s_hi = self._interior(z, side)
         if side == PRIMAL:
             return _DiagonalBlock(1.0 / s_lo**2 + 1.0 / s_hi**2)
-        s = self._box_root(w[self.nh:])
+        s, s_hi = self._box_slacks(w[self.nh:])
         return _DiagonalBlock(np.concatenate([
-            1.0 / w[:self.nh] ** 2, 1.0 / (1.0 / s**2 + 1.0 / (self.box_width - s) ** 2)]))
+            1.0 / w[:self.nh] ** 2, 1.0 / (1.0 / s**2 + 1.0 / s_hi**2)]))
 
     def support(self, y):
         y = y[self.idx]

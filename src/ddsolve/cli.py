@@ -14,7 +14,8 @@ Problem files are JSON documents::
 Atom entries use 1-based coordinates.  ``bounds`` is a scalar for the
 halfline types and a [lower, upper] pair for boxes; ``offset`` is a scalar
 (halfline/box) or a vector (soc).  Every numeric entry must be a JSON
-number: a numeric string such as "1.0" is an input error.
+number: a numeric string such as "1.0" is an input error, and so is a
+non-finite bound or offset.
 
 Exit codes: 0 eps-solution, 1 infeasible, 2 unbounded, 3 ill-conditioned
 (mu cap), 4 input error, 5 numerical failure or iteration limit.
@@ -299,6 +300,8 @@ def main(argv=None) -> int:
             start = make_start(problem, start.z0)
         if not 0.0 < args.eps < 1.0:
             raise ParseError(f"--eps must lie in (0, 1), got {args.eps}")
+        if args.max_iters < 0:
+            raise ParseError(f"--max-iters must not be negative, got {args.max_iters}")
     except (ParseError, ValidationError, SolverError) as exc:
         print(json.dumps({"status": "InputError", "exit_code": INPUT_ERROR_EXIT,
                           "error": str(exc)}, indent=2))

@@ -1,6 +1,7 @@
 """Barrier calculus: closed forms, conjugacy, local norms."""
 
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -157,6 +158,27 @@ def test_derivatives_match_finite_differences(kind, side):
             assert np.max(np.abs(fd_H - H[:, i])) <= 1e-6 * (1.0 + np.max(np.abs(H)))
 
 
+@pytest.mark.parametrize("atom", [ATOM_CASES["box"], dd.box(0, 0.0, 1.0)],
+                         ids=["shifted", "unit"])
+def test_box_conjugate_against_extended_precision(atom):
+    # gradient box_lo + s and Hessian 1/(1/s^2 + 1/(width-s)^2), with s the
+    # maximizer of y*s + ln s + ln(width - s), against a 60-digit reference
+    # for |t| = |y * width| from 1e2 to 1e12 on both signs of y
+    width = atom.upper - atom.lower
+    box_lo = atom.lower - atom.offset[0]
+    for k in range(2, 13):
+        for sign in (1.0, -1.0):
+            y = sign * 10.0**k / width
+            with localcontext() as ctx:
+                ctx.prec = 60
+                w, t = Decimal(width), Decimal(y) * Decimal(width)
+                s = 2 * w / (2 - t + (t * t + 4).sqrt())
+                grad = float(Decimal(box_lo) + s)
+                hess = float(1 / (1 / s**2 + 1 / (w - s) ** 2))
+            assert atom_eval(atom, [y], CONJUGATE, 1)[0] == pytest.approx(grad, rel=1e-14)
+            assert atom_eval(atom, [y], CONJUGATE, 2)[0, 0] == pytest.approx(hess, rel=1e-14)
+
+
 def test_halfline_worked_values():
     atom = dd.halfline_lower(0, lower=0.0)
     assert atom_eval(atom, [1.0], PRIMAL, 0) == pytest.approx(0.0, abs=1e-15)
@@ -191,6 +213,20 @@ def test_interior_margin_worked_values():
     assert atom_margin(cone, [1.0, 1.0, 0.0], PRIMAL) == pytest.approx(0.0)
     b = dd.box(0, 0.0, 1.0)
     assert np.isinf(atom_margin(b, [123.0], CONJUGATE))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: dd.box(0, 0.0, np.inf),
+    lambda: dd.box(0, np.nan, 1.0),
+    lambda: dd.halfline_lower(0, lower=-np.inf),
+    lambda: dd.halfline_upper(0, upper=np.nan),
+    lambda: dd.halfline_lower(0, lower=0.0, offset=np.inf),
+    lambda: dd.soc([0, 1], [0.0, np.nan]),
+], ids=["box-upper-inf", "box-lower-nan", "lower-inf", "upper-nan", "offset-inf",
+        "soc-offset-nan"])
+def test_non_finite_atom_data_rejected(build):
+    with pytest.raises(ValueError, match="must be finite"):
+        build()
 
 
 def test_domain_violation_raised():

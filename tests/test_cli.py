@@ -94,9 +94,19 @@ BOX_DOC = {"n": 1, "m": 1, "A": [[1.0]], "c": [1.0],
     ({"atoms": [{"type": "box", "coords": [1], "bounds": ["0", "1"]}]}, "atoms[0].bounds"),
     ({"atoms": [{"type": "box", "coords": [1], "bounds": [0.0, 1.0], "offset": "0.5"}]},
      "atoms[0].offset"),
+    # a non-finite bound or offset used to reach the solver
+    ({"atoms": [{"type": "box", "coords": [1], "bounds": [0.0, float("inf")]}]}, "atoms[0]"),
+    ({"atoms": [{"type": "box", "coords": [1], "bounds": [float("nan"), 1.0]}]}, "atoms[0]"),
+    ({"atoms": [{"type": "halfline_lower", "coords": [1], "bounds": float("-inf")}]},
+     "atoms[0]"),
+    ({"atoms": [{"type": "halfline_upper", "coords": [1], "bounds": float("nan")}]},
+     "atoms[0]"),
+    ({"atoms": [{"type": "box", "coords": [1], "bounds": [0.0, 1.0],
+                 "offset": float("nan")}]}, "atoms[0]"),
 ], ids=["xi-null", "xi-text", "kappa-null", "kappa-list", "z0-text", "z0-null",
         "atoms-object", "atoms-number", "n-fractional", "m-fractional",
-        "A-text", "A-bool", "c-text", "bounds-text", "offset-text"])
+        "A-text", "A-bool", "c-text", "bounds-text", "offset-text",
+        "bounds-inf", "bounds-nan", "halfline-inf", "halfline-nan", "offset-nan"])
 def test_parse_rejects_malformed_entry(change, field, tmp_path, capsys):
     path = tmp_path / "bad.dd"
     path.write_text(json.dumps({**BOX_DOC, **change}))
@@ -184,6 +194,12 @@ def test_bad_eps_is_input_error(instance_path, capsys):
     assert main(["solve", instance_path("inst_box.dd"), "--eps", "2.0"]) == 4
     out = json.loads(capsys.readouterr().out)
     assert out["exit_code"] == 4
+
+
+def test_negative_max_iters_is_input_error(instance_path, capsys):
+    assert main(["solve", instance_path("inst_box.dd"), "--max-iters", "-3"]) == 4
+    out = json.loads(capsys.readouterr().out)
+    assert out["exit_code"] == 4 and "--max-iters" in out["error"]
 
 
 def test_iteration_limit_exit_code(instance_path, capsys):
