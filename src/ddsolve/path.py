@@ -12,7 +12,7 @@ The follower alternates a predictor (increasing mu, staying within
 proximity PREDICTOR_RADIUS * kappa = 2 kappa) with a Newton corrector
 (restoring proximity CORRECTOR_TARGET * kappa = kappa/2 at fixed mu), and
 consults the status engine after every corrector.  Both neighbourhoods are
-constants of the complexity analysis, not options.
+constants of the complexity analysis.
 
 The predictor is second-order in s = ln mu once a previous tangent exists:
 the secant of the tangents dp/ds at the last two iterates estimates
@@ -89,7 +89,7 @@ PREDICTOR_TRIAL_FACTOR = 1e6   # first trial dmu = this * mu (if no boundary cap
 
 @dataclass(frozen=True)
 class FollowerOptions:
-    """Knobs of the predictor-corrector loop."""
+    """What a caller sets: the accuracy target and the iteration cap."""
 
     eps: float = 1e-8
     max_iters: int = 500
