@@ -34,6 +34,9 @@ BOX = "box"
 SOC = "soc"
 
 ATOM_THETA = {HALFLINE_LOWER: 1.0, HALFLINE_UPPER: 1.0, BOX: 2.0, SOC: 2.0}
+# which of (lower, upper) each kind takes
+ATOM_BOUNDS = {HALFLINE_LOWER: (True, False), HALFLINE_UPPER: (False, True),
+               BOX: (True, True), SOC: (False, False)}
 
 PRIMAL = "primal"
 CONJUGATE = "conjugate"
@@ -69,6 +72,11 @@ class BarrierAtom:
                 raise ValueError("soc atom needs at least 2 coordinates")
         elif k != 1:
             raise ValueError(f"{self.kind} atom takes exactly one coordinate")
+        if (self.lower is not None, self.upper is not None) != ATOM_BOUNDS[self.kind]:
+            takes = [name for name, used in zip(("lower", "upper"), ATOM_BOUNDS[self.kind])
+                     if used]
+            raise ValueError(f"{self.kind} atom takes bounds {takes}, "
+                             f"got lower={self.lower} upper={self.upper}")
         for v in (*self.offset, self.lower, self.upper):
             if v is not None and not math.isfinite(v):
                 raise ValueError(f"{self.kind} atom bounds and offset must be finite")
@@ -173,29 +181,43 @@ class _IntervalGroup:
         _, s_lo, s_hi = self._slacks(z, side)
         return np.minimum(s_lo, s_hi)
 
-    def value(self, z, side):
+    def _point(self, z, side):
+        """(w, s_lo, s_hi) read by the closed forms at an interior z: the
+        bound slacks on the primal side, the box conjugate's slack pair
+        on the conjugate side."""
         w, s_lo, s_hi = self._interior(z, side)
+        if side == CONJUGATE:
+            s_lo, s_hi = self._box_slacks(w[self.nh:])
+        return w, s_lo, s_hi
+
+    def value(self, z, side):
+        w, s_lo, s_hi = self._point(z, side)
         if side == PRIMAL:
             return -(np.sum(np.log(s_lo[s_lo < np.inf])) + np.sum(np.log(s_hi[s_hi < np.inf])))
         yh, yb = w[:self.nh], w[self.nh:]
-        s, s_hi = self._box_slacks(yb)
         return (np.sum(-1.0 - np.log(np.abs(yh)) + self.half_bound * yh)
-                + np.sum(yb * (self.box_lo + s) + np.log(s) + np.log(s_hi)))
+                + np.sum(yb * (self.box_lo + s_lo) + np.log(s_lo) + np.log(s_hi)))
 
-    def grad(self, z, side):
-        w, s_lo, s_hi = self._interior(z, side)
+    def _grad(self, w, s_lo, s_hi, side):
         if side == PRIMAL:
             return -1.0 / s_lo + 1.0 / s_hi
-        return np.concatenate([self.half_bound - 1.0 / w[:self.nh],
-                               self.box_lo + self._box_slacks(w[self.nh:])[0]])
+        return np.concatenate([self.half_bound - 1.0 / w[:self.nh], self.box_lo + s_lo])
 
-    def hess(self, z, side):
-        w, s_lo, s_hi = self._interior(z, side)
+    def _hess(self, w, s_lo, s_hi, side):
         if side == PRIMAL:
             return _DiagonalBlock(1.0 / s_lo**2 + 1.0 / s_hi**2)
-        s, s_hi = self._box_slacks(w[self.nh:])
         return _DiagonalBlock(np.concatenate([
-            1.0 / w[:self.nh] ** 2, 1.0 / (1.0 / s**2 + 1.0 / s_hi**2)]))
+            1.0 / w[:self.nh] ** 2, 1.0 / (1.0 / s_lo**2 + 1.0 / s_hi**2)]))
+
+    def grad(self, z, side):
+        return self._grad(*self._point(z, side), side)
+
+    def hess(self, z, side):
+        return self._hess(*self._point(z, side), side)
+
+    def grad_hess(self, z, side):
+        point = self._point(z, side)
+        return self._grad(*point, side), self._hess(*point, side)
 
     def support(self, y):
         y = y[self.idx]
@@ -251,16 +273,21 @@ class _ConeGroup:
             return -np.log(q)
         return -2.0 + np.log(4.0) - np.log(q) - z[self.idx] @ self.d
 
-    def grad(self, z, side):
-        w, q = self._interior(z, side)
+    def _grad(self, z, w, q, side):
         if side == PRIMAL:
             return -2.0 * (self.sign * w) / q
         return -2.0 * (self.sign * z[self.idx]) / q - self.d
 
+    def grad(self, z, side):
+        return self._grad(z, *self._interior(z, side), side)
+
     def hess(self, z, side):
         # the conjugate Hessian at y equals the primal Hessian at -y
-        w, _ = self._interior(z, side)
-        return _SocBlock(w)
+        return _SocBlock(self._interior(z, side)[0])
+
+    def grad_hess(self, z, side):
+        w, q = self._interior(z, side)
+        return self._grad(z, w, q, side), _SocBlock(w)
 
     def support(self, y):
         w = -y[self.idx]
@@ -454,6 +481,17 @@ class DomainBarrier:
     def hess(self, z: np.ndarray, side: str = PRIMAL) -> BlockMetric:
         self._require_finite(z, side)
         return BlockMetric(self.m, [(g.idx, g.hess(z, side)) for g in self.groups])
+
+    def grad_hess(self, z: np.ndarray, side: str = PRIMAL) -> tuple:
+        """(grad(z), hess(z)) from one pass over the groups: each group
+        checks z and forms its slacks once for both."""
+        self._require_finite(z, side)
+        out = np.zeros(self.m)
+        blocks = []
+        for g in self.groups:
+            out[g.idx], block = g.grad_hess(z, side)
+            blocks.append((g.idx, block))
+        return out, BlockMetric(self.m, blocks)
 
     def support(self, y: np.ndarray) -> float:
         total = 0.0

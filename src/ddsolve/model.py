@@ -184,25 +184,35 @@ def mu_of(problem: Problem, start: StartData, x, tau: float, y) -> float:
     return float(-(y @ start.z0 + float(tau) * inner) / (problem.xi * problem.theta))
 
 
-def proximity_at(problem: Problem, start: StartData, x, tau: float, y, mu: float,
-                 *, u=None) -> float:
-    """Distance to the path point at parameter ``mu``:
-    || A x + z0/tau - conj_grad((tau/mu) y) ||  in the inverse conjugate-
-    Hessian norm at (tau/mu) y.  One structured solve per barrier group.
-
-    ``u``, if given, is the shifted image A x + z0/tau, already formed.
-    """
+def scaled_dual(problem: Problem, tau: float, y, mu: float) -> np.ndarray:
+    """v = (tau/mu) y, the point at which proximity evaluates the conjugate
+    barrier; DomainViolation unless mu > 0 and v is interior to D*."""
     if not mu > 0.0:
         raise DomainViolation(f"path parameter must be positive, got {mu}")
-    y = np.asarray(y, dtype=float)
-    v = (float(tau) / float(mu)) * y
+    v = (float(tau) / float(mu)) * np.asarray(y, dtype=float)
     if not problem.barrier.interior(v, CONJUGATE):
         raise DomainViolation("scaled dual point left the dual cone interior")
+    return v
+
+
+def proximity_at(problem: Problem, start: StartData, x, tau: float, y, mu: float,
+                 *, u=None, v=None) -> float:
+    """Distance to the path point at parameter ``mu``:
+    || A x + z0/tau - conj_grad((tau/mu) y) ||  in the inverse conjugate-
+    Hessian norm at (tau/mu) y.  The conjugate gradient and Hessian come
+    from one pass over the barrier groups, then one structured solve per
+    group.
+
+    ``u``, if given, is the shifted image A x + z0/tau, already formed;
+    ``v``, if given, is :func:`scaled_dual` of the same point, already
+    checked.
+    """
+    if v is None:
+        v = scaled_dual(problem, tau, y, mu)
     if u is None:
         u = shifted_image(problem, start, x, tau)
-    resid = u - problem.barrier.grad(v, CONJUGATE)
-    metric = problem.barrier.hess(v, CONJUGATE)
-    return float(np.sqrt(max(metric.inv_quad(resid), 0.0)))
+    grad, metric = problem.barrier.grad_hess(v, CONJUGATE)
+    return float(np.sqrt(max(metric.inv_quad(u - grad), 0.0)))
 
 
 def proximity(problem: Problem, start: StartData, x, tau: float, y) -> float:

@@ -24,6 +24,7 @@ along the tangent alone.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,7 @@ from .model import (
     make_iterate,
     mu_of,
     proximity_at,
+    scaled_dual,
     shifted_image,
 )
 from . import status as status_engine
@@ -225,11 +227,18 @@ def _restore_dual_equality(problem, start, x, tau, y):
 
 def corrector_step(problem: Problem, start: StartData, point: Iterate, mu: float) -> Iterate:
     """Damped Newton steps at fixed mu until the point is within
-    CORRECTOR_TARGET * kappa of the path (residuals polished further while
-    they keep improving).
+    CORRECTOR_TARGET * kappa of the path and its scaled residual has
+    settled: at most CORRECTOR_RESIDUAL_TOL, or no longer falling below
+    0.9 times the previous step's.
 
-    Raises CorrectorStall if the proximity target is not met within
-    CORRECTOR_MAX_STEPS steps.
+    Each pass re-imposes the dual linear equation, checks that (tau/mu) y
+    is interior to D* and forms the residuals.  Proximity is evaluated
+    only in the passes where the residual has settled, since only there
+    can the corrector stop; the other passes step whatever the proximity.
+
+    Raises CorrectorStall if the exit rule is not met within
+    CORRECTOR_MAX_STEPS steps; its message gives the proximity at the
+    point the last step started from.
     """
     target = CORRECTOR_TARGET * problem.kappa
     x, tau, y = point.x.copy(), point.tau, point.y.copy()
@@ -237,13 +246,16 @@ def corrector_step(problem: Problem, start: StartData, point: Iterate, mu: float
     # fraction-to-boundary search
     u = _checked_image(problem, start, x, tau)
     last_res = np.inf
-    for _ in range(CORRECTOR_MAX_STEPS):
+    for k in range(CORRECTOR_MAX_STEPS):
         y = _restore_dual_equality(problem, start, x, tau, y)
-        prox = proximity_at(problem, start, x, tau, y, mu, u=u)
+        v = scaled_dual(problem, tau, y, mu)
         res = residuals(problem, start, x, tau, y, mu, u=u)
         rnorm = res.scaled_norm(problem, start, x, tau, y, mu)
-        if prox <= target and (rnorm <= CORRECTOR_RESIDUAL_TOL or rnorm >= 0.9 * last_res):
-            break
+        settled = rnorm <= CORRECTOR_RESIDUAL_TOL or rnorm >= 0.9 * last_res
+        if settled or k == CORRECTOR_MAX_STEPS - 1:
+            prox = proximity_at(problem, start, x, tau, y, mu, u=u, v=v)
+            if settled and prox <= target:
+                break
         last_res = rnorm
         dx, dtau, dy = _kkt_solve(problem, start, x, tau, y, mu, u, res.g,
                                   -res.r_dual, -res.r_cent, -res.r_gap)
@@ -379,8 +391,15 @@ def follow(problem: Problem, start: StartData, options: FollowerOptions = Follow
     iteration cap.  ``on_iterate`` (if given) receives each TraceRow.
 
     Returns the full trace; numerical trouble is reported as a
-    NumericalFailure status rather than an exception.
+    NumericalFailure status rather than an exception.  Raises ValueError,
+    before any work, unless eps lies in (0, 1) and max_iters is a
+    non-negative integer.
     """
+    status_engine.require_eps(options.eps)
+    max_iters = options.max_iters
+    if (isinstance(max_iters, bool) or not isinstance(max_iters, numbers.Integral)
+            or max_iters < 0):
+        raise ValueError(f"max_iters must be a non-negative integer, got {max_iters!r}")
     point = make_iterate(problem, start, np.zeros(problem.n), 1.0, start.y0)
     trace: list = []
     iterates: list = []

@@ -216,14 +216,19 @@ def _base_report(problem, start, point: Iterate, status: str,
         })
 
 
+def require_eps(eps: float) -> None:
+    """ValueError unless the accuracy target lies in (0, 1); NaN does not."""
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+
+
 def check_status(problem: Problem, start: StartData, point: Iterate, eps: float,
                  *, sp: StopParams | None = None):
     """Run the termination checks in precedence order; None if none fired.
 
     ``sp``, if given, are the point's stop parameters, already formed.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    require_eps(eps)
     x, tau, y, mu = point.x, point.tau, point.y, point.mu
     if sp is None:
         sp = stop_params(problem, start, x, tau, y)

@@ -229,6 +229,21 @@ def test_non_finite_atom_data_rejected(build):
         build()
 
 
+@pytest.mark.parametrize("kind,coords,bounds", [
+    ("halfline_lower", (0,), dict(lower=0.0, upper=1.0)),
+    ("halfline_lower", (0,), dict(upper=1.0)),
+    ("halfline_upper", (0,), dict()),
+    ("halfline_upper", (0,), dict(lower=0.0, upper=1.0)),
+    ("box", (0,), dict(lower=0.0)),
+    ("box", (0,), dict(upper=1.0)),
+    ("soc", (0, 1), dict(lower=0.0)),
+], ids=["lower-with-upper", "lower-without-lower", "upper-without-bound",
+        "upper-with-lower", "box-without-upper", "box-without-lower", "soc-with-bound"])
+def test_atom_takes_exactly_its_kinds_bounds(kind, coords, bounds):
+    with pytest.raises(ValueError, match=f"{kind} atom takes bounds"):
+        dd.BarrierAtom(kind, coords, (0.0,) * len(coords), **bounds)
+
+
 def test_domain_violation_raised():
     atom = dd.halfline_lower(0, lower=0.0)
     with pytest.raises(dd.DomainViolation):
@@ -382,6 +397,18 @@ def test_grouped_barrier_matches_one_atom_barriers(side):
         Z = np.stack([z, 2.0 * z - 1.0])
         assert np.array_equal(barrier.margins(Z, side),
                               np.stack([barrier.margins(Z[0], side), barrier.margins(Z[1], side)]))
+
+
+@pytest.mark.parametrize("side", [PRIMAL, CONJUGATE])
+def test_grad_hess_equals_grad_and_hess(side):
+    # the one-pass evaluation gives the separate ones bit for bit
+    barrier = dd.DomainBarrier(GROUPED_ATOMS, GROUPED_M)
+    rng = np.random.default_rng(RNG_SEED + 10)
+    for _ in range(20):
+        z = _sample_point(GROUPED_ATOMS, GROUPED_M, rng, side)
+        grad, metric = barrier.grad_hess(z, side)
+        assert np.array_equal(grad, barrier.grad(z, side))
+        assert np.array_equal(metric.dense(), barrier.hess(z, side).dense())
 
 
 def test_grouped_support_both_sides_of_the_dual_cone():

@@ -70,6 +70,50 @@ def test_corrector_stall_raises(box_problem, monkeypatch):
         dd.corrector_step(problem, start, point, 1.0)
 
 
+def test_corrector_stall_reports_last_proximity(box_problem, monkeypatch):
+    # the stall message gives the proximity at the point the last step
+    # started from: with one step allowed, the start point itself
+    problem, start = box_problem
+    point = dd.Iterate(x=np.array([1e-3]), tau=1.0, y=start.y0.copy(), mu=1.0,
+                       proximity=np.nan)
+    prox = dd.proximity_at(problem, start, point.x, 1.0, start.y0, 1.0)
+    monkeypatch.setattr(path_module, "CORRECTOR_MAX_STEPS", 1)
+    with pytest.raises(dd.CorrectorStall, match=f"proximity {prox:.3e} above target"):
+        dd.corrector_step(problem, start, point, 1.0)
+
+
+def test_corrector_rejects_restoration_leaving_dual_cone(inf_problem, monkeypatch):
+    # the dual-cone check runs on every pass, not only where proximity is
+    # evaluated: a restoration that leaves int D* fails at once
+    problem, start = inf_problem
+    assert not problem.barrier.interior(-start.y0, "conjugate")
+    point = make_iterate(problem, start, np.zeros(1), 1.0, start.y0)
+    monkeypatch.setattr(path_module, "_restore_dual_equality",
+                        lambda problem, start, x, tau, y: -y)
+    # the check comes before the residuals, which must not be reached
+    monkeypatch.setattr(path_module, "residuals", None)
+    with pytest.raises(dd.DomainViolation,
+                       match="scaled dual point left the dual cone interior"):
+        dd.corrector_step(problem, start, point, 2.0)
+
+
+@pytest.mark.parametrize("options", [
+    dd.FollowerOptions(eps=-1.0), dd.FollowerOptions(eps=0.0), dd.FollowerOptions(eps=1.0),
+    dd.FollowerOptions(eps=float("nan")), dd.FollowerOptions(max_iters=-2),
+    dd.FollowerOptions(max_iters=2.5), dd.FollowerOptions(max_iters=True),
+], ids=["eps-negative", "eps-zero", "eps-one", "eps-nan", "iters-negative",
+        "iters-float", "iters-bool"])
+def test_follow_rejects_bad_options_before_any_work(box_problem, options, monkeypatch):
+    problem, start = box_problem
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("follow started work on bad options")
+    monkeypatch.setattr(path_module, "make_iterate", no_work)
+    monkeypatch.setattr(path_module, "predictor_step", no_work)
+    with pytest.raises(ValueError, match="eps must lie in|max_iters must be"):
+        dd.follow(problem, start, options)
+
+
 @pytest.mark.parametrize("x,tau,message", [
     (5.0, 1.0, "shifted image point left the domain interior"),
     (0.0, -1.0, "tau must be positive"),
@@ -311,16 +355,21 @@ class _GramCounter(np.ndarray):
 
 @pytest.mark.parametrize("fixture,run,eps", [("box_problem", "box_run", 1e-6),
                                              ("inf_problem", "inf_run", 1e-6),
-                                             ("soc_problem", "soc_run", 1e-4)])
+                                             ("unb_problem", "unb_run", 1e-6),
+                                             ("soc_problem", "soc_run", 1e-4),
+                                             ("tangent_problem", "tangent_run", 1e-2)])
 def test_evaluation_budget(fixture, run, eps, request, monkeypatch):
     # every Newton point is evaluated once: one primal gradient per
     # residuals call and per predictor tangent, one primal Hessian per
-    # KKT solve, and A'A formed once per problem, not per corrector step
+    # KKT solve, A'A formed once per problem, not per corrector step, and
+    # one proximity per corrector, where its exit test holds
     base, start = request.getfixturevalue(fixture)
     reference = request.getfixturevalue(run)
     problem = replace(base, A=base.A.view(_GramCounter))
     monkeypatch.setattr(_GramCounter, "products", 0)
-    counts = dict.fromkeys(["grad", "hess", "residuals", "tangents", "kkt"], 0)
+    counts = dict.fromkeys(["grad", "hess", "residuals", "tangents", "kkt", "correctors",
+                            "corrector_proximity"], 0)
+    active = []   # keys of the counted path functions now running
 
     def count_primal(name):
         original = getattr(dd.barriers.DomainBarrier, name)
@@ -335,7 +384,11 @@ def test_evaluation_budget(fixture, run, eps, request, monkeypatch):
 
         def wrapped(*args, **kwargs):
             counts[key] += 1
-            return original(*args, **kwargs)
+            active.append(key)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                active.pop()
         monkeypatch.setattr(path_module, name, wrapped)
 
     count_primal("grad")
@@ -343,6 +396,13 @@ def test_evaluation_budget(fixture, run, eps, request, monkeypatch):
     count_calls("residuals", "residuals")
     count_calls("predictor_step", "tangents")
     count_calls("_kkt_solve", "kkt")
+    count_calls("corrector_step", "correctors")
+    original_proximity = path_module.proximity_at
+
+    def proximity(*args, **kwargs):
+        counts["corrector_proximity"] += "correctors" in active
+        return original_proximity(*args, **kwargs)
+    monkeypatch.setattr(path_module, "proximity_at", proximity)
 
     result = dd.follow(problem, start, dd.FollowerOptions(eps=eps))
     # the counting wrappers do not perturb the run
@@ -350,6 +410,8 @@ def test_evaluation_budget(fixture, run, eps, request, monkeypatch):
     assert counts["residuals"] > 0 and counts["tangents"] == len(result.trace) - 1
     assert counts["grad"] == counts["residuals"] + counts["tangents"]
     assert counts["hess"] == counts["kkt"]
+    assert counts["correctors"] > 0
+    assert counts["corrector_proximity"] == counts["correctors"]
     assert _GramCounter.products == 1
     dd.follow(problem, start, dd.FollowerOptions(eps=1e-6, max_iters=3))
     assert _GramCounter.products == 1
