@@ -264,8 +264,10 @@ class _ConeGroup:
     def margins(self, z, side):
         w = self._canonical(z, side)
         tail = w[..., 1:]
-        # np.linalg.norm(tail, axis=-1), written out as numpy computes it
-        return (w[..., 0] - np.sqrt(np.add.reduce(tail * tail, axis=-1)))[..., None]
+        # each row's product with itself: the bits of _norm, which every
+        # other interiority test reads, also with a leading batch axis
+        sq = np.matmul(tail[..., None, :], tail[..., :, None])[..., 0, 0]
+        return (w[..., 0] - np.sqrt(sq))[..., None]
 
     def value(self, z, side):
         w, q = self._interior(z, side)

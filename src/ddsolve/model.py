@@ -60,6 +60,11 @@ class Problem:
         """||c||_inf (0 when there are no columns)."""
         return float(np.max(np.abs(self.c))) if self.n else 0.0
 
+    @cached_property
+    def c_norm(self) -> float:
+        """||c||."""
+        return float(np.linalg.norm(self.c))
+
 
 def validate_problem(A, c, atoms, xi: float = 2.0, kappa: float = 0.25) -> Problem:
     """Check dimensions, atom coverage, rank and solver constants.
@@ -168,7 +173,7 @@ def in_qdd(problem: Problem, start: StartData, x, tau: float, y) -> bool:
         return False
     if not problem.barrier.interior(np.asarray(y, dtype=float), CONJUGATE):
         return False
-    tol = DUAL_EQ_TOL * (1.0 + float(np.linalg.norm(problem.c)))
+    tol = DUAL_EQ_TOL * (1.0 + problem.c_norm)
     return dual_residual(problem, start, x, tau, y) <= tol
 
 

@@ -58,15 +58,13 @@ class Residuals:
 
     All three vanish together exactly when the point solves the system at
     that mu (interiority is enforced as a domain condition, not a residual).
-    ``u`` is the shifted image they were evaluated at and ``g`` the primal
-    barrier gradient there, kept for the Newton step at the same point.
+    ``u`` is the shifted image they were evaluated at.
     """
 
     r_dual: np.ndarray
     r_cent: np.ndarray
     r_gap: float
     u: np.ndarray
-    g: np.ndarray
 
     def scaled_norm(self, problem: Problem, start: StartData, x, tau, y, mu) -> float:
         """Max residual norm, each block scaled by its natural magnitude."""
@@ -117,53 +115,61 @@ class FollowResult:
     mu_log_slope: float
 
 
-def _checked_image(problem, start, x, tau):
-    """The shifted image at (x, tau); DomainViolation unless tau > 0 and
-    the image is interior to D."""
+def _primal_point(problem, start, x, tau):
+    """(u, g, H) at (x, tau): the shifted image u, and the primal barrier
+    gradient g and metric H there from one pass over the barrier groups.
+
+    Raises DomainViolation unless tau > 0 and u is interior to D, and
+    FactorizationFailure if H is not positive and finite.
+    """
     if not tau > 0.0:
         raise DomainViolation(f"tau must be positive, got {tau}")
     u = shifted_image(problem, start, x, tau)
-    if not problem.barrier.interior(u, PRIMAL):
-        raise DomainViolation("shifted image point left the domain interior")
-    return u
+    try:
+        g, H = problem.barrier.grad_hess(u, PRIMAL)
+    except DomainViolation as exc:
+        raise DomainViolation("shifted image point left the domain interior") from exc
+    return u, g, H
 
 
 def residuals(problem: Problem, start: StartData, x, tau: float, y, mu: float,
-              *, u=None) -> Residuals:
+              *, u=None, g=None) -> Residuals:
     """Residuals of equations (b), (c), (d) at the given point and mu.
 
-    ``u``, if given, is the shifted image at (x, tau), already verified
-    interior to D with tau > 0; otherwise it is formed and checked here.
+    ``u`` and ``g``, given together, are the shifted image at (x, tau),
+    already verified interior to D with tau > 0, and the primal barrier
+    gradient there; the corrector passes those of its Newton point, so
+    the residuals evaluate no barrier.  Without them, both are formed and
+    checked here.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     tau = float(tau)
     if u is None:
-        u = _checked_image(problem, start, x, tau)
-    g = problem.barrier.grad(u, PRIMAL)
+        u, g, _ = _primal_point(problem, start, x, tau)
     r_dual = problem.A.T @ (y - start.y0) + (tau - 1.0) * problem.c
     r_cent = y - (mu / tau) * g
     r_gap = (float(problem.c @ x) + float(y @ u) / tau
              + problem.theta * problem.xi * mu / tau**2 + start.y_tau0 / tau)
-    return Residuals(r_dual=r_dual, r_cent=r_cent, r_gap=float(r_gap), u=u, g=g)
+    return Residuals(r_dual=r_dual, r_cent=r_cent, r_gap=float(r_gap), u=u)
 
 
-def _kkt_solve(problem, start, x, tau, y, mu, u, g, b_dual, b_cent, b_gap):
+def _kkt_solve(problem, start, x, tau, y, mu, u, g, H, b_dual, b_cent, b_gap):
     """Solve the linearized path system for (dx, dtau, dy) at the point
-    with shifted image ``u`` and primal barrier gradient ``g`` there.
+    with shifted image ``u``, primal barrier gradient ``g`` and primal
+    metric ``H`` there, all three from the caller's one evaluation.
 
-    The y block is eliminated through the centering rows (identity in y),
+    The metric is applied once, to the stacked columns [A | z0 | u].  The
+    y block is eliminated through the centering rows (identity in y),
     leaving a dense (n+1) x (n+1) system in (dx, dtau).
     """
     A = problem.A
-    H = problem.barrier.hess(u, PRIMAL)
+    n = problem.n
     s = mu / tau
-    HA = H.matvec(A)
-    Hz0 = H.matvec(start.z0)
-    Hu = H.matvec(u)
+    HB = H.matvec(np.column_stack([A, start.z0, u]))
+    HA, Hz0, Hu = HB[:, :n], HB[:, n], HB[:, n + 1]
     p_vec = (mu / tau**2) * g + (mu / tau**3) * Hz0
 
-    n = problem.n
     M = np.zeros((n + 1, n + 1))
     rhs = np.zeros(n + 1)
     M[:n, :n] = s * (A.T @ HA)
@@ -192,6 +198,18 @@ def _interior_after(problem, start, x, tau, y):
     if problem.barrier.interior(u, PRIMAL) and problem.barrier.interior(y, CONJUGATE):
         return u
     return None
+
+
+def _newton_point(problem, start, x, tau, y):
+    """(u, g, H) of :func:`_primal_point` at a corrector trial point if
+    tau > 0, y is interior to D* and the shifted image is interior to D;
+    None otherwise.  FactorizationFailure passes through."""
+    if not (tau > 0.0 and problem.barrier.interior(y, CONJUGATE)):
+        return None
+    try:
+        return _primal_point(problem, start, x, tau)
+    except DomainViolation:
+        return None
 
 
 def _step_bound(problem, start, tau, y, u, dx, dtau, dy, cap):
@@ -236,20 +254,25 @@ def corrector_step(problem: Problem, start: StartData, point: Iterate, mu: float
     only in the passes where the residual has settled, since only there
     can the corrector stop; the other passes step whatever the proximity.
 
+    Each Newton point is evaluated once on the primal side, by one
+    ``grad_hess``: the starting point, and each trial point whose tau and
+    y pass their checks, where the evaluation doubles as the primal
+    interiority check.  The accepted point's gradient feeds the residuals
+    and its metric the KKT solve of the next pass.
+
     Raises CorrectorStall if the exit rule is not met within
     CORRECTOR_MAX_STEPS steps; its message gives the proximity at the
-    point the last step started from.
+    point the last step started from.  Raises FactorizationFailure at a
+    trial point whose primal metric is not positive and finite.
     """
     target = CORRECTOR_TARGET * problem.kappa
     x, tau, y = point.x.copy(), point.tau, point.y.copy()
-    # shifted image at (x, tau), checked here and then by each step's
-    # fraction-to-boundary search
-    u = _checked_image(problem, start, x, tau)
+    u, g, H = _primal_point(problem, start, x, tau)
     last_res = np.inf
     for k in range(CORRECTOR_MAX_STEPS):
         y = _restore_dual_equality(problem, start, x, tau, y)
         v = scaled_dual(problem, tau, y, mu)
-        res = residuals(problem, start, x, tau, y, mu, u=u)
+        res = residuals(problem, start, x, tau, y, mu, u=u, g=g)
         rnorm = res.scaled_norm(problem, start, x, tau, y, mu)
         settled = rnorm <= CORRECTOR_RESIDUAL_TOL or rnorm >= 0.9 * last_res
         if settled or k == CORRECTOR_MAX_STEPS - 1:
@@ -257,20 +280,21 @@ def corrector_step(problem: Problem, start: StartData, point: Iterate, mu: float
             if settled and prox <= target:
                 break
         last_res = rnorm
-        dx, dtau, dy = _kkt_solve(problem, start, x, tau, y, mu, u, res.g,
+        dx, dtau, dy = _kkt_solve(problem, start, x, tau, y, mu, u, g, H,
                                   -res.r_dual, -res.r_cent, -res.r_gap)
         # the image's linearized bound is safeguarded by halving
         alpha = _step_bound(problem, start, tau, y, u, dx, dtau, dy, 1.0)
-        u = None
+        trial = None
         while alpha > 1e-18:
             xn, taun, yn = x + alpha * dx, tau + alpha * dtau, y + alpha * dy
-            u = _interior_after(problem, start, xn, taun, yn)
-            if u is not None:
+            trial = _newton_point(problem, start, xn, taun, yn)
+            if trial is not None:
                 break
             alpha *= 0.5
-        if u is None:
+        if trial is None:
             raise CorrectorStall("step length underflow while correcting")
         x, tau, y = xn, taun, yn
+        u, g, H = trial
     else:
         raise CorrectorStall(
             f"proximity {prox:.3e} above target {target:.3e} after "
@@ -282,9 +306,10 @@ def predictor_step(problem: Problem, start: StartData, point: Iterate, *, memo=N
     """Advance along the path as far as the outer neighborhood allows;
     returns (predicted point, new mu).
 
-    The tangent dp/dmu solves the mu-derivative of the path system.  Its
-    first trial increase dmu is the fraction-to-boundary cap along it, and
-    the trials halve dmu until one is accepted.
+    The tangent dp/dmu solves the mu-derivative of the path system, with
+    the primal barrier gradient and metric at the point from one
+    ``grad_hess``.  Its first trial increase dmu is the fraction-to-boundary
+    cap along it, and the trials halve dmu until one is accepted.
 
     ``memo``, if given, carries the tangent from call to call: the step
     reads the previous (s, dp/ds) from ``memo["tangent"]`` and stores its
@@ -306,8 +331,8 @@ def predictor_step(problem: Problem, start: StartData, point: Iterate, *, memo=N
     mu = point.mu
     x, tau, y = point.x, point.tau, point.y
     u = shifted_image(problem, start, x, tau)
-    g = problem.barrier.grad(u, PRIMAL)
-    tx, ttau, ty = _kkt_solve(problem, start, x, tau, y, mu, u, g,
+    g, H = problem.barrier.grad_hess(u, PRIMAL)
+    tx, ttau, ty = _kkt_solve(problem, start, x, tau, y, mu, u, g, H,
                               np.zeros(problem.n), g / tau,
                               -problem.theta * problem.xi / tau**2)
 
@@ -353,7 +378,7 @@ def _check_invariants(problem, start, it: Iterate, violations: list):
     """Per-iterate runtime assertions: membership, proximity, gap sandwich,
     the tau floor, and the weak-detector inequality."""
     slack = 1e-8
-    tol = DUAL_EQ_TOL * (1.0 + float(np.linalg.norm(problem.c)))
+    tol = DUAL_EQ_TOL * (1.0 + problem.c_norm)
     if not it.tau > 0.0:
         violations.append(f"tau not positive at mu={it.mu:.3e}")
     u = shifted_image(problem, start, it.x, it.tau)

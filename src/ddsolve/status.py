@@ -78,8 +78,7 @@ def stop_params(problem: Problem, start: StartData, x, tau: float, y) -> StopPar
         dst = ds / tau
         gap = abs(cx + dst) / (1.0 + abs(cx) + abs(dst))
     p_feas = float(np.linalg.norm(start.z0)) / tau
-    d_feas = float(np.linalg.norm(problem.A.T @ y / tau + problem.c)) \
-        / (1.0 + float(np.linalg.norm(problem.c)))
+    d_feas = float(np.linalg.norm(problem.A.T @ y / tau + problem.c)) / (1.0 + problem.c_norm)
     return StopParams(gap=float(gap), p_feas=p_feas, d_feas=d_feas)
 
 
@@ -241,9 +240,10 @@ def check_status(problem: Problem, start: StartData, point: Iterate, eps: float,
         report.verification = verify_certificate(problem, start, cert)
         return _enforce(report)
 
+    # the support is formed only where the cheap norm test passes
     scaled = (tau / mu) * y
-    ds_scaled = support_function(problem, scaled)
-    if (tau / mu) * float(np.linalg.norm(problem.A.T @ y)) <= eps and ds_scaled < 0.0:
+    if ((tau / mu) * float(np.linalg.norm(problem.A.T @ y)) <= eps
+            and support_function(problem, scaled) < 0.0):
         report = _base_report(problem, start, point, INFEASIBILITY_CERTIFICATE, sp)
         cert = Certificate(kind="infeasibility", strict=False, eps=eps, y=scaled)
         report.certificate = cert

@@ -411,6 +411,34 @@ def test_grad_hess_equals_grad_and_hess(side):
         assert np.array_equal(metric.dense(), barrier.hess(z, side).dense())
 
 
+@pytest.mark.parametrize("side", [PRIMAL, CONJUGATE])
+def test_cone_interior_agrees_with_evaluation_at_the_boundary(side):
+    # with the head equal to the tail norm, as a dot product or as a sum
+    # of squares forms it, interior() is True exactly when grad, hess and
+    # grad_hess evaluate; both norms of the tails drawn here differ in
+    # their last bits
+    k = 9
+    barrier = dd.DomainBarrier([dd.soc(range(k))], k)
+    rng = np.random.default_rng(RNG_SEED + 11)
+    sign = 1.0 if side == PRIMAL else -1.0
+    differing = 0
+    for _ in range(200):
+        tail = rng.normal(size=k - 1)
+        heads = {float(np.sqrt(tail.dot(tail))), float(np.sqrt(np.sum(tail * tail)))}
+        differing += len(heads) == 2
+        for head in heads:
+            z = sign * np.concatenate([[head], tail])
+            inside = barrier.interior(z, side)
+            assert (barrier.min_margin(z, side) > 0.0) == inside
+            for evaluate in (barrier.grad, barrier.hess, barrier.grad_hess):
+                if inside:
+                    evaluate(z, side)
+                else:
+                    with pytest.raises(dd.DomainViolation):
+                        evaluate(z, side)
+    assert differing >= 20
+
+
 def test_grouped_support_both_sides_of_the_dual_cone():
     barrier = dd.DomainBarrier(GROUPED_ATOMS, GROUPED_M)
     rng = np.random.default_rng(RNG_SEED + 9)

@@ -140,13 +140,66 @@ def test_predictor_tangent_satisfies_dual_equation(box_problem):
     problem, start = box_problem
     point = make_iterate(problem, start, np.zeros(1), 1.0, start.y0)
     u = shifted_image(problem, start, point.x, point.tau)
-    g = problem.barrier.grad(u, "primal")
+    g, H = problem.barrier.grad_hess(u, "primal")
     tx, ttau, ty = _kkt_solve(
-        problem, start, point.x, point.tau, point.y, point.mu, u, g,
+        problem, start, point.x, point.tau, point.y, point.mu, u, g, H,
         np.zeros(problem.n), g / point.tau,
         -problem.theta * problem.xi / point.tau**2)
     resid = problem.A.T @ ty + ttau * problem.c
     assert np.max(np.abs(resid)) <= 1e-9
+
+
+def _unreduced_solve(problem, start, x, tau, y, mu, b_dual, b_cent, b_gap):
+    """(dx, dtau, dy) from rows (b), (c), (d) of the linearized path system,
+    assembled densely and solved without eliminating dy."""
+    A, n, m = problem.A, problem.n, problem.m
+    u = shifted_image(problem, start, x, tau)
+    g = problem.barrier.grad(u, "primal")
+    H = problem.barrier.hess(u, "primal").dense()
+    K = np.zeros((n + m + 1, n + 1 + m))
+    # (b)  A'dy + c dtau
+    K[:n, n] = problem.c
+    K[:n, n + 1:] = A.T
+    # (c)  dy - (mu/tau) Phi''(u) du,  du = A dx - z0 dtau / tau^2, and the
+    #      tau-derivative of the factor mu/tau
+    K[n:n + m, :n] = -(mu / tau) * H @ A
+    K[n:n + m, n] = (mu / tau**2) * g + (mu / tau**3) * H @ start.z0
+    K[n:n + m, n + 1:] = np.eye(m)
+    # (d)  <c,x> + <y,A x>/tau + <y,z0>/tau^2 + theta xi mu/tau^2 + y_tau0/tau
+    K[n + m, :n] = problem.c + A.T @ y / tau
+    K[n + m, n] = (-(y @ A @ x) / tau**2 - 2.0 * (y @ start.z0) / tau**3
+                   - 2.0 * problem.theta * problem.xi * mu / tau**3 - start.y_tau0 / tau**2)
+    K[n + m, n + 1:] = u / tau
+    sol = np.linalg.solve(K, np.concatenate([b_dual, b_cent, [b_gap]]))
+    return sol[:n], sol[n], sol[n + 1:]
+
+
+@pytest.mark.parametrize("fixture,run", [("box_problem", "box_run"),
+                                         ("soc_problem", "soc_run"),
+                                         ("mixed_problem", "mixed_run")])
+def test_kkt_solve_matches_unreduced_system(fixture, run, request):
+    # the reduced solve, with its one metric product over [A | z0 | u],
+    # against the dense unreduced rows, for the tangent's right-hand side
+    # and for the corrector's at twice the iterate's mu; at iterates up
+    # to mu = 1e2 the unreduced system is well conditioned
+    problem, start = request.getfixturevalue(fixture)
+    checked = 0
+    for it in request.getfixturevalue(run).iterates:
+        if it.mu > 1e2:
+            continue
+        u = shifted_image(problem, start, it.x, it.tau)
+        g, H = problem.barrier.grad_hess(u, "primal")
+        res = dd.residuals(problem, start, it.x, it.tau, it.y, 2.0 * it.mu)
+        for mu, rhs in [
+            (it.mu, (np.zeros(problem.n), g / it.tau, -problem.theta * problem.xi / it.tau**2)),
+            (2.0 * it.mu, (-res.r_dual, -res.r_cent, -res.r_gap)),
+        ]:
+            got = _kkt_solve(problem, start, it.x, it.tau, it.y, mu, u, g, H, *rhs)
+            ref = _unreduced_solve(problem, start, it.x, it.tau, it.y, mu, *rhs)
+            got, ref = (np.concatenate([p[0], [p[1]], p[2]]) for p in (got, ref))
+            assert np.linalg.norm(got - ref) <= 1e-11 * np.linalg.norm(ref)
+            checked += 1
+    assert checked >= 10
 
 
 def test_predictor_increases_mu_and_respects_neighborhood(box_problem):
@@ -178,8 +231,8 @@ def _first_order_predictor(problem, start, point):
     proximity at mu + dmu is within the outer radius."""
     mu, x, tau, y = point.mu, point.x, point.tau, point.y
     u = shifted_image(problem, start, x, tau)
-    g = problem.barrier.grad(u, "primal")
-    tx, ttau, ty = _kkt_solve(problem, start, x, tau, y, mu, u, g, np.zeros(problem.n),
+    g, H = problem.barrier.grad_hess(u, "primal")
+    tx, ttau, ty = _kkt_solve(problem, start, x, tau, y, mu, u, g, H, np.zeros(problem.n),
                               g / tau, -problem.theta * problem.xi / tau**2)
     dmu = path_module.PREDICTOR_TRIAL_FACTOR * mu
     if ttau < 0.0:
@@ -359,24 +412,28 @@ class _GramCounter(np.ndarray):
                                              ("soc_problem", "soc_run", 1e-4),
                                              ("tangent_problem", "tangent_run", 1e-2)])
 def test_evaluation_budget(fixture, run, eps, request, monkeypatch):
-    # every Newton point is evaluated once: one primal gradient per
-    # residuals call and per predictor tangent, one primal Hessian per
-    # KKT solve, A'A formed once per problem, not per corrector step, and
-    # one proximity per corrector, where its exit test holds
+    # every Newton point is evaluated once on the primal side, by one
+    # grad_hess: per predictor tangent, at each corrector's start and at
+    # each accepted corrector trial, with no separate primal grad or hess.
+    # Each KKT solve applies the metric once, residuals run once per
+    # corrector pass, A'A is formed once per problem, not per corrector
+    # step, and one proximity per corrector, where its exit test holds
     base, start = request.getfixturevalue(fixture)
     reference = request.getfixturevalue(run)
     problem = replace(base, A=base.A.view(_GramCounter))
     monkeypatch.setattr(_GramCounter, "products", 0)
-    counts = dict.fromkeys(["grad", "hess", "residuals", "tangents", "kkt", "correctors",
-                            "corrector_proximity"], 0)
+    counts = dict.fromkeys(["grad", "hess", "grad_hess", "residuals", "tangents", "kkt",
+                            "kkt_matvec", "correctors", "corrector_proximity"], 0)
     active = []   # keys of the counted path functions now running
 
     def count_primal(name):
         original = getattr(dd.barriers.DomainBarrier, name)
 
         def wrapped(self, z, side="primal"):
+            out = original(self, z, side)
+            # a trial rejected by DomainViolation is not an evaluated point
             counts[name] += side == "primal"
-            return original(self, z, side)
+            return out
         monkeypatch.setattr(dd.barriers.DomainBarrier, name, wrapped)
 
     def count_calls(name, key):
@@ -393,24 +450,35 @@ def test_evaluation_budget(fixture, run, eps, request, monkeypatch):
 
     count_primal("grad")
     count_primal("hess")
+    count_primal("grad_hess")
     count_calls("residuals", "residuals")
     count_calls("predictor_step", "tangents")
     count_calls("_kkt_solve", "kkt")
     count_calls("corrector_step", "correctors")
     original_proximity = path_module.proximity_at
+    original_matvec = dd.barriers.BlockMetric.matvec
 
     def proximity(*args, **kwargs):
         counts["corrector_proximity"] += "correctors" in active
         return original_proximity(*args, **kwargs)
+
+    def matvec(self, v):
+        counts["kkt_matvec"] += "kkt" in active
+        return original_matvec(self, v)
     monkeypatch.setattr(path_module, "proximity_at", proximity)
+    monkeypatch.setattr(dd.barriers.BlockMetric, "matvec", matvec)
 
     result = dd.follow(problem, start, dd.FollowerOptions(eps=eps))
     # the counting wrappers do not perturb the run
     assert result.trace == reference.trace
-    assert counts["residuals"] > 0 and counts["tangents"] == len(result.trace) - 1
-    assert counts["grad"] == counts["residuals"] + counts["tangents"]
-    assert counts["hess"] == counts["kkt"]
+    assert counts["tangents"] == len(result.trace) - 1
     assert counts["correctors"] > 0
+    assert counts["grad"] == counts["hess"] == 0
+    # one point per tangent, and per corrector its start plus one per step
+    newton_steps = counts["kkt"] - counts["tangents"]
+    assert counts["grad_hess"] == counts["tangents"] + counts["correctors"] + newton_steps
+    assert counts["residuals"] == counts["correctors"] + newton_steps
+    assert counts["kkt_matvec"] == counts["kkt"]
     assert counts["corrector_proximity"] == counts["correctors"]
     assert _GramCounter.products == 1
     dd.follow(problem, start, dd.FollowerOptions(eps=1e-6, max_iters=3))
@@ -570,7 +638,8 @@ def test_known_optimum_cone_instance():
     assert result.report.x[0] == pytest.approx(0.5, abs=1e-4)
 
 
-def test_mixed_atom_product_solves_clean():
+@pytest.fixture(scope="module")
+def mixed_problem():
     # one halfline, one box and one cone block in a single product, dense A
     rng = np.random.default_rng(11)
     atoms = [dd.halfline_lower(0, -1.0, 0.5), dd.box(1, 0.0, 2.0),
@@ -578,8 +647,17 @@ def test_mixed_atom_product_solves_clean():
     A = rng.normal(size=(5, 2))
     y_int = np.array([-0.5, 0.3, -2.0, 0.5, 0.7])
     problem = dd.validate_problem(A, -A.T @ y_int, atoms)
-    start = dd.default_z0(problem)
-    result = dd.follow(problem, start, dd.FollowerOptions(eps=1e-6))
+    return problem, dd.default_z0(problem)
+
+
+@pytest.fixture(scope="module")
+def mixed_run(mixed_problem):
+    problem, start = mixed_problem
+    return dd.follow(problem, start, dd.FollowerOptions(eps=1e-6))
+
+
+def test_mixed_atom_product_solves_clean(mixed_run):
+    result = mixed_run
     assert result.report.status == "EpsSolution"
     assert result.invariant_violations == []
     # primal value and dual estimate agree at termination
