@@ -198,26 +198,14 @@ class _IntervalGroup:
         return (np.sum(-1.0 - np.log(np.abs(yh)) + self.half_bound * yh)
                 + np.sum(yb * (self.box_lo + s_lo) + np.log(s_lo) + np.log(s_hi)))
 
-    def _grad(self, w, s_lo, s_hi, side):
-        if side == PRIMAL:
-            return -1.0 / s_lo + 1.0 / s_hi
-        return np.concatenate([self.half_bound - 1.0 / w[:self.nh], self.box_lo + s_lo])
-
-    def _hess(self, w, s_lo, s_hi, side):
-        if side == PRIMAL:
-            return _DiagonalBlock(1.0 / s_lo**2 + 1.0 / s_hi**2)
-        return _DiagonalBlock(np.concatenate([
-            1.0 / w[:self.nh] ** 2, 1.0 / (1.0 / s_lo**2 + 1.0 / s_hi**2)]))
-
-    def grad(self, z, side):
-        return self._grad(*self._point(z, side), side)
-
-    def hess(self, z, side):
-        return self._hess(*self._point(z, side), side)
-
     def grad_hess(self, z, side):
-        point = self._point(z, side)
-        return self._grad(*point, side), self._hess(*point, side)
+        w, s_lo, s_hi = self._point(z, side)
+        if side == PRIMAL:
+            return -1.0 / s_lo + 1.0 / s_hi, _DiagonalBlock(1.0 / s_lo**2 + 1.0 / s_hi**2)
+        yh = w[:self.nh]
+        return (np.concatenate([self.half_bound - 1.0 / yh, self.box_lo + s_lo]),
+                _DiagonalBlock(np.concatenate([1.0 / yh**2,
+                                               1.0 / (1.0 / s_lo**2 + 1.0 / s_hi**2)])))
 
     def support(self, y):
         y = y[self.idx]
@@ -275,21 +263,13 @@ class _ConeGroup:
             return -np.log(q)
         return -2.0 + np.log(4.0) - np.log(q) - z[self.idx] @ self.d
 
-    def _grad(self, z, w, q, side):
-        if side == PRIMAL:
-            return -2.0 * (self.sign * w) / q
-        return -2.0 * (self.sign * z[self.idx]) / q - self.d
-
-    def grad(self, z, side):
-        return self._grad(z, *self._interior(z, side), side)
-
-    def hess(self, z, side):
-        # the conjugate Hessian at y equals the primal Hessian at -y
-        return _SocBlock(self._interior(z, side)[0])
-
     def grad_hess(self, z, side):
+        # up to a constant, the conjugate at y is the primal barrier at
+        # w = -y less <y, d>: its gradient is minus the primal one at w,
+        # less d, and its Hessian the primal one at w
         w, q = self._interior(z, side)
-        return self._grad(z, w, q, side), _SocBlock(w)
+        g = -2.0 * (self.sign * w) / q
+        return (g if side == PRIMAL else -g - self.d), _SocBlock(w)
 
     def support(self, y):
         w = -y[self.idx]
@@ -346,9 +326,6 @@ class _DiagonalBlock:
 
     def inv_quad(self, v):
         return float(np.sum(v * v / self.h))
-
-    def dense(self):
-        return np.diag(self.h)
 
 
 class _SocBlock:
@@ -407,9 +384,6 @@ class _SocBlock:
         return (a * a / self.lam_minus + b * b / self.lam_plus
                 + float(perp @ perp) / self.lam_tail)
 
-    def dense(self):
-        return self.matvec(np.eye(self.k))
-
 
 class BlockMetric:
     """Block-diagonal metric over the atom product: a diagonal block over
@@ -424,10 +398,7 @@ class BlockMetric:
         self.blocks = list(blocks)   # (coordinate indices, block) pairs
 
     def dense(self) -> np.ndarray:
-        out = np.zeros((self.m, self.m))
-        for idx, blk in self.blocks:
-            out[np.ix_(idx, idx)] = blk.dense()
-        return out
+        return self.matvec(np.eye(self.m))
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         out = np.zeros(v.shape)
@@ -473,20 +444,9 @@ class DomainBarrier:
         self._require_finite(z, side)
         return float(sum(g.value(z, side) for g in self.groups))
 
-    def grad(self, z: np.ndarray, side: str = PRIMAL) -> np.ndarray:
-        self._require_finite(z, side)
-        out = np.zeros(self.m)
-        for g in self.groups:
-            out[g.idx] = g.grad(z, side)
-        return out
-
-    def hess(self, z: np.ndarray, side: str = PRIMAL) -> BlockMetric:
-        self._require_finite(z, side)
-        return BlockMetric(self.m, [(g.idx, g.hess(z, side)) for g in self.groups])
-
     def grad_hess(self, z: np.ndarray, side: str = PRIMAL) -> tuple:
-        """(grad(z), hess(z)) from one pass over the groups: each group
-        checks z and forms its slacks once for both."""
+        """(gradient, Hessian) at z from one pass over the groups: each
+        group checks z and forms its slacks once for both."""
         self._require_finite(z, side)
         out = np.zeros(self.m)
         blocks = []
@@ -494,6 +454,12 @@ class DomainBarrier:
             out[g.idx], block = g.grad_hess(z, side)
             blocks.append((g.idx, block))
         return out, BlockMetric(self.m, blocks)
+
+    def grad(self, z: np.ndarray, side: str = PRIMAL) -> np.ndarray:
+        return self.grad_hess(z, side)[0]
+
+    def hess(self, z: np.ndarray, side: str = PRIMAL) -> BlockMetric:
+        return self.grad_hess(z, side)[1]
 
     def support(self, y: np.ndarray) -> float:
         total = 0.0

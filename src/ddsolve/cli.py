@@ -11,10 +11,12 @@ Problem files are JSON documents::
       "xi": 2.0, "kappa": 0.25   optional solver constants
     }
 
-Atom entries use 1-based coordinates.  ``bounds`` is a scalar for the
-halfline types and a [lower, upper] pair for boxes; ``offset`` is a scalar
-(halfline/box) or a vector (soc).  Every numeric entry must be a JSON
-number: a numeric string such as "1.0" is an input error, and so is a
+Atom entries use 1-based coordinates: exactly one for a halfline or a
+box, at least two for a soc.  ``bounds`` is a number for the halfline
+types, a [lower, upper] pair for boxes and absent for a soc; ``offset`` is
+optional, a number for a one-coordinate atom and a vector of one entry per
+coordinate for a soc.  Every numeric entry must be a JSON number: a
+numeric string such as "1.0" or a boolean is an input error, and so is a
 non-finite bound or offset.
 
 Exit codes: 0 eps-solution, 1 infeasible, 2 unbounded, 3 ill-conditioned
@@ -26,7 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -47,18 +49,29 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _has_text(value) -> bool:
-    """A string, or a list holding one: float() would take a numeric one."""
-    return isinstance(value, str) or (
-        isinstance(value, list) and any(isinstance(v, str) for v in value))
-
-
 def _number(doc, key, default) -> float:
     """Optional numeric entry: a JSON number or absent."""
     value = doc.get(key, default)
     if not _is_number(value):
         raise ParseError(f"{key} must be a number, got {value!r}", field=key)
     return float(value)
+
+
+def _atom_numbers(entry, index, key, count, default=None) -> list:
+    """Entry ``key`` of atom ``index`` as ``count`` JSON numbers: absent
+    when ``count`` is 0, one number when 1, a list of ``count`` numbers
+    otherwise.  An absent entry reads as ``default``."""
+    value = entry.get(key, default)
+    if count == 1 and _is_number(value):
+        return [value]
+    if (count > 1 and isinstance(value, list) and len(value) == count
+            and all(map(_is_number, value))):
+        return value
+    if count == 0 and key not in entry:
+        return []
+    shape = {0: "absent", 1: "a number"}.get(count, f"a list of {count} numbers")
+    raise ParseError(f"atom {index} {key} must be {shape}, got {value!r}",
+                     field=f"atoms[{index}].{key}")
 
 
 def _parse_atom(entry, index):
@@ -73,34 +86,22 @@ def _parse_atom(entry, index):
     if not all(_is_integral(i) for i in coords):
         raise ParseError(f"atom {index} coords must be integers, got {coords}",
                          field=f"atoms[{index}].coords")
-    if kind != barriers.SOC and len(coords) != 1:
-        raise ParseError(f"atom {index}: a {kind} atom takes exactly one coordinate",
+    k = len(coords)
+    if (k == 1) == (kind == barriers.SOC):
+        takes = "at least two coordinates" if kind == barriers.SOC else "exactly one coordinate"
+        raise ParseError(f"atom {index}: a {kind} atom takes {takes}",
                          field=f"atoms[{index}].coords")
     zero_based = [int(i) - 1 for i in coords]
     if any(i < 0 for i in zero_based):
         raise ParseError(f"atom {index} coords are 1-based", field=f"atoms[{index}].coords")
-    bounds = entry.get("bounds")
-    offset = entry.get("offset", 0.0)
-    for key, value in (("bounds", bounds), ("offset", offset)):
-        if _has_text(value):
-            raise ParseError(f"atom {index} {key} must hold numbers, got {value!r}",
-                             field=f"atoms[{index}].{key}")
+    takes_lower, takes_upper = barriers.ATOM_BOUNDS[kind]
+    bounds = _atom_numbers(entry, index, "bounds", takes_lower + takes_upper)
+    offset = _atom_numbers(entry, index, "offset", k, 0.0 if k == 1 else [0.0] * k)
     try:
-        if kind == barriers.HALFLINE_LOWER:
-            return barriers.halfline_lower(zero_based[0], lower=float(bounds),
-                                           offset=float(offset))
-        if kind == barriers.HALFLINE_UPPER:
-            return barriers.halfline_upper(zero_based[0], upper=float(bounds),
-                                           offset=float(offset))
-        if kind == barriers.BOX:
-            lo, hi = bounds
-            return barriers.box(zero_based[0], float(lo), float(hi), offset=float(offset))
-        if "offset" in entry and not isinstance(offset, list):
-            raise ParseError(f"atom {index}: soc offset must be a vector",
-                             field=f"atoms[{index}].offset")
-        off = offset if isinstance(offset, list) else [0.0] * len(zero_based)
-        return barriers.soc(zero_based, [float(v) for v in off])
-    except (TypeError, ValueError) as exc:
+        return barriers.BarrierAtom(kind, zero_based, offset,
+                                    lower=float(bounds[0]) if takes_lower else None,
+                                    upper=float(bounds[-1]) if takes_upper else None)
+    except (ValueError, OverflowError) as exc:
         raise ParseError(f"atom {index}: {exc}", field=f"atoms[{index}]") from exc
 
 
@@ -167,15 +168,7 @@ class RunReport:
     verification: list
 
     def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "exit_code": self.exit_code,
-            "certificate": self.certificate,
-            "objective_primal": self.objective_primal,
-            "objective_estimate": self.objective_estimate,
-            "diagnostics": self.diagnostics,
-            "verification": self.verification,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -302,6 +295,13 @@ def main(argv=None) -> int:
             raise ParseError(f"--eps must lie in (0, 1), got {args.eps}")
         if args.max_iters < 0:
             raise ParseError(f"--max-iters must not be negative, got {args.max_iters}")
+        if args.trace is not None:
+            # append mode: an existing file stays as it is until the solve writes it
+            try:
+                with open(args.trace, "a", encoding="utf-8"):
+                    pass
+            except OSError as exc:
+                raise ParseError(f"--trace path is not writable: {exc}") from exc
     except (ParseError, ValidationError, SolverError) as exc:
         print(json.dumps({"status": "InputError", "exit_code": INPUT_ERROR_EXIT,
                           "error": str(exc)}, indent=2))

@@ -162,16 +162,22 @@ def dual_residual(problem: Problem, start: StartData, x, tau: float, y) -> float
     return float(np.linalg.norm(r))
 
 
+def member_image(problem: Problem, start: StartData, x, tau: float, y):
+    """u = A x + z0/tau if tau > 0, u is interior to D and y is interior
+    to D*: the interiority half of membership in Q.  None otherwise."""
+    if not tau > 0.0:
+        return None
+    u = shifted_image(problem, start, x, tau)
+    if (problem.barrier.interior(u, PRIMAL)
+            and problem.barrier.interior(np.asarray(y, dtype=float), CONJUGATE)):
+        return u
+    return None
+
+
 def in_qdd(problem: Problem, start: StartData, x, tau: float, y) -> bool:
     """Membership test for the homogenized set, with the dual linear
     equation checked to tolerance 1e-9 * (1 + ||c||)."""
-    tau = float(tau)
-    if not tau > 0.0:
-        return False
-    u = shifted_image(problem, start, x, tau)
-    if not problem.barrier.interior(u, PRIMAL):
-        return False
-    if not problem.barrier.interior(np.asarray(y, dtype=float), CONJUGATE):
+    if member_image(problem, start, x, tau, y) is None:
         return False
     tol = DUAL_EQ_TOL * (1.0 + problem.c_norm)
     return dual_residual(problem, start, x, tau, y) <= tol

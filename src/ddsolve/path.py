@@ -44,6 +44,7 @@ from .model import (
     dual_residual,
     gap_bounds,
     make_iterate,
+    member_image,
     mu_of,
     proximity_at,
     scaled_dual,
@@ -187,17 +188,6 @@ def _kkt_solve(problem, start, x, tau, y, mu, u, g, H, b_dual, b_cent, b_gap):
     dx, dtau = sol[:n], float(sol[n])
     dy = b_cent + s * (HA @ dx) - p_vec * dtau
     return dx, dtau, dy
-
-
-def _interior_after(problem, start, x, tau, y):
-    """The shifted image at a trial point if tau > 0, it is interior to D
-    and y is interior to D*; None otherwise."""
-    if not tau > 0.0:
-        return None
-    u = shifted_image(problem, start, x, tau)
-    if problem.barrier.interior(u, PRIMAL) and problem.barrier.interior(y, CONJUGATE):
-        return u
-    return None
 
 
 def _newton_point(problem, start, x, tau, y):
@@ -358,7 +348,7 @@ def predictor_step(problem: Problem, start: StartData, point: Iterate, *, memo=N
             ds = float(np.log1p(dmu / mu))
             pn = p + ds * vel + (0.5 * ds * ds) * acc
             xn, taun, yn = pn[:n], float(pn[n]), pn[n + 1:]
-        un = _interior_after(problem, start, xn, taun, yn)
+        un = member_image(problem, start, xn, taun, yn)
         if un is not None:
             if prev is not None:
                 mun = mu_of(problem, start, xn, taun, yn)
@@ -381,8 +371,7 @@ def _check_invariants(problem, start, it: Iterate, violations: list):
     tol = DUAL_EQ_TOL * (1.0 + problem.c_norm)
     if not it.tau > 0.0:
         violations.append(f"tau not positive at mu={it.mu:.3e}")
-    u = shifted_image(problem, start, it.x, it.tau)
-    if not problem.barrier.interior(u, PRIMAL) or not problem.barrier.interior(it.y, CONJUGATE):
+    if member_image(problem, start, it.x, it.tau, it.y) is None:
         violations.append(f"interiority lost at mu={it.mu:.3e}")
     if dual_residual(problem, start, it.x, it.tau, it.y) > tol:
         violations.append(f"dual equality residual above tolerance at mu={it.mu:.3e}")

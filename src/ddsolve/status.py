@@ -17,7 +17,7 @@ memberships, margins and support functions from the problem data alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -215,6 +215,23 @@ def _base_report(problem, start, point: Iterate, status: str,
         })
 
 
+def _certified(problem, start, point: Iterate, status: str, sp: StopParams,
+               cert: Certificate) -> StatusReport:
+    """The report of a certificate status, with ``cert`` re-verified from
+    the problem data.  A report never claims a status its payload fails:
+    if verification fails, the report is a NumericalFailure without the
+    certificate, keeping the verification that failed."""
+    report = _base_report(problem, start, point, status, sp)
+    report.verification = verify_certificate(problem, start, cert)
+    if not report.verification.passed:
+        reason = ("certificate failed verification: "
+                  + ", ".join(report.verification.failed_names()))
+        return replace(report, status=NUMERICAL_FAILURE,
+                       diagnostics={**report.diagnostics, "reason": reason})
+    report.certificate = cert
+    return report
+
+
 def require_eps(eps: float) -> None:
     """ValueError unless the accuracy target lies in (0, 1); NaN does not."""
     if not 0.0 < eps < 1.0:
@@ -233,29 +250,20 @@ def check_status(problem: Problem, start: StartData, point: Iterate, eps: float,
         sp = stop_params(problem, start, x, tau, y)
 
     if sp.max() <= eps:
-        report = _base_report(problem, start, point, EPS_SOLUTION, sp)
-        cert = Certificate(kind="optimal-pair", strict=False, eps=eps,
-                           x=x, y=y / tau, tau=tau)
-        report.certificate = cert
-        report.verification = verify_certificate(problem, start, cert)
-        return _enforce(report)
+        return _certified(problem, start, point, EPS_SOLUTION, sp,
+                          Certificate(kind="optimal-pair", strict=False, eps=eps,
+                                      x=x, y=y / tau, tau=tau))
 
     # the support is formed only where the cheap norm test passes
     scaled = (tau / mu) * y
     if ((tau / mu) * float(np.linalg.norm(problem.A.T @ y)) <= eps
             and support_function(problem, scaled) < 0.0):
-        report = _base_report(problem, start, point, INFEASIBILITY_CERTIFICATE, sp)
-        cert = Certificate(kind="infeasibility", strict=False, eps=eps, y=scaled)
-        report.certificate = cert
-        report.verification = verify_certificate(problem, start, cert)
-        return _enforce(report)
+        return _certified(problem, start, point, INFEASIBILITY_CERTIFICATE, sp,
+                          Certificate(kind="infeasibility", strict=False, eps=eps, y=scaled))
 
     if float(problem.c @ x) <= -1.0 / eps:
-        report = _base_report(problem, start, point, UNBOUNDEDNESS_CERTIFICATE, sp)
-        cert = Certificate(kind="unboundedness", strict=False, eps=eps, x=x, tau=tau)
-        report.certificate = cert
-        report.verification = verify_certificate(problem, start, cert)
-        return _enforce(report)
+        return _certified(problem, start, point, UNBOUNDEDNESS_CERTIFICATE, sp,
+                          Certificate(kind="unboundedness", strict=False, eps=eps, x=x, tau=tau))
 
     if mu >= 1.0 / (problem.theta * eps**3):
         report = _base_report(problem, start, point, ILL_CONDITIONED, sp)
@@ -263,21 +271,6 @@ def check_status(problem: Problem, start: StartData, point: Iterate, eps: float,
         return report
 
     return None
-
-
-def _enforce(report: StatusReport) -> StatusReport:
-    # a report never claims a status its payload fails
-    if report.verification is not None and not report.verification.passed:
-        return StatusReport(
-            status=NUMERICAL_FAILURE,
-            x=report.x, y_scaled=report.y_scaled,
-            objective_primal=report.objective_primal,
-            objective_estimate=report.objective_estimate,
-            diagnostics={**report.diagnostics,
-                         "reason": "certificate failed verification: "
-                                   + ", ".join(report.verification.failed_names())},
-            verification=report.verification)
-    return report
 
 
 def numerical_failure_report(problem, start, point: Iterate, exc: Exception) -> StatusReport:

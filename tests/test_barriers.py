@@ -411,6 +411,54 @@ def test_grad_hess_equals_grad_and_hess(side):
         assert np.array_equal(metric.dense(), barrier.hess(z, side).dense())
 
 
+def _closed_form_hessian(atom, u, side):
+    """The atom's Hessian at its local point ``u``, built from the textbook
+    form: -2J/q + 4(Jw)(Jw)'/q^2 at the canonical cone point w (the
+    conjugate's at y is the primal one at w = -y); 1/s_lo^2 + 1/s_hi^2 on
+    an interval's primal side; on its conjugate side 1/y^2 for a halfline
+    and 1/(1/s^2 + 1/(width-s)^2) for a box, with s the maximizer of
+    y*s + ln s + ln(width - s) in 50 digits."""
+    d = atom.offset_vec
+    if atom.kind == "soc":
+        w = u + d if side == PRIMAL else -u
+        J = np.diag([1.0] + [-1.0] * (atom.dim - 1))
+        q = w[0] ** 2 - w[1:] @ w[1:]
+        Jw = J @ w
+        return -2.0 * J / q + 4.0 * np.outer(Jw, Jw) / q**2
+    if side == PRIMAL:
+        w = u[0] + d[0]
+        s_lo = np.inf if atom.lower is None else w - atom.lower
+        s_hi = np.inf if atom.upper is None else atom.upper - w
+        return np.array([[1.0 / s_lo**2 + 1.0 / s_hi**2]])
+    y = u[0]
+    if atom.kind != "box":
+        return np.array([[1.0 / y**2]])
+    with localcontext() as ctx:
+        ctx.prec = 50
+        yd, width = Decimal(y), Decimal(atom.upper) - Decimal(atom.lower)
+        # the root in (0, width) of y s^2 + (2 - y width) s - width = 0
+        s = (yd * width - 2 + (yd * yd * width * width + 4).sqrt()) / (2 * yd)
+        return np.array([[float(1 / (1 / s**2 + 1 / (width - s) ** 2))]])
+
+
+@pytest.mark.parametrize("side", [PRIMAL, CONJUGATE])
+def test_hessian_matches_closed_forms(side):
+    # dense() is read off matvec, so check the metric against Hessians
+    # built here, block by block, and nothing outside the blocks
+    barrier = dd.DomainBarrier(GROUPED_ATOMS, GROUPED_M)
+    rng = np.random.default_rng(RNG_SEED + 12)
+    for _ in range(20):
+        z = _sample_point(GROUPED_ATOMS, GROUPED_M, rng, side)
+        dense = barrier.hess(z, side).dense()
+        want = _scatter([(a, _closed_form_hessian(a, z[list(a.coords)], side))
+                         for a in GROUPED_ATOMS])
+        for atom in GROUPED_ATOMS:
+            block = np.ix_(atom.coords, atom.coords)
+            err = np.max(np.abs(dense[block] - want[block]))
+            assert err <= 1e-12 * np.max(np.abs(want[block]))
+        assert np.all(dense[want == 0.0] == 0.0)
+
+
 @pytest.mark.parametrize("side", [PRIMAL, CONJUGATE])
 def test_cone_interior_agrees_with_evaluation_at_the_boundary(side):
     # with the head equal to the tail norm, as a dot product or as a sum

@@ -103,10 +103,22 @@ BOX_DOC = {"n": 1, "m": 1, "A": [[1.0]], "c": [1.0],
      "atoms[0]"),
     ({"atoms": [{"type": "box", "coords": [1], "bounds": [0.0, 1.0],
                  "offset": float("nan")}]}, "atoms[0]"),
+    # float() would take a boolean as 0 or 1, and a soc's bounds were ignored
+    ({"atoms": [{"type": "halfline_lower", "coords": [1], "bounds": True}]},
+     "atoms[0].bounds"),
+    ({"atoms": [{"type": "box", "coords": [1], "bounds": [False, True]}]}, "atoms[0].bounds"),
+    ({"m": 2, "A": [[1.0], [0.0]],
+      "atoms": [{"type": "soc", "coords": [1, 2], "bounds": [0.0, 1.0]}]}, "atoms[0].bounds"),
+    ({"atoms": [{"type": "box", "coords": [1], "bounds": [0.0, 1.0], "offset": [0.5]}]},
+     "atoms[0].offset"),
+    ({"m": 2, "A": [[1.0], [0.0]],
+      "atoms": [{"type": "soc", "coords": [1, 2], "offset": [1.0, False]}]}, "atoms[0].offset"),
 ], ids=["xi-null", "xi-text", "kappa-null", "kappa-list", "z0-text", "z0-null",
         "atoms-object", "atoms-number", "n-fractional", "m-fractional",
         "A-text", "A-bool", "c-text", "bounds-text", "offset-text",
-        "bounds-inf", "bounds-nan", "halfline-inf", "halfline-nan", "offset-nan"])
+        "bounds-inf", "bounds-nan", "halfline-inf", "halfline-nan", "offset-nan",
+        "halfline-bounds-bool", "box-bounds-bool", "soc-bounds", "offset-list",
+        "offset-bool"])
 def test_parse_rejects_malformed_entry(change, field, tmp_path, capsys):
     path = tmp_path / "bad.dd"
     path.write_text(json.dumps({**BOX_DOC, **change}))
@@ -137,6 +149,15 @@ def test_parse_rejects_scalar_soc_offset(tmp_path):
     with pytest.raises(dd.ParseError) as err:
         parse_problem_file(str(path))
     assert "offset" in str(err.value)
+
+
+def test_unwritable_trace_path_is_input_error(instance_path, tmp_path, capsys):
+    # checked with the other inputs, before the solve, not after it
+    target = tmp_path / "missing" / "t.csv"
+    assert main(["solve", instance_path("inst_box.dd"), "--trace", str(target)]) == 4
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "InputError" and "--trace" in out["error"]
+    assert not target.parent.exists()
 
 
 def test_parse_missing_file():

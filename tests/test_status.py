@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import ddsolve as dd
+from ddsolve import status as status_module
 from ddsolve.model import make_iterate
 from ddsolve.status import (
     Certificate,
+    VerificationReport,
     check_status,
     stop_params,
     verify_certificate,
@@ -65,6 +67,39 @@ def test_eps_solution_branch(box_run, box_problem):
     assert report.certificate.kind == "optimal-pair"
     assert report.verification.passed
     assert abs(report.objective_primal) <= 1e-5
+
+
+@pytest.mark.parametrize("fixture,run,status", [
+    ("box_problem", "box_run", "EpsSolution"),
+    ("inf_problem", "inf_run", "InfeasibilityCertificate"),
+    ("unb_problem", "unb_run", "UnboundednessCertificate"),
+])
+def test_certificate_failing_verification_is_numerical_failure(fixture, run, status,
+                                                               request, monkeypatch):
+    # a report never claims a status its certificate fails: check_status
+    # returns NumericalFailure without the certificate, keeping the
+    # verification that failed and the point's report fields
+    problem, start = request.getfixturevalue(fixture)
+    point = request.getfixturevalue(run).iterates[-1]
+    honest = check_status(problem, start, point, 1e-6)
+    assert honest.status == status
+
+    def failing(problem, start, cert):
+        rep = VerificationReport()
+        rep.add("forced failure", False, 1.0)
+        rep.add("forced pass", True, 0.0)
+        return rep
+    monkeypatch.setattr(status_module, "verify_certificate", failing)
+    report = check_status(problem, start, point, 1e-6)
+    assert report.status == "NumericalFailure" and report.exit_code == 5
+    assert report.certificate is None
+    assert report.diagnostics["reason"] == "certificate failed verification: forced failure"
+    assert [c.name for c in report.verification.checks] == ["forced failure", "forced pass"]
+    assert np.array_equal(report.x, honest.x)
+    assert np.array_equal(report.y_scaled, honest.y_scaled)
+    assert report.objective_primal == honest.objective_primal
+    assert report.objective_estimate == honest.objective_estimate
+    assert report.diagnostics == {**honest.diagnostics, "reason": report.diagnostics["reason"]}
 
 
 def test_infeasibility_branch(inf_run, inf_problem):
