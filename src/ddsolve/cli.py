@@ -17,7 +17,9 @@ types, a [lower, upper] pair for boxes and absent for a soc; ``offset`` is
 optional, a number for a one-coordinate atom and a vector of one entry per
 coordinate for a soc.  Every numeric entry must be a JSON number: a
 numeric string such as "1.0" or a boolean is an input error, and so is a
-non-finite bound or offset.
+non-finite bound or offset.  So is a key not listed here, in the file or
+in an atom entry: a misspelt optional key would silently solve another
+problem.
 
 Exit codes: 0 eps-solution, 1 infeasible, 2 unbounded, 3 ill-conditioned
 (mu cap), 4 input error, 5 numerical failure or iteration limit.
@@ -28,7 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,6 +40,8 @@ from .model import Problem, StartData, make_start, validate_problem
 from .path import FollowerOptions, FollowResult, follow
 
 INPUT_ERROR_EXIT = 4
+FILE_KEYS = frozenset({"n", "m", "A", "c", "atoms", "z0", "xi", "kappa"})
+ATOM_KEYS = frozenset({"type", "coords", "bounds", "offset"})
 
 
 def _is_integral(v) -> bool:
@@ -47,6 +51,11 @@ def _is_integral(v) -> bool:
 
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _unknown_keys_error(entry: dict, known: frozenset, prefix: str = "") -> ParseError:
+    unknown = sorted(entry.keys() - known)
+    return ParseError(f"unknown keys {unknown}", field=prefix + unknown[0])
 
 
 def _number(doc, key, default) -> float:
@@ -77,13 +86,15 @@ def _atom_numbers(entry, index, key, count, default=None) -> list:
 def _parse_atom(entry, index):
     if not isinstance(entry, dict):
         raise ParseError(f"atom {index} must be an object", field=f"atoms[{index}]")
+    if not entry.keys() <= ATOM_KEYS:
+        raise _unknown_keys_error(entry, ATOM_KEYS, f"atoms[{index}].")
     kind = entry.get("type")
     coords = entry.get("coords")
     if kind not in barriers.ATOM_THETA:
         raise ParseError(f"atom {index} has unknown type {kind!r}", field=f"atoms[{index}].type")
     if not isinstance(coords, list) or not coords:
         raise ParseError(f"atom {index} needs a coords list", field=f"atoms[{index}].coords")
-    if not all(_is_integral(i) for i in coords):
+    if not all(map(_is_integral, coords)):
         raise ParseError(f"atom {index} coords must be integers, got {coords}",
                          field=f"atoms[{index}].coords")
     k = len(coords)
@@ -117,6 +128,8 @@ def parse_problem_file(path) -> tuple[Problem, StartData]:
         raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ParseError("problem file must hold a JSON object")
+    if not doc.keys() <= FILE_KEYS:
+        raise _unknown_keys_error(doc, FILE_KEYS)
     for key in ("n", "m", "A", "c", "atoms"):
         if key not in doc:
             raise ParseError(f"missing required entry {key!r}", field=key)
@@ -168,7 +181,9 @@ class RunReport:
     verification: list
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields by name, in order; the nested certificate,
+        diagnostics and verification are the report's own, not copies."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)

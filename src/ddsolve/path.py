@@ -190,16 +190,17 @@ def _kkt_solve(problem, start, x, tau, y, mu, u, g, H, b_dual, b_cent, b_gap):
     return dx, dtau, dy
 
 
-def _newton_point(problem, start, x, tau, y):
-    """(u, g, H) of :func:`_primal_point` at a corrector trial point if
-    tau > 0, y is interior to D* and the shifted image is interior to D;
-    None otherwise.  FactorizationFailure passes through."""
-    if not (tau > 0.0 and problem.barrier.interior(y, CONJUGATE)):
-        return None
-    try:
-        return _primal_point(problem, start, x, tau)
-    except DomainViolation:
-        return None
+def _newton_point(problem, start, x, tau, y, mu):
+    """(y, v, u, g, H) at a corrector point: y restored to the dual linear
+    equation, v = (tau/mu) y of :func:`scaled_dual` on the restored y, and
+    (u, g, H) of :func:`_primal_point`.
+
+    Raises DomainViolation unless tau > 0, u is interior to D and v is
+    interior to D*; FactorizationFailure passes through.
+    """
+    u, g, H = _primal_point(problem, start, x, tau)
+    y = _restore_dual_equality(problem, start, x, tau, y)
+    return y, scaled_dual(problem, tau, y, mu), u, g, H
 
 
 def _step_bound(problem, start, tau, y, u, dx, dtau, dy, cap):
@@ -233,35 +234,42 @@ def _restore_dual_equality(problem, start, x, tau, y):
     return y + problem.A @ corr
 
 
-def corrector_step(problem: Problem, start: StartData, point: Iterate, mu: float) -> Iterate:
+def corrector_step(problem: Problem, start: StartData, point: Iterate, mu: float,
+                   *, memo=None) -> Iterate:
     """Damped Newton steps at fixed mu until the point is within
     CORRECTOR_TARGET * kappa of the path and its scaled residual has
     settled: at most CORRECTOR_RESIDUAL_TOL, or no longer falling below
     0.9 times the previous step's.
 
-    Each pass re-imposes the dual linear equation, checks that (tau/mu) y
-    is interior to D* and forms the residuals.  Proximity is evaluated
-    only in the passes where the residual has settled, since only there
-    can the corrector stop; the other passes step whatever the proximity.
+    Each Newton point, the starting point and each accepted trial, is
+    checked and evaluated once by :func:`_newton_point`: y is restored to
+    the dual linear equation, (tau/mu) y is checked interior to D*, and
+    one primal ``grad_hess`` doubles as the primal interiority check.  The
+    next pass forms its residuals from that gradient and solves with that
+    metric.  Proximity is evaluated only in the passes where the residual
+    has settled, since only there can the corrector stop; the other passes
+    step whatever the proximity.
 
-    Each Newton point is evaluated once on the primal side, by one
-    ``grad_hess``: the starting point, and each trial point whose tau and
-    y pass their checks, where the evaluation doubles as the primal
-    interiority check.  The accepted point's gradient feeds the residuals
-    and its metric the KKT solve of the next pass.
+    Each step tries the full Newton step first.  Only when that trial is
+    rejected is the fraction-to-boundary bound formed, and the step length
+    halves from the smaller of that bound and 1/2 until a trial is
+    accepted.
+
+    ``memo``, if given, receives the returned iterate with its primal
+    evaluation, as ``memo["evaluation"] = (iterate, u, g, H)``, for the
+    next :func:`predictor_step` from that iterate.
 
     Raises CorrectorStall if the exit rule is not met within
     CORRECTOR_MAX_STEPS steps; its message gives the proximity at the
-    point the last step started from.  Raises FactorizationFailure at a
-    trial point whose primal metric is not positive and finite.
+    point the last step started from.  Raises DomainViolation if the
+    starting point fails its checks, and FactorizationFailure at a trial
+    point whose primal metric is not positive and finite.
     """
     target = CORRECTOR_TARGET * problem.kappa
-    x, tau, y = point.x.copy(), point.tau, point.y.copy()
-    u, g, H = _primal_point(problem, start, x, tau)
+    x, tau = point.x.copy(), point.tau
+    y, v, u, g, H = _newton_point(problem, start, x, tau, point.y.copy(), mu)
     last_res = np.inf
     for k in range(CORRECTOR_MAX_STEPS):
-        y = _restore_dual_equality(problem, start, x, tau, y)
-        v = scaled_dual(problem, tau, y, mu)
         res = residuals(problem, start, x, tau, y, mu, u=u, g=g)
         rnorm = res.scaled_norm(problem, start, x, tau, y, mu)
         settled = rnorm <= CORRECTOR_RESIDUAL_TOL or rnorm >= 0.9 * last_res
@@ -272,24 +280,31 @@ def corrector_step(problem: Problem, start: StartData, point: Iterate, mu: float
         last_res = rnorm
         dx, dtau, dy = _kkt_solve(problem, start, x, tau, y, mu, u, g, H,
                                   -res.r_dual, -res.r_cent, -res.r_gap)
-        # the image's linearized bound is safeguarded by halving
-        alpha = _step_bound(problem, start, tau, y, u, dx, dtau, dy, 1.0)
-        trial = None
+        alpha = 1.0
         while alpha > 1e-18:
-            xn, taun, yn = x + alpha * dx, tau + alpha * dtau, y + alpha * dy
-            trial = _newton_point(problem, start, xn, taun, yn)
-            if trial is not None:
+            xn, taun = x + alpha * dx, tau + alpha * dtau
+            try:
+                trial = _newton_point(problem, start, xn, taun, y + alpha * dy, mu)
                 break
-            alpha *= 0.5
-        if trial is None:
+            except DomainViolation:
+                pass
+            # a rejected full step falls back to the boundary bound, capped
+            # at 1/2; its image part holds for the linearized motion only,
+            # so halving safeguards it
+            alpha = (_step_bound(problem, start, tau, y, u, dx, dtau, dy, 0.5)
+                     if alpha == 1.0 else 0.5 * alpha)
+        else:
             raise CorrectorStall("step length underflow while correcting")
-        x, tau, y = xn, taun, yn
-        u, g, H = trial
+        x, tau = xn, taun
+        y, v, u, g, H = trial
     else:
         raise CorrectorStall(
             f"proximity {prox:.3e} above target {target:.3e} after "
             f"{CORRECTOR_MAX_STEPS} Newton steps")
-    return make_iterate(problem, start, x, tau, y, u=u)
+    corrected = make_iterate(problem, start, x, tau, y, u=u)
+    if memo is not None:
+        memo["evaluation"] = (corrected, u, g, H)
+    return corrected
 
 
 def predictor_step(problem: Problem, start: StartData, point: Iterate, *, memo=None):
@@ -298,8 +313,10 @@ def predictor_step(problem: Problem, start: StartData, point: Iterate, *, memo=N
 
     The tangent dp/dmu solves the mu-derivative of the path system, with
     the primal barrier gradient and metric at the point from one
-    ``grad_hess``.  Its first trial increase dmu is the fraction-to-boundary
-    cap along it, and the trials halve dmu until one is accepted.
+    ``grad_hess``, or from ``memo["evaluation"]`` when
+    :func:`corrector_step` left one there for this very point.  Its first
+    trial increase dmu is the fraction-to-boundary cap along it, and the
+    trials halve dmu until one is accepted.
 
     ``memo``, if given, carries the tangent from call to call: the step
     reads the previous (s, dp/ds) from ``memo["tangent"]`` and stores its
@@ -320,8 +337,12 @@ def predictor_step(problem: Problem, start: StartData, point: Iterate, *, memo=N
     """
     mu = point.mu
     x, tau, y = point.x, point.tau, point.y
-    u = shifted_image(problem, start, x, tau)
-    g, H = problem.barrier.grad_hess(u, PRIMAL)
+    evaluation = None if memo is None else memo.pop("evaluation", None)
+    if evaluation is not None and evaluation[0] is point:
+        u, g, H = evaluation[1:]
+    else:
+        u = shifted_image(problem, start, x, tau)
+        g, H = problem.barrier.grad_hess(u, PRIMAL)
     tx, ttau, ty = _kkt_solve(problem, start, x, tau, y, mu, u, g, H,
                               np.zeros(problem.n), g / tau,
                               -problem.theta * problem.xi / tau**2)
@@ -451,11 +472,13 @@ def follow(problem: Problem, start: StartData, options: FollowerOptions = Follow
     # construction, e.g. when A'y0 happens to vanish)
     record(point)
 
-    memo: dict = {}  # the last tangent, for the second-order predictor
+    # the last tangent, for the second-order predictor, and the last
+    # corrected point's primal evaluation, which its tangent reuses
+    memo: dict = {}
     for _ in range(options.max_iters):
         try:
             predicted, mu_new = predictor_step(problem, start, point, memo=memo)
-            point = corrector_step(problem, start, predicted, mu_new)
+            point = corrector_step(problem, start, predicted, mu_new, memo=memo)
         except (PredictorStall, CorrectorStall, DomainViolation, FactorizationFailure) as exc:
             report = status_engine.numerical_failure_report(problem, start, point, exc)
             return finish(report)

@@ -1,5 +1,6 @@
 """Problem file parsing, report serialization, exit codes, determinism."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -113,12 +114,17 @@ BOX_DOC = {"n": 1, "m": 1, "A": [[1.0]], "c": [1.0],
      "atoms[0].offset"),
     ({"m": 2, "A": [[1.0], [0.0]],
       "atoms": [{"type": "soc", "coords": [1, 2], "offset": [1.0, False]}]}, "atoms[0].offset"),
+    # a misspelt optional key used to be ignored, solving another problem
+    ({"kapa": 0.9}, "kapa"),
+    ({"atoms": [{"type": "box", "coords": [1], "bounds": [0.0, 1.0], "ofset": 0.5}]},
+     "atoms[0].ofset"),
+    ({"xi": 3.0, "zeta": 1, "kapa": 0.9}, "kapa"),
 ], ids=["xi-null", "xi-text", "kappa-null", "kappa-list", "z0-text", "z0-null",
         "atoms-object", "atoms-number", "n-fractional", "m-fractional",
         "A-text", "A-bool", "c-text", "bounds-text", "offset-text",
         "bounds-inf", "bounds-nan", "halfline-inf", "halfline-nan", "offset-nan",
         "halfline-bounds-bool", "box-bounds-bool", "soc-bounds", "offset-list",
-        "offset-bool"])
+        "offset-bool", "unknown-key", "atom-unknown-key", "unknown-keys"])
 def test_parse_rejects_malformed_entry(change, field, tmp_path, capsys):
     path = tmp_path / "bad.dd"
     path.write_text(json.dumps({**BOX_DOC, **change}))
@@ -269,6 +275,15 @@ def test_report_round_trips(box_problem):
     report = run_solve(problem, start, 1e-6)
     blob = report.to_json()
     assert json.loads(blob) == report.to_dict()
+
+
+@pytest.mark.parametrize("name", ["inst_box.dd", "inst_inf.dd", "inst_soc.dd", "inst_unb.dd"])
+def test_report_json_matches_deep_copy(name, instance_path):
+    # to_dict copies the fields shallowly; the JSON must be the bytes the
+    # deep-copying dataclasses.asdict form gives
+    problem, start = parse_problem_file(instance_path(name))
+    report = run_solve(problem, start, 1e-6, strict=True)
+    assert report.to_json() == json.dumps(dataclasses.asdict(report), indent=2)
 
 
 def test_trace_csv_contents(box_problem, tmp_path):

@@ -7,7 +7,7 @@ import pytest
 
 import ddsolve as dd
 import ddsolve.path as path_module
-from ddsolve.model import make_iterate, shifted_image
+from ddsolve.model import make_iterate, member_image, shifted_image
 from oracles import OracleInstance, oracle_sigma_f
 from ddsolve.path import _kkt_solve
 
@@ -83,8 +83,9 @@ def test_corrector_stall_reports_last_proximity(box_problem, monkeypatch):
 
 
 def test_corrector_rejects_restoration_leaving_dual_cone(inf_problem, monkeypatch):
-    # the dual-cone check runs on every pass, not only where proximity is
-    # evaluated: a restoration that leaves int D* fails at once
+    # the dual-cone check runs at every Newton point, not only where
+    # proximity is evaluated: a restoration that leaves int D* at the
+    # starting point fails at once
     problem, start = inf_problem
     assert not problem.barrier.interior(-start.y0, "conjugate")
     point = make_iterate(problem, start, np.zeros(1), 1.0, start.y0)
@@ -95,6 +96,77 @@ def test_corrector_rejects_restoration_leaving_dual_cone(inf_problem, monkeypatc
     with pytest.raises(dd.DomainViolation,
                        match="scaled dual point left the dual cone interior"):
         dd.corrector_step(problem, start, point, 2.0)
+
+
+def _first_newton_step(problem, start, x, tau, y, mu):
+    """The corrector's first Newton direction from (x, tau, y), and the
+    restored y it starts from."""
+    y = path_module._restore_dual_equality(problem, start, x, tau, y)
+    u = shifted_image(problem, start, x, tau)
+    g, H = problem.barrier.grad_hess(u, "primal")
+    res = dd.residuals(problem, start, x, tau, y, mu)
+    return y, _kkt_solve(problem, start, x, tau, y, mu, u, g, H,
+                         -res.r_dual, -res.r_cent, -res.r_gap)
+
+
+def _record_step_bounds(monkeypatch) -> list:
+    """Every step bound the path module forms from now on, in order."""
+    bounds = []
+    original = path_module._step_bound
+
+    def step_bound(*args):
+        bounds.append(original(*args))
+        return bounds[-1]
+    monkeypatch.setattr(path_module, "_step_bound", step_bound)
+    return bounds
+
+
+def test_corrector_falls_back_to_step_bound(box_problem, monkeypatch):
+    # from tau = 2 at mu = 1 the full Newton step overshoots tau to about
+    # -33; the corrector must reject it, form the fraction-to-boundary
+    # bound and halve from there back to the unique mu = 1 path point
+    problem, start = box_problem
+    x, tau = np.zeros(1), 2.0
+    y, (dx, dtau, dy) = _first_newton_step(problem, start, x, tau, start.y0, 1.0)
+    assert tau + dtau <= 0.0
+    assert member_image(problem, start, x + dx, tau + dtau, y + dy) is None
+    bounds = _record_step_bounds(monkeypatch)
+    point = dd.Iterate(x=x, tau=tau, y=start.y0.copy(), mu=1.0, proximity=np.nan)
+    out = dd.corrector_step(problem, start, point, 1.0)
+    assert bounds and all(0.0 < b <= 0.5 for b in bounds)
+    assert out.proximity <= path_module.CORRECTOR_TARGET * problem.kappa
+    assert abs(out.x[0]) <= 1e-8
+    assert abs(out.tau - 1.0) <= 1e-8
+
+
+def test_corrector_rejects_trial_whose_restoration_leaves_dual_cone(inf_problem,
+                                                                    monkeypatch):
+    # a trial point whose restored y leaves int D* is rejected like any
+    # trial outside Q: the corrector shortens the step instead of raising
+    problem, start = inf_problem
+    x, tau = np.array([0.1]), 1.0
+    y, (dx, dtau, dy) = _first_newton_step(problem, start, x, tau, start.y0, 1.0)
+    # unaltered, the full step would be accepted
+    assert member_image(problem, start, x + dx, tau + dtau, y + dy) is not None
+    original = path_module._restore_dual_equality
+    restored = []
+
+    def restore(problem, start, x, tau, y):
+        restored.append(original(problem, start, x, tau, y))
+        if len(restored) == 2:
+            # the first trial point, after the starting point: send its
+            # restored y out of D*
+            assert not problem.barrier.interior(-restored[-1], "conjugate")
+            return -restored[-1]
+        return restored[-1]
+    monkeypatch.setattr(path_module, "_restore_dual_equality", restore)
+    bounds = _record_step_bounds(monkeypatch)
+    point = dd.Iterate(x=x, tau=tau, y=start.y0.copy(), mu=1.0, proximity=np.nan)
+    out = dd.corrector_step(problem, start, point, 1.0)
+    assert len(restored) > 2 and len(bounds) == 1
+    assert out.proximity <= path_module.CORRECTOR_TARGET * problem.kappa
+    assert abs(out.x[0]) <= 1e-8
+    assert abs(out.tau - 1.0) <= 1e-8
 
 
 @pytest.mark.parametrize("options", [
@@ -413,17 +485,24 @@ class _GramCounter(np.ndarray):
                                              ("tangent_problem", "tangent_run", 1e-2)])
 def test_evaluation_budget(fixture, run, eps, request, monkeypatch):
     # every Newton point is evaluated once on the primal side, by one
-    # grad_hess: per predictor tangent, at each corrector's start and at
-    # each accepted corrector trial, with no separate primal grad or hess.
-    # Each KKT solve applies the metric once, residuals run once per
-    # corrector pass, A'A is formed once per problem, not per corrector
-    # step, and one proximity per corrector, where its exit test holds
+    # grad_hess: at each corrector's start and at each accepted corrector
+    # trial, with no separate primal grad or hess.  A predictor tangent
+    # reuses the evaluation of the corrector before it, so only the first
+    # tangent, from the mu = 1 point, evaluates its own.  Each Newton point
+    # gets one dual-side check, of (tau/mu) y after restoration, and on
+    # these runs every full step is accepted, so the corrector never forms
+    # a step-to-boundary bound.  Each KKT solve applies the metric once,
+    # residuals run once per corrector pass, A'A is formed once per
+    # problem, not per corrector step, and one proximity per corrector,
+    # where its exit test holds
     base, start = request.getfixturevalue(fixture)
     reference = request.getfixturevalue(run)
     problem = replace(base, A=base.A.view(_GramCounter))
     monkeypatch.setattr(_GramCounter, "products", 0)
     counts = dict.fromkeys(["grad", "hess", "grad_hess", "residuals", "tangents", "kkt",
-                            "kkt_matvec", "correctors", "corrector_proximity"], 0)
+                            "kkt_matvec", "correctors", "corrector_proximity",
+                            "iterates", "newton_points", "dual_checks",
+                            "corrector_boundary"], 0)
     active = []   # keys of the counted path functions now running
 
     def count_primal(name):
@@ -455,8 +534,12 @@ def test_evaluation_budget(fixture, run, eps, request, monkeypatch):
     count_calls("predictor_step", "tangents")
     count_calls("_kkt_solve", "kkt")
     count_calls("corrector_step", "correctors")
+    count_calls("make_iterate", "iterates")
+    count_calls("_newton_point", "newton_points")
     original_proximity = path_module.proximity_at
     original_matvec = dd.barriers.BlockMetric.matvec
+    original_interior = dd.barriers.DomainBarrier.interior
+    original_boundary = dd.barriers.DomainBarrier.step_to_boundary
 
     def proximity(*args, **kwargs):
         counts["corrector_proximity"] += "correctors" in active
@@ -465,8 +548,21 @@ def test_evaluation_budget(fixture, run, eps, request, monkeypatch):
     def matvec(self, v):
         counts["kkt_matvec"] += "kkt" in active
         return original_matvec(self, v)
+
+    def interior(self, z, side="primal"):
+        # the returned iterate's own proximity, at its own mu, is not a
+        # Newton point's check
+        counts["dual_checks"] += (side == "conjugate" and "correctors" in active
+                                  and "iterates" not in active)
+        return original_interior(self, z, side)
+
+    def step_to_boundary(self, z, dz, side="primal"):
+        counts["corrector_boundary"] += "correctors" in active
+        return original_boundary(self, z, dz, side)
     monkeypatch.setattr(path_module, "proximity_at", proximity)
     monkeypatch.setattr(dd.barriers.BlockMetric, "matvec", matvec)
+    monkeypatch.setattr(dd.barriers.DomainBarrier, "interior", interior)
+    monkeypatch.setattr(dd.barriers.DomainBarrier, "step_to_boundary", step_to_boundary)
 
     result = dd.follow(problem, start, dd.FollowerOptions(eps=eps))
     # the counting wrappers do not perturb the run
@@ -474,9 +570,14 @@ def test_evaluation_budget(fixture, run, eps, request, monkeypatch):
     assert counts["tangents"] == len(result.trace) - 1
     assert counts["correctors"] > 0
     assert counts["grad"] == counts["hess"] == 0
-    # one point per tangent, and per corrector its start plus one per step
+    # one point for the first tangent, and per corrector its start plus
+    # one per step, each step's full trial accepted
     newton_steps = counts["kkt"] - counts["tangents"]
-    assert counts["grad_hess"] == counts["tangents"] + counts["correctors"] + newton_steps
+    newton_points = counts["correctors"] + newton_steps
+    assert counts["newton_points"] == newton_points
+    assert counts["grad_hess"] == 1 + newton_points
+    assert counts["dual_checks"] == newton_points
+    assert counts["corrector_boundary"] == 0
     assert counts["residuals"] == counts["correctors"] + newton_steps
     assert counts["kkt_matvec"] == counts["kkt"]
     assert counts["corrector_proximity"] == counts["correctors"]
