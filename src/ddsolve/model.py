@@ -206,22 +206,19 @@ def scaled_dual(problem: Problem, tau: float, y, mu: float) -> np.ndarray:
     return v
 
 
-def proximity_at(problem: Problem, start: StartData, x, tau: float, y, mu: float,
-                 *, u=None, v=None) -> float:
+def proximity_at(problem: Problem, start: StartData, x, tau: float, y, mu: float) -> float:
     """Distance to the path point at parameter ``mu``:
     || A x + z0/tau - conj_grad((tau/mu) y) ||  in the inverse conjugate-
-    Hessian norm at (tau/mu) y.  The conjugate gradient and Hessian come
-    from one pass over the barrier groups, then one structured solve per
-    group.
+    Hessian norm at (tau/mu) y, with both points formed and checked here."""
+    v = scaled_dual(problem, tau, y, mu)
+    return image_proximity(problem, shifted_image(problem, start, x, tau), v)
 
-    ``u``, if given, is the shifted image A x + z0/tau, already formed;
-    ``v``, if given, is :func:`scaled_dual` of the same point, already
-    checked.
-    """
-    if v is None:
-        v = scaled_dual(problem, tau, y, mu)
-    if u is None:
-        u = shifted_image(problem, start, x, tau)
+
+def image_proximity(problem: Problem, u, v) -> float:
+    """|| u - conj_grad(v) ||  in the inverse conjugate-Hessian norm at v,
+    for a shifted image ``u`` and a scaled dual ``v`` already checked.  The
+    conjugate gradient and Hessian come from one pass over the barrier
+    groups, then one structured solve per group."""
     grad, metric = problem.barrier.grad_hess(v, CONJUGATE)
     return float(np.sqrt(max(metric.inv_quad(u - grad), 0.0)))
 
@@ -237,15 +234,13 @@ def proximity(problem: Problem, start: StartData, x, tau: float, y) -> float:
     return proximity_at(problem, start, x, tau, y, mu_of(problem, start, x, tau, y))
 
 
-def make_iterate(problem: Problem, start: StartData, x, tau: float, y, *,
-                 u=None) -> Iterate:
-    """The point with its path parameter and proximity; ``u`` as in
-    :func:`proximity_at`."""
+def make_iterate(problem: Problem, start: StartData, x, tau: float, y) -> Iterate:
+    """The point with its own path parameter and the proximity there."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     mu = mu_of(problem, start, x, tau, y)
     return Iterate(x=x, tau=float(tau), y=y, mu=mu,
-                   proximity=proximity_at(problem, start, x, tau, y, mu, u=u))
+                   proximity=proximity_at(problem, start, x, tau, y, mu))
 
 
 def support_function(problem: Problem, y) -> float:

@@ -20,12 +20,19 @@ p''(s), so each iteration still solves for one tangent.  A point on that
 curve is accepted at its own path parameter mu_of(point), the one the gap
 equation (d) gives, not at a declared one.  The first iteration steps
 along the tangent alone.
+
+Each point the steps work at is evaluated once, into a private _Point:
+the shifted image u, the primal barrier gradient and metric there, and on
+corrector points the checked scaled dual v = (tau/mu) y.  Residuals, KKT
+solves, step bounds and the corrector's proximity read it.  The corrector
+returns its last point with that evaluation, and ``follow`` hands it to
+the next predictor, with the tangent the previous predictor returned.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,6 +50,7 @@ from .model import (
     StartData,
     dual_residual,
     gap_bounds,
+    image_proximity,
     make_iterate,
     member_image,
     mu_of,
@@ -55,29 +63,47 @@ from . import status as status_engine
 
 @dataclass(frozen=True)
 class Residuals:
-    """Algebraic residuals of the path system at a trial point and mu.
+    """Algebraic residuals of the path system at a point and its mu.
 
     All three vanish together exactly when the point solves the system at
     that mu (interiority is enforced as a domain condition, not a residual).
-    ``u`` is the shifted image they were evaluated at.
+    ``point`` is the evaluated point they were formed at.
     """
 
     r_dual: np.ndarray
     r_cent: np.ndarray
     r_gap: float
-    u: np.ndarray
+    point: Iterate
 
-    def scaled_norm(self, problem: Problem, start: StartData, x, tau, y, mu) -> float:
-        """Max residual norm, each block scaled by its natural magnitude."""
-        tau = float(tau)
+    def scaled_norm(self, problem: Problem, start: StartData) -> float:
+        """Max residual norm, each block scaled by its natural magnitude at
+        ``point``."""
+        p = self.point
+        tau, y = p.tau, p.y
         scale_dual = 1.0 + start.aty0_inf(problem) + tau * problem.c_inf
         scale_cent = 1.0 + float(np.max(np.abs(y)))
-        scale_gap = (1.0 + abs(float(problem.c @ x)) + abs(float(y @ self.u)) / tau
-                     + problem.theta * problem.xi * mu / tau**2 + abs(start.y_tau0) / tau)
+        scale_gap = (1.0 + abs(float(problem.c @ p.x)) + abs(float(y @ p.u)) / tau
+                     + problem.theta * problem.xi * p.mu / tau**2 + abs(start.y_tau0) / tau)
         parts = [abs(self.r_gap) / scale_gap, float(np.max(np.abs(self.r_cent))) / scale_cent]
         if problem.n:
             parts.append(float(np.max(np.abs(self.r_dual))) / scale_dual)
         return max(parts)
+
+
+@dataclass(frozen=True)
+class _Point(Iterate):
+    """An iterate with the evaluation formed at it once: the shifted image
+    u = A x + z0/tau, checked interior to D with tau > 0, and the primal
+    barrier gradient g and metric H at u.  ``mu`` is the parameter it is
+    evaluated at: the corrector's on a Newton point, which also carries
+    v = (tau/mu) y checked interior to D*, and its own on the point the
+    corrector returns.  ``proximity`` is NaN until that return sets it.
+    """
+
+    u: np.ndarray
+    g: np.ndarray
+    H: object
+    v: np.ndarray | None = None
 
 
 PREDICTOR_RADIUS = 2.0     # in units of kappa
@@ -116,12 +142,15 @@ class FollowResult:
     mu_log_slope: float
 
 
-def _primal_point(problem, start, x, tau):
-    """(u, g, H) at (x, tau): the shifted image u, and the primal barrier
-    gradient g and metric H there from one pass over the barrier groups.
+def _evaluate(problem, start, x, tau, y, mu, *, newton=False) -> _Point:
+    """The point (x, tau, y) at ``mu`` with its primal evaluation: u, and g
+    and H at u from one pass over the barrier groups.  A corrector's Newton
+    point (``newton``) then has y restored to the dual linear equation and
+    carries v = (tau/mu) y of :func:`scaled_dual` on the restored y.
 
-    Raises DomainViolation unless tau > 0 and u is interior to D, and
-    FactorizationFailure if H is not positive and finite.
+    Raises DomainViolation unless tau > 0, u is interior to D and, on a
+    Newton point, v is interior to D*; FactorizationFailure if H is not
+    positive and finite.
     """
     if not tau > 0.0:
         raise DomainViolation(f"tau must be positive, got {tau}")
@@ -130,46 +159,44 @@ def _primal_point(problem, start, x, tau):
         g, H = problem.barrier.grad_hess(u, PRIMAL)
     except DomainViolation as exc:
         raise DomainViolation("shifted image point left the domain interior") from exc
-    return u, g, H
+    v = None
+    if newton:
+        y = _restore_dual_equality(problem, start, x, tau, y)
+        v = scaled_dual(problem, tau, y, mu)
+    return _Point(x=x, tau=tau, y=y, mu=mu, proximity=np.nan, u=u, g=g, H=H, v=v)
 
 
-def residuals(problem: Problem, start: StartData, x, tau: float, y, mu: float,
-              *, u=None, g=None) -> Residuals:
-    """Residuals of equations (b), (c), (d) at the given point and mu.
-
-    ``u`` and ``g``, given together, are the shifted image at (x, tau),
-    already verified interior to D with tau > 0, and the primal barrier
-    gradient there; the corrector passes those of its Newton point, so
-    the residuals evaluate no barrier.  Without them, both are formed and
-    checked here.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    tau = float(tau)
-    if u is None:
-        u, g, _ = _primal_point(problem, start, x, tau)
+def _residuals(problem, start, point: _Point) -> Residuals:
+    """Residuals of equations (b), (c), (d) at an evaluated point and its mu."""
+    x, tau, y, mu = point.x, point.tau, point.y, point.mu
     r_dual = problem.A.T @ (y - start.y0) + (tau - 1.0) * problem.c
-    r_cent = y - (mu / tau) * g
-    r_gap = (float(problem.c @ x) + float(y @ u) / tau
+    r_cent = y - (mu / tau) * point.g
+    r_gap = (float(problem.c @ x) + float(y @ point.u) / tau
              + problem.theta * problem.xi * mu / tau**2 + start.y_tau0 / tau)
-    return Residuals(r_dual=r_dual, r_cent=r_cent, r_gap=float(r_gap), u=u)
+    return Residuals(r_dual=r_dual, r_cent=r_cent, r_gap=float(r_gap), point=point)
 
 
-def _kkt_solve(problem, start, x, tau, y, mu, u, g, H, b_dual, b_cent, b_gap):
-    """Solve the linearized path system for (dx, dtau, dy) at the point
-    with shifted image ``u``, primal barrier gradient ``g`` and primal
-    metric ``H`` there, all three from the caller's one evaluation.
+def residuals(problem: Problem, start: StartData, x, tau: float, y, mu: float) -> Residuals:
+    """Residuals of equations (b), (c), (d) at the given point and mu, the
+    point formed and checked here by :func:`_evaluate`."""
+    point = _evaluate(problem, start, np.asarray(x, dtype=float), float(tau),
+                      np.asarray(y, dtype=float), mu)
+    return _residuals(problem, start, point)
 
-    The metric is applied once, to the stacked columns [A | z0 | u].  The
+
+def _kkt_solve(problem, start, point: _Point, b_dual, b_cent, b_gap):
+    """Solve the linearized path system for (dx, dtau, dy) at an evaluated
+    point and its mu.  Its metric H is applied once, to [A | z0 | u].  The
     y block is eliminated through the centering rows (identity in y),
     leaving a dense (n+1) x (n+1) system in (dx, dtau).
     """
     A = problem.A
     n = problem.n
+    x, tau, y, mu, u = point.x, point.tau, point.y, point.mu, point.u
     s = mu / tau
-    HB = H.matvec(np.column_stack([A, start.z0, u]))
+    HB = point.H.matvec(np.column_stack([A, start.z0, u]))
     HA, Hz0, Hu = HB[:, :n], HB[:, n], HB[:, n + 1]
-    p_vec = (mu / tau**2) * g + (mu / tau**3) * Hz0
+    p_vec = (mu / tau**2) * point.g + (mu / tau**3) * Hz0
 
     M = np.zeros((n + 1, n + 1))
     rhs = np.zeros(n + 1)
@@ -190,32 +217,20 @@ def _kkt_solve(problem, start, x, tau, y, mu, u, g, H, b_dual, b_cent, b_gap):
     return dx, dtau, dy
 
 
-def _newton_point(problem, start, x, tau, y, mu):
-    """(y, v, u, g, H) at a corrector point: y restored to the dual linear
-    equation, v = (tau/mu) y of :func:`scaled_dual` on the restored y, and
-    (u, g, H) of :func:`_primal_point`.
-
-    Raises DomainViolation unless tau > 0, u is interior to D and v is
-    interior to D*; FactorizationFailure passes through.
-    """
-    u, g, H = _primal_point(problem, start, x, tau)
-    y = _restore_dual_equality(problem, start, x, tau, y)
-    return y, scaled_dual(problem, tau, y, mu), u, g, H
-
-
-def _step_bound(problem, start, tau, y, u, dx, dtau, dy, cap):
+def _step_bound(problem, start, point: _Point, dx, dtau, dy, cap):
     """Fraction-to-boundary bound, at most ``cap``, on the step length along
-    (dx, dtau, dy) from the point with shifted image ``u``.
+    (dx, dtau, dy) from an evaluated point.
 
     Tau positivity and dual-cone motion are exact; the shifted image moves
     nonlinearly in tau, so its bound holds for the linearized motion
     A dx - z0 dtau/tau^2 only, and callers check the trial point itself.
     """
+    tau = point.tau
     if dtau < 0.0:
         cap = min(cap, BOUNDARY_FRACTION * tau / (-dtau))
-    cap = min(cap, BOUNDARY_FRACTION * problem.barrier.step_to_boundary(y, dy, CONJUGATE))
+    cap = min(cap, BOUNDARY_FRACTION * problem.barrier.step_to_boundary(point.y, dy, CONJUGATE))
     du_lin = problem.A @ dx - start.z0 * (dtau / tau**2)
-    return min(cap, BOUNDARY_FRACTION * problem.barrier.step_to_boundary(u, du_lin, PRIMAL))
+    return min(cap, BOUNDARY_FRACTION * problem.barrier.step_to_boundary(point.u, du_lin, PRIMAL))
 
 
 def _restore_dual_equality(problem, start, x, tau, y):
@@ -234,30 +249,26 @@ def _restore_dual_equality(problem, start, x, tau, y):
     return y + problem.A @ corr
 
 
-def corrector_step(problem: Problem, start: StartData, point: Iterate, mu: float,
-                   *, memo=None) -> Iterate:
+def corrector_step(problem: Problem, start: StartData, point: Iterate, mu: float) -> Iterate:
     """Damped Newton steps at fixed mu until the point is within
     CORRECTOR_TARGET * kappa of the path and its scaled residual has
     settled: at most CORRECTOR_RESIDUAL_TOL, or no longer falling below
     0.9 times the previous step's.
 
     Each Newton point, the starting point and each accepted trial, is
-    checked and evaluated once by :func:`_newton_point`: y is restored to
-    the dual linear equation, (tau/mu) y is checked interior to D*, and
-    one primal ``grad_hess`` doubles as the primal interiority check.  The
-    next pass forms its residuals from that gradient and solves with that
-    metric.  Proximity is evaluated only in the passes where the residual
-    has settled, since only there can the corrector stop; the other passes
-    step whatever the proximity.
+    checked and evaluated once by :func:`_evaluate`, and each pass reads
+    its residuals, KKT solve and step bound from that point.  Its proximity
+    is read only where the residual has settled, since only there can the
+    corrector stop.
 
     Each step tries the full Newton step first.  Only when that trial is
     rejected is the fraction-to-boundary bound formed, and the step length
     halves from the smaller of that bound and 1/2 until a trial is
     accepted.
 
-    ``memo``, if given, receives the returned iterate with its primal
-    evaluation, as ``memo["evaluation"] = (iterate, u, g, H)``, for the
-    next :func:`predictor_step` from that iterate.
+    Returns the last Newton point at its own path parameter, with the
+    proximity there, both from :func:`make_iterate`; it keeps that point's
+    primal evaluation, which :func:`predictor_step` reads when handed it.
 
     Raises CorrectorStall if the exit rule is not met within
     CORRECTOR_MAX_STEPS steps; its message gives the proximity at the
@@ -266,62 +277,57 @@ def corrector_step(problem: Problem, start: StartData, point: Iterate, mu: float
     point whose primal metric is not positive and finite.
     """
     target = CORRECTOR_TARGET * problem.kappa
-    x, tau = point.x.copy(), point.tau
-    y, v, u, g, H = _newton_point(problem, start, x, tau, point.y.copy(), mu)
+    point = _evaluate(problem, start, point.x.copy(), point.tau, point.y.copy(), mu,
+                      newton=True)
     last_res = np.inf
     for k in range(CORRECTOR_MAX_STEPS):
-        res = residuals(problem, start, x, tau, y, mu, u=u, g=g)
-        rnorm = res.scaled_norm(problem, start, x, tau, y, mu)
+        res = _residuals(problem, start, point)
+        rnorm = res.scaled_norm(problem, start)
         settled = rnorm <= CORRECTOR_RESIDUAL_TOL or rnorm >= 0.9 * last_res
         if settled or k == CORRECTOR_MAX_STEPS - 1:
-            prox = proximity_at(problem, start, x, tau, y, mu, u=u, v=v)
+            prox = image_proximity(problem, point.u, point.v)
             if settled and prox <= target:
                 break
         last_res = rnorm
-        dx, dtau, dy = _kkt_solve(problem, start, x, tau, y, mu, u, g, H,
-                                  -res.r_dual, -res.r_cent, -res.r_gap)
+        dx, dtau, dy = _kkt_solve(problem, start, point, -res.r_dual, -res.r_cent, -res.r_gap)
         alpha = 1.0
         while alpha > 1e-18:
-            xn, taun = x + alpha * dx, tau + alpha * dtau
             try:
-                trial = _newton_point(problem, start, xn, taun, y + alpha * dy, mu)
+                trial = _evaluate(problem, start, point.x + alpha * dx, point.tau + alpha * dtau,
+                                  point.y + alpha * dy, mu, newton=True)
                 break
             except DomainViolation:
                 pass
             # a rejected full step falls back to the boundary bound, capped
             # at 1/2; its image part holds for the linearized motion only,
             # so halving safeguards it
-            alpha = (_step_bound(problem, start, tau, y, u, dx, dtau, dy, 0.5)
+            alpha = (_step_bound(problem, start, point, dx, dtau, dy, 0.5)
                      if alpha == 1.0 else 0.5 * alpha)
         else:
             raise CorrectorStall("step length underflow while correcting")
-        x, tau = xn, taun
-        y, v, u, g, H = trial
+        point = trial
     else:
         raise CorrectorStall(
             f"proximity {prox:.3e} above target {target:.3e} after "
             f"{CORRECTOR_MAX_STEPS} Newton steps")
-    corrected = make_iterate(problem, start, x, tau, y, u=u)
-    if memo is not None:
-        memo["evaluation"] = (corrected, u, g, H)
-    return corrected
+    own = make_iterate(problem, start, point.x, point.tau, point.y)
+    return replace(point, mu=own.mu, proximity=own.proximity, v=None)
 
 
-def predictor_step(problem: Problem, start: StartData, point: Iterate, *, memo=None):
+def predictor_step(problem: Problem, start: StartData, point: Iterate, previous=None):
     """Advance along the path as far as the outer neighborhood allows;
-    returns (predicted point, new mu).
+    returns (predicted point, new mu, tangent).
 
-    The tangent dp/dmu solves the mu-derivative of the path system, with
-    the primal barrier gradient and metric at the point from one
-    ``grad_hess``, or from ``memo["evaluation"]`` when
-    :func:`corrector_step` left one there for this very point.  Its first
-    trial increase dmu is the fraction-to-boundary cap along it, and the
-    trials halve dmu until one is accepted.
+    The tangent dp/dmu solves the mu-derivative of the path system with
+    the point's primal gradient and metric: those a point returned by
+    :func:`corrector_step` carries, or, for a plain Iterate, those of one
+    :func:`_evaluate` here.  Its first trial increase dmu is the
+    fraction-to-boundary cap along it, and the trials halve dmu until one
+    is accepted.
 
-    ``memo``, if given, carries the tangent from call to call: the step
-    reads the previous (s, dp/ds) from ``memo["tangent"]`` and stores its
-    own, with s = ln mu and dp/ds = mu * t.  With a previous tangent the
-    trial points lie on the second-order curve in s,
+    The returned tangent is (s, dp/ds), with s = ln mu and dp/ds = mu * t;
+    ``previous`` is the one the step before returned.  With a previous
+    tangent the trial points lie on the second-order curve in s,
 
         p + ds * mu*t + ds^2/2 * (mu*t - mu_prev*t_prev) / (s - s_prev),
 
@@ -335,52 +341,41 @@ def predictor_step(problem: Problem, start: StartData, point: Iterate, *, memo=N
     Raises PredictorStall when no relative increase of at least 1e-12
     is acceptable.
     """
-    mu = point.mu
-    x, tau, y = point.x, point.tau, point.y
-    evaluation = None if memo is None else memo.pop("evaluation", None)
-    if evaluation is not None and evaluation[0] is point:
-        u, g, H = evaluation[1:]
-    else:
-        u = shifted_image(problem, start, x, tau)
-        g, H = problem.barrier.grad_hess(u, PRIMAL)
-    tx, ttau, ty = _kkt_solve(problem, start, x, tau, y, mu, u, g, H,
-                              np.zeros(problem.n), g / tau,
+    if not isinstance(point, _Point):
+        point = _evaluate(problem, start, point.x, point.tau, point.y, point.mu)
+    mu, x, tau, y = point.mu, point.x, point.tau, point.y
+    tx, ttau, ty = _kkt_solve(problem, start, point, np.zeros(problem.n), point.g / tau,
                               -problem.theta * problem.xi / tau**2)
 
-    dmu = _step_bound(problem, start, tau, y, u, tx, ttau, ty, PREDICTOR_TRIAL_FACTOR * mu)
+    dmu = _step_bound(problem, start, point, tx, ttau, ty, PREDICTOR_TRIAL_FACTOR * mu)
 
     # the second-order curve in s = ln mu acts on the stacked (x, tau, y)
     n = problem.n
-    prev = None
-    if memo is not None:
-        prev = memo.get("tangent")
-        s, vel = float(np.log(mu)), mu * np.concatenate([tx, [ttau], ty])
-        memo["tangent"] = (s, vel)
-        if prev is not None:
-            p = np.concatenate([x, [tau], y])
-            acc = (vel - prev[1]) / (s - prev[0])
+    s, vel = float(np.log(mu)), mu * np.concatenate([tx, [ttau], ty])
+    if previous is not None:
+        p = np.concatenate([x, [tau], y])
+        acc = (vel - previous[1]) / (s - previous[0])
 
     radius = PREDICTOR_RADIUS * problem.kappa
     while dmu > 1e-12 * mu:
-        if prev is None:
+        if previous is None:
             xn, taun, yn = x + dmu * tx, tau + dmu * ttau, y + dmu * ty
             mun = mu + dmu
         else:
             ds = float(np.log1p(dmu / mu))
             pn = p + ds * vel + (0.5 * ds * ds) * acc
             xn, taun, yn = pn[:n], float(pn[n]), pn[n + 1:]
-        un = member_image(problem, start, xn, taun, yn)
-        if un is not None:
-            if prev is not None:
+        if member_image(problem, start, xn, taun, yn) is not None:
+            if previous is not None:
                 mun = mu_of(problem, start, xn, taun, yn)
             prox = np.inf
             if mun > mu:
                 try:
-                    prox = proximity_at(problem, start, xn, taun, yn, mun, u=un)
+                    prox = proximity_at(problem, start, xn, taun, yn, mun)
                 except DomainViolation:
                     pass
             if prox <= radius:
-                return Iterate(x=xn, tau=taun, y=yn, mu=mun, proximity=prox), mun
+                return Iterate(x=xn, tau=taun, y=yn, mu=mun, proximity=prox), mun, (s, vel)
         dmu *= 0.5
     raise PredictorStall(f"could not advance the path parameter beyond {mu:.6e}")
 
@@ -472,13 +467,14 @@ def follow(problem: Problem, start: StartData, options: FollowerOptions = Follow
     # construction, e.g. when A'y0 happens to vanish)
     record(point)
 
-    # the last tangent, for the second-order predictor, and the last
-    # corrected point's primal evaluation, which its tangent reuses
-    memo: dict = {}
+    # each predictor hands its tangent to the next, for the second-order
+    # curve, and each corrector returns its point with the primal
+    # evaluation the next tangent reads
+    tangent = None
     for _ in range(options.max_iters):
         try:
-            predicted, mu_new = predictor_step(problem, start, point, memo=memo)
-            point = corrector_step(problem, start, predicted, mu_new, memo=memo)
+            predicted, mu_new, tangent = predictor_step(problem, start, point, tangent)
+            point = corrector_step(problem, start, predicted, mu_new)
         except (PredictorStall, CorrectorStall, DomainViolation, FactorizationFailure) as exc:
             report = status_engine.numerical_failure_report(problem, start, point, exc)
             return finish(report)

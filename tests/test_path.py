@@ -92,7 +92,7 @@ def test_corrector_rejects_restoration_leaving_dual_cone(inf_problem, monkeypatc
     monkeypatch.setattr(path_module, "_restore_dual_equality",
                         lambda problem, start, x, tau, y: -y)
     # the check comes before the residuals, which must not be reached
-    monkeypatch.setattr(path_module, "residuals", None)
+    monkeypatch.setattr(path_module, "_residuals", None)
     with pytest.raises(dd.DomainViolation,
                        match="scaled dual point left the dual cone interior"):
         dd.corrector_step(problem, start, point, 2.0)
@@ -102,11 +102,8 @@ def _first_newton_step(problem, start, x, tau, y, mu):
     """The corrector's first Newton direction from (x, tau, y), and the
     restored y it starts from."""
     y = path_module._restore_dual_equality(problem, start, x, tau, y)
-    u = shifted_image(problem, start, x, tau)
-    g, H = problem.barrier.grad_hess(u, "primal")
     res = dd.residuals(problem, start, x, tau, y, mu)
-    return y, _kkt_solve(problem, start, x, tau, y, mu, u, g, H,
-                         -res.r_dual, -res.r_cent, -res.r_gap)
+    return y, _kkt_solve(problem, start, res.point, -res.r_dual, -res.r_cent, -res.r_gap)
 
 
 def _record_step_bounds(monkeypatch) -> list:
@@ -205,17 +202,15 @@ def test_scaled_residuals_small_at_iterates(fixture, run, request):
     result = request.getfixturevalue(run)
     for it in result.iterates[1:]:
         res = dd.residuals(problem, start, it.x, it.tau, it.y, it.mu)
-        assert res.scaled_norm(problem, start, it.x, it.tau, it.y, it.mu) <= 1e-8
+        assert res.scaled_norm(problem, start) <= 1e-8
 
 
 def test_predictor_tangent_satisfies_dual_equation(box_problem):
     problem, start = box_problem
     point = make_iterate(problem, start, np.zeros(1), 1.0, start.y0)
-    u = shifted_image(problem, start, point.x, point.tau)
-    g, H = problem.barrier.grad_hess(u, "primal")
+    evaluated = path_module._evaluate(problem, start, point.x, point.tau, point.y, point.mu)
     tx, ttau, ty = _kkt_solve(
-        problem, start, point.x, point.tau, point.y, point.mu, u, g, H,
-        np.zeros(problem.n), g / point.tau,
+        problem, start, evaluated, np.zeros(problem.n), evaluated.g / point.tau,
         -problem.theta * problem.xi / point.tau**2)
     resid = problem.A.T @ ty + ttau * problem.c
     assert np.max(np.abs(resid)) <= 1e-9
@@ -259,15 +254,15 @@ def test_kkt_solve_matches_unreduced_system(fixture, run, request):
     for it in request.getfixturevalue(run).iterates:
         if it.mu > 1e2:
             continue
-        u = shifted_image(problem, start, it.x, it.tau)
-        g, H = problem.barrier.grad_hess(u, "primal")
         res = dd.residuals(problem, start, it.x, it.tau, it.y, 2.0 * it.mu)
-        for mu, rhs in [
-            (it.mu, (np.zeros(problem.n), g / it.tau, -problem.theta * problem.xi / it.tau**2)),
-            (2.0 * it.mu, (-res.r_dual, -res.r_cent, -res.r_gap)),
+        g = res.point.g
+        for point, rhs in [
+            (replace(res.point, mu=it.mu),
+             (np.zeros(problem.n), g / it.tau, -problem.theta * problem.xi / it.tau**2)),
+            (res.point, (-res.r_dual, -res.r_cent, -res.r_gap)),
         ]:
-            got = _kkt_solve(problem, start, it.x, it.tau, it.y, mu, u, g, H, *rhs)
-            ref = _unreduced_solve(problem, start, it.x, it.tau, it.y, mu, *rhs)
+            got = _kkt_solve(problem, start, point, *rhs)
+            ref = _unreduced_solve(problem, start, it.x, it.tau, it.y, point.mu, *rhs)
             got, ref = (np.concatenate([p[0], [p[1]], p[2]]) for p in (got, ref))
             assert np.linalg.norm(got - ref) <= 1e-11 * np.linalg.norm(ref)
             checked += 1
@@ -277,7 +272,7 @@ def test_kkt_solve_matches_unreduced_system(fixture, run, request):
 def test_predictor_increases_mu_and_respects_neighborhood(box_problem):
     problem, start = box_problem
     point = make_iterate(problem, start, np.zeros(1), 1.0, start.y0)
-    predicted, mu_new = dd.predictor_step(problem, start, point)
+    predicted, mu_new, _ = dd.predictor_step(problem, start, point)
     assert mu_new > 1.0
     assert dd.proximity_at(problem, start, predicted.x, predicted.tau, predicted.y,
                            mu_new) <= 2.0 * problem.kappa
@@ -290,7 +285,7 @@ def test_predictor_interiority_preserved(soc_problem):
     problem, start = soc_problem
     point = make_iterate(problem, start, np.zeros(problem.n), 1.0, start.y0)
     for _ in range(5):
-        predicted, mu_new = dd.predictor_step(problem, start, point)
+        predicted, mu_new, _ = dd.predictor_step(problem, start, point)
         u = shifted_image(problem, start, predicted.x, predicted.tau)
         assert problem.barrier.min_margin(u, "primal") > 0.0
         assert problem.barrier.min_margin(predicted.y, "conjugate") > 0.0
@@ -302,10 +297,10 @@ def _first_order_predictor(problem, start, point):
     halved from the fraction-to-boundary cap along the tangent t until
     proximity at mu + dmu is within the outer radius."""
     mu, x, tau, y = point.mu, point.x, point.tau, point.y
-    u = shifted_image(problem, start, x, tau)
-    g, H = problem.barrier.grad_hess(u, "primal")
-    tx, ttau, ty = _kkt_solve(problem, start, x, tau, y, mu, u, g, H, np.zeros(problem.n),
-                              g / tau, -problem.theta * problem.xi / tau**2)
+    evaluated = path_module._evaluate(problem, start, x, tau, y, mu)
+    u = evaluated.u
+    tx, ttau, ty = _kkt_solve(problem, start, evaluated, np.zeros(problem.n),
+                              evaluated.g / tau, -problem.theta * problem.xi / tau**2)
     dmu = path_module.PREDICTOR_TRIAL_FACTOR * mu
     if ttau < 0.0:
         dmu = min(dmu, path_module.BOUNDARY_FRACTION * tau / (-ttau))
@@ -325,12 +320,13 @@ def _first_order_predictor(problem, start, point):
 
 
 def _predict_and_correct(problem, start, steps):
-    """``steps`` iterations of the follower's loop with one tangent memo;
-    yields (point, predicted, mu_new) per iteration."""
+    """``steps`` iterations of the follower's loop, each predictor given the
+    tangent the one before returned; yields (point, predicted, mu_new) per
+    iteration."""
     point = make_iterate(problem, start, np.zeros(problem.n), 1.0, start.y0)
-    memo = {}
+    tangent = None
     for _ in range(steps):
-        predicted, mu_new = dd.predictor_step(problem, start, point, memo=memo)
+        predicted, mu_new, tangent = dd.predictor_step(problem, start, point, tangent)
         yield point, predicted, mu_new
         point = dd.corrector_step(problem, start, predicted, mu_new)
 
@@ -343,11 +339,10 @@ def test_predictor_without_previous_tangent_is_first_order(fixture, request):
     points = [point for point, _, _ in _predict_and_correct(problem, start, 4)]
     for point in points:
         xr, taur, yr, mur, proxr = _first_order_predictor(problem, start, point)
-        for memo in (None, {}):
-            predicted, mu_new = dd.predictor_step(problem, start, point, memo=memo)
-            assert np.array_equal(predicted.x, xr) and np.array_equal(predicted.y, yr)
-            assert (predicted.tau, predicted.mu, mu_new, predicted.proximity) == \
-                (taur, mur, mur, proxr)
+        predicted, mu_new, _ = dd.predictor_step(problem, start, point)
+        assert np.array_equal(predicted.x, xr) and np.array_equal(predicted.y, yr)
+        assert (predicted.tau, predicted.mu, mu_new, predicted.proximity) == \
+            (taur, mur, mur, proxr)
 
 
 @pytest.mark.parametrize("fixture", ["box_problem", "soc_problem", "tangent_problem"])
@@ -382,11 +377,8 @@ def test_curve_bending_back_is_not_accepted(fixture, request):
     # are near the path at a smaller own mu and must be passed over
     problem, start = request.getfixturevalue(fixture)
     point = list(_predict_and_correct(problem, start, 4))[-1][0]
-    memo = {}
-    dd.predictor_step(problem, start, point, memo=memo)
-    s, vel = memo["tangent"]
-    predicted, mu_new = dd.predictor_step(problem, start, point,
-                                          memo={"tangent": (s - 1.0, 5.0 * vel)})
+    _, _, (s, vel) = dd.predictor_step(problem, start, point)
+    predicted, mu_new, _ = dd.predictor_step(problem, start, point, (s - 1.0, 5.0 * vel))
     own = dd.mu_of(problem, start, predicted.x, predicted.tau, predicted.y)
     assert predicted.mu == mu_new == own > point.mu
 
@@ -530,20 +522,27 @@ def test_evaluation_budget(fixture, run, eps, request, monkeypatch):
     count_primal("grad")
     count_primal("hess")
     count_primal("grad_hess")
-    count_calls("residuals", "residuals")
+    count_calls("_residuals", "residuals")
     count_calls("predictor_step", "tangents")
     count_calls("_kkt_solve", "kkt")
     count_calls("corrector_step", "correctors")
     count_calls("make_iterate", "iterates")
-    count_calls("_newton_point", "newton_points")
-    original_proximity = path_module.proximity_at
+    original_evaluate = path_module._evaluate
     original_matvec = dd.barriers.BlockMetric.matvec
     original_interior = dd.barriers.DomainBarrier.interior
     original_boundary = dd.barriers.DomainBarrier.step_to_boundary
 
-    def proximity(*args, **kwargs):
-        counts["corrector_proximity"] += "correctors" in active
-        return original_proximity(*args, **kwargs)
+    def count_proximity(name):
+        original = getattr(path_module, name)
+
+        def wrapped(*args):
+            counts["corrector_proximity"] += "correctors" in active
+            return original(*args)
+        monkeypatch.setattr(path_module, name, wrapped)
+
+    def evaluate(*args, newton=False):
+        counts["newton_points"] += newton
+        return original_evaluate(*args, newton=newton)
 
     def matvec(self, v):
         counts["kkt_matvec"] += "kkt" in active
@@ -559,7 +558,9 @@ def test_evaluation_budget(fixture, run, eps, request, monkeypatch):
     def step_to_boundary(self, z, dz, side="primal"):
         counts["corrector_boundary"] += "correctors" in active
         return original_boundary(self, z, dz, side)
-    monkeypatch.setattr(path_module, "proximity_at", proximity)
+    count_proximity("proximity_at")
+    count_proximity("image_proximity")
+    monkeypatch.setattr(path_module, "_evaluate", evaluate)
     monkeypatch.setattr(dd.barriers.BlockMetric, "matvec", matvec)
     monkeypatch.setattr(dd.barriers.DomainBarrier, "interior", interior)
     monkeypatch.setattr(dd.barriers.DomainBarrier, "step_to_boundary", step_to_boundary)
@@ -590,12 +591,49 @@ def test_evaluation_budget(fixture, run, eps, request, monkeypatch):
                                          ("inf_problem", "inf_run"),
                                          ("soc_problem", "soc_run")])
 def test_reused_evaluations_match_public_functions(fixture, run, request):
-    # the follower hands each point's shifted image on instead of forming
-    # it again; the public function, forming everything itself, must give
-    # every recorded proximity bit for bit
+    # the follower keeps each point's evaluation instead of forming it
+    # again; the public functions, forming everything themselves, must give
+    # every recorded proximity, and the residuals of every recorded point,
+    # bit for bit
     problem, start = request.getfixturevalue(fixture)
-    for it in request.getfixturevalue(run).iterates:
+    iterates = request.getfixturevalue(run).iterates
+    # every iterate after the first is a corrector's point, which keeps the
+    # evaluation the follower formed at it
+    assert all(isinstance(it, path_module._Point) for it in iterates[1:])
+    for it in iterates:
         assert dd.proximity_at(problem, start, it.x, it.tau, it.y, it.mu) == it.proximity
+        point = (it if isinstance(it, path_module._Point)
+                 else path_module._evaluate(problem, start, it.x, it.tau, it.y, it.mu))
+        private = path_module._residuals(problem, start, point)
+        public = dd.residuals(problem, start, it.x, it.tau, it.y, it.mu)
+        assert np.array_equal(public.r_dual, private.r_dual)
+        assert np.array_equal(public.r_cent, private.r_cent)
+        assert public.r_gap == private.r_gap
+        for name in ("x", "y", "u", "g"):
+            assert np.array_equal(getattr(public.point, name), getattr(private.point, name))
+        assert (public.point.tau, public.point.mu) == (private.point.tau, private.point.mu)
+        assert public.scaled_norm(problem, start) == private.scaled_norm(problem, start)
+
+
+@pytest.mark.parametrize("fixture", ["box_problem", "soc_problem", "tangent_problem"])
+def test_predictor_reads_handed_over_evaluation(fixture, request):
+    # follow hands each corrector's evaluated point to the next predictor;
+    # from a plain Iterate copy of that point, which the predictor
+    # evaluates itself, the prediction must be the same bit for bit
+    problem, start = request.getfixturevalue(fixture)
+    point = make_iterate(problem, start, np.zeros(problem.n), 1.0, start.y0)
+    predicted, mu_new, tangent = dd.predictor_step(problem, start, point)
+    for _ in range(6):
+        point = dd.corrector_step(problem, start, predicted, mu_new)
+        assert isinstance(point, path_module._Point)
+        plain = dd.Iterate(x=point.x.copy(), tau=point.tau, y=point.y.copy(), mu=point.mu,
+                           proximity=point.proximity)
+        own, own_mu, own_tangent = dd.predictor_step(problem, start, plain, tangent)
+        predicted, mu_new, tangent = dd.predictor_step(problem, start, point, tangent)
+        assert np.array_equal(predicted.x, own.x) and np.array_equal(predicted.y, own.y)
+        assert (predicted.tau, predicted.mu, predicted.proximity, mu_new) == \
+            (own.tau, own.mu, own.proximity, own_mu)
+        assert tangent[0] == own_tangent[0] and np.array_equal(tangent[1], own_tangent[1])
 
 
 def test_iteration_limit_status(box_problem):
