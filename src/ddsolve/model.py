@@ -11,7 +11,7 @@ anchored at a chosen interior point z0 with y0 the barrier gradient there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -102,27 +102,23 @@ def validate_problem(A, c, atoms, xi: float = 2.0, kappa: float = 0.25) -> Probl
 
 @dataclass(frozen=True)
 class StartData:
-    """Anchor of the homogenized set: z0 interior to D, y0 = Phi'(z0), and
-    the scalar y_tau0 = -<y0, z0> - xi*theta."""
+    """Anchor of the homogenized set and the constants of a solve derived
+    from it: z0 interior to D, y0 = Phi'(z0), the scalar
+    y_tau0 = -<y0, z0> - xi*theta, A'y0 with its inf-norm, and ||z0||.
+    Built by :func:`make_start` for one problem."""
 
     z0: np.ndarray
     y0: np.ndarray
     y_tau0: float
-    # ||A'y0||_inf and the problem it was formed for; see aty0_inf
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def aty0_inf(self, problem: Problem) -> float:
-        """||A'y0||_inf, formed once per problem the start is used with."""
-        memo = self._memo
-        if memo.get("problem") is not problem:
-            memo["problem"] = problem
-            memo["aty0_inf"] = float(np.max(np.abs(problem.A.T @ self.y0), initial=0.0))
-        return memo["aty0_inf"]
+    aty0: np.ndarray
+    aty0_inf: float
+    z0_norm: float
 
 
 def make_start(problem: Problem, z0=None) -> StartData:
     """Build start data from ``z0`` (default: the barrier's canonical
-    interior point).  ``y0`` is always recomputed as the barrier gradient."""
+    interior point).  ``y0`` is always recomputed as the barrier gradient,
+    and every anchor constant is formed here, once, for ``problem``."""
     if z0 is None:
         z0 = problem.barrier.interior_point()
     else:
@@ -133,7 +129,10 @@ def make_start(problem: Problem, z0=None) -> StartData:
             raise DomainViolation("z0 is not strictly interior to the domain")
     y0 = problem.barrier.grad(z0, PRIMAL)
     y_tau0 = float(-(y0 @ z0) - problem.xi * problem.theta)
-    return StartData(z0=z0, y0=y0, y_tau0=y_tau0)
+    aty0 = problem.A.T @ y0
+    return StartData(z0=z0, y0=y0, y_tau0=y_tau0, aty0=aty0,
+                     aty0_inf=float(np.max(np.abs(aty0), initial=0.0)),
+                     z0_norm=float(np.linalg.norm(z0)))
 
 
 def default_z0(problem: Problem) -> StartData:
@@ -191,7 +190,7 @@ def mu_of(problem: Problem, start: StartData, x, tau: float, y) -> float:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    inner = start.y_tau0 + float((problem.A.T @ start.y0 + problem.c) @ x)
+    inner = start.y_tau0 + float((start.aty0 + problem.c) @ x)
     return float(-(y @ start.z0 + float(tau) * inner) / (problem.xi * problem.theta))
 
 

@@ -80,7 +80,7 @@ class Residuals:
         ``point``."""
         p = self.point
         tau, y = p.tau, p.y
-        scale_dual = 1.0 + start.aty0_inf(problem) + tau * problem.c_inf
+        scale_dual = 1.0 + start.aty0_inf + tau * problem.c_inf
         scale_cent = 1.0 + float(np.max(np.abs(y)))
         scale_gap = (1.0 + abs(float(problem.c @ p.x)) + abs(float(y @ p.u)) / tau
                      + problem.theta * problem.xi * p.mu / tau**2 + abs(start.y_tau0) / tau)

@@ -77,7 +77,7 @@ def stop_params(problem: Problem, start: StartData, x, tau: float, y) -> StopPar
     else:
         dst = ds / tau
         gap = abs(cx + dst) / (1.0 + abs(cx) + abs(dst))
-    p_feas = float(np.linalg.norm(start.z0)) / tau
+    p_feas = start.z0_norm / tau
     d_feas = float(np.linalg.norm(problem.A.T @ y / tau + problem.c)) / (1.0 + problem.c_norm)
     return StopParams(gap=float(gap), p_feas=p_feas, d_feas=d_feas)
 

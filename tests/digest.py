@@ -1,0 +1,91 @@
+"""Print sha256 digests of the solver's outputs, to show that a change
+keeps them bit for bit.
+
+    PYTHONPATH=src python tests/digest.py
+
+Three digests, one per line:
+
+  cli       stdout, exit code and --trace CSV of
+            ``ddsolve solve <f> --eps E --strict --trace`` for every
+            ``instances/*.dd`` at eps 1e-4, 1e-6 and 1e-8;
+  iterates  the float64 bytes of every iterate's x, tau, y, mu and
+            proximity, and the invariant messages, of those runs and of
+            the three ``tests/test_medium.py`` cases at eps 1e-6;
+  reports   the report JSON (``run_solve``, not strict) of the same runs.
+
+Only public API is used, so the script runs against any checkout's
+``src`` put first on PYTHONPATH; compare its output between two of them.
+"""
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+import ddsolve as dd
+from ddsolve import cli
+
+TESTS = Path(__file__).resolve().parent
+INSTANCES = sorted((TESTS.parent / "instances").glob("*.dd"))
+FILE_EPS = (1e-4, 1e-6, 1e-8)
+MEDIUM_EPS = 1e-6
+
+sys.path.insert(0, str(TESTS))
+from test_medium import MEDIUM_CASES, mixed_feasible  # noqa: E402
+
+
+def _runs():
+    """(label, problem, start, eps) of every run digested."""
+    for path in INSTANCES:
+        for eps in FILE_EPS:
+            problem, start = cli.parse_problem_file(path)
+            yield f"{path.name}@{eps:g}", problem, start, eps
+    for case in sorted(MEDIUM_CASES):
+        problem = mixed_feasible(*MEDIUM_CASES[case])
+        yield f"{case}@{MEDIUM_EPS:g}", problem, dd.make_start(problem), MEDIUM_EPS
+
+
+def cli_digest() -> str:
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        trace = Path(tmp) / "trace.csv"
+        for path in INSTANCES:
+            for eps in FILE_EPS:
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = cli.main(["solve", str(path), "--eps", repr(eps),
+                                     "--strict", "--trace", str(trace)])
+                h.update(f"{path.name} {eps!r} {code}\n".encode())
+                h.update(out.getvalue().encode())
+                h.update(trace.read_bytes())
+    return h.hexdigest()
+
+
+def iterates_and_reports_digests() -> tuple:
+    iterates, reports = hashlib.sha256(), hashlib.sha256()
+    for label, problem, start, eps in _runs():
+        result = dd.follow(problem, start, dd.FollowerOptions(eps=eps))
+        iterates.update(label.encode())
+        for it in result.iterates:
+            iterates.update(np.asarray(it.x, dtype=np.float64).tobytes())
+            iterates.update(np.asarray(it.y, dtype=np.float64).tobytes())
+            iterates.update(np.array([it.tau, it.mu, it.proximity], dtype=np.float64).tobytes())
+        iterates.update("\n".join(result.invariant_violations).encode())
+        reports.update(label.encode())
+        reports.update(cli.run_solve(problem, start, eps).to_json().encode())
+    return iterates.hexdigest(), reports.hexdigest()
+
+
+def main():
+    print("cli", cli_digest())
+    it, rep = iterates_and_reports_digests()
+    print("iterates", it)
+    print("reports", rep)
+
+
+if __name__ == "__main__":
+    main()

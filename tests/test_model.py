@@ -66,15 +66,15 @@ def test_validate_rejects_non_finite_data():
 
 
 def test_per_problem_constants(inf_problem):
-    # formed on first use, and a start used with a second problem gets
-    # that problem's value, not the first one's
+    # the problem's are formed on first use, the start's by make_start;
+    # each equals its defining expression bit for bit
     problem, start = inf_problem
-    start = dd.StartData(start.z0, start.y0, start.y_tau0)
     assert np.array_equal(problem.gram, problem.A.T @ problem.A)
     assert problem.c_inf == 1.0
-    assert start.aty0_inf(problem) == float(np.max(np.abs(problem.A.T @ start.y0)))
-    scaled = dd.validate_problem(2.0 * problem.A, problem.c, problem.atoms)
-    assert start.aty0_inf(scaled) == 2.0 * start.aty0_inf(problem)
+    aty0 = problem.A.T @ start.y0
+    assert np.array_equal(start.aty0, aty0)
+    assert start.aty0_inf == float(np.max(np.abs(aty0)))
+    assert start.z0_norm == float(np.linalg.norm(start.z0))
 
 
 def test_default_start_box(box_problem):
