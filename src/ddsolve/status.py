@@ -145,8 +145,12 @@ def verify_certificate(problem: Problem, start: StartData, cert: Certificate) ->
     (margins >= 0), support(y) <= -1 + 1e-8;
     infeasibility (eps):     ||A'y|| <= eps, margins >= 0, support(y) < 0;
     unboundedness (strict):  A x interior margins > 0 and <c,x> <= -1/eps;
-    unboundedness (eps):     <c,x> <= -1/eps;
-    optimal-pair:            all three stop parameters <= eps.
+    unboundedness (eps):     <c,x> <= -1/eps and A x + z0/tau in D
+    (margins >= 0);
+    optimal-pair:            A x + z0/tau in D (margins >= 0) and all
+    three stop parameters <= eps.  The pair's dual membership needs no
+    check of its own: support(y) is +inf off D*, and the gap sentinel 1
+    then fails.
     """
     rep = VerificationReport()
     if cert.kind == "infeasibility":
@@ -172,7 +176,10 @@ def verify_certificate(problem: Problem, start: StartData, cert: Certificate) ->
             margins = problem.barrier.margins(problem.A @ cert.x, PRIMAL)
             rep.add("Ax interior (margins > 0)", bool(np.all(margins > 0.0)),
                     float(np.min(margins)))
+        else:
+            _add_image_check(rep, problem, start, cert.x, cert.tau)
     elif cert.kind == "optimal-pair":
+        _add_image_check(rep, problem, start, cert.x, cert.tau)
         sp = stop_params(problem, start, cert.x, cert.tau, cert.tau * cert.y)
         rep.add("gap <= eps", sp.gap <= cert.eps, sp.gap)
         rep.add("P_feas <= eps", sp.p_feas <= cert.eps, sp.p_feas)
@@ -182,14 +189,19 @@ def verify_certificate(problem: Problem, start: StartData, cert: Certificate) ->
     return rep
 
 
+def _add_image_check(rep: VerificationReport, problem, start, x, tau) -> None:
+    """The primal membership of a point carried with its tau:
+    A x + z0/tau in D (margins >= 0)."""
+    margins = problem.barrier.margins(shifted_image(problem, start, x, tau), PRIMAL)
+    rep.add("Ax + z0/tau in domain (margins >= 0)", bool(np.all(margins >= 0.0)),
+            float(np.min(margins)))
+
+
 def _eps_feasibility_report(problem, start, x, tau, y, eps: float) -> VerificationReport:
     """Checks for the ill-conditioned pair: structural feasibility and
     P_feas, D_feas <= eps."""
     rep = VerificationReport()
-    u = shifted_image(problem, start, x, tau)
-    margins = problem.barrier.margins(u, PRIMAL)
-    rep.add("Ax + z0/tau in domain (margins >= 0)", bool(np.all(margins >= 0.0)),
-            float(np.min(margins)))
+    _add_image_check(rep, problem, start, x, tau)
     dual_margins = problem.barrier.margins(np.asarray(y) / tau, CONJUGATE)
     rep.add("y/tau in dual cone (margins >= 0)", bool(np.all(dual_margins >= 0.0)),
             float(np.min(dual_margins)))

@@ -212,6 +212,26 @@ def test_verify_hand_built_certificates(inf_problem, unb_problem):
     assert verify_certificate(problem_u, start_u, xhat).passed
 
 
+@pytest.mark.parametrize("atoms,c,kind", [
+    ([dd.box(0, 0.0, 1.0), dd.box(1, 0.0, 1.0)], [1.0, 0.0], "optimal-pair"),
+    ([dd.halfline_lower(0, 0.0), dd.box(1, 0.0, 1.0)], [-1.0, 0.0], "unboundedness"),
+])
+def test_tampered_point_of_certificate_with_tau_fails(atoms, c, kind):
+    # moving x along a coordinate c does not weigh keeps <c, x> and every
+    # stop parameter, but puts A x + z0/tau 9.5 outside the second box
+    problem = dd.validate_problem(np.eye(2), c, atoms)
+    start = dd.default_z0(problem)
+    cert = dd.follow(problem, start, dd.FollowerOptions(eps=1e-6)).report.certificate
+    assert cert.kind == kind and not cert.strict and cert.tau > 0.0
+    assert verify_certificate(problem, start, cert).passed
+    tampered = Certificate(kind=cert.kind, strict=False, eps=cert.eps,
+                           x=cert.x + np.array([0.0, 10.0]), y=cert.y, tau=cert.tau)
+    assert float(problem.c @ tampered.x) == float(problem.c @ cert.x)
+    rep = verify_certificate(problem, start, tampered)
+    assert rep.failed_names() == ["Ax + z0/tau in domain (margins >= 0)"]
+    assert [ch.value for ch in rep.checks if not ch.passed][0] == pytest.approx(-9.5, abs=1e-5)
+
+
 def test_emitted_certificates_always_verify(box_run, inf_run, unb_run, tangent_run):
     for run in (box_run, inf_run, unb_run, tangent_run):
         if run.report.verification is not None:
