@@ -102,10 +102,8 @@ def validate_problem(A, c, atoms, xi: float = 2.0, kappa: float = 0.25) -> Probl
 
 @dataclass(frozen=True)
 class StartData:
-    """Anchor of the homogenized set and the constants of a solve derived
-    from it: z0 interior to D, y0 = Phi'(z0), the scalar
-    y_tau0 = -<y0, z0> - xi*theta, A'y0 with its inf-norm, and ||z0||.
-    Built by :func:`make_start` for one problem."""
+    """One problem's anchor, built by :func:`make_start`: z0 interior to D,
+    y0 = Phi'(z0), y_tau0 = -<y0, z0> - xi*theta, A'y0, ||A'y0||_inf, ||z0||."""
 
     z0: np.ndarray
     y0: np.ndarray
@@ -117,8 +115,8 @@ class StartData:
 
 def make_start(problem: Problem, z0=None) -> StartData:
     """Build start data from ``z0`` (default: the barrier's canonical
-    interior point).  ``y0`` is always recomputed as the barrier gradient,
-    and every anchor constant is formed here, once, for ``problem``."""
+    interior point).  ``y0`` is always recomputed as the barrier gradient;
+    every constant derived from the anchor is formed here, once."""
     if z0 is None:
         z0 = problem.barrier.interior_point()
     else:

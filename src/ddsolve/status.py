@@ -12,7 +12,8 @@ Terminal statuses, in the precedence order they are checked:
   IterationLimit / NumericalFailure
 
 Certificate verification never consults solver state: it re-evaluates
-memberships, margins and support functions from the problem data alone.
+memberships, margins and support functions from the problem data alone,
+including A x + z0/tau in D for every point reported with its tau.
 """
 
 from __future__ import annotations
@@ -145,12 +146,9 @@ def verify_certificate(problem: Problem, start: StartData, cert: Certificate) ->
     (margins >= 0), support(y) <= -1 + 1e-8;
     infeasibility (eps):     ||A'y|| <= eps, margins >= 0, support(y) < 0;
     unboundedness (strict):  A x interior margins > 0 and <c,x> <= -1/eps;
-    unboundedness (eps):     <c,x> <= -1/eps and A x + z0/tau in D
-    (margins >= 0);
-    optimal-pair:            A x + z0/tau in D (margins >= 0) and all
-    three stop parameters <= eps.  The pair's dual membership needs no
-    check of its own: support(y) is +inf off D*, and the gap sentinel 1
-    then fails.
+    unboundedness (eps):     <c,x> <= -1/eps, A x + z0/tau in D;
+    optimal-pair:            A x + z0/tau in D, all three stop parameters
+    <= eps (a dual point off D* has support +inf and fails the gap).
     """
     rep = VerificationReport()
     if cert.kind == "infeasibility":
@@ -190,8 +188,7 @@ def verify_certificate(problem: Problem, start: StartData, cert: Certificate) ->
 
 
 def _add_image_check(rep: VerificationReport, problem, start, x, tau) -> None:
-    """The primal membership of a point carried with its tau:
-    A x + z0/tau in D (margins >= 0)."""
+    """A x + z0/tau in D (margins >= 0), for a point reported with its tau."""
     margins = problem.barrier.margins(shifted_image(problem, start, x, tau), PRIMAL)
     rep.add("Ax + z0/tau in domain (margins >= 0)", bool(np.all(margins >= 0.0)),
             float(np.min(margins)))
