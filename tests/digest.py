@@ -3,7 +3,7 @@ keeps them bit for bit.
 
     PYTHONPATH=src python tests/digest.py
 
-Three digests, one per line:
+Three digests and one line of counts:
 
   cli       stdout, exit code and --trace CSV of
             ``ddsolve solve <f> --eps E --strict --trace`` for every
@@ -11,7 +11,12 @@ Three digests, one per line:
   iterates  the float64 bytes of every iterate's x, tau, y, mu and
             proximity, and the invariant messages, of those runs and of
             the three ``tests/test_medium.py`` cases at eps 1e-6;
-  reports   the report JSON (``run_solve``, not strict) of the same runs.
+  reports   the report JSON (``run_solve``, not strict) of the same runs;
+  counts    the status histogram and the total iterations and invariant
+            violations of the iterate runs and of six two-cone runs,
+            ``mixed_feasible(seed, 40, 0, (40, 40))`` for seeds 0-5 at
+            eps 1e-6.  A change that moves only rounding changes the
+            digests; it is judged on these summed counts instead.
 
 Only public API is used, so the script runs against any checkout's
 ``src`` put first on PYTHONPATH; compare its output between two of them.
@@ -22,6 +27,7 @@ import hashlib
 import io
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +39,7 @@ TESTS = Path(__file__).resolve().parent
 INSTANCES = sorted((TESTS.parent / "instances").glob("*.dd"))
 FILE_EPS = (1e-4, 1e-6, 1e-8)
 MEDIUM_EPS = 1e-6
+CONE_SEEDS = range(6)   # counted, not digested
 
 sys.path.insert(0, str(TESTS))
 from test_medium import MEDIUM_CASES, mixed_feasible  # noqa: E402
@@ -47,6 +54,13 @@ def _runs():
     for case in sorted(MEDIUM_CASES):
         problem = mixed_feasible(*MEDIUM_CASES[case])
         yield f"{case}@{MEDIUM_EPS:g}", problem, dd.make_start(problem), MEDIUM_EPS
+
+
+def _cone_runs():
+    """(label, problem, start, eps) of the runs only counted."""
+    for seed in CONE_SEEDS:
+        problem = mixed_feasible(seed, 40, 0, (40, 40))
+        yield f"cones-{seed}@{MEDIUM_EPS:g}", problem, dd.make_start(problem), MEDIUM_EPS
 
 
 def cli_digest() -> str:
@@ -65,10 +79,20 @@ def cli_digest() -> str:
     return h.hexdigest()
 
 
-def iterates_and_reports_digests() -> tuple:
-    iterates, reports = hashlib.sha256(), hashlib.sha256()
+def _count(counts: Counter, result) -> None:
+    counts[result.report.status] += 1
+    counts["iterations"] += result.report.diagnostics["iterations"]
+    counts["violations"] += len(result.invariant_violations)
+
+
+def solve_digests() -> tuple:
+    """(iterates digest, reports digest, counts line)."""
+    iterates, reports, counts = hashlib.sha256(), hashlib.sha256(), Counter()
+    for label, problem, start, eps in _cone_runs():
+        _count(counts, dd.follow(problem, start, dd.FollowerOptions(eps=eps)))
     for label, problem, start, eps in _runs():
         result = dd.follow(problem, start, dd.FollowerOptions(eps=eps))
+        _count(counts, result)
         iterates.update(label.encode())
         for it in result.iterates:
             iterates.update(np.asarray(it.x, dtype=np.float64).tobytes())
@@ -77,14 +101,17 @@ def iterates_and_reports_digests() -> tuple:
         iterates.update("\n".join(result.invariant_violations).encode())
         reports.update(label.encode())
         reports.update(cli.run_solve(problem, start, eps).to_json().encode())
-    return iterates.hexdigest(), reports.hexdigest()
+    totals = [f"{key}={counts.pop(key)}" for key in ("iterations", "violations")]
+    statuses = ",".join(f"{status}:{k}" for status, k in sorted(counts.items()))
+    return iterates.hexdigest(), reports.hexdigest(), " ".join([statuses, *totals])
 
 
 def main():
     print("cli", cli_digest())
-    it, rep = iterates_and_reports_digests()
+    it, rep, counts = solve_digests()
     print("iterates", it)
     print("reports", rep)
+    print("counts", counts)
 
 
 if __name__ == "__main__":
