@@ -116,6 +116,18 @@ def _norm(t: np.ndarray):
     return np.sqrt(t.dot(t))
 
 
+def _selector(coords):
+    """The index that reads a group's coordinates: a basic slice when they
+    are consecutive and ascending, so reads are views and writes need no
+    scatter, the index array otherwise.  The closed forms never write into
+    what it reads."""
+    coords = np.asarray(coords, dtype=np.intp)
+    first = int(coords[0])
+    if np.array_equal(coords, np.arange(first, first + coords.size)):
+        return slice(first, first + coords.size)
+    return coords
+
+
 def _first_exit(slack: np.ndarray, dslack: np.ndarray) -> float:
     """Smallest s > 0 at which some positive slack + s * dslack reaches 0."""
     hit = (dslack < 0.0) & (slack > 0.0)
@@ -133,7 +145,7 @@ class _IntervalGroup:
 
     def __init__(self, atoms: Sequence[BarrierAtom]):
         atoms = sorted(atoms, key=lambda a: a.kind == BOX)
-        self.idx = np.array([a.coords[0] for a in atoms])
+        self.sel = _selector([a.coords[0] for a in atoms])
         self.d = np.array([a.offset[0] for a in atoms])
         self.lower = np.array([-np.inf if a.lower is None else a.lower for a in atoms])
         self.upper = np.array([np.inf if a.upper is None else a.upper for a in atoms])
@@ -152,7 +164,7 @@ class _IntervalGroup:
         self.box_width = (self.upper - self.lower)[nh:]
 
     def _slacks(self, z, side):
-        w = z[..., self.idx]
+        w = z[..., self.sel]
         if side == PRIMAL:
             w = w + self.d
         lo, hi = self.bounds[side]
@@ -208,7 +220,7 @@ class _IntervalGroup:
                                                1.0 / (1.0 / s_lo**2 + 1.0 / s_hi**2)])))
 
     def support(self, y):
-        y = y[self.idx]
+        y = y[self.sel]
         dual_lo, dual_hi = self.bounds[CONJUGATE]
         if np.any((y < dual_lo) | (y > dual_hi)):
             return np.inf
@@ -218,7 +230,7 @@ class _IntervalGroup:
 
     def step_to_boundary(self, z, dz, side):
         _, s_lo, s_hi = self._slacks(z, side)
-        dw = dz[self.idx]
+        dw = dz[self.sel]
         return min(_first_exit(s_lo, dw), _first_exit(s_hi, -dw))
 
     def interior_point(self):
@@ -232,13 +244,13 @@ class _ConeGroup:
     """One second-order cone atom: z + d in K (primal), -y in K (dual)."""
 
     def __init__(self, atom: BarrierAtom):
-        self.idx = np.asarray(atom.coords)
+        self.sel = _selector(atom.coords)
         self.d = atom.offset_vec
         self.sign = np.ones(atom.dim)
         self.sign[1:] = -1.0
 
     def _canonical(self, z, side):
-        w = z[..., self.idx]
+        w = z[..., self.sel]
         return w + self.d if side == PRIMAL else -w
 
     def _interior(self, z, side):
@@ -261,7 +273,7 @@ class _ConeGroup:
         w, q = self._interior(z, side)
         if side == PRIMAL:
             return -np.log(q)
-        return -2.0 + np.log(4.0) - np.log(q) - z[self.idx] @ self.d
+        return -2.0 + np.log(4.0) - np.log(q) - z[self.sel] @ self.d
 
     def grad_hess(self, z, side):
         # up to a constant, the conjugate at y is the primal barrier at
@@ -272,14 +284,14 @@ class _ConeGroup:
         return (g if side == PRIMAL else -g - self.d), _SocBlock(w)
 
     def support(self, y):
-        w = -y[self.idx]
+        w = -y[self.sel]
         if w[0] < _norm(w[1:]):
             return np.inf
-        return float(-(y[self.idx] @ self.d))
+        return float(-(y[self.sel] @ self.d))
 
     def step_to_boundary(self, z, dz, side):
         w = self._canonical(z, side)
-        dw = dz[self.idx] if side == PRIMAL else -dz[self.idx]
+        dw = dz[self.sel] if side == PRIMAL else -dz[self.sel]
         # boundary of {w1 >= |wbar|} along the ray: quadratic in s
         a = float(dw @ (self.sign * dw))
         b = 2.0 * float(w @ (self.sign * dw))
@@ -299,7 +311,7 @@ class _ConeGroup:
         return min(pos, default=np.inf)
 
     def interior_point(self):
-        w = np.zeros(self.idx.size)
+        w = np.zeros(self.d.size)
         w[0] = 2.0
         return w - self.d
 
@@ -395,29 +407,29 @@ class BlockMetric:
 
     def __init__(self, m: int, blocks: Sequence):
         self.m = m
-        self.blocks = list(blocks)   # (coordinate indices, block) pairs
+        self.blocks = list(blocks)   # (coordinate selector, block) pairs
 
     def dense(self) -> np.ndarray:
         return self.matvec(np.eye(self.m))
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         out = np.zeros(v.shape)
-        for idx, blk in self.blocks:
-            out[idx] = blk.matvec(v[idx])
+        for sel, blk in self.blocks:
+            out[sel] = blk.matvec(v[sel])
         return out
 
     def solve(self, v: np.ndarray) -> np.ndarray:
         out = np.zeros(v.shape)
-        for idx, blk in self.blocks:
-            out[idx] = blk.solve(v[idx])
+        for sel, blk in self.blocks:
+            out[sel] = blk.solve(v[sel])
         return out
 
     def quad(self, v: np.ndarray) -> float:
-        return float(sum(blk.quad(v[idx]) for idx, blk in self.blocks))
+        return float(sum(blk.quad(v[sel]) for sel, blk in self.blocks))
 
     def inv_quad(self, v: np.ndarray) -> float:
         """v' H^-1 v, one structured block solve per group."""
-        return float(sum(blk.inv_quad(v[idx]) for idx, blk in self.blocks))
+        return float(sum(blk.inv_quad(v[sel]) for sel, blk in self.blocks))
 
 
 class DomainBarrier:
@@ -451,8 +463,8 @@ class DomainBarrier:
         out = np.zeros(self.m)
         blocks = []
         for g in self.groups:
-            out[g.idx], block = g.grad_hess(z, side)
-            blocks.append((g.idx, block))
+            out[g.sel], block = g.grad_hess(z, side)
+            blocks.append((g.sel, block))
         return out, BlockMetric(self.m, blocks)
 
     def grad(self, z: np.ndarray, side: str = PRIMAL) -> np.ndarray:
@@ -496,5 +508,5 @@ class DomainBarrier:
         halfline, the middle of each box, (2, 0, ..., 0) in each cone."""
         z = np.zeros(self.m)
         for g in self.groups:
-            z[g.idx] = g.interior_point()
+            z[g.sel] = g.interior_point()
         return z

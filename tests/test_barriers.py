@@ -539,3 +539,64 @@ def test_step_to_boundary_matches_bisection(side):
             else:
                 hi = mid
         assert t == pytest.approx(lo, rel=1e-9)
+
+
+def _consecutive_relabelling(atoms):
+    """(perm, atoms) with each atom moved from coordinate i to perm[i] so
+    that every group reads consecutive coordinates: the interval group's
+    atoms first, in its own order (halflines, then boxes), then each cone."""
+    scalars = sorted((a for a in atoms if a.kind != "soc"), key=lambda a: a.kind == "box")
+    old = [i for a in scalars + [a for a in atoms if a.kind == "soc"] for i in a.coords]
+    perm = np.empty(len(old), dtype=int)
+    perm[old] = np.arange(len(old))
+    return perm, [replace(a, coords=tuple(perm[list(a.coords)])) for a in atoms]
+
+
+@pytest.mark.parametrize("side", [PRIMAL, CONJUGATE])
+def test_slice_selectors_match_index_arrays(side):
+    # GROUPED_ATOMS interleave the groups, so each reads its coordinates
+    # through an index array; relabelled onto consecutive coordinates each
+    # reads them through a slice.  Up to the permutation, every operation
+    # gives the same bits
+    perm, relabelled = _consecutive_relabelling(GROUPED_ATOMS)
+    spread = dd.DomainBarrier(GROUPED_ATOMS, GROUPED_M)
+    packed = dd.DomainBarrier(relabelled, GROUPED_M)
+    assert all(isinstance(g.sel, np.ndarray) for g in spread.groups)
+    assert all(isinstance(g.sel, slice) for g in packed.groups)
+
+    def moved(v):
+        out = np.empty_like(v)
+        out[perm] = v
+        return out
+
+    rng = np.random.default_rng(RNG_SEED + 13)
+    for _ in range(20):
+        z = _sample_point(GROUPED_ATOMS, GROUPED_M, rng, side)
+        dz = rng.normal(size=GROUPED_M)
+        V = rng.normal(size=(GROUPED_M, 3))
+        (g1, H1), (g2, H2) = spread.grad_hess(z, side), packed.grad_hess(moved(z), side)
+        assert np.array_equal(moved(g1), g2)
+        for op in ("matvec", "solve"):
+            assert np.array_equal(moved(getattr(H1, op)(V)), getattr(H2, op)(moved(V)))
+            assert np.array_equal(moved(getattr(H1, op)(dz)), getattr(H2, op)(moved(dz)))
+        assert H1.inv_quad(dz) == H2.inv_quad(moved(dz))
+        Z = np.stack([z, 2.0 * z - 1.0])
+        assert np.array_equal(spread.margins(Z, side), packed.margins(moved(Z.T).T, side))
+        assert spread.step_to_boundary(z, dz, side) == packed.step_to_boundary(
+            moved(z), moved(dz), side)
+        assert spread.support(z) == packed.support(moved(z))
+    assert np.array_equal(moved(spread.interior_point()), packed.interior_point())
+
+
+def test_selector_is_a_slice_exactly_for_consecutive_coordinates():
+    def selectors(atoms, m):
+        return [g.sel for g in dd.DomainBarrier(atoms, m).groups]
+    sel, = selectors([dd.soc([2, 3, 4])], 5)
+    assert sel == slice(2, 5)
+    sel, = selectors([dd.soc([2, 4, 3])], 5)
+    assert np.array_equal(sel, [2, 4, 3])
+    # the interval group reads halflines before boxes
+    sel, = selectors([dd.halfline_lower(1), dd.box(2, 0.0, 1.0)], 3)
+    assert sel == slice(1, 3)
+    sel, = selectors([dd.box(1, 0.0, 1.0), dd.halfline_lower(2)], 3)
+    assert np.array_equal(sel, [2, 1])
