@@ -51,9 +51,11 @@ class Problem:
     # per-problem constants of the follower, formed on first use
 
     @cached_property
-    def gram(self) -> np.ndarray:
-        """A'A."""
-        return self.A.T @ self.A
+    def qr_factors(self) -> tuple:
+        """(Q, R^-T) from one reduced factorization A = QR: the
+        minimal-norm solution of A'w = r is Q (R^-T r)."""
+        Q, R = np.linalg.qr(self.A)
+        return Q, np.linalg.inv(R).T
 
     @cached_property
     def c_inf(self) -> float:

@@ -236,17 +236,18 @@ def _step_bound(problem, start, point: _Point, dx, dtau, dy, cap):
 def _restore_dual_equality(problem, start, x, tau, y):
     """Project y back onto the dual linear equation (minimal-norm change).
 
-    Newton steps satisfy the equation to solve accuracy; this keeps the
-    accumulated float drift at the round-off of A'y itself.
+    The change is the minimal-norm solution of A'dy = rhs, with rhs the
+    equation's residual at y formed from A itself: Q (R^-T rhs), from the
+    problem's one QR factorization of A (full column rank, checked by
+    validate_problem).  Newton steps satisfy the equation to solve
+    accuracy; this keeps the accumulated float drift at the round-off of
+    A'y itself.
     """
     if problem.n == 0:
         return y
     rhs = problem.A.T @ (start.y0 - y) - (tau - 1.0) * problem.c
-    try:
-        corr = np.linalg.solve(problem.gram, rhs)
-    except np.linalg.LinAlgError:
-        return y
-    return y + problem.A @ corr
+    Q, r_inv_t = problem.qr_factors
+    return y + Q @ (r_inv_t @ rhs)
 
 
 def corrector_step(problem: Problem, start: StartData, point: Iterate, mu: float) -> Iterate:

@@ -67,9 +67,21 @@ def test_validate_rejects_non_finite_data():
 
 def test_per_problem_constants(inf_problem):
     # the problem's are formed on first use, the start's by make_start;
-    # each equals its defining expression bit for bit
+    # each equals its defining expression bit for bit, and the QR factors
+    # of A are a factorization: Q R = A to rounding, Q with orthonormal
+    # columns, and R^-T the transpose of the inverse of the triangular R
     problem, start = inf_problem
-    assert np.array_equal(problem.gram, problem.A.T @ problem.A)
+    larger = dd.validate_problem(np.random.default_rng(7).normal(size=(9, 4)), np.zeros(4),
+                                 [dd.halfline_lower(i) for i in range(9)])
+    for p in (problem, larger):
+        Q, r_inv_t = p.qr_factors
+        R = np.linalg.qr(p.A)[1]
+        assert np.array_equal(Q, np.linalg.qr(p.A)[0])
+        assert np.array_equal(R, np.triu(R))
+        assert np.allclose(Q @ R, p.A, rtol=0.0, atol=1e-14 * np.max(np.abs(p.A)))
+        assert np.allclose(Q.T @ Q, np.eye(p.n), rtol=0.0, atol=1e-14)
+        assert np.array_equal(r_inv_t, np.linalg.inv(R).T)
+        assert np.allclose(r_inv_t.T @ R, np.eye(p.n), rtol=0.0, atol=1e-14)
     assert problem.c_inf == 1.0
     aty0 = problem.A.T @ start.y0
     assert np.array_equal(start.aty0, aty0)
