@@ -146,9 +146,10 @@ def verify_certificate(problem: Problem, start: StartData, cert: Certificate) ->
     (margins >= 0), support(y) <= -1 + 1e-8;
     infeasibility (eps):     ||A'y|| <= eps, margins >= 0, support(y) < 0;
     unboundedness (strict):  A x interior margins > 0 and <c,x> <= -1/eps;
-    unboundedness (eps):     <c,x> <= -1/eps, A x + z0/tau in D;
-    optimal-pair:            A x + z0/tau in D, all three stop parameters
-    <= eps (a dual point off D* has support +inf and fails the gap).
+    unboundedness (eps):     <c,x> <= -1/eps, tau > 0, A x + z0/tau in D;
+    optimal-pair:            tau > 0, A x + z0/tau in D, all three stop
+    parameters <= eps (a dual point off D* has support +inf and fails the
+    gap).
     """
     rep = VerificationReport()
     if cert.kind == "infeasibility":
@@ -188,7 +189,9 @@ def verify_certificate(problem: Problem, start: StartData, cert: Certificate) ->
 
 
 def _add_image_check(rep: VerificationReport, problem, start, x, tau) -> None:
-    """A x + z0/tau in D (margins >= 0), for a point reported with its tau."""
+    """tau > 0 and A x + z0/tau in D (margins >= 0), for a point reported
+    with its tau: a negative tau flips the sign of P_feas and of z0/tau."""
+    rep.add("tau > 0", tau > 0.0, tau)
     margins = problem.barrier.margins(shifted_image(problem, start, x, tau), PRIMAL)
     rep.add("Ax + z0/tau in domain (margins >= 0)", bool(np.all(margins >= 0.0)),
             float(np.min(margins)))

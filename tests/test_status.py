@@ -1,5 +1,7 @@
 """Stop parameters, termination precedence, certificates and verification."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -230,6 +232,26 @@ def test_tampered_point_of_certificate_with_tau_fails(atoms, c, kind):
     rep = verify_certificate(problem, start, tampered)
     assert rep.failed_names() == ["Ax + z0/tau in domain (margins >= 0)"]
     assert [ch.value for ch in rep.checks if not ch.passed][0] == pytest.approx(-9.5, abs=1e-5)
+
+
+@pytest.mark.parametrize("atoms,c,kind", [
+    ([dd.box(0, 0.0, 1.0), dd.box(1, 0.0, 1.0)], [1.0, 0.0], "optimal-pair"),
+    ([dd.halfline_lower(0, 0.0), dd.box(1, 0.0, 1.0)], [-1.0, 0.0], "unboundedness"),
+])
+def test_certificate_with_negative_tau_fails(atoms, c, kind):
+    # a negative tau makes P_feas = ||z0||/tau negative, so it passes
+    # P_feas <= eps, and flips the sign of z0/tau in the image; the pair
+    # and the weak unbounded point must fail on tau itself
+    problem = dd.validate_problem(np.eye(2), c, atoms)
+    start = dd.default_z0(problem)
+    cert = dd.follow(problem, start, dd.FollowerOptions(eps=1e-6)).report.certificate
+    assert cert.kind == kind and not cert.strict
+    rep = verify_certificate(problem, start, cert)
+    assert rep.passed and [ch.name for ch in rep.checks].count("tau > 0") == 1
+    for tau in (-cert.tau, -1e7):
+        rep = verify_certificate(problem, start, replace(cert, tau=tau))
+        assert "tau > 0" in rep.failed_names()
+        assert [ch.value for ch in rep.checks if ch.name == "tau > 0"] == [tau]
 
 
 def test_emitted_certificates_always_verify(box_run, inf_run, unb_run, tangent_run):
