@@ -121,11 +121,10 @@ def _selector(coords):
     are consecutive and ascending, so reads are views and writes need no
     scatter, the index array otherwise.  The closed forms never write into
     what it reads."""
-    coords = np.asarray(coords, dtype=np.intp)
-    first = int(coords[0])
-    if np.array_equal(coords, np.arange(first, first + coords.size)):
-        return slice(first, first + coords.size)
-    return coords
+    first, k = coords[0], len(coords)
+    if list(coords) == list(range(first, first + k)):
+        return slice(first, first + k)
+    return np.asarray(coords)
 
 
 def _first_exit(slack: np.ndarray, dslack: np.ndarray) -> float:
