@@ -13,7 +13,8 @@ Terminal statuses, in the precedence order they are checked:
 
 Certificate verification never consults solver state: it re-evaluates
 memberships, margins and support functions from the problem data alone,
-including A x + z0/tau in D for every point reported with its tau.
+including tau > 0 and A x + z0/tau in D for every point reported with its
+tau.
 """
 
 from __future__ import annotations

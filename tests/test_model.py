@@ -75,8 +75,8 @@ def test_per_problem_constants(inf_problem):
                                  [dd.halfline_lower(i) for i in range(9)])
     for p in (problem, larger):
         Q, r_inv_t = p.qr_factors
-        R = np.linalg.qr(p.A)[1]
-        assert np.array_equal(Q, np.linalg.qr(p.A)[0])
+        Q_ref, R = np.linalg.qr(p.A)
+        assert np.array_equal(Q, Q_ref)
         assert np.array_equal(R, np.triu(R))
         assert np.allclose(Q @ R, p.A, rtol=0.0, atol=1e-14 * np.max(np.abs(p.A)))
         assert np.allclose(Q.T @ Q, np.eye(p.n), rtol=0.0, atol=1e-14)
