@@ -303,8 +303,8 @@ def iteration_limit_report(problem, start, point: Iterate) -> StatusReport:
 def _weighted_projection(metric, constraints, rhs, v):
     """argmin (w-v)' H (w-v)  s.t.  constraints' w = rhs  (H = metric)."""
     hinv_c = metric.solve(constraints)
-    gram = constraints.T @ hinv_c
-    lam = np.linalg.solve(gram, constraints.T @ v - rhs)
+    normal = constraints.T @ hinv_c
+    lam = np.linalg.solve(normal, constraints.T @ v - rhs)
     return v - hinv_c @ lam
 
 
@@ -355,12 +355,12 @@ def strict_unboundedness_certificate(problem: Problem, start: StartData,
     u = shifted_image(problem, start, x, tau)
     metric = problem.barrier.hess(u, PRIMAL)
     try:
-        gram = problem.A.T @ metric.matvec(problem.A)
+        normal = problem.A.T @ metric.matvec(problem.A)
         target = problem.A.T @ metric.matvec(u)
-        xhat = np.linalg.solve(gram, target)
+        xhat = np.linalg.solve(normal, target)
         if float(problem.c @ xhat) > -1.0 / eps:
             kkt = np.zeros((problem.n + 1, problem.n + 1))
-            kkt[:problem.n, :problem.n] = gram
+            kkt[:problem.n, :problem.n] = normal
             kkt[:problem.n, problem.n] = problem.c
             kkt[problem.n, :problem.n] = problem.c
             rhs = np.concatenate([target, [-1.0 / eps]])
