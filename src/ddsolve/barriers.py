@@ -163,17 +163,13 @@ class _IntervalGroup:
         self.box_width = (self.upper - self.lower)[nh:]
 
     def _slacks(self, z, side):
-        w = z[..., self.sel]
+        """(w, s_lo, s_hi): the group's point and its slacks to the lower
+        and upper bounds of the side, every membership test's input."""
+        w = z[self.sel]
         if side == PRIMAL:
             w = w + self.d
         lo, hi = self.bounds[side]
         return w, w - lo, hi - w
-
-    def _interior(self, z, side):
-        w, s_lo, s_hi = self._slacks(z, side)
-        if not np.all((s_lo > 0.0) & (s_hi > 0.0)):
-            raise DomainViolation(f"interval atom: point not strictly interior ({side} side)")
-        return w, s_lo, s_hi
 
     def _box_slacks(self, y):
         """(s, width - s) at the maximizer s of y*s + ln s + ln(width - s).
@@ -193,10 +189,12 @@ class _IntervalGroup:
         return np.minimum(s_lo, s_hi)
 
     def _point(self, z, side):
-        """(w, s_lo, s_hi) read by the closed forms at an interior z: the
-        bound slacks on the primal side, the box conjugate's slack pair
-        on the conjugate side."""
-        w, s_lo, s_hi = self._interior(z, side)
+        """(w, s_lo, s_hi) read by the closed forms at a strictly interior
+        z: the bound slacks on the primal side, the box conjugate's slack
+        pair on the conjugate side."""
+        w, s_lo, s_hi = self._slacks(z, side)
+        if not np.all((s_lo > 0.0) & (s_hi > 0.0)):
+            raise DomainViolation(f"interval atom: point not strictly interior ({side} side)")
         if side == CONJUGATE:
             s_lo, s_hi = self._box_slacks(w[self.nh:])
         return w, s_lo, s_hi
@@ -219,9 +217,8 @@ class _IntervalGroup:
                                                1.0 / (1.0 / s_lo**2 + 1.0 / s_hi**2)])))
 
     def support(self, y):
-        y = y[self.sel]
-        dual_lo, dual_hi = self.bounds[CONJUGATE]
-        if np.any((y < dual_lo) | (y > dual_hi)):
+        y, s_lo, s_hi = self._slacks(y, CONJUGATE)
+        if not np.all((s_lo >= 0.0) & (s_hi >= 0.0)):
             return np.inf
         # at y = 0 the term is 0; an infinite bound must not meet it
         bound = np.where(y > 0.0, self.upper_sh, np.where(y < 0.0, self.lower_sh, 0.0))
@@ -248,28 +245,26 @@ class _ConeGroup:
         self.sign = np.ones(atom.dim)
         self.sign[1:] = -1.0
 
-    def _canonical(self, z, side):
-        w = z[..., self.sel]
-        return w + self.d if side == PRIMAL else -w
+    def _slacks(self, z, side):
+        """(w, head, t): the canonical cone point, its head and its tail
+        norm, every membership test's input; the margin is head - t."""
+        w = z[self.sel]
+        w = w + self.d if side == PRIMAL else -w
+        return w, w[0], _norm(w[1:])
 
     def _interior(self, z, side):
-        """(w, q) with w the canonical cone point and q = (w1 - t)(w1 + t)."""
-        w = self._canonical(z, side)
-        head, t = w[0], _norm(w[1:])
+        """(w, head, t, q) of a strictly interior z, q = (head - t)(head + t)."""
+        w, head, t = self._slacks(z, side)
         if not head - t > 0.0:
             raise DomainViolation(f"soc atom: point not strictly interior ({side} side)")
-        return w, (head - t) * (head + t)
+        return w, head, t, (head - t) * (head + t)
 
     def margins(self, z, side):
-        w = self._canonical(z, side)
-        tail = w[..., 1:]
-        # each row's product with itself: the bits of _norm, which every
-        # other interiority test reads, also with a leading batch axis
-        sq = np.matmul(tail[..., None, :], tail[..., :, None])[..., 0, 0]
-        return (w[..., 0] - np.sqrt(sq))[..., None]
+        _, head, t = self._slacks(z, side)
+        return (head - t)[None]
 
     def value(self, z, side):
-        w, q = self._interior(z, side)
+        _, _, _, q = self._interior(z, side)
         if side == PRIMAL:
             return -np.log(q)
         return -2.0 + np.log(4.0) - np.log(q) - z[self.sel] @ self.d
@@ -278,18 +273,18 @@ class _ConeGroup:
         # up to a constant, the conjugate at y is the primal barrier at
         # w = -y less <y, d>: its gradient is minus the primal one at w,
         # less d, and its Hessian the primal one at w
-        w, q = self._interior(z, side)
+        w, head, t, q = self._interior(z, side)
         g = -2.0 * (self.sign * w) / q
-        return (g if side == PRIMAL else -g - self.d), _SocBlock(w)
+        return (g if side == PRIMAL else -g - self.d), _SocBlock(w, head, t)
 
     def support(self, y):
-        w = -y[self.sel]
-        if w[0] < _norm(w[1:]):
+        w, head, t = self._slacks(y, CONJUGATE)
+        if not head - t >= 0.0:
             return np.inf
-        return float(-(y[self.sel] @ self.d))
+        return float(w @ self.d)
 
     def step_to_boundary(self, z, dz, side):
-        w = self._canonical(z, side)
+        w, head, _ = self._slacks(z, side)
         dw = dz[self.sel] if side == PRIMAL else -dz[self.sel]
         # boundary of {w1 >= |wbar|} along the ray: quadratic in s
         a = float(dw @ (self.sign * dw))
@@ -305,8 +300,8 @@ class _ConeGroup:
             roots = [-c0 / b]
         pos = [r for r in roots if r > 0.0]
         # the head can also cross zero before the quadratic does
-        if dw[0] < 0.0 and w[0] > 0.0:
-            pos.append(-w[0] / dw[0])
+        if dw[0] < 0.0 and head > 0.0:
+            pos.append(-head / dw[0])
         return min(pos, default=np.inf)
 
     def interior_point(self):
@@ -350,10 +345,7 @@ class _SocBlock:
     ``solve`` act on a vector or on the columns of a (k, r) array.
     """
 
-    def __init__(self, w: np.ndarray):
-        w = np.asarray(w, dtype=float)
-        head = float(w[0])
-        t = float(_norm(w[1:]))
+    def __init__(self, w: np.ndarray, head: float, t: float):
         margin = head - t
         if not margin > 0.0 or not np.isfinite(margin):
             raise FactorizationFailure("soc metric point is not interior to the cone")
@@ -447,18 +439,22 @@ class DomainBarrier:
         self.groups = ([_IntervalGroup(scalars)] if scalars else []) \
             + [_ConeGroup(a) for a in self.atoms if a.kind == SOC]
 
-    def _require_finite(self, z: np.ndarray, side: str):
-        if not np.isfinite(z).all():
+    def _finite(self, z: np.ndarray, side: str, strict: bool) -> bool:
+        """Whether z is finite, which no slack test checks at a cone head of
+        +inf; ``strict`` raises DomainViolation in place of False."""
+        finite = bool(np.isfinite(z).all())
+        if strict and not finite:
             raise DomainViolation(f"point has non-finite entries ({side} side)")
+        return finite
 
     def value(self, z: np.ndarray, side: str = PRIMAL) -> float:
-        self._require_finite(z, side)
+        self._finite(z, side, strict=True)
         return float(sum(g.value(z, side) for g in self.groups))
 
     def grad_hess(self, z: np.ndarray, side: str = PRIMAL) -> tuple:
         """(gradient, Hessian) at z from one pass over the groups: each
         group checks z and forms its slacks once for both."""
-        self._require_finite(z, side)
+        self._finite(z, side, strict=True)
         out = np.zeros(self.m)
         blocks = []
         for g in self.groups:
@@ -482,9 +478,9 @@ class DomainBarrier:
         return total
 
     def margins(self, z: np.ndarray, side: str = PRIMAL) -> np.ndarray:
-        """One slack per atom, interval atoms first, then one per cone.
-        ``z`` may carry a leading batch axis."""
-        return np.concatenate([g.margins(z, side) for g in self.groups], axis=-1)
+        """One slack per atom at the point z, interval atoms first, then
+        one per cone."""
+        return np.concatenate([g.margins(z, side) for g in self.groups])
 
     def min_margin(self, z: np.ndarray, side: str = PRIMAL) -> float:
         return float(np.min(self.margins(z, side)))
@@ -492,7 +488,7 @@ class DomainBarrier:
     def interior(self, z: np.ndarray, side: str = PRIMAL) -> bool:
         """Strict interiority, checked group by group: stops at the first
         group with a non-positive margin."""
-        return bool(np.isfinite(z).all()) and all(
+        return self._finite(z, side, strict=False) and all(
             g.margins(z, side).min() > 0.0 for g in self.groups)
 
     def step_to_boundary(self, z: np.ndarray, dz: np.ndarray, side: str = PRIMAL) -> float:

@@ -150,37 +150,36 @@ def verify_certificate(problem: Problem, start: StartData, cert: Certificate) ->
     unboundedness (eps):     <c,x> <= -1/eps, tau > 0, A x + z0/tau in D;
     optimal-pair:            tau > 0, A x + z0/tau in D, all three stop
     parameters <= eps (a dual point off D* has support +inf and fails the
-    gap).
+    gap).  Without tau > 0 the checks that need 1/tau fail unformed.
     """
     rep = VerificationReport()
     if cert.kind == "infeasibility":
         aty = problem.A.T @ cert.y
-        margins = problem.barrier.margins(cert.y, CONJUGATE)
+        margin = problem.barrier.min_margin(cert.y, CONJUGATE)
         ds = support_function(problem, cert.y)
         if cert.strict:
             rep.add("ATy_inf_norm <= 1e-8", float(np.max(np.abs(aty), initial=0.0)) <= 1e-8,
                     float(np.max(np.abs(aty), initial=0.0)))
-            rep.add("y in dual cone (margins >= 0)", bool(np.all(margins >= 0.0)),
-                    float(np.min(margins)))
+            rep.add("y in dual cone (margins >= 0)", margin >= 0.0, margin)
             rep.add("support(y) <= -1 + 1e-8", ds <= -1.0 + 1e-8, ds)
         else:
             rep.add("||A'y|| <= eps", float(np.linalg.norm(aty)) <= cert.eps,
                     float(np.linalg.norm(aty)))
-            rep.add("y in dual cone (margins >= 0)", bool(np.all(margins >= 0.0)),
-                    float(np.min(margins)))
+            rep.add("y in dual cone (margins >= 0)", margin >= 0.0, margin)
             rep.add("support(y) < 0", ds < 0.0, ds)
     elif cert.kind == "unboundedness":
         cx = float(problem.c @ cert.x)
         rep.add("<c,x> <= -1/eps", cx <= -1.0 / cert.eps, cx)
         if cert.strict:
-            margins = problem.barrier.margins(problem.A @ cert.x, PRIMAL)
-            rep.add("Ax interior (margins > 0)", bool(np.all(margins > 0.0)),
-                    float(np.min(margins)))
+            margin = problem.barrier.min_margin(problem.A @ cert.x, PRIMAL)
+            rep.add("Ax interior (margins > 0)", margin > 0.0, margin)
         else:
             _add_image_check(rep, problem, start, cert.x, cert.tau)
     elif cert.kind == "optimal-pair":
-        _add_image_check(rep, problem, start, cert.x, cert.tau)
-        sp = stop_params(problem, start, cert.x, cert.tau, cert.tau * cert.y)
+        if _add_image_check(rep, problem, start, cert.x, cert.tau):
+            sp = stop_params(problem, start, cert.x, cert.tau, cert.tau * cert.y)
+        else:
+            sp = StopParams(gap=np.nan, p_feas=np.nan, d_feas=np.nan)
         rep.add("gap <= eps", sp.gap <= cert.eps, sp.gap)
         rep.add("P_feas <= eps", sp.p_feas <= cert.eps, sp.p_feas)
         rep.add("D_feas <= eps", sp.d_feas <= cert.eps, sp.d_feas)
@@ -189,13 +188,17 @@ def verify_certificate(problem: Problem, start: StartData, cert: Certificate) ->
     return rep
 
 
-def _add_image_check(rep: VerificationReport, problem, start, x, tau) -> None:
+def _add_image_check(rep: VerificationReport, problem, start, x, tau) -> bool:
     """tau > 0 and A x + z0/tau in D (margins >= 0), for a point reported
-    with its tau: a negative tau flips the sign of P_feas and of z0/tau."""
-    rep.add("tau > 0", tau > 0.0, tau)
-    margins = problem.barrier.margins(shifted_image(problem, start, x, tau), PRIMAL)
-    rep.add("Ax + z0/tau in domain (margins >= 0)", bool(np.all(margins >= 0.0)),
-            float(np.min(margins)))
+    with its tau: a negative tau flips the sign of P_feas and of z0/tau.
+    Returns whether tau > 0; without it the image is not formed, and its
+    check fails with a NaN margin."""
+    positive = tau > 0.0
+    rep.add("tau > 0", positive, tau)
+    margin = (problem.barrier.min_margin(shifted_image(problem, start, x, tau), PRIMAL)
+              if positive else np.nan)
+    rep.add("Ax + z0/tau in domain (margins >= 0)", margin >= 0.0, margin)
+    return positive
 
 
 def _eps_feasibility_report(problem, start, x, tau, y, eps: float) -> VerificationReport:
@@ -203,9 +206,8 @@ def _eps_feasibility_report(problem, start, x, tau, y, eps: float) -> Verificati
     P_feas, D_feas <= eps."""
     rep = VerificationReport()
     _add_image_check(rep, problem, start, x, tau)
-    dual_margins = problem.barrier.margins(np.asarray(y) / tau, CONJUGATE)
-    rep.add("y/tau in dual cone (margins >= 0)", bool(np.all(dual_margins >= 0.0)),
-            float(np.min(dual_margins)))
+    dual_margin = problem.barrier.min_margin(np.asarray(y) / tau, CONJUGATE)
+    rep.add("y/tau in dual cone (margins >= 0)", dual_margin >= 0.0, dual_margin)
     sp = stop_params(problem, start, x, tau, y)
     rep.add("P_feas <= eps", sp.p_feas <= eps, sp.p_feas)
     rep.add("D_feas <= eps", sp.d_feas <= eps, sp.d_feas)
@@ -331,10 +333,9 @@ def strict_infeasibility_certificate(problem: Problem, start: StartData,
     except np.linalg.LinAlgError as exc:
         raise ProjectionOutsideCone(f"projection system singular: {exc}") from exc
 
-    margins = problem.barrier.margins(w, CONJUGATE)
-    if not np.all(margins > 0.0):
-        raise ProjectionOutsideCone(
-            f"projection margin {float(np.min(margins)):.3e} is not positive")
+    margin = problem.barrier.min_margin(w, CONJUGATE)
+    if not margin > 0.0:
+        raise ProjectionOutsideCone(f"projection margin {margin:.3e} is not positive")
     ds = support_function(problem, w)
     if not ds < 0.0:
         raise ProjectionOutsideCone(f"projected support {ds:.3e} is not negative")
@@ -367,8 +368,7 @@ def strict_unboundedness_certificate(problem: Problem, start: StartData,
             xhat = np.linalg.solve(kkt, rhs)[:problem.n]
     except np.linalg.LinAlgError as exc:
         raise ProjectionOutsideDomain(f"projection system singular: {exc}") from exc
-    margins = problem.barrier.margins(problem.A @ xhat, PRIMAL)
-    if not np.all(margins > 0.0):
-        raise ProjectionOutsideDomain(
-            f"projected point margin {float(np.min(margins)):.3e} is not positive")
+    margin = problem.barrier.min_margin(problem.A @ xhat, PRIMAL)
+    if not margin > 0.0:
+        raise ProjectionOutsideDomain(f"projected point margin {margin:.3e} is not positive")
     return Certificate(kind="unboundedness", strict=True, eps=eps, x=xhat)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ddsolve.barriers import BOX, CONJUGATE, HALFLINE_LOWER, HALFLINE_UPPER, PRIMAL
+from ddsolve.barriers import BOX, CONJUGATE, HALFLINE_LOWER, HALFLINE_UPPER, PRIMAL, SOC
 from ddsolve.errors import SolverError
 from ddsolve.model import Problem, StartData, support_function
 
@@ -70,6 +70,36 @@ def _batch_dist(problem, Z):
     return np.sqrt(sq)
 
 
+def batch_min_margin(atoms, Z, side=PRIMAL):
+    """Per-row smallest atom margin of the points Z (N x m), by the
+    per-atom formulas.  An interval atom's margin is min(w - lower,
+    upper - w), with w = z + d against the atom's bounds on the primal
+    side and w = z against its dual factor's on the conjugate side; a
+    cone's is w1 - |wbar|, with w = z + d or w = -z.  The tail norm is
+    each row's product with itself, the bits of a dot product."""
+    out = np.full(Z.shape[0], np.inf)
+    for atom in atoms:
+        W = Z[:, list(atom.coords)]
+        if side == PRIMAL:
+            W = W + atom.offset_vec
+        if atom.kind == SOC:
+            if side == CONJUGATE:
+                W = -W
+            tail = W[:, 1:]
+            sq = np.matmul(tail[:, None, :], tail[:, :, None])[:, 0, 0]
+            margin = W[:, 0] - np.sqrt(sq)
+        else:
+            if side == PRIMAL:
+                lo = -np.inf if atom.lower is None else atom.lower
+                hi = np.inf if atom.upper is None else atom.upper
+            else:
+                lo = 0.0 if atom.lower is None else -np.inf
+                hi = 0.0 if atom.upper is None else np.inf
+            margin = np.minimum(W[:, 0] - lo, hi - W[:, 0])
+        out = np.minimum(out, margin)
+    return out
+
+
 def _refine(objective, box, resolution, x_tol=1e-9):
     """Maximize a batch objective over the box by iterated regridding;
     each pass shrinks the search box to one grid cell around the incumbent
@@ -108,7 +138,7 @@ def _feasible_at(inst: OracleInstance, shift: np.ndarray) -> bool:
     problem = inst.problem
 
     def margin(X):
-        return problem.barrier.margins(X @ problem.A.T + shift).min(axis=-1)
+        return batch_min_margin(problem.atoms, X @ problem.A.T + shift)
 
     _, v = _refine(margin, inst.box, inst.resolution, x_tol=1e-9)
     return v >= 0.0
@@ -152,7 +182,7 @@ def compute_xbar1(inst: OracleInstance) -> CenterResult:
     barrier = problem.barrier
 
     def margin(X):
-        return problem.barrier.margins(X @ problem.A.T).min(axis=-1)
+        return batch_min_margin(problem.atoms, X @ problem.A.T)
 
     x0, v = _refine(margin, inst.box, inst.resolution, x_tol=1e-6)
     if not v > 0.0:

@@ -8,6 +8,7 @@ import pytest
 
 import ddsolve as dd
 from ddsolve.barriers import CONJUGATE, PRIMAL
+from oracles import batch_min_margin
 
 RNG_SEED = 20240817
 
@@ -393,10 +394,20 @@ def test_grouped_barrier_matches_one_atom_barriers(side):
                            rtol=1e-12, atol=1e-15)
         assert barrier.min_margin(z, side) == min(
             atom_margin(a, u, side) for a, u in local)
-        # a batch of points gives the per-point margins row by row
-        Z = np.stack([z, 2.0 * z - 1.0])
-        assert np.array_equal(barrier.margins(Z, side),
-                              np.stack([barrier.margins(Z[0], side), barrier.margins(Z[1], side)]))
+
+
+@pytest.mark.parametrize("side", [PRIMAL, CONJUGATE])
+def test_oracle_min_margin_matches_the_barrier_row_by_row(side):
+    # the oracles' batched per-atom formulas give DomainBarrier's margin
+    # bits at every point, inside D (or D*) and outside it
+    barrier = dd.DomainBarrier(GROUPED_ATOMS, GROUPED_M)
+    rng = np.random.default_rng(RNG_SEED + 14)
+    inside = np.stack([_sample_point(GROUPED_ATOMS, GROUPED_M, rng, side) for _ in range(20)])
+    Z = np.concatenate([inside, 2.0 * inside - 1.0, -inside,
+                        rng.normal(scale=3.0, size=(20, GROUPED_M))])
+    want = np.array([barrier.min_margin(z, side) for z in Z])
+    assert np.array_equal(batch_min_margin(GROUPED_ATOMS, Z, side), want)
+    assert np.sum(want > 0.0) >= 20 and np.sum(want < 0.0) >= 20
 
 
 @pytest.mark.parametrize("side", [PRIMAL, CONJUGATE])
@@ -463,8 +474,9 @@ def test_hessian_matches_closed_forms(side):
 def test_cone_interior_agrees_with_evaluation_at_the_boundary(side):
     # with the head equal to the tail norm, as a dot product or as a sum
     # of squares forms it, interior() is True exactly when grad, hess and
-    # grad_hess evaluate; both norms of the tails drawn here differ in
-    # their last bits
+    # grad_hess evaluate, and on the conjugate side support() is finite
+    # exactly when the margin is not negative; both norms of the tails
+    # drawn here differ in their last bits
     k = 9
     barrier = dd.DomainBarrier([dd.soc(range(k))], k)
     rng = np.random.default_rng(RNG_SEED + 11)
@@ -478,6 +490,8 @@ def test_cone_interior_agrees_with_evaluation_at_the_boundary(side):
             z = sign * np.concatenate([[head], tail])
             inside = barrier.interior(z, side)
             assert (barrier.min_margin(z, side) > 0.0) == inside
+            if side == CONJUGATE:
+                assert np.isfinite(barrier.support(z)) == (barrier.min_margin(z, side) >= 0.0)
             for evaluate in (barrier.grad, barrier.hess, barrier.grad_hess):
                 if inside:
                     evaluate(z, side)
@@ -505,6 +519,14 @@ def test_grouped_support_both_sides_of_the_dual_cone():
     # a halfline at y = 0 contributes 0, not inf * 0
     zero = dd.DomainBarrier([dd.halfline_lower(0, 1.0), dd.halfline_upper(1, 2.0)], 2)
     assert zero.support(np.zeros(2)) == 0.0
+    # at the boundary of each halfline's dual factor, the support is finite
+    # exactly when the margin is not negative
+    finite = []
+    for y in (0.0, -0.0, 5e-324, -5e-324):
+        for point in (np.array([y, 0.0]), np.array([0.0, y])):
+            finite.append(np.isfinite(zero.support(point)))
+            assert finite[-1] == (zero.min_margin(point, CONJUGATE) >= 0.0)
+    assert finite.count(False) == 2
 
 
 @pytest.mark.parametrize("side", [PRIMAL, CONJUGATE])
@@ -580,8 +602,8 @@ def test_slice_selectors_match_index_arrays(side):
             assert np.array_equal(moved(getattr(H1, op)(V)), getattr(H2, op)(moved(V)))
             assert np.array_equal(moved(getattr(H1, op)(dz)), getattr(H2, op)(moved(dz)))
         assert H1.inv_quad(dz) == H2.inv_quad(moved(dz))
-        Z = np.stack([z, 2.0 * z - 1.0])
-        assert np.array_equal(spread.margins(Z, side), packed.margins(moved(Z.T).T, side))
+        for point in (z, 2.0 * z - 1.0):
+            assert np.array_equal(spread.margins(point, side), packed.margins(moved(point), side))
         assert spread.step_to_boundary(z, dz, side) == packed.step_to_boundary(
             moved(z), moved(dz), side)
         assert spread.support(z) == packed.support(moved(z))

@@ -241,17 +241,42 @@ def test_tampered_point_of_certificate_with_tau_fails(atoms, c, kind):
 def test_certificate_with_negative_tau_fails(atoms, c, kind):
     # a negative tau makes P_feas = ||z0||/tau negative, so it passes
     # P_feas <= eps, and flips the sign of z0/tau in the image; the pair
-    # and the weak unbounded point must fail on tau itself
+    # and the weak unbounded point must fail on tau itself.  At tau = 0
+    # nothing may be divided by it: every check that needs 1/tau fails
     problem = dd.validate_problem(np.eye(2), c, atoms)
     start = dd.default_z0(problem)
     cert = dd.follow(problem, start, dd.FollowerOptions(eps=1e-6)).report.certificate
     assert cert.kind == kind and not cert.strict
     rep = verify_certificate(problem, start, cert)
     assert rep.passed and [ch.name for ch in rep.checks].count("tau > 0") == 1
-    for tau in (-cert.tau, -1e7):
+    needs_tau = {"Ax + z0/tau in domain (margins >= 0)", "gap <= eps", "P_feas <= eps",
+                 "D_feas <= eps"}
+    for tau in (-cert.tau, -1e7, 0.0):
         rep = verify_certificate(problem, start, replace(cert, tau=tau))
         assert "tau > 0" in rep.failed_names()
         assert [ch.value for ch in rep.checks if ch.name == "tau > 0"] == [tau]
+        assert needs_tau & {ch.name for ch in rep.checks} <= set(rep.failed_names())
+
+
+def test_margin_checks_fail_on_a_nan_entry(inf_problem, box_run, box_problem):
+    # a NaN coordinate has no margin: min_margin propagates it, and the
+    # membership checks read it as failed
+    problem, start = inf_problem
+    direction = Certificate(kind="infeasibility", strict=True, eps=np.nan,
+                            y=np.array([-1.0, -1.0]))
+    assert verify_certificate(problem, start, direction).passed
+    for strict in (True, False):
+        rep = verify_certificate(problem, start, replace(direction, strict=strict, eps=1e-6,
+                                                         y=np.array([np.nan, -1.0])))
+        check, = [ch for ch in rep.checks if ch.name == "y in dual cone (margins >= 0)"]
+        assert not check.passed and np.isnan(check.value)
+
+    problem, start = box_problem
+    pair = box_run.report.certificate
+    assert pair.kind == "optimal-pair" and verify_certificate(problem, start, pair).passed
+    rep = verify_certificate(problem, start, replace(pair, x=np.array([np.nan])))
+    check, = [ch for ch in rep.checks if ch.name == "Ax + z0/tau in domain (margins >= 0)"]
+    assert not check.passed and np.isnan(check.value)
 
 
 def test_emitted_certificates_always_verify(box_run, inf_run, unb_run, tangent_run):
