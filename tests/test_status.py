@@ -187,6 +187,16 @@ def test_strict_unboundedness_projection(unb_run, unb_problem):
     assert verify_certificate(problem, start, cert).passed
 
 
+def test_strict_unboundedness_projection_with_active_cut(unb_run, unb_problem):
+    # at the anchor the unconstrained projection misses <c, x> <= -1/eps,
+    # so the projection takes the cut as one more equality
+    problem, start = unb_problem
+    cert = dd.strict_unboundedness_certificate(problem, start, unb_run.iterates[0], 1e-6)
+    assert float(problem.c @ cert.x) <= -1e6
+    assert problem.barrier.min_margin(problem.A @ cert.x, "primal") > 0.0
+    assert verify_certificate(problem, start, cert).passed
+
+
 def test_strict_unboundedness_fixed_point(unb_run, unb_problem):
     # the shifted image point already satisfies the objective inequality,
     # so the projection returns it unchanged
