@@ -302,12 +302,20 @@ def iteration_limit_report(problem, start, point: Iterate) -> StatusReport:
     return report
 
 
-def _weighted_projection(metric, constraints, rhs, v):
-    """argmin (w-v)' H (w-v)  s.t.  constraints' w = rhs  (H = metric)."""
-    hinv_c = metric.solve(constraints)
-    normal = constraints.T @ hinv_c
-    lam = np.linalg.solve(normal, constraints.T @ v - rhs)
-    return v - hinv_c @ lam
+def _weighted_projection(hinv, constraints, rhs, v, cut, bound):
+    """argmin (w-v)' H (w-v)  s.t.  constraints' w = rhs  and  <cut, w> <= bound,
+    with ``hinv(B) = H^-1 B``.  Active set on the one cut: when the
+    projection onto the equalities breaks it, project again with the cut
+    as one more equality."""
+    def project(constraints, rhs):
+        hinv_c = hinv(constraints)
+        lam = np.linalg.solve(constraints.T @ hinv_c, constraints.T @ v - rhs)
+        return v - hinv_c @ lam
+
+    w = project(constraints, rhs)
+    if float(cut @ w) > bound:
+        w = project(np.column_stack([constraints, cut]), np.concatenate([rhs, [bound]]))
+    return w
 
 
 def strict_infeasibility_certificate(problem: Problem, start: StartData,
@@ -325,11 +333,8 @@ def strict_infeasibility_certificate(problem: Problem, start: StartData,
     bound = -INFEASIBILITY_PROJECTION_FACTOR * tau * problem.xi * problem.theta
 
     try:
-        w = _weighted_projection(metric, problem.A, np.zeros(problem.n), v)
-        if float(w @ start.z0) > bound:
-            constraints = np.column_stack([problem.A, start.z0])
-            rhs = np.concatenate([np.zeros(problem.n), [bound]])
-            w = _weighted_projection(metric, constraints, rhs, v)
+        w = _weighted_projection(metric.solve, problem.A, np.zeros(problem.n), v,
+                                 start.z0, bound)
     except np.linalg.LinAlgError as exc:
         raise ProjectionOutsideCone(f"projection system singular: {exc}") from exc
 
@@ -356,16 +361,13 @@ def strict_unboundedness_certificate(problem: Problem, start: StartData,
     u = shifted_image(problem, start, x, tau)
     metric = problem.barrier.hess(u, PRIMAL)
     try:
+        # in x-space the metric is A'HA, and the unconstrained projection
+        # is the least-squares fit of A x to u
         normal = problem.A.T @ metric.matvec(problem.A)
-        target = problem.A.T @ metric.matvec(u)
-        xhat = np.linalg.solve(normal, target)
-        if float(problem.c @ xhat) > -1.0 / eps:
-            kkt = np.zeros((problem.n + 1, problem.n + 1))
-            kkt[:problem.n, :problem.n] = normal
-            kkt[:problem.n, problem.n] = problem.c
-            kkt[problem.n, :problem.n] = problem.c
-            rhs = np.concatenate([target, [-1.0 / eps]])
-            xhat = np.linalg.solve(kkt, rhs)[:problem.n]
+        xhat = np.linalg.solve(normal, problem.A.T @ metric.matvec(u))
+        xhat = _weighted_projection(lambda b: np.linalg.solve(normal, b),
+                                    np.empty((problem.n, 0)), np.empty(0), xhat,
+                                    problem.c, -1.0 / eps)
     except np.linalg.LinAlgError as exc:
         raise ProjectionOutsideDomain(f"projection system singular: {exc}") from exc
     margin = problem.barrier.min_margin(problem.A @ xhat, PRIMAL)
