@@ -11,15 +11,17 @@ Problem files are JSON documents::
       "xi": 2.0, "kappa": 0.25   optional solver constants
     }
 
-Atom entries use 1-based coordinates: exactly one for a halfline or a
-box, at least two for a soc.  ``bounds`` is a number for the halfline
+An atom ``type`` is one of "halfline_lower", "halfline_upper", "box" and
+"soc".  Atom entries use 1-based coordinates: exactly one for a halfline
+or a box, at least two for a soc.  ``bounds`` is a number for the halfline
 types, a [lower, upper] pair for boxes and absent for a soc; ``offset`` is
 optional, a number for a one-coordinate atom and a vector of one entry per
-coordinate for a soc.  Every numeric entry must be a JSON number: a
-numeric string such as "1.0" or a boolean is an input error, and so is a
-non-finite bound or offset.  So is a key not listed here, in the file or
-in an atom entry: a misspelt optional key would silently solve another
-problem.
+coordinate for a soc.  Every numeric entry (``A``, ``c``, bounds, offsets,
+``z0``, ``xi``, ``kappa``) must be a JSON number a float can hold: a
+numeric string such as "1.0", a boolean or an integer beyond float range
+is an input error, and so is a non-finite entry.  So is a key not listed
+here, in the file or in an atom entry: a misspelt optional key would
+silently solve another problem.
 
 Exit codes: 0 eps-solution, 1 infeasible, 2 unbounded, 3 ill-conditioned
 (mu cap), 4 input error, 5 numerical failure or iteration limit.
@@ -29,8 +31,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import reprlib
 import sys
 from dataclasses import dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -50,7 +54,9 @@ def _is_integral(v) -> bool:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A JSON number a float can hold: ``json.load`` reads one as an int or a
+    float (NaN and infinities included), and an int may lie beyond float range."""
+    return type(v) is float or (type(v) is int and abs(v) <= sys.float_info.max)
 
 
 def _unknown_keys_error(entry: dict, known: frozenset, prefix: str = "") -> ParseError:
@@ -58,29 +64,27 @@ def _unknown_keys_error(entry: dict, known: frozenset, prefix: str = "") -> Pars
     return ParseError(f"unknown keys {unknown}", field=prefix + unknown[0])
 
 
-def _number(doc, key, default) -> float:
-    """Optional numeric entry: a JSON number or absent."""
-    value = doc.get(key, default)
-    if not _is_number(value):
-        raise ParseError(f"{key} must be a number, got {value!r}", field=key)
-    return float(value)
-
-
-def _atom_numbers(entry, index, key, count, default=None) -> list:
-    """Entry ``key`` of atom ``index`` as ``count`` JSON numbers: absent
-    when ``count`` is 0, one number when 1, a list of ``count`` numbers
-    otherwise.  An absent entry reads as ``default``."""
-    value = entry.get(key, default)
-    if count == 1 and _is_number(value):
-        return [value]
-    if (count > 1 and isinstance(value, list) and len(value) == count
-            and all(map(_is_number, value))):
-        return value
-    if count == 0 and key not in entry:
-        return []
-    shape = {0: "absent", 1: "a number"}.get(count, f"a list of {count} numbers")
-    raise ParseError(f"atom {index} {key} must be {shape}, got {value!r}",
-                     field=f"atoms[{index}].{key}")
+def _numbers(value, field, count=None, rows=None):
+    """The entry ``field`` when it holds JSON numbers: one number when
+    ``count`` is None, else a list of ``count`` numbers, or ``rows`` such
+    lists, read into one float array.  Anything else is a ParseError
+    naming ``field``."""
+    if count is None:
+        if _is_number(value):
+            return value
+        shape = "a number"
+    else:
+        grid = [value] if rows is None else value
+        # one pass over the types, and entry by entry only when one is not a float
+        if (type(grid) is list and len(grid) == (1 if rows is None else rows)
+                and all(type(row) is list and len(row) == count for row in grid)
+                and ({type(v) for row in grid for v in row} <= {float}
+                     or all(map(_is_number, chain.from_iterable(grid))))):
+            if rows is None:
+                return value
+            return np.fromiter(chain.from_iterable(grid), float, rows * count).reshape(rows, count)
+        shape = f"a list of {count} numbers" if rows is None else f"{rows} rows of {count} numbers"
+    raise ParseError(f"{field} must be {shape}, got {reprlib.repr(value)}", field=field)
 
 
 def _parse_atom(entry, index):
@@ -90,7 +94,7 @@ def _parse_atom(entry, index):
         raise _unknown_keys_error(entry, ATOM_KEYS, f"atoms[{index}].")
     kind = entry.get("type")
     coords = entry.get("coords")
-    if kind not in barriers.ATOM_THETA:
+    if type(kind) is not str or kind not in barriers.ATOM_THETA:
         raise ParseError(f"atom {index} has unknown type {kind!r}", field=f"atoms[{index}].type")
     if not isinstance(coords, list) or not coords:
         raise ParseError(f"atom {index} needs a coords list", field=f"atoms[{index}].coords")
@@ -106,13 +110,23 @@ def _parse_atom(entry, index):
     if any(i < 0 for i in zero_based):
         raise ParseError(f"atom {index} coords are 1-based", field=f"atoms[{index}].coords")
     takes_lower, takes_upper = barriers.ATOM_BOUNDS[kind]
-    bounds = _atom_numbers(entry, index, "bounds", takes_lower + takes_upper)
-    offset = _atom_numbers(entry, index, "offset", k, 0.0 if k == 1 else [0.0] * k)
+    prefix = f"atoms[{index}]."
+    lower = upper = None
+    if takes_lower and takes_upper:
+        lower, upper = _numbers(entry.get("bounds"), prefix + "bounds", 2)
+    elif takes_lower or takes_upper:
+        lower = upper = _numbers(entry.get("bounds"), prefix + "bounds")
+    elif "bounds" in entry:
+        raise ParseError(f"atom {index}: a {kind} atom takes no bounds", field=prefix + "bounds")
+    if k == 1:
+        offset = [_numbers(entry.get("offset", 0.0), prefix + "offset")]
+    else:
+        offset = _numbers(entry.get("offset", [0.0] * k), prefix + "offset", k)
     try:
         return barriers.BarrierAtom(kind, zero_based, offset,
-                                    lower=float(bounds[0]) if takes_lower else None,
-                                    upper=float(bounds[-1]) if takes_upper else None)
-    except (ValueError, OverflowError) as exc:
+                                    lower=float(lower) if takes_lower else None,
+                                    upper=float(upper) if takes_upper else None)
+    except ValueError as exc:
         raise ParseError(f"atom {index}: {exc}", field=f"atoms[{index}]") from exc
 
 
@@ -137,30 +151,16 @@ def parse_problem_file(path) -> tuple[Problem, StartData]:
         if not _is_integral(doc[key]):
             raise ParseError(f"{key} must be an integer, got {doc[key]!r}", field=key)
     n, m = int(doc["n"]), int(doc["m"])
-    try:
-        A = np.asarray(doc["A"])
-        c = np.asarray(doc["c"])
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad numeric data: {exc}") from exc
-    for key, data in (("A", A), ("c", c)):
-        # inferred, not converted: a numeric string would convert silently
-        if data.dtype.kind not in "iuf":
-            raise ParseError(f"{key} must hold JSON numbers only", field=key)
-    A, c = A.astype(float), c.astype(float)
-    if A.shape != (m, n):
-        raise ParseError(f"A has shape {A.shape}, expected ({m}, {n})", field="A")
-    if c.shape != (n,):
-        raise ParseError(f"c has length {c.shape}, expected {n}", field="c")
+    A = _numbers(doc["A"], "A", n, m)
+    c = np.array(_numbers(doc["c"], "c", n), dtype=float)
     if not isinstance(doc["atoms"], list):
         raise ParseError("atoms must be a list of atom objects", field="atoms")
     atoms = [_parse_atom(entry, i) for i, entry in enumerate(doc["atoms"])]
-    problem = validate_problem(A, c, atoms, xi=_number(doc, "xi", 2.0),
-                               kappa=_number(doc, "kappa", 0.25))
+    problem = validate_problem(A, c, atoms, xi=_numbers(doc.get("xi", 2.0), "xi"),
+                               kappa=_numbers(doc.get("kappa", 0.25), "kappa"))
     z0 = doc.get("z0")
     if z0 is not None:
-        if not isinstance(z0, list) or not all(_is_number(v) for v in z0):
-            raise ParseError("z0 must be a list of numbers", field="z0")
-        z0 = np.asarray(z0, dtype=float)
+        z0 = _numbers(z0, "z0", m)
     return problem, make_start(problem, z0)
 
 
@@ -242,17 +242,6 @@ def run_solve(problem: Problem, start: StartData, eps: float, *, strict: bool = 
     if trace_path is not None:
         write_trace(result.trace, trace_path)
     report = result.report
-
-    def plain(v):
-        if isinstance(v, (bool, np.bool_)):
-            return bool(v)
-        if isinstance(v, (int, np.integer)):
-            return int(v)
-        if isinstance(v, (float, np.floating)):
-            return float(v)
-        return v
-
-    diagnostics = {k: plain(v) for k, v in report.diagnostics.items()}
     verification = []
     if report.verification is not None:
         verification = [{"check": c.name, "passed": c.passed, "value": float(c.value)}
@@ -263,7 +252,7 @@ def run_solve(problem: Problem, start: StartData, eps: float, *, strict: bool = 
         certificate=_certificate_dict(report.certificate),
         objective_primal=None if report.objective_primal is None else float(report.objective_primal),
         objective_estimate=None if report.objective_estimate is None else float(report.objective_estimate),
-        diagnostics=diagnostics,
+        diagnostics=dict(report.diagnostics),
         verification=verification,
     )
 

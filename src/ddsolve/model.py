@@ -88,8 +88,10 @@ def validate_problem(A, c, atoms, xi: float = 2.0, kappa: float = 0.25) -> Probl
             f"atom coords {covered} do not partition the {m} image coordinates")
     xi = float(xi)
     kappa = float(kappa)
-    if not 1.0 < xi < np.inf:
-        raise BadConstants(f"xi must be finite and exceed 1, got {xi}")
+    theta = sum(a.theta for a in atoms)
+    if not (1.0 < xi and xi * theta < np.inf):  # y_tau0 and mu are formed with xi * theta
+        raise BadConstants(f"xi must exceed 1 and keep xi * theta finite, got xi={xi} "
+                           f"theta={theta}")
     if not kappa >= 0.0 or not xi - 1.0 - kappa > 0.0:
         raise BadConstants(f"need kappa >= 0 and xi - 1 - kappa > 0, got xi={xi} kappa={kappa}")
     if n > m:

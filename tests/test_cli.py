@@ -92,9 +92,21 @@ BOX_DOC = {"n": 1, "m": 1, "A": [[1.0]], "c": [1.0],
     ({"A": [["1.0"]]}, "A"),
     ({"A": [[True]]}, "A"),
     ({"c": ["1"]}, "c"),
+    # numpy inferred a float array here and solved the boolean as 1.0
+    ({"m": 2, "A": [[1.0], [True]], "atoms": [{"type": "soc", "coords": [1, 2]}]}, "A"),
+    ({"n": 2, "A": [[1.0, 0.0]], "c": [1.0, True]}, "c"),
+    # float() overflowed on these and the CLI exited 1 with a traceback
+    ({"xi": 10**400}, "xi"),
+    ({"kappa": 10**400}, "kappa"),
+    ({"z0": [10**400]}, "z0"),
+    ({"atoms": [{"type": "box", "coords": [1], "bounds": [0, 10**400]}]}, "atoms[0].bounds"),
+    ({"z0": [0.5, 0.5]}, "z0"),
     ({"atoms": [{"type": "box", "coords": [1], "bounds": ["0", "1"]}]}, "atoms[0].bounds"),
     ({"atoms": [{"type": "box", "coords": [1], "bounds": [0.0, 1.0], "offset": "0.5"}]},
      "atoms[0].offset"),
+    # an unhashable type raised TypeError in the kind lookup
+    ({"atoms": [{"type": ["box"], "coords": [1], "bounds": [0.0, 1.0]}]}, "atoms[0].type"),
+    ({"atoms": [{"type": {"box": 1}, "coords": [1], "bounds": [0.0, 1.0]}]}, "atoms[0].type"),
     # a non-finite bound or offset used to reach the solver
     ({"atoms": [{"type": "box", "coords": [1], "bounds": [0.0, float("inf")]}]}, "atoms[0]"),
     ({"atoms": [{"type": "box", "coords": [1], "bounds": [float("nan"), 1.0]}]}, "atoms[0]"),
@@ -121,7 +133,9 @@ BOX_DOC = {"n": 1, "m": 1, "A": [[1.0]], "c": [1.0],
     ({"xi": 3.0, "zeta": 1, "kapa": 0.9}, "kapa"),
 ], ids=["xi-null", "xi-text", "kappa-null", "kappa-list", "z0-text", "z0-null",
         "atoms-object", "atoms-number", "n-fractional", "m-fractional",
-        "A-text", "A-bool", "c-text", "bounds-text", "offset-text",
+        "A-text", "A-bool", "c-text", "A-bool-among-numbers", "c-bool-among-numbers",
+        "xi-huge-int", "kappa-huge-int", "z0-huge-int", "bounds-huge-int", "z0-length",
+        "bounds-text", "offset-text", "type-list", "type-object",
         "bounds-inf", "bounds-nan", "halfline-inf", "halfline-nan", "offset-nan",
         "halfline-bounds-bool", "box-bounds-bool", "soc-bounds", "offset-list",
         "offset-bool", "unknown-key", "atom-unknown-key", "unknown-keys"])
@@ -145,6 +159,20 @@ def test_non_finite_data_is_input_error(change, tmp_path, capsys):
         parse_problem_file(str(path))
     assert main(["solve", str(path)]) == 4
     assert "non-finite" in json.loads(capsys.readouterr().out)["error"]
+
+
+@pytest.mark.parametrize("argv,change", [([], {"xi": 9e307}), (["--xi", "9e307"], {})],
+                         ids=["file", "option"])
+def test_overflowing_xi_theta_is_input_error(argv, change, tmp_path, capsys):
+    # xi * theta = 1.8e308 overflowed y_tau0, and the first iterate raised
+    # DomainViolation out of the solve
+    path = tmp_path / "bad.dd"
+    path.write_text(json.dumps({**BOX_DOC, **change}))
+    if change:
+        with pytest.raises(dd.BadConstants):
+            parse_problem_file(str(path))
+    assert main(["solve", str(path), *argv]) == 4
+    assert "xi * theta" in json.loads(capsys.readouterr().out)["error"]
 
 
 def test_parse_rejects_scalar_soc_offset(tmp_path):

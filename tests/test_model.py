@@ -56,6 +56,10 @@ def test_validate_bad_constants():
     with pytest.raises(dd.BadConstants):
         # an infinite xi passes xi - 1 - kappa > 0 but makes mu NaN
         dd.validate_problem([[1.0]], [1.0], atoms, xi=np.inf)
+    with pytest.raises(dd.BadConstants):
+        # a finite xi whose xi * theta overflows made y_tau0 -inf and mu NaN;
+        # the box has theta 2, where one halfline's theta 1 cannot overflow
+        dd.validate_problem([[1.0]], [1.0], [dd.box(0, 0.0, 1.0)], xi=9e307)
 
 
 def test_validate_rejects_non_finite_data():
