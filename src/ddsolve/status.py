@@ -305,14 +305,14 @@ def iteration_limit_report(problem, start, point: Iterate) -> StatusReport:
 def _weighted_projection(hinv, constraints, rhs, v, cut, bound):
     """argmin (w-v)' H (w-v)  s.t.  constraints' w = rhs  and  <cut, w> <= bound,
     with ``hinv(B) = H^-1 B``.  Active set on the one cut: when the
-    projection onto the equalities breaks it, project again with the cut
-    as one more equality."""
+    projection onto the equalities (v itself when there are none) breaks
+    it, project again with the cut as one more equality."""
     def project(constraints, rhs):
         hinv_c = hinv(constraints)
         lam = np.linalg.solve(constraints.T @ hinv_c, constraints.T @ v - rhs)
         return v - hinv_c @ lam
 
-    w = project(constraints, rhs)
+    w = project(constraints, rhs) if constraints.size else v
     if float(cut @ w) > bound:
         w = project(np.column_stack([constraints, cut]), np.concatenate([rhs, [bound]]))
     return w
