@@ -74,15 +74,15 @@ def _numbers(value, field, count=None, rows=None):
             return value
         shape = "a number"
     else:
-        grid = [value] if rows is None else value
+        flat = value
+        if rows is not None:  # well-shaped rows are read as one flat list
+            shaped = (type(value) is list and len(value) == rows
+                      and all(type(row) is list and len(row) == count for row in value))
+            flat = list(chain.from_iterable(value)) if shaped else None
         # one pass over the types, and entry by entry only when one is not a float
-        if (type(grid) is list and len(grid) == (1 if rows is None else rows)
-                and all(type(row) is list and len(row) == count for row in grid)
-                and ({type(v) for row in grid for v in row} <= {float}
-                     or all(map(_is_number, chain.from_iterable(grid))))):
-            if rows is None:
-                return value
-            return np.fromiter(chain.from_iterable(grid), float, rows * count).reshape(rows, count)
+        if (type(flat) is list and len(flat) == (count if rows is None else rows * count)
+                and (set(map(type, flat)) <= {float} or all(map(_is_number, flat)))):
+            return value if rows is None else np.fromiter(flat, float).reshape(rows, count)
         shape = f"a list of {count} numbers" if rows is None else f"{rows} rows of {count} numbers"
     raise ParseError(f"{field} must be {shape}, got {reprlib.repr(value)}", field=field)
 
