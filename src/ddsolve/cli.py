@@ -64,11 +64,11 @@ def _unknown_keys_error(entry: dict, known: frozenset, prefix: str = "") -> Pars
     return ParseError(f"unknown keys {unknown}", field=prefix + unknown[0])
 
 
-def _numbers(value, field, count=None, rows=None):
-    """The entry ``field`` when it holds JSON numbers: one number when
-    ``count`` is None, else a list of ``count`` numbers, or ``rows`` such
-    lists, read into one float array.  Anything else is a ParseError
-    naming ``field``."""
+def _numbers(value, field, count=None, rows=None, atom=None):
+    """The entry ``field``, of atom entry ``atom`` when given, when it holds
+    JSON numbers: one number when ``count`` is None, else a list of
+    ``count`` numbers, or ``rows`` such lists, read into one float array.
+    Anything else is a ParseError naming the field."""
     if count is None:
         if _is_number(value):
             return value
@@ -77,13 +77,15 @@ def _numbers(value, field, count=None, rows=None):
         flat = value
         if rows is not None:  # well-shaped rows are read as one flat list
             shaped = (type(value) is list and len(value) == rows
-                      and all(type(row) is list and len(row) == count for row in value))
+                      and set(map(type, value)) <= {list} and set(map(len, value)) <= {count})
             flat = list(chain.from_iterable(value)) if shaped else None
         # one pass over the types, and entry by entry only when one is not a float
         if (type(flat) is list and len(flat) == (count if rows is None else rows * count)
                 and (set(map(type, flat)) <= {float} or all(map(_is_number, flat)))):
             return value if rows is None else np.fromiter(flat, float).reshape(rows, count)
         shape = f"a list of {count} numbers" if rows is None else f"{rows} rows of {count} numbers"
+    if atom is not None:
+        field = f"atoms[{atom}].{field}"
     raise ParseError(f"{field} must be {shape}, got {reprlib.repr(value)}", field=field)
 
 
@@ -110,18 +112,18 @@ def _parse_atom(entry, index):
     if any(i < 0 for i in zero_based):
         raise ParseError(f"atom {index} coords are 1-based", field=f"atoms[{index}].coords")
     takes_lower, takes_upper = barriers.ATOM_BOUNDS[kind]
-    prefix = f"atoms[{index}]."
     lower = upper = None
     if takes_lower and takes_upper:
-        lower, upper = _numbers(entry.get("bounds"), prefix + "bounds", 2)
+        lower, upper = _numbers(entry.get("bounds"), "bounds", 2, atom=index)
     elif takes_lower or takes_upper:
-        lower = upper = _numbers(entry.get("bounds"), prefix + "bounds")
+        lower = upper = _numbers(entry.get("bounds"), "bounds", atom=index)
     elif "bounds" in entry:
-        raise ParseError(f"atom {index}: a {kind} atom takes no bounds", field=prefix + "bounds")
+        raise ParseError(f"atom {index}: a {kind} atom takes no bounds",
+                         field=f"atoms[{index}].bounds")
     if k == 1:
-        offset = [_numbers(entry.get("offset", 0.0), prefix + "offset")]
+        offset = [_numbers(entry.get("offset", 0.0), "offset", atom=index)]
     else:
-        offset = _numbers(entry.get("offset", [0.0] * k), prefix + "offset", k)
+        offset = _numbers(entry.get("offset", [0.0] * k), "offset", k, atom=index)
     try:
         return barriers.BarrierAtom(kind, zero_based, offset,
                                     lower=float(lower) if takes_lower else None,
