@@ -59,8 +59,8 @@ class Problem:
 
     @cached_property
     def c_inf(self) -> float:
-        """||c||_inf (0 when there are no columns)."""
-        return float(np.max(np.abs(self.c))) if self.n else 0.0
+        """||c||_inf, 0 for an empty c (no columns)."""
+        return float(np.max(np.abs(self.c), initial=0.0))
 
     @cached_property
     def c_norm(self) -> float:

@@ -245,6 +245,33 @@ def test_atom_takes_exactly_its_kinds_bounds(kind, coords, bounds):
         dd.BarrierAtom(kind, coords, (0.0,) * len(coords), **bounds)
 
 
+@pytest.mark.parametrize("kind,coords,offset,bounds,match", [
+    ("ellipse", (0,), (0.0,), dict(), "unknown atom kind"),
+    ("box", (0,), (0.0, 0.0), dict(lower=0.0, upper=1.0), "offset length"),
+    ("soc", (0,), (0.0,), dict(), "at least 2 coordinates"),
+    ("halfline_lower", (0, 1), (0.0, 0.0), dict(lower=0.0), "exactly one coordinate"),
+    ("box", (0,), (0.0,), dict(lower=1.0, upper=1.0), "lower < upper"),
+    ("box", (0,), (0.0,), dict(lower=2.0, upper=1.0), "lower < upper"),
+], ids=["unknown-kind", "offset-length", "soc-one-coordinate", "halfline-two-coordinates",
+        "box-empty", "box-reversed"])
+def test_atom_shape_rejected(kind, coords, offset, bounds, match):
+    with pytest.raises(ValueError, match=match):
+        dd.BarrierAtom(kind, coords, offset, **bounds)
+
+
+@pytest.mark.parametrize("side", [PRIMAL, CONJUGATE])
+def test_infinite_cone_head_raises(side):
+    # head - t = inf passes the cone's slack test; only the finiteness
+    # check rejects the point
+    barrier = dd.DomainBarrier([dd.soc([0, 1])], 2)
+    z = np.array([np.inf, 0.0]) if side == PRIMAL else np.array([-np.inf, 0.0])
+    assert barrier.min_margin(z, side) == np.inf
+    assert not barrier.interior(z, side)
+    for evaluate in (barrier.grad_hess, barrier.value):
+        with pytest.raises(dd.DomainViolation, match="non-finite"):
+            evaluate(z, side)
+
+
 def test_domain_violation_raised():
     atom = dd.halfline_lower(0, lower=0.0)
     with pytest.raises(dd.DomainViolation):
@@ -561,6 +588,16 @@ def test_step_to_boundary_matches_bisection(side):
             else:
                 hi = mid
         assert t == pytest.approx(lo, rel=1e-9)
+
+
+@pytest.mark.parametrize("side", [PRIMAL, CONJUGATE])
+def test_cone_step_to_boundary_along_a_boundary_direction(side):
+    # dw = (-1, 1) lies on the cone's boundary, so the quadratic term of
+    # the exit equation vanishes and its one root, -c0/b, is exactly 1
+    barrier = dd.DomainBarrier([dd.soc([0, 1])], 2)
+    sign = 1.0 if side == PRIMAL else -1.0
+    z, dz = sign * np.array([2.0, 0.0]), sign * np.array([-1.0, 1.0])
+    assert barrier.step_to_boundary(z, dz, side) == 1.0
 
 
 def _consecutive_relabelling(atoms):

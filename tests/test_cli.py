@@ -131,6 +131,9 @@ BOX_DOC = {"n": 1, "m": 1, "A": [[1.0]], "c": [1.0],
     ({"atoms": [{"type": "box", "coords": [1], "bounds": [0.0, 1.0], "ofset": 0.5}]},
      "atoms[0].ofset"),
     ({"xi": 3.0, "zeta": 1, "kapa": 0.9}, "kapa"),
+    ({"atoms": [3]}, "atoms[0]"),
+    ({"atoms": [{"type": "box", "coords": [], "bounds": [0.0, 1.0]}]}, "atoms[0].coords"),
+    ({"atoms": [{"type": "box", "coords": [0], "bounds": [0.0, 1.0]}]}, "atoms[0].coords"),
 ], ids=["xi-null", "xi-text", "kappa-null", "kappa-list", "z0-text", "z0-null",
         "atoms-object", "atoms-number", "n-fractional", "m-fractional",
         "A-text", "A-bool", "c-text", "A-bool-among-numbers", "c-bool-among-numbers",
@@ -138,7 +141,8 @@ BOX_DOC = {"n": 1, "m": 1, "A": [[1.0]], "c": [1.0],
         "bounds-text", "offset-text", "type-list", "type-object",
         "bounds-inf", "bounds-nan", "halfline-inf", "halfline-nan", "offset-nan",
         "halfline-bounds-bool", "box-bounds-bool", "soc-bounds", "offset-list",
-        "offset-bool", "unknown-key", "atom-unknown-key", "unknown-keys"])
+        "offset-bool", "unknown-key", "atom-unknown-key", "unknown-keys",
+        "atom-not-object", "coords-empty", "coords-zero"])
 def test_parse_rejects_malformed_entry(change, field, tmp_path, capsys):
     path = tmp_path / "bad.dd"
     path.write_text(json.dumps({**BOX_DOC, **change}))
@@ -147,6 +151,21 @@ def test_parse_rejects_malformed_entry(change, field, tmp_path, capsys):
     assert err.value.field == field
     assert main(["solve", str(path)]) == 4
     assert f"(field: {field})" in json.loads(capsys.readouterr().out)["error"]
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"n": 1, "m": 1,', "Expecting property name"),
+    ("[1.0]", "must hold a JSON object"),
+    (json.dumps({key: v for key, v in BOX_DOC.items() if key != "A"}),
+     "missing required entry 'A'"),
+], ids=["malformed-json", "not-an-object", "missing-A"])
+def test_unreadable_document_is_input_error(text, message, tmp_path, capsys):
+    path = tmp_path / "bad.dd"
+    path.write_text(text)
+    with pytest.raises(dd.ParseError, match=message):
+        parse_problem_file(str(path))
+    assert main(["solve", str(path)]) == 4
+    assert message in json.loads(capsys.readouterr().out)["error"]
 
 
 @pytest.mark.parametrize("change", [{"A": [[float("nan")]]}, {"c": [float("inf")]}],
@@ -281,6 +300,51 @@ def test_strict_flag_on_unbounded(instance_path, capsys):
     assert out["certificate"]["kind"] == "unboundedness"
     assert out["certificate"]["strict"] is True
     assert out["diagnostics"]["strict_projection"] == "succeeded"
+
+
+def _refused_projection(*args):
+    raise dd.ProjectionOutsideCone("projected direction left the dual cone")
+
+
+def _unverified_projection(*args):
+    # a strict direction outside D*: A'y = 0, but every margin is negative
+    return dd.Certificate(kind="infeasibility", strict=True, eps=np.inf, y=np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("projector,note", [
+    (_refused_projection, "ProjectionOutsideCone: projected direction left the dual cone"),
+    (_unverified_projection,
+     "verification failed: y in dual cone (margins >= 0), support(y) <= -1 + 1e-8"),
+], ids=["projection-raises", "verification-fails"])
+def test_strict_flag_keeps_weak_certificate_on_failure(projector, note, instance_path, capsys,
+                                                      monkeypatch):
+    monkeypatch.setattr(dd.status, "strict_infeasibility_certificate", projector)
+    code = main(["solve", instance_path("inst_inf.dd"), "--eps", "1e-6", "--strict"])
+    assert code == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["certificate"]["kind"] == "infeasibility"
+    assert out["certificate"]["strict"] is False
+    assert all(check["passed"] for check in out["verification"])
+    assert out["diagnostics"]["strict_projection"] == note
+
+
+def test_problem_without_columns_solves(tmp_path, capsys):
+    # A is 2 x 0: the only unknowns are tau and y, and every formula of
+    # the follower reads empty x, c and A'y
+    doc = {"n": 0, "m": 2, "A": [[], []], "c": [],
+           "atoms": [{"type": "box", "coords": [1], "bounds": [0.0, 1.0]},
+                     {"type": "halfline_lower", "coords": [2], "bounds": 0.0}]}
+    path = tmp_path / "empty.dd"
+    path.write_text(json.dumps(doc))
+    problem, start = parse_problem_file(str(path))
+    assert problem.A.shape == (2, 0)
+    result = dd.follow(problem, start)
+    assert result.report.status == "EpsSolution"
+    assert result.report.x.shape == (0,)
+    assert result.invariant_violations == []
+    assert main(["solve", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "EpsSolution" and out["certificate"]["x"] == []
 
 
 def test_strict_flag_no_false_positive_on_box(instance_path, capsys):
