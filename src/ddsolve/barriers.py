@@ -41,6 +41,8 @@ ATOM_BOUNDS = {HALFLINE_LOWER: (True, False), HALFLINE_UPPER: (False, True),
 PRIMAL = "primal"
 CONJUGATE = "conjugate"
 
+_SQRT2 = np.sqrt(2.0)
+
 
 @dataclass(frozen=True)
 class BarrierAtom:
@@ -59,28 +61,29 @@ class BarrierAtom:
     theta: float = field(init=False)
 
     def __post_init__(self):
-        if self.kind not in ATOM_THETA:
-            raise ValueError(f"unknown atom kind {self.kind!r}")
-        object.__setattr__(self, "coords", tuple(int(i) for i in self.coords))
-        object.__setattr__(self, "offset", tuple(float(v) for v in self.offset))
-        object.__setattr__(self, "theta", ATOM_THETA[self.kind])
-        k = len(self.coords)
-        if len(self.offset) != k:
+        kind, lower, upper = self.kind, self.lower, self.upper
+        if kind not in ATOM_THETA:
+            raise ValueError(f"unknown atom kind {kind!r}")
+        coords, offset = tuple(map(int, self.coords)), tuple(map(float, self.offset))
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "theta", ATOM_THETA[kind])
+        k = len(coords)
+        if len(offset) != k:
             raise ValueError("offset length must match coords length")
-        if self.kind == SOC:
+        if kind == SOC:
             if k < 2:
                 raise ValueError("soc atom needs at least 2 coordinates")
         elif k != 1:
-            raise ValueError(f"{self.kind} atom takes exactly one coordinate")
-        if (self.lower is not None, self.upper is not None) != ATOM_BOUNDS[self.kind]:
-            takes = [name for name, used in zip(("lower", "upper"), ATOM_BOUNDS[self.kind])
-                     if used]
-            raise ValueError(f"{self.kind} atom takes bounds {takes}, "
-                             f"got lower={self.lower} upper={self.upper}")
-        for v in (*self.offset, self.lower, self.upper):
-            if v is not None and not math.isfinite(v):
-                raise ValueError(f"{self.kind} atom bounds and offset must be finite")
-        if self.kind == BOX and not self.lower < self.upper:
+            raise ValueError(f"{kind} atom takes exactly one coordinate")
+        takes = ATOM_BOUNDS[kind]
+        if (lower is not None, upper is not None) != takes:
+            takes = [name for name, used in zip(("lower", "upper"), takes) if used]
+            raise ValueError(f"{kind} atom takes bounds {takes}, "
+                             f"got lower={lower} upper={upper}")
+        if not all(map(math.isfinite, offset + tuple(v for v in (lower, upper) if v is not None))):
+            raise ValueError(f"{kind} atom bounds and offset must be finite")
+        if kind == BOX and not lower < upper:
             raise ValueError("box atom requires lower < upper")
 
     @property
@@ -113,7 +116,7 @@ def soc(coords: Sequence[int], offset: Sequence[float] | None = None) -> Barrier
 def _norm(t: np.ndarray):
     """Euclidean norm of a contiguous 1-d array: the formula np.linalg.norm
     itself uses for it, so the same bits, without its dispatch."""
-    return np.sqrt(t.dot(t))
+    return math.sqrt(t.dot(t))
 
 
 def _selector(coords):
@@ -130,7 +133,7 @@ def _selector(coords):
 def _first_exit(slack: np.ndarray, dslack: np.ndarray) -> float:
     """Smallest s > 0 at which some positive slack + s * dslack reaches 0."""
     hit = (dslack < 0.0) & (slack > 0.0)
-    return float(np.min(slack[hit] / -dslack[hit], initial=np.inf))
+    return float((slack[hit] / -dslack[hit]).min(initial=np.inf))
 
 
 class _IntervalGroup:
@@ -193,7 +196,7 @@ class _IntervalGroup:
         z: the bound slacks on the primal side, the box conjugate's slack
         pair on the conjugate side."""
         w, s_lo, s_hi = self._slacks(z, side)
-        if not np.all((s_lo > 0.0) & (s_hi > 0.0)):
+        if not ((s_lo > 0.0) & (s_hi > 0.0)).all():
             raise DomainViolation(f"interval atom: point not strictly interior ({side} side)")
         if side == CONJUGATE:
             s_lo, s_hi = self._box_slacks(w[self.nh:])
@@ -211,18 +214,21 @@ class _IntervalGroup:
         w, s_lo, s_hi = self._point(z, side)
         if side == PRIMAL:
             return -1.0 / s_lo + 1.0 / s_hi, _DiagonalBlock(1.0 / s_lo**2 + 1.0 / s_hi**2)
-        yh = w[:self.nh]
-        return (np.concatenate([self.half_bound - 1.0 / yh, self.box_lo + s_lo]),
-                _DiagonalBlock(np.concatenate([1.0 / yh**2,
-                                               1.0 / (1.0 / s_lo**2 + 1.0 / s_hi**2)])))
+        nh, yh = self.nh, w[:self.nh]
+        g, h = np.empty(w.shape), np.empty(w.shape)
+        np.subtract(self.half_bound, 1.0 / yh, out=g[:nh])
+        np.add(self.box_lo, s_lo, out=g[nh:])
+        np.divide(1.0, yh**2, out=h[:nh])
+        np.divide(1.0, 1.0 / s_lo**2 + 1.0 / s_hi**2, out=h[nh:])
+        return g, _DiagonalBlock(h)
 
     def support(self, y):
         y, s_lo, s_hi = self._slacks(y, CONJUGATE)
-        if not np.all((s_lo >= 0.0) & (s_hi >= 0.0)):
+        if not ((s_lo >= 0.0) & (s_hi >= 0.0)).all():
             return np.inf
         # at y = 0 the term is 0; an infinite bound must not meet it
         bound = np.where(y > 0.0, self.upper_sh, np.where(y < 0.0, self.lower_sh, 0.0))
-        return float(np.sum(bound * y))
+        return float((bound * y).sum())
 
     def step_to_boundary(self, z, dz, side):
         _, s_lo, s_hi = self._slacks(z, side)
@@ -244,6 +250,7 @@ class _ConeGroup:
         self.d = atom.offset_vec
         self.sign = np.ones(atom.dim)
         self.sign[1:] = -1.0
+        self.neg2sign = -2.0 * self.sign   # scaling by -2 is exact: same gradient bits
 
     def _slacks(self, z, side):
         """(w, head, t): the canonical cone point, its head and its tail
@@ -274,7 +281,7 @@ class _ConeGroup:
         # w = -y less <y, d>: its gradient is minus the primal one at w,
         # less d, and its Hessian the primal one at w
         w, head, t, q = self._interior(z, side)
-        g = -2.0 * (self.sign * w) / q
+        g = self.neg2sign * w / q
         return (g if side == PRIMAL else -g - self.d), _SocBlock(w, head, t)
 
     def support(self, y):
@@ -314,7 +321,7 @@ class _DiagonalBlock:
     """Diagonal metric block over the interval coordinates."""
 
     def __init__(self, h: np.ndarray):
-        if not np.all((h > 0.0) & (h < np.inf)):
+        if not ((h > 0.0) & (h < np.inf)).all():
             raise FactorizationFailure("diagonal metric entry is not positive and finite")
         self.h = h
 
@@ -331,7 +338,7 @@ class _DiagonalBlock:
         return float(self.h @ (v * v))
 
     def inv_quad(self, v):
-        return float(np.sum(v * v / self.h))
+        return float((v * v / self.h).sum())
 
 
 class _SocBlock:
@@ -347,7 +354,7 @@ class _SocBlock:
 
     def __init__(self, w: np.ndarray, head: float, t: float):
         margin = head - t
-        if not margin > 0.0 or not np.isfinite(margin):
+        if not margin > 0.0 or not math.isfinite(margin):
             raise FactorizationFailure("soc metric point is not interior to the cone")
         self.k = w.shape[0]
         self.unit = w[1:] / t if t > 0.0 else np.zeros(self.k - 1)
@@ -355,27 +362,36 @@ class _SocBlock:
         self.lam_minus = 2.0 / (head + t) ** 2
         self.lam_tail = 2.0 / (margin * (head + t))
 
+    def _unit_for(self, v):
+        """The tail's unit direction, as a column when v holds columns."""
+        return self.unit if v.ndim == 1 else self.unit[:, None]
+
     def _split(self, v):
-        head = v[0]
-        proj = self.unit @ v[1:]
-        perp = v[1:] - np.multiply.outer(self.unit, proj)
-        a = (head + proj) / np.sqrt(2.0)   # coefficient on (1, unit)/sqrt(2)
-        b = (head - proj) / np.sqrt(2.0)   # coefficient on (1, -unit)/sqrt(2)
+        """(a, b, perp); perp is a new array the callers may scale in place."""
+        head, tail = v[0], v[1:]
+        proj = self.unit @ tail
+        perp = self._unit_for(v) * proj
+        np.subtract(tail, perp, out=perp)
+        a = (head + proj) / _SQRT2   # coefficient on (1, unit)/sqrt(2)
+        b = (head - proj) / _SQRT2   # coefficient on (1, -unit)/sqrt(2)
         return a, b, perp
 
     def _assemble(self, a, b, perp):
-        out = np.empty((self.k,) + np.shape(a))
-        out[0] = (a + b) / np.sqrt(2.0)
-        out[1:] = np.multiply.outer(self.unit, (a - b) / np.sqrt(2.0)) + perp
+        out = np.empty((self.k,) + perp.shape[1:])
+        out[0] = (a + b) / _SQRT2
+        np.multiply(self._unit_for(perp), (a - b) / _SQRT2, out=out[1:])
+        out[1:] += perp
         return out
 
     def matvec(self, v):
         a, b, perp = self._split(v)
-        return self._assemble(self.lam_minus * a, self.lam_plus * b, self.lam_tail * perp)
+        perp *= self.lam_tail
+        return self._assemble(self.lam_minus * a, self.lam_plus * b, perp)
 
     def solve(self, v):
         a, b, perp = self._split(v)
-        return self._assemble(a / self.lam_minus, b / self.lam_plus, perp / self.lam_tail)
+        perp /= self.lam_tail
+        return self._assemble(a / self.lam_minus, b / self.lam_plus, perp)
 
     def quad(self, v):
         a, b, perp = self._split(v)
@@ -488,8 +504,12 @@ class DomainBarrier:
     def interior(self, z: np.ndarray, side: str = PRIMAL) -> bool:
         """Strict interiority, checked group by group: stops at the first
         group with a non-positive margin."""
-        return self._finite(z, side, strict=False) and all(
-            g.margins(z, side).min() > 0.0 for g in self.groups)
+        if not self._finite(z, side, strict=False):
+            return False
+        for g in self.groups:
+            if not g.margins(z, side).min() > 0.0:
+                return False
+        return True
 
     def step_to_boundary(self, z: np.ndarray, dz: np.ndarray, side: str = PRIMAL) -> float:
         """sup { t : z + s*dz stays in the closed set for s in [0, t] }.

@@ -11,6 +11,7 @@ anchored at a chosen interior point z0 with y0 the barrier gradient there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -160,7 +161,7 @@ def shifted_image(problem: Problem, start: StartData, x, tau: float) -> np.ndarr
 def dual_residual(problem: Problem, start: StartData, x, tau: float, y) -> float:
     """Norm of  A'y - A'y0 + (tau - 1) c."""
     r = problem.A.T @ (np.asarray(y) - start.y0) + (float(tau) - 1.0) * problem.c
-    return float(np.linalg.norm(r))
+    return math.sqrt(r.dot(r))
 
 
 def member_image(problem: Problem, start: StartData, x, tau: float, y):
@@ -221,7 +222,7 @@ def image_proximity(problem: Problem, u, v) -> float:
     conjugate gradient and Hessian come from one pass over the barrier
     groups, then one structured solve per group."""
     grad, metric = problem.barrier.grad_hess(v, CONJUGATE)
-    return float(np.sqrt(max(metric.inv_quad(u - grad), 0.0)))
+    return math.sqrt(max(metric.inv_quad(u - grad), 0.0))
 
 
 def proximity(problem: Problem, start: StartData, x, tau: float, y) -> float:

@@ -81,11 +81,11 @@ class Residuals:
         p = self.point
         tau, y = p.tau, p.y
         scale_dual = 1.0 + start.aty0_inf + tau * problem.c_inf
-        scale_cent = 1.0 + float(np.max(np.abs(y)))
+        scale_cent = 1.0 + float(np.abs(y).max())
         scale_gap = (1.0 + abs(float(problem.c @ p.x)) + abs(float(y @ p.u)) / tau
                      + problem.theta * problem.xi * p.mu / tau**2 + abs(start.y_tau0) / tau)
-        return max(abs(self.r_gap) / scale_gap, float(np.max(np.abs(self.r_cent))) / scale_cent,
-                   float(np.max(np.abs(self.r_dual), initial=0.0)) / scale_dual)
+        return max(abs(self.r_gap) / scale_gap, float(np.abs(self.r_cent).max()) / scale_cent,
+                   float(np.abs(self.r_dual).max(initial=0.0)) / scale_dual)
 
 
 @dataclass(frozen=True)
@@ -192,7 +192,7 @@ def _kkt_solve(problem, start, point: _Point, b_dual, b_cent, b_gap):
     n = problem.n
     x, tau, y, mu, u = point.x, point.tau, point.y, point.mu, point.u
     s = mu / tau
-    HB = point.H.matvec(np.column_stack([A, start.z0, u]))
+    HB = point.H.matvec(np.concatenate((A, start.z0[:, None], u[:, None]), axis=1))
     HA, Hz0, Hu = HB[:, :n], HB[:, n], HB[:, n + 1]
     p_vec = (mu / tau**2) * point.g + (mu / tau**3) * Hz0
 

@@ -19,6 +19,7 @@ tau.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -80,7 +81,8 @@ def stop_params(problem: Problem, start: StartData, x, tau: float, y) -> StopPar
         dst = ds / tau
         gap = abs(cx + dst) / (1.0 + abs(cx) + abs(dst))
     p_feas = start.z0_norm / tau
-    d_feas = float(np.linalg.norm(problem.A.T @ y / tau + problem.c)) / (1.0 + problem.c_norm)
+    r = problem.A.T @ y / tau + problem.c
+    d_feas = math.sqrt(r.dot(r)) / (1.0 + problem.c_norm)
     return StopParams(gap=float(gap), p_feas=p_feas, d_feas=d_feas)
 
 
@@ -271,7 +273,8 @@ def check_status(problem: Problem, start: StartData, point: Iterate, eps: float,
 
     # the support is formed only where the cheap norm test passes
     scaled = (tau / mu) * y
-    if ((tau / mu) * float(np.linalg.norm(problem.A.T @ y)) <= eps
+    aty = problem.A.T @ y
+    if ((tau / mu) * math.sqrt(aty.dot(aty)) <= eps
             and support_function(problem, scaled) < 0.0):
         return _certified(problem, start, point, INFEASIBILITY_CERTIFICATE, sp,
                           Certificate(kind="infeasibility", strict=False, eps=eps, y=scaled))

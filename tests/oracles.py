@@ -1,10 +1,14 @@
-"""Brute-force oracles for tiny instances (n <= 2).
+"""Brute-force oracles for tiny instances (n <= 2), and reference forms of
+the barrier's closed forms.
 
-These recompute analysis quantities independently of the path follower:
-grid search with refinement for feasibility measures, damped Newton for
-the analytic center shifted by the objective, bisection for the
-feasibility measure of strictly feasible instances.  They exist for the
-test suite and are not part of the installed package.
+The oracles recompute analysis quantities independently of the path
+follower: grid search with refinement for feasibility measures, damped
+Newton for the analytic center shifted by the objective, bisection for the
+feasibility measure of strictly feasible instances.  The reference forms
+(end of the file) compute the barrier's gradient, metric, margins and exit
+steps with plain numpy calls, to show that ``ddsolve.barriers`` gives the
+same bits.  All of them exist for the test suite and are not part of the
+installed package.
 """
 
 from __future__ import annotations
@@ -13,8 +17,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ddsolve.barriers import BOX, CONJUGATE, HALFLINE_LOWER, HALFLINE_UPPER, PRIMAL, SOC
-from ddsolve.errors import SolverError
+from ddsolve.barriers import (
+    BOX,
+    CONJUGATE,
+    HALFLINE_LOWER,
+    HALFLINE_UPPER,
+    PRIMAL,
+    SOC,
+    BlockMetric,
+    _ConeGroup,
+    _DiagonalBlock,
+    _SocBlock,
+)
+from ddsolve.errors import DomainViolation, FactorizationFailure, SolverError
 from ddsolve.model import Problem, StartData, support_function
 
 T_SUP_SENTINEL = 1.0e6
@@ -248,3 +263,133 @@ def oracle_sigma_f(inst: OracleInstance, start: StartData) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+# ------------------------------------------------- reference closed forms
+#
+# The closed forms of ddsolve.barriers written with the plain numpy calls:
+# np.multiply.outer, np.concatenate, np.linalg.norm, np.all, np.min and
+# np.sum.  The module performs the same float operations in the same order
+# through fewer numpy calls, so tests/test_barriers.py asserts equal bits.
+# Each function reads a DomainBarrier's groups and their bounds, nothing
+# the module computes from a point.
+
+
+class OuterSocBlock(_SocBlock):
+    """The cone's spectral Hessian block, split and assembled through
+    np.multiply.outer; ``quad`` and ``inv_quad`` read this ``_split``."""
+
+    def __init__(self, w, head, t):
+        margin = head - t
+        if not margin > 0.0 or not np.isfinite(margin):
+            raise FactorizationFailure("soc metric point is not interior to the cone")
+        self.k = w.shape[0]
+        self.unit = w[1:] / t if t > 0.0 else np.zeros(self.k - 1)
+        self.lam_plus = 2.0 / margin**2
+        self.lam_minus = 2.0 / (head + t) ** 2
+        self.lam_tail = 2.0 / (margin * (head + t))
+
+    def _split(self, v):
+        head = v[0]
+        proj = self.unit @ v[1:]
+        perp = v[1:] - np.multiply.outer(self.unit, proj)
+        return (head + proj) / np.sqrt(2.0), (head - proj) / np.sqrt(2.0), perp
+
+    def _assemble(self, a, b, perp):
+        out = np.empty((self.k,) + np.shape(a))
+        out[0] = (a + b) / np.sqrt(2.0)
+        out[1:] = np.multiply.outer(self.unit, (a - b) / np.sqrt(2.0)) + perp
+        return out
+
+    def matvec(self, v):
+        a, b, perp = self._split(v)
+        return self._assemble(self.lam_minus * a, self.lam_plus * b, self.lam_tail * perp)
+
+    def solve(self, v):
+        a, b, perp = self._split(v)
+        return self._assemble(a / self.lam_minus, b / self.lam_plus, perp / self.lam_tail)
+
+
+class SumDiagonalBlock(_DiagonalBlock):
+    """The interval coordinates' diagonal metric block, reduced through
+    np.all and np.sum."""
+
+    def __init__(self, h):
+        if not np.all((h > 0.0) & (h < np.inf)):
+            raise FactorizationFailure("diagonal metric entry is not positive and finite")
+        self.h = h
+
+    def inv_quad(self, v):
+        return float(np.sum(v * v / self.h))
+
+
+def _cone_point(group, z, side):
+    """(w, head, t) of a cone group at z, the tail norm t by np.linalg.norm."""
+    w = z[group.sel]
+    w = w + group.d if side == PRIMAL else -w
+    return w, w[0], np.linalg.norm(w[1:])
+
+
+def reference_margins(barrier, z, side=PRIMAL) -> list:
+    """Each group's margins at z: min(s_lo, s_hi) per interval atom, head
+    minus tail norm per cone."""
+    out = []
+    for group in barrier.groups:
+        if isinstance(group, _ConeGroup):
+            _, head, t = _cone_point(group, z, side)
+            out.append((head - t)[None])
+        else:
+            _, s_lo, s_hi = group._slacks(z, side)
+            out.append(np.minimum(s_lo, s_hi))
+    return out
+
+
+def reference_interior(barrier, z, side=PRIMAL) -> bool:
+    return bool(np.isfinite(z).all()) and all(
+        np.min(m) > 0.0 for m in reference_margins(barrier, z, side))
+
+
+def reference_grad_hess(barrier, z, side=PRIMAL) -> tuple:
+    """(gradient, metric) at z, the metric a BlockMetric of OuterSocBlock
+    and SumDiagonalBlock; the interval conjugate forms its two halves and
+    joins them with np.concatenate."""
+    if not reference_interior(barrier, z, side):
+        raise DomainViolation(f"point not strictly interior ({side} side)")
+    grad, blocks = np.zeros(barrier.m), []
+    for group in barrier.groups:
+        if isinstance(group, _ConeGroup):
+            w, head, t = _cone_point(group, z, side)
+            g = -2.0 * (group.sign * w) / ((head - t) * (head + t))
+            grad[group.sel] = g if side == PRIMAL else -g - group.d
+            blocks.append((group.sel, OuterSocBlock(w, head, t)))
+            continue
+        w, s_lo, s_hi = group._slacks(z, side)
+        if side == PRIMAL:
+            grad[group.sel] = -1.0 / s_lo + 1.0 / s_hi
+            h = 1.0 / s_lo**2 + 1.0 / s_hi**2
+        else:
+            yh = w[:group.nh]
+            s_lo, s_hi = group._box_slacks(w[group.nh:])
+            grad[group.sel] = np.concatenate([group.half_bound - 1.0 / yh, group.box_lo + s_lo])
+            h = np.concatenate([1.0 / yh**2, 1.0 / (1.0 / s_lo**2 + 1.0 / s_hi**2)])
+        blocks.append((group.sel, SumDiagonalBlock(h)))
+    return grad, BlockMetric(barrier.m, blocks)
+
+
+def _first_exit(slack, dslack) -> float:
+    hit = (dslack < 0.0) & (slack > 0.0)
+    return float(np.min(slack[hit] / -dslack[hit], initial=np.inf))
+
+
+def reference_step_to_boundary(barrier, z, dz, side=PRIMAL) -> float:
+    """The exit step along dz, each interval slack's through np.min.  A
+    cone's step reads no norm, so it is the group's own."""
+    steps = []
+    for group in barrier.groups:
+        if isinstance(group, _ConeGroup):
+            steps.append(group.step_to_boundary(z, dz, side))
+        else:
+            _, s_lo, s_hi = group._slacks(z, side)
+            dw = dz[group.sel]
+            steps.append(min(_first_exit(s_lo, dw), _first_exit(s_hi, -dw)))
+    return min(steps, default=np.inf)

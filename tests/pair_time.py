@@ -1,0 +1,114 @@
+"""Time two checkouts of the solver against each other on the same problems.
+
+    python tests/pair_time.py PARENT CHANGE --workload certify --pairs 20
+
+PARENT and CHANGE are checkout roots, each with ``src/ddsolve``.  Both
+packages are loaded into this one process under distinct names, so they
+share the interpreter, the numpy build and the machine's state.
+
+The instances are generated once, through ``bench/families.py`` with the
+workload definitions of ``bench/harness.py`` (both only read), and written
+as problem files that both sides parse.  Each pair solves every instance
+once on each side, one side right after the other; the side that goes
+first alternates from pair to pair, so a drift in the host's speed or a
+warm-cache advantage falls on both.  Only the solve is timed: up to the
+report JSON of ``cli.run_solve(strict=True)`` on a CLI workload, as the
+benchmark does, and ``follow`` otherwise.  Each solve gets a freshly parsed
+problem.
+
+Printed: the median over all solve pairs of the change's time divided by
+the parent's, the number of pairs, and each side's median solve time.
+Only public API is used, like ``tests/digest.py``.
+"""
+
+import argparse
+import importlib
+import importlib.util
+import os
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+# one BLAS thread unless the caller says otherwise, as bench/run.py does
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+import harness  # noqa: E402
+
+INSTANCES = 8   # solved per pair and side: 160 solve pairs at 20 pairs
+
+
+def load_side(root: Path, name: str):
+    """The ``cli`` module and package of ``root/src/ddsolve``, imported as
+    package ``name``."""
+    init = root / "src" / "ddsolve" / "__init__.py"
+    if not init.is_file():
+        raise SystemExit(f"no solver sources under {root}/src/ddsolve")
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return importlib.import_module(f"{name}.cli"), package
+
+
+def solve_seconds(side, workload, file) -> float:
+    """Wall time of one solve of a freshly parsed problem file."""
+    cli, dd = side
+    problem, start = cli.parse_problem_file(file)
+    t0 = time.perf_counter()
+    if workload.via_cli:
+        cli.run_solve(problem, start, harness.EPS, strict=True).to_json()
+    else:
+        dd.follow(problem, start, dd.FollowerOptions(eps=harness.EPS))
+    return time.perf_counter() - t0
+
+
+def pair_times(sides, workload, files, pairs: int) -> list:
+    """(parent, change) seconds of every solve pair, pair by pair."""
+    out = []
+    for p in range(pairs):
+        order = (0, 1) if p % 2 == 0 else (1, 0)
+        for file in files:
+            t = [0.0, 0.0]
+            for i in order:
+                t[i] = solve_seconds(sides[i], workload, file)
+            out.append(tuple(t))
+    return out
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="checkout root of the parent")
+    parser.add_argument("change", type=Path, help="checkout root of the change")
+    parser.add_argument("--workload", choices=sorted(harness.WORKLOADS), required=True)
+    parser.add_argument("--pairs", type=int, default=20, help="pairs (default 20)")
+    parser.add_argument("--seed", type=int, default=1, help="instance seed (default 1)")
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    if args.pairs < 1:
+        raise SystemExit("--pairs must be at least 1")
+    workload = harness.WORKLOADS[args.workload]
+    sides = (load_side(args.parent.resolve(), "ddsolve_parent"),
+             load_side(args.change.resolve(), "ddsolve_change"))
+    with tempfile.TemporaryDirectory() as tmp:
+        instances = harness.make_instances(workload, args.seed, INSTANCES)
+        files = harness.write_problem_files(instances, Path(tmp))
+        times = pair_times(sides, workload, files, args.pairs)
+    ratio = statistics.median(change / parent for parent, change in times)
+    print(f"workload {args.workload}: {args.pairs} pairs of {len(files)} solves per side")
+    print(f"median per-solve ratio change/parent {ratio:.4f}")
+    print(f"median solve s parent {statistics.median(t[0] for t in times):.6f} "
+          f"change {statistics.median(t[1] for t in times):.6f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,7 +8,13 @@ import pytest
 
 import ddsolve as dd
 from ddsolve.barriers import CONJUGATE, PRIMAL
-from oracles import batch_min_margin
+from oracles import (
+    batch_min_margin,
+    reference_grad_hess,
+    reference_interior,
+    reference_margins,
+    reference_step_to_boundary,
+)
 
 RNG_SEED = 20240817
 
@@ -659,3 +665,92 @@ def test_selector_is_a_slice_exactly_for_consecutive_coordinates():
     assert sel == slice(1, 3)
     sel, = selectors([dd.box(1, 0.0, 1.0), dd.halfline_lower(2)], 3)
     assert np.array_equal(sel, [2, 1])
+
+
+def _near_boundary(atom, rng, side, rel):
+    """An atom-local point at relative margin ``rel`` from the boundary of
+    the atom's set (side PRIMAL) or of its dual factor (CONJUGATE); outside
+    when ``rel`` < 0.  A box's dual factor is the line: a large |y| there."""
+    if atom.kind == "soc":
+        tail = rng.normal(size=atom.dim - 1)
+        w = np.concatenate([[np.linalg.norm(tail) * (1.0 + rel)], tail])
+        return w - atom.offset_vec if side == PRIMAL else -w
+    if side == CONJUGATE:
+        if atom.kind == "box":
+            return np.array([rng.choice([-1e6, 1e6])])
+        return np.array([rel if atom.kind == "halfline_upper" else -rel])
+    lo, hi = atom.lower, atom.upper
+    if atom.kind == "box":
+        gap = rel * (hi - lo)
+        w = lo + gap if rng.uniform() < 0.5 else hi - gap
+    elif atom.kind == "halfline_lower":
+        w = lo + rel * (1.0 + abs(lo))
+    else:
+        w = hi - rel * (1.0 + abs(hi))
+    return np.array([w]) - atom.offset_vec
+
+
+def _exactness_points(rng, side):
+    """GROUPED_ATOMS points: random interior ones, each again with every
+    cone tail set to 0, points with every atom 1e-12 inside its boundary,
+    and the same with one atom 1e-12 outside (on the conjugate side a box
+    has no outside)."""
+    for _ in range(10):
+        z = _sample_point(GROUPED_ATOMS, GROUPED_M, rng, side)
+        yield z
+        flat = z.copy()
+        for atom in GROUPED_ATOMS:
+            if atom.kind == "soc":
+                flat[list(atom.coords[1:])] = -atom.offset_vec[1:] if side == PRIMAL else 0.0
+        yield flat
+        near = [_near_boundary(a, rng, side, 1e-12) for a in GROUPED_ATOMS]
+        yield _scatter(list(zip(GROUPED_ATOMS, near)))
+        out = int(rng.integers(len(GROUPED_ATOMS)))
+        if GROUPED_ATOMS[out].kind != "box" or side == PRIMAL:
+            near[out] = _near_boundary(GROUPED_ATOMS[out], rng, side, -1e-12)
+            yield _scatter(list(zip(GROUPED_ATOMS, near)))
+
+
+def _zero_tails(z, side) -> int:
+    """How many GROUPED_ATOMS cones have tail exactly 0 at z."""
+    count = 0
+    for atom in GROUPED_ATOMS:
+        if atom.kind == "soc":
+            tail = z[list(atom.coords[1:])]
+            count += not np.any(tail + atom.offset_vec[1:] if side == PRIMAL else tail)
+    return count
+
+
+@pytest.mark.parametrize("side", [PRIMAL, CONJUGATE])
+def test_closed_forms_equal_their_plain_numpy_forms(side):
+    # bit for bit, never approximately: the barrier's closed forms against
+    # the reference forms of tests/oracles.py (np.multiply.outer split and
+    # assembly, the concatenated interval conjugate, np.linalg.norm)
+    barrier = dd.DomainBarrier(GROUPED_ATOMS, GROUPED_M)
+    rng = np.random.default_rng(RNG_SEED + 14)
+    flat_tails = outside = 0
+    for z in _exactness_points(rng, side):
+        margins = reference_margins(barrier, z, side)
+        assert np.array_equal(barrier.margins(z, side), np.concatenate(margins))
+        inside = reference_interior(barrier, z, side)
+        assert barrier.interior(z, side) == inside
+        if not inside:
+            outside += 1
+            with pytest.raises(dd.DomainViolation):
+                barrier.grad_hess(z, side)
+            with pytest.raises(dd.DomainViolation):
+                reference_grad_hess(barrier, z, side)
+            continue
+        flat_tails += _zero_tails(z, side)
+        (g, H), (g_ref, H_ref) = barrier.grad_hess(z, side), reference_grad_hess(barrier, z, side)
+        assert np.array_equal(g, g_ref)
+        v, V = rng.normal(size=GROUPED_M), rng.normal(size=(GROUPED_M, 5))
+        dz = rng.normal(size=GROUPED_M)
+        for op in ("matvec", "solve"):
+            assert np.array_equal(getattr(H, op)(v), getattr(H_ref, op)(v))
+            assert np.array_equal(getattr(H, op)(V), getattr(H_ref, op)(V))
+        assert H.quad(v) == H_ref.quad(v)
+        assert H.inv_quad(v) == H_ref.inv_quad(v)
+        assert barrier.step_to_boundary(z, dz, side) == reference_step_to_boundary(
+            barrier, z, dz, side)
+    assert outside >= 5 and flat_tails == 20
