@@ -191,12 +191,16 @@ class _IntervalGroup:
         _, s_lo, s_hi = self._slacks(z, side)
         return np.minimum(s_lo, s_hi)
 
+    def interior(self, z, side):
+        _, s_lo, s_hi = self._slacks(z, side)
+        return np.minimum(s_lo, s_hi).min() > 0.0
+
     def _point(self, z, side):
         """(w, s_lo, s_hi) read by the closed forms at a strictly interior
         z: the bound slacks on the primal side, the box conjugate's slack
         pair on the conjugate side."""
         w, s_lo, s_hi = self._slacks(z, side)
-        if not ((s_lo > 0.0) & (s_hi > 0.0)).all():
+        if not np.minimum(s_lo, s_hi).min() > 0.0:
             raise DomainViolation(f"interval atom: point not strictly interior ({side} side)")
         if side == CONJUGATE:
             s_lo, s_hi = self._box_slacks(w[self.nh:])
@@ -259,7 +263,11 @@ class _ConeGroup:
         w = w + self.d if side == PRIMAL else -w
         return w, w[0], _norm(w[1:])
 
-    def _interior(self, z, side):
+    def interior(self, z, side):
+        _, head, t = self._slacks(z, side)
+        return head - t > 0.0
+
+    def _point(self, z, side):
         """(w, head, t, q) of a strictly interior z, q = (head - t)(head + t)."""
         w, head, t = self._slacks(z, side)
         if not head - t > 0.0:
@@ -271,7 +279,7 @@ class _ConeGroup:
         return (head - t)[None]
 
     def value(self, z, side):
-        _, _, _, q = self._interior(z, side)
+        _, _, _, q = self._point(z, side)
         if side == PRIMAL:
             return -np.log(q)
         return -2.0 + np.log(4.0) - np.log(q) - z[self.sel] @ self.d
@@ -280,7 +288,7 @@ class _ConeGroup:
         # up to a constant, the conjugate at y is the primal barrier at
         # w = -y less <y, d>: its gradient is minus the primal one at w,
         # less d, and its Hessian the primal one at w
-        w, head, t, q = self._interior(z, side)
+        w, head, t, q = self._point(z, side)
         g = self.neg2sign * w / q
         return (g if side == PRIMAL else -g - self.d), _SocBlock(w, head, t)
 
@@ -294,8 +302,9 @@ class _ConeGroup:
         w, head, _ = self._slacks(z, side)
         dw = dz[self.sel] if side == PRIMAL else -dz[self.sel]
         # boundary of {w1 >= |wbar|} along the ray: quadratic in s
-        a = float(dw @ (self.sign * dw))
-        b = 2.0 * float(w @ (self.sign * dw))
+        sdw = self.sign * dw
+        a = float(dw @ sdw)
+        b = 2.0 * float(w @ sdw)
         c0 = float(w @ (self.sign * w))
         roots = []
         if abs(a) > 0.0:
@@ -502,12 +511,12 @@ class DomainBarrier:
         return float(np.min(self.margins(z, side)))
 
     def interior(self, z: np.ndarray, side: str = PRIMAL) -> bool:
-        """Strict interiority, checked group by group: stops at the first
-        group with a non-positive margin."""
+        """Strict interiority: z is finite, then each group in turn tests
+        its slacks as its closed forms do; stops at the first one outside."""
         if not self._finite(z, side, strict=False):
             return False
         for g in self.groups:
-            if not g.margins(z, side).min() > 0.0:
+            if not g.interior(z, side):
                 return False
         return True
 

@@ -211,9 +211,17 @@ def scaled_dual(problem: Problem, tau: float, y, mu: float) -> np.ndarray:
 def proximity_at(problem: Problem, start: StartData, x, tau: float, y, mu: float) -> float:
     """Distance to the path point at parameter ``mu``:
     || A x + z0/tau - conj_grad((tau/mu) y) ||  in the inverse conjugate-
-    Hessian norm at (tau/mu) y, with both points formed and checked here."""
-    v = scaled_dual(problem, tau, y, mu)
-    return image_proximity(problem, shifted_image(problem, start, x, tau), v)
+    Hessian norm at v = (tau/mu) y, with both points formed here.  Raises
+    :func:`scaled_dual`'s DomainViolations; the conjugate gradient and
+    Hessian at v, formed before the shifted image, are v's one check."""
+    if not mu > 0.0:
+        raise DomainViolation(f"path parameter must be positive, got {mu}")
+    v = (float(tau) / float(mu)) * np.asarray(y, dtype=float)
+    try:
+        grad, metric = problem.barrier.grad_hess(v, CONJUGATE)
+    except DomainViolation as exc:
+        raise DomainViolation("scaled dual point left the dual cone interior") from exc
+    return math.sqrt(max(metric.inv_quad(shifted_image(problem, start, x, tau) - grad), 0.0))
 
 
 def image_proximity(problem: Problem, u, v) -> float:

@@ -67,22 +67,25 @@ class Residuals:
 
     All three vanish together exactly when the point solves the system at
     that mu (interiority is enforced as a domain condition, not a residual).
-    ``point`` is the evaluated point they were formed at.
+    ``point`` is the evaluated point they were formed at; ``cx`` = <c, x>
+    and ``yu`` = <y, u> there, formed for r_gap, scale it too.
     """
 
     r_dual: np.ndarray
     r_cent: np.ndarray
     r_gap: float
     point: Iterate
+    cx: float
+    yu: float
 
     def scaled_norm(self, problem: Problem, start: StartData) -> float:
         """Max residual norm, each block scaled by its natural magnitude at
         ``point``."""
         p = self.point
-        tau, y = p.tau, p.y
+        tau = p.tau
         scale_dual = 1.0 + start.aty0_inf + tau * problem.c_inf
-        scale_cent = 1.0 + float(np.abs(y).max())
-        scale_gap = (1.0 + abs(float(problem.c @ p.x)) + abs(float(y @ p.u)) / tau
+        scale_cent = 1.0 + float(np.abs(p.y).max())
+        scale_gap = (1.0 + abs(self.cx) + abs(self.yu) / tau
                      + problem.theta * problem.xi * p.mu / tau**2 + abs(start.y_tau0) / tau)
         return max(abs(self.r_gap) / scale_gap, float(np.abs(self.r_cent).max()) / scale_cent,
                    float(np.abs(self.r_dual).max(initial=0.0)) / scale_dual)
@@ -169,9 +172,10 @@ def _residuals(problem, start, point: _Point) -> Residuals:
     x, tau, y, mu = point.x, point.tau, point.y, point.mu
     r_dual = problem.A.T @ (y - start.y0) + (tau - 1.0) * problem.c
     r_cent = y - (mu / tau) * point.g
-    r_gap = (float(problem.c @ x) + float(y @ point.u) / tau
-             + problem.theta * problem.xi * mu / tau**2 + start.y_tau0 / tau)
-    return Residuals(r_dual=r_dual, r_cent=r_cent, r_gap=float(r_gap), point=point)
+    cx, yu = float(problem.c @ x), float(y @ point.u)
+    r_gap = cx + yu / tau + problem.theta * problem.xi * mu / tau**2 + start.y_tau0 / tau
+    return Residuals(r_dual=r_dual, r_cent=r_cent, r_gap=float(r_gap), point=point,
+                     cx=cx, yu=yu)
 
 
 def residuals(problem: Problem, start: StartData, x, tau: float, y, mu: float) -> Residuals:

@@ -160,13 +160,13 @@ def verify_certificate(problem: Problem, start: StartData, cert: Certificate) ->
         margin = problem.barrier.min_margin(cert.y, CONJUGATE)
         ds = support_function(problem, cert.y)
         if cert.strict:
-            rep.add("ATy_inf_norm <= 1e-8", float(np.max(np.abs(aty), initial=0.0)) <= 1e-8,
-                    float(np.max(np.abs(aty), initial=0.0)))
+            aty_inf = float(np.max(np.abs(aty), initial=0.0))
+            rep.add("ATy_inf_norm <= 1e-8", aty_inf <= 1e-8, aty_inf)
             rep.add("y in dual cone (margins >= 0)", margin >= 0.0, margin)
             rep.add("support(y) <= -1 + 1e-8", ds <= -1.0 + 1e-8, ds)
         else:
-            rep.add("||A'y|| <= eps", float(np.linalg.norm(aty)) <= cert.eps,
-                    float(np.linalg.norm(aty)))
+            aty_norm = float(np.linalg.norm(aty))
+            rep.add("||A'y|| <= eps", aty_norm <= cert.eps, aty_norm)
             rep.add("y in dual cone (margins >= 0)", margin >= 0.0, margin)
             rep.add("support(y) < 0", ds < 0.0, ds)
     elif cert.kind == "unboundedness":
@@ -271,11 +271,11 @@ def check_status(problem: Problem, start: StartData, point: Iterate, eps: float,
                           Certificate(kind="optimal-pair", strict=False, eps=eps,
                                       x=x, y=y / tau, tau=tau))
 
-    # the support is formed only where the cheap norm test passes
-    scaled = (tau / mu) * y
+    # the scaled dual and its support are formed only where the cheap norm
+    # test passes
     aty = problem.A.T @ y
     if ((tau / mu) * math.sqrt(aty.dot(aty)) <= eps
-            and support_function(problem, scaled) < 0.0):
+            and support_function(problem, scaled := (tau / mu) * y) < 0.0):
         return _certified(problem, start, point, INFEASIBILITY_CERTIFICATE, sp,
                           Certificate(kind="infeasibility", strict=False, eps=eps, y=scaled))
 

@@ -17,8 +17,11 @@ benchmark does, and ``follow`` otherwise.  Each solve gets a freshly parsed
 problem.
 
 Printed: the median over all solve pairs of the change's time divided by
-the parent's, the number of pairs, and each side's median solve time.
-Only public API is used, like ``tests/digest.py``.
+the parent's, the number of pairs, each side's median solve time, and the
+rule of a claimed gain: in how many pairs the change's median solve was
+faster than the parent's, and the parent's per-solve IQR, the distance
+between the quartiles of its pair medians (0 for one pair).  Only public
+API is used, like ``tests/digest.py``.
 """
 
 import argparse
@@ -81,6 +84,22 @@ def pair_times(sides, workload, files, pairs: int) -> list:
     return out
 
 
+def pair_medians(times, per_pair: int) -> list:
+    """(parent, change) median solve seconds of each pair."""
+    chunks = [times[i:i + per_pair] for i in range(0, len(times), per_pair)]
+    return [tuple(statistics.median(t[i] for t in chunk) for i in (0, 1)) for chunk in chunks]
+
+
+def iqr(values) -> float:
+    """Third quartile less the first, by the default (exclusive) method of
+    ``statistics.quantiles``, as the BENCH_*.json files take them; 0 for a
+    single value."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="checkout root of the parent")
@@ -107,6 +126,10 @@ def main(argv=None) -> int:
     print(f"median per-solve ratio change/parent {ratio:.4f}")
     print(f"median solve s parent {statistics.median(t[0] for t in times):.6f} "
           f"change {statistics.median(t[1] for t in times):.6f}")
+    medians = pair_medians(times, len(files))
+    faster = sum(change < parent for parent, change in medians)
+    print(f"change faster in {faster} of {args.pairs} pairs; parent per-solve IQR "
+          f"{iqr([parent for parent, _ in medians]):.6f}")
     return 0
 
 

@@ -754,3 +754,28 @@ def test_closed_forms_equal_their_plain_numpy_forms(side):
         assert barrier.step_to_boundary(z, dz, side) == reference_step_to_boundary(
             barrier, z, dz, side)
     assert outside >= 5 and flat_tails == 20
+
+
+@pytest.mark.parametrize("where", ["interval", "cone-tail"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("side", [PRIMAL, CONJUGATE])
+def test_non_finite_entry_is_outside(side, bad, where):
+    # interior() and grad_hess() run the finiteness check first, so they
+    # form no slack of a non-finite entry and warn of nothing; margins()
+    # forms them, inf - inf among them, and matches the reference forms
+    barrier = dd.DomainBarrier(GROUPED_ATOMS, GROUPED_M)
+    rng = np.random.default_rng(RNG_SEED + 18)
+    coords = [2, 6, 4, 10] if where == "interval" else [5, 8, 3, 9]
+    for coord in coords:
+        z = _sample_point(GROUPED_ATOMS, GROUPED_M, rng, side)
+        z[coord] = bad
+        assert not barrier.interior(z, side)
+        assert not reference_interior(barrier, z, side)
+        for evaluate in (barrier.grad_hess, barrier.value):
+            with pytest.raises(dd.DomainViolation, match="non-finite"):
+                evaluate(z, side)
+        with np.errstate(invalid="ignore"):
+            margins = barrier.margins(z, side)
+            reference = np.concatenate(reference_margins(barrier, z, side))
+        assert np.array_equal(margins, reference, equal_nan=True)
+        assert not margins.min() > 0.0

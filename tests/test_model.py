@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ddsolve as dd
-from ddsolve.model import dual_residual, mu_of, shifted_image
+from ddsolve.model import dual_residual, image_proximity, mu_of, scaled_dual, shifted_image
 
 
 def mu_forms(problem, start, x, tau, y):
@@ -179,6 +179,57 @@ def test_proximity_requires_membership(unb_problem):
     problem, start = unb_problem
     with pytest.raises(dd.DomainViolation):
         dd.proximity(problem, start, np.zeros(1), 1.0, 10.0 * start.y0)
+
+
+@pytest.mark.parametrize("mu", [0.0, -1.0, np.nan])
+def test_proximity_at_needs_a_positive_parameter(box_problem, mu):
+    problem, start = box_problem
+    with pytest.raises(dd.DomainViolation, match="path parameter must be positive"):
+        dd.proximity_at(problem, start, np.zeros(1), 1.0, start.y0, mu)
+
+
+def _dual_outside(problem, start, where):
+    """y0 with the sign of its interval or cone part flipped: outside D*
+    there, and still interior elsewhere."""
+    y = start.y0.copy()
+    for atom in problem.atoms:
+        if (atom.kind == "soc") == (where == "cone"):
+            y[list(atom.coords)] *= -1.0
+    return y
+
+
+@pytest.mark.parametrize("fixture,where", [
+    ("inf_problem", "interval"), ("soc_problem", "cone"),
+    ("tangent_problem", "interval"), ("tangent_problem", "cone"),
+], ids=["interval-only", "cone-only", "mixed-interval", "mixed-cone"])
+def test_proximity_at_rejects_a_dual_point_outside(fixture, where, request):
+    # the conjugate gradient's DomainViolation is raised again with the
+    # dual point's message; at tau = 0, v = 0 is on the boundary, and it is
+    # rejected before the shifted image divides by tau
+    problem, start = request.getfixturevalue(fixture)
+    x, message = np.zeros(problem.n), "scaled dual point left the dual cone interior"
+    outside = _dual_outside(problem, start, where)
+    assert not problem.barrier.interior(outside, "conjugate")
+    for tau, y in ((1.0, outside), (1.0, np.full(problem.m, np.nan)), (0.0, start.y0)):
+        with pytest.raises(dd.DomainViolation, match=message):
+            dd.proximity_at(problem, start, x, tau, y, 1.0)
+        with pytest.raises(dd.DomainViolation, match=message):
+            scaled_dual(problem, tau, y, 1.0)
+
+
+@pytest.mark.parametrize("fixture,run", [("inf_problem", "inf_run"),
+                                         ("soc_problem", "soc_run"),
+                                         ("tangent_problem", "tangent_run")])
+def test_proximity_at_equals_its_checked_parts(fixture, run, request):
+    # bit for bit: proximity_at against image_proximity on the shifted
+    # image and the checked scaled dual, at each iterate's own mu and at
+    # twice and half of it
+    problem, start = request.getfixturevalue(fixture)
+    for it in request.getfixturevalue(run).iterates:
+        for mu in (it.mu, 2.0 * it.mu, 0.5 * it.mu):
+            expected = image_proximity(problem, shifted_image(problem, start, it.x, it.tau),
+                                       scaled_dual(problem, it.tau, it.y, mu))
+            assert dd.proximity_at(problem, start, it.x, it.tau, it.y, mu) == expected
 
 
 def test_support_function_values(inf_problem):

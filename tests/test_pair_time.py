@@ -1,5 +1,6 @@
 """The paired timing tool runs end to end on two checkouts."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,25 @@ def test_pair_time_prints_ratio_pairs_and_medians():
     words = lines[2].split()
     assert words[:4] == ["median", "solve", "s", "parent"] and words[5] == "change"
     assert float(words[4]) > 0.0 and float(words[6]) > 0.0
+    words = lines[3].split()
+    assert words[:3] == ["change", "faster", "in"] and words[4:7] == ["of", "2", "pairs;"]
+    assert 0 <= int(words[3]) <= 2
+    assert words[7:10] == ["parent", "per-solve", "IQR"] and float(words[10]) >= 0.0
+    assert len(lines) == 4
+
+
+def test_pair_time_gain_rule_helpers(monkeypatch):
+    # the import sets BLAS thread counts and extends sys.path; both are
+    # undone after the test
+    monkeypatch.setattr(sys, "path", [str(ROOT / "tests")] + sys.path)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+    import pair_time
+    times = [(1.0, 0.5), (3.0, 0.5), (2.0, 4.0), (2.0, 4.0), (5.0, 1.0), (9.0, 1.0)]
+    assert pair_time.pair_medians(times, 2) == [(2.0, 0.5), (2.0, 4.0), (7.0, 1.0)]
+    assert pair_time.iqr([2.0, 2.0, 7.0]) == 5.0
+    assert pair_time.iqr([1.0, 2.0, 3.0, 4.0, 5.0]) == 3.0
+    assert pair_time.iqr([3.0]) == 0.0
 
 
 def test_pair_time_rejects_a_checkout_without_sources(tmp_path):

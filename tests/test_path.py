@@ -635,6 +635,34 @@ def test_reused_evaluations_match_public_functions(fixture, run, request):
         assert public.scaled_norm(problem, start) == private.scaled_norm(problem, start)
 
 
+@pytest.mark.parametrize("fixture", ["inf_problem", "soc_problem", "tangent_problem"])
+def test_scaled_norm_reads_the_gap_products(fixture, request, monkeypatch):
+    # at every Newton point of a run, the <c, x> and <y, u> that the
+    # residuals carry, and the scaled norm read from them, equal the
+    # formula formed again from the point, bit for bit
+    problem, start = request.getfixturevalue(fixture)
+    recorded = []
+
+    def record(*args):
+        recorded.append(original(*args))
+        return recorded[-1]
+    original = path_module._residuals
+    monkeypatch.setattr(path_module, "_residuals", record)
+    dd.follow(problem, start, dd.FollowerOptions(eps=1e-4, max_iters=40))
+    assert len(recorded) > 20
+    for res in recorded:
+        p = res.point
+        cx, yu = float(problem.c @ p.x), float(p.y @ p.u)
+        assert (res.cx, res.yu) == (cx, yu)
+        scale_gap = (1.0 + abs(cx) + abs(yu) / p.tau
+                     + problem.theta * problem.xi * p.mu / p.tau**2 + abs(start.y_tau0) / p.tau)
+        scale_cent = 1.0 + float(np.abs(p.y).max())
+        scale_dual = 1.0 + start.aty0_inf + p.tau * problem.c_inf
+        assert res.scaled_norm(problem, start) == max(
+            abs(res.r_gap) / scale_gap, float(np.abs(res.r_cent).max()) / scale_cent,
+            float(np.abs(res.r_dual).max(initial=0.0)) / scale_dual)
+
+
 @pytest.mark.parametrize("fixture", ["box_problem", "soc_problem", "tangent_problem"])
 def test_predictor_reads_handed_over_evaluation(fixture, request):
     # follow hands each corrector's evaluated point to the next predictor;
