@@ -464,22 +464,20 @@ class DomainBarrier:
         self.groups = ([_IntervalGroup(scalars)] if scalars else []) \
             + [_ConeGroup(a) for a in self.atoms if a.kind == SOC]
 
-    def _finite(self, z: np.ndarray, side: str, strict: bool) -> bool:
-        """Whether z is finite, which no slack test checks at a cone head of
-        +inf; ``strict`` raises DomainViolation in place of False."""
-        finite = bool(np.isfinite(z).all())
-        if strict and not finite:
+    def _require_finite(self, z: np.ndarray, side: str) -> None:
+        """DomainViolation unless z is finite, which no slack test checks at
+        a cone head of +inf."""
+        if not np.isfinite(z).all():
             raise DomainViolation(f"point has non-finite entries ({side} side)")
-        return finite
 
     def value(self, z: np.ndarray, side: str = PRIMAL) -> float:
-        self._finite(z, side, strict=True)
+        self._require_finite(z, side)
         return float(sum(g.value(z, side) for g in self.groups))
 
     def grad_hess(self, z: np.ndarray, side: str = PRIMAL) -> tuple:
         """(gradient, Hessian) at z from one pass over the groups: each
         group checks z and forms its slacks once for both."""
-        self._finite(z, side, strict=True)
+        self._require_finite(z, side)
         out = np.zeros(self.m)
         blocks = []
         for g in self.groups:
@@ -511,9 +509,10 @@ class DomainBarrier:
         return float(np.min(self.margins(z, side)))
 
     def interior(self, z: np.ndarray, side: str = PRIMAL) -> bool:
-        """Strict interiority: z is finite, then each group in turn tests
-        its slacks as its closed forms do; stops at the first one outside."""
-        if not self._finite(z, side, strict=False):
+        """Strict interiority: z is finite (tested here, as no slack test
+        checks a cone head of +inf), then each group in turn tests its
+        slacks as its closed forms do; stops at the first one outside."""
+        if not np.isfinite(z).all():
             return False
         for g in self.groups:
             if not g.interior(z, side):

@@ -211,8 +211,9 @@ def scaled_dual(problem: Problem, tau: float, y, mu: float) -> np.ndarray:
 def proximity_at(problem: Problem, start: StartData, x, tau: float, y, mu: float) -> float:
     """Distance to the path point at parameter ``mu``:
     || A x + z0/tau - conj_grad((tau/mu) y) ||  in the inverse conjugate-
-    Hessian norm at v = (tau/mu) y, with both points formed here.  Raises
-    :func:`scaled_dual`'s DomainViolations; the conjugate gradient and
+    Hessian norm at v = (tau/mu) y, with both points formed here.  The one
+    proximity formula of the follower.  Raises :func:`scaled_dual`'s
+    DomainViolations, then one unless tau > 0; the conjugate gradient and
     Hessian at v, formed before the shifted image, are v's one check."""
     if not mu > 0.0:
         raise DomainViolation(f"path parameter must be positive, got {mu}")
@@ -221,16 +222,9 @@ def proximity_at(problem: Problem, start: StartData, x, tau: float, y, mu: float
         grad, metric = problem.barrier.grad_hess(v, CONJUGATE)
     except DomainViolation as exc:
         raise DomainViolation("scaled dual point left the dual cone interior") from exc
+    if not tau > 0.0:
+        raise DomainViolation(f"tau must be positive, got {tau}")
     return math.sqrt(max(metric.inv_quad(shifted_image(problem, start, x, tau) - grad), 0.0))
-
-
-def image_proximity(problem: Problem, u, v) -> float:
-    """|| u - conj_grad(v) ||  in the inverse conjugate-Hessian norm at v,
-    for a shifted image ``u`` and a scaled dual ``v`` already checked.  The
-    conjugate gradient and Hessian come from one pass over the barrier
-    groups, then one structured solve per group."""
-    grad, metric = problem.barrier.grad_hess(v, CONJUGATE)
-    return math.sqrt(max(metric.inv_quad(u - grad), 0.0))
 
 
 def proximity(problem: Problem, start: StartData, x, tau: float, y) -> float:

@@ -22,9 +22,9 @@ equation (d) gives, not at a declared one.  The first iteration steps
 along the tangent alone.
 
 Each point the steps work at is evaluated once, into a private _Point:
-the shifted image u, the primal barrier gradient and metric there, and on
-corrector points the checked scaled dual v = (tau/mu) y.  Residuals, KKT
-solves, step bounds and the corrector's proximity read it.  The corrector
+the shifted image u and the primal barrier gradient and metric there.
+Residuals, KKT solves and step bounds read it; every proximity, the
+corrector's included, is a :func:`proximity_at` call.  The corrector
 returns its last point with that evaluation, and ``follow`` hands it to
 the next predictor, with the tangent the previous predictor returned.
 """
@@ -50,7 +50,6 @@ from .model import (
     StartData,
     dual_residual,
     gap_bounds,
-    image_proximity,
     make_iterate,
     member_image,
     mu_of,
@@ -96,15 +95,14 @@ class _Point(Iterate):
     """An iterate with the evaluation formed at it once: the shifted image
     u = A x + z0/tau, checked interior to D with tau > 0, and the primal
     barrier gradient g and metric H at u.  ``mu`` is the parameter it is
-    evaluated at: the corrector's on a Newton point, which also carries
-    v = (tau/mu) y checked interior to D*, and its own on the point the
+    evaluated at: the corrector's on a Newton point, whose v = (tau/mu) y
+    is checked interior to D* but not kept, and its own on the point the
     corrector returns.  ``proximity`` is NaN until that return sets it.
     """
 
     u: np.ndarray
     g: np.ndarray
     H: object
-    v: np.ndarray | None = None
 
 
 PREDICTOR_RADIUS = 2.0     # in units of kappa
@@ -146,8 +144,9 @@ class FollowResult:
 def _evaluate(problem, start, x, tau, y, mu, *, newton=False) -> _Point:
     """The point (x, tau, y) at ``mu`` with its primal evaluation: u, and g
     and H at u from one pass over the barrier groups.  A corrector's Newton
-    point (``newton``) then has y restored to the dual linear equation and
-    carries v = (tau/mu) y of :func:`scaled_dual` on the restored y.
+    point (``newton``) then has y restored to the dual linear equation,
+    and v = (tau/mu) y on the restored y is checked by :func:`scaled_dual`
+    and dropped: the Newton point's one cheap dual check.
 
     Raises DomainViolation unless tau > 0, u is interior to D and, on a
     Newton point, v is interior to D*; FactorizationFailure if H is not
@@ -160,11 +159,10 @@ def _evaluate(problem, start, x, tau, y, mu, *, newton=False) -> _Point:
         g, H = problem.barrier.grad_hess(u, PRIMAL)
     except DomainViolation as exc:
         raise DomainViolation("shifted image point left the domain interior") from exc
-    v = None
     if newton:
         y = _restore_dual_equality(problem, start, x, tau, y)
-        v = scaled_dual(problem, tau, y, mu)
-    return _Point(x=x, tau=tau, y=y, mu=mu, proximity=np.nan, u=u, g=g, H=H, v=v)
+        scaled_dual(problem, tau, y, mu)
+    return _Point(x=x, tau=tau, y=y, mu=mu, proximity=np.nan, u=u, g=g, H=H)
 
 
 def _residuals(problem, start, point: _Point) -> Residuals:
@@ -258,9 +256,9 @@ def corrector_step(problem: Problem, start: StartData, point: Iterate, mu: float
 
     Each Newton point, the starting point and each accepted trial, is
     checked and evaluated once by :func:`_evaluate`, and each pass reads
-    its residuals, KKT solve and step bound from that point.  Its proximity
-    is read only where the residual has settled, since only there can the
-    corrector stop.
+    its residuals, KKT solve and step bound from that point.  Its proximity,
+    :func:`proximity_at` at the corrector's mu, is formed only where the
+    residual has settled, since only there can the corrector stop.
 
     Each step tries the full Newton step first.  Only when that trial is
     rejected is the fraction-to-boundary bound formed, and the step length
@@ -285,7 +283,7 @@ def corrector_step(problem: Problem, start: StartData, point: Iterate, mu: float
         rnorm = res.scaled_norm(problem, start)
         settled = rnorm <= CORRECTOR_RESIDUAL_TOL or rnorm >= 0.9 * last_res
         if settled or k == CORRECTOR_MAX_STEPS - 1:
-            prox = image_proximity(problem, point.u, point.v)
+            prox = proximity_at(problem, start, point.x, point.tau, point.y, mu)
             if settled and prox <= target:
                 break
         last_res = rnorm
@@ -311,7 +309,7 @@ def corrector_step(problem: Problem, start: StartData, point: Iterate, mu: float
             f"proximity {prox:.3e} above target {target:.3e} after "
             f"{CORRECTOR_MAX_STEPS} Newton steps")
     own = make_iterate(problem, start, point.x, point.tau, point.y)
-    return replace(point, mu=own.mu, proximity=own.proximity, v=None)
+    return replace(point, mu=own.mu, proximity=own.proximity)
 
 
 def predictor_step(problem: Problem, start: StartData, point: Iterate, previous=None):

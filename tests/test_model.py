@@ -1,10 +1,13 @@
 """Problem validation, start data, and the path scalar functionals."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 import ddsolve as dd
-from ddsolve.model import dual_residual, image_proximity, mu_of, scaled_dual, shifted_image
+from ddsolve.model import dual_residual, mu_of, scaled_dual, shifted_image
 
 
 def mu_forms(problem, start, x, tau, y):
@@ -45,6 +48,11 @@ def test_validate_atom_coverage():
     with pytest.raises(dd.AtomCoverage):
         dd.validate_problem(np.ones((2, 1)), [1.0],
                             [dd.halfline_lower(0), dd.halfline_lower(0)])
+
+
+def test_validate_rejects_a_c_of_the_wrong_shape():
+    with pytest.raises(dd.AtomCoverage, match=r"c has shape \(2,\), expected \(1,\)"):
+        dd.validate_problem([[1.0]], [1.0, 2.0], [dd.halfline_lower(0)])
 
 
 def test_validate_bad_constants():
@@ -120,6 +128,12 @@ def test_explicit_z0_must_be_interior(box_problem):
         dd.make_start(problem, [1.5])
     start = dd.make_start(problem, [0.25])
     assert start.z0[0] == 0.25
+
+
+def test_explicit_z0_must_have_the_image_shape(box_problem):
+    problem, _ = box_problem
+    with pytest.raises(dd.DomainViolation, match=r"z0 has shape \(2,\), expected \(1,\)"):
+        dd.make_start(problem, [0.5, 0.5])
 
 
 @pytest.mark.parametrize("fixture", ["box_problem", "inf_problem", "unb_problem", "soc_problem"])
@@ -217,18 +231,34 @@ def test_proximity_at_rejects_a_dual_point_outside(fixture, where, request):
             scaled_dual(problem, tau, y, 1.0)
 
 
+@pytest.mark.parametrize("tau", [0.0, -1.0])
+def test_proximity_at_needs_a_positive_tau(box_problem, tau):
+    # the box's conjugate domain is the whole line, so v = (tau/mu) y0
+    # passes the dual check; tau itself is then rejected, before the
+    # shifted image divides by zero or a point outside Q gets a proximity
+    problem, start = box_problem
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(dd.DomainViolation, match=f"tau must be positive, got {tau}"):
+            dd.proximity_at(problem, start, [0.0], tau, start.y0, 1.0)
+    assert caught == []
+
+
 @pytest.mark.parametrize("fixture,run", [("inf_problem", "inf_run"),
                                          ("soc_problem", "soc_run"),
                                          ("tangent_problem", "tangent_run")])
 def test_proximity_at_equals_its_checked_parts(fixture, run, request):
-    # bit for bit: proximity_at against image_proximity on the shifted
-    # image and the checked scaled dual, at each iterate's own mu and at
-    # twice and half of it
+    # bit for bit: proximity_at against its formula written out, the
+    # inverse conjugate-Hessian norm of u - conj_grad(v) with the shifted
+    # image u and the checked scaled dual v, at each iterate's own mu and
+    # at twice and half of it
     problem, start = request.getfixturevalue(fixture)
     for it in request.getfixturevalue(run).iterates:
         for mu in (it.mu, 2.0 * it.mu, 0.5 * it.mu):
-            expected = image_proximity(problem, shifted_image(problem, start, it.x, it.tau),
-                                       scaled_dual(problem, it.tau, it.y, mu))
+            grad, metric = problem.barrier.grad_hess(scaled_dual(problem, it.tau, it.y, mu),
+                                                     "conjugate")
+            u = shifted_image(problem, start, it.x, it.tau)
+            expected = math.sqrt(max(metric.inv_quad(u - grad), 0.0))
             assert dd.proximity_at(problem, start, it.x, it.tau, it.y, mu) == expected
 
 

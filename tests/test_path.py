@@ -82,6 +82,38 @@ def test_corrector_stall_reports_last_proximity(box_problem, monkeypatch):
         dd.corrector_step(problem, start, point, 1.0)
 
 
+def test_corrector_stalls_when_every_trial_is_rejected(box_problem, monkeypatch):
+    # only the starting point is evaluated; every trial point is rejected,
+    # so the step length halves from the boundary bound until it underflows
+    problem, start = box_problem
+    point = dd.Iterate(x=np.array([1e-3]), tau=1.0, y=start.y0.copy(), mu=1.0,
+                       proximity=np.nan)
+    original = path_module._evaluate
+    evaluated = []
+
+    def evaluate(*args, **kwargs):
+        evaluated.append(args)
+        if len(evaluated) > 1:
+            raise dd.DomainViolation("trial rejected")
+        return original(*args, **kwargs)
+    monkeypatch.setattr(path_module, "_evaluate", evaluate)
+    with pytest.raises(dd.CorrectorStall, match="step length underflow while correcting"):
+        dd.corrector_step(problem, start, point, 1.0)
+    assert len(evaluated) > 2
+
+
+def test_kkt_solve_reports_a_singular_system(box_problem, monkeypatch):
+    problem, start = box_problem
+    point = path_module._evaluate(problem, start, np.zeros(1), 1.0, start.y0, 1.0)
+
+    def singular(M, rhs):
+        raise np.linalg.LinAlgError("Singular matrix")
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(dd.FactorizationFailure, match="reduced path system is singular") as info:
+        _kkt_solve(problem, start, point, np.zeros(1), point.g, 0.0)
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
 def test_corrector_rejects_restoration_leaving_dual_cone(inf_problem, monkeypatch):
     # the dual-cone check runs at every Newton point, not only where
     # proximity is evaluated: a restoration that leaves int D* at the
@@ -579,7 +611,6 @@ def test_evaluation_budget(fixture, run, eps, request, monkeypatch):
         counts["corrector_boundary"] += "correctors" in active
         return original_boundary(self, z, dz, side)
     count_proximity("proximity_at")
-    count_proximity("image_proximity")
     monkeypatch.setattr(path_module, "_evaluate", evaluate)
     monkeypatch.setattr(dd.barriers.BlockMetric, "matvec", matvec)
     monkeypatch.setattr(dd.barriers.DomainBarrier, "interior", interior)
@@ -682,6 +713,26 @@ def test_predictor_reads_handed_over_evaluation(fixture, request):
         assert (predicted.tau, predicted.mu, predicted.proximity, mu_new) == \
             (own.tau, own.mu, own.proximity, own_mu)
         assert tangent[0] == own_tangent[0] and np.array_equal(tangent[1], own_tangent[1])
+
+
+@pytest.mark.parametrize("change,message", [
+    (lambda it: replace(it, tau=-1.0), "tau not positive at mu="),
+    (lambda it: replace(it, x=np.array([2.0])), "interiority lost at mu="),
+    (lambda it: replace(it, proximity=1.0), "proximity 1.000e+00 above kappa at mu="),
+    (lambda it: replace(it, mu=4.0 * it.mu), "gap sandwich violated at mu="),
+    (lambda it: replace(it, tau=0.1), "tau 1.000000e-01 below floor 1.875000e-01 at mu="),
+], ids=["tau", "interiority", "proximity", "sandwich", "tau-floor"])
+def test_check_invariants_reports_each_broken_invariant(box_problem, box_run, change, message):
+    # one field of a mu >= 1 iterate changed per case; the unchanged
+    # iterate appends nothing
+    problem, start = box_problem
+    it = box_run.iterates[3]
+    assert it.mu >= 1.0
+    violations = []
+    path_module._check_invariants(problem, start, it, violations)
+    assert violations == []
+    path_module._check_invariants(problem, start, change(it), violations)
+    assert any(v.startswith(message) for v in violations), violations
 
 
 def test_iteration_limit_status(box_problem):

@@ -178,6 +178,14 @@ def test_strict_infeasibility_refused_on_feasible(box_run, box_problem):
             dd.strict_infeasibility_certificate(problem, start, it)
 
 
+def test_strict_infeasibility_refused_outside_the_dual_cone(soc_run, soc_problem):
+    # at the anchor of the cone instance the projection is formed but
+    # lands outside D*
+    problem, start = soc_problem
+    with pytest.raises(dd.ProjectionOutsideCone, match="projection margin .* is not positive"):
+        dd.strict_infeasibility_certificate(problem, start, soc_run.iterates[0])
+
+
 def test_strict_unboundedness_projection(unb_run, unb_problem):
     problem, start = unb_problem
     cert = dd.strict_unboundedness_certificate(problem, start, unb_run.iterates[-1], 1e-6)
