@@ -256,11 +256,15 @@ class _ConeGroup:
         self.sign[1:] = -1.0
         self.neg2sign = -2.0 * self.sign   # scaling by -2 is exact: same gradient bits
 
+    def _canonical(self, z, side):
+        """w, the canonical cone point: z + d (primal) or -y (dual)."""
+        w = z[self.sel]
+        return w + self.d if side == PRIMAL else -w
+
     def _slacks(self, z, side):
         """(w, head, t): the canonical cone point, its head and its tail
         norm, every membership test's input; the margin is head - t."""
-        w = z[self.sel]
-        w = w + self.d if side == PRIMAL else -w
+        w = self._canonical(z, side)
         return w, w[0], _norm(w[1:])
 
     def interior(self, z, side):
@@ -299,7 +303,8 @@ class _ConeGroup:
         return float(w @ self.d)
 
     def step_to_boundary(self, z, dz, side):
-        w, head, _ = self._slacks(z, side)
+        w = self._canonical(z, side)
+        head = w[0]
         dw = dz[self.sel] if side == PRIMAL else -dz[self.sel]
         # boundary of {w1 >= |wbar|} along the ray: quadratic in s
         sdw = self.sign * dw

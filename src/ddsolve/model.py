@@ -69,8 +69,44 @@ class Problem:
         return float(np.linalg.norm(self.c))
 
 
+def _cholesky_full_rank(A: np.ndarray) -> bool:
+    """True only if A (m x n, 0 < n <= m) provably has sigma_min(A) above
+    0.9e-4 sigma_max(A); False leaves the question to the SVD.
+
+    B = 2^-e A has its largest |entry| in [0.5, 1) and is exact but for
+    entries 2^1022 times smaller, so B'B neither overflows nor underflows
+    to matter.  A Cholesky factor R that completes
+    with a finite, hence positive, diagonal for H = fl(B'B) - s I,
+    s = 1e-8 ||fl(B'B)||_F >= 1e-8 sigma_max(B)^2, gives R'R = H + dH with
+    R'R positive definite.  The rounding of B'B, of the shift and dH
+    (Higham, Accuracy and Stability of Numerical Algorithms, SIAM 2002,
+    Thm 10.3) sum to less than (m+n) n eps sigma_max(B)^2, eps = 2^-52, so
+    while (m+n) n eps < 1e-9 the bound lambda_min(B'B) > s - 1e-9 sigma_max(B)^2
+    >= 0.9e-8 sigma_max(B)^2 holds.  Larger A are not screened.
+    """
+    m, n = A.shape
+    if not (m + n) * n * 2.0**-52 < 1e-9:
+        return False
+    B = np.ldexp(A, -math.frexp(max(A.max(), -A.min()))[1])
+    G = B.T @ B
+    g = G.reshape(-1)   # a view: matmul's output is C-contiguous
+    g[::n + 1] -= 1e-8 * math.sqrt(g.dot(g))
+    try:
+        R = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        return False
+    # OpenBLAS's potrf can pass a NaN pivot that reference LAPACK rejects;
+    # it leaves a NaN on the diagonal, which is otherwise finite and positive
+    return math.isfinite(R.trace())
+
+
 def validate_problem(A, c, atoms, xi: float = 2.0, kappa: float = 0.25) -> Problem:
     """Check dimensions, atom coverage, rank and solver constants.
+
+    A must have full column rank with sigma_min(A) > 1e-10 sigma_max(A).
+    A shifted Cholesky of A'A (:func:`_cholesky_full_rank`) accepts an A
+    whose sigma_min exceeds about 1e-4 sigma_max(A); every other A,
+    so every rejection, is decided by the singular values of ``np.linalg.svd``.
 
     Raises RankDeficient, AtomCoverage or BadConstants.
     """
@@ -97,7 +133,7 @@ def validate_problem(A, c, atoms, xi: float = 2.0, kappa: float = 0.25) -> Probl
         raise BadConstants(f"need kappa >= 0 and xi - 1 - kappa > 0, got xi={xi} kappa={kappa}")
     if n > m:
         raise RankDeficient(f"embedding is {m}x{n}; more columns than rows means a kernel")
-    if n > 0:
+    if n > 0 and not _cholesky_full_rank(A):
         sv = np.linalg.svd(A, compute_uv=False)
         if sv[-1] <= 1e-10 * sv[0]:
             raise RankDeficient(
@@ -265,8 +301,11 @@ def gap_bounds(problem: Problem, start: StartData, x, tau: float, y,
     proximity kappa of the path; ``actual`` may be +inf off the dual cone.
 
     The bracket width is exactly (2*kappa*sqrt(theta) + theta) * mu / tau^2.
+    Raises DomainViolation unless tau > 0, as :func:`proximity_at` does.
     """
     x = np.asarray(x, dtype=float)
+    if not tau > 0.0:
+        raise DomainViolation(f"tau must be positive, got {tau}")
     tau = float(tau)
     if mu is None:
         mu = mu_of(problem, start, x, tau, y)

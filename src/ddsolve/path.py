@@ -378,8 +378,9 @@ def predictor_step(problem: Problem, start: StartData, point: Iterate, previous=
 
 def _check_invariants(problem, start, it: Iterate, violations: list):
     """Per-iterate runtime assertions: membership, the dual equation,
-    proximity, the gap sandwich and the tau floor.  The sandwich's upper
-    half is also the weak detector's inequality, rearranged."""
+    proximity, the gap sandwich (where tau > 0, which it needs) and the
+    tau floor.  The sandwich's upper half is also the weak detector's
+    inequality, rearranged."""
     slack = 1e-8
     tol = DUAL_EQ_TOL * (1.0 + problem.c_norm)
     if not it.tau > 0.0:
@@ -390,9 +391,9 @@ def _check_invariants(problem, start, it: Iterate, violations: list):
         violations.append(f"dual equality residual above tolerance at mu={it.mu:.3e}")
     if not it.proximity <= problem.kappa:
         violations.append(f"proximity {it.proximity:.3e} above kappa at mu={it.mu:.3e}")
-    gb = gap_bounds(problem, start, it.x, it.tau, it.y, it.mu)
-    if np.isfinite(gb.actual):
-        if not (gb.lower - slack <= gb.actual <= gb.upper + slack):
+    if it.tau > 0.0:
+        gb = gap_bounds(problem, start, it.x, it.tau, it.y, it.mu)
+        if np.isfinite(gb.actual) and not (gb.lower - slack <= gb.actual <= gb.upper + slack):
             violations.append(
                 f"gap sandwich violated at mu={it.mu:.3e}: "
                 f"{gb.lower:.6e} <= {gb.actual:.6e} <= {gb.upper:.6e}")

@@ -8,20 +8,24 @@ share the interpreter, the numpy build and the machine's state.
 
 The instances are generated once, through ``bench/families.py`` with the
 workload definitions of ``bench/harness.py`` (both only read), and written
-as problem files that both sides parse.  Each pair solves every instance
-once on each side, one side right after the other; the side that goes
-first alternates from pair to pair, so a drift in the host's speed or a
-warm-cache advantage falls on both.  Only the solve is timed: up to the
-report JSON of ``cli.run_solve(strict=True)`` on a CLI workload, as the
-benchmark does, and ``follow`` otherwise.  Each solve gets a freshly parsed
-problem.
+as problem files that both sides parse.  Each pair sets up and solves
+every instance once on each side, one side right after the other; the side
+that goes first alternates from pair to pair, so a drift in the host's
+speed or a warm-cache advantage falls on both.  The set-up and the solve
+are timed apart, as the benchmark times them.  The set-up is
+``cli.parse_problem_file`` on a CLI workload and ``validate_problem`` plus
+``make_start`` otherwise, on the data each side parsed once beforehand.
+The solve is timed up to the report JSON of ``cli.run_solve(strict=True)``
+on a CLI workload and is ``follow`` otherwise.  Each solve gets the
+problem its side has just set up.
 
 Printed: the median over all solve pairs of the change's time divided by
 the parent's, the number of pairs, each side's median solve time, and the
 rule of a claimed gain: in how many pairs the change's median solve was
 faster than the parent's, and the parent's per-solve IQR, the distance
-between the quartiles of its pair medians (0 for one pair).  Only public
-API is used, like ``tests/digest.py``.
+between the quartiles of its pair medians (0 for one pair).  A last line
+gives the same figures for the set-up.  Only public API is used, like
+``tests/digest.py``.
 """
 
 import argparse
@@ -59,10 +63,31 @@ def load_side(root: Path, name: str):
     return importlib.import_module(f"{name}.cli"), package
 
 
-def solve_seconds(side, workload, file) -> float:
-    """Wall time of one solve of a freshly parsed problem file."""
+def set_up(side, workload, data):
+    """Wall time of one set-up, and the (problem, start) it gives.  ``data``
+    is a problem file on a CLI workload, (A, c, atoms) otherwise."""
     cli, dd = side
-    problem, start = cli.parse_problem_file(file)
+    t0 = time.perf_counter()
+    if workload.via_cli:
+        problem, start = cli.parse_problem_file(data)
+    else:
+        problem = dd.validate_problem(*data)
+        start = dd.make_start(problem)
+    return time.perf_counter() - t0, problem, start
+
+
+def set_up_data(side, workload, files) -> list:
+    """What ``set_up`` reads for each file: the file itself on a CLI
+    workload, otherwise the side's own parse of its (A, c, atoms)."""
+    if workload.via_cli:
+        return list(files)
+    cli, _ = side
+    return [(p.A, p.c, p.atoms) for p, _ in map(cli.parse_problem_file, files)]
+
+
+def solve_seconds(side, workload, problem, start) -> float:
+    """Wall time of one solve."""
+    cli, dd = side
     t0 = time.perf_counter()
     if workload.via_cli:
         cli.run_solve(problem, start, harness.EPS, strict=True).to_json()
@@ -71,21 +96,25 @@ def solve_seconds(side, workload, file) -> float:
     return time.perf_counter() - t0
 
 
-def pair_times(sides, workload, files, pairs: int) -> list:
-    """(parent, change) seconds of every solve pair, pair by pair."""
-    out = []
+def pair_times(sides, workload, files, pairs: int) -> tuple:
+    """(parent, change) seconds of every set-up pair and of every solve
+    pair, pair by pair."""
+    data = [set_up_data(side, workload, files) for side in sides]
+    setups, solves = [], []
     for p in range(pairs):
         order = (0, 1) if p % 2 == 0 else (1, 0)
-        for file in files:
-            t = [0.0, 0.0]
+        for k in range(len(files)):
+            setup, solve = [0.0, 0.0], [0.0, 0.0]
             for i in order:
-                t[i] = solve_seconds(sides[i], workload, file)
-            out.append(tuple(t))
-    return out
+                setup[i], problem, start = set_up(sides[i], workload, data[i][k])
+                solve[i] = solve_seconds(sides[i], workload, problem, start)
+            setups.append(tuple(setup))
+            solves.append(tuple(solve))
+    return setups, solves
 
 
 def pair_medians(times, per_pair: int) -> list:
-    """(parent, change) median solve seconds of each pair."""
+    """(parent, change) median seconds of each pair."""
     chunks = [times[i:i + per_pair] for i in range(0, len(times), per_pair)]
     return [tuple(statistics.median(t[i] for t in chunk) for i in (0, 1)) for chunk in chunks]
 
@@ -98,6 +127,16 @@ def iqr(values) -> float:
         return 0.0
     q1, _, q3 = statistics.quantiles(values, n=4)
     return q3 - q1
+
+
+def compare(times, per_pair: int) -> tuple:
+    """(median change/parent ratio, parent median s, change median s,
+    pairs the change was faster in, parent IQR of the pair medians)."""
+    medians = pair_medians(times, per_pair)
+    return (statistics.median(change / parent for parent, change in times),
+            statistics.median(t[0] for t in times), statistics.median(t[1] for t in times),
+            sum(change < parent for parent, change in medians),
+            iqr([parent for parent, _ in medians]))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -120,16 +159,16 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         instances = harness.make_instances(workload, args.seed, INSTANCES)
         files = harness.write_problem_files(instances, Path(tmp))
-        times = pair_times(sides, workload, files, args.pairs)
-    ratio = statistics.median(change / parent for parent, change in times)
+        setups, solves = pair_times(sides, workload, files, args.pairs)
+    ratio, parent, change, faster, spread = compare(solves, len(files))
     print(f"workload {args.workload}: {args.pairs} pairs of {len(files)} solves per side")
     print(f"median per-solve ratio change/parent {ratio:.4f}")
-    print(f"median solve s parent {statistics.median(t[0] for t in times):.6f} "
-          f"change {statistics.median(t[1] for t in times):.6f}")
-    medians = pair_medians(times, len(files))
-    faster = sum(change < parent for parent, change in medians)
-    print(f"change faster in {faster} of {args.pairs} pairs; parent per-solve IQR "
-          f"{iqr([parent for parent, _ in medians]):.6f}")
+    print(f"median solve s parent {parent:.6f} change {change:.6f}")
+    print(f"change faster in {faster} of {args.pairs} pairs; parent per-solve IQR {spread:.6f}")
+    ratio, parent, change, faster, spread = compare(setups, len(files))
+    print(f"set-up: median per-set-up ratio change/parent {ratio:.4f}; median s parent "
+          f"{parent:.6f} change {change:.6f}; change faster in {faster} of {args.pairs} "
+          f"pairs; parent per-set-up IQR {spread:.6f}")
     return 0
 
 

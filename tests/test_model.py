@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import ddsolve as dd
-from ddsolve.model import dual_residual, mu_of, scaled_dual, shifted_image
+from ddsolve.model import _cholesky_full_rank, dual_residual, mu_of, scaled_dual, shifted_image
 
 
 def mu_forms(problem, start, x, tau, y):
@@ -39,6 +39,87 @@ def test_validate_rank_deficient():
     with pytest.raises(dd.RankDeficient):
         # wide embedding always has a kernel
         dd.validate_problem([[1.0, 2.0]], [0.0, 0.0], [dd.halfline_lower(0)])
+
+
+def svd_rank_message(A):
+    """The SVD's rank decision: its RankDeficient message, or None."""
+    sv = np.linalg.svd(A, compute_uv=False)
+    if sv[-1] <= 1e-10 * sv[0]:
+        return f"smallest singular value {sv[-1]:.3e} below 1e-10 * ||A|| = {1e-10 * sv[0]:.3e}"
+    return None
+
+
+def with_singular_values(rng, m, s):
+    """An m x len(s) matrix with singular values s and random singular vectors."""
+    U, _ = np.linalg.qr(rng.standard_normal((m, len(s))))
+    V, _ = np.linalg.qr(rng.standard_normal((len(s), len(s))))
+    return (U * s) @ V.T
+
+
+def count_svd_calls(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def test_cholesky_screen_never_accepts_what_the_svd_rejects():
+    # singular values log-uniform over 14 decades, up to 60 x 60, scaled
+    # by a power of two; the screen may leave any A to the SVD, but it
+    # accepts only A the SVD accepts, and every A with
+    # sigma_min > 1e-3 sigma_max
+    rng = np.random.default_rng(20)
+    accepted = 0
+    for _ in range(3000):
+        m = int(rng.integers(1, 61))
+        s = 10.0 ** rng.uniform(-14.0, 0.0, int(rng.integers(1, m + 1)))
+        A = np.ldexp(with_singular_values(rng, m, s), int(rng.integers(-60, 61)))
+        if _cholesky_full_rank(A):
+            accepted += 1
+            assert svd_rank_message(A) is None
+        else:
+            sv = np.linalg.svd(A, compute_uv=False)
+            assert sv[-1] <= 1e-3 * sv[0]
+    assert accepted > 100
+
+
+@pytest.mark.parametrize("scale", [0, 500, -500])
+def test_validate_well_conditioned_without_svd(monkeypatch, scale):
+    # B'B of A * 2^500 would overflow and that of A * 2^-500 underflow
+    # without the screen's exact power-of-two scaling
+    A = np.ldexp(with_singular_values(np.random.default_rng(3), 30, [1.0, 0.5, 0.2, 0.1]),
+                 scale)
+    calls = count_svd_calls(monkeypatch)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        problem = dd.validate_problem(A, np.zeros(4), [dd.halfline_lower(i) for i in range(30)])
+    assert caught == [] and calls == []
+    assert problem.n == 4
+
+
+def test_rank_decisions_near_the_threshold_are_the_svds(monkeypatch):
+    # test_validate_rank_deficient's square case, an exact zero column,
+    # and sigma_min / sigma_max near 1e-9 (accepted) and 1e-11 (rejected)
+    rng = np.random.default_rng(5)
+    cases = [np.ones((2, 2)), np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])]
+    cases += [with_singular_values(rng, 8, [1.0, 0.3, ratio]) for ratio in (1e-9, 1e-11)]
+    messages = [svd_rank_message(A) for A in cases]
+    assert [message is None for message in messages] == [False, False, True, False]
+    calls = count_svd_calls(monkeypatch)
+    for A, message in zip(cases, messages):
+        atoms = [dd.halfline_lower(i) for i in range(A.shape[0])]
+        if message is None:
+            dd.validate_problem(A, np.zeros(A.shape[1]), atoms)
+        else:
+            with pytest.raises(dd.RankDeficient) as raised:
+                dd.validate_problem(A, np.zeros(A.shape[1]), atoms)
+            assert str(raised.value) == message
+    assert len(calls) == len(cases)
 
 
 def test_validate_atom_coverage():
@@ -276,6 +357,19 @@ def test_gap_bounds_initial_point(box_problem):
     # width is exactly (2*kappa*sqrt(theta) + theta) * mu / tau^2
     width = (2.0 * problem.kappa * np.sqrt(problem.theta) + problem.theta)
     assert gb.upper - gb.lower == pytest.approx(width, rel=1e-12)
+
+
+@pytest.mark.parametrize("tau", [0.0, -1.0])
+def test_gap_bounds_needs_a_positive_tau(box_problem, tau):
+    # tau = 0 divided by zero and tau = -1 gave bounds for a point outside Q
+    problem, start = box_problem
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(dd.DomainViolation, match=f"tau must be positive, got {tau}"):
+            dd.gap_bounds(problem, start, [0.0], tau, start.y0, 1.0)
+        with pytest.raises(dd.DomainViolation, match=f"tau must be positive, got {tau}"):
+            dd.gap_bounds(problem, start, [0.0], np.float64(tau), start.y0)
+    assert caught == []
 
 
 def test_gap_bounds_hold_along_runs(box_run, box_problem, unb_run, unb_problem):

@@ -8,14 +8,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_pair_time_prints_ratio_pairs_and_medians():
-    # both sides are this checkout: two pairs of eight certify solves each
+def check_pair_time_output(workload):
+    """Output of two pairs of eight solves of ``workload``, both sides
+    this checkout, checked line by line."""
     done = subprocess.run(
         [sys.executable, str(ROOT / "tests" / "pair_time.py"), str(ROOT), str(ROOT),
-         "--workload", "certify", "--pairs", "2"],
+         "--workload", workload, "--pairs", "2"],
         capture_output=True, text=True, timeout=120, check=True)
     lines = done.stdout.splitlines()
-    assert lines[0] == "workload certify: 2 pairs of 8 solves per side"
+    assert lines[0] == f"workload {workload}: 2 pairs of 8 solves per side"
     ratio = float(lines[1].rsplit(" ", 1)[1])
     assert 0.0 < ratio < 10.0
     words = lines[2].split()
@@ -25,7 +26,25 @@ def test_pair_time_prints_ratio_pairs_and_medians():
     assert words[:3] == ["change", "faster", "in"] and words[4:7] == ["of", "2", "pairs;"]
     assert 0 <= int(words[3]) <= 2
     assert words[7:10] == ["parent", "per-solve", "IQR"] and float(words[10]) >= 0.0
-    assert len(lines) == 4
+    words = lines[4].split()
+    assert words[:5] == ["set-up:", "median", "per-set-up", "ratio", "change/parent"]
+    assert 0.0 < float(words[5].rstrip(";")) < 10.0
+    assert words[6:9] == ["median", "s", "parent"] and words[10] == "change"
+    assert float(words[9]) > 0.0 and float(words[11].rstrip(";")) > 0.0
+    assert words[12:15] == ["change", "faster", "in"] and words[16:19] == ["of", "2", "pairs;"]
+    assert 0 <= int(words[15]) <= 2
+    assert words[19:22] == ["parent", "per-set-up", "IQR"] and float(words[22]) >= 0.0
+    assert len(lines) == 5
+
+
+def test_pair_time_prints_ratio_pairs_and_medians():
+    # a CLI workload: the set-up is the parse
+    check_pair_time_output("certify")
+
+
+def test_pair_time_times_validate_and_start_as_the_set_up():
+    # a follow workload: the set-up is validate_problem + make_start
+    check_pair_time_output("soc-wide")
 
 
 def test_pair_time_gain_rule_helpers(monkeypatch):
@@ -37,6 +56,9 @@ def test_pair_time_gain_rule_helpers(monkeypatch):
     import pair_time
     times = [(1.0, 0.5), (3.0, 0.5), (2.0, 4.0), (2.0, 4.0), (5.0, 1.0), (9.0, 1.0)]
     assert pair_time.pair_medians(times, 2) == [(2.0, 0.5), (2.0, 4.0), (7.0, 1.0)]
+    # ratios 0.5, 1/6, 2, 2, 0.2, 1/9: median (0.2 + 0.5) / 2; two of three
+    # pairs faster; the IQR of the parent's pair medians 2, 2, 7
+    assert pair_time.compare(times, 2) == ((0.2 + 0.5) / 2, 2.5, 1.0, 2, 5.0)
     assert pair_time.iqr([2.0, 2.0, 7.0]) == 5.0
     assert pair_time.iqr([1.0, 2.0, 3.0, 4.0, 5.0]) == 3.0
     assert pair_time.iqr([3.0]) == 0.0

@@ -1,5 +1,6 @@
 """Predictor-corrector mechanics and end-to-end follower behavior."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -717,21 +718,26 @@ def test_predictor_reads_handed_over_evaluation(fixture, request):
 
 @pytest.mark.parametrize("change,message", [
     (lambda it: replace(it, tau=-1.0), "tau not positive at mu="),
+    (lambda it: replace(it, tau=0.0), "tau not positive at mu="),
     (lambda it: replace(it, x=np.array([2.0])), "interiority lost at mu="),
     (lambda it: replace(it, proximity=1.0), "proximity 1.000e+00 above kappa at mu="),
     (lambda it: replace(it, mu=4.0 * it.mu), "gap sandwich violated at mu="),
     (lambda it: replace(it, tau=0.1), "tau 1.000000e-01 below floor 1.875000e-01 at mu="),
-], ids=["tau", "interiority", "proximity", "sandwich", "tau-floor"])
+], ids=["tau", "tau-zero", "interiority", "proximity", "sandwich", "tau-floor"])
 def test_check_invariants_reports_each_broken_invariant(box_problem, box_run, change, message):
     # one field of a mu >= 1 iterate changed per case; the unchanged
-    # iterate appends nothing
+    # iterate appends nothing, and no case raises or warns (the gap
+    # sandwich is not formed where tau <= 0)
     problem, start = box_problem
     it = box_run.iterates[3]
     assert it.mu >= 1.0
     violations = []
     path_module._check_invariants(problem, start, it, violations)
     assert violations == []
-    path_module._check_invariants(problem, start, change(it), violations)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        path_module._check_invariants(problem, start, change(it), violations)
+    assert caught == []
     assert any(v.startswith(message) for v in violations), violations
 
 
