@@ -142,6 +142,8 @@ def parse_problem_file(path) -> tuple[Problem, StartData]:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, or nested too deep
+        raise ParseError(f"cannot decode {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("problem file must hold a JSON object")
     if not doc.keys() <= FILE_KEYS:

@@ -7,6 +7,7 @@ atoms.  The solver works on the homogenized set
                         A'y - A'y0 = -(tau - 1) c,  y interior to D* }
 
 anchored at a chosen interior point z0 with y0 the barrier gradient there.
+Its dual linear equation's residual and tolerance are formed here only.
 """
 
 from __future__ import annotations
@@ -68,6 +69,11 @@ class Problem:
         """||c||."""
         return float(np.linalg.norm(self.c))
 
+    @cached_property
+    def dual_eq_tol(self) -> float:
+        """DUAL_EQ_TOL * (1 + ||c||), the dual linear equation's tolerance."""
+        return DUAL_EQ_TOL * (1.0 + self.c_norm)
+
 
 def _cholesky_full_rank(A: np.ndarray) -> bool:
     """True only if A (m x n, 0 < n <= m) provably has sigma_min(A) above
@@ -119,6 +125,8 @@ def validate_problem(A, c, atoms, xi: float = 2.0, kappa: float = 0.25) -> Probl
         if not np.isfinite(data).all():
             raise ValidationError(f"{name} has non-finite entries")
     atoms = tuple(atoms)
+    if not atoms:
+        raise AtomCoverage("a problem needs at least one atom; with none, m = 0 and theta = 0")
     covered = sorted(i for a in atoms for i in a.coords)
     if covered != list(range(m)):
         raise AtomCoverage(
@@ -194,9 +202,14 @@ def shifted_image(problem: Problem, start: StartData, x, tau: float) -> np.ndarr
     return problem.A @ np.asarray(x, dtype=float) + start.z0 / float(tau)
 
 
+def dual_equation_residual(problem: Problem, start: StartData, tau: float, y) -> np.ndarray:
+    """r = A'(y - y0) + (tau - 1) c, the residual of the dual linear equation."""
+    return problem.A.T @ (np.asarray(y) - start.y0) + (float(tau) - 1.0) * problem.c
+
+
 def dual_residual(problem: Problem, start: StartData, x, tau: float, y) -> float:
-    """Norm of  A'y - A'y0 + (tau - 1) c."""
-    r = problem.A.T @ (np.asarray(y) - start.y0) + (float(tau) - 1.0) * problem.c
+    """Norm of :func:`dual_equation_residual`."""
+    r = dual_equation_residual(problem, start, tau, y)
     return math.sqrt(r.dot(r))
 
 
@@ -214,11 +227,10 @@ def member_image(problem: Problem, start: StartData, x, tau: float, y):
 
 def in_qdd(problem: Problem, start: StartData, x, tau: float, y) -> bool:
     """Membership test for the homogenized set, with the dual linear
-    equation checked to tolerance 1e-9 * (1 + ||c||)."""
+    equation checked to tolerance ``problem.dual_eq_tol``."""
     if member_image(problem, start, x, tau, y) is None:
         return False
-    tol = DUAL_EQ_TOL * (1.0 + problem.c_norm)
-    return dual_residual(problem, start, x, tau, y) <= tol
+    return dual_residual(problem, start, x, tau, y) <= problem.dual_eq_tol
 
 
 def mu_of(problem: Problem, start: StartData, x, tau: float, y) -> float:

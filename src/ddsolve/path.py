@@ -8,6 +8,7 @@ The central path at parameter mu is the unique solution of
     (d)  <c,x> + <y, u>/tau = -theta*xi*mu/tau^2 - y_tau0/tau
 
 started at (x, tau, y) = (0, 1, y0), which solves the system at mu = 1.
+Equation (b)'s residual and tolerance are model.py's, formed there only.
 The follower alternates a predictor (increasing mu, staying within
 proximity PREDICTOR_RADIUS * kappa = 2 kappa) with a Newton corrector
 (restoring proximity CORRECTOR_TARGET * kappa = kappa/2 at fixed mu), and
@@ -44,10 +45,10 @@ from .errors import (
     PredictorStall,
 )
 from .model import (
-    DUAL_EQ_TOL,
     Iterate,
     Problem,
     StartData,
+    dual_equation_residual,
     dual_residual,
     gap_bounds,
     make_iterate,
@@ -168,7 +169,7 @@ def _evaluate(problem, start, x, tau, y, mu, *, newton=False) -> _Point:
 def _residuals(problem, start, point: _Point) -> Residuals:
     """Residuals of equations (b), (c), (d) at an evaluated point and its mu."""
     x, tau, y, mu = point.x, point.tau, point.y, point.mu
-    r_dual = problem.A.T @ (y - start.y0) + (tau - 1.0) * problem.c
+    r_dual = dual_equation_residual(problem, start, tau, y)
     r_cent = y - (mu / tau) * point.g
     cx, yu = float(problem.c @ x), float(y @ point.u)
     r_gap = cx + yu / tau + problem.theta * problem.xi * mu / tau**2 + start.y_tau0 / tau
@@ -234,18 +235,14 @@ def _step_bound(problem, start, point: _Point, dx, dtau, dy, cap):
 
 
 def _restore_dual_equality(problem, start, x, tau, y):
-    """Project y back onto the dual linear equation (minimal-norm change).
-
-    The change is the minimal-norm solution of A'dy = rhs, with rhs the
-    equation's residual at y formed from A itself: Q (R^-T rhs), from the
-    problem's one QR factorization of A (full column rank, checked by
-    validate_problem).  Newton steps satisfy the equation to solve
-    accuracy; this keeps the accumulated float drift at the round-off of
-    A'y itself.
+    """Project y back onto the dual linear equation: subtract Q (R^-T r),
+    the minimal-norm solution of A'dy = r for r the equation's residual at
+    y, from the problem's one QR factorization of A (full column rank,
+    checked by validate_problem).  Newton steps satisfy the equation to
+    solve accuracy; this keeps the float drift at the round-off of A'y.
     """
-    rhs = problem.A.T @ (start.y0 - y) - (tau - 1.0) * problem.c
     Q, r_inv_t = problem.qr_factors
-    return y + Q @ (r_inv_t @ rhs)
+    return y - Q @ (r_inv_t @ dual_equation_residual(problem, start, tau, y))
 
 
 def corrector_step(problem: Problem, start: StartData, point: Iterate, mu: float) -> Iterate:
@@ -382,12 +379,11 @@ def _check_invariants(problem, start, it: Iterate, violations: list):
     tau floor.  The sandwich's upper half is also the weak detector's
     inequality, rearranged."""
     slack = 1e-8
-    tol = DUAL_EQ_TOL * (1.0 + problem.c_norm)
     if not it.tau > 0.0:
         violations.append(f"tau not positive at mu={it.mu:.3e}")
     if member_image(problem, start, it.x, it.tau, it.y) is None:
         violations.append(f"interiority lost at mu={it.mu:.3e}")
-    if dual_residual(problem, start, it.x, it.tau, it.y) > tol:
+    if dual_residual(problem, start, it.x, it.tau, it.y) > problem.dual_eq_tol:
         violations.append(f"dual equality residual above tolerance at mu={it.mu:.3e}")
     if not it.proximity <= problem.kappa:
         violations.append(f"proximity {it.proximity:.3e} above kappa at mu={it.mu:.3e}")

@@ -153,31 +153,39 @@ def test_parse_rejects_malformed_entry(change, field, tmp_path, capsys):
     assert f"(field: {field})" in json.loads(capsys.readouterr().out)["error"]
 
 
-@pytest.mark.parametrize("text,message", [
-    ('{"n": 1, "m": 1,', "Expecting property name"),
-    ("[1.0]", "must hold a JSON object"),
-    (json.dumps({key: v for key, v in BOX_DOC.items() if key != "A"}),
+@pytest.mark.parametrize("data,message", [
+    (b'{"n": 1, "m": 1,', "Expecting property name"),
+    (b"[1.0]", "must hold a JSON object"),
+    (json.dumps({key: v for key, v in BOX_DOC.items() if key != "A"}).encode(),
      "missing required entry 'A'"),
-], ids=["malformed-json", "not-an-object", "missing-A"])
-def test_unreadable_document_is_input_error(text, message, tmp_path, capsys):
+    # a valid document in another encoding: UTF-8 is the only one read
+    (json.dumps(BOX_DOC).encode("utf-16"), "'utf-8' codec can't decode byte 0xff"),
+    (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+], ids=["malformed-json", "not-an-object", "missing-A", "not-utf8", "nested-too-deep"])
+def test_unreadable_document_is_input_error(data, message, tmp_path, capsys):
+    # written as bytes, so that a document need not be text
     path = tmp_path / "bad.dd"
-    path.write_text(text)
+    path.write_bytes(data)
     with pytest.raises(dd.ParseError, match=message):
         parse_problem_file(str(path))
     assert main(["solve", str(path)]) == 4
     assert message in json.loads(capsys.readouterr().out)["error"]
 
 
-@pytest.mark.parametrize("change", [{"A": [[float("nan")]]}, {"c": [float("inf")]}],
-                         ids=["A-nan", "c-inf"])
-def test_non_finite_data_is_input_error(change, tmp_path, capsys):
-    # NaN in A used to escape as an uncaught LinAlgError from the rank check
+@pytest.mark.parametrize("change,message", [
+    ({"A": [[float("nan")]]}, "non-finite"),
+    ({"c": [float("inf")]}, "non-finite"),
+    ({"n": 0, "m": 0, "A": [], "c": [], "atoms": []}, "at least one atom"),
+], ids=["A-nan", "c-inf", "no-atoms"])
+def test_non_finite_data_is_input_error(change, message, tmp_path, capsys):
+    # NaN in A used to escape as an uncaught LinAlgError from the rank
+    # check, and a problem without atoms as a DomainViolation of the solve
     path = tmp_path / "bad.dd"
     path.write_text(json.dumps({**BOX_DOC, **change}))
-    with pytest.raises(dd.ValidationError):
+    with pytest.raises(dd.ValidationError, match=message):
         parse_problem_file(str(path))
     assert main(["solve", str(path)]) == 4
-    assert "non-finite" in json.loads(capsys.readouterr().out)["error"]
+    assert message in json.loads(capsys.readouterr().out)["error"]
 
 
 @pytest.mark.parametrize("argv,change", [([], {"xi": 9e307}), (["--xi", "9e307"], {})],

@@ -131,6 +131,13 @@ def test_validate_atom_coverage():
                             [dd.halfline_lower(0), dd.halfline_lower(0)])
 
 
+def test_validate_rejects_a_problem_without_atoms():
+    # m = 0 gives theta = 0, and mu_of's 0/0 made the follower's anchor
+    # raise DomainViolation
+    with pytest.raises(dd.AtomCoverage, match="at least one atom"):
+        dd.validate_problem(np.zeros((0, 0)), np.zeros(0), [])
+
+
 def test_validate_rejects_a_c_of_the_wrong_shape():
     with pytest.raises(dd.AtomCoverage, match=r"c has shape \(2,\), expected \(1,\)"):
         dd.validate_problem([[1.0]], [1.0, 2.0], [dd.halfline_lower(0)])

@@ -1,5 +1,6 @@
 """Predictor-corrector mechanics and end-to-end follower behavior."""
 
+import math
 import warnings
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import ddsolve as dd
+import ddsolve.model as model_module
 import ddsolve.path as path_module
 from ddsolve.model import DUAL_EQ_TOL, dual_residual, make_iterate, member_image, shifted_image
 from oracles import OracleInstance, oracle_sigma_f
@@ -739,6 +741,58 @@ def test_check_invariants_reports_each_broken_invariant(box_problem, box_run, ch
         path_module._check_invariants(problem, start, change(it), violations)
     assert caught == []
     assert any(v.startswith(message) for v in violations), violations
+
+
+def test_dual_equation_residual_has_one_owner(soc_problem, soc_run, monkeypatch):
+    # the follower's dual residual, the model's dual_residual and the
+    # restoration all read the model's one residual function: patching it
+    # moves all three
+    problem, start = soc_problem
+    it = soc_run.iterates[3]
+    assert path_module.dual_equation_residual is model_module.dual_equation_residual
+    original = model_module.dual_equation_residual
+    before = (path_module._residuals(problem, start, it).r_dual,
+              dual_residual(problem, start, it.x, it.tau, it.y),
+              path_module._restore_dual_equality(problem, start, it.x, it.tau, it.y))
+    shift = np.linspace(1e-3, 2e-3, problem.n)
+
+    def shifted(*args):
+        return original(*args) + shift
+    for module in (model_module, path_module):
+        monkeypatch.setattr(module, "dual_equation_residual", shifted)
+    r = original(problem, start, it.tau, it.y) + shift
+    Q, r_inv_t = problem.qr_factors
+    after = (path_module._residuals(problem, start, it).r_dual,
+             dual_residual(problem, start, it.x, it.tau, it.y),
+             path_module._restore_dual_equality(problem, start, it.x, it.tau, it.y))
+    assert np.array_equal(after[0], r) and not np.array_equal(before[0], r)
+    assert after[1] == math.sqrt(r.dot(r)) and before[1] < 1e-3
+    assert np.array_equal(after[2], it.y - Q @ (r_inv_t @ r))
+    assert not np.array_equal(after[2], before[2])
+
+
+@pytest.mark.parametrize("fixture,run", [("box_problem", "box_run"),
+                                         ("soc_problem", "soc_run")])
+def test_membership_and_invariants_share_the_dual_tolerance(fixture, run, request):
+    # y moved along w with A'w a unit vector, so that the dual residual
+    # lies just below, then just above, DUAL_EQ_TOL * (1 + ||c||): in_qdd
+    # and the per-iterate invariant accept the first point, reject the second
+    problem, start = request.getfixturevalue(fixture)
+    it = request.getfixturevalue(run).iterates[3]
+    tol = DUAL_EQ_TOL * (1.0 + np.linalg.norm(problem.c))
+    assert problem.dual_eq_tol == tol
+    assert dual_residual(problem, start, it.x, it.tau, it.y) < 1e-6 * tol
+    Q, r_inv_t = problem.qr_factors
+    w = Q @ (r_inv_t @ np.full(problem.n, problem.n ** -0.5))
+    for scale, accepted in ((1.0 - 1e-3, True), (1.0 + 1e-3, False)):
+        y = it.y + (scale * tol) * w
+        assert (dual_residual(problem, start, it.x, it.tau, y) <= tol) == accepted
+        assert dd.in_qdd(problem, start, it.x, it.tau, y) == accepted
+        violations = []
+        path_module._check_invariants(problem, start, replace(it, y=y), violations)
+        dual_flagged = [v for v in violations
+                        if v.startswith("dual equality residual above tolerance at mu=")]
+        assert (dual_flagged == []) == accepted, violations
 
 
 def test_iteration_limit_status(box_problem):
