@@ -348,9 +348,6 @@ class _DiagonalBlock:
     def solve(self, v):
         return v / self._column(v)
 
-    def quad(self, v):
-        return float(self.h @ (v * v))
-
     def inv_quad(self, v):
         return float((v * v / self.h).sum())
 
@@ -407,11 +404,6 @@ class _SocBlock:
         perp /= self.lam_tail
         return self._assemble(a / self.lam_minus, b / self.lam_plus, perp)
 
-    def quad(self, v):
-        a, b, perp = self._split(v)
-        return (self.lam_minus * a * a + self.lam_plus * b * b
-                + self.lam_tail * float(perp @ perp))
-
     def inv_quad(self, v):
         a, b, perp = self._split(v)
         return (a * a / self.lam_minus + b * b / self.lam_plus
@@ -446,7 +438,7 @@ class BlockMetric:
         return out
 
     def quad(self, v: np.ndarray) -> float:
-        return float(sum(blk.quad(v[sel]) for sel, blk in self.blocks))
+        return float(v @ self.matvec(v))
 
     def inv_quad(self, v: np.ndarray) -> float:
         """v' H^-1 v, one structured block solve per group."""

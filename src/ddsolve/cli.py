@@ -132,9 +132,9 @@ def _parse_atom(entry, index):
         raise ParseError(f"atom {index}: {exc}", field=f"atoms[{index}]") from exc
 
 
-def parse_problem_file(path) -> tuple[Problem, StartData]:
-    """Parse and validate a problem file; synthesize the default starting
-    point when the file does not carry one."""
+def _read_problem_file(path) -> tuple[dict, np.ndarray | None]:
+    """A problem file's entries, each checked for type and shape but not
+    validated: :func:`validate_problem`'s arguments, and z0 or None."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
@@ -160,11 +160,17 @@ def parse_problem_file(path) -> tuple[Problem, StartData]:
     if not isinstance(doc["atoms"], list):
         raise ParseError("atoms must be a list of atom objects", field="atoms")
     atoms = [_parse_atom(entry, i) for i, entry in enumerate(doc["atoms"])]
-    problem = validate_problem(A, c, atoms, xi=_numbers(doc.get("xi", 2.0), "xi"),
-                               kappa=_numbers(doc.get("kappa", 0.25), "kappa"))
+    entries = {"A": A, "c": c, "atoms": atoms, "xi": _numbers(doc.get("xi", 2.0), "xi"),
+               "kappa": _numbers(doc.get("kappa", 0.25), "kappa")}
     z0 = doc.get("z0")
-    if z0 is not None:
-        z0 = _numbers(z0, "z0", m)
+    return entries, None if z0 is None else _numbers(z0, "z0", m)
+
+
+def parse_problem_file(path) -> tuple[Problem, StartData]:
+    """Parse and validate a problem file; synthesize the default starting
+    point when the file does not carry one."""
+    entries, z0 = _read_problem_file(path)
+    problem = validate_problem(**entries)
     return problem, make_start(problem, z0)
 
 
@@ -292,13 +298,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        problem, start = parse_problem_file(args.file)
-        if args.xi is not None or args.kappa is not None:
-            problem = validate_problem(
-                problem.A, problem.c, problem.atoms,
-                xi=problem.xi if args.xi is None else args.xi,
-                kappa=problem.kappa if args.kappa is None else args.kappa)
-            start = make_start(problem, start.z0)
+        # the flags replace the file's constants before anything is validated
+        entries, z0 = _read_problem_file(args.file)
+        for key in ("xi", "kappa"):
+            if getattr(args, key) is not None:
+                entries[key] = getattr(args, key)
+        problem = validate_problem(**entries)
+        start = make_start(problem, z0)
         if not 0.0 < args.eps < 1.0:
             raise ParseError(f"--eps must lie in (0, 1), got {args.eps}")
         if args.max_iters < 0:

@@ -207,7 +207,7 @@ def dual_equation_residual(problem: Problem, start: StartData, tau: float, y) ->
     return problem.A.T @ (np.asarray(y) - start.y0) + (float(tau) - 1.0) * problem.c
 
 
-def dual_residual(problem: Problem, start: StartData, x, tau: float, y) -> float:
+def dual_residual(problem: Problem, start: StartData, tau: float, y) -> float:
     """Norm of :func:`dual_equation_residual`."""
     r = dual_equation_residual(problem, start, tau, y)
     return math.sqrt(r.dot(r))
@@ -230,7 +230,7 @@ def in_qdd(problem: Problem, start: StartData, x, tau: float, y) -> bool:
     equation checked to tolerance ``problem.dual_eq_tol``."""
     if member_image(problem, start, x, tau, y) is None:
         return False
-    return dual_residual(problem, start, x, tau, y) <= problem.dual_eq_tol
+    return dual_residual(problem, start, tau, y) <= problem.dual_eq_tol
 
 
 def mu_of(problem: Problem, start: StartData, x, tau: float, y) -> float:

@@ -25,9 +25,10 @@ along the tangent alone.
 Each point the steps work at is evaluated once, into a private _Point:
 the shifted image u and the primal barrier gradient and metric there.
 Residuals, KKT solves and step bounds read it; every proximity, the
-corrector's included, is a :func:`proximity_at` call.  The corrector
-returns its last point with that evaluation, and ``follow`` hands it to
-the next predictor, with the tangent the previous predictor returned.
+corrector's included, is a :func:`proximity_at` call.  The predictor's
+point carries the mu it reached, at which the corrector works; the
+corrector's last point carries its evaluation, and ``follow`` hands it
+to the next predictor with the tangent the previous predictor returned.
 """
 
 from __future__ import annotations
@@ -161,7 +162,7 @@ def _evaluate(problem, start, x, tau, y, mu, *, newton=False) -> _Point:
     except DomainViolation as exc:
         raise DomainViolation("shifted image point left the domain interior") from exc
     if newton:
-        y = _restore_dual_equality(problem, start, x, tau, y)
+        y = _restore_dual_equality(problem, start, tau, y)
         scaled_dual(problem, tau, y, mu)
     return _Point(x=x, tau=tau, y=y, mu=mu, proximity=np.nan, u=u, g=g, H=H)
 
@@ -234,7 +235,7 @@ def _step_bound(problem, start, point: _Point, dx, dtau, dy, cap):
     return min(cap, BOUNDARY_FRACTION * problem.barrier.step_to_boundary(point.u, du_lin, PRIMAL))
 
 
-def _restore_dual_equality(problem, start, x, tau, y):
+def _restore_dual_equality(problem, start, tau, y):
     """Project y back onto the dual linear equation: subtract Q (R^-T r),
     the minimal-norm solution of A'dy = r for r the equation's residual at
     y, from the problem's one QR factorization of A (full column rank,
@@ -245,9 +246,9 @@ def _restore_dual_equality(problem, start, x, tau, y):
     return y - Q @ (r_inv_t @ dual_equation_residual(problem, start, tau, y))
 
 
-def corrector_step(problem: Problem, start: StartData, point: Iterate, mu: float) -> Iterate:
-    """Damped Newton steps at fixed mu until the point is within
-    CORRECTOR_TARGET * kappa of the path and its scaled residual has
+def corrector_step(problem: Problem, start: StartData, point: Iterate) -> Iterate:
+    """Damped Newton steps at fixed mu, ``point.mu``, until the point is
+    within CORRECTOR_TARGET * kappa of the path and its scaled residual has
     settled: at most CORRECTOR_RESIDUAL_TOL, or no longer falling below
     0.9 times the previous step's.
 
@@ -273,14 +274,14 @@ def corrector_step(problem: Problem, start: StartData, point: Iterate, mu: float
     point whose primal metric is not positive and finite.
     """
     target = CORRECTOR_TARGET * problem.kappa
-    point = _evaluate(problem, start, point.x, point.tau, point.y, mu, newton=True)
+    point = _evaluate(problem, start, point.x, point.tau, point.y, point.mu, newton=True)
     last_res = np.inf
     for k in range(CORRECTOR_MAX_STEPS):
         res = _residuals(problem, start, point)
         rnorm = res.scaled_norm(problem, start)
         settled = rnorm <= CORRECTOR_RESIDUAL_TOL or rnorm >= 0.9 * last_res
         if settled or k == CORRECTOR_MAX_STEPS - 1:
-            prox = proximity_at(problem, start, point.x, point.tau, point.y, mu)
+            prox = proximity_at(problem, start, point.x, point.tau, point.y, point.mu)
             if settled and prox <= target:
                 break
         last_res = rnorm
@@ -289,7 +290,7 @@ def corrector_step(problem: Problem, start: StartData, point: Iterate, mu: float
         while alpha > 1e-18:
             try:
                 trial = _evaluate(problem, start, point.x + alpha * dx, point.tau + alpha * dtau,
-                                  point.y + alpha * dy, mu, newton=True)
+                                  point.y + alpha * dy, point.mu, newton=True)
                 break
             except DomainViolation:
                 pass
@@ -311,7 +312,7 @@ def corrector_step(problem: Problem, start: StartData, point: Iterate, mu: float
 
 def predictor_step(problem: Problem, start: StartData, point: Iterate, previous=None):
     """Advance along the path as far as the outer neighborhood allows;
-    returns (predicted point, new mu, tangent).
+    returns (predicted point, tangent), the point carrying its new mu.
 
     The tangent dp/dmu solves the mu-derivative of the path system with
     the point's primal gradient and metric: those a point returned by
@@ -368,7 +369,7 @@ def predictor_step(problem: Problem, start: StartData, point: Iterate, previous=
                 except DomainViolation:
                     pass
             if prox <= radius:
-                return Iterate(x=xn, tau=taun, y=yn, mu=mun, proximity=prox), mun, (s, vel)
+                return Iterate(x=xn, tau=taun, y=yn, mu=mun, proximity=prox), (s, vel)
         dmu *= 0.5
     raise PredictorStall(f"could not advance the path parameter beyond {mu:.6e}")
 
@@ -383,7 +384,7 @@ def _check_invariants(problem, start, it: Iterate, violations: list):
         violations.append(f"tau not positive at mu={it.mu:.3e}")
     if member_image(problem, start, it.x, it.tau, it.y) is None:
         violations.append(f"interiority lost at mu={it.mu:.3e}")
-    if dual_residual(problem, start, it.x, it.tau, it.y) > problem.dual_eq_tol:
+    if dual_residual(problem, start, it.tau, it.y) > problem.dual_eq_tol:
         violations.append(f"dual equality residual above tolerance at mu={it.mu:.3e}")
     if not it.proximity <= problem.kappa:
         violations.append(f"proximity {it.proximity:.3e} above kappa at mu={it.mu:.3e}")
@@ -461,8 +462,8 @@ def follow(problem: Problem, start: StartData, options: FollowerOptions = Follow
     tangent = None
     for _ in range(options.max_iters):
         try:
-            predicted, mu_new, tangent = predictor_step(problem, start, point, tangent)
-            point = corrector_step(problem, start, predicted, mu_new)
+            predicted, tangent = predictor_step(problem, start, point, tangent)
+            point = corrector_step(problem, start, predicted)
         except (PredictorStall, CorrectorStall, DomainViolation, FactorizationFailure) as exc:
             report = status_engine.numerical_failure_report(problem, start, point, exc)
             return finish(report)

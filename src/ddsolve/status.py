@@ -193,8 +193,9 @@ def verify_certificate(problem: Problem, start: StartData, cert: Certificate) ->
 def _add_image_check(rep: VerificationReport, problem, start, x, tau) -> bool:
     """tau > 0 and A x + z0/tau in D (margins >= 0), for a point reported
     with its tau: a negative tau flips the sign of P_feas and of z0/tau.
-    Returns whether tau > 0; without it the image is not formed, and its
-    check fails with a NaN margin."""
+    Returns whether tau > 0, which a missing tau (None, a NaN value) is not;
+    without it the image is not formed, and its check fails with a NaN margin."""
+    tau = np.nan if tau is None else tau
     positive = tau > 0.0
     rep.add("tau > 0", positive, tau)
     margin = (problem.barrier.min_margin(shifted_image(problem, start, x, tau), PRIMAL)
@@ -216,8 +217,7 @@ def _eps_feasibility_report(problem, start, x, tau, y, eps: float) -> Verificati
     return rep
 
 
-def _base_report(problem, start, point: Iterate, status: str,
-                 sp: StopParams) -> StatusReport:
+def _base_report(problem, point: Iterate, status: str, sp: StopParams) -> StatusReport:
     """Report skeleton; ``sp`` are the point's stop parameters."""
     ds = support_function(problem, point.y)
     return StatusReport(
@@ -238,7 +238,7 @@ def _certified(problem, start, point: Iterate, status: str, sp: StopParams,
     the problem data.  A report never claims a status its payload fails:
     if verification fails, the report is a NumericalFailure without the
     certificate, keeping the verification that failed."""
-    report = _base_report(problem, start, point, status, sp)
+    report = _base_report(problem, point, status, sp)
     report.verification = verify_certificate(problem, start, cert)
     if not report.verification.passed:
         reason = ("certificate failed verification: "
@@ -284,7 +284,7 @@ def check_status(problem: Problem, start: StartData, point: Iterate, eps: float,
                           Certificate(kind="unboundedness", strict=False, eps=eps, x=x, tau=tau))
 
     if mu >= 1.0 / (problem.theta * eps**3):
-        report = _base_report(problem, start, point, ILL_CONDITIONED, sp)
+        report = _base_report(problem, point, ILL_CONDITIONED, sp)
         report.verification = _eps_feasibility_report(problem, start, x, tau, y, eps)
         return report
 
@@ -292,14 +292,14 @@ def check_status(problem: Problem, start: StartData, point: Iterate, eps: float,
 
 
 def numerical_failure_report(problem, start, point: Iterate, exc: Exception) -> StatusReport:
-    report = _base_report(problem, start, point, NUMERICAL_FAILURE,
+    report = _base_report(problem, point, NUMERICAL_FAILURE,
                           stop_params(problem, start, point.x, point.tau, point.y))
     report.diagnostics["reason"] = f"{type(exc).__name__}: {exc}"
     return report
 
 
 def iteration_limit_report(problem, start, point: Iterate) -> StatusReport:
-    report = _base_report(problem, start, point, ITERATION_LIMIT,
+    report = _base_report(problem, point, ITERATION_LIMIT,
                           stop_params(problem, start, point.x, point.tau, point.y))
     report.diagnostics["reason"] = "iteration cap reached before any status fired"
     return report

@@ -277,7 +277,8 @@ def oracle_sigma_f(inst: OracleInstance, start: StartData) -> float:
 
 class OuterSocBlock(_SocBlock):
     """The cone's spectral Hessian block, split and assembled through
-    np.multiply.outer; ``quad`` and ``inv_quad`` read this ``_split``."""
+    np.multiply.outer; ``inv_quad`` reads this ``_split``, and the
+    metric's ``quad`` this ``matvec``."""
 
     def __init__(self, w, head, t):
         margin = head - t

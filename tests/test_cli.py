@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import ddsolve as dd
+import ddsolve.cli as cli_module
 from ddsolve.cli import main, parse_problem_file, run_solve
 
 
@@ -367,6 +368,36 @@ def test_constant_overrides(instance_path, capsys):
     code = main(["solve", instance_path("inst_box.dd"), "--eps", "1e-6",
                  "--xi", "3.0", "--kappa", "0.4"])
     assert code == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("change,argv,code,validated", [
+    ({}, ["--xi", "3.0"], 0, [(3.0, 0.25)]),
+    ({"xi": 1.0}, ["--xi", "2.0"], 0, [(2.0, 0.25)]),
+    ({"kappa": 2.0}, ["--kappa", "0.5"], 0, [(2.0, 0.5)]),
+    ({"xi": "abc"}, ["--xi", "2.0"], 4, []),
+], ids=["xi-flag", "xi-replaced", "kappa-replaced", "xi-malformed"])
+def test_flags_replace_file_constants_before_validation(change, argv, code, validated,
+                                                         tmp_path, capsys, monkeypatch):
+    # the file's constant a flag replaces is read, so a malformed one is
+    # still an input error, but never validated; the problem is validated
+    # and its start built once
+    path = tmp_path / "box.dd"
+    path.write_text(json.dumps({**BOX_DOC, **change}))
+    calls = []
+    original_validate, original_start = cli_module.validate_problem, cli_module.make_start
+
+    def validate(*args, **kwargs):
+        calls.append((kwargs["xi"], kwargs["kappa"]))
+        return original_validate(*args, **kwargs)
+
+    def make_start(*args):
+        calls.append("make_start")
+        return original_start(*args)
+    monkeypatch.setattr(cli_module, "validate_problem", validate)
+    monkeypatch.setattr(cli_module, "make_start", make_start)
+    assert main(["solve", str(path), "--eps", "1e-6", *argv]) == code
+    assert calls == (validated + ["make_start"] if validated else [])
     capsys.readouterr()
 
 

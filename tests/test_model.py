@@ -88,6 +88,12 @@ def test_cholesky_screen_never_accepts_what_the_svd_rejects():
     assert accepted > 100
 
 
+def test_cholesky_screen_leaves_large_a_to_the_svd():
+    # past (m + n) n eps < 1e-9 the rounding bound fails, and the screen
+    # returns before it reads A: a zero-stride view allocates nothing
+    assert not _cholesky_full_rank(np.broadcast_to(1.0, (2000, 1500)))
+
+
 @pytest.mark.parametrize("scale", [0, 500, -500])
 def test_validate_well_conditioned_without_svd(monkeypatch, scale):
     # B'B of A * 2^500 would overflow and that of A * 2^-500 underflow
@@ -288,6 +294,8 @@ def test_proximity_at_needs_a_positive_parameter(box_problem, mu):
     problem, start = box_problem
     with pytest.raises(dd.DomainViolation, match="path parameter must be positive"):
         dd.proximity_at(problem, start, np.zeros(1), 1.0, start.y0, mu)
+    with pytest.raises(dd.DomainViolation, match="path parameter must be positive"):
+        scaled_dual(problem, 1.0, start.y0, mu)
 
 
 def _dual_outside(problem, start, where):
@@ -397,4 +405,6 @@ def test_qdd_dual_equality_tolerance(unb_problem):
     y_exact = np.array([start.y0[0] + (tau - 1.0)])
     assert dd.in_qdd(problem, start, np.array([1.0]), tau, y_exact)
     assert not dd.in_qdd(problem, start, np.array([1.0]), tau, y_exact + 1e-6)
-    assert dual_residual(problem, start, np.array([1.0]), tau, y_exact) <= 1e-12
+    # a non-member fails before its dual residual is formed
+    assert not dd.in_qdd(problem, start, np.array([1.0]), -tau, y_exact)
+    assert dual_residual(problem, start, tau, y_exact) <= 1e-12

@@ -44,7 +44,7 @@ def test_residuals_raise_outside_domain(box_problem):
 def test_corrector_fixed_point_on_path(box_problem):
     problem, start = box_problem
     point = make_iterate(problem, start, np.zeros(1), 1.0, start.y0)
-    out = dd.corrector_step(problem, start, point, 1.0)
+    out = dd.corrector_step(problem, start, point)
     assert np.allclose(out.x, point.x, atol=1e-12)
     assert out.tau == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(out.y, point.y, atol=1e-12)
@@ -57,7 +57,7 @@ def test_corrector_returns_to_known_path_point(box_problem, monkeypatch):
     x = np.array([1e-3])
     point = dd.Iterate(x=x, tau=1.0, y=start.y0.copy(), mu=1.0, proximity=np.nan)
     monkeypatch.setattr(path_module, "CORRECTOR_MAX_STEPS", 5)
-    out = dd.corrector_step(problem, start, point, 1.0)
+    out = dd.corrector_step(problem, start, point)
     assert out.proximity <= 0.5 * problem.kappa
     assert abs(out.x[0]) <= 1e-8
     assert abs(out.tau - 1.0) <= 1e-8
@@ -70,7 +70,7 @@ def test_corrector_stall_raises(box_problem, monkeypatch):
     point = dd.Iterate(x=x, tau=1.0, y=start.y0.copy(), mu=1.0, proximity=np.nan)
     monkeypatch.setattr(path_module, "CORRECTOR_MAX_STEPS", 1)
     with pytest.raises(dd.CorrectorStall):
-        dd.corrector_step(problem, start, point, 1.0)
+        dd.corrector_step(problem, start, point)
 
 
 def test_corrector_stall_reports_last_proximity(box_problem, monkeypatch):
@@ -82,7 +82,7 @@ def test_corrector_stall_reports_last_proximity(box_problem, monkeypatch):
     prox = dd.proximity_at(problem, start, point.x, 1.0, start.y0, 1.0)
     monkeypatch.setattr(path_module, "CORRECTOR_MAX_STEPS", 1)
     with pytest.raises(dd.CorrectorStall, match=f"proximity {prox:.3e} above target"):
-        dd.corrector_step(problem, start, point, 1.0)
+        dd.corrector_step(problem, start, point)
 
 
 def test_corrector_stalls_when_every_trial_is_rejected(box_problem, monkeypatch):
@@ -101,7 +101,7 @@ def test_corrector_stalls_when_every_trial_is_rejected(box_problem, monkeypatch)
         return original(*args, **kwargs)
     monkeypatch.setattr(path_module, "_evaluate", evaluate)
     with pytest.raises(dd.CorrectorStall, match="step length underflow while correcting"):
-        dd.corrector_step(problem, start, point, 1.0)
+        dd.corrector_step(problem, start, point)
     assert len(evaluated) > 2
 
 
@@ -125,18 +125,18 @@ def test_corrector_rejects_restoration_leaving_dual_cone(inf_problem, monkeypatc
     assert not problem.barrier.interior(-start.y0, "conjugate")
     point = make_iterate(problem, start, np.zeros(1), 1.0, start.y0)
     monkeypatch.setattr(path_module, "_restore_dual_equality",
-                        lambda problem, start, x, tau, y: -y)
+                        lambda problem, start, tau, y: -y)
     # the check comes before the residuals, which must not be reached
     monkeypatch.setattr(path_module, "_residuals", None)
     with pytest.raises(dd.DomainViolation,
                        match="scaled dual point left the dual cone interior"):
-        dd.corrector_step(problem, start, point, 2.0)
+        dd.corrector_step(problem, start, replace(point, mu=2.0))
 
 
 def _first_newton_step(problem, start, x, tau, y, mu):
     """The corrector's first Newton direction from (x, tau, y), and the
     restored y it starts from."""
-    y = path_module._restore_dual_equality(problem, start, x, tau, y)
+    y = path_module._restore_dual_equality(problem, start, tau, y)
     res = dd.residuals(problem, start, x, tau, y, mu)
     return y, _kkt_solve(problem, start, res.point, -res.r_dual, -res.r_cent, -res.r_gap)
 
@@ -164,7 +164,7 @@ def test_corrector_falls_back_to_step_bound(box_problem, monkeypatch):
     assert member_image(problem, start, x + dx, tau + dtau, y + dy) is None
     bounds = _record_step_bounds(monkeypatch)
     point = dd.Iterate(x=x, tau=tau, y=start.y0.copy(), mu=1.0, proximity=np.nan)
-    out = dd.corrector_step(problem, start, point, 1.0)
+    out = dd.corrector_step(problem, start, point)
     assert bounds and all(0.0 < b <= 0.5 for b in bounds)
     assert out.proximity <= path_module.CORRECTOR_TARGET * problem.kappa
     assert abs(out.x[0]) <= 1e-8
@@ -183,8 +183,8 @@ def test_corrector_rejects_trial_whose_restoration_leaves_dual_cone(inf_problem,
     original = path_module._restore_dual_equality
     restored = []
 
-    def restore(problem, start, x, tau, y):
-        restored.append(original(problem, start, x, tau, y))
+    def restore(problem, start, tau, y):
+        restored.append(original(problem, start, tau, y))
         if len(restored) == 2:
             # the first trial point, after the starting point: send its
             # restored y out of D*
@@ -194,7 +194,7 @@ def test_corrector_rejects_trial_whose_restoration_leaves_dual_cone(inf_problem,
     monkeypatch.setattr(path_module, "_restore_dual_equality", restore)
     bounds = _record_step_bounds(monkeypatch)
     point = dd.Iterate(x=x, tau=tau, y=start.y0.copy(), mu=1.0, proximity=np.nan)
-    out = dd.corrector_step(problem, start, point, 1.0)
+    out = dd.corrector_step(problem, start, point)
     assert len(restored) > 2 and len(bounds) == 1
     assert out.proximity <= path_module.CORRECTOR_TARGET * problem.kappa
     assert abs(out.x[0]) <= 1e-8
@@ -223,9 +223,9 @@ def test_restoration_is_the_minimal_norm_correction(spread):
         x, tau, y = rng.normal(size=n), rng.uniform(0.5, 2.0), rng.normal(size=m)
         rhs = A.T @ (start.y0 - y) - (tau - 1.0) * problem.c
         want = np.linalg.lstsq(B.T, rhs / scales, rcond=None)[0]
-        restored = path_module._restore_dual_equality(problem, start, x, tau, y)
+        restored = path_module._restore_dual_equality(problem, start, tau, y)
         assert np.linalg.norm((restored - y) - want) <= 1e-10 * np.linalg.norm(want)
-        assert dual_residual(problem, start, x, tau, restored) <= DUAL_EQ_TOL * (1.0 + problem.c_norm)
+        assert dual_residual(problem, start, tau, restored) <= DUAL_EQ_TOL * (1.0 + problem.c_norm)
 
 
 @pytest.mark.parametrize("options", [
@@ -253,7 +253,7 @@ def test_corrector_rejects_start_outside_domain(box_problem, x, tau, message):
     problem, start = box_problem
     point = dd.Iterate(x=np.array([x]), tau=tau, y=start.y0.copy(), mu=1.0, proximity=np.nan)
     with pytest.raises(dd.DomainViolation, match=message):
-        dd.corrector_step(problem, start, point, 1.0)
+        dd.corrector_step(problem, start, point)
 
 
 @pytest.mark.parametrize("fixture,run", [("box_problem", "box_run"),
@@ -334,12 +334,12 @@ def test_kkt_solve_matches_unreduced_system(fixture, run, request):
 def test_predictor_increases_mu_and_respects_neighborhood(box_problem):
     problem, start = box_problem
     point = make_iterate(problem, start, np.zeros(1), 1.0, start.y0)
-    predicted, mu_new, _ = dd.predictor_step(problem, start, point)
-    assert mu_new > 1.0
+    predicted, _ = dd.predictor_step(problem, start, point)
+    assert predicted.mu > 1.0
     assert dd.proximity_at(problem, start, predicted.x, predicted.tau, predicted.y,
-                           mu_new) <= 2.0 * problem.kappa
+                           predicted.mu) <= 2.0 * problem.kappa
     # composition: the corrector restores the inner neighborhood
-    corrected = dd.corrector_step(problem, start, predicted, mu_new)
+    corrected = dd.corrector_step(problem, start, predicted)
     assert corrected.proximity <= 0.5 * problem.kappa
 
 
@@ -347,11 +347,30 @@ def test_predictor_interiority_preserved(soc_problem):
     problem, start = soc_problem
     point = make_iterate(problem, start, np.zeros(problem.n), 1.0, start.y0)
     for _ in range(5):
-        predicted, mu_new, _ = dd.predictor_step(problem, start, point)
+        predicted, _ = dd.predictor_step(problem, start, point)
         u = shifted_image(problem, start, predicted.x, predicted.tau)
         assert problem.barrier.min_margin(u, "primal") > 0.0
         assert problem.barrier.min_margin(predicted.y, "conjugate") > 0.0
-        point = dd.corrector_step(problem, start, predicted, mu_new)
+        point = dd.corrector_step(problem, start, predicted)
+
+
+def test_predictor_rejects_a_trial_whose_proximity_raises(box_problem, monkeypatch):
+    # a trial at which proximity_at raises DomainViolation is rejected like
+    # one beyond the outer radius: dmu halves and the next trial is tried
+    problem, start = box_problem
+    point = make_iterate(problem, start, np.zeros(1), 1.0, start.y0)
+    original = path_module.proximity_at
+    trial_mus = []
+
+    def proximity_at(*args):
+        trial_mus.append(args[-1])
+        if len(trial_mus) == 1:
+            raise dd.DomainViolation("trial rejected")
+        return original(*args)
+    monkeypatch.setattr(path_module, "proximity_at", proximity_at)
+    predicted, _ = dd.predictor_step(problem, start, point)
+    assert len(trial_mus) > 1 and predicted.mu == trial_mus[-1] < trial_mus[0]
+    assert predicted.proximity <= path_module.PREDICTOR_RADIUS * problem.kappa
 
 
 def _first_order_predictor(problem, start, point):
@@ -383,14 +402,14 @@ def _first_order_predictor(problem, start, point):
 
 def _predict_and_correct(problem, start, steps):
     """``steps`` iterations of the follower's loop, each predictor given the
-    tangent the one before returned; yields (point, predicted, mu_new) per
+    tangent the one before returned; yields (point, predicted) per
     iteration."""
     point = make_iterate(problem, start, np.zeros(problem.n), 1.0, start.y0)
     tangent = None
     for _ in range(steps):
-        predicted, mu_new, tangent = dd.predictor_step(problem, start, point, tangent)
-        yield point, predicted, mu_new
-        point = dd.corrector_step(problem, start, predicted, mu_new)
+        predicted, tangent = dd.predictor_step(problem, start, point, tangent)
+        yield point, predicted
+        point = dd.corrector_step(problem, start, predicted)
 
 
 @pytest.mark.parametrize("fixture", ["box_problem", "inf_problem", "soc_problem"])
@@ -398,13 +417,12 @@ def test_predictor_without_previous_tangent_is_first_order(fixture, request):
     # a direct call, and the first call of a run, step along the tangent
     # exactly as the first-order predictor does
     problem, start = request.getfixturevalue(fixture)
-    points = [point for point, _, _ in _predict_and_correct(problem, start, 4)]
+    points = [point for point, _ in _predict_and_correct(problem, start, 4)]
     for point in points:
         xr, taur, yr, mur, proxr = _first_order_predictor(problem, start, point)
-        predicted, mu_new, _ = dd.predictor_step(problem, start, point)
+        predicted, _ = dd.predictor_step(problem, start, point)
         assert np.array_equal(predicted.x, xr) and np.array_equal(predicted.y, yr)
-        assert (predicted.tau, predicted.mu, mu_new, predicted.proximity) == \
-            (taur, mur, mur, proxr)
+        assert (predicted.tau, predicted.mu, predicted.proximity) == (taur, mur, proxr)
 
 
 @pytest.mark.parametrize("fixture", ["box_problem", "soc_problem", "tangent_problem"])
@@ -415,7 +433,7 @@ def test_curve_points_keep_dual_equation_and_neighborhood(fixture, request):
     # the outer radius there
     problem, start = request.getfixturevalue(fixture)
     curve_points = 0
-    for k, (point, predicted, mu_new) in enumerate(_predict_and_correct(problem, start, 8)):
+    for k, (point, predicted) in enumerate(_predict_and_correct(problem, start, 8)):
         first_order = dd.predictor_step(problem, start, point)[0]
         if k == 0:
             assert np.array_equal(predicted.x, first_order.x)
@@ -426,7 +444,7 @@ def test_curve_points_keep_dual_equation_and_neighborhood(fixture, request):
                  + (predicted.tau - point.tau) * problem.c)
         assert np.max(np.abs(moved)) <= 1e-9
         own = dd.mu_of(problem, start, predicted.x, predicted.tau, predicted.y)
-        assert predicted.mu == mu_new == own > point.mu
+        assert predicted.mu == own > point.mu
         prox = dd.proximity_at(problem, start, predicted.x, predicted.tau, predicted.y, own)
         assert prox == predicted.proximity <= 2.0 * problem.kappa
     assert curve_points == 7
@@ -439,10 +457,10 @@ def test_curve_bending_back_is_not_accepted(fixture, request):
     # are near the path at a smaller own mu and must be passed over
     problem, start = request.getfixturevalue(fixture)
     point = list(_predict_and_correct(problem, start, 4))[-1][0]
-    _, _, (s, vel) = dd.predictor_step(problem, start, point)
-    predicted, mu_new, _ = dd.predictor_step(problem, start, point, (s - 1.0, 5.0 * vel))
+    _, (s, vel) = dd.predictor_step(problem, start, point)
+    predicted, _ = dd.predictor_step(problem, start, point, (s - 1.0, 5.0 * vel))
     own = dd.mu_of(problem, start, predicted.x, predicted.tau, predicted.y)
-    assert predicted.mu == mu_new == own > point.mu
+    assert predicted.mu == own > point.mu
 
 
 def _two_cone_problem(rng, n=12, k=12):
@@ -704,17 +722,17 @@ def test_predictor_reads_handed_over_evaluation(fixture, request):
     # evaluates itself, the prediction must be the same bit for bit
     problem, start = request.getfixturevalue(fixture)
     point = make_iterate(problem, start, np.zeros(problem.n), 1.0, start.y0)
-    predicted, mu_new, tangent = dd.predictor_step(problem, start, point)
+    predicted, tangent = dd.predictor_step(problem, start, point)
     for _ in range(6):
-        point = dd.corrector_step(problem, start, predicted, mu_new)
+        point = dd.corrector_step(problem, start, predicted)
         assert isinstance(point, path_module._Point)
         plain = dd.Iterate(x=point.x.copy(), tau=point.tau, y=point.y.copy(), mu=point.mu,
                            proximity=point.proximity)
-        own, own_mu, own_tangent = dd.predictor_step(problem, start, plain, tangent)
-        predicted, mu_new, tangent = dd.predictor_step(problem, start, point, tangent)
+        own, own_tangent = dd.predictor_step(problem, start, plain, tangent)
+        predicted, tangent = dd.predictor_step(problem, start, point, tangent)
         assert np.array_equal(predicted.x, own.x) and np.array_equal(predicted.y, own.y)
-        assert (predicted.tau, predicted.mu, predicted.proximity, mu_new) == \
-            (own.tau, own.mu, own.proximity, own_mu)
+        assert (predicted.tau, predicted.mu, predicted.proximity) == \
+            (own.tau, own.mu, own.proximity)
         assert tangent[0] == own_tangent[0] and np.array_equal(tangent[1], own_tangent[1])
 
 
@@ -752,8 +770,8 @@ def test_dual_equation_residual_has_one_owner(soc_problem, soc_run, monkeypatch)
     assert path_module.dual_equation_residual is model_module.dual_equation_residual
     original = model_module.dual_equation_residual
     before = (path_module._residuals(problem, start, it).r_dual,
-              dual_residual(problem, start, it.x, it.tau, it.y),
-              path_module._restore_dual_equality(problem, start, it.x, it.tau, it.y))
+              dual_residual(problem, start, it.tau, it.y),
+              path_module._restore_dual_equality(problem, start, it.tau, it.y))
     shift = np.linspace(1e-3, 2e-3, problem.n)
 
     def shifted(*args):
@@ -763,8 +781,8 @@ def test_dual_equation_residual_has_one_owner(soc_problem, soc_run, monkeypatch)
     r = original(problem, start, it.tau, it.y) + shift
     Q, r_inv_t = problem.qr_factors
     after = (path_module._residuals(problem, start, it).r_dual,
-             dual_residual(problem, start, it.x, it.tau, it.y),
-             path_module._restore_dual_equality(problem, start, it.x, it.tau, it.y))
+             dual_residual(problem, start, it.tau, it.y),
+             path_module._restore_dual_equality(problem, start, it.tau, it.y))
     assert np.array_equal(after[0], r) and not np.array_equal(before[0], r)
     assert after[1] == math.sqrt(r.dot(r)) and before[1] < 1e-3
     assert np.array_equal(after[2], it.y - Q @ (r_inv_t @ r))
@@ -781,12 +799,12 @@ def test_membership_and_invariants_share_the_dual_tolerance(fixture, run, reques
     it = request.getfixturevalue(run).iterates[3]
     tol = DUAL_EQ_TOL * (1.0 + np.linalg.norm(problem.c))
     assert problem.dual_eq_tol == tol
-    assert dual_residual(problem, start, it.x, it.tau, it.y) < 1e-6 * tol
+    assert dual_residual(problem, start, it.tau, it.y) < 1e-6 * tol
     Q, r_inv_t = problem.qr_factors
     w = Q @ (r_inv_t @ np.full(problem.n, problem.n ** -0.5))
     for scale, accepted in ((1.0 - 1e-3, True), (1.0 + 1e-3, False)):
         y = it.y + (scale * tol) * w
-        assert (dual_residual(problem, start, it.x, it.tau, y) <= tol) == accepted
+        assert (dual_residual(problem, start, it.tau, y) <= tol) == accepted
         assert dd.in_qdd(problem, start, it.x, it.tau, y) == accepted
         violations = []
         path_module._check_invariants(problem, start, replace(it, y=y), violations)
@@ -800,6 +818,10 @@ def test_iteration_limit_status(box_problem):
     result = dd.follow(problem, start, dd.FollowerOptions(eps=1e-6, max_iters=2))
     assert result.report.status == "IterationLimit"
     assert result.report.exit_code == 5
+    # with no iteration allowed, the anchor alone is traced: no slope to fit
+    result = dd.follow(problem, start, dd.FollowerOptions(eps=1e-6, max_iters=0))
+    assert result.report.status == "IterationLimit"
+    assert result.report.diagnostics["iterations"] == 0 and result.mu_log_slope == 0.0
 
 
 def test_feasibility_measure_bound_on_box(box_run, box_problem):

@@ -205,6 +205,19 @@ def test_strict_unboundedness_projection_with_active_cut(unb_run, unb_problem):
     assert verify_certificate(problem, start, cert).passed
 
 
+def test_strict_unboundedness_reports_a_singular_normal_matrix(unb_run, unb_problem,
+                                                               monkeypatch):
+    problem, start = unb_problem
+
+    def singular(M, rhs):
+        raise np.linalg.LinAlgError("Singular matrix")
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(dd.ProjectionOutsideDomain,
+                       match="projection system singular: Singular matrix") as info:
+        dd.strict_unboundedness_certificate(problem, start, unb_run.iterates[-1], 1e-6)
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
 def test_strict_unboundedness_fixed_point(unb_run, unb_problem):
     # the shifted image point already satisfies the objective inequality,
     # so the projection returns it unchanged
@@ -230,6 +243,9 @@ def test_verify_hand_built_certificates(inf_problem, unb_problem):
     xhat = Certificate(kind="unboundedness", strict=True, eps=1e-6,
                        x=np.array([1e6]))
     assert verify_certificate(problem_u, start_u, xhat).passed
+    unknown = Certificate(kind="optimal", strict=False, eps=1e-6)
+    rep = verify_certificate(problem_u, start_u, unknown)
+    assert rep.failed_names() == ["unknown certificate kind optimal"]
 
 
 @pytest.mark.parametrize("atoms,c,kind", [
@@ -274,6 +290,12 @@ def test_certificate_with_negative_tau_fails(atoms, c, kind):
         assert "tau > 0" in rep.failed_names()
         assert [ch.value for ch in rep.checks if ch.name == "tau > 0"] == [tau]
         assert needs_tau & {ch.name for ch in rep.checks} <= set(rep.failed_names())
+    # a certificate without a tau, the field's default, fails the same
+    # checks, with a NaN value
+    rep = verify_certificate(problem, start, replace(cert, tau=None))
+    check, = [ch for ch in rep.checks if ch.name == "tau > 0"]
+    assert not check.passed and np.isnan(check.value)
+    assert needs_tau & {ch.name for ch in rep.checks} <= set(rep.failed_names())
 
 
 def test_margin_checks_fail_on_a_nan_entry(inf_problem, box_run, box_problem):
