@@ -308,9 +308,10 @@ class GapBounds:
 
 
 def gap_bounds(problem: Problem, start: StartData, x, tau: float, y,
-               mu: float | None = None) -> GapBounds:
+               mu: float) -> GapBounds:
     """Two-sided bound on  <c,x> + support(y)/tau  valid for points within
-    proximity kappa of the path; ``actual`` may be +inf off the dual cone.
+    proximity kappa of path parameter ``mu``; ``actual`` may be +inf off
+    the dual cone.
 
     The bracket width is exactly (2*kappa*sqrt(theta) + theta) * mu / tau^2.
     Raises DomainViolation unless tau > 0, as :func:`proximity_at` does.
@@ -319,8 +320,6 @@ def gap_bounds(problem: Problem, start: StartData, x, tau: float, y,
     if not tau > 0.0:
         raise DomainViolation(f"tau must be positive, got {tau}")
     tau = float(tau)
-    if mu is None:
-        mu = mu_of(problem, start, x, tau, y)
     th = problem.theta
     center = -(start.y_tau0 / tau + problem.xi * mu * th / tau**2)
     spread = problem.kappa * mu * np.sqrt(th) / tau**2

@@ -454,7 +454,7 @@ def follow(problem: Problem, start: StartData, options: FollowerOptions = Follow
     # the initial point is recorded but not status-checked: checks run
     # after correctors only (the anchor can satisfy a stop test by
     # construction, e.g. when A'y0 happens to vanish)
-    record(point)
+    sp = record(point)
 
     # each predictor hands its tangent to the next, for the second-order
     # curve, and each corrector returns its point with the primal
@@ -465,11 +465,11 @@ def follow(problem: Problem, start: StartData, options: FollowerOptions = Follow
             predicted, tangent = predictor_step(problem, start, point, tangent)
             point = corrector_step(problem, start, predicted)
         except (PredictorStall, CorrectorStall, DomainViolation, FactorizationFailure) as exc:
-            report = status_engine.numerical_failure_report(problem, start, point, exc)
+            report = status_engine.numerical_failure_report(problem, point, sp, exc)
             return finish(report)
         sp = record(point)
         report = status_engine.check_status(problem, start, point, options.eps, sp=sp)
         if report is not None:
             return finish(report)
-    report = status_engine.iteration_limit_report(problem, start, point)
+    report = status_engine.iteration_limit_report(problem, point, sp)
     return finish(report)

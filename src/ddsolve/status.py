@@ -204,14 +204,14 @@ def _add_image_check(rep: VerificationReport, problem, start, x, tau) -> bool:
     return positive
 
 
-def _eps_feasibility_report(problem, start, x, tau, y, eps: float) -> VerificationReport:
+def _eps_feasibility_report(problem, start, point: Iterate, sp: StopParams,
+                            eps: float) -> VerificationReport:
     """Checks for the ill-conditioned pair: structural feasibility and
-    P_feas, D_feas <= eps."""
+    P_feas, D_feas <= eps, read from the point's stop parameters ``sp``."""
     rep = VerificationReport()
-    _add_image_check(rep, problem, start, x, tau)
-    dual_margin = problem.barrier.min_margin(np.asarray(y) / tau, CONJUGATE)
+    _add_image_check(rep, problem, start, point.x, point.tau)
+    dual_margin = problem.barrier.min_margin(point.y / point.tau, CONJUGATE)
     rep.add("y/tau in dual cone (margins >= 0)", dual_margin >= 0.0, dual_margin)
-    sp = stop_params(problem, start, x, tau, y)
     rep.add("P_feas <= eps", sp.p_feas <= eps, sp.p_feas)
     rep.add("D_feas <= eps", sp.d_feas <= eps, sp.d_feas)
     return rep
@@ -256,15 +256,13 @@ def require_eps(eps: float) -> None:
 
 
 def check_status(problem: Problem, start: StartData, point: Iterate, eps: float,
-                 *, sp: StopParams | None = None):
+                 *, sp: StopParams):
     """Run the termination checks in precedence order; None if none fired.
 
-    ``sp``, if given, are the point's stop parameters, already formed.
+    ``sp`` are the point's stop parameters, as :func:`stop_params` forms them.
     """
     require_eps(eps)
     x, tau, y, mu = point.x, point.tau, point.y, point.mu
-    if sp is None:
-        sp = stop_params(problem, start, x, tau, y)
 
     if sp.max() <= eps:
         return _certified(problem, start, point, EPS_SOLUTION, sp,
@@ -285,47 +283,41 @@ def check_status(problem: Problem, start: StartData, point: Iterate, eps: float,
 
     if mu >= 1.0 / (problem.theta * eps**3):
         report = _base_report(problem, point, ILL_CONDITIONED, sp)
-        report.verification = _eps_feasibility_report(problem, start, x, tau, y, eps)
+        report.verification = _eps_feasibility_report(problem, start, point, sp, eps)
         return report
 
     return None
 
 
-def numerical_failure_report(problem, start, point: Iterate, exc: Exception) -> StatusReport:
-    report = _base_report(problem, point, NUMERICAL_FAILURE,
-                          stop_params(problem, start, point.x, point.tau, point.y))
+def numerical_failure_report(problem, point: Iterate, sp: StopParams,
+                             exc: Exception) -> StatusReport:
+    """The last accepted point's report, from its stop parameters ``sp``."""
+    report = _base_report(problem, point, NUMERICAL_FAILURE, sp)
     report.diagnostics["reason"] = f"{type(exc).__name__}: {exc}"
     return report
 
 
-def iteration_limit_report(problem, start, point: Iterate) -> StatusReport:
-    report = _base_report(problem, point, ITERATION_LIMIT,
-                          stop_params(problem, start, point.x, point.tau, point.y))
+def iteration_limit_report(problem, point: Iterate, sp: StopParams) -> StatusReport:
+    """The last accepted point's report, from its stop parameters ``sp``."""
+    report = _base_report(problem, point, ITERATION_LIMIT, sp)
     report.diagnostics["reason"] = "iteration cap reached before any status fired"
     return report
 
 
-def _weighted_projection(hinv, constraints, rhs, v, cut, bound):
-    """argmin (w-v)' H (w-v)  s.t.  constraints' w = rhs  and  <cut, w> <= bound,
-    with ``hinv(B) = H^-1 B``.  Active set on the one cut: when the
-    projection onto the equalities (v itself when there are none) breaks
-    it, project again with the cut as one more equality."""
-    def project(constraints, rhs):
-        hinv_c = hinv(constraints)
-        lam = np.linalg.solve(constraints.T @ hinv_c, constraints.T @ v - rhs)
-        return v - hinv_c @ lam
-
-    w = project(constraints, rhs) if constraints.size else v
-    if float(cut @ w) > bound:
-        w = project(np.column_stack([constraints, cut]), np.concatenate([rhs, [bound]]))
-    return w
+def _weighted_projection(hinv, constraints, rhs, v):
+    """argmin (w-v)' H (w-v)  s.t.  constraints' w = rhs, with ``hinv(B) = H^-1 B``."""
+    hinv_c = hinv(constraints)
+    lam = np.linalg.solve(constraints.T @ hinv_c, constraints.T @ v - rhs)
+    return v - hinv_c @ lam
 
 
 def strict_infeasibility_certificate(problem: Problem, start: StartData,
                                      point: Iterate) -> Certificate:
     """Project the scaled dual point onto { w : A'w = 0,
     <w, z0> <= -0.9 tau xi theta } in the conjugate local metric; on
-    success, rescale so the support function equals exactly -1.
+    success, rescale so the support function equals exactly -1.  Active set
+    on the cut: when the projection onto A'w = 0 breaks it, project again
+    with <w, z0> = -0.9 tau xi theta as one more equality.
 
     Raises ProjectionOutsideCone when the projection leaves the dual cone
     (too early on the path) or its support is not negative.
@@ -335,9 +327,12 @@ def strict_infeasibility_certificate(problem: Problem, start: StartData,
     metric = problem.barrier.hess(v, CONJUGATE)
     bound = -INFEASIBILITY_PROJECTION_FACTOR * tau * problem.xi * problem.theta
 
+    zeros = np.zeros(problem.n)
     try:
-        w = _weighted_projection(metric.solve, problem.A, np.zeros(problem.n), v,
-                                 start.z0, bound)
+        w = _weighted_projection(metric.solve, problem.A, zeros, v)
+        if float(start.z0 @ w) > bound:
+            w = _weighted_projection(metric.solve, np.column_stack([problem.A, start.z0]),
+                                     np.concatenate([zeros, [bound]]), v)
     except np.linalg.LinAlgError as exc:
         raise ProjectionOutsideCone(f"projection system singular: {exc}") from exc
 
@@ -356,9 +351,9 @@ def strict_unboundedness_certificate(problem: Problem, start: StartData,
     """Project the shifted image point onto { A x : <c, x> <= -1/eps } in
     the primal local metric; the result must be strictly interior.
 
-    Active-set on the single inequality: at most two equality-constrained
-    solves.  Raises ProjectionOutsideDomain if the projected point is not
-    interior.
+    Active set on the cut: when the least-squares fit breaks it, project
+    again with <c, x> = -1/eps as the one equality.  Raises
+    ProjectionOutsideDomain if the projected point is not interior.
     """
     x, tau = point.x, point.tau
     u = shifted_image(problem, start, x, tau)
@@ -368,9 +363,9 @@ def strict_unboundedness_certificate(problem: Problem, start: StartData,
         # is the least-squares fit of A x to u
         normal = problem.A.T @ metric.matvec(problem.A)
         xhat = np.linalg.solve(normal, problem.A.T @ metric.matvec(u))
-        xhat = _weighted_projection(lambda b: np.linalg.solve(normal, b),
-                                    np.empty((problem.n, 0)), np.empty(0), xhat,
-                                    problem.c, -1.0 / eps)
+        if float(problem.c @ xhat) > -1.0 / eps:
+            xhat = _weighted_projection(lambda b: np.linalg.solve(normal, b),
+                                        problem.c[:, None], np.array([-1.0 / eps]), xhat)
     except np.linalg.LinAlgError as exc:
         raise ProjectionOutsideDomain(f"projection system singular: {exc}") from exc
     margin = problem.barrier.min_margin(problem.A @ xhat, PRIMAL)

@@ -367,7 +367,8 @@ def test_support_function_values(inf_problem):
 
 def test_gap_bounds_initial_point(box_problem):
     problem, start = box_problem
-    gb = dd.gap_bounds(problem, start, np.zeros(1), 1.0, start.y0)
+    mu = dd.mu_of(problem, start, np.zeros(1), 1.0, start.y0)
+    gb = dd.gap_bounds(problem, start, np.zeros(1), 1.0, start.y0, mu)
     assert gb.lower <= gb.actual <= gb.upper
     # width is exactly (2*kappa*sqrt(theta) + theta) * mu / tau^2
     width = (2.0 * problem.kappa * np.sqrt(problem.theta) + problem.theta)
@@ -383,7 +384,7 @@ def test_gap_bounds_needs_a_positive_tau(box_problem, tau):
         with pytest.raises(dd.DomainViolation, match=f"tau must be positive, got {tau}"):
             dd.gap_bounds(problem, start, [0.0], tau, start.y0, 1.0)
         with pytest.raises(dd.DomainViolation, match=f"tau must be positive, got {tau}"):
-            dd.gap_bounds(problem, start, [0.0], np.float64(tau), start.y0)
+            dd.gap_bounds(problem, start, [0.0], np.float64(tau), start.y0, 1.0)
     assert caught == []
 
 
