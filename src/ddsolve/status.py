@@ -11,10 +11,16 @@ Terminal statuses, in the precedence order they are checked:
                            objective estimate -support(y)/tau
   IterationLimit / NumericalFailure
 
+The follower forms each accepted iterate's stop parameters once, when it
+records the iterate, and every report on that iterate reads them: the
+termination checks, the IllConditioned pair's checks and the
+NumericalFailure and IterationLimit reports.
+
 Certificate verification never consults solver state: it re-evaluates
 memberships, margins and support functions from the problem data alone,
 including tau > 0 and A x + z0/tau in D for every point reported with its
-tau.
+tau.  A malformed certificate fails the checks it cannot back instead of
+raising.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .barriers import CONJUGATE, PRIMAL
-from .errors import ProjectionOutsideCone, ProjectionOutsideDomain
+from .errors import DomainViolation, ProjectionOutsideCone, ProjectionOutsideDomain
 from .model import (
     Iterate,
     Problem,
@@ -69,7 +75,10 @@ class StopParams:
 def stop_params(problem: Problem, start: StartData, x, tau: float, y) -> StopParams:
     """gap = |<c,x> + support(y)/tau| / (1 + |<c,x>| + |support(y)/tau|)
     with a sentinel value 1 when the support is +inf;
-    P_feas = ||z0||/tau;  D_feas = ||A'y/tau + c|| / (1 + ||c||)."""
+    P_feas = ||z0||/tau;  D_feas = ||A'y/tau + c|| / (1 + ||c||).
+    Raises DomainViolation unless tau > 0, as :func:`gap_bounds` does."""
+    if not tau > 0.0:
+        raise DomainViolation(f"tau must be positive, got {tau}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     tau = float(tau)
@@ -152,13 +161,24 @@ def verify_certificate(problem: Problem, start: StartData, cert: Certificate) ->
     unboundedness (eps):     <c,x> <= -1/eps, tau > 0, A x + z0/tau in D;
     optimal-pair:            tau > 0, A x + z0/tau in D, all three stop
     parameters <= eps (a dual point off D* has support +inf and fails the
-    gap).  Without tau > 0 the checks that need 1/tau fail unformed.
+    gap).
+
+    A malformed certificate fails instead of raising.  Without tau > 0, or
+    without the x or y a check needs, that check fails unformed, with a
+    NaN value.  An eps outside (0, 1) fails every check that compares with
+    it, keeping the check's value.
     """
     rep = VerificationReport()
+    # NaN fails every comparison
+    eps = cert.eps if 0.0 < cert.eps < 1.0 else np.nan
+    x, y = cert.x, cert.y
     if cert.kind == "infeasibility":
-        aty = problem.A.T @ cert.y
-        margin = problem.barrier.min_margin(cert.y, CONJUGATE)
-        ds = support_function(problem, cert.y)
+        if y is None:
+            aty, margin, ds = np.full(problem.n, np.nan), np.nan, np.nan
+        else:
+            aty = problem.A.T @ y
+            margin = problem.barrier.min_margin(y, CONJUGATE)
+            ds = support_function(problem, y)
         if cert.strict:
             aty_inf = float(np.max(np.abs(aty), initial=0.0))
             rep.add("ATy_inf_norm <= 1e-8", aty_inf <= 1e-8, aty_inf)
@@ -166,25 +186,25 @@ def verify_certificate(problem: Problem, start: StartData, cert: Certificate) ->
             rep.add("support(y) <= -1 + 1e-8", ds <= -1.0 + 1e-8, ds)
         else:
             aty_norm = float(np.linalg.norm(aty))
-            rep.add("||A'y|| <= eps", aty_norm <= cert.eps, aty_norm)
+            rep.add("||A'y|| <= eps", aty_norm <= eps, aty_norm)
             rep.add("y in dual cone (margins >= 0)", margin >= 0.0, margin)
             rep.add("support(y) < 0", ds < 0.0, ds)
     elif cert.kind == "unboundedness":
-        cx = float(problem.c @ cert.x)
-        rep.add("<c,x> <= -1/eps", cx <= -1.0 / cert.eps, cx)
+        cx = np.nan if x is None else float(problem.c @ x)
+        rep.add("<c,x> <= -1/eps", cx <= -1.0 / eps, cx)
         if cert.strict:
-            margin = problem.barrier.min_margin(problem.A @ cert.x, PRIMAL)
+            margin = np.nan if x is None else problem.barrier.min_margin(problem.A @ x, PRIMAL)
             rep.add("Ax interior (margins > 0)", margin > 0.0, margin)
         else:
-            _add_image_check(rep, problem, start, cert.x, cert.tau)
+            _add_image_check(rep, problem, start, x, cert.tau)
     elif cert.kind == "optimal-pair":
-        if _add_image_check(rep, problem, start, cert.x, cert.tau):
-            sp = stop_params(problem, start, cert.x, cert.tau, cert.tau * cert.y)
+        if _add_image_check(rep, problem, start, x, cert.tau) and y is not None:
+            sp = stop_params(problem, start, x, cert.tau, cert.tau * y)
         else:
             sp = StopParams(gap=np.nan, p_feas=np.nan, d_feas=np.nan)
-        rep.add("gap <= eps", sp.gap <= cert.eps, sp.gap)
-        rep.add("P_feas <= eps", sp.p_feas <= cert.eps, sp.p_feas)
-        rep.add("D_feas <= eps", sp.d_feas <= cert.eps, sp.d_feas)
+        rep.add("gap <= eps", sp.gap <= eps, sp.gap)
+        rep.add("P_feas <= eps", sp.p_feas <= eps, sp.p_feas)
+        rep.add("D_feas <= eps", sp.d_feas <= eps, sp.d_feas)
     else:
         rep.add(f"unknown certificate kind {cert.kind}", False, 0.0)
     return rep
@@ -193,15 +213,17 @@ def verify_certificate(problem: Problem, start: StartData, cert: Certificate) ->
 def _add_image_check(rep: VerificationReport, problem, start, x, tau) -> bool:
     """tau > 0 and A x + z0/tau in D (margins >= 0), for a point reported
     with its tau: a negative tau flips the sign of P_feas and of z0/tau.
-    Returns whether tau > 0, which a missing tau (None, a NaN value) is not;
-    without it the image is not formed, and its check fails with a NaN margin."""
+    Returns whether the image is formed: only with tau > 0, which a missing
+    tau (None, a NaN value) is not, and with x given; otherwise its check
+    fails with a NaN margin."""
     tau = np.nan if tau is None else tau
     positive = tau > 0.0
     rep.add("tau > 0", positive, tau)
+    formed = positive and x is not None
     margin = (problem.barrier.min_margin(shifted_image(problem, start, x, tau), PRIMAL)
-              if positive else np.nan)
+              if formed else np.nan)
     rep.add("Ax + z0/tau in domain (margins >= 0)", margin >= 0.0, margin)
-    return positive
+    return formed
 
 
 def _eps_feasibility_report(problem, start, point: Iterate, sp: StopParams,
@@ -353,8 +375,10 @@ def strict_unboundedness_certificate(problem: Problem, start: StartData,
 
     Active set on the cut: when the least-squares fit breaks it, project
     again with <c, x> = -1/eps as the one equality.  Raises
-    ProjectionOutsideDomain if the projected point is not interior.
+    ProjectionOutsideDomain if the projected point is not interior, and
+    ValueError, before any work, unless eps lies in (0, 1).
     """
+    require_eps(eps)
     x, tau = point.x, point.tau
     u = shifted_image(problem, start, x, tau)
     metric = problem.barrier.hess(u, PRIMAL)

@@ -10,6 +10,7 @@ import pytest
 import ddsolve as dd
 import ddsolve.model as model_module
 import ddsolve.path as path_module
+from ddsolve.cli import parse_problem_file
 from ddsolve.model import DUAL_EQ_TOL, dual_residual, make_iterate, member_image, shifted_image
 from oracles import OracleInstance, oracle_sigma_f
 from ddsolve.path import _kkt_solve
@@ -822,6 +823,39 @@ def test_iteration_limit_status(box_problem):
     result = dd.follow(problem, start, dd.FollowerOptions(eps=1e-6, max_iters=0))
     assert result.report.status == "IterationLimit"
     assert result.report.diagnostics["iterations"] == 0 and result.mu_log_slope == 0.0
+
+
+@pytest.mark.parametrize("source,options,status", [
+    ("box_problem", {"eps": 1e-6}, "EpsSolution"),
+    ("inf_problem", {"eps": 1e-6}, "InfeasibilityCertificate"),
+    ("unb_problem", {"eps": 1e-6}, "UnboundednessCertificate"),
+    ("tangent_problem", {"eps": 1e-2, "max_iters": 300}, "IllConditioned"),
+    ("inst_soc.dd", {"eps": 1e-6}, "NumericalFailure"),
+    ("inst_box.dd", {"eps": 1e-6, "max_iters": 2}, "IterationLimit"),
+])
+def test_stop_params_formed_once_per_iterate(source, options, status, request,
+                                             instance_path, monkeypatch):
+    # follow forms each recorded iterate's stop parameters once, and every
+    # report on an iterate reads them: the final report's gap, P_feas and
+    # D_feas are the trace's last row.  Only the re-verification of an
+    # EpsSolution's optimal pair forms them again, from the certificate
+    if source.endswith(".dd"):
+        problem, start = parse_problem_file(instance_path(source))
+    else:
+        problem, start = request.getfixturevalue(source)
+    calls = []
+    original = dd.status.stop_params
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(dd.status, "stop_params", counted)
+    result = dd.follow(problem, start, dd.FollowerOptions(**options))
+    assert result.report.status == status
+    assert len(calls) == len(result.trace) + (status == "EpsSolution")
+    last, diagnostics = result.trace[-1], result.report.diagnostics
+    assert ((diagnostics["gap"], diagnostics["p_feas"], diagnostics["d_feas"])
+            == (last.gap, last.p_feas, last.d_feas))
 
 
 def test_feasibility_measure_bound_on_box(box_run, box_problem):

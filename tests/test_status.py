@@ -1,5 +1,6 @@
 """Stop parameters, termination precedence, certificates and verification."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -323,6 +324,95 @@ def test_margin_checks_fail_on_a_nan_entry(inf_problem, box_run, box_problem):
     rep = verify_certificate(problem, start, replace(pair, x=np.array([np.nan])))
     check, = [ch for ch in rep.checks if ch.name == "Ax + z0/tau in domain (margins >= 0)"]
     assert not check.passed and np.isnan(check.value)
+
+
+def _certificate(case, request):
+    """(problem, start, certificate) for each kind; all but the strict
+    unbounded point of a bounded problem verify."""
+    if case == "bounded-unboundedness":
+        # min x over x in [0, 1] and x >= 0: bounded, so <c, x> = 0.5 fails
+        problem = dd.validate_problem([[1.0], [1.0]], [1.0],
+                                      [dd.box(0, 0.0, 1.0), dd.halfline_lower(1, 0.0)])
+        return (problem, dd.default_z0(problem),
+                Certificate(kind="unboundedness", strict=True, eps=0.5, x=np.array([0.5])))
+    fixture = {"pair": "box", "infeasibility": "inf", "unboundedness": "unb",
+               "strict-infeasibility": "inf", "strict-unboundedness": "unb"}[case]
+    problem, start = request.getfixturevalue(f"{fixture}_problem")
+    point = request.getfixturevalue(f"{fixture}_run").iterates[-1]
+    if case == "strict-infeasibility":
+        cert = dd.strict_infeasibility_certificate(problem, start, point)
+    elif case == "strict-unboundedness":
+        cert = dd.strict_unboundedness_certificate(problem, start, point, 1e-6)
+    else:
+        cert = request.getfixturevalue(f"{fixture}_run").report.certificate
+    return problem, start, cert
+
+
+READS_EPS = {"||A'y|| <= eps", "<c,x> <= -1/eps", "gap <= eps", "P_feas <= eps",
+             "D_feas <= eps"}
+
+
+@pytest.mark.parametrize("case,eps", [
+    ("bounded-unboundedness", -1.0),   # <c,x> <= -1/eps read 0.5 <= 1 and passed
+    ("bounded-unboundedness", 0.0),    # -1/eps divided by zero
+    ("pair", 5.0),                     # every stop parameter passed <= 5
+    ("infeasibility", 5.0),
+    ("unboundedness", -1.0),
+])
+def test_verification_fails_an_eps_outside_the_unit_interval(case, eps, request):
+    # the same rows with the same values; each row that reads eps fails
+    problem, start, cert = _certificate(case, request)
+    valid = verify_certificate(problem, start, cert)
+    rep = verify_certificate(problem, start, replace(cert, eps=eps))
+    assert [(ch.name, ch.value) for ch in rep.checks] == [(ch.name, ch.value)
+                                                          for ch in valid.checks]
+    assert rep.failed_names() == [ch.name for ch in valid.checks
+                                  if ch.name in READS_EPS or not ch.passed]
+    assert not rep.passed
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, 1.0, np.nan])
+def test_strict_unboundedness_needs_eps_in_the_unit_interval(eps, unb_run, unb_problem):
+    # eps = 0 divided by zero, and eps = -1 gave a certificate the verifier
+    # passed
+    problem, start = unb_problem
+    with pytest.raises(ValueError, match="eps must lie in"):
+        dd.strict_unboundedness_certificate(problem, start, unb_run.iterates[-1], eps)
+
+
+@pytest.mark.parametrize("case,missing,kept", [
+    ("strict-infeasibility", "y", ()),
+    ("infeasibility", "y", ()),
+    ("strict-unboundedness", "x", ()),
+    ("unboundedness", "x", ("tau > 0",)),
+    ("pair", "x", ("tau > 0",)),
+    ("pair", "y", ("tau > 0", "Ax + z0/tau in domain (margins >= 0)")),
+])
+def test_certificate_without_its_payload_fails(case, missing, kept, request):
+    # a missing x or y raised from the products that read it; each check
+    # that needs it now fails with a NaN value, as a missing tau does
+    problem, start, cert = _certificate(case, request)
+    valid = verify_certificate(problem, start, cert)
+    assert valid.passed
+    rep = verify_certificate(problem, start, replace(cert, **{missing: None}))
+    assert [ch.name for ch in rep.checks] == [ch.name for ch in valid.checks]
+    for check, reference in zip(rep.checks, valid.checks):
+        if check.name in kept:
+            assert check == reference
+        else:
+            assert not check.passed and np.isnan(check.value)
+
+
+@pytest.mark.parametrize("tau", [0.0, -1.0, np.nan])
+def test_stop_params_needs_a_positive_tau(box_problem, tau):
+    # tau = 0 divided by zero, and tau = -1 gave a negative P_feas, which
+    # passes P_feas <= eps
+    problem, start = box_problem
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(dd.DomainViolation, match=f"tau must be positive, got {tau}"):
+            stop_params(problem, start, np.zeros(1), tau, start.y0)
+    assert caught == []
 
 
 def test_emitted_certificates_always_verify(box_run, inf_run, unb_run, tangent_run):
