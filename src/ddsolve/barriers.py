@@ -214,16 +214,29 @@ class _IntervalGroup:
         return (np.sum(-1.0 - np.log(np.abs(yh)) + self.half_bound * yh)
                 + np.sum(yb * (self.box_lo + s_lo) + np.log(s_lo) + np.log(s_hi)))
 
-    def grad_hess(self, z, side):
+    def _grad_diagonal(self, z, side):
+        """(gradient, metric diagonal) at z; FactorizationFailure unless
+        every diagonal entry is positive and finite, so the gradient is
+        accepted exactly where the metric is."""
         w, s_lo, s_hi = self._point(z, side)
         if side == PRIMAL:
-            return -1.0 / s_lo + 1.0 / s_hi, _DiagonalBlock(1.0 / s_lo**2 + 1.0 / s_hi**2)
-        nh, yh = self.nh, w[:self.nh]
-        g, h = np.empty(w.shape), np.empty(w.shape)
-        np.subtract(self.half_bound, 1.0 / yh, out=g[:nh])
-        np.add(self.box_lo, s_lo, out=g[nh:])
-        np.divide(1.0, yh**2, out=h[:nh])
-        np.divide(1.0, 1.0 / s_lo**2 + 1.0 / s_hi**2, out=h[nh:])
+            g, h = -1.0 / s_lo + 1.0 / s_hi, 1.0 / s_lo**2 + 1.0 / s_hi**2
+        else:
+            nh, yh = self.nh, w[:self.nh]
+            g, h = np.empty(w.shape), np.empty(w.shape)
+            np.subtract(self.half_bound, 1.0 / yh, out=g[:nh])
+            np.add(self.box_lo, s_lo, out=g[nh:])
+            np.divide(1.0, yh**2, out=h[:nh])
+            np.divide(1.0, 1.0 / s_lo**2 + 1.0 / s_hi**2, out=h[nh:])
+        if not ((h > 0.0) & (h < np.inf)).all():
+            raise FactorizationFailure("diagonal metric entry is not positive and finite")
+        return g, h
+
+    def grad(self, z, side):
+        return self._grad_diagonal(z, side)[0]
+
+    def grad_hess(self, z, side):
+        g, h = self._grad_diagonal(z, side)
         return g, _DiagonalBlock(h)
 
     def support(self, y):
@@ -252,8 +265,9 @@ class _ConeGroup:
     def __init__(self, atom: BarrierAtom):
         self.sel = _selector(atom.coords)
         self.d = atom.offset_vec
-        self.sign = np.ones(atom.dim)
-        self.sign[1:] = -1.0
+        self.sign = np.empty(atom.dim)   # (1, -1, ..., -1), without np.full's dispatch
+        self.sign.fill(-1.0)
+        self.sign[0] = 1.0
         self.neg2sign = -2.0 * self.sign   # scaling by -2 is exact: same gradient bits
 
     def _canonical(self, z, side):
@@ -288,13 +302,25 @@ class _ConeGroup:
             return -np.log(q)
         return -2.0 + np.log(4.0) - np.log(q) - z[self.sel] @ self.d
 
-    def grad_hess(self, z, side):
+    def _grad_point(self, z, side):
+        """(gradient, w, head, t) at z; FactorizationFailure unless the
+        margin is finite, so the gradient is accepted exactly where the
+        metric at (w, head, t) is."""
         # up to a constant, the conjugate at y is the primal barrier at
         # w = -y less <y, d>: its gradient is minus the primal one at w,
         # less d, and its Hessian the primal one at w
         w, head, t, q = self._point(z, side)
+        if not math.isfinite(head - t):
+            raise FactorizationFailure("soc metric point is not interior to the cone")
         g = self.neg2sign * w / q
-        return (g if side == PRIMAL else -g - self.d), _SocBlock(w, head, t)
+        return (g if side == PRIMAL else -g - self.d), w, head, t
+
+    def grad(self, z, side):
+        return self._grad_point(z, side)[0]
+
+    def grad_hess(self, z, side):
+        g, w, head, t = self._grad_point(z, side)
+        return g, _SocBlock(w, head, t)
 
     def support(self, y):
         w, head, t = self._slacks(y, CONJUGATE)
@@ -332,11 +358,10 @@ class _ConeGroup:
 
 
 class _DiagonalBlock:
-    """Diagonal metric block over the interval coordinates."""
+    """Diagonal metric block over the interval coordinates; its group has
+    checked every entry positive and finite."""
 
     def __init__(self, h: np.ndarray):
-        if not ((h > 0.0) & (h < np.inf)).all():
-            raise FactorizationFailure("diagonal metric entry is not positive and finite")
         self.h = h
 
     def _column(self, v):
@@ -360,13 +385,12 @@ class _SocBlock:
     2/(w1+t)^2 on (1, wbar/t)/sqrt2, and 2/q on the tail complement.
     Working with these closed forms stays accurate at conditioning where a
     dense Cholesky of the assembled matrix breaks down.  ``matvec`` and
-    ``solve`` act on a vector or on the columns of a (k, r) array.
+    ``solve`` act on a vector or on the columns of a (k, r) array.  Its
+    group has checked the margin w1 - t positive and finite.
     """
 
     def __init__(self, w: np.ndarray, head: float, t: float):
         margin = head - t
-        if not margin > 0.0 or not math.isfinite(margin):
-            raise FactorizationFailure("soc metric point is not interior to the cone")
         self.k = w.shape[0]
         self.unit = w[1:] / t if t > 0.0 else np.zeros(self.k - 1)
         self.lam_plus = 2.0 / margin**2
@@ -483,7 +507,13 @@ class DomainBarrier:
         return out, BlockMetric(self.m, blocks)
 
     def grad(self, z: np.ndarray, side: str = PRIMAL) -> np.ndarray:
-        return self.grad_hess(z, side)[0]
+        """The gradient of :meth:`grad_hess`, bit for bit, with its checks,
+        without building the metric."""
+        self._require_finite(z, side)
+        out = np.zeros(self.m)
+        for g in self.groups:
+            out[g.sel] = g.grad(z, side)
+        return out
 
     def hess(self, z: np.ndarray, side: str = PRIMAL) -> BlockMetric:
         return self.grad_hess(z, side)[1]

@@ -26,6 +26,7 @@ raising.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -165,13 +166,17 @@ def verify_certificate(problem: Problem, start: StartData, cert: Certificate) ->
 
     A malformed certificate fails instead of raising.  Without tau > 0, or
     without the x or y a check needs, that check fails unformed, with a
-    NaN value.  An eps outside (0, 1) fails every check that compares with
-    it, keeping the check's value.
+    NaN value; an x whose length is not n or a y whose length is not m is
+    read as missing, and a tau that is not a real number as NaN.  An eps
+    outside (0, 1), or not a real number, fails every check that compares
+    with it, keeping the check's value.
     """
     rep = VerificationReport()
     # NaN fails every comparison
-    eps = cert.eps if 0.0 < cert.eps < 1.0 else np.nan
-    x, y = cert.x, cert.y
+    eps, tau = _real(cert.eps), _real(cert.tau)
+    eps = eps if 0.0 < eps < 1.0 else np.nan
+    x = cert.x if np.shape(cert.x) == (problem.n,) else None
+    y = cert.y if np.shape(cert.y) == (problem.m,) else None
     if cert.kind == "infeasibility":
         if y is None:
             aty, margin, ds = np.full(problem.n, np.nan), np.nan, np.nan
@@ -196,10 +201,10 @@ def verify_certificate(problem: Problem, start: StartData, cert: Certificate) ->
             margin = np.nan if x is None else problem.barrier.min_margin(problem.A @ x, PRIMAL)
             rep.add("Ax interior (margins > 0)", margin > 0.0, margin)
         else:
-            _add_image_check(rep, problem, start, x, cert.tau)
+            _add_image_check(rep, problem, start, x, tau)
     elif cert.kind == "optimal-pair":
-        if _add_image_check(rep, problem, start, x, cert.tau) and y is not None:
-            sp = stop_params(problem, start, x, cert.tau, cert.tau * y)
+        if _add_image_check(rep, problem, start, x, tau) and y is not None:
+            sp = stop_params(problem, start, x, tau, tau * y)
         else:
             sp = StopParams(gap=np.nan, p_feas=np.nan, d_feas=np.nan)
         rep.add("gap <= eps", sp.gap <= eps, sp.gap)
@@ -210,13 +215,17 @@ def verify_certificate(problem: Problem, start: StartData, cert: Certificate) ->
     return rep
 
 
-def _add_image_check(rep: VerificationReport, problem, start, x, tau) -> bool:
+def _real(value) -> float:
+    """``value`` as a float if it is a real number, NaN otherwise (None,
+    text, ...)."""
+    return float(value) if isinstance(value, numbers.Real) else np.nan
+
+
+def _add_image_check(rep: VerificationReport, problem, start, x, tau: float) -> bool:
     """tau > 0 and A x + z0/tau in D (margins >= 0), for a point reported
     with its tau: a negative tau flips the sign of P_feas and of z0/tau.
-    Returns whether the image is formed: only with tau > 0, which a missing
-    tau (None, a NaN value) is not, and with x given; otherwise its check
-    fails with a NaN margin."""
-    tau = np.nan if tau is None else tau
+    Returns whether the image is formed: only with tau > 0, which NaN is
+    not, and with x given; otherwise its check fails with a NaN margin."""
     positive = tau > 0.0
     rep.add("tau > 0", positive, tau)
     formed = positive and x is not None

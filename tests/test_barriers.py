@@ -453,6 +453,34 @@ def test_grad_hess_equals_grad_and_hess(side):
         grad, metric = barrier.grad_hess(z, side)
         assert np.array_equal(grad, barrier.grad(z, side))
         assert np.array_equal(metric.dense(), barrier.hess(z, side).dense())
+    # and they reject the same points with the same error: outside the
+    # domain, not finite, a cone whose shifted head overflows (its margin
+    # is not finite) and a box so narrow that its metric overflows
+    inside = _sample_point(GROUPED_ATOMS, GROUPED_M, rng, side)
+    coord = np.arange(GROUPED_M)
+    rejected = [(barrier, np.where(coord == 0, -inside, inside)),   # a cone's head
+                (barrier, np.where(coord == 2, -inside, inside)),   # a halfline
+                (barrier, np.where(coord == 3, np.nan, inside)),
+                (barrier, np.where(coord == 7, np.inf, inside)),
+                (dd.DomainBarrier([dd.box(0, 0.0, 1e-160)], 1), np.array([5e-161 if side == PRIMAL
+                                                                          else 0.0]))]
+    if side == PRIMAL:
+        rejected.append((dd.DomainBarrier([dd.soc([0, 1], [1e308, 0.0])], 2),
+                         np.array([1e308, 0.0])))
+    for owner, z in rejected:
+        with np.errstate(over="ignore", invalid="ignore"):
+            raised = [_raised(lambda: owner.grad(z, side)),
+                      _raised(lambda: owner.grad_hess(z, side))]
+        assert raised[0] is not None and raised[0] == raised[1]
+
+
+def _raised(call):
+    """(type, message) of the exception ``call()`` raises, None if none."""
+    try:
+        call()
+    except Exception as exc:   # noqa: BLE001 - the type is what is compared
+        return type(exc), str(exc)
+    return None
 
 
 def _closed_form_hessian(atom, u, side):

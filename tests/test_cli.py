@@ -189,6 +189,19 @@ def test_non_finite_data_is_input_error(change, message, tmp_path, capsys):
     assert message in json.loads(capsys.readouterr().out)["error"]
 
 
+def test_start_whose_metric_overflows_is_input_error(tmp_path, capsys):
+    # the box's middle is interior, but 1/s^2 overflows there: make_start
+    # rejects the anchor, where the solve's first evaluation would raise
+    # outside the failure handling
+    path = tmp_path / "narrow.dd"
+    path.write_text(json.dumps({**BOX_DOC, "atoms": [{"type": "box", "coords": [1],
+                                                      "bounds": [0.0, 1e-160]}]}))
+    with np.errstate(over="ignore"):
+        assert main(["solve", str(path)]) == 4
+    out = json.loads(capsys.readouterr().out)
+    assert "diagonal metric entry is not positive and finite" in out["error"]
+
+
 @pytest.mark.parametrize("argv,change", [([], {"xi": 9e307}), (["--xi", "9e307"], {})],
                          ids=["file", "option"])
 def test_overflowing_xi_theta_is_input_error(argv, change, tmp_path, capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import ddsolve as dd
+from ddsolve import barriers
 from ddsolve.model import _cholesky_full_rank, dual_residual, mu_of, scaled_dual, shifted_image
 
 
@@ -214,6 +215,26 @@ def test_default_start_soc_offset(soc_problem):
     problem, start = soc_problem
     assert np.allclose(start.z0, [2.0, 0.0, -1.0])  # offset subtracted
     assert np.allclose(start.z0 + [0.0, 0.0, 1.0], [2.0, 0.0, 0.0])
+
+
+def test_make_start_builds_no_metric_block(monkeypatch):
+    # y0 is the barrier gradient at z0; its metric is never read
+    built = []
+    for cls in (barriers._SocBlock, barriers._DiagonalBlock, barriers.BlockMetric):
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__):
+            built.append(_name)
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counted)
+    atoms = [dd.halfline_lower(0, 0.0), dd.box(1, -1.0, 2.0), dd.halfline_upper(2, 3.0),
+             dd.soc([3, 4, 5], [0.5, 0.0, 0.0])]
+    A = np.vstack([np.eye(3), np.eye(3)])
+    problem = dd.validate_problem(A, [1.0, -1.0, 0.5], atoms)
+    start = dd.make_start(problem)
+    dd.make_start(problem, start.z0 + 0.1)
+    assert built == []
+    # the counters see a metric
+    problem.barrier.grad_hess(start.z0)
+    assert sorted(built) == ["BlockMetric", "_DiagonalBlock", "_SocBlock"]
 
 
 def test_explicit_z0_must_be_interior(box_problem):

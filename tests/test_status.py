@@ -358,9 +358,14 @@ READS_EPS = {"||A'y|| <= eps", "<c,x> <= -1/eps", "gap <= eps", "P_feas <= eps",
     ("pair", 5.0),                     # every stop parameter passed <= 5
     ("infeasibility", 5.0),
     ("unboundedness", -1.0),
+    ("pair", None),                    # compared with 0.0 < eps: TypeError
+    ("infeasibility", "0.1"),
+    ("unboundedness", None),
+    ("bounded-unboundedness", "0.1"),
 ])
 def test_verification_fails_an_eps_outside_the_unit_interval(case, eps, request):
-    # the same rows with the same values; each row that reads eps fails
+    # the same rows with the same values; each row that reads eps fails,
+    # and an eps that is not a real number is outside the interval
     problem, start, cert = _certificate(case, request)
     valid = verify_certificate(problem, start, cert)
     rep = verify_certificate(problem, start, replace(cert, eps=eps))
@@ -387,14 +392,27 @@ def test_strict_unboundedness_needs_eps_in_the_unit_interval(eps, unb_run, unb_p
     ("unboundedness", "x", ("tau > 0",)),
     ("pair", "x", ("tau > 0",)),
     ("pair", "y", ("tau > 0", "Ax + z0/tau in domain (margins >= 0)")),
+    ("strict-unboundedness", "x-longer", ()),
+    ("strict-infeasibility", "y-longer", ()),
+    ("infeasibility", "y-shorter", ()),
+    ("unboundedness", "x-longer", ("tau > 0",)),
+    ("pair", "x-longer", ("tau > 0",)),
+    ("pair", "y-shorter", ("tau > 0", "Ax + z0/tau in domain (margins >= 0)")),
+    ("pair", "tau-text", ()),
+    ("unboundedness", "tau-text", ("<c,x> <= -1/eps",)),
 ])
 def test_certificate_without_its_payload_fails(case, missing, kept, request):
-    # a missing x or y raised from the products that read it; each check
+    # a missing x or y raised from the products that read it, and so did
+    # one of the wrong length or a tau that is not a number; each check
     # that needs it now fails with a NaN value, as a missing tau does
     problem, start, cert = _certificate(case, request)
     valid = verify_certificate(problem, start, cert)
     assert valid.passed
-    rep = verify_certificate(problem, start, replace(cert, **{missing: None}))
+    field, _, fault = missing.partition("-")
+    value = {"": None, "longer": lambda v: np.append(v, -1.0), "shorter": lambda v: v[:-1],
+             "text": "1.0"}[fault]
+    value = value(getattr(cert, field)) if callable(value) else value
+    rep = verify_certificate(problem, start, replace(cert, **{field: value}))
     assert [ch.name for ch in rep.checks] == [ch.name for ch in valid.checks]
     for check, reference in zip(rep.checks, valid.checks):
         if check.name in kept:
