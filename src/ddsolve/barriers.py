@@ -146,6 +146,7 @@ class _IntervalGroup:
     """
 
     def __init__(self, atoms: Sequence[BarrierAtom]):
+        self.block = _DiagonalBlock   # the metric block built from evaluate's arguments
         atoms = sorted(atoms, key=lambda a: a.kind == BOX)
         self.sel = _selector([a.coords[0] for a in atoms])
         self.d = np.array([a.offset[0] for a in atoms])
@@ -214,10 +215,10 @@ class _IntervalGroup:
         return (np.sum(-1.0 - np.log(np.abs(yh)) + self.half_bound * yh)
                 + np.sum(yb * (self.box_lo + s_lo) + np.log(s_lo) + np.log(s_hi)))
 
-    def _grad_diagonal(self, z, side):
-        """(gradient, metric diagonal) at z; FactorizationFailure unless
-        every diagonal entry is positive and finite, so the gradient is
-        accepted exactly where the metric is."""
+    def evaluate(self, z, side):
+        """(gradient, (h,)) at z, h the metric's diagonal, which ``block``
+        takes; FactorizationFailure unless every entry of h is positive
+        and finite, so the gradient is accepted exactly where the metric is."""
         w, s_lo, s_hi = self._point(z, side)
         if side == PRIMAL:
             g, h = -1.0 / s_lo + 1.0 / s_hi, 1.0 / s_lo**2 + 1.0 / s_hi**2
@@ -230,14 +231,7 @@ class _IntervalGroup:
             np.divide(1.0, 1.0 / s_lo**2 + 1.0 / s_hi**2, out=h[nh:])
         if not ((h > 0.0) & (h < np.inf)).all():
             raise FactorizationFailure("diagonal metric entry is not positive and finite")
-        return g, h
-
-    def grad(self, z, side):
-        return self._grad_diagonal(z, side)[0]
-
-    def grad_hess(self, z, side):
-        g, h = self._grad_diagonal(z, side)
-        return g, _DiagonalBlock(h)
+        return g, (h,)
 
     def support(self, y):
         y, s_lo, s_hi = self._slacks(y, CONJUGATE)
@@ -263,6 +257,7 @@ class _ConeGroup:
     """One second-order cone atom: z + d in K (primal), -y in K (dual)."""
 
     def __init__(self, atom: BarrierAtom):
+        self.block = _SocBlock
         self.sel = _selector(atom.coords)
         self.d = atom.offset_vec
         self.sign = np.empty(atom.dim)   # (1, -1, ..., -1), without np.full's dispatch
@@ -302,10 +297,10 @@ class _ConeGroup:
             return -np.log(q)
         return -2.0 + np.log(4.0) - np.log(q) - z[self.sel] @ self.d
 
-    def _grad_point(self, z, side):
-        """(gradient, w, head, t) at z; FactorizationFailure unless the
-        margin is finite, so the gradient is accepted exactly where the
-        metric at (w, head, t) is."""
+    def evaluate(self, z, side):
+        """(gradient, (w, head, t)) at z, the point the metric's ``block``
+        takes; FactorizationFailure unless the margin is finite, so the
+        gradient is accepted exactly where the metric is."""
         # up to a constant, the conjugate at y is the primal barrier at
         # w = -y less <y, d>: its gradient is minus the primal one at w,
         # less d, and its Hessian the primal one at w
@@ -313,14 +308,7 @@ class _ConeGroup:
         if not math.isfinite(head - t):
             raise FactorizationFailure("soc metric point is not interior to the cone")
         g = self.neg2sign * w / q
-        return (g if side == PRIMAL else -g - self.d), w, head, t
-
-    def grad(self, z, side):
-        return self._grad_point(z, side)[0]
-
-    def grad_hess(self, z, side):
-        g, w, head, t = self._grad_point(z, side)
-        return g, _SocBlock(w, head, t)
+        return (g if side == PRIMAL else -g - self.d), (w, head, t)
 
     def support(self, y):
         w, head, t = self._slacks(y, CONJUGATE)
@@ -497,13 +485,13 @@ class DomainBarrier:
 
     def grad_hess(self, z: np.ndarray, side: str = PRIMAL) -> tuple:
         """(gradient, Hessian) at z from one pass over the groups: each
-        group checks z and forms its slacks once for both."""
+        group's one evaluation checks z and forms its slacks once for both."""
         self._require_finite(z, side)
         out = np.zeros(self.m)
         blocks = []
         for g in self.groups:
-            out[g.sel], block = g.grad_hess(z, side)
-            blocks.append((g.sel, block))
+            out[g.sel], args = g.evaluate(z, side)
+            blocks.append((g.sel, g.block(*args)))
         return out, BlockMetric(self.m, blocks)
 
     def grad(self, z: np.ndarray, side: str = PRIMAL) -> np.ndarray:
@@ -512,7 +500,7 @@ class DomainBarrier:
         self._require_finite(z, side)
         out = np.zeros(self.m)
         for g in self.groups:
-            out[g.sel] = g.grad(z, side)
+            out[g.sel] = g.evaluate(z, side)[0]
         return out
 
     def hess(self, z: np.ndarray, side: str = PRIMAL) -> BlockMetric:
