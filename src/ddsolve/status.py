@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -248,18 +248,23 @@ def _eps_feasibility_report(problem, start, point: Iterate, sp: StopParams,
     return rep
 
 
-def _base_report(problem, point: Iterate, status: str, sp: StopParams) -> StatusReport:
-    """Report skeleton; ``sp`` are the point's stop parameters."""
+def _report(problem, point: Iterate, status: str, sp: StopParams, *, verification=None,
+            certificate=None, reason=None) -> StatusReport:
+    """The finished report of ``status`` at ``point``, whose stop parameters
+    are ``sp``; a failure ``reason`` is the last diagnostics key."""
     ds = support_function(problem, point.y)
     return StatusReport(
         status=status,
         x=point.x,
         y_scaled=point.y / point.tau,
+        certificate=certificate,
         objective_primal=float(problem.c @ point.x),
         objective_estimate=float(-ds / point.tau) if np.isfinite(ds) else None,
+        verification=verification,
         diagnostics={
             "mu": point.mu, "tau": point.tau, "proximity": point.proximity,
             "gap": sp.gap, "p_feas": sp.p_feas, "d_feas": sp.d_feas,
+            **({} if reason is None else {"reason": reason}),
         })
 
 
@@ -269,15 +274,12 @@ def _certified(problem, start, point: Iterate, status: str, sp: StopParams,
     the problem data.  A report never claims a status its payload fails:
     if verification fails, the report is a NumericalFailure without the
     certificate, keeping the verification that failed."""
-    report = _base_report(problem, point, status, sp)
-    report.verification = verify_certificate(problem, start, cert)
-    if not report.verification.passed:
-        reason = ("certificate failed verification: "
-                  + ", ".join(report.verification.failed_names()))
-        return replace(report, status=NUMERICAL_FAILURE,
-                       diagnostics={**report.diagnostics, "reason": reason})
-    report.certificate = cert
-    return report
+    verification = verify_certificate(problem, start, cert)
+    if verification.passed:
+        return _report(problem, point, status, sp, verification=verification, certificate=cert)
+    return _report(problem, point, NUMERICAL_FAILURE, sp, verification=verification,
+                   reason="certificate failed verification: "
+                   + ", ".join(verification.failed_names()))
 
 
 def require_eps(eps: float) -> None:
@@ -313,9 +315,8 @@ def check_status(problem: Problem, start: StartData, point: Iterate, eps: float,
                           Certificate(kind="unboundedness", strict=False, eps=eps, x=x, tau=tau))
 
     if mu >= 1.0 / (problem.theta * eps**3):
-        report = _base_report(problem, point, ILL_CONDITIONED, sp)
-        report.verification = _eps_feasibility_report(problem, start, point, sp, eps)
-        return report
+        return _report(problem, point, ILL_CONDITIONED, sp,
+                       verification=_eps_feasibility_report(problem, start, point, sp, eps))
 
     return None
 
@@ -323,16 +324,13 @@ def check_status(problem: Problem, start: StartData, point: Iterate, eps: float,
 def numerical_failure_report(problem, point: Iterate, sp: StopParams,
                              exc: Exception) -> StatusReport:
     """The last accepted point's report, from its stop parameters ``sp``."""
-    report = _base_report(problem, point, NUMERICAL_FAILURE, sp)
-    report.diagnostics["reason"] = f"{type(exc).__name__}: {exc}"
-    return report
+    return _report(problem, point, NUMERICAL_FAILURE, sp, reason=f"{type(exc).__name__}: {exc}")
 
 
 def iteration_limit_report(problem, point: Iterate, sp: StopParams) -> StatusReport:
     """The last accepted point's report, from its stop parameters ``sp``."""
-    report = _base_report(problem, point, ITERATION_LIMIT, sp)
-    report.diagnostics["reason"] = "iteration cap reached before any status fired"
-    return report
+    return _report(problem, point, ITERATION_LIMIT, sp,
+                   reason="iteration cap reached before any status fired")
 
 
 def _weighted_projection(hinv, constraints, rhs, v):
