@@ -304,7 +304,8 @@ def main(argv=None) -> int:
             if getattr(args, key) is not None:
                 entries[key] = getattr(args, key)
         problem = validate_problem(**entries)
-        start = make_start(problem, z0)
+        with np.errstate(over="ignore"):  # make_start rejects a metric that overflows
+            start = make_start(problem, z0)
         if not 0.0 < args.eps < 1.0:
             raise ParseError(f"--eps must lie in (0, 1), got {args.eps}")
         if args.max_iters < 0:
