@@ -11,7 +11,11 @@ Three digests and one line of counts:
   iterates  the float64 bytes of every iterate's x, tau, y, mu and
             proximity, and the invariant messages, of those runs and of
             the three ``tests/test_medium.py`` cases at eps 1e-6;
-  reports   the report JSON (``run_solve``, not strict) of the same runs;
+  reports   the report JSON (``run_solve``, not strict) of the same runs,
+            then that of ``run_solve`` on the five ``tests/conftest.py``
+            problems at eps 1e-2, 1e-3 and 1e-6, ``max_iters`` 0, 2, 5
+            and 100, each with and without ``strict``: 120 short runs
+            that reach every status;
   counts    the status histogram and the total iterations and invariant
             violations of the iterate runs and of six two-cone runs,
             ``mixed_feasible(seed, 40, 0, (40, 40))`` for seeds 0-5 at
@@ -40,8 +44,11 @@ INSTANCES = sorted((TESTS.parent / "instances").glob("*.dd"))
 FILE_EPS = (1e-4, 1e-6, 1e-8)
 MEDIUM_EPS = 1e-6
 CONE_SEEDS = range(6)   # counted, not digested
+SMALL_EPS = (1e-2, 1e-3, 1e-6)
+SMALL_MAX_ITERS = (0, 2, 5, 100)
 
 sys.path.insert(0, str(TESTS))
+from conftest import build_box, build_inf, build_soc, build_tangent, build_unb  # noqa: E402
 from test_medium import MEDIUM_CASES, mixed_feasible  # noqa: E402
 
 
@@ -61,6 +68,19 @@ def _cone_runs():
     for seed in CONE_SEEDS:
         problem = mixed_feasible(seed, 40, 0, (40, 40))
         yield f"cones-{seed}@{MEDIUM_EPS:g}", problem, dd.make_start(problem), MEDIUM_EPS
+
+
+def _small_reports(h) -> None:
+    """Feed ``h`` the report JSON of every small run_solve call."""
+    for build in (build_box, build_inf, build_unb, build_soc, build_tangent):
+        problem = build()
+        start = dd.default_z0(problem)
+        for eps in SMALL_EPS:
+            for max_iters in SMALL_MAX_ITERS:
+                for strict in (False, True):
+                    h.update(f"{build.__name__}@{eps:g}/{max_iters}/{strict}".encode())
+                    h.update(cli.run_solve(problem, start, eps, strict=strict,
+                                           max_iters=max_iters).to_json().encode())
 
 
 def cli_digest() -> str:
@@ -101,6 +121,7 @@ def solve_digests() -> tuple:
         iterates.update("\n".join(result.invariant_violations).encode())
         reports.update(label.encode())
         reports.update(cli.run_solve(problem, start, eps).to_json().encode())
+    _small_reports(reports)
     totals = [f"{key}={counts.pop(key)}" for key in ("iterations", "violations")]
     statuses = ",".join(f"{status}:{k}" for status, k in sorted(counts.items()))
     return iterates.hexdigest(), reports.hexdigest(), " ".join([statuses, *totals])
