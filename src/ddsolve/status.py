@@ -314,7 +314,9 @@ def check_status(problem: Problem, start: StartData, point: Iterate, eps: float,
         return _certified(problem, start, point, UNBOUNDEDNESS_CERTIFICATE, sp,
                           Certificate(kind="unboundedness", strict=False, eps=eps, x=x, tau=tau))
 
-    if mu >= 1.0 / (problem.theta * eps**3):
+    # below eps ~ 1e-108, theta eps^3 underflows to 0.0: the cap is +inf
+    cap_scale = problem.theta * eps**3
+    if cap_scale > 0.0 and mu >= 1.0 / cap_scale:
         return _report(problem, point, ILL_CONDITIONED, sp,
                        verification=_eps_feasibility_report(problem, start, point, sp, eps))
 

@@ -304,6 +304,14 @@ def test_iteration_limit_exit_code(instance_path, capsys):
     capsys.readouterr()
 
 
+def test_tiny_eps_runs_to_iteration_limit(instance_path, capsys):
+    # theta eps^3 underflows to 0.0 at this eps, so no mu cap can fire
+    code = main(["solve", instance_path("inst_box.dd"), "--eps", "1e-110", "--max-iters", "3"])
+    captured = capsys.readouterr()
+    assert code == 5 and captured.err == ""
+    assert json.loads(captured.out)["status"] == "IterationLimit"
+
+
 def test_strict_flag_upgrades_certificate(instance_path, capsys):
     code = main(["solve", instance_path("inst_inf.dd"), "--eps", "1e-6", "--strict"])
     assert code == 1

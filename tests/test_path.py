@@ -825,6 +825,15 @@ def test_iteration_limit_status(box_problem):
     assert result.report.diagnostics["iterations"] == 0 and result.mu_log_slope == 0.0
 
 
+@pytest.mark.parametrize("eps", [1e-110, np.float64(1e-110)], ids=["float", "numpy"])
+def test_tiny_eps_has_no_mu_cap(box_problem, eps):
+    # theta eps^3 underflows to 0.0 below eps ~ 1e-108: the cap is then
+    # +inf, not a ZeroDivisionError (nor, for a numpy eps, a RuntimeWarning)
+    problem, start = box_problem
+    result = dd.follow(problem, start, dd.FollowerOptions(eps=eps, max_iters=3))
+    assert result.report.status == "IterationLimit"
+
+
 @pytest.mark.parametrize("source,options,status", [
     ("box_problem", {"eps": 1e-6}, "EpsSolution"),
     ("inf_problem", {"eps": 1e-6}, "InfeasibilityCertificate"),
