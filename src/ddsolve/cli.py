@@ -33,7 +33,7 @@ import argparse
 import json
 import reprlib
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from itertools import chain
 
 import numpy as np
@@ -215,25 +215,29 @@ def _certificate_dict(cert) -> dict | None:
 
 
 def _attempt_strict(problem, start, result: FollowResult, eps):
-    """Upgrade a weak certificate by the local-norm projection detectors."""
+    """A new report upgrading the follower's weak certificate by the
+    local-norm projection detectors where the projection verifies, its
+    outcome the last diagnostics entry; any other report as it is."""
     report = result.report
     if report.status == status_engine.INFEASIBILITY_CERTIFICATE:
         project, extra = status_engine.strict_infeasibility_certificate, ()
     elif report.status == status_engine.UNBOUNDEDNESS_CERTIFICATE:
         project, extra = status_engine.strict_unboundedness_certificate, (eps,)
     else:
-        return
+        return report
+    upgrade = {}
     try:
         cert = project(problem, start, result.iterates[-1], *extra)
         verification = status_engine.verify_certificate(problem, start, cert)
         if verification.passed:
-            report.certificate, report.verification = cert, verification
+            upgrade = {"certificate": cert, "verification": verification}
             note = "succeeded"
         else:
             note = "verification failed: " + ", ".join(verification.failed_names())
     except SolverError as exc:
         note = f"{type(exc).__name__}: {exc}"
-    report.diagnostics["strict_projection"] = note
+    return replace(report, **upgrade,
+                   diagnostics={**report.diagnostics, "strict_projection": note})
 
 
 def run_solve(problem: Problem, start: StartData, eps: float, *, strict: bool = False,
@@ -247,11 +251,9 @@ def run_solve(problem: Problem, start: StartData, eps: float, *, strict: bool = 
     """
     options = FollowerOptions(eps=eps, max_iters=max_iters)
     result = follow(problem, start, options)
-    if strict:
-        _attempt_strict(problem, start, result, eps)
+    report = _attempt_strict(problem, start, result, eps) if strict else result.report
     if trace_path is not None:
         write_trace(result.trace, trace_path)
-    report = result.report
     verification = []
     if report.verification is not None:
         verification = [{"check": c.name, "passed": c.passed, "value": float(c.value)}

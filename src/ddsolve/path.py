@@ -140,7 +140,6 @@ class FollowResult:
     trace: list
     iterates: list
     invariant_violations: list
-    mu_log_slope: float
 
 
 def _evaluate(problem, start, x, tau, y, mu, *, newton=False) -> _Point:
@@ -436,21 +435,6 @@ def follow(problem: Problem, start: StartData, options: FollowerOptions = Follow
             on_iterate(row)
         return sp
 
-    def slope() -> float:
-        if len(trace) < 2:
-            return 0.0
-        ks = np.arange(len(trace), dtype=float)
-        logmu = np.log([r.mu for r in trace])
-        return float(np.polyfit(ks, logmu, 1)[0])
-
-    def finish(report):
-        log_slope = slope()
-        report.diagnostics.update(
-            iterations=len(trace) - 1, mu_log_slope=log_slope,
-            invariant_violations=len(violations))
-        return FollowResult(report=report, trace=trace, iterates=iterates,
-                            invariant_violations=violations, mu_log_slope=log_slope)
-
     # the initial point is recorded but not status-checked: checks run
     # after correctors only (the anchor can satisfy a stop test by
     # construction, e.g. when A'y0 happens to vanish)
@@ -465,11 +449,14 @@ def follow(problem: Problem, start: StartData, options: FollowerOptions = Follow
             predicted, tangent = predictor_step(problem, start, point, tangent)
             point = corrector_step(problem, start, predicted)
         except (PredictorStall, CorrectorStall, DomainViolation, FactorizationFailure) as exc:
-            report = status_engine.numerical_failure_report(problem, point, sp, exc)
-            return finish(report)
+            report = status_engine.numerical_failure_report(problem, iterates, violations, sp, exc)
+            break
         sp = record(point)
-        report = status_engine.check_status(problem, start, point, options.eps, sp=sp)
+        report = status_engine.check_status(problem, start, iterates, violations, options.eps,
+                                            sp=sp)
         if report is not None:
-            return finish(report)
-    report = status_engine.iteration_limit_report(problem, point, sp)
-    return finish(report)
+            break
+    else:
+        report = status_engine.iteration_limit_report(problem, iterates, violations, sp)
+    return FollowResult(report=report, trace=trace, iterates=iterates,
+                        invariant_violations=violations)

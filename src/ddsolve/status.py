@@ -14,7 +14,10 @@ Terminal statuses, in the precedence order they are checked:
 The follower forms each accepted iterate's stop parameters once, when it
 records the iterate, and every report on that iterate reads them: the
 termination checks, the IllConditioned pair's checks and the
-NumericalFailure and IterationLimit reports.
+NumericalFailure and IterationLimit reports.  Those entry points also
+take the run so far, its recorded iterates (the last is the point
+reported on) and invariant violations: a report is built once, run facts
+included, and nothing writes into it afterwards.
 
 Certificate verification never consults solver state: it re-evaluates
 memberships, margins and support functions from the problem data alone,
@@ -134,7 +137,7 @@ class VerificationReport:
         return [c.name for c in self.checks if not c.passed]
 
 
-@dataclass
+@dataclass(frozen=True)
 class StatusReport:
     """Classified outcome with certificate payload and diagnostics."""
 
@@ -248,10 +251,12 @@ def _eps_feasibility_report(problem, start, point: Iterate, sp: StopParams,
     return rep
 
 
-def _report(problem, point: Iterate, status: str, sp: StopParams, *, verification=None,
-            certificate=None, reason=None) -> StatusReport:
-    """The finished report of ``status`` at ``point``, whose stop parameters
-    are ``sp``; a failure ``reason`` is the last diagnostics key."""
+def _report(problem, iterates: list, violations: list, status: str, sp: StopParams, *,
+            verification=None, certificate=None, reason=None) -> StatusReport:
+    """The finished report of ``status`` at the last of the run's
+    ``iterates``, whose stop parameters are ``sp``; a failure ``reason``
+    and then the run's facts close the diagnostics."""
+    point = iterates[-1]
     ds = support_function(problem, point.y)
     return StatusReport(
         status=status,
@@ -265,21 +270,11 @@ def _report(problem, point: Iterate, status: str, sp: StopParams, *, verificatio
             "mu": point.mu, "tau": point.tau, "proximity": point.proximity,
             "gap": sp.gap, "p_feas": sp.p_feas, "d_feas": sp.d_feas,
             **({} if reason is None else {"reason": reason}),
+            "iterations": len(iterates) - 1,
+            "mu_log_slope": 0.0 if len(iterates) < 2 else float(np.polyfit(
+                np.arange(len(iterates), dtype=float), np.log([it.mu for it in iterates]), 1)[0]),
+            "invariant_violations": len(violations),
         })
-
-
-def _certified(problem, start, point: Iterate, status: str, sp: StopParams,
-               cert: Certificate) -> StatusReport:
-    """The report of a certificate status, with ``cert`` re-verified from
-    the problem data.  A report never claims a status its payload fails:
-    if verification fails, the report is a NumericalFailure without the
-    certificate, keeping the verification that failed."""
-    verification = verify_certificate(problem, start, cert)
-    if verification.passed:
-        return _report(problem, point, status, sp, verification=verification, certificate=cert)
-    return _report(problem, point, NUMERICAL_FAILURE, sp, verification=verification,
-                   reason="certificate failed verification: "
-                   + ", ".join(verification.failed_names()))
 
 
 def require_eps(eps: float) -> None:
@@ -288,50 +283,59 @@ def require_eps(eps: float) -> None:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
 
 
-def check_status(problem: Problem, start: StartData, point: Iterate, eps: float,
-                 *, sp: StopParams):
-    """Run the termination checks in precedence order; None if none fired.
+def check_status(problem: Problem, start: StartData, iterates: list, violations: list,
+                 eps: float, *, sp: StopParams):
+    """Run the termination checks in precedence order on the last of the
+    run's recorded ``iterates``, whose stop parameters are ``sp``; None if
+    none fired, else the report, counting the run's ``violations``.
 
-    ``sp`` are the point's stop parameters, as :func:`stop_params` forms them.
+    A certificate status is reported with its certificate re-verified from
+    the problem data, and never with a payload that fails: then the report
+    is a NumericalFailure without the certificate, keeping the verification
+    that failed.
     """
     require_eps(eps)
+    point = iterates[-1]
     x, tau, y, mu = point.x, point.tau, point.y, point.mu
-
+    aty = problem.A.T @ y
     if sp.max() <= eps:
-        return _certified(problem, start, point, EPS_SOLUTION, sp,
-                          Certificate(kind="optimal-pair", strict=False, eps=eps,
-                                      x=x, y=y / tau, tau=tau))
-
+        status = EPS_SOLUTION
+        cert = Certificate(kind="optimal-pair", strict=False, eps=eps, x=x, y=y / tau, tau=tau)
     # the scaled dual and its support are formed only where the cheap norm
     # test passes
-    aty = problem.A.T @ y
-    if ((tau / mu) * math.sqrt(aty.dot(aty)) <= eps
+    elif ((tau / mu) * math.sqrt(aty.dot(aty)) <= eps
             and support_function(problem, scaled := (tau / mu) * y) < 0.0):
-        return _certified(problem, start, point, INFEASIBILITY_CERTIFICATE, sp,
-                          Certificate(kind="infeasibility", strict=False, eps=eps, y=scaled))
-
-    if float(problem.c @ x) <= -1.0 / eps:
-        return _certified(problem, start, point, UNBOUNDEDNESS_CERTIFICATE, sp,
-                          Certificate(kind="unboundedness", strict=False, eps=eps, x=x, tau=tau))
-
+        status = INFEASIBILITY_CERTIFICATE
+        cert = Certificate(kind="infeasibility", strict=False, eps=eps, y=scaled)
+    elif float(problem.c @ x) <= -1.0 / eps:
+        status = UNBOUNDEDNESS_CERTIFICATE
+        cert = Certificate(kind="unboundedness", strict=False, eps=eps, x=x, tau=tau)
     # below eps ~ 1e-108, theta eps^3 underflows to 0.0: the cap is +inf
-    cap_scale = problem.theta * eps**3
-    if cap_scale > 0.0 and mu >= 1.0 / cap_scale:
-        return _report(problem, point, ILL_CONDITIONED, sp,
+    elif (cap_scale := problem.theta * eps**3) > 0.0 and mu >= 1.0 / cap_scale:
+        return _report(problem, iterates, violations, ILL_CONDITIONED, sp,
                        verification=_eps_feasibility_report(problem, start, point, sp, eps))
+    else:
+        return None
+    verification = verify_certificate(problem, start, cert)
+    if verification.passed:
+        return _report(problem, iterates, violations, status, sp, verification=verification,
+                       certificate=cert)
+    return _report(problem, iterates, violations, NUMERICAL_FAILURE, sp, verification=verification,
+                   reason="certificate failed verification: "
+                   + ", ".join(verification.failed_names()))
 
-    return None
 
-
-def numerical_failure_report(problem, point: Iterate, sp: StopParams,
+def numerical_failure_report(problem, iterates: list, violations: list, sp: StopParams,
                              exc: Exception) -> StatusReport:
-    """The last accepted point's report, from its stop parameters ``sp``."""
-    return _report(problem, point, NUMERICAL_FAILURE, sp, reason=f"{type(exc).__name__}: {exc}")
+    """The report on the last recorded iterate, from its stop parameters ``sp``."""
+    return _report(problem, iterates, violations, NUMERICAL_FAILURE, sp,
+                   reason=f"{type(exc).__name__}: {exc}")
 
 
-def iteration_limit_report(problem, point: Iterate, sp: StopParams) -> StatusReport:
-    """The last accepted point's report, from its stop parameters ``sp``."""
-    return _report(problem, point, ITERATION_LIMIT, sp,
+def iteration_limit_report(problem, iterates: list, violations: list,
+                           sp: StopParams) -> StatusReport:
+    """The report on the last recorded iterate, from its stop parameters ``sp``."""
+    return _report(problem, iterates, violations, ITERATION_LIMIT, sp,
                    reason="iteration cap reached before any status fired")
 
 

@@ -299,10 +299,11 @@ def test_criterion_8_mu_growth(box_run, inf_run, unb_run, soc_run):
         mus = [row.mu for row in run.trace]
         if not all(b > a for a, b in zip(mus, mus[1:])):
             failures.append(f"{name}: mu not strictly increasing")
-        if not run.mu_log_slope > 0.0:
-            failures.append(f"{name}: log-mu slope {run.mu_log_slope} not positive")
-        if "mu_log_slope" not in run.report.diagnostics:
+        slope = run.report.diagnostics.get("mu_log_slope")
+        if slope is None:
             failures.append(f"{name}: slope missing from diagnostics")
+        elif not slope > 0.0:
+            failures.append(f"{name}: log-mu slope {slope} not positive")
     _report(8, "log mu strictly increasing with positive fitted slope, reported", failures)
 
 

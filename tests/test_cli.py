@@ -1,5 +1,6 @@
 """Problem file parsing, report serialization, exit codes, determinism."""
 
+import copy
 import dataclasses
 import json
 
@@ -420,6 +421,54 @@ def test_flags_replace_file_constants_before_validation(change, argv, code, vali
     assert main(["solve", str(path), "--eps", "1e-6", *argv]) == code
     assert calls == (validated + ["make_start"] if validated else [])
     capsys.readouterr()
+
+
+def _same(a, b) -> bool:
+    """Whether two report values are equal field by field, arrays by value
+    and NaN equal to NaN, dict keys in the same order."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b, equal_nan=True)
+    return a == b or (a != a and b != b)
+
+
+@pytest.mark.parametrize("problem_name,run_name,refuse", [
+    ("box_problem", "box_run", False),
+    ("inf_problem", "inf_run", False),
+    ("inf_problem", "inf_run", True),
+    ("unb_problem", "unb_run", False),
+    ("tangent_problem", "tangent_run", False),
+], ids=["eps-solution", "infeasible", "infeasible-refused", "unbounded", "ill-conditioned"])
+def test_cli_paths_leave_the_follower_report_as_built(problem_name, run_name, refuse, request,
+                                                      tmp_path, monkeypatch):
+    # every run_solve path packages the follower's result without writing
+    # into its report; the strict upgrade builds a new one
+    problem, start = request.getfixturevalue(problem_name)
+    result = request.getfixturevalue(run_name)
+    built = copy.deepcopy(result.report)
+    monkeypatch.setattr(cli_module, "follow", lambda *args: result)
+    if refuse:
+        monkeypatch.setattr(dd.status, "strict_infeasibility_certificate", _refused_projection)
+    plain = run_solve(problem, start, 1e-6)
+    upgraded = run_solve(problem, start, 1e-6, strict=True)
+    run_solve(problem, start, 1e-6, strict=True, trace_path=str(tmp_path / "trace.csv"))
+    assert _same(result.report, built)
+    assert "strict_projection" not in plain.diagnostics
+    if result.report.status in ("InfeasibilityCertificate", "UnboundednessCertificate"):
+        note = ("ProjectionOutsideCone: projected direction left the dual cone" if refuse
+                else "succeeded")
+        assert upgraded.diagnostics == {**plain.diagnostics, "strict_projection": note}
+        assert upgraded.certificate["strict"] is not refuse
+    else:
+        assert upgraded == plain
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        result.report.status = "EpsSolution"
 
 
 def test_report_round_trips(box_problem):

@@ -520,8 +520,7 @@ def test_mu_strictly_increasing(box_run, inf_run, unb_run, soc_run):
     for result in (box_run, inf_run, unb_run, soc_run):
         mus = [row.mu for row in result.trace]
         assert all(b > a for a, b in zip(mus, mus[1:]))
-        assert result.mu_log_slope > 0.0
-        assert result.report.diagnostics["mu_log_slope"] == pytest.approx(result.mu_log_slope)
+        assert result.report.diagnostics["mu_log_slope"] > 0.0
 
 
 @pytest.mark.parametrize("xi,kappa", [(3.0, 0.5), (1.5, 0.25), (2.0, 0.1)])
@@ -822,7 +821,8 @@ def test_iteration_limit_status(box_problem):
     # with no iteration allowed, the anchor alone is traced: no slope to fit
     result = dd.follow(problem, start, dd.FollowerOptions(eps=1e-6, max_iters=0))
     assert result.report.status == "IterationLimit"
-    assert result.report.diagnostics["iterations"] == 0 and result.mu_log_slope == 0.0
+    assert result.report.diagnostics["iterations"] == 0
+    assert result.report.diagnostics["mu_log_slope"] == 0.0
 
 
 @pytest.mark.parametrize("eps", [1e-110, np.float64(1e-110)], ids=["float", "numpy"])

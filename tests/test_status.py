@@ -55,14 +55,14 @@ def test_check_status_rejects_bad_eps(box_run, box_problem):
     point = box_run.iterates[-1]
     sp = stop_params(problem, start, point.x, point.tau, point.y)
     with pytest.raises(ValueError):
-        check_status(problem, start, point, 2.0, sp=sp)
+        check_status(problem, start, [point], [], 2.0, sp=sp)
 
 
 def test_check_status_none_early(box_problem):
     problem, start = box_problem
     point = make_iterate(problem, start, np.zeros(1), 1.0, start.y0)
     sp = stop_params(problem, start, point.x, point.tau, point.y)
-    assert check_status(problem, start, point, 1e-6, sp=sp) is None
+    assert check_status(problem, start, [point], [], 1e-6, sp=sp) is None
 
 
 def test_eps_solution_branch(box_run, box_problem):
@@ -88,7 +88,7 @@ def test_certificate_failing_verification_is_numerical_failure(fixture, run, sta
     problem, start = request.getfixturevalue(fixture)
     point = request.getfixturevalue(run).iterates[-1]
     sp = stop_params(problem, start, point.x, point.tau, point.y)
-    honest = check_status(problem, start, point, 1e-6, sp=sp)
+    honest = check_status(problem, start, [point], [], 1e-6, sp=sp)
     assert honest.status == status
 
     def failing(problem, start, cert):
@@ -97,7 +97,7 @@ def test_certificate_failing_verification_is_numerical_failure(fixture, run, sta
         rep.add("forced pass", True, 0.0)
         return rep
     monkeypatch.setattr(status_module, "verify_certificate", failing)
-    report = check_status(problem, start, point, 1e-6, sp=sp)
+    report = check_status(problem, start, [point], [], 1e-6, sp=sp)
     assert report.status == "NumericalFailure" and report.exit_code == 5
     assert report.certificate is None
     assert report.diagnostics["reason"] == "certificate failed verification: forced failure"
@@ -149,7 +149,7 @@ def test_ill_conditioned_precedence_synthetic(box_problem, box_run):
     problem, start = box_problem
     point = make_iterate(problem, start, np.zeros(1), 1.0, start.y0)
     fake = dd.Iterate(x=point.x, tau=point.tau, y=point.y, mu=1e30, proximity=0.0)
-    report = check_status(problem, start, fake, 1e-2,
+    report = check_status(problem, start, [fake], [], 1e-2,
                           sp=stop_params(problem, start, fake.x, fake.tau, fake.y))
     assert report is not None and report.status == "IllConditioned"
     assert report.x is not None and report.y_scaled is not None
@@ -159,7 +159,7 @@ def test_ill_conditioned_precedence_synthetic(box_problem, box_run):
     # the other half: an eps-solution at the same huge mu stays EpsSolution
     final = box_run.iterates[-1]
     fake = dd.Iterate(x=final.x, tau=final.tau, y=final.y, mu=1e30, proximity=0.0)
-    report = check_status(problem, start, fake, 1e-6,
+    report = check_status(problem, start, [fake], [], 1e-6,
                           sp=stop_params(problem, start, fake.x, fake.tau, fake.y))
     assert report is not None and report.status == "EpsSolution"
     assert report.verification.passed
