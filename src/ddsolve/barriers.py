@@ -298,17 +298,20 @@ class _ConeGroup:
         return -2.0 + np.log(4.0) - np.log(q) - z[self.sel] @ self.d
 
     def evaluate(self, z, side):
-        """(gradient, (w, head, t)) at z, the point the metric's ``block``
-        takes; FactorizationFailure unless the margin is finite, so the
-        gradient is accepted exactly where the metric is."""
+        """(gradient, (w, t, lam_plus, lam_minus, lam_tail)) at z, the point,
+        its tail norm and the metric's three eigenvalues, which ``block``
+        takes; FactorizationFailure unless every eigenvalue is positive and
+        finite, so the gradient is accepted exactly where the metric is."""
         # up to a constant, the conjugate at y is the primal barrier at
         # w = -y less <y, d>: its gradient is minus the primal one at w,
         # less d, and its Hessian the primal one at w
         w, head, t, q = self._point(z, side)
-        if not math.isfinite(head - t):
-            raise FactorizationFailure("soc metric point is not interior to the cone")
+        lam_plus, lam_minus = 2.0 / (head - t) ** 2, 2.0 / (head + t) ** 2
+        # lam_plus >= lam_tail = 2/q >= lam_minus, so the extremes decide
+        if not (lam_minus > 0.0 and lam_plus < np.inf):
+            raise FactorizationFailure("soc metric eigenvalue is not positive and finite")
         g = self.neg2sign * w / q
-        return (g if side == PRIMAL else -g - self.d), (w, head, t)
+        return (g if side == PRIMAL else -g - self.d), (w, t, lam_plus, lam_minus, 2.0 / q)
 
     def support(self, y):
         w, head, t = self._slacks(y, CONJUGATE)
@@ -374,16 +377,14 @@ class _SocBlock:
     Working with these closed forms stays accurate at conditioning where a
     dense Cholesky of the assembled matrix breaks down.  ``matvec`` and
     ``solve`` act on a vector or on the columns of a (k, r) array.  Its
-    group has checked the margin w1 - t positive and finite.
+    group has formed the three eigenvalues and checked them positive and
+    finite; the block derives only the tail's unit direction.
     """
 
-    def __init__(self, w: np.ndarray, head: float, t: float):
-        margin = head - t
+    def __init__(self, w: np.ndarray, t: float, lam_plus, lam_minus, lam_tail):
         self.k = w.shape[0]
         self.unit = w[1:] / t if t > 0.0 else np.zeros(self.k - 1)
-        self.lam_plus = 2.0 / margin**2
-        self.lam_minus = 2.0 / (head + t) ** 2
-        self.lam_tail = 2.0 / (margin * (head + t))
+        self.lam_plus, self.lam_minus, self.lam_tail = lam_plus, lam_minus, lam_tail
 
     def _unit_for(self, v):
         """The tail's unit direction, as a column when v holds columns."""

@@ -132,9 +132,11 @@ def _parse_atom(entry, index):
         raise ParseError(f"atom {index}: {exc}", field=f"atoms[{index}]") from exc
 
 
-def _read_problem_file(path) -> tuple[dict, np.ndarray | None]:
-    """A problem file's entries, each checked for type and shape but not
-    validated: :func:`validate_problem`'s arguments, and z0 or None."""
+def _read_problem_file(path, constants) -> tuple[Problem, StartData]:
+    """The problem a file holds, validated with ``constants`` (a dict of xi
+    and kappa) replacing the file's, and its start from the file's z0 or
+    the default one.  Every value formed from the data is checked finite,
+    so an overflow or a division by zero is rejected, not warned of."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
@@ -160,18 +162,18 @@ def _read_problem_file(path) -> tuple[dict, np.ndarray | None]:
     if not isinstance(doc["atoms"], list):
         raise ParseError("atoms must be a list of atom objects", field="atoms")
     atoms = [_parse_atom(entry, i) for i, entry in enumerate(doc["atoms"])]
-    entries = {"A": A, "c": c, "atoms": atoms, "xi": _numbers(doc.get("xi", 2.0), "xi"),
-               "kappa": _numbers(doc.get("kappa", 0.25), "kappa")}
-    z0 = doc.get("z0")
-    return entries, None if z0 is None else _numbers(z0, "z0", m)
+    constants = {"xi": _numbers(doc.get("xi", 2.0), "xi"),
+                 "kappa": _numbers(doc.get("kappa", 0.25), "kappa"), **constants}
+    z0 = None if doc.get("z0") is None else _numbers(doc["z0"], "z0", m)
+    with np.errstate(over="ignore", divide="ignore"):
+        problem = validate_problem(A, c, atoms, **constants)
+        return problem, make_start(problem, z0)
 
 
 def parse_problem_file(path) -> tuple[Problem, StartData]:
     """Parse and validate a problem file; synthesize the default starting
     point when the file does not carry one."""
-    entries, z0 = _read_problem_file(path)
-    problem = validate_problem(**entries)
-    return problem, make_start(problem, z0)
+    return _read_problem_file(path, {})
 
 
 def _as_floats(vec):
@@ -300,14 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # the flags replace the file's constants before anything is validated
-        entries, z0 = _read_problem_file(args.file)
-        for key in ("xi", "kappa"):
-            if getattr(args, key) is not None:
-                entries[key] = getattr(args, key)
-        problem = validate_problem(**entries)
-        with np.errstate(over="ignore"):  # make_start rejects a metric that overflows
-            start = make_start(problem, z0)
+        problem, start = _read_problem_file(args.file, {
+            key: getattr(args, key) for key in ("xi", "kappa") if getattr(args, key) is not None})
         if not 0.0 < args.eps < 1.0:
             raise ParseError(f"--eps must lie in (0, 1), got {args.eps}")
         if args.max_iters < 0:

@@ -177,10 +177,11 @@ def make_start(problem: Problem, z0=None) -> StartData:
     y0 = problem.barrier.grad(z0, PRIMAL)
     y_tau0 = float(-(y0 @ z0) - problem.xi * problem.theta)
     aty0 = problem.A.T @ y0
-    # ||z0|| by the formula np.linalg.norm itself uses, so the same bits
-    return StartData(z0=z0, y0=y0, y_tau0=y_tau0, aty0=aty0,
-                     aty0_inf=float(np.abs(aty0).max(initial=0.0)),
-                     z0_norm=math.sqrt(z0.dot(z0)))
+    aty0_inf = float(np.abs(aty0).max(initial=0.0))
+    z0_norm = math.sqrt(z0.dot(z0))   # np.linalg.norm's own formula, so the same bits
+    if not all(map(math.isfinite, (y_tau0, aty0_inf, z0_norm))):
+        raise DomainViolation("y_tau0, ||A'y0||_inf and ||z0|| must be finite at the anchor")
+    return StartData(z0=z0, y0=y0, y_tau0=y_tau0, aty0=aty0, aty0_inf=aty0_inf, z0_norm=z0_norm)
 
 
 def default_z0(problem: Problem) -> StartData:
