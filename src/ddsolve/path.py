@@ -408,10 +408,11 @@ def follow(problem: Problem, start: StartData, options: FollowerOptions = Follow
     the loop stops at the first triggered status, the mu cap, or the
     iteration cap.  ``on_iterate`` (if given) receives each TraceRow.
 
-    Returns the full trace; numerical trouble is reported as a
-    NumericalFailure status rather than an exception.  Raises ValueError,
-    before any work, unless eps lies in (0, 1) and max_iters is a
-    non-negative integer.
+    ``start`` must come from :func:`make_start`.  Returns the full trace;
+    numerical trouble is reported as a NumericalFailure status rather than
+    an exception, except at an anchor not in Q, which raises
+    DomainViolation.  Raises ValueError, before any work, unless eps lies
+    in (0, 1) and max_iters is a non-negative integer.
     """
     status_engine.require_eps(options.eps)
     max_iters = options.max_iters

@@ -278,17 +278,19 @@ def oracle_sigma_f(inst: OracleInstance, start: StartData) -> float:
 class OuterSocBlock(_SocBlock):
     """The cone's spectral Hessian block, split and assembled through
     np.multiply.outer; ``inv_quad`` reads this ``_split``, and the
-    metric's ``quad`` this ``matvec``."""
+    metric's ``quad`` this ``matvec``.  It forms its own three eigenvalues
+    from (w, head, t) and accepts them only if all are positive and finite."""
 
     def __init__(self, w, head, t):
         margin = head - t
-        if not margin > 0.0 or not np.isfinite(margin):
-            raise FactorizationFailure("soc metric point is not interior to the cone")
         self.k = w.shape[0]
         self.unit = w[1:] / t if t > 0.0 else np.zeros(self.k - 1)
         self.lam_plus = 2.0 / margin**2
         self.lam_minus = 2.0 / (head + t) ** 2
         self.lam_tail = 2.0 / (margin * (head + t))
+        spectrum = np.array([self.lam_plus, self.lam_minus, self.lam_tail])
+        if not np.all((spectrum > 0.0) & np.isfinite(spectrum)):
+            raise FactorizationFailure("soc metric eigenvalue is not positive and finite")
 
     def _split(self, v):
         head = v[0]

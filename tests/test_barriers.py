@@ -455,23 +455,30 @@ def test_grad_hess_equals_grad_and_hess(side):
         assert np.array_equal(metric.dense(), barrier.hess(z, side).dense())
     # and they reject the same points with the same error: outside the
     # domain, not finite, a cone whose shifted head overflows (its margin
-    # is not finite) and a box so narrow that its metric overflows
+    # is not finite), a box so narrow that its metric overflows, and cone
+    # points whose largest eigenvalue (heads 1e-200 and 1e-160) or smallest
+    # (head 1e200) is not positive and finite
     inside = _sample_point(GROUPED_ATOMS, GROUPED_M, rng, side)
     coord = np.arange(GROUPED_M)
     narrow = dd.DomainBarrier([dd.box(0, 0.0, 1e-160)], 1)
+    cone = dd.DomainBarrier([dd.soc([0, 1, 2])], 3)
+    head = 1.0 if side == PRIMAL else -1.0   # the dual cone is -K
     rejected = [(barrier, np.where(coord == 0, -inside, inside)),   # a cone's head
                 (barrier, np.where(coord == 2, -inside, inside)),   # a halfline
                 (barrier, np.where(coord == 3, np.nan, inside)),
                 (barrier, np.where(coord == 7, np.inf, inside)),
                 (narrow, narrow.interior_point() if side == PRIMAL else np.zeros(1))]
+    rejected += [(cone, np.array([head * h, 0.0, 0.0])) for h in (1e-200, 1e200, 1e-160)]
     if side == PRIMAL:
         rejected.append((dd.DomainBarrier([dd.soc([0, 1], [1e308, 0.0])], 2),
                          np.array([1e308, 0.0])))
     for owner, z in rejected:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             raised = [_raised(lambda: owner.grad(z, side)),
-                      _raised(lambda: owner.grad_hess(z, side))]
+                      _raised(lambda: owner.grad_hess(z, side)),
+                      _raised(lambda: reference_grad_hess(owner, z, side))]
         assert raised[0] is not None and raised[0] == raised[1]
+        assert raised[2] is not None and raised[2][0] is raised[0][0]   # its own messages
 
 
 def _raised(call):

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -190,17 +191,45 @@ def test_non_finite_data_is_input_error(change, message, tmp_path, capsys):
     assert message in json.loads(capsys.readouterr().out)["error"]
 
 
+SOC_DOC = {"n": 1, "m": 3, "A": [[1.0], [0.0], [0.0]], "c": [1.0],
+           "atoms": [{"type": "soc", "coords": [1, 2, 3]}]}
+
+
 def test_start_whose_metric_overflows_is_input_error(tmp_path, capsys):
-    # the box's middle is interior, but 1/s^2 overflows there: make_start
-    # rejects the anchor, where the solve's first evaluation would raise
-    # outside the failure handling
-    path = tmp_path / "narrow.dd"
-    path.write_text(json.dumps({**BOX_DOC, "atoms": [{"type": "box", "coords": [1],
-                                                      "bounds": [0.0, 1e-160]}]}))
-    assert main(["solve", str(path)]) == 4
-    captured = capsys.readouterr()
-    assert "diagonal metric entry is not positive and finite" in json.loads(captured.out)["error"]
-    assert captured.err == ""
+    # each anchor is interior, but a value formed from it is not finite:
+    # make_start rejects it, where the solve's first evaluation would raise
+    # outside the failure handling or end NumericalFailure after warnings
+    anchors = [
+        # the cone's q underflows to 0, so y0 would be (-inf, nan, nan)
+        ({**SOC_DOC, "z0": [1e-200, 0.0, 0.0]}, dd.FactorizationFailure,
+         "soc metric eigenvalue is not positive and finite"),
+        # q overflows, so y0 would be 0, which is not dual-interior
+        ({**SOC_DOC, "z0": [1e200, 0.0, 0.0]}, dd.FactorizationFailure,
+         "soc metric eigenvalue is not positive and finite"),
+        # y0 is finite, but the largest eigenvalue 2/margin^2 is not
+        ({**SOC_DOC, "z0": [1e-160, 0.0, 0.0]}, dd.FactorizationFailure,
+         "soc metric eigenvalue is not positive and finite"),
+        # the metric is finite, but A'y0 overflows and mu would be NaN
+        ({**BOX_DOC, "A": [[1e300]], "z0": [1e-10],
+          "atoms": [{"type": "halfline_lower", "coords": [1], "bounds": 0.0}]},
+         dd.DomainViolation, "||A'y0||_inf"),
+        # the box's middle, where 1/s^2 overflows, and where s^2 underflows
+        # to 0, so that 1/s^2 divides by zero
+        ({**BOX_DOC, "atoms": [{"type": "box", "coords": [1], "bounds": [0.0, 1e-160]}]},
+         dd.FactorizationFailure, "diagonal metric entry is not positive and finite"),
+        ({**BOX_DOC, "atoms": [{"type": "box", "coords": [1], "bounds": [0.0, 1e-170]}]},
+         dd.FactorizationFailure, "diagonal metric entry is not positive and finite"),
+    ]
+    path = tmp_path / "anchor.dd"
+    for doc, error, message in anchors:
+        path.write_text(json.dumps(doc))
+        assert main(["solve", str(path), "--eps", "1e-6", "--max-iters", "5"]) == 4
+        captured = capsys.readouterr()
+        assert message in json.loads(captured.out)["error"]
+        assert captured.err == ""
+        # the library path rejects it too, a RuntimeWarning failing the suite
+        with pytest.raises(error, match=re.escape(message)):
+            parse_problem_file(str(path))
 
 
 @pytest.mark.parametrize("argv,change", [([], {"xi": 9e307}), (["--xi", "9e307"], {})],

@@ -1,0 +1,128 @@
+"""Metamorphic tests: a problem and an equivalent form of it solve alike.
+
+The path depends on the data only through the image A x + z0/tau and the
+dual point y, so relabelling the image coordinates, reordering the atoms,
+permuting or scaling the columns of A, and mirroring an interval atom
+through zero each map the path onto itself.  Each transform below takes a
+``tests/test_medium.py`` case to such a form, solves it at eps 1e-6 from
+its default start and compares the run with the untransformed one: the
+same status, the iteration count within 2 and the final mu within
+``MU_BAND``; and the optimal-pair certificate, mapped back to the original
+variables, verifies against the original problem.
+
+Column scales stay within 1e±3: at 1e±6 the rank screen of
+``validate_problem``, which is not scale-invariant, rejects these cases.
+"""
+
+from functools import cache
+
+import numpy as np
+import pytest
+
+import ddsolve as dd
+from test_medium import MEDIUM_CASES, mixed_feasible
+
+EPS = 1e-6
+RNG_SEED = 15
+# relative difference of the final mu.  tests/noise.py's rounding noise
+# moves the final mu of an untransformed run by up to 1.34e-7 (12 seeds,
+# 3 cases), so two noisy runs may differ by 2.7e-7; the band is about four
+# times that
+MU_BAND = 1e-6
+# exponent range of the column scales D = 10^U(-s, s)
+SCALE_EXPONENT = 3.0
+
+
+def _identity(v):
+    return v
+
+
+def _relabel(problem, rng):
+    """Image coordinate j becomes coordinate inv[j]: A's rows permuted."""
+    perm = rng.permutation(problem.m)
+    inv = np.argsort(perm)
+    atoms = [dd.BarrierAtom(a.kind, [int(inv[j]) for j in a.coords], a.offset, a.lower, a.upper)
+             for a in problem.atoms]
+    return (dd.validate_problem(problem.A[perm], problem.c, atoms),
+            _identity, lambda y: y[inv])
+
+
+def _shuffle_atoms(problem, rng):
+    atoms = [problem.atoms[k] for k in rng.permutation(len(problem.atoms))]
+    return dd.validate_problem(problem.A, problem.c, atoms), _identity, _identity
+
+
+def _permute_columns(problem, rng):
+    """x'_j = x_perm[j]: the columns of A and the entries of c permuted."""
+    perm = rng.permutation(problem.n)
+
+    def x_back(x):
+        out = np.empty_like(x)
+        out[perm] = x
+        return out
+    return (dd.validate_problem(problem.A[:, perm], problem.c[perm], problem.atoms),
+            x_back, _identity)
+
+
+def _scale_columns(problem, rng):
+    """x = D x' with D = 10^U(-s, s): A D and D c."""
+    d = 10.0 ** rng.uniform(-SCALE_EXPONENT, SCALE_EXPONENT, problem.n)
+    return (dd.validate_problem(problem.A * d, d * problem.c, problem.atoms),
+            lambda x: d * x, _identity)
+
+
+MIRRORED = {"halfline_lower": "halfline_upper", "halfline_upper": "halfline_lower",
+            "box": "box"}
+
+
+def _mirror(problem, rng):
+    """Each halfline and box through zero: its row of A negated, lower and
+    upper swapped and negated, its offset negated; the cones as they are."""
+    sign = np.ones(problem.m)
+    atoms = []
+    for a in problem.atoms:
+        if a.kind == "soc":
+            atoms.append(a)
+            continue
+        sign[a.coords[0]] = -1.0
+        atoms.append(dd.BarrierAtom(MIRRORED[a.kind], a.coords, (-a.offset[0],),
+                                    lower=None if a.upper is None else -a.upper,
+                                    upper=None if a.lower is None else -a.lower))
+    return (dd.validate_problem(sign[:, None] * problem.A, problem.c, atoms),
+            _identity, lambda y: sign * y)
+
+
+TRANSFORMS = {"relabel-image": _relabel, "shuffle-atoms": _shuffle_atoms,
+              "permute-columns": _permute_columns, "scale-columns": _scale_columns,
+              "mirror-intervals": _mirror}
+
+
+def solve(problem):
+    """(start, report) of the run from the default start at EPS."""
+    start = dd.make_start(problem)
+    return start, dd.follow(problem, start, dd.FollowerOptions(eps=EPS)).report
+
+
+@cache
+def original(case):
+    problem = mixed_feasible(*MEDIUM_CASES[case])
+    return (problem, *solve(problem))
+
+
+@pytest.mark.parametrize("transform", list(TRANSFORMS))
+@pytest.mark.parametrize("case", sorted(MEDIUM_CASES))
+def test_equivalent_problem_solves_alike(case, transform):
+    problem, start, report = original(case)
+    rng = np.random.default_rng([RNG_SEED, sorted(MEDIUM_CASES).index(case),
+                                 list(TRANSFORMS).index(transform)])
+    changed, x_back, y_back = TRANSFORMS[transform](problem, rng)
+    _, got = solve(changed)
+    assert (got.status, report.status) == ("EpsSolution", "EpsSolution")
+    assert abs(got.diagnostics["iterations"] - report.diagnostics["iterations"]) <= 2
+    mu, want = got.diagnostics["mu"], report.diagnostics["mu"]
+    assert abs(mu - want) <= MU_BAND * want
+    cert = got.certificate
+    mapped = dd.Certificate(kind=cert.kind, strict=cert.strict, eps=cert.eps,
+                            x=x_back(cert.x), y=y_back(cert.y), tau=cert.tau)
+    verification = dd.verify_certificate(problem, start, mapped)
+    assert verification.passed, verification.failed_names()

@@ -246,6 +246,16 @@ def test_follow_rejects_bad_options_before_any_work(box_problem, options, monkey
         dd.follow(problem, start, options)
 
 
+def test_follow_raises_on_a_start_whose_anchor_is_not_in_q():
+    # a start not built by make_start: on min x, x >= 0, y0 = +1 lies
+    # outside D* = {y <= 0}, and the anchor's own path parameter is -0.0
+    problem = dd.validate_problem([[1.0]], [1.0], [dd.halfline_lower(0, 0.0)])
+    start = dd.make_start(problem)
+    start = replace(start, y0=-start.y0)
+    with pytest.raises(dd.DomainViolation, match="path parameter must be positive, got -0.0"):
+        dd.follow(problem, start, dd.FollowerOptions(eps=1e-6, max_iters=5))
+
+
 @pytest.mark.parametrize("x,tau,message", [
     (5.0, 1.0, "shifted image point left the domain interior"),
     (0.0, -1.0, "tau must be positive"),
