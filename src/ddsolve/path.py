@@ -64,32 +64,17 @@ from . import status as status_engine
 
 @dataclass(frozen=True)
 class Residuals:
-    """Algebraic residuals of the path system at a point and its mu.
+    """Algebraic residuals of the path system at a point and its mu, and
+    their max norm with each block scaled by its natural magnitude there.
 
     All three vanish together exactly when the point solves the system at
     that mu (interiority is enforced as a domain condition, not a residual).
-    ``point`` is the evaluated point they were formed at; ``cx`` = <c, x>
-    and ``yu`` = <y, u> there, formed for r_gap, scale it too.
     """
 
     r_dual: np.ndarray
     r_cent: np.ndarray
     r_gap: float
-    point: Iterate
-    cx: float
-    yu: float
-
-    def scaled_norm(self, problem: Problem, start: StartData) -> float:
-        """Max residual norm, each block scaled by its natural magnitude at
-        ``point``."""
-        p = self.point
-        tau = p.tau
-        scale_dual = 1.0 + start.aty0_inf + tau * problem.c_inf
-        scale_cent = 1.0 + float(np.abs(p.y).max())
-        scale_gap = (1.0 + abs(self.cx) + abs(self.yu) / tau
-                     + problem.theta * problem.xi * p.mu / tau**2 + abs(start.y_tau0) / tau)
-        return max(abs(self.r_gap) / scale_gap, float(np.abs(self.r_cent).max()) / scale_cent,
-                   float(np.abs(self.r_dual).max(initial=0.0)) / scale_dual)
+    scaled_norm: float
 
 
 @dataclass(frozen=True)
@@ -167,14 +152,20 @@ def _evaluate(problem, start, x, tau, y, mu, *, newton=False) -> _Point:
 
 
 def _residuals(problem, start, point: _Point) -> Residuals:
-    """Residuals of equations (b), (c), (d) at an evaluated point and its mu."""
+    """Residuals of equations (b), (c), (d) at an evaluated point and its
+    mu, and their scaled norm, the gap block scaled with <c, x> and <y, u>."""
     x, tau, y, mu = point.x, point.tau, point.y, point.mu
     r_dual = dual_equation_residual(problem, start, tau, y)
     r_cent = y - (mu / tau) * point.g
     cx, yu = float(problem.c @ x), float(y @ point.u)
-    r_gap = cx + yu / tau + problem.theta * problem.xi * mu / tau**2 + start.y_tau0 / tau
-    return Residuals(r_dual=r_dual, r_cent=r_cent, r_gap=float(r_gap), point=point,
-                     cx=cx, yu=yu)
+    r_gap = float(cx + yu / tau + problem.theta * problem.xi * mu / tau**2 + start.y_tau0 / tau)
+    scale_dual = 1.0 + start.aty0_inf + tau * problem.c_inf
+    scale_cent = 1.0 + float(np.abs(y).max())
+    scale_gap = (1.0 + abs(cx) + abs(yu) / tau
+                 + problem.theta * problem.xi * mu / tau**2 + abs(start.y_tau0) / tau)
+    scaled_norm = max(abs(r_gap) / scale_gap, float(np.abs(r_cent).max()) / scale_cent,
+                      float(np.abs(r_dual).max(initial=0.0)) / scale_dual)
+    return Residuals(r_dual, r_cent, r_gap, scaled_norm)
 
 
 def residuals(problem: Problem, start: StartData, x, tau: float, y, mu: float) -> Residuals:
@@ -277,7 +268,7 @@ def corrector_step(problem: Problem, start: StartData, point: Iterate) -> Iterat
     last_res = np.inf
     for k in range(CORRECTOR_MAX_STEPS):
         res = _residuals(problem, start, point)
-        rnorm = res.scaled_norm(problem, start)
+        rnorm = res.scaled_norm
         settled = rnorm <= CORRECTOR_RESIDUAL_TOL or rnorm >= 0.9 * last_res
         if settled or k == CORRECTOR_MAX_STEPS - 1:
             prox = proximity_at(problem, start, point.x, point.tau, point.y, point.mu)

@@ -139,7 +139,8 @@ def _first_newton_step(problem, start, x, tau, y, mu):
     restored y it starts from."""
     y = path_module._restore_dual_equality(problem, start, tau, y)
     res = dd.residuals(problem, start, x, tau, y, mu)
-    return y, _kkt_solve(problem, start, res.point, -res.r_dual, -res.r_cent, -res.r_gap)
+    point = path_module._evaluate(problem, start, x, tau, y, mu)
+    return y, _kkt_solve(problem, start, point, -res.r_dual, -res.r_cent, -res.r_gap)
 
 
 def _record_step_bounds(monkeypatch) -> list:
@@ -275,7 +276,7 @@ def test_scaled_residuals_small_at_iterates(fixture, run, request):
     result = request.getfixturevalue(run)
     for it in result.iterates[1:]:
         res = dd.residuals(problem, start, it.x, it.tau, it.y, it.mu)
-        assert res.scaled_norm(problem, start) <= 1e-8
+        assert res.scaled_norm <= 1e-8
 
 
 def test_predictor_tangent_satisfies_dual_equation(box_problem):
@@ -328,11 +329,12 @@ def test_kkt_solve_matches_unreduced_system(fixture, run, request):
         if it.mu > 1e2:
             continue
         res = dd.residuals(problem, start, it.x, it.tau, it.y, 2.0 * it.mu)
-        g = res.point.g
+        evaluated = path_module._evaluate(problem, start, it.x, it.tau, it.y, 2.0 * it.mu)
+        g = evaluated.g
         for point, rhs in [
-            (replace(res.point, mu=it.mu),
+            (replace(evaluated, mu=it.mu),
              (np.zeros(problem.n), g / it.tau, -problem.theta * problem.xi / it.tau**2)),
-            (res.point, (-res.r_dual, -res.r_cent, -res.r_gap)),
+            (evaluated, (-res.r_dual, -res.r_cent, -res.r_gap)),
         ]:
             got = _kkt_solve(problem, start, point, *rhs)
             ref = _unreduced_solve(problem, start, it.x, it.tau, it.y, point.mu, *rhs)
@@ -691,36 +693,34 @@ def test_reused_evaluations_match_public_functions(fixture, run, request):
         assert np.array_equal(public.r_dual, private.r_dual)
         assert np.array_equal(public.r_cent, private.r_cent)
         assert public.r_gap == private.r_gap
-        for name in ("x", "y", "u", "g"):
-            assert np.array_equal(getattr(public.point, name), getattr(private.point, name))
-        assert (public.point.tau, public.point.mu) == (private.point.tau, private.point.mu)
-        assert public.scaled_norm(problem, start) == private.scaled_norm(problem, start)
+        assert public.scaled_norm == private.scaled_norm
+        fresh = path_module._evaluate(problem, start, it.x, it.tau, it.y, it.mu)
+        for name in ("u", "g"):
+            assert np.array_equal(getattr(point, name), getattr(fresh, name))
 
 
 @pytest.mark.parametrize("fixture", ["inf_problem", "soc_problem", "tangent_problem"])
 def test_scaled_norm_reads_the_gap_products(fixture, request, monkeypatch):
-    # at every Newton point of a run, the <c, x> and <y, u> that the
-    # residuals carry, and the scaled norm read from them, equal the
-    # formula formed again from the point, bit for bit
+    # at every Newton point of a run, the scaled norm the residuals carry
+    # equals the formula formed again from the point, with <c, x> and
+    # <y, u> in the gap's scale, bit for bit
     problem, start = request.getfixturevalue(fixture)
     recorded = []
 
-    def record(*args):
-        recorded.append(original(*args))
-        return recorded[-1]
+    def record(problem, start, point):
+        recorded.append((point, original(problem, start, point)))
+        return recorded[-1][1]
     original = path_module._residuals
     monkeypatch.setattr(path_module, "_residuals", record)
     dd.follow(problem, start, dd.FollowerOptions(eps=1e-4, max_iters=40))
     assert len(recorded) > 20
-    for res in recorded:
-        p = res.point
+    for p, res in recorded:
         cx, yu = float(problem.c @ p.x), float(p.y @ p.u)
-        assert (res.cx, res.yu) == (cx, yu)
         scale_gap = (1.0 + abs(cx) + abs(yu) / p.tau
                      + problem.theta * problem.xi * p.mu / p.tau**2 + abs(start.y_tau0) / p.tau)
         scale_cent = 1.0 + float(np.abs(p.y).max())
         scale_dual = 1.0 + start.aty0_inf + p.tau * problem.c_inf
-        assert res.scaled_norm(problem, start) == max(
+        assert res.scaled_norm == max(
             abs(res.r_gap) / scale_gap, float(np.abs(res.r_cent).max()) / scale_cent,
             float(np.abs(res.r_dual).max(initial=0.0)) / scale_dual)
 
