@@ -400,9 +400,9 @@ def follow(problem: Problem, start: StartData, options: FollowerOptions = Follow
     iteration cap.  ``on_iterate`` (if given) receives each TraceRow.
 
     ``start`` must come from :func:`make_start`.  Returns the full trace;
-    numerical trouble is reported as a NumericalFailure status rather than
-    an exception, except at an anchor not in Q, which raises
-    DomainViolation.  Raises ValueError, before any work, unless eps lies
+    numerical trouble, a Python float's OverflowError included, is
+    reported as a NumericalFailure status rather than an exception, except
+    at an anchor not in Q, which raises DomainViolation.  Raises ValueError, before any work, unless eps lies
     in (0, 1) and max_iters is a non-negative integer.
     """
     status_engine.require_eps(options.eps)
@@ -440,7 +440,8 @@ def follow(problem: Problem, start: StartData, options: FollowerOptions = Follow
         try:
             predicted, tangent = predictor_step(problem, start, point, tangent)
             point = corrector_step(problem, start, predicted)
-        except (PredictorStall, CorrectorStall, DomainViolation, FactorizationFailure) as exc:
+        except (PredictorStall, CorrectorStall, DomainViolation, FactorizationFailure,
+                OverflowError) as exc:
             report = status_engine.numerical_failure_report(problem, iterates, violations, sp, exc)
             break
         sp = record(point)

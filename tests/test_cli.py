@@ -342,6 +342,17 @@ def test_tiny_eps_runs_to_iteration_limit(instance_path, capsys):
     assert json.loads(captured.out)["status"] == "IterationLimit"
 
 
+def test_tiny_eps_without_iteration_cap_ends_in_numerical_failure(instance_path, capsys):
+    # uncapped, the path runs on until tau**3, a Python float, overflows:
+    # that ends NumericalFailure, not a traceback with exit code 1
+    code = main(["solve", instance_path("inst_box.dd"), "--eps", "1e-110"])
+    captured = capsys.readouterr()
+    assert code == 5 and captured.err == ""
+    out = json.loads(captured.out)
+    assert out["status"] == "NumericalFailure"
+    assert out["diagnostics"]["reason"].startswith("OverflowError")
+
+
 def test_strict_flag_upgrades_certificate(instance_path, capsys):
     code = main(["solve", instance_path("inst_inf.dd"), "--eps", "1e-6", "--strict"])
     assert code == 1

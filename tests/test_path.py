@@ -844,6 +844,17 @@ def test_tiny_eps_has_no_mu_cap(box_problem, eps):
     assert result.report.status == "IterationLimit"
 
 
+@pytest.mark.parametrize("eps", [1e-110, np.float64(1e-110)], ids=["float", "numpy"])
+def test_tiny_eps_overflow_is_numerical_failure(box_problem, eps):
+    # with no stop in reach, tau grows until a Python float's tau**3
+    # raises OverflowError, which follow reports like any numerical trouble
+    problem, start = box_problem
+    result = dd.follow(problem, start, dd.FollowerOptions(eps=eps))
+    assert result.report.status == "NumericalFailure"
+    assert result.report.diagnostics["reason"].startswith("OverflowError")
+    assert result.report.diagnostics["iterations"] < dd.FollowerOptions().max_iters
+
+
 @pytest.mark.parametrize("source,options,status", [
     ("box_problem", {"eps": 1e-6}, "EpsSolution"),
     ("inf_problem", {"eps": 1e-6}, "InfeasibilityCertificate"),
