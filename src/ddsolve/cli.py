@@ -135,8 +135,8 @@ def _parse_atom(entry, index):
 def _read_problem_file(path, constants) -> tuple[Problem, StartData]:
     """The problem a file holds, validated with ``constants`` (a dict of xi
     and kappa) replacing the file's, and its start from the file's z0 or
-    the default one.  Every value formed from the data is checked finite,
-    so an overflow or a division by zero is rejected, not warned of."""
+    the default one.  :func:`make_start` rejects a start whose values
+    overflow, divide by zero or are invalid, without a warning."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
@@ -165,9 +165,8 @@ def _read_problem_file(path, constants) -> tuple[Problem, StartData]:
     constants = {"xi": _numbers(doc.get("xi", 2.0), "xi"),
                  "kappa": _numbers(doc.get("kappa", 0.25), "kappa"), **constants}
     z0 = None if doc.get("z0") is None else _numbers(doc["z0"], "z0", m)
-    with np.errstate(over="ignore", divide="ignore"):
-        problem = validate_problem(A, c, atoms, **constants)
-        return problem, make_start(problem, z0)
+    problem = validate_problem(A, c, atoms, **constants)
+    return problem, make_start(problem, z0)
 
 
 def parse_problem_file(path) -> tuple[Problem, StartData]:

@@ -165,20 +165,24 @@ class StartData:
 def make_start(problem: Problem, z0=None) -> StartData:
     """Build start data from ``z0`` (default: the barrier's canonical
     interior point).  ``y0`` is always recomputed as the barrier gradient;
-    every constant derived from the anchor is formed here, once."""
-    if z0 is None:
-        z0 = problem.barrier.interior_point()
-    else:
-        z0 = np.asarray(z0, dtype=float).copy()
-        if z0.shape != (problem.m,):
-            raise DomainViolation(f"z0 has shape {z0.shape}, expected ({problem.m},)")
-        if not problem.barrier.interior(z0, PRIMAL):
-            raise DomainViolation("z0 is not strictly interior to the domain")
-    y0 = problem.barrier.grad(z0, PRIMAL)
-    y_tau0 = float(-(y0 @ z0) - problem.xi * problem.theta)
-    aty0 = problem.A.T @ y0
-    aty0_inf = float(np.abs(aty0).max(initial=0.0))
-    z0_norm = math.sqrt(z0.dot(z0))   # np.linalg.norm's own formula, so the same bits
+    every constant derived from the anchor is formed here, once.  Every
+    value formed is compared or checked finite, and NaN fails every
+    comparison, so an overflow, a division by zero or an invalid value is
+    rejected, not warned of."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if z0 is None:
+            z0 = problem.barrier.interior_point()
+        else:
+            z0 = np.asarray(z0, dtype=float).copy()
+            if z0.shape != (problem.m,):
+                raise DomainViolation(f"z0 has shape {z0.shape}, expected ({problem.m},)")
+            if not problem.barrier.interior(z0, PRIMAL):
+                raise DomainViolation("z0 is not strictly interior to the domain")
+        y0 = problem.barrier.grad(z0, PRIMAL)
+        y_tau0 = float(-(y0 @ z0) - problem.xi * problem.theta)
+        aty0 = problem.A.T @ y0
+        aty0_inf = float(np.abs(aty0).max(initial=0.0))
+        z0_norm = math.sqrt(z0.dot(z0))   # np.linalg.norm's own formula, so the same bits
     if not all(map(math.isfinite, (y_tau0, aty0_inf, z0_norm))):
         raise DomainViolation("y_tau0, ||A'y0||_inf and ||z0|| must be finite at the anchor")
     return StartData(z0=z0, y0=y0, y_tau0=y_tau0, aty0=aty0, aty0_inf=aty0_inf, z0_norm=z0_norm)

@@ -219,6 +219,14 @@ def test_start_whose_metric_overflows_is_input_error(tmp_path, capsys):
          dd.FactorizationFailure, "diagonal metric entry is not positive and finite"),
         ({**BOX_DOC, "atoms": [{"type": "box", "coords": [1], "bounds": [0.0, 1e-170]}]},
          dd.FactorizationFailure, "diagonal metric entry is not positive and finite"),
+        # the shifted anchor z0 + offset overflows to inf, whose slack to
+        # the infinite bound is inf - inf = NaN
+        ({**BOX_DOC, "z0": [1e308], "atoms": [
+            {"type": "halfline_lower", "coords": [1], "bounds": 0.0, "offset": 1e308}]},
+         dd.DomainViolation, "z0 is not strictly interior to the domain"),
+        ({**BOX_DOC, "z0": [-1e308], "atoms": [
+            {"type": "halfline_upper", "coords": [1], "bounds": 0.0, "offset": -1e308}]},
+         dd.DomainViolation, "z0 is not strictly interior to the domain"),
     ]
     path = tmp_path / "anchor.dd"
     for doc, error, message in anchors:
@@ -227,9 +235,13 @@ def test_start_whose_metric_overflows_is_input_error(tmp_path, capsys):
         captured = capsys.readouterr()
         assert message in json.loads(captured.out)["error"]
         assert captured.err == ""
-        # the library path rejects it too, a RuntimeWarning failing the suite
+        # the library paths reject it too, a RuntimeWarning failing the suite
         with pytest.raises(error, match=re.escape(message)):
             parse_problem_file(str(path))
+        atoms = [cli_module._parse_atom(entry, i) for i, entry in enumerate(doc["atoms"])]
+        problem = dd.validate_problem(doc["A"], doc["c"], atoms)
+        with pytest.raises(error, match=re.escape(message)):
+            dd.make_start(problem, doc.get("z0"))
 
 
 @pytest.mark.parametrize("argv,change", [([], {"xi": 9e307}), (["--xi", "9e307"], {})],
