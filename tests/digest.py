@@ -24,6 +24,8 @@ Three digests and one line of counts:
 
 Only public API is used, so the script runs against any checkout's
 ``src`` put first on PYTHONPATH; compare its output between two of them.
+A RuntimeWarning in any run is an error, as it is in the test suite, so
+a change that makes a digested run warn fails here.
 """
 
 import contextlib
@@ -31,6 +33,7 @@ import hashlib
 import io
 import sys
 import tempfile
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -128,6 +131,7 @@ def solve_digests() -> tuple:
 
 
 def main():
+    warnings.simplefilter("error", RuntimeWarning)
     print("cli", cli_digest())
     it, rep, counts = solve_digests()
     print("iterates", it)
