@@ -114,7 +114,8 @@ def validate_problem(A, c, atoms, xi: float = 2.0, kappa: float = 0.25) -> Probl
     whose sigma_min exceeds about 1e-4 sigma_max(A); every other A,
     so every rejection, is decided by the singular values of ``np.linalg.svd``.
 
-    Raises RankDeficient, AtomCoverage or BadConstants.
+    Raises RankDeficient, AtomCoverage or BadConstants, and a plain
+    ValidationError for non-finite entries of A or c.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     c = np.atleast_1d(np.asarray(c, dtype=float))
