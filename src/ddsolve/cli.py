@@ -8,7 +8,7 @@ Problem files are JSON documents::
       "c": [1.0],
       "atoms": [ {"type": "box", "coords": [1], "bounds": [0.0, 1.0]} ],
       "z0": [0.5],               optional starting interior point
-      "xi": 2.0, "kappa": 0.25   optional solver constants
+      "xi": 3.0, "kappa": 0.5    optional solver constants, else validate_problem's
     }
 
 An atom ``type`` is one of "halfline_lower", "halfline_upper", "box" and
@@ -162,8 +162,7 @@ def _read_problem_file(path, constants) -> tuple[Problem, StartData]:
     if not isinstance(doc["atoms"], list):
         raise ParseError("atoms must be a list of atom objects", field="atoms")
     atoms = [_parse_atom(entry, i) for i, entry in enumerate(doc["atoms"])]
-    constants = {"xi": _numbers(doc.get("xi", 2.0), "xi"),
-                 "kappa": _numbers(doc.get("kappa", 0.25), "kappa"), **constants}
+    constants = {k: _numbers(doc[k], k) for k in ("xi", "kappa") if k in doc} | constants
     z0 = None if doc.get("z0") is None else _numbers(doc["z0"], "z0", m)
     problem = validate_problem(A, c, atoms, **constants)
     return problem, make_start(problem, z0)
@@ -242,7 +241,7 @@ def _attempt_strict(problem, start, result: FollowResult, eps):
 
 
 def run_solve(problem: Problem, start: StartData, eps: float, *, strict: bool = False,
-              max_iters: int = 500, trace_path=None) -> RunReport:
+              max_iters: int = FollowerOptions.max_iters, trace_path=None) -> RunReport:
     """Run the follower and package the outcome.
 
     With ``strict`` set, weak infeasibility/unboundedness outcomes are
@@ -287,10 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     solve = sub.add_parser("solve", help="solve a problem file")
     solve.add_argument("file", help="problem file (JSON)")
-    solve.add_argument("--eps", type=float, default=1e-8, help="accuracy target in (0, 1)")
+    solve.add_argument("--eps", type=float, default=FollowerOptions.eps,
+                       help="accuracy target in (0, 1)")
     solve.add_argument("--xi", type=float, default=None, help="override xi (> 1)")
     solve.add_argument("--kappa", type=float, default=None, help="override kappa")
-    solve.add_argument("--max-iters", type=int, default=500)
+    solve.add_argument("--max-iters", type=int, default=FollowerOptions.max_iters)
     solve.add_argument("--trace", metavar="PATH", default=None,
                        help="write per-iterate CSV trace to PATH")
     solve.add_argument("--strict", action="store_true",

@@ -31,8 +31,8 @@ class Problem:
     A: np.ndarray
     c: np.ndarray
     atoms: tuple
-    xi: float = 2.0
-    kappa: float = 0.25
+    xi: float
+    kappa: float
 
     @property
     def m(self) -> int:
@@ -205,7 +205,10 @@ class Iterate:
 
 
 def shifted_image(problem: Problem, start: StartData, x, tau: float) -> np.ndarray:
-    """u = A x + z0 / tau, the point whose interiority defines membership."""
+    """u = A x + z0 / tau, the point whose interiority defines membership;
+    DomainViolation unless tau > 0."""
+    if not tau > 0.0:
+        raise DomainViolation(f"tau must be positive, got {tau}")
     return problem.A @ np.asarray(x, dtype=float) + start.z0 / float(tau)
 
 
@@ -268,7 +271,7 @@ def proximity_at(problem: Problem, start: StartData, x, tau: float, y, mu: float
     || A x + z0/tau - conj_grad((tau/mu) y) ||  in the inverse conjugate-
     Hessian norm at v = (tau/mu) y, with both points formed here.  The one
     proximity formula of the follower.  Raises :func:`scaled_dual`'s
-    DomainViolations, then one unless tau > 0; the conjugate gradient and
+    DomainViolations, then :func:`shifted_image`'s; the conjugate gradient and
     Hessian at v, formed before the shifted image, are v's one check."""
     if not mu > 0.0:
         raise DomainViolation(f"path parameter must be positive, got {mu}")
@@ -277,8 +280,6 @@ def proximity_at(problem: Problem, start: StartData, x, tau: float, y, mu: float
         grad, metric = problem.barrier.grad_hess(v, CONJUGATE)
     except DomainViolation as exc:
         raise DomainViolation("scaled dual point left the dual cone interior") from exc
-    if not tau > 0.0:
-        raise DomainViolation(f"tau must be positive, got {tau}")
     return math.sqrt(max(metric.inv_quad(shifted_image(problem, start, x, tau) - grad), 0.0))
 
 

@@ -138,8 +138,6 @@ def _evaluate(problem, start, x, tau, y, mu, *, newton=False) -> _Point:
     Newton point, v is interior to D*; FactorizationFailure if H is not
     positive and finite.
     """
-    if not tau > 0.0:
-        raise DomainViolation(f"tau must be positive, got {tau}")
     u = shifted_image(problem, start, x, tau)
     try:
         g, H = problem.barrier.grad_hess(u, PRIMAL)

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import inspect
 import json
 import re
 
@@ -462,8 +463,9 @@ def test_flags_replace_file_constants_before_validation(change, argv, code, vali
     original_validate, original_start = cli_module.validate_problem, cli_module.make_start
 
     def validate(*args, **kwargs):
-        calls.append((kwargs["xi"], kwargs["kappa"]))
-        return original_validate(*args, **kwargs)
+        problem = original_validate(*args, **kwargs)
+        calls.append((problem.xi, problem.kappa))
+        return problem
 
     def make_start(*args):
         calls.append("make_start")
@@ -472,6 +474,27 @@ def test_flags_replace_file_constants_before_validation(change, argv, code, vali
     monkeypatch.setattr(cli_module, "make_start", make_start)
     assert main(["solve", str(path), "--eps", "1e-6", *argv]) == code
     assert calls == (validated + ["make_start"] if validated else [])
+    capsys.readouterr()
+
+
+def test_defaults_are_validate_problem_and_follower_options(tmp_path, capsys, monkeypatch):
+    # a file without xi or kappa, a command line without --eps or
+    # --max-iters and run_solve without max_iters take each default from
+    # its one owner
+    defaults = inspect.signature(dd.validate_problem).parameters
+    path = tmp_path / "box.dd"
+    path.write_text(json.dumps(BOX_DOC))
+    problem, start = parse_problem_file(str(path))
+    assert (problem.xi, problem.kappa) == (defaults["xi"].default, defaults["kappa"].default)
+    runs, original_follow = [], cli_module.follow
+
+    def follow(problem, start, options):
+        runs.append((problem.xi, problem.kappa, options))
+        return original_follow(problem, start, options)
+    monkeypatch.setattr(cli_module, "follow", follow)
+    assert main(["solve", str(path)]) == 0
+    run_solve(problem, start, dd.FollowerOptions().eps)
+    assert runs == [(problem.xi, problem.kappa, dd.FollowerOptions())] * 2
     capsys.readouterr()
 
 

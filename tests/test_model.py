@@ -361,6 +361,21 @@ def test_proximity_at_needs_a_positive_tau(box_problem, tau):
     assert caught == []
 
 
+@pytest.mark.parametrize("tau", [0.0, -1.0])
+def test_shifted_image_needs_a_positive_tau(box_problem, tau):
+    # tau = 0 divided by zero and tau = -1 gave the mirrored image
+    # A x - z0; every caller that forms the image shares this check
+    problem, start = box_problem
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for t in (tau, np.float64(tau)):
+            with pytest.raises(dd.DomainViolation, match=f"tau must be positive, got {tau}"):
+                shifted_image(problem, start, [0.0], t)
+            with pytest.raises(dd.DomainViolation, match=f"tau must be positive, got {tau}"):
+                dd.residuals(problem, start, [0.0], t, start.y0, 1.0)
+    assert caught == []
+
+
 @pytest.mark.parametrize("fixture,run", [("inf_problem", "inf_run"),
                                          ("soc_problem", "soc_run"),
                                          ("tangent_problem", "tangent_run")])
