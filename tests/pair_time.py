@@ -8,24 +8,27 @@ share the interpreter, the numpy build and the machine's state.
 
 The instances are generated once, through ``bench/families.py`` with the
 workload definitions of ``bench/harness.py`` (both only read), and written
-as problem files that both sides parse.  Each pair sets up and solves
-every instance once on each side, one side right after the other; the side
-that goes first alternates from pair to pair, so a drift in the host's
-speed or a warm-cache advantage falls on both.  The set-up and the solve
-are timed apart, as the benchmark times them.  The set-up is
-``cli.parse_problem_file`` on a CLI workload and ``validate_problem`` plus
-``make_start`` otherwise, on the data each side parsed once beforehand.
-The solve is timed up to the report JSON of ``cli.run_solve(strict=True)``
-on a CLI workload and is ``follow`` otherwise.  Each solve gets the
-problem its side has just set up.
+as problem files that both sides parse.  Each pair sets up every instance
+on each side, one side right after the other, then solves them instance
+by instance, one side right after the other; the side that goes first
+alternates from pair to pair, so a drift in the host's speed or a
+warm-cache advantage falls on both.  The set-up and the solve are timed
+apart.  A side's set-up is timed as the benchmark's ``setup_s`` times it:
+every instance set up back to back, ``setup_passes`` times over, and the
+time is given per set-up.  The set-up is ``cli.parse_problem_file`` on a
+CLI workload and ``validate_problem`` plus ``make_start`` otherwise, on
+the data each side parsed once beforehand.  The solve is timed up to the
+report JSON of ``cli.run_solve(strict=True)`` on a CLI workload and is
+``follow`` otherwise.  Each solve gets the problem its side set up in
+the last pass of the pair.
 
 Printed: the median over all solve pairs of the change's time divided by
 the parent's, the number of pairs, each side's median solve time, and the
 rule of a claimed gain: in how many pairs the change's median solve was
 faster than the parent's, and the parent's per-solve IQR, the distance
 between the quartiles of its pair medians (0 for one pair).  A last line
-gives the same figures for the set-up.  Only public API is used, like
-``tests/digest.py``.
+gives the same figures for the set-up, one time per side and pair.  Only
+public API is used, like ``tests/digest.py``.
 """
 
 import argparse
@@ -63,21 +66,26 @@ def load_side(root: Path, name: str):
     return importlib.import_module(f"{name}.cli"), package
 
 
-def set_up(side, workload, data):
-    """Wall time of one set-up, and the (problem, start) it gives.  ``data``
-    is a problem file on a CLI workload, (A, c, atoms) otherwise."""
+def set_up_seconds(side, workload, data) -> tuple:
+    """Wall time per set-up of setting up every entry of ``data`` back to
+    back, ``workload.setup_passes`` times, and the (problem, start) pairs
+    of the last pass.  ``data`` holds problem files on a CLI workload and
+    (A, c, atoms) triples otherwise."""
     cli, dd = side
     t0 = time.perf_counter()
-    if workload.via_cli:
-        problem, start = cli.parse_problem_file(data)
-    else:
-        problem = dd.validate_problem(*data)
-        start = dd.make_start(problem)
-    return time.perf_counter() - t0, problem, start
+    for _ in range(workload.setup_passes):
+        if workload.via_cli:
+            prepared = [cli.parse_problem_file(f) for f in data]
+        else:
+            prepared = []
+            for A, c, atoms in data:
+                problem = dd.validate_problem(A, c, atoms)
+                prepared.append((problem, dd.make_start(problem)))
+    return (time.perf_counter() - t0) / (workload.setup_passes * len(data)), prepared
 
 
 def set_up_data(side, workload, files) -> list:
-    """What ``set_up`` reads for each file: the file itself on a CLI
+    """What ``set_up_seconds`` reads for each file: the file itself on a CLI
     workload, otherwise the side's own parse of its (A, c, atoms)."""
     if workload.via_cli:
         return list(files)
@@ -97,18 +105,20 @@ def solve_seconds(side, workload, problem, start) -> float:
 
 
 def pair_times(sides, workload, files, pairs: int) -> tuple:
-    """(parent, change) seconds of every set-up pair and of every solve
+    """(parent, change) seconds per set-up of each pair, and of every solve
     pair, pair by pair."""
     data = [set_up_data(side, workload, files) for side in sides]
     setups, solves = [], []
     for p in range(pairs):
         order = (0, 1) if p % 2 == 0 else (1, 0)
+        setup, prepared = [0.0, 0.0], [None, None]
+        for i in order:
+            setup[i], prepared[i] = set_up_seconds(sides[i], workload, data[i])
+        setups.append(tuple(setup))
         for k in range(len(files)):
-            setup, solve = [0.0, 0.0], [0.0, 0.0]
+            solve = [0.0, 0.0]
             for i in order:
-                setup[i], problem, start = set_up(sides[i], workload, data[i][k])
-                solve[i] = solve_seconds(sides[i], workload, problem, start)
-            setups.append(tuple(setup))
+                solve[i] = solve_seconds(sides[i], workload, *prepared[i][k])
             solves.append(tuple(solve))
     return setups, solves
 
@@ -165,7 +175,7 @@ def main(argv=None) -> int:
     print(f"median per-solve ratio change/parent {ratio:.4f}")
     print(f"median solve s parent {parent:.6f} change {change:.6f}")
     print(f"change faster in {faster} of {args.pairs} pairs; parent per-solve IQR {spread:.6f}")
-    ratio, parent, change, faster, spread = compare(setups, len(files))
+    ratio, parent, change, faster, spread = compare(setups, 1)
     print(f"set-up: median per-set-up ratio change/parent {ratio:.4f}; median s parent "
           f"{parent:.6f} change {change:.6f}; change faster in {faster} of {args.pairs} "
           f"pairs; parent per-set-up IQR {spread:.6f}")

@@ -4,6 +4,9 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -47,13 +50,18 @@ def test_pair_time_times_validate_and_start_as_the_set_up():
     check_pair_time_output("soc-wide")
 
 
-def test_pair_time_gain_rule_helpers(monkeypatch):
+@pytest.fixture
+def pair_time(monkeypatch):
     # the import sets BLAS thread counts and extends sys.path; both are
     # undone after the test
     monkeypatch.setattr(sys, "path", [str(ROOT / "tests")] + sys.path)
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, os.environ.get(var, "1"))
     import pair_time
+    return pair_time
+
+
+def test_pair_time_gain_rule_helpers(pair_time):
     times = [(1.0, 0.5), (3.0, 0.5), (2.0, 4.0), (2.0, 4.0), (5.0, 1.0), (9.0, 1.0)]
     assert pair_time.pair_medians(times, 2) == [(2.0, 0.5), (2.0, 4.0), (7.0, 1.0)]
     # ratios 0.5, 1/6, 2, 2, 0.2, 1/9: median (0.2 + 0.5) / 2; two of three
@@ -62,6 +70,35 @@ def test_pair_time_gain_rule_helpers(monkeypatch):
     assert pair_time.iqr([2.0, 2.0, 7.0]) == 5.0
     assert pair_time.iqr([1.0, 2.0, 3.0, 4.0, 5.0]) == 3.0
     assert pair_time.iqr([3.0]) == 0.0
+
+
+def test_pair_time_sets_up_back_to_back_and_solves_in_pairs(pair_time):
+    # each side sets up every file setup_passes times in a row, as the
+    # benchmark's setup_s does, before the solves go side by side file by
+    # file; the side that goes first alternates; each solve gets the
+    # problem of its side's last pass
+    calls = []
+
+    def side(name):
+        def parse(f):
+            calls.append((name, "set-up", f))
+            return (name, f, len(calls)), None
+
+        def run_solve(problem, start, eps, strict):
+            calls.append((name, "solve", problem))
+            return SimpleNamespace(to_json=str)
+        return SimpleNamespace(parse_problem_file=parse, run_solve=run_solve), None
+    workload = SimpleNamespace(via_cli=True, setup_passes=2)
+    setups, solves = pair_time.pair_times((side("p"), side("c")), workload, ["a", "b"], 2)
+    assert len(setups) == 2 and len(solves) == 4
+    assert all(t > 0.0 for pair in setups + solves for t in pair)
+    set_up = lambda name: [(name, "set-up", f) for f in "abab"]
+    assert calls == (set_up("p") + set_up("c")
+                     + [("p", "solve", ("p", "a", 3)), ("c", "solve", ("c", "a", 7)),
+                        ("p", "solve", ("p", "b", 4)), ("c", "solve", ("c", "b", 8))]
+                     + set_up("c") + set_up("p")
+                     + [("c", "solve", ("c", "a", 15)), ("p", "solve", ("p", "a", 19)),
+                        ("c", "solve", ("c", "b", 16)), ("p", "solve", ("p", "b", 20))])
 
 
 def test_pair_time_rejects_a_checkout_without_sources(tmp_path):
