@@ -8,18 +8,25 @@ through zero each map the path onto itself.  Each transform below takes a
 its default start and compares the run with the untransformed one: the
 same status, the iteration count within 2 and the final mu within
 ``MU_BAND``; and the optimal-pair certificate, mapped back to the original
-variables, verifies against the original problem.
+variables, verifies against the original problem.  The same transforms
+take ``tests/test_strict_medium.py``'s strictly infeasible and unbounded
+m = 100 instances through ``cli.run_solve(strict=True)``: the same status,
+a succeeded strict projection, the iteration count within 2, and the
+strict certificate, mapped back, verifies against the original problem.
 
 Column scales stay within 1e±3: at 1e±6 the rank screen of
 ``validate_problem``, which is not scale-invariant, rejects these cases.
 """
 
+import dataclasses
 from functools import cache
 
 import numpy as np
 import pytest
 
 import ddsolve as dd
+import test_strict_medium as strict_medium
+from ddsolve import cli
 from test_medium import MEDIUM_CASES, mixed_feasible
 
 EPS = 1e-6
@@ -124,5 +131,41 @@ def test_equivalent_problem_solves_alike(case, transform):
     cert = got.certificate
     mapped = dd.Certificate(kind=cert.kind, strict=cert.strict, eps=cert.eps,
                             x=x_back(cert.x), y=y_back(cert.y), tau=cert.tau)
+    verification = dd.verify_certificate(problem, start, mapped)
+    assert verification.passed, verification.failed_names()
+
+
+STRICT_CASES = [(seed, kind) for size, seed, kind in strict_medium.CASES if size == "m100"]
+
+
+def solve_strict(problem):
+    """(start, report) of ``cli.run_solve(strict=True)`` from the default
+    start at EPS."""
+    start = dd.make_start(problem)
+    return start, cli.run_solve(problem, start, EPS, strict=True)
+
+
+@cache
+def original_strict(seed, kind):
+    inst = strict_medium.build("m100", seed, kind)
+    problem = dd.validate_problem(inst.A, inst.c, inst.atoms)
+    return (inst.expected, problem, *solve_strict(problem))
+
+
+@pytest.mark.parametrize("transform", list(TRANSFORMS))
+@pytest.mark.parametrize("seed,kind", STRICT_CASES, ids=[f"{k}-{s}" for s, k in STRICT_CASES])
+def test_equivalent_problem_certifies_alike(seed, kind, transform):
+    expected, problem, start, report = original_strict(seed, kind)
+    rng = np.random.default_rng([RNG_SEED, seed, STRICT_CASES.index((seed, kind)),
+                                 list(TRANSFORMS).index(transform)])
+    changed, x_back, y_back = TRANSFORMS[transform](problem, rng)
+    _, got = solve_strict(changed)
+    assert (got.status, report.status) == (expected, expected)
+    assert got.diagnostics["strict_projection"] == "succeeded"
+    assert abs(got.diagnostics["iterations"] - report.diagnostics["iterations"]) <= 2
+    cert = strict_medium.certificate(got)
+    assert cert.strict
+    mapped = dataclasses.replace(cert, x=None if cert.x is None else x_back(cert.x),
+                                 y=None if cert.y is None else y_back(cert.y))
     verification = dd.verify_certificate(problem, start, mapped)
     assert verification.passed, verification.failed_names()

@@ -31,12 +31,25 @@ BUILDERS = {families.INFEASIBLE: families.infeasible, families.UNBOUNDED: famili
 DUAL_EQUALITY = "dual equality residual above tolerance at mu="
 
 
+def build(size, seed, kind):
+    """The ``families`` instance of that size, seed and kind."""
+    n, n_scalar, soc_dims, _ = SIZES[size]
+    return BUILDERS[kind](np.random.default_rng(seed), f"{kind}-{size}-{seed}", n, n_scalar,
+                          soc_dims)
+
+
+def certificate(report) -> dd.Certificate:
+    """The certificate of a ``run_solve`` report, read back from its dict."""
+    cert = report.certificate
+    vector = lambda key: None if key not in cert else np.asarray(cert[key])
+    return dd.Certificate(kind=cert["kind"], strict=cert["strict"],
+                          eps=cert.get("eps", np.nan), y=vector("y"), x=vector("x"))
+
+
 @pytest.mark.parametrize("eps", [1e-6, 1e-8])
 @pytest.mark.parametrize("size,seed,kind", CASES, ids=[f"{k}-{s}-{d}" for s, d, k in CASES])
 def test_strict_certificate_at_medium_size(size, seed, kind, eps, monkeypatch):
-    n, n_scalar, soc_dims, _ = SIZES[size]
-    inst = BUILDERS[kind](np.random.default_rng(seed), f"{kind}-{size}-{seed}", n, n_scalar,
-                          soc_dims)
+    inst = build(size, seed, kind)
     problem = dd.validate_problem(inst.A, inst.c, inst.atoms)
     start = dd.make_start(problem)
     runs = []
@@ -51,12 +64,8 @@ def test_strict_certificate_at_medium_size(size, seed, kind, eps, monkeypatch):
 
     assert report.status == inst.expected, report.diagnostics
     assert report.diagnostics["strict_projection"] == "succeeded"
-    cert = report.certificate
-    assert cert["strict"] is True
-    vector = lambda key: None if key not in cert else np.asarray(cert[key])
-    reported = dd.Certificate(kind=cert["kind"], strict=True, eps=cert.get("eps", np.nan),
-                              y=vector("y"), x=vector("x"))
-    verification = dd.verify_certificate(problem, start, reported)
+    assert report.certificate["strict"] is True
+    verification = dd.verify_certificate(problem, start, certificate(report))
     assert verification.passed, verification.failed_names()
     violations = runs[0].invariant_violations
     assert report.diagnostics["invariant_violations"] == len(violations)
