@@ -7,13 +7,17 @@ Each seed runs the tier-1 suite (or the pytest arguments after ``--``) in
 its own subprocess with ``tests/noise_plugin.py`` loaded, which scales
 every KKT solution ``(dx, dtau, dy)`` by ``1 + k * 2**-52``, k in [-1, 1]
 from a sha256 of the solution and the seed.  Each seed also prints the
-``counts`` line of ``tests/digest.py`` computed under the same noise.
+``counts`` line of ``tests/digest.py`` computed under the same noise, and
+the false passes over the iterates of the runs that line counts: iterates
+whose float dual-equality check passes while the exact residual
+(``oracles.exact_dual_residual_sq``) is above the tolerance.
 
-Printed: one line per seed with its number of failed tests and its counts
-line, how many seeds passed every test, and for each test that failed
-under some seed, in how many seeds it failed.  A test that fails under
-this noise is decided by rounding, not by the solver's behaviour; a change
-that moves bits is judged against the parent's table over the same seeds.
+Printed: one line per seed with its number of failed tests, its counts
+line and its false passes, how many seeds passed every test, and for each
+test that failed under some seed, in how many seeds it failed.  A test
+that fails under this noise is decided by rounding, not by the solver's
+behaviour; a change that moves bits is judged against the parent's table
+over the same seeds.
 The package is not changed.
 """
 
@@ -30,10 +34,30 @@ ROOT = Path(__file__).resolve().parents[1]
 TESTS = ROOT / "tests"
 
 COUNTS = """
-import noise_plugin, digest
-noise_plugin.install({seed})
-print(digest.solve_digests()[2])
+import noise
+print(*noise.seed_counts({seed}), sep="\\n")
 """
+
+
+def seed_counts(seed: int) -> tuple:
+    """(digest counts line, false passes, iterates) of the digest's
+    counted runs under ``seed``'s noise.  It perturbs every later KKT
+    solve of the process, so it runs in a subprocess of its own."""
+    # imported here: the tool's own process needs neither the package nor these
+    import ddsolve
+    import digest
+    import noise_plugin
+    import oracles
+    noise_plugin.install(seed)
+    follow, found = ddsolve.follow, [0, 0]
+
+    def counted(problem, start, options):
+        result = follow(problem, start, options)
+        found[0] += oracles.false_passes(problem, start, result.iterates)
+        found[1] += len(result.iterates)
+        return result
+    ddsolve.follow = counted
+    return (digest.solve_digests()[2], *found)
 
 
 def _env() -> dict:
@@ -45,7 +69,8 @@ def _env() -> dict:
 
 
 def run_seed(seed: int, pytest_args) -> tuple:
-    """(tests run, failed node ids, digest counts line) under ``seed``."""
+    """(tests run, failed node ids, digest counts line, false passes,
+    iterates) under ``seed``."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "outcomes.json"
         done = subprocess.run(
@@ -59,20 +84,22 @@ def run_seed(seed: int, pytest_args) -> tuple:
         outcomes = json.loads(out.read_text())
     counts = subprocess.run([sys.executable, "-c", COUNTS.format(seed=seed)], cwd=ROOT,
                             env=_env(), capture_output=True, text=True, check=True)
-    return outcomes["tests"], outcomes["failed"], counts.stdout.strip()
+    line, false, iterates = counts.stdout.splitlines()
+    return outcomes["tests"], outcomes["failed"], line, int(false), int(iterates)
 
 
 def seed_line(seed: int, result: tuple) -> str:
-    tests, failed, counts = result
-    return f"seed {seed}: {tests} tests, {len(failed)} failed; counts {counts}"
+    tests, failed, counts, false, iterates = result
+    return (f"seed {seed}: {tests} tests, {len(failed)} failed; counts {counts}; "
+            f"false passes {false} of {iterates} iterates")
 
 
 def table(results: dict) -> list:
-    """The closing lines over ``{seed: (tests, failed ids, counts)}``: the
-    seeds that passed every test, then each failed test's seed count."""
-    clean = sum(not failed for _, failed, _ in results.values())
+    """The closing lines over ``{seed: run_seed's result}``: the seeds that
+    passed every test, then each failed test's seed count."""
+    clean = sum(not failed for _, failed, *_ in results.values())
     lines = [f"every test passed in {clean} of {len(results)} seeds"]
-    per_test = Counter(t for _, failed, _ in results.values() for t in failed)
+    per_test = Counter(t for _, failed, *_ in results.values() for t in failed)
     lines += [f"failed in {k} of {len(results)} seeds: {test}"
               for test, k in sorted(per_test.items(), key=lambda item: (-item[1], item[0]))]
     return lines

@@ -5,15 +5,19 @@ The oracles recompute analysis quantities independently of the path
 follower: grid search with refinement for feasibility measures, damped
 Newton for the analytic center shifted by the objective, bisection for the
 feasibility measure of strictly feasible instances.  The reference forms
-(end of the file) compute the barrier's gradient, metric, margins and exit
-steps with plain numpy calls, to show that ``ddsolve.barriers`` gives the
-same bits.  All of them exist for the test suite and are not part of the
+compute the barrier's gradient, metric, margins and exit steps with plain
+numpy calls, to show that ``ddsolve.barriers`` gives the same bits.  The
+exact form (end of the file) evaluates the dual linear equation's residual
+without rounding, to count the iterates the float check passes by
+rounding alone.  All of them exist for the test suite and are not part of the
 installed package.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -30,7 +34,7 @@ from ddsolve.barriers import (
     _SocBlock,
 )
 from ddsolve.errors import DomainViolation, FactorizationFailure, SolverError
-from ddsolve.model import Problem, StartData, support_function
+from ddsolve.model import Problem, StartData, dual_residual, support_function
 
 T_SUP_SENTINEL = 1.0e6
 
@@ -396,3 +400,41 @@ def reference_step_to_boundary(barrier, z, dz, side=PRIMAL) -> float:
             dw = dz[group.sel]
             steps.append(min(_first_exit(s_lo, dw), _first_exit(s_hi, -dw)))
     return min(steps, default=np.inf)
+
+
+def _dyadic(values) -> tuple:
+    """(integers, e) with values[k] == integers[k] * 2**e exactly, for
+    floats and Fractions whose denominators are powers of two."""
+    ratios = [v.as_integer_ratio() for v in values]
+    shift = max((den.bit_length() - 1 for _, den in ratios), default=0)
+    return [num << (shift - den.bit_length() + 1) for num, den in ratios], -shift
+
+
+def exact_dual_residual_sq(problem, start, tau, y) -> Fraction:
+    """||A'(y - y0) + (tau - 1) c||^2, the squared norm of
+    ``model.dual_equation_residual``, exact from the float64 A, c, y0, tau
+    and y.  Every float is a dyadic rational, so integers scaled by a
+    common power of two carry each difference, product and sum."""
+    m, n = problem.A.shape
+    A, e_a = _dyadic(problem.A.ravel().tolist())
+    ys, e_y = _dyadic(np.asarray(y, dtype=float).tolist() + start.y0.tolist())
+    d = [a - b for a, b in zip(ys[:m], ys[m:])]
+    cs, e_c = _dyadic(problem.c.tolist() + [Fraction(float(tau)) - 1])
+    *c, t = cs
+    e = min(e_a + e_y, 2 * e_c)
+    total = 0
+    for j in range(n):
+        r = ((sum(map(operator.mul, A[j::n], d)) << (e_a + e_y - e))
+             + ((t * c[j]) << (2 * e_c - e)))
+        total += r * r
+    return total * Fraction(2) ** (2 * e)
+
+
+def false_passes(problem, start, iterates) -> int:
+    """The iterates whose float dual-equality check, ``model.dual_residual``
+    at most ``problem.dual_eq_tol``, passes while the exact residual of
+    the same float64 data is above that tolerance."""
+    bound = Fraction(problem.dual_eq_tol) ** 2
+    return sum(dual_residual(problem, start, it.tau, it.y) <= problem.dual_eq_tol
+               and exact_dual_residual_sq(problem, start, it.tau, it.y) > bound
+               for it in iterates)

@@ -21,9 +21,11 @@ def test_noise_prints_a_line_per_seed_and_the_table():
                            "--", *FAST],
                           capture_output=True, text=True, timeout=300, check=True)
     lines = done.stdout.splitlines()
-    seed = re.fullmatch(rf"seed 1: {len(FAST)} tests, (\d+) failed; counts {COUNTS}", lines[0])
+    seed = re.fullmatch(rf"seed 1: {len(FAST)} tests, (\d+) failed; counts {COUNTS}; "
+                        r"false passes (?P<false>\d+) of (?P<iterates>\d+) iterates", lines[0])
     clean = re.fullmatch(r"every test passed in ([01]) of 1 seeds", lines[1])
     assert seed and clean
+    assert 0 <= int(seed["false"]) <= int(seed["iterates"]) and int(seed["iterates"]) > 0
     failed = lines[2:]
     assert len(failed) == int(seed.group(1)) and (not failed) == (clean.group(1) == "1")
     for line in failed:
@@ -31,10 +33,11 @@ def test_noise_prints_a_line_per_seed_and_the_table():
 
 
 def test_table_counts_clean_seeds_and_failures_per_test():
-    results = {1: (3, [], "c"), 2: (3, ["b", "a"], "c"), 3: (3, ["a"], "c")}
+    results = {1: (3, [], "c", 0, 9), 2: (3, ["b", "a"], "c", 4, 9), 3: (3, ["a"], "c", 1, 9)}
     assert noise.table(results) == ["every test passed in 1 of 3 seeds",
                                     "failed in 2 of 3 seeds: a", "failed in 1 of 3 seeds: b"]
-    assert noise.seed_line(2, results[2]) == "seed 2: 3 tests, 2 failed; counts c"
+    assert noise.seed_line(2, results[2]) == ("seed 2: 3 tests, 2 failed; counts c; "
+                                              "false passes 4 of 9 iterates")
 
 
 def test_noise_scales_a_solution_by_one_rounding_at_most():

@@ -1,13 +1,19 @@
 """Grid/bisection oracles versus analytic ground truth."""
 
+from dataclasses import replace
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import ddsolve as dd
+from ddsolve.model import dual_residual
 from oracles import (
     NewtonDivergence,
     OracleInstance,
     compute_xbar1,
+    exact_dual_residual_sq,
+    false_passes,
     oracle_sigma_f,
     oracle_sigma_p,
     oracle_tp,
@@ -140,3 +146,36 @@ def test_oracle_instance_size_limits(box_problem):
                               [dd.halfline_lower(i) for i in range(5)])
     with pytest.raises(ValueError):
         OracleInstance(big, box=tuple(((-1.0, 1.0),) * 5))
+
+
+def test_exact_dual_residual_matches_fraction_arithmetic():
+    # entries spread over 2^-60..2^60, so the integers carry wide shifts
+    rng = np.random.default_rng(11)
+    m, n = 5, 3
+    wide = lambda *shape: rng.standard_normal(shape) * 2.0 ** rng.integers(-60, 60, shape)
+    problem = dd.validate_problem(wide(m, n), wide(n), [dd.halfline_lower(i, 0.0)
+                                                          for i in range(m)])
+    start = replace(dd.make_start(problem), y0=wide(m))
+    y, tau = wide(m), 1.0 + 2.0 ** -30
+    F = lambda v: Fraction(float(v))
+    r = [sum(F(problem.A[i, j]) * (F(y[i]) - F(start.y0[i])) for i in range(m))
+         + (F(tau) - 1) * F(problem.c[j]) for j in range(n)]
+    assert exact_dual_residual_sq(problem, start, tau, y) == sum(v * v for v in r)
+    empty = dd.validate_problem(np.zeros((1, 0)), [], [dd.halfline_lower(0, 0.0)])
+    assert exact_dual_residual_sq(empty, dd.make_start(empty), tau, [-1.0]) == 0
+
+
+def test_false_pass_is_a_float_pass_the_exact_residual_fails():
+    # A = fl(1/3), y0 = 0, c = -1: with tau - 1 = 1e9 and y = 3e9 the
+    # product A y rounds to 1e9 and the float residual is 0, while the
+    # exact one is 3e9 fl(1/3) - 1e9 = -5.6e-8, above the tolerance 2e-9;
+    # with tau = 2 and y = 3 the exact residual -5.6e-17 is within it; and
+    # y = 5e9 fails both checks
+    problem = dd.validate_problem([[1.0 / 3.0]], [-1.0], [dd.halfline_lower(0, -1.0)])
+    start = replace(dd.make_start(problem), y0=np.zeros(1))
+    point = lambda tau, y: dd.Iterate(x=np.zeros(1), tau=tau, y=np.array([y]), mu=1.0,
+                                      proximity=np.nan)
+    iterates = [point(1e9 + 1.0, 3e9), point(2.0, 3.0), point(1e9 + 1.0, 5e9)]
+    assert [dual_residual(problem, start, it.tau, it.y) for it in iterates[:2]] == [0.0, 0.0]
+    assert exact_dual_residual_sq(problem, start, 1e9 + 1.0, [3e9]) > problem.dual_eq_tol**2
+    assert false_passes(problem, start, iterates) == 1
