@@ -41,7 +41,7 @@ import numpy as np
 from . import barriers, status as status_engine
 from .errors import ParseError, SolverError, ValidationError
 from .model import Problem, StartData, make_start, validate_problem
-from .path import FollowerOptions, FollowResult, follow
+from .path import FollowerOptions, FollowResult, TraceRow, follow
 
 INPUT_ERROR_EXIT = 4
 FILE_KEYS = frozenset({"n", "m", "A", "c", "atoms", "z0", "xi", "kappa"})
@@ -174,10 +174,6 @@ def parse_problem_file(path) -> tuple[Problem, StartData]:
     return _read_problem_file(path, {})
 
 
-def _as_floats(vec):
-    return None if vec is None else [float(v) for v in vec]
-
-
 @dataclass
 class RunReport:
     """Machine-readable outcome of one solve."""
@@ -204,9 +200,9 @@ def _certificate_dict(cert) -> dict | None:
         return None
     out = {"kind": cert.kind, "strict": bool(cert.strict)}
     if cert.y is not None:
-        out["y"] = _as_floats(cert.y)
+        out["y"] = np.asarray(cert.y, dtype=float).tolist()
     if cert.x is not None:
-        out["x"] = _as_floats(cert.x)
+        out["x"] = np.asarray(cert.x, dtype=float).tolist()
     if cert.tau is not None:
         out["tau"] = float(cert.tau)
     if np.isfinite(cert.eps):
@@ -256,28 +252,28 @@ def run_solve(problem: Problem, start: StartData, eps: float, *, strict: bool = 
         write_trace(result.trace, trace_path)
     verification = []
     if report.verification is not None:
-        verification = [{"check": c.name, "passed": c.passed, "value": float(c.value)}
+        verification = [{"check": c.name, "passed": c.passed, "value": c.value}
                         for c in report.verification.checks]
     return RunReport(
         status=report.status,
         exit_code=report.exit_code,
         certificate=_certificate_dict(report.certificate),
-        objective_primal=None if report.objective_primal is None else float(report.objective_primal),
-        objective_estimate=None if report.objective_estimate is None else float(report.objective_estimate),
+        objective_primal=report.objective_primal,
+        objective_estimate=report.objective_estimate,
         diagnostics=dict(report.diagnostics),
         verification=verification,
     )
 
 
 def write_trace(trace, path):
-    """CSV trace, one row per accepted iterate, shortest round-trip floats."""
+    """CSV trace, one row per accepted iterate; the columns are
+    :class:`TraceRow`'s fields, the index, then shortest round-trip floats."""
+    names = [f.name for f in fields(TraceRow)]
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write("iter,mu,tau,gap,p_feas,d_feas,proximity\n")
+        handle.write(",".join(names) + "\n")
         for row in trace:
-            handle.write(",".join([
-                str(row.iter), repr(float(row.mu)), repr(float(row.tau)),
-                repr(float(row.gap)), repr(float(row.p_feas)),
-                repr(float(row.d_feas)), repr(float(row.proximity))]) + "\n")
+            index, *values = (getattr(row, name) for name in names)
+            handle.write(",".join([str(index), *(repr(float(v)) for v in values)]) + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .barriers import CONJUGATE, PRIMAL, DomainBarrier
+from .barriers import CONJUGATE, PRIMAL, DomainBarrier, _norm
 from .errors import AtomCoverage, BadConstants, DomainViolation, RankDeficient, ValidationError
 
 DUAL_EQ_TOL = 1e-9
@@ -96,7 +96,7 @@ def _cholesky_full_rank(A: np.ndarray) -> bool:
     B = np.ldexp(A, -math.frexp(max(A.max(), -A.min()))[1])
     G = B.T @ B
     g = G.reshape(-1)   # a view: matmul's output is C-contiguous
-    g[::n + 1] -= 1e-8 * math.sqrt(g.dot(g))
+    g[::n + 1] -= 1e-8 * _norm(g)
     try:
         R = np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
@@ -132,9 +132,8 @@ def validate_problem(A, c, atoms, xi: float = 2.0, kappa: float = 0.25) -> Probl
     if covered != list(range(m)):
         raise AtomCoverage(
             f"atom coords {covered} do not partition the {m} image coordinates")
-    xi = float(xi)
-    kappa = float(kappa)
-    theta = sum(a.theta for a in atoms)
+    problem = Problem(A=A, c=c, atoms=atoms, xi=float(xi), kappa=float(kappa))
+    xi, kappa, theta = problem.xi, problem.kappa, problem.theta
     if not (1.0 < xi and xi * theta < np.inf):  # y_tau0 and mu are formed with xi * theta
         raise BadConstants(f"xi must exceed 1 and keep xi * theta finite, got xi={xi} "
                            f"theta={theta}")
@@ -147,7 +146,7 @@ def validate_problem(A, c, atoms, xi: float = 2.0, kappa: float = 0.25) -> Probl
         if sv[-1] <= 1e-10 * sv[0]:
             raise RankDeficient(
                 f"smallest singular value {sv[-1]:.3e} below 1e-10 * ||A|| = {1e-10 * sv[0]:.3e}")
-    return Problem(A=A, c=c, atoms=atoms, xi=xi, kappa=kappa)
+    return problem
 
 
 @dataclass(frozen=True)
@@ -183,7 +182,7 @@ def make_start(problem: Problem, z0=None) -> StartData:
         y_tau0 = float(-(y0 @ z0) - problem.xi * problem.theta)
         aty0 = problem.A.T @ y0
         aty0_inf = float(np.abs(aty0).max(initial=0.0))
-        z0_norm = math.sqrt(z0.dot(z0))   # np.linalg.norm's own formula, so the same bits
+        z0_norm = _norm(z0)
     if not all(map(math.isfinite, (y_tau0, aty0_inf, z0_norm))):
         raise DomainViolation("y_tau0, ||A'y0||_inf and ||z0|| must be finite at the anchor")
     return StartData(z0=z0, y0=y0, y_tau0=y_tau0, aty0=aty0, aty0_inf=aty0_inf, z0_norm=z0_norm)
@@ -204,12 +203,18 @@ class Iterate:
     proximity: float
 
 
+def positive_tau(tau) -> float:
+    """``tau`` as a float; DomainViolation unless tau > 0 (NaN is not)."""
+    if not tau > 0.0:
+        raise DomainViolation(f"tau must be positive, got {tau}")
+    return float(tau)
+
+
 def shifted_image(problem: Problem, start: StartData, x, tau: float) -> np.ndarray:
     """u = A x + z0 / tau, the point whose interiority defines membership;
     DomainViolation unless tau > 0."""
-    if not tau > 0.0:
-        raise DomainViolation(f"tau must be positive, got {tau}")
-    return problem.A @ np.asarray(x, dtype=float) + start.z0 / float(tau)
+    tau = positive_tau(tau)
+    return problem.A @ np.asarray(x, dtype=float) + start.z0 / tau
 
 
 def dual_equation_residual(problem: Problem, start: StartData, tau: float, y) -> np.ndarray:
@@ -219,8 +224,7 @@ def dual_equation_residual(problem: Problem, start: StartData, tau: float, y) ->
 
 def dual_residual(problem: Problem, start: StartData, tau: float, y) -> float:
     """Norm of :func:`dual_equation_residual`."""
-    r = dual_equation_residual(problem, start, tau, y)
-    return math.sqrt(r.dot(r))
+    return _norm(dual_equation_residual(problem, start, tau, y))
 
 
 def member_image(problem: Problem, start: StartData, x, tau: float, y):
@@ -325,9 +329,7 @@ def gap_bounds(problem: Problem, start: StartData, x, tau: float, y,
     Raises DomainViolation unless tau > 0, as :func:`proximity_at` does.
     """
     x = np.asarray(x, dtype=float)
-    if not tau > 0.0:
-        raise DomainViolation(f"tau must be positive, got {tau}")
-    tau = float(tau)
+    tau = positive_tau(tau)
     th = problem.theta
     center = -(start.y_tau0 / tau + problem.xi * mu * th / tau**2)
     spread = problem.kappa * mu * np.sqrt(th) / tau**2

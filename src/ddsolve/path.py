@@ -398,10 +398,12 @@ def follow(problem: Problem, start: StartData, options: FollowerOptions = Follow
     iteration cap.  ``on_iterate`` (if given) receives each TraceRow.
 
     ``start`` must come from :func:`make_start`.  Returns the full trace;
-    numerical trouble, a Python float's OverflowError included, is
-    reported as a NumericalFailure status rather than an exception, except
-    at an anchor not in Q, which raises DomainViolation.  Raises ValueError, before any work, unless eps lies
-    in (0, 1) and max_iters is a non-negative integer.
+    numerical trouble, a Python float's OverflowError and numpy's
+    FloatingPointError (the steps run with over, divide and invalid raised)
+    included, is reported as a NumericalFailure status rather than an
+    exception, except at an anchor not in Q, which raises DomainViolation.
+    Raises ValueError, before any work, unless eps lies in (0, 1) and
+    max_iters is a non-negative integer.
     """
     status_engine.require_eps(options.eps)
     max_iters = options.max_iters
@@ -436,10 +438,11 @@ def follow(problem: Problem, start: StartData, options: FollowerOptions = Follow
     tangent = None
     for _ in range(options.max_iters):
         try:
-            predicted, tangent = predictor_step(problem, start, point, tangent)
-            point = corrector_step(problem, start, predicted)
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                predicted, tangent = predictor_step(problem, start, point, tangent)
+                point = corrector_step(problem, start, predicted)
         except (PredictorStall, CorrectorStall, DomainViolation, FactorizationFailure,
-                OverflowError) as exc:
+                OverflowError, FloatingPointError) as exc:
             report = status_engine.numerical_failure_report(problem, iterates, violations, sp, exc)
             break
         sp = record(point)

@@ -28,18 +28,18 @@ raising.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .barriers import CONJUGATE, PRIMAL
-from .errors import DomainViolation, ProjectionOutsideCone, ProjectionOutsideDomain
+from .barriers import CONJUGATE, PRIMAL, _norm
+from .errors import ProjectionOutsideCone, ProjectionOutsideDomain
 from .model import (
     Iterate,
     Problem,
     StartData,
+    positive_tau,
     shifted_image,
     support_function,
 )
@@ -81,11 +81,9 @@ def stop_params(problem: Problem, start: StartData, x, tau: float, y) -> StopPar
     with a sentinel value 1 when the support is +inf;
     P_feas = ||z0||/tau;  D_feas = ||A'y/tau + c|| / (1 + ||c||).
     Raises DomainViolation unless tau > 0, as :func:`gap_bounds` does."""
-    if not tau > 0.0:
-        raise DomainViolation(f"tau must be positive, got {tau}")
+    tau = positive_tau(tau)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    tau = float(tau)
     cx = float(problem.c @ x)
     ds = support_function(problem, y)
     if np.isinf(ds):
@@ -95,7 +93,7 @@ def stop_params(problem: Problem, start: StartData, x, tau: float, y) -> StopPar
         gap = abs(cx + dst) / (1.0 + abs(cx) + abs(dst))
     p_feas = start.z0_norm / tau
     r = problem.A.T @ y / tau + problem.c
-    d_feas = math.sqrt(r.dot(r)) / (1.0 + problem.c_norm)
+    d_feas = _norm(r) / (1.0 + problem.c_norm)
     return StopParams(gap=float(gap), p_feas=p_feas, d_feas=d_feas)
 
 
@@ -303,7 +301,7 @@ def check_status(problem: Problem, start: StartData, iterates: list, violations:
         cert = Certificate(kind="optimal-pair", strict=False, eps=eps, x=x, y=y / tau, tau=tau)
     # the scaled dual and its support are formed only where the cheap norm
     # test passes
-    elif ((tau / mu) * math.sqrt(aty.dot(aty)) <= eps
+    elif ((tau / mu) * _norm(aty) <= eps
             and support_function(problem, scaled := (tau / mu) * y) < 0.0):
         status = INFEASIBILITY_CERTIFICATE
         cert = Certificate(kind="infeasibility", strict=False, eps=eps, y=scaled)

@@ -2,6 +2,7 @@
 
     python tests/noise.py --seeds 12
     python tests/noise.py --seeds 1 -- tests/test_status.py   # chosen tests
+    python tests/noise.py --seeds 12 --parent ../parent       # both sides
 
 Each seed runs the tier-1 suite (or the pytest arguments after ``--``) in
 its own subprocess with ``tests/noise_plugin.py`` loaded, which scales
@@ -17,7 +18,9 @@ line and its false passes, how many seeds passed every test, and for each
 test that failed under some seed, in how many seeds it failed.  A test
 that fails under this noise is decided by rounding, not by the solver's
 behaviour; a change that moves bits is judged against the parent's table
-over the same seeds.
+over the same seeds.  ``--parent ROOT`` runs the same seeds and pytest
+arguments in the checkout at ROOT too, on its own ``src`` and ``tests``,
+and prints every line of each side prefixed "change: " or "parent: ".
 The package is not changed.
 """
 
@@ -31,7 +34,6 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-TESTS = ROOT / "tests"
 
 COUNTS = """
 import noise
@@ -60,30 +62,32 @@ def seed_counts(seed: int) -> tuple:
     return (digest.solve_digests()[2], *found)
 
 
-def _env() -> dict:
-    """The environment of a run: ``src`` and ``tests`` first on the path."""
+def _env(root: Path) -> dict:
+    """The environment of a run in the checkout at ``root``: its ``src``
+    and ``tests`` first on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src"), str(TESTS)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        [str(root / "src"), str(root / "tests")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return env
 
 
-def run_seed(seed: int, pytest_args) -> tuple:
+def run_seed(seed: int, pytest_args, root: Path) -> tuple:
     """(tests run, failed node ids, digest counts line, false passes,
-    iterates) under ``seed``."""
+    iterates) under ``seed``, in the checkout at ``root``."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "outcomes.json"
         done = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
              "-p", "noise_plugin", f"--noise-seed={seed}", f"--noise-out={out}",
              "--continue-on-collection-errors", *pytest_args],
-            cwd=ROOT, env=_env(), capture_output=True, text=True)
+            cwd=root, env=_env(root), capture_output=True, text=True)
         if done.returncode not in (0, 1) or not out.is_file():
             raise SystemExit(f"seed {seed}: pytest exited {done.returncode}\n"
                              f"{done.stdout}{done.stderr}")
         outcomes = json.loads(out.read_text())
-    counts = subprocess.run([sys.executable, "-c", COUNTS.format(seed=seed)], cwd=ROOT,
-                            env=_env(), capture_output=True, text=True, check=True)
+    counts = subprocess.run([sys.executable, "-c", COUNTS.format(seed=seed)], cwd=root,
+                            env=_env(root), capture_output=True, text=True, check=True)
     line, false, iterates = counts.stdout.splitlines()
     return outcomes["tests"], outcomes["failed"], line, int(false), int(iterates)
 
@@ -108,6 +112,8 @@ def table(results: dict) -> list:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, required=True, help="run seeds 1 to SEEDS")
+    parser.add_argument("--parent", type=Path, metavar="ROOT",
+                        help="also run in the checkout at ROOT and print its lines")
     parser.add_argument("pytest_args", nargs="*",
                         help="pytest arguments after --, tier-1 when none are given")
     return parser
@@ -117,11 +123,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.seeds < 1:
         raise SystemExit("--seeds must be at least 1")
-    results = {}
+    sides = {"": ROOT} if args.parent is None else {"change: ": ROOT,
+                                                     "parent: ": args.parent.resolve()}
+    for root in sides.values():
+        if not (root / "tests" / "noise_plugin.py").is_file():
+            raise SystemExit(f"{root} has no tests/noise_plugin.py")
+    results = {label: {} for label in sides}
     for seed in range(1, args.seeds + 1):
-        results[seed] = run_seed(seed, args.pytest_args)
-        print(seed_line(seed, results[seed]), flush=True)
-    print("\n".join(table(results)))
+        for label, root in sides.items():
+            results[label][seed] = run_seed(seed, args.pytest_args, root)
+            print(label + seed_line(seed, results[label][seed]), flush=True)
+    for label, side in results.items():
+        print("\n".join(label + line for line in table(side)))
     return 0
 
 

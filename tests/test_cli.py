@@ -366,6 +366,19 @@ def test_tiny_eps_without_iteration_cap_ends_in_numerical_failure(instance_path,
     assert out["diagnostics"]["reason"].startswith("OverflowError")
 
 
+def test_numpy_overflow_in_a_step_is_numerical_failure(tmp_path, capsys):
+    # A'HA overflows in the first tangent: exit 5 with the FloatingPointError
+    # as the reason and nothing on stderr, not numpy's RuntimeWarning
+    path = tmp_path / "overflow.dd"
+    path.write_text(json.dumps({**BOX_DOC, "A": [[1e200]], "c": [1e-200]}))
+    code = main(["solve", str(path)])
+    captured = capsys.readouterr()
+    assert code == 5 and captured.err == ""
+    out = json.loads(captured.out)
+    assert out["status"] == "NumericalFailure"
+    assert out["diagnostics"]["reason"].startswith("FloatingPointError: overflow")
+
+
 def test_strict_flag_upgrades_certificate(instance_path, capsys):
     code = main(["solve", instance_path("inst_inf.dd"), "--eps", "1e-6", "--strict"])
     assert code == 1

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import noise
 import noise_plugin
@@ -16,11 +17,16 @@ FAST = ["tests/test_status.py::test_eps_solution_branch",
 COUNTS = r"(\w+:\d+,)*\w+:\d+ iterations=\d+ violations=\d+"
 
 
-def test_noise_prints_a_line_per_seed_and_the_table():
+def _run(*args) -> list:
+    """The output lines of ``tests/noise.py --seeds 1 ARGS -- FAST``."""
     done = subprocess.run([sys.executable, str(ROOT / "tests" / "noise.py"), "--seeds", "1",
-                           "--", *FAST],
+                           *args, "--", *FAST],
                           capture_output=True, text=True, timeout=300, check=True)
-    lines = done.stdout.splitlines()
+    return done.stdout.splitlines()
+
+
+def _check_one_seed(lines):
+    """One seed's line, then its table."""
     seed = re.fullmatch(rf"seed 1: {len(FAST)} tests, (\d+) failed; counts {COUNTS}; "
                         r"false passes (?P<false>\d+) of (?P<iterates>\d+) iterates", lines[0])
     clean = re.fullmatch(r"every test passed in ([01]) of 1 seeds", lines[1])
@@ -30,6 +36,27 @@ def test_noise_prints_a_line_per_seed_and_the_table():
     assert len(failed) == int(seed.group(1)) and (not failed) == (clean.group(1) == "1")
     for line in failed:
         assert re.fullmatch(r"failed in 1 of 1 seeds: tests/\S+::\S+", line)
+
+
+def test_noise_prints_a_line_per_seed_and_the_table():
+    _check_one_seed(_run())
+
+
+def test_parent_side_prints_its_own_seed_lines_and_table():
+    # this checkout as its own parent: both sides print the same lines,
+    # the seed's two lines first, then each side's table
+    lines = _run("--parent", str(ROOT))
+    change = [line.removeprefix("change: ") for line in lines if line.startswith("change: ")]
+    parent = [line.removeprefix("parent: ") for line in lines if line.startswith("parent: ")]
+    assert len(change) + len(parent) == len(lines)
+    assert lines[0].startswith("change: seed 1: ") and lines[1].startswith("parent: seed 1: ")
+    assert change == parent
+    _check_one_seed(change)
+
+
+def test_parent_without_the_noise_plugin_is_refused(tmp_path):
+    with pytest.raises(SystemExit, match="has no tests/noise_plugin.py"):
+        noise.main(["--seeds", "1", "--parent", str(tmp_path)])
 
 
 def test_table_counts_clean_seeds_and_failures_per_test():

@@ -855,6 +855,17 @@ def test_tiny_eps_overflow_is_numerical_failure(box_problem, eps):
     assert result.report.diagnostics["iterations"] < dd.FollowerOptions().max_iters
 
 
+def test_numpy_overflow_in_a_step_is_numerical_failure():
+    # the anchor passes validation and make_start, but the first tangent's
+    # A'HA overflows: follow reports numpy's FloatingPointError, and no
+    # RuntimeWarning escapes it
+    problem = dd.validate_problem([[1e200]], [1e-200], [dd.box(0, 0.0, 1.0)])
+    result = dd.follow(problem, dd.make_start(problem))
+    assert result.report.status == "NumericalFailure"
+    assert result.report.diagnostics["reason"].startswith("FloatingPointError: overflow")
+    assert result.report.diagnostics["iterations"] == 0
+
+
 @pytest.mark.parametrize("source,options,status", [
     ("box_problem", {"eps": 1e-6}, "EpsSolution"),
     ("inf_problem", {"eps": 1e-6}, "InfeasibilityCertificate"),

@@ -91,3 +91,98 @@ def test_every_private_definition_is_read():
     # modules of the package count
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))]
     assert _orphans(trees) == []
+
+
+def _message(node) -> str | None:
+    """The literal message of a raised exception, each formatted value of
+    an f-string as "{}"; None for a message that is not a literal."""
+    if not (isinstance(node, ast.Call) and node.args):
+        return None
+    arg = node.args[0]
+    if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+        return arg.value
+    if isinstance(arg, ast.JoinedStr):
+        return "".join(part.value if isinstance(part, ast.Constant) else "{}"
+                       for part in arg.values)
+    return None
+
+
+def _shared_messages(trees: dict) -> dict:
+    """Each literal exception message raised in more than one of the
+    modules ``{name: tree}``, with the sorted names of those modules."""
+    modules = {}
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and (message := _message(node.exc)) is not None:
+                modules.setdefault(message, set()).add(name)
+    return {message: sorted(names) for message, names in modules.items() if len(names) > 1}
+
+
+def test_shared_message_check_sees_literals_and_f_strings():
+    one = ast.parse("def f(t):\n"
+                    "    raise ValueError(f'bad {t}')\n"
+                    "def g(t):\n"
+                    "    raise ValueError(f'bad {t + 1}')\n"
+                    "def h():\n"
+                    "    raise KeyError('once')\n"
+                    "def k(e):\n"
+                    "    raise e\n")
+    two = ast.parse("def f(s):\n"
+                    "    raise TypeError(f'bad {s!r}') from None\n"
+                    "def g():\n"
+                    "    raise KeyError('twice', 1)\n"
+                    "def h(m):\n"
+                    "    raise KeyError(m)\n")
+    three = ast.parse("def f():\n"
+                      "    raise OSError('twice')\n")
+    assert _shared_messages({"one": one}) == {}
+    assert _shared_messages({"one": one, "two": two, "three": three}) == {
+        "bad {}": ["one", "two"], "twice": ["three", "two"]}
+
+
+def test_no_message_is_raised_from_two_modules():
+    # a message raised in two modules is a rule kept in two places
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert _shared_messages(trees) == {}
+
+
+def _self_dot_norms(tree: ast.Module) -> list:
+    """The function around each ``math.sqrt(v.dot(v))``, for any one
+    expression v, by name ("<module>" outside any function)."""
+    found = []
+
+    def visit(node, name):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = node.name
+        if (isinstance(node, ast.Call) and ast.dump(node.func) == ast.dump(
+                ast.Attribute(ast.Name("math", ast.Load()), "sqrt", ast.Load()))
+                and len(node.args) == 1 and isinstance(dot := node.args[0], ast.Call)
+                and isinstance(dot.func, ast.Attribute) and dot.func.attr == "dot"
+                and len(dot.args) == 1 and ast.dump(dot.args[0]) == ast.dump(dot.func.value)):
+            found.append(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, name)
+    visit(tree, "<module>")
+    return found
+
+
+def test_self_dot_norm_check_sees_each_spelling():
+    tree = ast.parse("import math\n"
+                     "top = math.sqrt(v.dot(v))\n"
+                     "def f(a, b):\n"
+                     "    def g(r):\n"
+                     "        return math.sqrt(r.x.dot(r.x))\n"
+                     "    return math.sqrt(a.dot(b)) + math.sqrt(a @ a) + sqrt(a.dot(a))\n"
+                     "class C:\n"
+                     "    def n(self, t):\n"
+                     "        return 1 + math.sqrt(t.dot(t))\n")
+    assert _self_dot_norms(tree) == ["<module>", "g", "n"]
+
+
+def test_one_hot_path_norm():
+    # barriers._norm is the one spelling of the Euclidean norm on the
+    # follower's path; a second copy could drift from its bits
+    found = {path.name: _self_dot_norms(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {"barriers.py": ["_norm"]}
