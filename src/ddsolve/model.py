@@ -230,21 +230,20 @@ def dual_residual(problem: Problem, start: StartData, tau: float, y) -> float:
 def member_image(problem: Problem, start: StartData, x, tau: float, y):
     """u = A x + z0/tau if tau > 0, u is interior to D and y is interior
     to D*: the interiority half of membership in Q.  None otherwise."""
-    if not tau > 0.0:
+    try:
+        u = shifted_image(problem, start, x, tau)
+    except DomainViolation:
         return None
-    u = shifted_image(problem, start, x, tau)
-    if (problem.barrier.interior(u, PRIMAL)
-            and problem.barrier.interior(np.asarray(y, dtype=float), CONJUGATE)):
-        return u
-    return None
+    inside = (problem.barrier.interior(u, PRIMAL)
+              and problem.barrier.interior(np.asarray(y, dtype=float), CONJUGATE))
+    return u if inside else None
 
 
 def in_qdd(problem: Problem, start: StartData, x, tau: float, y) -> bool:
     """Membership test for the homogenized set, with the dual linear
     equation checked to tolerance ``problem.dual_eq_tol``."""
-    if member_image(problem, start, x, tau, y) is None:
-        return False
-    return dual_residual(problem, start, tau, y) <= problem.dual_eq_tol
+    return (member_image(problem, start, x, tau, y) is not None
+            and dual_residual(problem, start, tau, y) <= problem.dual_eq_tol)
 
 
 def mu_of(problem: Problem, start: StartData, x, tau: float, y) -> float:
@@ -270,13 +269,12 @@ def scaled_dual(problem: Problem, tau: float, y, mu: float) -> np.ndarray:
     return v
 
 
-def proximity_at(problem: Problem, start: StartData, x, tau: float, y, mu: float) -> float:
-    """Distance to the path point at parameter ``mu``:
-    || A x + z0/tau - conj_grad((tau/mu) y) ||  in the inverse conjugate-
-    Hessian norm at v = (tau/mu) y, with both points formed here.  The one
-    proximity formula of the follower.  Raises :func:`scaled_dual`'s
-    DomainViolations, then :func:`shifted_image`'s; the conjugate gradient and
-    Hessian at v, formed before the shifted image, are v's one check."""
+def proximity_at(problem: Problem, u, tau: float, y, mu: float) -> float:
+    """Distance to the path point at parameter ``mu``: || u - conj_grad(v) ||
+    in the inverse conjugate-Hessian norm at v = (tau/mu) y, u being the
+    shifted image A x + z0/tau its caller formed.  The one proximity formula
+    of the follower.  Raises :func:`scaled_dual`'s DomainViolations, its check
+    of v being the conjugate evaluation there, then :func:`positive_tau`'s."""
     if not mu > 0.0:
         raise DomainViolation(f"path parameter must be positive, got {mu}")
     v = (float(tau) / float(mu)) * np.asarray(y, dtype=float)
@@ -284,18 +282,16 @@ def proximity_at(problem: Problem, start: StartData, x, tau: float, y, mu: float
         grad, metric = problem.barrier.grad_hess(v, CONJUGATE)
     except DomainViolation as exc:
         raise DomainViolation("scaled dual point left the dual cone interior") from exc
-    return math.sqrt(max(metric.inv_quad(shifted_image(problem, start, x, tau) - grad), 0.0))
+    positive_tau(tau)
+    return math.sqrt(max(metric.inv_quad(u - grad), 0.0))
 
 
 def proximity(problem: Problem, start: StartData, x, tau: float, y) -> float:
-    """Proximity at the point's own path parameter.
-
-    Defined only on members of the homogenized set (the parameter formula
-    presumes the dual linear equation); raises DomainViolation otherwise.
-    """
+    """:func:`make_iterate`'s proximity, at the point's own mu, of a member
+    of the homogenized set (mu_of presumes it); DomainViolation otherwise."""
     if not in_qdd(problem, start, x, tau, y):
         raise DomainViolation("proximity is defined on homogenized-set members only")
-    return proximity_at(problem, start, x, tau, y, mu_of(problem, start, x, tau, y))
+    return make_iterate(problem, start, x, tau, y).proximity
 
 
 def make_iterate(problem: Problem, start: StartData, x, tau: float, y) -> Iterate:
@@ -303,8 +299,8 @@ def make_iterate(problem: Problem, start: StartData, x, tau: float, y) -> Iterat
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     mu = mu_of(problem, start, x, tau, y)
-    return Iterate(x=x, tau=float(tau), y=y, mu=mu,
-                   proximity=proximity_at(problem, start, x, tau, y, mu))
+    prox = proximity_at(problem, shifted_image(problem, start, x, tau), tau, y, mu)
+    return Iterate(x=x, tau=float(tau), y=y, mu=mu, proximity=prox)
 
 
 def support_function(problem: Problem, y) -> float:

@@ -24,10 +24,11 @@ along the tangent alone.
 
 Each point the steps work at is evaluated once, into a private _Point:
 the shifted image u and the primal barrier gradient and metric there.
-Residuals, KKT solves and step bounds read it; every proximity, the
-corrector's included, is a :func:`proximity_at` call.  The predictor's
-point carries the mu it reached, at which the corrector works; the
-corrector's last point carries its evaluation, and ``follow`` hands it
+Residuals, KKT solves, step bounds and the corrector's exit proximity read
+it, and a predictor trial's u is formed once, by :func:`member_image`;
+every proximity is a :func:`proximity_at` call on such a u.  The
+predictor's point carries the mu it reached, at which the corrector works;
+the corrector's last point carries its evaluation, and ``follow`` hands it
 to the next predictor with the tangent the previous predictor returned.
 """
 
@@ -39,12 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .barriers import CONJUGATE, PRIMAL
-from .errors import (
-    CorrectorStall,
-    DomainViolation,
-    FactorizationFailure,
-    PredictorStall,
-)
+from .errors import CorrectorStall, DomainViolation, FactorizationFailure, PredictorStall
 from .model import (
     Iterate,
     Problem,
@@ -243,8 +239,8 @@ def corrector_step(problem: Problem, start: StartData, point: Iterate) -> Iterat
     Each Newton point, the starting point and each accepted trial, is
     checked and evaluated once by :func:`_evaluate`, and each pass reads
     its residuals, KKT solve and step bound from that point.  Its proximity,
-    :func:`proximity_at` at the corrector's mu, is formed only where the
-    residual has settled, since only there can the corrector stop.
+    :func:`proximity_at` on its u at the corrector's mu, is formed only
+    where the residual has settled, since only there can the corrector stop.
 
     Each step tries the full Newton step first.  Only when that trial is
     rejected is the fraction-to-boundary bound formed, and the step length
@@ -269,7 +265,7 @@ def corrector_step(problem: Problem, start: StartData, point: Iterate) -> Iterat
         rnorm = res.scaled_norm
         settled = rnorm <= CORRECTOR_RESIDUAL_TOL or rnorm >= 0.9 * last_res
         if settled or k == CORRECTOR_MAX_STEPS - 1:
-            prox = proximity_at(problem, start, point.x, point.tau, point.y, point.mu)
+            prox = proximity_at(problem, point.u, point.tau, point.y, point.mu)
             if settled and prox <= target:
                 break
         last_res = rnorm
@@ -347,13 +343,13 @@ def predictor_step(problem: Problem, start: StartData, point: Iterate, previous=
             ds = float(np.log1p(dmu / mu))
             pn = p + ds * vel + (0.5 * ds * ds) * acc
         xn, taun, yn = pn[:n], float(pn[n]), pn[n + 1:]
-        if member_image(problem, start, xn, taun, yn) is not None:
+        if (u := member_image(problem, start, xn, taun, yn)) is not None:
             if previous is not None:
                 mun = mu_of(problem, start, xn, taun, yn)
             prox = np.inf
             if mun > mu:
                 try:
-                    prox = proximity_at(problem, start, xn, taun, yn, mun)
+                    prox = proximity_at(problem, u, taun, yn, mun)
                 except DomainViolation:
                     pass
             if prox <= radius:

@@ -28,6 +28,7 @@ raising.
 
 from __future__ import annotations
 
+import contextlib
 import numbers
 from dataclasses import dataclass, field
 
@@ -167,7 +168,7 @@ def verify_certificate(problem: Problem, start: StartData, cert: Certificate) ->
 
     A malformed certificate fails instead of raising.  Without tau > 0, or
     without the x or y a check needs, that check fails unformed, with a
-    NaN value; an x whose length is not n or a y whose length is not m is
+    NaN value; an x that is not n real numbers or a y that is not m is
     read as missing, and a tau that is not a real number as NaN.  An eps
     outside (0, 1), or not a real number, fails every check that compares
     with it, keeping the check's value.
@@ -176,8 +177,7 @@ def verify_certificate(problem: Problem, start: StartData, cert: Certificate) ->
     # NaN fails every comparison
     eps, tau = _real(cert.eps), _real(cert.tau)
     eps = eps if 0.0 < eps < 1.0 else np.nan
-    x = cert.x if np.shape(cert.x) == (problem.n,) else None
-    y = cert.y if np.shape(cert.y) == (problem.m,) else None
+    x, y = _vector(cert.x, problem.n), _vector(cert.y, problem.m)
     if cert.kind == "infeasibility":
         if y is None:
             aty, margin, ds = np.full(problem.n, np.nan), np.nan, np.nan
@@ -220,6 +220,14 @@ def _real(value) -> float:
     """``value`` as a float if it is a real number, NaN otherwise (None,
     text, ...)."""
     return float(value) if isinstance(value, numbers.Real) else np.nan
+
+
+def _vector(value, size: int):
+    """``value`` as a float array if it is ``size`` real numbers, else None."""
+    with contextlib.suppress(ValueError):   # np.asarray refuses a ragged list
+        if (array := np.asarray(value)).shape == (size,) and array.dtype.kind in "biuf":
+            return array.astype(float, copy=False)
+    return None
 
 
 def _add_image_check(rep: VerificationReport, problem, start, x, tau: float) -> bool:

@@ -2,6 +2,8 @@
 keeps them bit for bit.
 
     PYTHONPATH=src python tests/digest.py
+    PYTHONPATH=src python tests/digest.py --runs           # a line per run first
+    PYTHONPATH=src python tests/digest.py --parent ../parent
 
 Three digests and one line of counts:
 
@@ -22,15 +24,26 @@ Three digests and one line of counts:
             eps 1e-6.  A change that moves only rounding changes the
             digests; it is judged on these summed counts instead.
 
+``--runs`` prints, before those four lines, one line per run that the
+iterates digest or the counts line reads: its label, status, iterations,
+invariant violations and the sha256 of its iterates, hashed as the
+iterates digest hashes them.  ``--parent ROOT`` runs this script with
+``--runs`` twice, on this checkout's ``src`` and on ``ROOT/src``, and
+prints only the runs whose lines differ, each side's line prefixed
+"change: " or "parent: "; a change that moves no bit prints nothing.
+
 Only public API is used, so the script runs against any checkout's
 ``src`` put first on PYTHONPATH; compare its output between two of them.
 A RuntimeWarning in any run is an error, as it is in the test suite, so
 a change that makes a digested run warn fails here.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
+import os
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -108,32 +121,97 @@ def _count(counts: Counter, result) -> None:
     counts["violations"] += len(result.invariant_violations)
 
 
+def _iterate_bytes(result):
+    """The bytes of a run's iterates and invariant messages, in the order
+    the iterates digest reads them."""
+    for it in result.iterates:
+        yield np.asarray(it.x, dtype=np.float64).tobytes()
+        yield np.asarray(it.y, dtype=np.float64).tobytes()
+        yield np.array([it.tau, it.mu, it.proximity], dtype=np.float64).tobytes()
+    yield "\n".join(result.invariant_violations).encode()
+
+
+def run_line(label: str, result) -> str:
+    """One run's line: label, status, iterations, violations and the
+    sha256 of its iterates."""
+    h = hashlib.sha256()
+    for chunk in _iterate_bytes(result):
+        h.update(chunk)
+    return (f"{label} {result.report.status} "
+            f"iterations={result.report.diagnostics['iterations']} "
+            f"violations={len(result.invariant_violations)} {h.hexdigest()}")
+
+
 def solve_digests() -> tuple:
-    """(iterates digest, reports digest, counts line)."""
-    iterates, reports, counts = hashlib.sha256(), hashlib.sha256(), Counter()
+    """(iterates digest, reports digest, counts line, the runs' lines)."""
+    iterates, reports, counts, lines = hashlib.sha256(), hashlib.sha256(), Counter(), []
     for label, problem, start, eps in _cone_runs():
-        _count(counts, dd.follow(problem, start, dd.FollowerOptions(eps=eps)))
+        result = dd.follow(problem, start, dd.FollowerOptions(eps=eps))
+        _count(counts, result)
+        lines.append(run_line(label, result))
     for label, problem, start, eps in _runs():
         result = dd.follow(problem, start, dd.FollowerOptions(eps=eps))
         _count(counts, result)
+        lines.append(run_line(label, result))
         iterates.update(label.encode())
-        for it in result.iterates:
-            iterates.update(np.asarray(it.x, dtype=np.float64).tobytes())
-            iterates.update(np.asarray(it.y, dtype=np.float64).tobytes())
-            iterates.update(np.array([it.tau, it.mu, it.proximity], dtype=np.float64).tobytes())
-        iterates.update("\n".join(result.invariant_violations).encode())
+        for chunk in _iterate_bytes(result):
+            iterates.update(chunk)
         reports.update(label.encode())
         reports.update(cli.run_solve(problem, start, eps).to_json().encode())
     _small_reports(reports)
     totals = [f"{key}={counts.pop(key)}" for key in ("iterations", "violations")]
     statuses = ",".join(f"{status}:{k}" for status, k in sorted(counts.items()))
-    return iterates.hexdigest(), reports.hexdigest(), " ".join([statuses, *totals])
+    return iterates.hexdigest(), reports.hexdigest(), " ".join([statuses, *totals]), lines
 
 
-def main():
+def _side_lines(root: Path) -> list:
+    """The run lines of ``digest.py --runs`` on the package in ``root/src``."""
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, __file__, "--runs"], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    if done.returncode != 0:
+        raise SystemExit(f"{root}: digest exited {done.returncode}\n{done.stderr}")
+    return done.stdout.splitlines()[:-4]
+
+
+def differing(change: list, parent: list) -> list:
+    """The lines of each run, by label, whose line differs between the two
+    sides or that only one side ran: "change: " and "parent: " lines, in
+    the change's run order, then the parent's runs it lacks."""
+    by_label = {prefix: {line.split(" ", 1)[0]: line for line in lines}
+                for prefix, lines in (("change: ", change), ("parent: ", parent))}
+    out = []
+    for label in dict.fromkeys([*by_label["change: "], *by_label["parent: "]]):
+        lines = {prefix: runs.get(label) for prefix, runs in by_label.items()}
+        if lines["change: "] != lines["parent: "]:
+            out += [prefix + line for prefix, line in lines.items() if line is not None]
+    return out
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--runs", action="store_true",
+                        help="print one line per run before the four lines")
+    parser.add_argument("--parent", type=Path, metavar="ROOT",
+                        help="print only the runs whose lines differ from ROOT/src's")
+    return parser
+
+
+def main(argv=None):
+    args = build_parser().parse_args(argv)
+    if args.parent is not None:
+        parent = args.parent.resolve()
+        if not (parent / "src" / "ddsolve").is_dir():
+            raise SystemExit(f"{parent} has no src/ddsolve")
+        for line in differing(_side_lines(TESTS.parent), _side_lines(parent)):
+            print(line)
+        return
     warnings.simplefilter("error", RuntimeWarning)
-    print("cli", cli_digest())
-    it, rep, counts = solve_digests()
+    cli_line = "cli " + cli_digest()
+    it, rep, counts, lines = solve_digests()
+    if args.runs:
+        print(*lines, sep="\n")
+    print(cli_line)
     print("iterates", it)
     print("reports", rep)
     print("counts", counts)

@@ -6,17 +6,63 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import digest
+
 ROOT = Path(__file__).resolve().parents[1]
+RUN = re.compile(r"\S+@\S+ \w+ iterations=\d+ violations=\d+ [0-9a-f]{64}")
 
 
-def test_digest_prints_three_digests_and_the_counts():
-    # the format only: a change of rounding may move the values
+def _digest(*args) -> list:
+    """The output lines of ``tests/digest.py ARGS`` on this checkout's src."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run([sys.executable, str(ROOT / "tests" / "digest.py")], env=env,
+    done = subprocess.run([sys.executable, str(ROOT / "tests" / "digest.py"), *args], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
-    lines = done.stdout.splitlines()
+    return done.stdout.splitlines()
+
+
+@pytest.fixture(scope="module")
+def plain():
+    return _digest()
+
+
+def test_digest_prints_three_digests_and_the_counts(plain):
+    # the format only: a change of rounding may move the values
+    lines = plain
     assert [line.split(" ", 1)[0] for line in lines] == ["cli", "iterates", "reports", "counts"]
     for line in lines[:3]:
         assert re.fullmatch(r"\w+ [0-9a-f]{64}", line), line
     assert re.fullmatch(r"counts \w+:\d+(,\w+:\d+)* iterations=\d+ violations=\d+", lines[3]), \
         lines[3]
+
+
+def test_runs_prints_a_line_per_run_then_the_four_lines(plain):
+    lines = _digest("--runs")
+    runs, four = lines[:-4], lines[-4:]
+    assert four == plain
+    for line in runs:
+        assert RUN.fullmatch(line), line
+    labels = [line.split(" ", 1)[0] for line in runs]
+    assert len(set(labels)) == len(labels) == len(list(digest._runs())) + len(digest.CONE_SEEDS)
+    # the counts line sums the run lines
+    iterations = sum(int(re.search(r"iterations=(\d+)", line)[1]) for line in runs)
+    violations = sum(int(re.search(r"violations=(\d+)", line)[1]) for line in runs)
+    assert plain[3].endswith(f" iterations={iterations} violations={violations}")
+
+
+def test_differing_prints_each_side_of_a_changed_or_missing_run():
+    change = ["a@1 EpsSolution iterations=3 violations=0 h1",
+              "b@1 EpsSolution iterations=3 violations=0 h2",
+              "c@1 EpsSolution iterations=3 violations=0 h3"]
+    parent = [change[0], "b@1 EpsSolution iterations=4 violations=0 h9",
+              "d@1 IterationLimit iterations=9 violations=1 h4"]
+    assert digest.differing(change, change) == []
+    assert digest.differing(change, parent) == [
+        "change: " + change[1], "parent: " + parent[1], "change: " + change[2],
+        "parent: " + parent[2]]
+
+
+def test_parent_without_a_package_is_refused(tmp_path):
+    with pytest.raises(SystemExit, match="has no src/ddsolve"):
+        digest.main(["--parent", str(tmp_path)])

@@ -314,7 +314,7 @@ def test_proximity_requires_membership(unb_problem):
 def test_proximity_at_needs_a_positive_parameter(box_problem, mu):
     problem, start = box_problem
     with pytest.raises(dd.DomainViolation, match="path parameter must be positive"):
-        dd.proximity_at(problem, start, np.zeros(1), 1.0, start.y0, mu)
+        dd.proximity_at(problem, start.z0, 1.0, start.y0, mu)
     with pytest.raises(dd.DomainViolation, match="path parameter must be positive"):
         scaled_dual(problem, 1.0, start.y0, mu)
 
@@ -336,14 +336,14 @@ def _dual_outside(problem, start, where):
 def test_proximity_at_rejects_a_dual_point_outside(fixture, where, request):
     # the conjugate gradient's DomainViolation is raised again with the
     # dual point's message; at tau = 0, v = 0 is on the boundary, and it is
-    # rejected before the shifted image divides by tau
+    # rejected before tau itself is checked
     problem, start = request.getfixturevalue(fixture)
-    x, message = np.zeros(problem.n), "scaled dual point left the dual cone interior"
+    message = "scaled dual point left the dual cone interior"
     outside = _dual_outside(problem, start, where)
     assert not problem.barrier.interior(outside, "conjugate")
     for tau, y in ((1.0, outside), (1.0, np.full(problem.m, np.nan)), (0.0, start.y0)):
         with pytest.raises(dd.DomainViolation, match=message):
-            dd.proximity_at(problem, start, x, tau, y, 1.0)
+            dd.proximity_at(problem, start.z0, tau, y, 1.0)
         with pytest.raises(dd.DomainViolation, match=message):
             scaled_dual(problem, tau, y, 1.0)
 
@@ -351,13 +351,13 @@ def test_proximity_at_rejects_a_dual_point_outside(fixture, where, request):
 @pytest.mark.parametrize("tau", [0.0, -1.0])
 def test_proximity_at_needs_a_positive_tau(box_problem, tau):
     # the box's conjugate domain is the whole line, so v = (tau/mu) y0
-    # passes the dual check; tau itself is then rejected, before the
-    # shifted image divides by zero or a point outside Q gets a proximity
+    # passes the dual check; tau itself is then rejected, so a point
+    # outside Q gets no proximity
     problem, start = box_problem
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(dd.DomainViolation, match=f"tau must be positive, got {tau}"):
-            dd.proximity_at(problem, start, [0.0], tau, start.y0, 1.0)
+            dd.proximity_at(problem, start.z0, tau, start.y0, 1.0)
     assert caught == []
 
 
@@ -391,7 +391,7 @@ def test_proximity_at_equals_its_checked_parts(fixture, run, request):
                                                      "conjugate")
             u = shifted_image(problem, start, it.x, it.tau)
             expected = math.sqrt(max(metric.inv_quad(u - grad), 0.0))
-            assert dd.proximity_at(problem, start, it.x, it.tau, it.y, mu) == expected
+            assert dd.proximity_at(problem, u, it.tau, it.y, mu) == expected
 
 
 def test_support_function_values(inf_problem):

@@ -80,7 +80,8 @@ def test_corrector_stall_reports_last_proximity(box_problem, monkeypatch):
     problem, start = box_problem
     point = dd.Iterate(x=np.array([1e-3]), tau=1.0, y=start.y0.copy(), mu=1.0,
                        proximity=np.nan)
-    prox = dd.proximity_at(problem, start, point.x, 1.0, start.y0, 1.0)
+    prox = dd.proximity_at(problem, shifted_image(problem, start, point.x, 1.0), 1.0, start.y0,
+                           1.0)
     monkeypatch.setattr(path_module, "CORRECTOR_MAX_STEPS", 1)
     with pytest.raises(dd.CorrectorStall, match=f"proximity {prox:.3e} above target"):
         dd.corrector_step(problem, start, point)
@@ -349,8 +350,8 @@ def test_predictor_increases_mu_and_respects_neighborhood(box_problem):
     point = make_iterate(problem, start, np.zeros(1), 1.0, start.y0)
     predicted, _ = dd.predictor_step(problem, start, point)
     assert predicted.mu > 1.0
-    assert dd.proximity_at(problem, start, predicted.x, predicted.tau, predicted.y,
-                           predicted.mu) <= 2.0 * problem.kappa
+    assert dd.proximity_at(problem, shifted_image(problem, start, predicted.x, predicted.tau),
+                           predicted.tau, predicted.y, predicted.mu) <= 2.0 * problem.kappa
     # composition: the corrector restores the inner neighborhood
     corrected = dd.corrector_step(problem, start, predicted)
     assert corrected.proximity <= 0.5 * problem.kappa
@@ -407,7 +408,8 @@ def _first_order_predictor(problem, start, point):
         xn, taun, yn = x + dmu * tx, tau + dmu * ttau, y + dmu * ty
         if (taun > 0.0 and problem.barrier.interior(yn, "conjugate")
                 and problem.barrier.interior(shifted_image(problem, start, xn, taun), "primal")):
-            prox = dd.proximity_at(problem, start, xn, taun, yn, mu + dmu)
+            prox = dd.proximity_at(problem, shifted_image(problem, start, xn, taun), taun, yn,
+                                   mu + dmu)
             if prox <= path_module.PREDICTOR_RADIUS * problem.kappa:
                 return xn, taun, yn, mu + dmu, prox
         dmu *= 0.5
@@ -458,7 +460,8 @@ def test_curve_points_keep_dual_equation_and_neighborhood(fixture, request):
         assert np.max(np.abs(moved)) <= 1e-9
         own = dd.mu_of(problem, start, predicted.x, predicted.tau, predicted.y)
         assert predicted.mu == own > point.mu
-        prox = dd.proximity_at(problem, start, predicted.x, predicted.tau, predicted.y, own)
+        prox = dd.proximity_at(problem, shifted_image(problem, start, predicted.x, predicted.tau),
+                               predicted.tau, predicted.y, own)
         assert prox == predicted.proximity <= 2.0 * problem.kappa
     assert curve_points == 7
 
@@ -565,7 +568,8 @@ def test_evaluation_budget(fixture, run, eps, request, monkeypatch):
     # a step-to-boundary bound.  Each KKT solve applies the metric once,
     # residuals run once per corrector pass, A is factored once per
     # problem, not per corrector step, and one proximity per corrector,
-    # where its exit test holds
+    # where its exit test holds.  Each predictor trial forms its shifted
+    # image once, in member_image, and its proximity reads that image
     base, start = request.getfixturevalue(fixture)
     reference = request.getfixturevalue(run)
     problem = replace(base)   # without the factors the reference run formed
@@ -579,7 +583,8 @@ def test_evaluation_budget(fixture, run, eps, request, monkeypatch):
     counts = dict.fromkeys(["grad", "hess", "grad_hess", "residuals", "tangents", "kkt",
                             "kkt_matvec", "correctors", "corrector_proximity",
                             "iterates", "newton_points", "dual_checks",
-                            "corrector_boundary"], 0)
+                            "corrector_boundary", "predictor_trials",
+                            "predictor_images"], 0)
     active = []   # keys of the counted path functions now running
 
     def count_primal(name):
@@ -644,6 +649,22 @@ def test_evaluation_budget(fixture, run, eps, request, monkeypatch):
         counts["corrector_boundary"] += "correctors" in active
         return original_boundary(self, z, dz, side)
     count_proximity("proximity_at")
+
+    def count_images(module):
+        original = module.shifted_image
+
+        def wrapped(*args):
+            counts["predictor_images"] += "tangents" in active
+            return original(*args)
+        monkeypatch.setattr(module, "shifted_image", wrapped)
+    count_images(dd.model)
+    count_images(path_module)
+    original_member = path_module.member_image
+
+    def member_image(*args):
+        counts["predictor_trials"] += "tangents" in active
+        return original_member(*args)
+    monkeypatch.setattr(path_module, "member_image", member_image)
     monkeypatch.setattr(path_module, "_evaluate", evaluate)
     monkeypatch.setattr(dd.barriers.BlockMetric, "matvec", matvec)
     monkeypatch.setattr(dd.barriers.DomainBarrier, "interior", interior)
@@ -666,6 +687,8 @@ def test_evaluation_budget(fixture, run, eps, request, monkeypatch):
     assert counts["residuals"] == counts["correctors"] + newton_steps
     assert counts["kkt_matvec"] == counts["kkt"]
     assert counts["corrector_proximity"] == counts["correctors"]
+    # one image per trial, and one for the first tangent's plain iterate
+    assert counts["predictor_images"] == counts["predictor_trials"] + 1
     assert len(factored) == 1 and factored[0] is problem.A
     dd.follow(problem, start, dd.FollowerOptions(eps=1e-6, max_iters=3))
     assert len(factored) == 1
@@ -685,7 +708,8 @@ def test_reused_evaluations_match_public_functions(fixture, run, request):
     # evaluation the follower formed at it
     assert all(isinstance(it, path_module._Point) for it in iterates[1:])
     for it in iterates:
-        assert dd.proximity_at(problem, start, it.x, it.tau, it.y, it.mu) == it.proximity
+        assert dd.proximity_at(problem, shifted_image(problem, start, it.x, it.tau), it.tau, it.y,
+                               it.mu) == it.proximity
         point = (it if isinstance(it, path_module._Point)
                  else path_module._evaluate(problem, start, it.x, it.tau, it.y, it.mu))
         private = path_module._residuals(problem, start, point)

@@ -186,3 +186,54 @@ def test_one_hot_path_norm():
     found = {path.name: _self_dot_norms(ast.parse(path.read_text(encoding="utf-8")))
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {"barriers.py": ["_norm"]}
+
+
+def _tau_positivity_tests(tree: ast.Module) -> list:
+    """The function around each ``tau > 0`` comparison, ``0 < tau`` too,
+    with tau a name or an attribute, by name ("<module>" outside any
+    function)."""
+    found = []
+
+    def is_tau(node):
+        return (isinstance(node, ast.Name) and node.id == "tau"
+                or isinstance(node, ast.Attribute) and node.attr == "tau")
+
+    def is_zero(node):
+        return isinstance(node, ast.Constant) and node.value == 0 and type(node.value) is not bool
+
+    def visit(node, name):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = node.name
+        if isinstance(node, ast.Compare):
+            for left, op, right in zip([node.left, *node.comparators], node.ops,
+                                       node.comparators):
+                if (isinstance(op, ast.Gt) and is_tau(left) and is_zero(right)
+                        or isinstance(op, ast.Lt) and is_zero(left) and is_tau(right)):
+                    found.append(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, name)
+    visit(tree, "<module>")
+    return found
+
+
+def test_tau_positivity_check_sees_each_spelling():
+    tree = ast.parse("top = tau > 0.0\n"
+                     "def f(it, tau, mu):\n"
+                     "    def g(p):\n"
+                     "        return 0 < p.tau\n"
+                     "    if not it.tau > 0 or tau >= 0.0 or mu > 0.0 or tau > 1.0:\n"
+                     "        return 0.0 < tau < 1.0\n"
+                     "    return it.taun > 0.0 or tau > False\n")
+    assert _tau_positivity_tests(tree) == ["<module>", "g", "f", "f"]
+
+
+def test_tau_positivity_has_one_owner():
+    # model.positive_tau is the one test of tau > 0, and a caller that
+    # needs it asks that owner; the stated exceptions report the predicate
+    # itself: the "tau > 0" verification check, and the invariants'
+    # "tau not positive" message and the gap sandwich it guards
+    found = {path.name: _tau_positivity_tests(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {
+        "model.py": ["positive_tau"], "path.py": ["_check_invariants", "_check_invariants"],
+        "status.py": ["_add_image_check"]}

@@ -400,17 +400,24 @@ def test_strict_unboundedness_needs_eps_in_the_unit_interval(eps, unb_run, unb_p
     ("pair", "y-shorter", ("tau > 0", "Ax + z0/tau in domain (margins >= 0)")),
     ("pair", "tau-text", ()),
     ("unboundedness", "tau-text", ("<c,x> <= -1/eps",)),
+    ("strict-infeasibility", "y-strings", ()),
+    ("infeasibility", "y-strings", ()),
+    ("strict-unboundedness", "x-strings", ()),
+    ("unboundedness", "x-strings", ("tau > 0",)),
+    ("pair", "x-strings", ("tau > 0",)),
+    ("pair", "y-strings", ("tau > 0", "Ax + z0/tau in domain (margins >= 0)")),
 ])
 def test_certificate_without_its_payload_fails(case, missing, kept, request):
     # a missing x or y raised from the products that read it, and so did
-    # one of the wrong length or a tau that is not a number; each check
-    # that needs it now fails with a NaN value, as a missing tau does
+    # one of the wrong length or of text entries, or a tau that is not a
+    # number; each check that needs it now fails with a NaN value, as a
+    # missing tau does
     problem, start, cert = _certificate(case, request)
     valid = verify_certificate(problem, start, cert)
     assert valid.passed
     field, _, fault = missing.partition("-")
     value = {"": None, "longer": lambda v: np.append(v, -1.0), "shorter": lambda v: v[:-1],
-             "text": "1.0"}[fault]
+             "text": "1.0", "strings": lambda v: ["a"] * len(v)}[fault]
     value = value(getattr(cert, field)) if callable(value) else value
     rep = verify_certificate(problem, start, replace(cert, **{field: value}))
     assert [ch.name for ch in rep.checks] == [ch.name for ch in valid.checks]
