@@ -252,18 +252,22 @@ def mu_of(problem: Problem, start: StartData, x, tau: float, y) -> float:
     Uses the form  -( <y, z0> + tau*(y_tau0 + <A'y0 + c, x>) ) / (xi*theta),
     which involves the fewest cancelling terms.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     inner = start.y_tau0 + float((start.aty0 + problem.c) @ x)
     return float(-(y @ start.z0 + float(tau) * inner) / (problem.xi * problem.theta))
+
+
+def _scale_dual(tau: float, y, mu: float) -> np.ndarray:
+    """v = (tau/mu) y; DomainViolation unless mu > 0."""
+    if not mu > 0.0:
+        raise DomainViolation(f"path parameter must be positive, got {mu}")
+    return (float(tau) / float(mu)) * np.asarray(y, dtype=float)
 
 
 def scaled_dual(problem: Problem, tau: float, y, mu: float) -> np.ndarray:
     """v = (tau/mu) y, the point at which proximity evaluates the conjugate
     barrier; DomainViolation unless mu > 0 and v is interior to D*."""
-    if not mu > 0.0:
-        raise DomainViolation(f"path parameter must be positive, got {mu}")
-    v = (float(tau) / float(mu)) * np.asarray(y, dtype=float)
+    v = _scale_dual(tau, y, mu)
     if not problem.barrier.interior(v, CONJUGATE):
         raise DomainViolation("scaled dual point left the dual cone interior")
     return v
@@ -273,11 +277,9 @@ def proximity_at(problem: Problem, u, tau: float, y, mu: float) -> float:
     """Distance to the path point at parameter ``mu``: || u - conj_grad(v) ||
     in the inverse conjugate-Hessian norm at v = (tau/mu) y, u being the
     shifted image A x + z0/tau its caller formed.  The one proximity formula
-    of the follower.  Raises :func:`scaled_dual`'s DomainViolations, its check
-    of v being the conjugate evaluation there, then :func:`positive_tau`'s."""
-    if not mu > 0.0:
-        raise DomainViolation(f"path parameter must be positive, got {mu}")
-    v = (float(tau) / float(mu)) * np.asarray(y, dtype=float)
+    of the follower.  Raises :func:`scaled_dual`'s DomainViolations, the
+    conjugate evaluation at v being its check of v, then :func:`positive_tau`'s."""
+    v = _scale_dual(tau, y, mu)
     try:
         grad, metric = problem.barrier.grad_hess(v, CONJUGATE)
     except DomainViolation as exc:
@@ -287,17 +289,16 @@ def proximity_at(problem: Problem, u, tau: float, y, mu: float) -> float:
 
 
 def proximity(problem: Problem, start: StartData, x, tau: float, y) -> float:
-    """:func:`make_iterate`'s proximity, at the point's own mu, of a member
-    of the homogenized set (mu_of presumes it); DomainViolation otherwise."""
-    if not in_qdd(problem, start, x, tau, y):
+    """Proximity at its own mu of a member of Q (:func:`in_qdd`); DomainViolation otherwise."""
+    u = member_image(problem, start, x, tau, y)
+    if u is None or not dual_residual(problem, start, tau, y) <= problem.dual_eq_tol:
         raise DomainViolation("proximity is defined on homogenized-set members only")
-    return make_iterate(problem, start, x, tau, y).proximity
+    return proximity_at(problem, u, tau, y, mu_of(problem, start, x, tau, y))
 
 
 def make_iterate(problem: Problem, start: StartData, x, tau: float, y) -> Iterate:
     """The point with its own path parameter and the proximity there."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     mu = mu_of(problem, start, x, tau, y)
     prox = proximity_at(problem, shifted_image(problem, start, x, tau), tau, y, mu)
     return Iterate(x=x, tau=float(tau), y=y, mu=mu, proximity=prox)

@@ -247,9 +247,8 @@ def corrector_step(problem: Problem, start: StartData, point: Iterate) -> Iterat
     halves from the smaller of that bound and 1/2 until a trial is
     accepted.
 
-    Returns the last Newton point at its own path parameter, with the
-    proximity there, both from :func:`make_iterate`; it keeps that point's
-    primal evaluation, which :func:`predictor_step` reads when handed it.
+    Returns the last Newton point, its primal evaluation kept for
+    :func:`predictor_step`, at its own :func:`mu_of` with the proximity there.
 
     Raises CorrectorStall if the exit rule is not met within
     CORRECTOR_MAX_STEPS steps; its message gives the proximity at the
@@ -290,8 +289,8 @@ def corrector_step(problem: Problem, start: StartData, point: Iterate) -> Iterat
         raise CorrectorStall(
             f"proximity {prox:.3e} above target {target:.3e} after "
             f"{CORRECTOR_MAX_STEPS} Newton steps")
-    own = make_iterate(problem, start, point.x, point.tau, point.y)
-    return replace(point, mu=own.mu, proximity=own.proximity)
+    mu = mu_of(problem, start, point.x, point.tau, point.y)
+    return replace(point, mu=mu, proximity=proximity_at(problem, point.u, point.tau, point.y, mu))
 
 
 def predictor_step(problem: Problem, start: StartData, point: Iterate, previous=None):

@@ -27,7 +27,9 @@ Three digests and one line of counts:
 ``--runs`` prints, before those four lines, one line per run that the
 iterates digest or the counts line reads: its label, status, iterations,
 invariant violations and the sha256 of its iterates, hashed as the
-iterates digest hashes them.  ``--parent ROOT`` runs this script with
+iterates digest hashes them, and then one line per short ``run_solve``
+run that only the reports digest reads: its label, status, exit code and
+the sha256 of its report JSON.  ``--parent ROOT`` runs this script with
 ``--runs`` twice, on this checkout's ``src`` and on ``ROOT/src``, and
 prints only the runs whose lines differ, each side's line prefixed
 "change: " or "parent: "; a change that moves no bit prints nothing.
@@ -86,17 +88,25 @@ def _cone_runs():
         yield f"cones-{seed}@{MEDIUM_EPS:g}", problem, dd.make_start(problem), MEDIUM_EPS
 
 
-def _small_reports(h) -> None:
-    """Feed ``h`` the report JSON of every small run_solve call."""
+def _small_reports(h) -> list:
+    """Feed ``h`` the report JSON of every small run_solve call; returns
+    each call's line: label, status, exit code and the sha256 of the JSON."""
+    lines = []
     for build in (build_box, build_inf, build_unb, build_soc, build_tangent):
         problem = build()
         start = dd.default_z0(problem)
         for eps in SMALL_EPS:
             for max_iters in SMALL_MAX_ITERS:
                 for strict in (False, True):
-                    h.update(f"{build.__name__}@{eps:g}/{max_iters}/{strict}".encode())
-                    h.update(cli.run_solve(problem, start, eps, strict=strict,
-                                           max_iters=max_iters).to_json().encode())
+                    label = f"{build.__name__}@{eps:g}/{max_iters}/{strict}"
+                    report = cli.run_solve(problem, start, eps, strict=strict,
+                                           max_iters=max_iters)
+                    text = report.to_json().encode()
+                    h.update(label.encode())
+                    h.update(text)
+                    lines.append(f"{label} {report.status} exit={report.exit_code} "
+                                 f"{hashlib.sha256(text).hexdigest()}")
+    return lines
 
 
 def cli_digest() -> str:
@@ -143,7 +153,8 @@ def run_line(label: str, result) -> str:
 
 
 def solve_digests() -> tuple:
-    """(iterates digest, reports digest, counts line, the runs' lines)."""
+    """(iterates digest, reports digest, counts line, the run lines and
+    then the short report lines)."""
     iterates, reports, counts, lines = hashlib.sha256(), hashlib.sha256(), Counter(), []
     for label, problem, start, eps in _cone_runs():
         result = dd.follow(problem, start, dd.FollowerOptions(eps=eps))
@@ -158,7 +169,7 @@ def solve_digests() -> tuple:
             iterates.update(chunk)
         reports.update(label.encode())
         reports.update(cli.run_solve(problem, start, eps).to_json().encode())
-    _small_reports(reports)
+    lines += _small_reports(reports)
     totals = [f"{key}={counts.pop(key)}" for key in ("iterations", "violations")]
     statuses = ",".join(f"{status}:{k}" for status, k in sorted(counts.items()))
     return iterates.hexdigest(), reports.hexdigest(), " ".join([statuses, *totals]), lines

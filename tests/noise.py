@@ -11,14 +11,18 @@ from a sha256 of the solution and the seed.  Each seed also prints the
 ``counts`` line of ``tests/digest.py`` computed under the same noise, and
 the false passes over the iterates of the runs that line counts: iterates
 whose float dual-equality check passes while the exact residual
-(``oracles.exact_dual_residual_sq``) is above the tolerance.
+(``oracles.exact_dual_residual_sq``) is above the tolerance.  It also
+prints, over the iterates of the ``box_run`` and ``soc_run`` fixtures'
+runs under the same noise, how many fail ``tests/test_model.py``'s float
+check of the three mu forms and how many fail the same check on the exact
+forms (``oracles.exact_mu_forms``).
 
 Printed: one line per seed with its number of failed tests, its counts
-line and its false passes, how many seeds passed every test, and for each
-test that failed under some seed, in how many seeds it failed.  A test
-that fails under this noise is decided by rounding, not by the solver's
-behaviour; a change that moves bits is judged against the parent's table
-over the same seeds.  ``--parent ROOT`` runs the same seeds and pytest
+line, its false passes and its mu-forms failures, how many seeds passed
+every test, and for each test that failed under some seed, in how many
+seeds it failed.  A test that fails under this noise is decided by
+rounding, not by the solver's behaviour; a change that moves bits is
+judged against the parent's table over the same seeds.  ``--parent ROOT`` runs the same seeds and pytest
 arguments in the checkout at ROOT too, on its own ``src`` and ``tests``,
 and prints every line of each side prefixed "change: " or "parent: ".
 The package is not changed.
@@ -43,15 +47,19 @@ print(*noise.seed_counts({seed}), sep="\\n")
 
 def seed_counts(seed: int) -> tuple:
     """(digest counts line, false passes, iterates) of the digest's
-    counted runs under ``seed``'s noise.  It perturbs every later KKT
-    solve of the process, so it runs in a subprocess of its own."""
+    counted runs under ``seed``'s noise, then (float mu-forms failures,
+    exact ones, iterates) of the ``box_run`` and ``soc_run`` runs.  It
+    perturbs every later KKT solve of the process, so it runs in a
+    subprocess of its own."""
     # imported here: the tool's own process needs neither the package nor these
+    import conftest
     import ddsolve
     import digest
     import noise_plugin
     import oracles
+    from test_model import mu_forms
     noise_plugin.install(seed)
-    follow, found = ddsolve.follow, [0, 0]
+    follow, found, forms = ddsolve.follow, [0, 0], [0, 0, 0]
 
     def counted(problem, start, options):
         result = follow(problem, start, options)
@@ -59,7 +67,17 @@ def seed_counts(seed: int) -> tuple:
         found[1] += len(result.iterates)
         return result
     ddsolve.follow = counted
-    return (digest.solve_digests()[2], *found)
+    line = digest.solve_digests()[2]
+    # the runs of the box_run and soc_run fixtures, at their eps
+    for build, eps in ((conftest.build_box, 1e-6), (conftest.build_soc, 1e-4)):
+        problem = build()
+        start = ddsolve.default_z0(problem)
+        for it in follow(problem, start, ddsolve.FollowerOptions(eps=eps)).iterates:
+            args = problem, start, it.x, it.tau, it.y
+            forms[0] += not oracles.mu_forms_agree(*mu_forms(*args))
+            forms[1] += not oracles.mu_forms_agree(*oracles.exact_mu_forms(*args))
+            forms[2] += 1
+    return (line, *found, *forms)
 
 
 def _env(root: Path) -> dict:
@@ -74,7 +92,9 @@ def _env(root: Path) -> dict:
 
 def run_seed(seed: int, pytest_args, root: Path) -> tuple:
     """(tests run, failed node ids, digest counts line, false passes,
-    iterates) under ``seed``, in the checkout at ``root``."""
+    iterates, then float and exact mu-forms failures and their iterates
+    where ``root``'s tests/noise.py counts them) under ``seed``, in the
+    checkout at ``root``."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "outcomes.json"
         done = subprocess.run(
@@ -88,14 +108,19 @@ def run_seed(seed: int, pytest_args, root: Path) -> tuple:
         outcomes = json.loads(out.read_text())
     counts = subprocess.run([sys.executable, "-c", COUNTS.format(seed=seed)], cwd=root,
                             env=_env(root), capture_output=True, text=True, check=True)
-    line, false, iterates = counts.stdout.splitlines()
-    return outcomes["tests"], outcomes["failed"], line, int(false), int(iterates)
+    line, *numbers = counts.stdout.splitlines()
+    return (outcomes["tests"], outcomes["failed"], line, *map(int, numbers))
 
 
 def seed_line(seed: int, result: tuple) -> str:
-    tests, failed, counts, false, iterates = result
-    return (f"seed {seed}: {tests} tests, {len(failed)} failed; counts {counts}; "
+    """A seed's line; a parent checkout without the mu-forms counts
+    prints none."""
+    tests, failed, counts, false, iterates, *forms = result
+    line = (f"seed {seed}: {tests} tests, {len(failed)} failed; counts {counts}; "
             f"false passes {false} of {iterates} iterates")
+    if forms:
+        line += "; mu forms fail float {} exact {} of {} iterates".format(*forms)
+    return line
 
 
 def table(results: dict) -> list:

@@ -7,10 +7,10 @@ Newton for the analytic center shifted by the objective, bisection for the
 feasibility measure of strictly feasible instances.  The reference forms
 compute the barrier's gradient, metric, margins and exit steps with plain
 numpy calls, to show that ``ddsolve.barriers`` gives the same bits.  The
-exact form (end of the file) evaluates the dual linear equation's residual
-without rounding, to count the iterates the float check passes by
-rounding alone.  All of them exist for the test suite and are not part of the
-installed package.
+exact forms (end of the file) evaluate the dual linear equation's residual
+and the path parameter's three forms without rounding, to count the
+iterates a float check passes or fails by rounding alone.  All of them
+exist for the test suite and are not part of the installed package.
 """
 
 from __future__ import annotations
@@ -428,6 +428,36 @@ def exact_dual_residual_sq(problem, start, tau, y) -> Fraction:
              + ((t * c[j]) << (2 * e_c - e)))
         total += r * r
     return total * Fraction(2) ** (2 * e)
+
+
+def exact_mu_forms(problem, start, x, tau, y) -> tuple:
+    """The three forms of the path parameter of ``tests/test_model.py``'s
+    ``mu_forms``, in Fraction from the float64 x, tau and y and the float
+    constants z0, y_tau0, A'y0 and xi * theta as ``model.mu_of`` reads them:
+    f1 from <y, u>, u = A x + z0/tau, f2 from <y, A x> and <y, z0>, and
+    f3, mu_of's.  f1 and f2 are the same rational, and f2 - f3 is
+    -tau <r, x> / (xi theta), r the dual equation's residual with A'y0 as
+    formed, so only an iterate off that equation can make them disagree."""
+    F = lambda values: [Fraction(v) for v in np.asarray(values, dtype=float).ravel().tolist()]
+    dot = lambda a, b: sum(map(operator.mul, a, b), Fraction(0))
+    x, y, z0, c, aty0 = F(x), F(y), F(start.z0), F(problem.c), F(start.aty0)
+    tau, y_tau0 = Fraction(float(tau)), Fraction(start.y_tau0)
+    xith = Fraction(problem.xi * problem.theta)
+    ax = [dot(row, x) for row in map(F, problem.A)]
+    cx, yz0, yax = dot(c, x), dot(y, z0), dot(y, ax)
+    yu = dot(y, [a + z / tau for a, z in zip(ax, z0)])
+    f1 = tau / xith * (-y_tau0 - tau * cx - yu)
+    f2 = -(yz0 + tau * (y_tau0 + yax) + tau * tau * cx) / xith
+    f3 = -(yz0 + tau * (y_tau0 + dot([a + b for a, b in zip(aty0, c)], x))) / xith
+    return f1, f2, f3
+
+
+def mu_forms_agree(f1, f2, f3) -> bool:
+    """``tests/test_model.py``'s check of the forms: f1 and f2 within
+    1e-9 max(1, |f3|) of f3, in float arithmetic for floats and exactly
+    for Fractions."""
+    bound = (Fraction(1e-9) if isinstance(f3, Fraction) else 1e-9) * max(1, abs(f3))
+    return abs(f1 - f3) <= bound and abs(f2 - f3) <= bound
 
 
 def false_passes(problem, start, iterates) -> int:

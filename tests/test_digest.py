@@ -12,6 +12,7 @@ import digest
 
 ROOT = Path(__file__).resolve().parents[1]
 RUN = re.compile(r"\S+@\S+ \w+ iterations=\d+ violations=\d+ [0-9a-f]{64}")
+REPORT = re.compile(r"build_\w+@[0-9.e-]+/\d+/(True|False) \w+ exit=\d+ [0-9a-f]{64}")
 
 
 def _digest(*args) -> list:
@@ -39,12 +40,22 @@ def test_digest_prints_three_digests_and_the_counts(plain):
 
 def test_runs_prints_a_line_per_run_then_the_four_lines(plain):
     lines = _digest("--runs")
-    runs, four = lines[:-4], lines[-4:]
+    four = lines[-4:]
     assert four == plain
+    # the follow runs, then one line per short run_solve report
+    n_runs = len(list(digest._runs())) + len(digest.CONE_SEEDS)
+    runs, reports = lines[:n_runs], lines[n_runs:-4]
     for line in runs:
         assert RUN.fullmatch(line), line
-    labels = [line.split(" ", 1)[0] for line in runs]
-    assert len(set(labels)) == len(labels) == len(list(digest._runs())) + len(digest.CONE_SEEDS)
+    for line in reports:
+        assert REPORT.fullmatch(line), line
+    assert len(reports) == 5 * len(digest.SMALL_EPS) * len(digest.SMALL_MAX_ITERS) * 2 == 120
+    labels = [line.split(" ", 1)[0] for line in lines[:-4]]
+    assert len(set(labels)) == len(labels)
+    # the short runs reach all six statuses
+    assert {line.split(" ")[1] for line in reports} == {
+        "EpsSolution", "InfeasibilityCertificate", "UnboundednessCertificate", "IllConditioned",
+        "IterationLimit", "NumericalFailure"}
     # the counts line sums the run lines
     iterations = sum(int(re.search(r"iterations=(\d+)", line)[1]) for line in runs)
     violations = sum(int(re.search(r"violations=(\d+)", line)[1]) for line in runs)

@@ -28,10 +28,14 @@ def _run(*args) -> list:
 def _check_one_seed(lines):
     """One seed's line, then its table."""
     seed = re.fullmatch(rf"seed 1: {len(FAST)} tests, (\d+) failed; counts {COUNTS}; "
-                        r"false passes (?P<false>\d+) of (?P<iterates>\d+) iterates", lines[0])
+                        r"false passes (?P<false>\d+) of (?P<iterates>\d+) iterates; "
+                        r"mu forms fail float (?P<float>\d+) exact (?P<exact>\d+) "
+                        r"of (?P<mu_iterates>\d+) iterates", lines[0])
     clean = re.fullmatch(r"every test passed in ([01]) of 1 seeds", lines[1])
     assert seed and clean
     assert 0 <= int(seed["false"]) <= int(seed["iterates"]) and int(seed["iterates"]) > 0
+    assert int(seed["mu_iterates"]) > 0
+    assert max(int(seed["float"]), int(seed["exact"])) <= int(seed["mu_iterates"])
     failed = lines[2:]
     assert len(failed) == int(seed.group(1)) and (not failed) == (clean.group(1) == "1")
     for line in failed:
@@ -60,11 +64,16 @@ def test_parent_without_the_noise_plugin_is_refused(tmp_path):
 
 
 def test_table_counts_clean_seeds_and_failures_per_test():
-    results = {1: (3, [], "c", 0, 9), 2: (3, ["b", "a"], "c", 4, 9), 3: (3, ["a"], "c", 1, 9)}
+    results = {1: (3, [], "c", 0, 9, 0, 0, 5), 2: (3, ["b", "a"], "c", 4, 9, 2, 1, 5),
+               3: (3, ["a"], "c", 1, 9, 0, 0, 5)}
     assert noise.table(results) == ["every test passed in 1 of 3 seeds",
                                     "failed in 2 of 3 seeds: a", "failed in 1 of 3 seeds: b"]
     assert noise.seed_line(2, results[2]) == ("seed 2: 3 tests, 2 failed; counts c; "
-                                              "false passes 4 of 9 iterates")
+                                              "false passes 4 of 9 iterates; "
+                                              "mu forms fail float 2 exact 1 of 5 iterates")
+    # a parent checkout that counts no mu forms
+    assert noise.seed_line(1, (3, [], "c", 0, 9)) == ("seed 1: 3 tests, 0 failed; counts c; "
+                                                      "false passes 0 of 9 iterates")
 
 
 def test_noise_scales_a_solution_by_one_rounding_at_most():

@@ -13,7 +13,9 @@ from oracles import (
     OracleInstance,
     compute_xbar1,
     exact_dual_residual_sq,
+    exact_mu_forms,
     false_passes,
+    mu_forms_agree,
     oracle_sigma_f,
     oracle_sigma_p,
     oracle_tp,
@@ -179,3 +181,24 @@ def test_false_pass_is_a_float_pass_the_exact_residual_fails():
     assert [dual_residual(problem, start, it.tau, it.y) for it in iterates[:2]] == [0.0, 0.0]
     assert exact_dual_residual_sq(problem, start, 1e9 + 1.0, [3e9]) > problem.dual_eq_tol**2
     assert false_passes(problem, start, iterates) == 1
+
+
+@pytest.mark.parametrize("fixture,run", [("box_problem", "box_run"), ("soc_problem", "soc_run")])
+def test_exact_mu_forms_fail_off_the_dual_equation(fixture, run, request):
+    # f1 and f2 are one rational and f2 - f3 = -tau <r, x> / (xi theta),
+    # r = A'y - A'y0 + (tau - 1) c with A'y0 as formed: the forms agree on
+    # the run's last iterate, and a y off the dual equation by 1e-6
+    # relative puts f3 further from f2 than the 1e-9 bound
+    problem, start = request.getfixturevalue(fixture)
+    it = request.getfixturevalue(run).iterates[-1]
+    F = lambda v: [Fraction(a) for a in np.asarray(v, dtype=float).ravel().tolist()]
+    tau, xith = Fraction(it.tau), Fraction(problem.xi * problem.theta)
+    for y, agree in ((it.y, True), (it.y * (1.0 + 1e-6), False)):
+        f1, f2, f3 = exact_mu_forms(problem, start, it.x, it.tau, y)
+        r = [sum(a * b for a, b in zip(F(column), F(y))) - d + (tau - 1) * c
+             for column, d, c in zip(problem.A.T, F(start.aty0), F(problem.c))]
+        assert f1 == f2
+        assert f2 - f3 == -tau * sum(a * b for a, b in zip(r, F(it.x))) / xith
+        assert mu_forms_agree(f1, f2, f3) is agree
+    # floats are checked in float arithmetic against the same bound
+    assert mu_forms_agree(1.0, 1.0 + 0.5e-9, 1.0) and not mu_forms_agree(1.0, 1.0 + 2e-9, 1.0)

@@ -567,9 +567,11 @@ def test_evaluation_budget(fixture, run, eps, request, monkeypatch):
     # these runs every full step is accepted, so the corrector never forms
     # a step-to-boundary bound.  Each KKT solve applies the metric once,
     # residuals run once per corrector pass, A is factored once per
-    # problem, not per corrector step, and one proximity per corrector,
-    # where its exit test holds.  Each predictor trial forms its shifted
-    # image once, in member_image, and its proximity reads that image
+    # problem, not per corrector step, and two proximities per corrector:
+    # one where its exit test holds, and one at the exit point's own mu.
+    # Each Newton point forms its shifted image once, in _evaluate, and the
+    # exit reads it, as each predictor trial's proximity reads the image
+    # the trial formed once, in member_image
     base, start = request.getfixturevalue(fixture)
     reference = request.getfixturevalue(run)
     problem = replace(base)   # without the factors the reference run formed
@@ -584,7 +586,7 @@ def test_evaluation_budget(fixture, run, eps, request, monkeypatch):
                             "kkt_matvec", "correctors", "corrector_proximity",
                             "iterates", "newton_points", "dual_checks",
                             "corrector_boundary", "predictor_trials",
-                            "predictor_images"], 0)
+                            "predictor_images", "corrector_images"], 0)
     active = []   # keys of the counted path functions now running
 
     def count_primal(name):
@@ -639,10 +641,7 @@ def test_evaluation_budget(fixture, run, eps, request, monkeypatch):
         return original_matvec(self, v)
 
     def interior(self, z, side="primal"):
-        # the returned iterate's own proximity, at its own mu, is not a
-        # Newton point's check
-        counts["dual_checks"] += (side == "conjugate" and "correctors" in active
-                                  and "iterates" not in active)
+        counts["dual_checks"] += side == "conjugate" and "correctors" in active
         return original_interior(self, z, side)
 
     def step_to_boundary(self, z, dz, side="primal"):
@@ -655,6 +654,7 @@ def test_evaluation_budget(fixture, run, eps, request, monkeypatch):
 
         def wrapped(*args):
             counts["predictor_images"] += "tangents" in active
+            counts["corrector_images"] += "correctors" in active
             return original(*args)
         monkeypatch.setattr(module, "shifted_image", wrapped)
     count_images(dd.model)
@@ -686,7 +686,11 @@ def test_evaluation_budget(fixture, run, eps, request, monkeypatch):
     assert counts["corrector_boundary"] == 0
     assert counts["residuals"] == counts["correctors"] + newton_steps
     assert counts["kkt_matvec"] == counts["kkt"]
-    assert counts["corrector_proximity"] == counts["correctors"]
+    assert counts["corrector_proximity"] == 2 * counts["correctors"]
+    # one image per Newton point, none at a corrector's exit, and
+    # make_iterate only for follow's mu = 1 point
+    assert counts["corrector_images"] == newton_points
+    assert counts["iterates"] == 1
     # one image per trial, and one for the first tangent's plain iterate
     assert counts["predictor_images"] == counts["predictor_trials"] + 1
     assert len(factored) == 1 and factored[0] is problem.A
@@ -879,12 +883,18 @@ def test_tiny_eps_overflow_is_numerical_failure(box_problem, eps):
     assert result.report.diagnostics["iterations"] < dd.FollowerOptions().max_iters
 
 
-def test_numpy_overflow_in_a_step_is_numerical_failure():
+@pytest.fixture
+def overflow_problem():
     # the anchor passes validation and make_start, but the first tangent's
-    # A'HA overflows: follow reports numpy's FloatingPointError, and no
-    # RuntimeWarning escapes it
+    # A'HA overflows
     problem = dd.validate_problem([[1e200]], [1e-200], [dd.box(0, 0.0, 1.0)])
-    result = dd.follow(problem, dd.make_start(problem))
+    return problem, dd.make_start(problem)
+
+
+def test_numpy_overflow_in_a_step_is_numerical_failure(overflow_problem):
+    # follow reports numpy's FloatingPointError, and no RuntimeWarning
+    # escapes it
+    result = dd.follow(*overflow_problem)
     assert result.report.status == "NumericalFailure"
     assert result.report.diagnostics["reason"].startswith("FloatingPointError: overflow")
     assert result.report.diagnostics["iterations"] == 0
@@ -897,6 +907,7 @@ def test_numpy_overflow_in_a_step_is_numerical_failure():
     ("tangent_problem", {"eps": 1e-2, "max_iters": 300}, "IllConditioned"),
     ("inst_soc.dd", {"eps": 1e-6}, "NumericalFailure"),
     ("inst_box.dd", {"eps": 1e-6, "max_iters": 2}, "IterationLimit"),
+    ("overflow_problem", {}, "NumericalFailure"),
 ])
 def test_stop_params_formed_once_per_iterate(source, options, status, request,
                                              instance_path, monkeypatch):

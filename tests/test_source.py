@@ -147,25 +147,32 @@ def test_no_message_is_raised_from_two_modules():
     assert _shared_messages(trees) == {}
 
 
+def _nodes_by_function(tree: ast.Module):
+    """(name of the innermost function around it, node) for every node of
+    ``tree``, "<module>" outside any function."""
+    def visit(node, around):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            around = node.name
+        yield around, node
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, around)
+    return visit(tree, "<module>")
+
+
+def _named(node, name: str) -> bool:
+    """True if ``node`` is the name ``name`` or an attribute of that name."""
+    return name in (getattr(node, "id", None), getattr(node, "attr", None))
+
+
 def _self_dot_norms(tree: ast.Module) -> list:
     """The function around each ``math.sqrt(v.dot(v))``, for any one
     expression v, by name ("<module>" outside any function)."""
-    found = []
-
-    def visit(node, name):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            name = node.name
-        if (isinstance(node, ast.Call) and ast.dump(node.func) == ast.dump(
-                ast.Attribute(ast.Name("math", ast.Load()), "sqrt", ast.Load()))
-                and len(node.args) == 1 and isinstance(dot := node.args[0], ast.Call)
-                and isinstance(dot.func, ast.Attribute) and dot.func.attr == "dot"
-                and len(dot.args) == 1 and ast.dump(dot.args[0]) == ast.dump(dot.func.value)):
-            found.append(name)
-        for child in ast.iter_child_nodes(node):
-            visit(child, name)
-    visit(tree, "<module>")
-    return found
-
+    sqrt = ast.dump(ast.Attribute(ast.Name("math", ast.Load()), "sqrt", ast.Load()))
+    return [around for around, node in _nodes_by_function(tree)
+            if isinstance(node, ast.Call) and ast.dump(node.func) == sqrt
+            and len(node.args) == 1 and isinstance(dot := node.args[0], ast.Call)
+            and isinstance(dot.func, ast.Attribute) and dot.func.attr == "dot"
+            and len(dot.args) == 1 and ast.dump(dot.args[0]) == ast.dump(dot.func.value)]
 
 def test_self_dot_norm_check_sees_each_spelling():
     tree = ast.parse("import math\n"
@@ -192,29 +199,16 @@ def _tau_positivity_tests(tree: ast.Module) -> list:
     """The function around each ``tau > 0`` comparison, ``0 < tau`` too,
     with tau a name or an attribute, by name ("<module>" outside any
     function)."""
-    found = []
-
     def is_tau(node):
-        return (isinstance(node, ast.Name) and node.id == "tau"
-                or isinstance(node, ast.Attribute) and node.attr == "tau")
+        return isinstance(node, (ast.Name, ast.Attribute)) and _named(node, "tau")
 
     def is_zero(node):
         return isinstance(node, ast.Constant) and node.value == 0 and type(node.value) is not bool
 
-    def visit(node, name):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            name = node.name
-        if isinstance(node, ast.Compare):
-            for left, op, right in zip([node.left, *node.comparators], node.ops,
-                                       node.comparators):
-                if (isinstance(op, ast.Gt) and is_tau(left) and is_zero(right)
-                        or isinstance(op, ast.Lt) and is_zero(left) and is_tau(right)):
-                    found.append(name)
-        for child in ast.iter_child_nodes(node):
-            visit(child, name)
-    visit(tree, "<module>")
-    return found
-
+    return [around for around, node in _nodes_by_function(tree) if isinstance(node, ast.Compare)
+            for left, op, right in zip([node.left, *node.comparators], node.ops, node.comparators)
+            if isinstance(op, ast.Gt) and is_tau(left) and is_zero(right)
+            or isinstance(op, ast.Lt) and is_zero(left) and is_tau(right)]
 
 def test_tau_positivity_check_sees_each_spelling():
     tree = ast.parse("top = tau > 0.0\n"
@@ -237,3 +231,48 @@ def test_tau_positivity_has_one_owner():
     assert {name: names for name, names in found.items() if names} == {
         "model.py": ["positive_tau"], "path.py": ["_check_invariants", "_check_invariants"],
         "status.py": ["_add_image_check"]}
+
+
+
+def _callers(tree: ast.Module, name: str) -> list:
+    """The function around each call of ``name``, a name or an attribute."""
+    return [around for around, node in _nodes_by_function(tree)
+            if isinstance(node, ast.Call) and _named(node.func, name)]
+
+
+def _tau_over_mu(tree: ast.Module) -> list:
+    """The function around each ``float(tau) / float(mu)``, tau and mu
+    names or attributes."""
+    def float_of(node, name):
+        return (isinstance(node, ast.Call) and _named(node.func, "float")
+                and len(node.args) == 1 and _named(node.args[0], name))
+    return [around for around, node in _nodes_by_function(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+            and float_of(node.left, "tau") and float_of(node.right, "mu")]
+
+
+def test_per_point_check_sees_each_spelling():
+    tree = ast.parse("top = shifted_image(p, s, x, t)\n"
+                     "def f(it, mu):\n"
+                     "    def g(p):\n"
+                     "        return model.shifted_image(p, s, p.x, p.tau), make_iterate\n"
+                     "    v = (float(it.tau) / float(mu)) * it.y + float(tau) * float(mu)\n"
+                     "    return make_iterate(p, s, 0, 1, y), float(tau) / mu, tau / float(mu)\n"
+                     "class C:\n"
+                     "    def h(self, tau, mu):\n"
+                     "        return self.make_iterate(), 2 * (float(tau) / float(self.mu))\n")
+    assert _callers(tree, "shifted_image") == ["<module>", "g"]
+    assert _callers(tree, "make_iterate") == ["f", "h"]
+    assert _tau_over_mu(tree) == ["f", "h"]
+
+
+def test_each_follower_point_is_formed_once():
+    # path._evaluate forms every point's shifted image and follow's mu = 1
+    # point is the one iterate make_iterate forms: the corrector's exit
+    # reads its point's image.  model._scale_dual forms v = (tau/mu) y for
+    # scaled_dual and proximity_at, and with it asks mu > 0
+    path = ast.parse((PACKAGE / "path.py").read_text(encoding="utf-8"))
+    model = ast.parse((PACKAGE / "model.py").read_text(encoding="utf-8"))
+    assert _callers(path, "shifted_image") == ["_evaluate"]
+    assert _callers(path, "make_iterate") == ["follow"]
+    assert _tau_over_mu(model) == ["_scale_dual"]
