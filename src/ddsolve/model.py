@@ -252,7 +252,8 @@ def mu_of(problem: Problem, start: StartData, x, tau: float, y) -> float:
     Uses the form  -( <y, z0> + tau*(y_tau0 + <A'y0 + c, x>) ) / (xi*theta),
     which involves the fewest cancelling terms.
     """
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     inner = start.y_tau0 + float((start.aty0 + problem.c) @ x)
     return float(-(y @ start.z0 + float(tau) * inner) / (problem.xi * problem.theta))
 
@@ -277,8 +278,8 @@ def proximity_at(problem: Problem, u, tau: float, y, mu: float) -> float:
     """Distance to the path point at parameter ``mu``: || u - conj_grad(v) ||
     in the inverse conjugate-Hessian norm at v = (tau/mu) y, u being the
     shifted image A x + z0/tau its caller formed.  The one proximity formula
-    of the follower.  Raises :func:`scaled_dual`'s DomainViolations, the
-    conjugate evaluation at v being its check of v, then :func:`positive_tau`'s."""
+    of the follower.  Raises :func:`scaled_dual`'s DomainViolations, its check
+    of v being the conjugate evaluation there, then :func:`positive_tau`'s."""
     v = _scale_dual(tau, y, mu)
     try:
         grad, metric = problem.barrier.grad_hess(v, CONJUGATE)
@@ -289,16 +290,17 @@ def proximity_at(problem: Problem, u, tau: float, y, mu: float) -> float:
 
 
 def proximity(problem: Problem, start: StartData, x, tau: float, y) -> float:
-    """Proximity at its own mu of a member of Q (:func:`in_qdd`); DomainViolation otherwise."""
-    u = member_image(problem, start, x, tau, y)
-    if u is None or not dual_residual(problem, start, tau, y) <= problem.dual_eq_tol:
+    """:func:`make_iterate`'s proximity, at the point's own mu, of a member
+    of the homogenized set (mu_of presumes it); DomainViolation otherwise."""
+    if not in_qdd(problem, start, x, tau, y):
         raise DomainViolation("proximity is defined on homogenized-set members only")
-    return proximity_at(problem, u, tau, y, mu_of(problem, start, x, tau, y))
+    return make_iterate(problem, start, x, tau, y).proximity
 
 
 def make_iterate(problem: Problem, start: StartData, x, tau: float, y) -> Iterate:
     """The point with its own path parameter and the proximity there."""
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     mu = mu_of(problem, start, x, tau, y)
     prox = proximity_at(problem, shifted_image(problem, start, x, tau), tau, y, mu)
     return Iterate(x=x, tau=float(tau), y=y, mu=mu, proximity=prox)

@@ -247,8 +247,10 @@ def corrector_step(problem: Problem, start: StartData, point: Iterate) -> Iterat
     halves from the smaller of that bound and 1/2 until a trial is
     accepted.
 
-    Returns the last Newton point, its primal evaluation kept for
-    :func:`predictor_step`, at its own :func:`mu_of` with the proximity there.
+    Returns the last Newton point at its own path parameter, from
+    :func:`mu_of`, with the proximity there on the point's own shifted
+    image; it keeps that point's primal evaluation, which
+    :func:`predictor_step` reads when handed it.
 
     Raises CorrectorStall if the exit rule is not met within
     CORRECTOR_MAX_STEPS steps; its message gives the proximity at the

@@ -41,10 +41,28 @@ def build_tangent():
     return dd.validate_problem(A, [0.0, -1.0, 0.0], atoms)
 
 
+# The instance and eps of the box_run and soc_run fixtures; tests/noise.py
+# reruns these two runs from here.
+BOX_RUN = build_box, 1e-6
+SOC_RUN = build_soc, 1e-4
+
+
+def started(build):
+    """``build()``'s problem and its default start, as the ``*_problem``
+    fixtures hold them."""
+    problem = build()
+    return problem, dd.default_z0(problem)
+
+
+def follow_at(problem_start, eps):
+    """The follower's run from a ``started`` pair at ``eps``."""
+    problem, start = problem_start
+    return dd.follow(problem, start, dd.FollowerOptions(eps=eps))
+
+
 @pytest.fixture(scope="session")
 def box_problem():
-    problem = build_box()
-    return problem, dd.default_z0(problem)
+    return started(BOX_RUN[0])
 
 
 @pytest.fixture(scope="session")
@@ -61,8 +79,7 @@ def unb_problem():
 
 @pytest.fixture(scope="session")
 def soc_problem():
-    problem = build_soc()
-    return problem, dd.default_z0(problem)
+    return started(SOC_RUN[0])
 
 
 @pytest.fixture(scope="session")
@@ -73,8 +90,7 @@ def tangent_problem():
 
 @pytest.fixture(scope="session")
 def box_run(box_problem):
-    problem, start = box_problem
-    return dd.follow(problem, start, dd.FollowerOptions(eps=1e-6))
+    return follow_at(box_problem, BOX_RUN[1])
 
 
 @pytest.fixture(scope="session")
@@ -91,8 +107,7 @@ def unb_run(unb_problem):
 
 @pytest.fixture(scope="session")
 def soc_run(soc_problem):
-    problem, start = soc_problem
-    return dd.follow(problem, start, dd.FollowerOptions(eps=1e-4))
+    return follow_at(soc_problem, SOC_RUN[1])
 
 
 @pytest.fixture(scope="session")

@@ -22,9 +22,10 @@ line, its false passes and its mu-forms failures, how many seeds passed
 every test, and for each test that failed under some seed, in how many
 seeds it failed.  A test that fails under this noise is decided by
 rounding, not by the solver's behaviour; a change that moves bits is
-judged against the parent's table over the same seeds.  ``--parent ROOT`` runs the same seeds and pytest
-arguments in the checkout at ROOT too, on its own ``src`` and ``tests``,
-and prints every line of each side prefixed "change: " or "parent: ".
+judged against the parent's table over the same seeds.  ``--parent ROOT``
+runs the same seeds and pytest arguments in the checkout at ROOT too, on
+its own ``src`` and ``tests``, and prints every line of each side
+prefixed "change: " or "parent: ".
 The package is not changed.
 """
 
@@ -68,11 +69,10 @@ def seed_counts(seed: int) -> tuple:
         return result
     ddsolve.follow = counted
     line = digest.solve_digests()[2]
-    # the runs of the box_run and soc_run fixtures, at their eps
-    for build, eps in ((conftest.build_box, 1e-6), (conftest.build_soc, 1e-4)):
-        problem = build()
-        start = ddsolve.default_z0(problem)
-        for it in follow(problem, start, ddsolve.FollowerOptions(eps=eps)).iterates:
+    ddsolve.follow = follow  # the fixtures' runs below are not the digest's
+    for build, eps in (conftest.BOX_RUN, conftest.SOC_RUN):
+        problem, start = pair = conftest.started(build)
+        for it in conftest.follow_at(pair, eps).iterates:
             args = problem, start, it.x, it.tau, it.y
             forms[0] += not oracles.mu_forms_agree(*mu_forms(*args))
             forms[1] += not oracles.mu_forms_agree(*oracles.exact_mu_forms(*args))

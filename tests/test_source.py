@@ -174,6 +174,7 @@ def _self_dot_norms(tree: ast.Module) -> list:
             and isinstance(dot.func, ast.Attribute) and dot.func.attr == "dot"
             and len(dot.args) == 1 and ast.dump(dot.args[0]) == ast.dump(dot.func.value)]
 
+
 def test_self_dot_norm_check_sees_each_spelling():
     tree = ast.parse("import math\n"
                      "top = math.sqrt(v.dot(v))\n"
@@ -210,6 +211,7 @@ def _tau_positivity_tests(tree: ast.Module) -> list:
             if isinstance(op, ast.Gt) and is_tau(left) and is_zero(right)
             or isinstance(op, ast.Lt) and is_zero(left) and is_tau(right)]
 
+
 def test_tau_positivity_check_sees_each_spelling():
     tree = ast.parse("top = tau > 0.0\n"
                      "def f(it, tau, mu):\n"
@@ -231,7 +233,6 @@ def test_tau_positivity_has_one_owner():
     assert {name: names for name, names in found.items() if names} == {
         "model.py": ["positive_tau"], "path.py": ["_check_invariants", "_check_invariants"],
         "status.py": ["_add_image_check"]}
-
 
 
 def _callers(tree: ast.Module, name: str) -> list:
