@@ -27,9 +27,9 @@ the shifted image u and the primal barrier gradient and metric there.
 Residuals, KKT solves, step bounds and the corrector's exit proximity read
 it, and a predictor trial's u is formed once, by :func:`member_image`;
 every proximity is a :func:`proximity_at` call on such a u.  The
-predictor's point carries the mu it reached, at which the corrector works;
-the corrector's last point carries its evaluation, and ``follow`` hands it
-to the next predictor with the tangent the previous predictor returned.
+predictor's point carries the mu it reached and the corrector's first
+Newton point, evaluated on that u; the corrector's last point carries its
+evaluation; ``follow`` hands it and the last tangent to the next predictor.
 """
 
 from __future__ import annotations
@@ -88,6 +88,13 @@ class _Point(Iterate):
     H: object
 
 
+@dataclass(frozen=True)
+class _Accepted(Iterate):
+    """A predictor's accepted trial with the corrector's first Newton point."""
+
+    newton: _Point
+
+
 PREDICTOR_RADIUS = 2.0     # in units of kappa
 CORRECTOR_TARGET = 0.5     # in units of kappa
 BOUNDARY_FRACTION = 0.99
@@ -123,18 +130,18 @@ class FollowResult:
     invariant_violations: list
 
 
-def _evaluate(problem, start, x, tau, y, mu, *, newton=False) -> _Point:
-    """The point (x, tau, y) at ``mu`` with its primal evaluation: u, and g
-    and H at u from one pass over the barrier groups.  A corrector's Newton
-    point (``newton``) then has y restored to the dual linear equation,
-    and v = (tau/mu) y on the restored y is checked by :func:`scaled_dual`
-    and dropped: the Newton point's one cheap dual check.
+def _evaluate(problem, start, x, tau, y, mu, *, newton=False, u=None) -> _Point:
+    """The point (x, tau, y) at ``mu`` with its primal evaluation: u (unless
+    given), and g and H at u from one pass over the barrier groups.  A
+    corrector's Newton point (``newton``) then has y restored to the dual
+    linear equation, and v = (tau/mu) y on the restored y is checked by
+    :func:`scaled_dual` and dropped: the Newton point's one cheap dual check.
 
     Raises DomainViolation unless tau > 0, u is interior to D and, on a
     Newton point, v is interior to D*; FactorizationFailure if H is not
     positive and finite.
     """
-    u = shifted_image(problem, start, x, tau)
+    u = shifted_image(problem, start, x, tau) if u is None else u
     try:
         g, H = problem.barrier.grad_hess(u, PRIMAL)
     except DomainViolation as exc:
@@ -237,7 +244,8 @@ def corrector_step(problem: Problem, start: StartData, point: Iterate) -> Iterat
     0.9 times the previous step's.
 
     Each Newton point, the starting point and each accepted trial, is
-    checked and evaluated once by :func:`_evaluate`, and each pass reads
+    checked and evaluated once by :func:`_evaluate`, the start by the
+    :func:`predictor_step` that returned it, if one did.  Each pass reads
     its residuals, KKT solve and step bound from that point.  Its proximity,
     :func:`proximity_at` on its u at the corrector's mu, is formed only
     where the residual has settled, since only there can the corrector stop.
@@ -254,12 +262,13 @@ def corrector_step(problem: Problem, start: StartData, point: Iterate) -> Iterat
 
     Raises CorrectorStall if the exit rule is not met within
     CORRECTOR_MAX_STEPS steps; its message gives the proximity at the
-    point the last step started from.  Raises DomainViolation if the
+    point the last step started from.  Raises DomainViolation if a plain
     starting point fails its checks, and FactorizationFailure at a trial
     point whose primal metric is not positive and finite.
     """
     target = CORRECTOR_TARGET * problem.kappa
-    point = _evaluate(problem, start, point.x, point.tau, point.y, point.mu, newton=True)
+    point = (point.newton if isinstance(point, _Accepted) else
+             _evaluate(problem, start, point.x, point.tau, point.y, point.mu, newton=True))
     last_res = np.inf
     for k in range(CORRECTOR_MAX_STEPS):
         res = _residuals(problem, start, point)
@@ -318,9 +327,11 @@ def predictor_step(problem: Problem, start: StartData, point: Iterate, previous=
     points are p + dmu * t, accepted at the declared mu + dmu.  Both act on
     the stacked p = (x, tau, y) and t.  Every tangent satisfies
     A'ty + ttau c = 0, so both motions keep the dual linear equation.
+    The point returned carries the corrector's first Newton point, formed
+    on its u; a trial whose restored dual leaves D* there is rejected.
 
-    Raises PredictorStall when no relative increase of at least 1e-12
-    is acceptable.
+    Raises PredictorStall when no relative increase of at least 1e-12 is
+    acceptable, and the Newton point's FactorizationFailure.
     """
     if not isinstance(point, _Point):
         point = _evaluate(problem, start, point.x, point.tau, point.y, point.mu)
@@ -347,14 +358,15 @@ def predictor_step(problem: Problem, start: StartData, point: Iterate, previous=
         if (u := member_image(problem, start, xn, taun, yn)) is not None:
             if previous is not None:
                 mun = mu_of(problem, start, xn, taun, yn)
-            prox = np.inf
             if mun > mu:
                 try:
                     prox = proximity_at(problem, u, taun, yn, mun)
+                    if prox <= radius:
+                        newton = _evaluate(problem, start, xn, taun, yn, mun, newton=True, u=u)
+                        return _Accepted(x=xn, tau=taun, y=yn, mu=mun, proximity=prox,
+                                         newton=newton), (s, vel)
                 except DomainViolation:
                     pass
-            if prox <= radius:
-                return Iterate(x=xn, tau=taun, y=yn, mu=mun, proximity=prox), (s, vel)
         dmu *= 0.5
     raise PredictorStall(f"could not advance the path parameter beyond {mu:.6e}")
 

@@ -12,6 +12,7 @@ import ddsolve.model as model_module
 import ddsolve.path as path_module
 from ddsolve.cli import parse_problem_file
 from ddsolve.model import DUAL_EQ_TOL, dual_residual, make_iterate, member_image, shifted_image
+from conftest import SOC_RUN
 from oracles import OracleInstance, oracle_sigma_f
 from ddsolve.path import _kkt_solve
 
@@ -387,6 +388,38 @@ def test_predictor_rejects_a_trial_whose_proximity_raises(box_problem, monkeypat
     assert predicted.proximity <= path_module.PREDICTOR_RADIUS * problem.kappa
 
 
+@pytest.mark.parametrize("fixture,run,eps", [("inf_problem", "inf_run", 1e-6),
+                                             ("soc_problem", "soc_run", SOC_RUN[1])])
+def test_predictor_rejects_a_trial_whose_restoration_leaves_dual_cone(fixture, run, eps,
+                                                                      request, monkeypatch):
+    # the first dual restoration after the third predictor starts is that
+    # of a trial within the outer radius, formed as the corrector's first
+    # Newton point.  Sent out of int D*, it must cost the predictor a
+    # halving, not end the run: the run ends in its unperturbed status
+    problem, start = request.getfixturevalue(fixture)
+    reference = request.getfixturevalue(run)
+    original_predictor = path_module.predictor_step
+    original_restore = path_module._restore_dual_equality
+    predictors, sent = [], []
+
+    def predictor_step(*args):
+        predictors.append(None)
+        return original_predictor(*args)
+
+    def restore(problem, start, tau, y):
+        restored = original_restore(problem, start, tau, y)
+        if len(predictors) == 3 and not sent:
+            sent.append(-restored)
+            assert not problem.barrier.interior(sent[0], "conjugate")
+            return sent[0]
+        return restored
+    monkeypatch.setattr(path_module, "predictor_step", predictor_step)
+    monkeypatch.setattr(path_module, "_restore_dual_equality", restore)
+    result = dd.follow(problem, start, dd.FollowerOptions(eps=eps))
+    assert sent and len(reference.trace) > 4
+    assert result.report.status == reference.report.status
+
+
 def _first_order_predictor(problem, start, point):
     """Reference first-order predictor: trial points p + dmu * t, dmu
     halved from the fraction-to-boundary cap along the tangent t until
@@ -559,7 +592,8 @@ def test_follower_with_other_neighborhood_constants(xi, kappa):
                                              ("tangent_problem", "tangent_run", 1e-2)])
 def test_evaluation_budget(fixture, run, eps, request, monkeypatch):
     # every Newton point is evaluated once on the primal side, by one
-    # grad_hess: at each corrector's start and at each accepted corrector
+    # grad_hess: at each corrector's start, which the predictor forms at
+    # the trial it accepts and hands over, and at each accepted corrector
     # trial, with no separate primal grad or hess.  A predictor tangent
     # reuses the evaluation of the corrector before it, so only the first
     # tangent, from the mu = 1 point, evaluates its own.  Each Newton point
@@ -569,9 +603,10 @@ def test_evaluation_budget(fixture, run, eps, request, monkeypatch):
     # residuals run once per corrector pass, A is factored once per
     # problem, not per corrector step, and two proximities per corrector:
     # one where its exit test holds, and one at the exit point's own mu.
-    # Each Newton point forms its shifted image once, in _evaluate, and the
-    # exit reads it, as each predictor trial's proximity reads the image
-    # the trial formed once, in member_image
+    # Each corrector trial forms its shifted image once, in _evaluate, and
+    # the exit reads it, as each predictor trial's proximity, and the
+    # Newton point formed at the accepted trial, read the image the trial
+    # formed once, in member_image
     base, start = request.getfixturevalue(fixture)
     reference = request.getfixturevalue(run)
     problem = replace(base)   # without the factors the reference run formed
@@ -584,7 +619,8 @@ def test_evaluation_budget(fixture, run, eps, request, monkeypatch):
     monkeypatch.setattr(np.linalg, "qr", qr)
     counts = dict.fromkeys(["grad", "hess", "grad_hess", "residuals", "tangents", "kkt",
                             "kkt_matvec", "correctors", "corrector_proximity",
-                            "iterates", "newton_points", "dual_checks",
+                            "iterates", "newton_points", "predictor_newton_points",
+                            "dual_checks",
                             "corrector_boundary", "predictor_trials",
                             "predictor_images", "corrector_images"], 0)
     active = []   # keys of the counted path functions now running
@@ -632,9 +668,10 @@ def test_evaluation_budget(fixture, run, eps, request, monkeypatch):
             return original(*args)
         monkeypatch.setattr(path_module, name, wrapped)
 
-    def evaluate(*args, newton=False):
+    def evaluate(*args, newton=False, u=None):
         counts["newton_points"] += newton
-        return original_evaluate(*args, newton=newton)
+        counts["predictor_newton_points"] += newton and "tangents" in active
+        return original_evaluate(*args, newton=newton, u=u)
 
     def matvec(self, v):
         counts["kkt_matvec"] += "kkt" in active
@@ -677,19 +714,22 @@ def test_evaluation_budget(fixture, run, eps, request, monkeypatch):
     assert counts["correctors"] > 0
     assert counts["grad"] == counts["hess"] == 0
     # one point for the first tangent, and per corrector its start plus
-    # one per step, each step's full trial accepted
+    # one per step, each step's full trial accepted; each predictor forms
+    # exactly one Newton point, its corrector's start, and the corrector
+    # checks only its own trials' duals
     newton_steps = counts["kkt"] - counts["tangents"]
     newton_points = counts["correctors"] + newton_steps
     assert counts["newton_points"] == newton_points
+    assert counts["predictor_newton_points"] == counts["tangents"] == counts["correctors"]
     assert counts["grad_hess"] == 1 + newton_points
-    assert counts["dual_checks"] == newton_points
+    assert counts["dual_checks"] == newton_points - counts["correctors"]
     assert counts["corrector_boundary"] == 0
     assert counts["residuals"] == counts["correctors"] + newton_steps
     assert counts["kkt_matvec"] == counts["kkt"]
     assert counts["corrector_proximity"] == 2 * counts["correctors"]
-    # one image per Newton point, none at a corrector's exit, and
-    # make_iterate only for follow's mu = 1 point
-    assert counts["corrector_images"] == newton_points
+    # one image per corrector trial, none at a corrector's start or exit,
+    # and make_iterate only for follow's mu = 1 point
+    assert counts["corrector_images"] == newton_points - counts["correctors"]
     assert counts["iterates"] == 1
     # one image per trial, and one for the first tangent's plain iterate
     assert counts["predictor_images"] == counts["predictor_trials"] + 1
@@ -772,6 +812,27 @@ def test_predictor_reads_handed_over_evaluation(fixture, request):
         assert (predicted.tau, predicted.mu, predicted.proximity) == \
             (own.tau, own.mu, own.proximity)
         assert tangent[0] == own_tangent[0] and np.array_equal(tangent[1], own_tangent[1])
+
+
+@pytest.mark.parametrize("fixture", ["box_problem", "soc_problem", "tangent_problem"])
+def test_corrector_reads_handed_over_newton_point(fixture, request):
+    # each predictor hands its corrector the first Newton point, formed at
+    # the trial it accepted; from a plain Iterate copy of that trial, which
+    # the corrector evaluates itself, the correction must be the same bit
+    # for bit
+    problem, start = request.getfixturevalue(fixture)
+    point = make_iterate(problem, start, np.zeros(problem.n), 1.0, start.y0)
+    tangent = None
+    for _ in range(6):
+        predicted, tangent = dd.predictor_step(problem, start, point, tangent)
+        assert isinstance(predicted, path_module._Accepted)
+        plain = dd.Iterate(x=predicted.x.copy(), tau=predicted.tau, y=predicted.y.copy(),
+                           mu=predicted.mu, proximity=predicted.proximity)
+        own = dd.corrector_step(problem, start, plain)
+        point = dd.corrector_step(problem, start, predicted)
+        for name in ("x", "y", "u", "g"):
+            assert np.array_equal(getattr(point, name), getattr(own, name))
+        assert (point.tau, point.mu, point.proximity) == (own.tau, own.mu, own.proximity)
 
 
 @pytest.mark.parametrize("change,message", [
