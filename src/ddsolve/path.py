@@ -45,6 +45,7 @@ from .model import (
     Iterate,
     Problem,
     StartData,
+    _scale_dual,
     dual_equation_residual,
     dual_residual,
     gap_bounds,
@@ -152,9 +153,12 @@ def _evaluate(problem, start, x, tau, y, mu, *, newton=False, u=None) -> _Point:
     return _Point(x=x, tau=tau, y=y, mu=mu, proximity=np.nan, u=u, g=g, H=H)
 
 
-def _residuals(problem, start, point: _Point) -> Residuals:
-    """Residuals of equations (b), (c), (d) at an evaluated point and its
-    mu, and their scaled norm, the gap block scaled with <c, x> and <y, u>."""
+def residuals(problem: Problem, start: StartData, point: Iterate) -> Residuals:
+    """Residuals of equations (b), (c), (d) at a point and its mu, and their
+    scaled norm, the gap block scaled with <c, x> and <y, u>.  A point not
+    the follower's is first evaluated and checked by :func:`_evaluate`."""
+    if not isinstance(point, _Point):
+        point = _evaluate(problem, start, point.x, point.tau, point.y, point.mu)
     x, tau, y, mu = point.x, point.tau, point.y, point.mu
     r_dual = dual_equation_residual(problem, start, tau, y)
     r_cent = y - (mu / tau) * point.g
@@ -167,14 +171,6 @@ def _residuals(problem, start, point: _Point) -> Residuals:
     scaled_norm = max(abs(r_gap) / scale_gap, float(np.abs(r_cent).max()) / scale_cent,
                       float(np.abs(r_dual).max(initial=0.0)) / scale_dual)
     return Residuals(r_dual, r_cent, r_gap, scaled_norm)
-
-
-def residuals(problem: Problem, start: StartData, x, tau: float, y, mu: float) -> Residuals:
-    """Residuals of equations (b), (c), (d) at the given point and mu, the
-    point formed and checked here by :func:`_evaluate`."""
-    point = _evaluate(problem, start, np.asarray(x, dtype=float), float(tau),
-                      np.asarray(y, dtype=float), mu)
-    return _residuals(problem, start, point)
 
 
 def _kkt_solve(problem, start, point: _Point, b_dual, b_cent, b_gap):
@@ -271,7 +267,7 @@ def corrector_step(problem: Problem, start: StartData, point: Iterate) -> Iterat
              _evaluate(problem, start, point.x, point.tau, point.y, point.mu, newton=True))
     last_res = np.inf
     for k in range(CORRECTOR_MAX_STEPS):
-        res = _residuals(problem, start, point)
+        res = residuals(problem, start, point)
         rnorm = res.scaled_norm
         settled = rnorm <= CORRECTOR_RESIDUAL_TOL or rnorm >= 0.9 * last_res
         if settled or k == CORRECTOR_MAX_STEPS - 1:
@@ -331,9 +327,11 @@ def predictor_step(problem: Problem, start: StartData, point: Iterate, previous=
     on its u; a trial whose restored dual leaves D* there is rejected.
 
     Raises PredictorStall when no relative increase of at least 1e-12 is
-    acceptable, and the Newton point's FactorizationFailure.
+    acceptable, DomainViolation unless a plain Iterate's mu > 0, and the
+    Newton point's FactorizationFailure.
     """
     if not isinstance(point, _Point):
+        _scale_dual(point.tau, point.y, point.mu)   # the model's mu > 0 check
         point = _evaluate(problem, start, point.x, point.tau, point.y, point.mu)
     mu, x, tau, y = point.mu, point.x, point.tau, point.y
     tx, ttau, ty = _kkt_solve(problem, start, point, np.zeros(problem.n), point.g / tau,

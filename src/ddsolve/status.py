@@ -40,6 +40,7 @@ from .model import (
     Iterate,
     Problem,
     StartData,
+    _scale_dual,
     positive_tau,
     shifted_image,
     support_function,
@@ -361,12 +362,12 @@ def strict_infeasibility_certificate(problem: Problem, start: StartData,
     with <w, z0> = -0.9 tau xi theta as one more equality.
 
     Raises ProjectionOutsideCone when the projection leaves the dual cone
-    (too early on the path) or its support is not negative.
+    (too early on the path) or its support is not negative, and
+    DomainViolation unless the point's mu > 0.
     """
-    tau, mu, y = point.tau, point.mu, point.y
-    v = (tau / mu) * y
+    v = _scale_dual(point.tau, point.y, point.mu)
     metric = problem.barrier.hess(v, CONJUGATE)
-    bound = -INFEASIBILITY_PROJECTION_FACTOR * tau * problem.xi * problem.theta
+    bound = -INFEASIBILITY_PROJECTION_FACTOR * point.tau * problem.xi * problem.theta
 
     zeros = np.zeros(problem.n)
     try:

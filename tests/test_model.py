@@ -372,7 +372,8 @@ def test_shifted_image_needs_a_positive_tau(box_problem, tau):
             with pytest.raises(dd.DomainViolation, match=f"tau must be positive, got {tau}"):
                 shifted_image(problem, start, [0.0], t)
             with pytest.raises(dd.DomainViolation, match=f"tau must be positive, got {tau}"):
-                dd.residuals(problem, start, [0.0], t, start.y0, 1.0)
+                dd.residuals(problem, start, dd.Iterate(x=np.zeros(1), tau=t, y=start.y0, mu=1.0,
+                                                        proximity=np.nan))
     assert caught == []
 
 

@@ -17,9 +17,14 @@ from oracles import OracleInstance, oracle_sigma_f
 from ddsolve.path import _kkt_solve
 
 
+def _plain(x, tau, y, mu):
+    """(x, tau, y) at ``mu`` as a plain Iterate, which residuals evaluates."""
+    return dd.Iterate(x=x, tau=tau, y=y, mu=mu, proximity=np.nan)
+
+
 def test_residuals_vanish_at_initial_point(box_problem):
     problem, start = box_problem
-    res = dd.residuals(problem, start, np.zeros(1), 1.0, start.y0, 1.0)
+    res = dd.residuals(problem, start, _plain(np.zeros(1), 1.0, start.y0, 1.0))
     assert np.allclose(res.r_dual, 0.0, atol=1e-14)
     assert np.allclose(res.r_cent, 0.0, atol=1e-14)
     assert res.r_gap == pytest.approx(0.0, abs=1e-14)
@@ -30,7 +35,7 @@ def test_residuals_at_doubled_parameter(fixture, request):
     # at the mu=1 anchor evaluated with mu=2: the centering residual is
     # y0 - 2*Phi'(z0) = -y0 and the gap residual collapses to theta*xi
     problem, start = request.getfixturevalue(fixture)
-    res = dd.residuals(problem, start, np.zeros(problem.n), 1.0, start.y0, 2.0)
+    res = dd.residuals(problem, start, _plain(np.zeros(problem.n), 1.0, start.y0, 2.0))
     assert np.allclose(res.r_cent, -start.y0, atol=1e-12)
     assert res.r_gap == pytest.approx(problem.theta * problem.xi, rel=1e-12)
 
@@ -38,9 +43,9 @@ def test_residuals_at_doubled_parameter(fixture, request):
 def test_residuals_raise_outside_domain(box_problem):
     problem, start = box_problem
     with pytest.raises(dd.DomainViolation):
-        dd.residuals(problem, start, np.array([5.0]), 1.0, start.y0, 1.0)
+        dd.residuals(problem, start, _plain(np.array([5.0]), 1.0, start.y0, 1.0))
     with pytest.raises(dd.DomainViolation):
-        dd.residuals(problem, start, np.zeros(1), -1.0, start.y0, 1.0)
+        dd.residuals(problem, start, _plain(np.zeros(1), -1.0, start.y0, 1.0))
 
 
 def test_corrector_fixed_point_on_path(box_problem):
@@ -130,7 +135,7 @@ def test_corrector_rejects_restoration_leaving_dual_cone(inf_problem, monkeypatc
     monkeypatch.setattr(path_module, "_restore_dual_equality",
                         lambda problem, start, tau, y: -y)
     # the check comes before the residuals, which must not be reached
-    monkeypatch.setattr(path_module, "_residuals", None)
+    monkeypatch.setattr(path_module, "residuals", None)
     with pytest.raises(dd.DomainViolation,
                        match="scaled dual point left the dual cone interior"):
         dd.corrector_step(problem, start, replace(point, mu=2.0))
@@ -140,8 +145,8 @@ def _first_newton_step(problem, start, x, tau, y, mu):
     """The corrector's first Newton direction from (x, tau, y), and the
     restored y it starts from."""
     y = path_module._restore_dual_equality(problem, start, tau, y)
-    res = dd.residuals(problem, start, x, tau, y, mu)
     point = path_module._evaluate(problem, start, x, tau, y, mu)
+    res = dd.residuals(problem, start, point)
     return y, _kkt_solve(problem, start, point, -res.r_dual, -res.r_cent, -res.r_gap)
 
 
@@ -270,6 +275,21 @@ def test_corrector_rejects_start_outside_domain(box_problem, x, tau, message):
         dd.corrector_step(problem, start, point)
 
 
+@pytest.mark.parametrize("step", [dd.predictor_step, dd.strict_infeasibility_certificate],
+                         ids=["predictor", "strict"])
+@pytest.mark.parametrize("mu", [0.0, -1.0, np.nan])
+def test_public_steps_need_a_positive_parameter(inf_problem, step, mu):
+    # a plain point at mu <= 0 or NaN gave the predictor numpy's log
+    # warning and a PredictorStall, and the strict projection a bare
+    # ZeroDivisionError; both ask the model's check, as the corrector does
+    problem, start = inf_problem
+    point = replace(make_iterate(problem, start, np.zeros(1), 1.0, start.y0), mu=mu)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(dd.DomainViolation, match="path parameter must be positive, got"):
+            step(problem, start, point)
+
+
 @pytest.mark.parametrize("fixture,run", [("box_problem", "box_run"),
                                          ("inf_problem", "inf_run"),
                                          ("unb_problem", "unb_run")])
@@ -277,7 +297,7 @@ def test_scaled_residuals_small_at_iterates(fixture, run, request):
     problem, start = request.getfixturevalue(fixture)
     result = request.getfixturevalue(run)
     for it in result.iterates[1:]:
-        res = dd.residuals(problem, start, it.x, it.tau, it.y, it.mu)
+        res = dd.residuals(problem, start, it)
         assert res.scaled_norm <= 1e-8
 
 
@@ -330,8 +350,8 @@ def test_kkt_solve_matches_unreduced_system(fixture, run, request):
     for it in request.getfixturevalue(run).iterates:
         if it.mu > 1e2:
             continue
-        res = dd.residuals(problem, start, it.x, it.tau, it.y, 2.0 * it.mu)
         evaluated = path_module._evaluate(problem, start, it.x, it.tau, it.y, 2.0 * it.mu)
+        res = dd.residuals(problem, start, evaluated)
         g = evaluated.g
         for point, rhs in [
             (replace(evaluated, mu=it.mu),
@@ -650,7 +670,7 @@ def test_evaluation_budget(fixture, run, eps, request, monkeypatch):
     count_primal("grad")
     count_primal("hess")
     count_primal("grad_hess")
-    count_calls("_residuals", "residuals")
+    count_calls("residuals", "residuals")
     count_calls("predictor_step", "tangents")
     count_calls("_kkt_solve", "kkt")
     count_calls("corrector_step", "correctors")
@@ -744,8 +764,8 @@ def test_evaluation_budget(fixture, run, eps, request, monkeypatch):
 def test_reused_evaluations_match_public_functions(fixture, run, request):
     # the follower keeps each point's evaluation instead of forming it
     # again; the public functions, forming everything themselves, must give
-    # every recorded proximity, and the residuals of every recorded point,
-    # bit for bit
+    # every recorded proximity, and the residuals of every recorded point
+    # (from a plain Iterate copy, which residuals evaluates), bit for bit
     problem, start = request.getfixturevalue(fixture)
     iterates = request.getfixturevalue(run).iterates
     # every iterate after the first is a corrector's point, which keeps the
@@ -756,8 +776,8 @@ def test_reused_evaluations_match_public_functions(fixture, run, request):
                                it.mu) == it.proximity
         point = (it if isinstance(it, path_module._Point)
                  else path_module._evaluate(problem, start, it.x, it.tau, it.y, it.mu))
-        private = path_module._residuals(problem, start, point)
-        public = dd.residuals(problem, start, it.x, it.tau, it.y, it.mu)
+        private = dd.residuals(problem, start, point)
+        public = dd.residuals(problem, start, _plain(it.x, it.tau, it.y, it.mu))
         assert np.array_equal(public.r_dual, private.r_dual)
         assert np.array_equal(public.r_cent, private.r_cent)
         assert public.r_gap == private.r_gap
@@ -778,8 +798,8 @@ def test_scaled_norm_reads_the_gap_products(fixture, request, monkeypatch):
     def record(problem, start, point):
         recorded.append((point, original(problem, start, point)))
         return recorded[-1][1]
-    original = path_module._residuals
-    monkeypatch.setattr(path_module, "_residuals", record)
+    original = path_module.residuals
+    monkeypatch.setattr(path_module, "residuals", record)
     dd.follow(problem, start, dd.FollowerOptions(eps=1e-4, max_iters=40))
     assert len(recorded) > 20
     for p, res in recorded:
@@ -868,7 +888,7 @@ def test_dual_equation_residual_has_one_owner(soc_problem, soc_run, monkeypatch)
     it = soc_run.iterates[3]
     assert path_module.dual_equation_residual is model_module.dual_equation_residual
     original = model_module.dual_equation_residual
-    before = (path_module._residuals(problem, start, it).r_dual,
+    before = (path_module.residuals(problem, start, it).r_dual,
               dual_residual(problem, start, it.tau, it.y),
               path_module._restore_dual_equality(problem, start, it.tau, it.y))
     shift = np.linspace(1e-3, 2e-3, problem.n)
@@ -879,7 +899,7 @@ def test_dual_equation_residual_has_one_owner(soc_problem, soc_run, monkeypatch)
         monkeypatch.setattr(module, "dual_equation_residual", shifted)
     r = original(problem, start, it.tau, it.y) + shift
     Q, r_inv_t = problem.qr_factors
-    after = (path_module._residuals(problem, start, it).r_dual,
+    after = (path_module.residuals(problem, start, it).r_dual,
              dual_residual(problem, start, it.tau, it.y),
              path_module._restore_dual_equality(problem, start, it.tau, it.y))
     assert np.array_equal(after[0], r) and not np.array_equal(before[0], r)
