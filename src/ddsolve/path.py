@@ -156,8 +156,10 @@ def _evaluate(problem, start, x, tau, y, mu, *, newton=False, u=None) -> _Point:
 def residuals(problem: Problem, start: StartData, point: Iterate) -> Residuals:
     """Residuals of equations (b), (c), (d) at a point and its mu, and their
     scaled norm, the gap block scaled with <c, x> and <y, u>.  A point not
-    the follower's is first evaluated and checked by :func:`_evaluate`."""
+    the follower's has its mu checked by the model and is first evaluated
+    and checked by :func:`_evaluate`."""
     if not isinstance(point, _Point):
+        _scale_dual(point.tau, point.y, point.mu)   # the model's mu > 0 check
         point = _evaluate(problem, start, point.x, point.tau, point.y, point.mu)
     x, tau, y, mu = point.x, point.tau, point.y, point.mu
     r_dual = dual_equation_residual(problem, start, tau, y)

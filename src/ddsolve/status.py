@@ -299,19 +299,20 @@ def check_status(problem: Problem, start: StartData, iterates: list, violations:
     A certificate status is reported with its certificate re-verified from
     the problem data, and never with a payload that fails: then the report
     is a NumericalFailure without the certificate, keeping the verification
-    that failed.
+    that failed.  Raises the model's DomainViolation unless the iterate's
+    mu > 0.
     """
     require_eps(eps)
     point = iterates[-1]
     x, tau, y, mu = point.x, point.tau, point.y, point.mu
+    scaled = _scale_dual(tau, y, mu)   # the model's mu > 0 check
     aty = problem.A.T @ y
     if sp.max() <= eps:
         status = EPS_SOLUTION
         cert = Certificate(kind="optimal-pair", strict=False, eps=eps, x=x, y=y / tau, tau=tau)
-    # the scaled dual and its support are formed only where the cheap norm
+    # the support of the scaled dual is formed only where the cheap norm
     # test passes
-    elif ((tau / mu) * _norm(aty) <= eps
-            and support_function(problem, scaled := (tau / mu) * y) < 0.0):
+    elif (tau / mu) * _norm(aty) <= eps and support_function(problem, scaled) < 0.0:
         status = INFEASIBILITY_CERTIFICATE
         cert = Certificate(kind="infeasibility", strict=False, eps=eps, y=scaled)
     elif float(problem.c @ x) <= -1.0 / eps:

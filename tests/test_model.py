@@ -9,6 +9,7 @@ import pytest
 import ddsolve as dd
 from ddsolve import barriers
 from ddsolve.model import _cholesky_full_rank, dual_residual, mu_of, scaled_dual, shifted_image
+from probe import Probe
 
 
 def mu_forms(problem, start, x, tau, y):
@@ -57,18 +58,6 @@ def with_singular_values(rng, m, s):
     return (U * s) @ V.T
 
 
-def count_svd_calls(monkeypatch):
-    calls = []
-    svd = np.linalg.svd
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted)
-    return calls
-
-
 def test_cholesky_screen_never_accepts_what_the_svd_rejects():
     # singular values log-uniform over 14 decades, up to 60 x 60, scaled
     # by a power of two; the screen may leave any A to the SVD, but it
@@ -101,11 +90,12 @@ def test_validate_well_conditioned_without_svd(monkeypatch, scale):
     # without the screen's exact power-of-two scaling
     A = np.ldexp(with_singular_values(np.random.default_rng(3), 30, [1.0, 0.5, 0.2, 0.1]),
                  scale)
-    calls = count_svd_calls(monkeypatch)
+    probe = Probe(monkeypatch)
+    probe.count(np.linalg, "svd")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         problem = dd.validate_problem(A, np.zeros(4), [dd.halfline_lower(i) for i in range(30)])
-    assert caught == [] and calls == []
+    assert caught == [] and probe["svd"] == 0
     assert problem.n == 4
 
 
@@ -117,7 +107,8 @@ def test_rank_decisions_near_the_threshold_are_the_svds(monkeypatch):
     cases += [with_singular_values(rng, 8, [1.0, 0.3, ratio]) for ratio in (1e-9, 1e-11)]
     messages = [svd_rank_message(A) for A in cases]
     assert [message is None for message in messages] == [False, False, True, False]
-    calls = count_svd_calls(monkeypatch)
+    probe = Probe(monkeypatch)
+    probe.count(np.linalg, "svd")
     for A, message in zip(cases, messages):
         atoms = [dd.halfline_lower(i) for i in range(A.shape[0])]
         if message is None:
@@ -126,7 +117,7 @@ def test_rank_decisions_near_the_threshold_are_the_svds(monkeypatch):
             with pytest.raises(dd.RankDeficient) as raised:
                 dd.validate_problem(A, np.zeros(A.shape[1]), atoms)
             assert str(raised.value) == message
-    assert len(calls) == len(cases)
+    assert probe["svd"] == len(cases)
 
 
 def test_validate_atom_coverage():
@@ -219,22 +210,20 @@ def test_default_start_soc_offset(soc_problem):
 
 def test_make_start_builds_no_metric_block(monkeypatch):
     # y0 is the barrier gradient at z0; its metric is never read
-    built = []
-    for cls in (barriers._SocBlock, barriers._DiagonalBlock, barriers.BlockMetric):
-        def counted(self, *args, _init=cls.__init__, _name=cls.__name__):
-            built.append(_name)
-            _init(self, *args)
-        monkeypatch.setattr(cls, "__init__", counted)
+    probe = Probe(monkeypatch)
+    blocks = (barriers._SocBlock, barriers._DiagonalBlock, barriers.BlockMetric)
+    for cls in blocks:
+        probe.count(cls, "__init__", cls)
     atoms = [dd.halfline_lower(0, 0.0), dd.box(1, -1.0, 2.0), dd.halfline_upper(2, 3.0),
              dd.soc([3, 4, 5], [0.5, 0.0, 0.0])]
     A = np.vstack([np.eye(3), np.eye(3)])
     problem = dd.validate_problem(A, [1.0, -1.0, 0.5], atoms)
     start = dd.make_start(problem)
     dd.make_start(problem, start.z0 + 0.1)
-    assert built == []
+    assert [probe[cls] for cls in blocks] == [0, 0, 0]
     # the counters see a metric
     problem.barrier.grad_hess(start.z0)
-    assert sorted(built) == ["BlockMetric", "_DiagonalBlock", "_SocBlock"]
+    assert [probe[cls] for cls in blocks] == [1, 1, 1]
 
 
 def test_explicit_z0_must_be_interior(box_problem):

@@ -13,6 +13,7 @@ import ddsolve.path as path_module
 from ddsolve.cli import parse_problem_file
 from ddsolve.model import DUAL_EQ_TOL, dual_residual, make_iterate, member_image, shifted_image
 from conftest import SOC_RUN
+from probe import Probe
 from oracles import OracleInstance, oracle_sigma_f
 from ddsolve.path import _kkt_solve
 
@@ -275,13 +276,22 @@ def test_corrector_rejects_start_outside_domain(box_problem, x, tau, message):
         dd.corrector_step(problem, start, point)
 
 
-@pytest.mark.parametrize("step", [dd.predictor_step, dd.strict_infeasibility_certificate],
-                         ids=["predictor", "strict"])
+def _check_status_alone(problem, start, point):
+    """check_status with ``point`` as the run's one iterate, at eps 1e-6."""
+    return dd.check_status(problem, start, [point], [], 1e-6,
+                           sp=dd.stop_params(problem, start, point.x, point.tau, point.y))
+
+
+@pytest.mark.parametrize("step", [dd.predictor_step, dd.strict_infeasibility_certificate,
+                                  dd.residuals, _check_status_alone],
+                         ids=["predictor", "strict", "residuals", "check_status"])
 @pytest.mark.parametrize("mu", [0.0, -1.0, np.nan])
 def test_public_steps_need_a_positive_parameter(inf_problem, step, mu):
     # a plain point at mu <= 0 or NaN gave the predictor numpy's log
-    # warning and a PredictorStall, and the strict projection a bare
-    # ZeroDivisionError; both ask the model's check, as the corrector does
+    # warning and a PredictorStall, the strict projection a bare
+    # ZeroDivisionError, residuals a scaled norm and check_status a
+    # ZeroDivisionError or no status; all ask the model's check, as the
+    # corrector does
     problem, start = inf_problem
     point = replace(make_iterate(problem, start, np.zeros(1), 1.0, start.y0), mu=mu)
     with warnings.catch_warnings():
@@ -630,132 +640,64 @@ def test_evaluation_budget(fixture, run, eps, request, monkeypatch):
     base, start = request.getfixturevalue(fixture)
     reference = request.getfixturevalue(run)
     problem = replace(base)   # without the factors the reference run formed
-    factored = []
-    original_qr = np.linalg.qr
-
-    def qr(a, *args, **kwargs):
-        factored.append(a)
-        return original_qr(a, *args, **kwargs)
-    monkeypatch.setattr(np.linalg, "qr", qr)
-    counts = dict.fromkeys(["grad", "hess", "grad_hess", "residuals", "tangents", "kkt",
-                            "kkt_matvec", "correctors", "corrector_proximity",
-                            "iterates", "newton_points", "predictor_newton_points",
-                            "dual_checks",
-                            "corrector_boundary", "predictor_trials",
-                            "predictor_images", "corrector_images"], 0)
-    active = []   # keys of the counted path functions now running
-
-    def count_primal(name):
-        original = getattr(dd.barriers.DomainBarrier, name)
-
-        def wrapped(self, z, side="primal"):
-            out = original(self, z, side)
-            # a trial rejected by DomainViolation is not an evaluated point
-            counts[name] += side == "primal"
-            return out
-        monkeypatch.setattr(dd.barriers.DomainBarrier, name, wrapped)
-
-    def count_calls(name, key):
-        original = getattr(path_module, name)
-
-        def wrapped(*args, **kwargs):
-            counts[key] += 1
-            active.append(key)
-            try:
-                return original(*args, **kwargs)
-            finally:
-                active.pop()
-        monkeypatch.setattr(path_module, name, wrapped)
-
-    count_primal("grad")
-    count_primal("hess")
-    count_primal("grad_hess")
-    count_calls("residuals", "residuals")
-    count_calls("predictor_step", "tangents")
-    count_calls("_kkt_solve", "kkt")
-    count_calls("corrector_step", "correctors")
-    count_calls("make_iterate", "iterates")
-    original_evaluate = path_module._evaluate
-    original_matvec = dd.barriers.BlockMetric.matvec
-    original_interior = dd.barriers.DomainBarrier.interior
-    original_boundary = dd.barriers.DomainBarrier.step_to_boundary
-
-    def count_proximity(name):
-        original = getattr(path_module, name)
-
-        def wrapped(*args):
-            counts["corrector_proximity"] += "correctors" in active
-            return original(*args)
-        monkeypatch.setattr(path_module, name, wrapped)
-
-    def evaluate(*args, newton=False, u=None):
-        counts["newton_points"] += newton
-        counts["predictor_newton_points"] += newton and "tangents" in active
-        return original_evaluate(*args, newton=newton, u=u)
-
-    def matvec(self, v):
-        counts["kkt_matvec"] += "kkt" in active
-        return original_matvec(self, v)
-
-    def interior(self, z, side="primal"):
-        counts["dual_checks"] += side == "conjugate" and "correctors" in active
-        return original_interior(self, z, side)
-
-    def step_to_boundary(self, z, dz, side="primal"):
-        counts["corrector_boundary"] += "correctors" in active
-        return original_boundary(self, z, dz, side)
-    count_proximity("proximity_at")
-
-    def count_images(module):
-        original = module.shifted_image
-
-        def wrapped(*args):
-            counts["predictor_images"] += "tangents" in active
-            counts["corrector_images"] += "correctors" in active
-            return original(*args)
-        monkeypatch.setattr(module, "shifted_image", wrapped)
-    count_images(dd.model)
-    count_images(path_module)
-    original_member = path_module.member_image
-
-    def member_image(*args):
-        counts["predictor_trials"] += "tangents" in active
-        return original_member(*args)
-    monkeypatch.setattr(path_module, "member_image", member_image)
-    monkeypatch.setattr(path_module, "_evaluate", evaluate)
-    monkeypatch.setattr(dd.barriers.BlockMetric, "matvec", matvec)
-    monkeypatch.setattr(dd.barriers.DomainBarrier, "interior", interior)
-    monkeypatch.setattr(dd.barriers.DomainBarrier, "step_to_boundary", step_to_boundary)
+    barrier = dd.barriers.DomainBarrier
+    primal = {"when": lambda self, z, side="primal": side == "primal"}
+    newton = {"when": lambda *args, newton=False, u=None: newton}
+    probe = Probe(monkeypatch)
+    for owner, name, key, options in [
+            (np.linalg, "qr", None, {}),
+            (np.linalg, "qr", "qr_of_A", {"when": lambda a, *args, **kwargs: a is problem.A}),
+            (barrier, "grad", None, primal),
+            (barrier, "hess", None, primal),
+            (barrier, "grad_hess", None, primal),
+            (path_module, "residuals", None, {}),
+            (path_module, "predictor_step", "tangents", {}),
+            (path_module, "_kkt_solve", "kkt", {}),
+            (path_module, "corrector_step", "correctors", {}),
+            (path_module, "make_iterate", "iterates", {}),
+            (path_module, "_evaluate", "newton_points", newton),
+            (path_module, "_evaluate", "predictor_newton_points", {"inside": "tangents", **newton}),
+            (dd.barriers.BlockMetric, "matvec", "kkt_matvec", {"inside": "kkt"}),
+            (barrier, "interior", "dual_checks",
+             {"inside": "correctors", "when": lambda self, z, side="primal": side == "conjugate"}),
+            (barrier, "step_to_boundary", "corrector_boundary", {"inside": "correctors"}),
+            (path_module, "proximity_at", "corrector_proximity", {"inside": "correctors"}),
+            (path_module, "member_image", "predictor_trials", {"inside": "tangents"}),
+            (dd.model, "shifted_image", "predictor_images", {"inside": "tangents"}),
+            (path_module, "shifted_image", "predictor_images", {"inside": "tangents"}),
+            (dd.model, "shifted_image", "corrector_images", {"inside": "correctors"}),
+            (path_module, "shifted_image", "corrector_images", {"inside": "correctors"})]:
+        probe.count(owner, name, key, **options)
 
     result = dd.follow(problem, start, dd.FollowerOptions(eps=eps))
-    # the counting wrappers do not perturb the run
+    # the probe does not perturb the run
     assert result.trace == reference.trace
-    assert counts["tangents"] == len(result.trace) - 1
-    assert counts["correctors"] > 0
-    assert counts["grad"] == counts["hess"] == 0
+    assert probe["tangents"] == len(result.trace) - 1
+    assert probe["correctors"] > 0
+    assert probe["grad"] == probe["hess"] == 0
     # one point for the first tangent, and per corrector its start plus
     # one per step, each step's full trial accepted; each predictor forms
     # exactly one Newton point, its corrector's start, and the corrector
     # checks only its own trials' duals
-    newton_steps = counts["kkt"] - counts["tangents"]
-    newton_points = counts["correctors"] + newton_steps
-    assert counts["newton_points"] == newton_points
-    assert counts["predictor_newton_points"] == counts["tangents"] == counts["correctors"]
-    assert counts["grad_hess"] == 1 + newton_points
-    assert counts["dual_checks"] == newton_points - counts["correctors"]
-    assert counts["corrector_boundary"] == 0
-    assert counts["residuals"] == counts["correctors"] + newton_steps
-    assert counts["kkt_matvec"] == counts["kkt"]
-    assert counts["corrector_proximity"] == 2 * counts["correctors"]
+    newton_steps = probe["kkt"] - probe["tangents"]
+    newton_points = probe["correctors"] + newton_steps
+    assert probe["newton_points"] == newton_points
+    assert probe["predictor_newton_points"] == probe["tangents"] == probe["correctors"]
+    assert probe["grad_hess"] == 1 + newton_points
+    assert probe["dual_checks"] == newton_points - probe["correctors"]
+    assert probe["corrector_boundary"] == 0
+    assert probe["residuals"] == probe["correctors"] + newton_steps
+    assert probe["kkt_matvec"] == probe["kkt"]
+    assert probe["corrector_proximity"] == 2 * probe["correctors"]
     # one image per corrector trial, none at a corrector's start or exit,
     # and make_iterate only for follow's mu = 1 point
-    assert counts["corrector_images"] == newton_points - counts["correctors"]
-    assert counts["iterates"] == 1
+    assert probe["corrector_images"] == newton_points - probe["correctors"]
+    assert probe["iterates"] == 1
     # one image per trial, and one for the first tangent's plain iterate
-    assert counts["predictor_images"] == counts["predictor_trials"] + 1
-    assert len(factored) == 1 and factored[0] is problem.A
+    assert probe["predictor_images"] == probe["predictor_trials"] + 1
+    assert probe["qr"] == probe["qr_of_A"] == 1
     dd.follow(problem, start, dd.FollowerOptions(eps=1e-6, max_iters=3))
-    assert len(factored) == 1
+    assert probe["qr"] == 1
 
 
 @pytest.mark.parametrize("fixture,run", [("box_problem", "box_run"),
@@ -1000,16 +942,11 @@ def test_stop_params_formed_once_per_iterate(source, options, status, request,
         problem, start = parse_problem_file(instance_path(source))
     else:
         problem, start = request.getfixturevalue(source)
-    calls = []
-    original = dd.status.stop_params
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-    monkeypatch.setattr(dd.status, "stop_params", counted)
+    probe = Probe(monkeypatch)
+    probe.count(dd.status, "stop_params")
     result = dd.follow(problem, start, dd.FollowerOptions(**options))
     assert result.report.status == status
-    assert len(calls) == len(result.trace) + (status == "EpsSolution")
+    assert probe["stop_params"] == len(result.trace) + (status == "EpsSolution")
     last, diagnostics = result.trace[-1], result.report.diagnostics
     assert ((diagnostics["gap"], diagnostics["p_feas"], diagnostics["d_feas"])
             == (last.gap, last.p_feas, last.d_feas))
