@@ -119,6 +119,18 @@ def _norm(t: np.ndarray):
     return math.sqrt(t.dot(t))
 
 
+def _safe_norm(t: np.ndarray) -> float:
+    """``_norm(t)``, except where its sum of squares overflows for a finite
+    ``t`` (an entry past about 1.3e154): there the norm of ``t`` scaled by
+    its largest |entry|, times that entry."""
+    with np.errstate(over="ignore"):
+        norm = _norm(t)
+    if norm == math.inf and np.isfinite(t).all():
+        scale = float(np.max(np.abs(t)))
+        return scale * _norm(t / scale)
+    return norm
+
+
 def _selector(coords):
     """The index that reads a group's coordinates: a basic slice when they
     are consecutive and ascending, so reads are views and writes need no

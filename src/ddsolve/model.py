@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .barriers import CONJUGATE, PRIMAL, DomainBarrier, _norm
+from .barriers import CONJUGATE, PRIMAL, DomainBarrier, _norm, _safe_norm
 from .errors import AtomCoverage, BadConstants, DomainViolation, RankDeficient, ValidationError
 
 DUAL_EQ_TOL = 1e-9
@@ -66,8 +66,8 @@ class Problem:
 
     @cached_property
     def c_norm(self) -> float:
-        """||c||."""
-        return float(np.linalg.norm(self.c))
+        """||c||, finite for finite c; of a strided c's copy, as np.linalg.norm."""
+        return _safe_norm(self.c.ravel())
 
     @cached_property
     def dual_eq_tol(self) -> float:

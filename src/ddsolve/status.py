@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .barriers import CONJUGATE, PRIMAL, _norm
+from .barriers import CONJUGATE, PRIMAL, _norm, _safe_norm
 from .errors import ProjectionOutsideCone, ProjectionOutsideDomain
 from .model import (
     Iterate,
@@ -95,7 +95,7 @@ def stop_params(problem: Problem, start: StartData, x, tau: float, y) -> StopPar
         gap = abs(cx + dst) / (1.0 + abs(cx) + abs(dst))
     p_feas = start.z0_norm / tau
     r = problem.A.T @ y / tau + problem.c
-    d_feas = _norm(r) / (1.0 + problem.c_norm)
+    d_feas = _safe_norm(r) / (1.0 + problem.c_norm)
     return StopParams(gap=float(gap), p_feas=p_feas, d_feas=d_feas)
 
 
@@ -396,8 +396,8 @@ def strict_unboundedness_certificate(problem: Problem, start: StartData,
 
     Active set on the cut: when the least-squares fit breaks it, project
     again with <c, x> = -1/eps as the one equality.  Raises
-    ProjectionOutsideDomain if the projected point is not interior, and
-    ValueError, before any work, unless eps lies in (0, 1).
+    ProjectionOutsideDomain if the projection overflows or its point is
+    not interior, and ValueError, before any work, unless eps is in (0, 1).
     """
     require_eps(eps)
     x, tau = point.x, point.tau
@@ -406,13 +406,16 @@ def strict_unboundedness_certificate(problem: Problem, start: StartData,
     try:
         # in x-space the metric is A'HA, and the unconstrained projection
         # is the least-squares fit of A x to u
-        normal = problem.A.T @ metric.matvec(problem.A)
-        xhat = np.linalg.solve(normal, problem.A.T @ metric.matvec(u))
-        if float(problem.c @ xhat) > -1.0 / eps:
-            xhat = _weighted_projection(lambda b: np.linalg.solve(normal, b),
-                                        problem.c[:, None], np.array([-1.0 / eps]), xhat)
+        with np.errstate(over="raise"):
+            normal = problem.A.T @ metric.matvec(problem.A)
+            xhat = np.linalg.solve(normal, problem.A.T @ metric.matvec(u))
+            if float(problem.c @ xhat) > -1.0 / eps:
+                xhat = _weighted_projection(lambda b: np.linalg.solve(normal, b),
+                                            problem.c[:, None], np.array([-1.0 / eps]), xhat)
     except np.linalg.LinAlgError as exc:
         raise ProjectionOutsideDomain(f"projection system singular: {exc}") from exc
+    except FloatingPointError as exc:
+        raise ProjectionOutsideDomain(f"projection overflowed: {exc}") from exc
     margin = problem.barrier.min_margin(problem.A @ xhat, PRIMAL)
     if not margin > 0.0:
         raise ProjectionOutsideDomain(f"projected point margin {margin:.3e} is not positive")

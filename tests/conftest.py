@@ -51,7 +51,7 @@ def started(build):
     """``build()``'s problem and its default start, as the ``*_problem``
     fixtures hold them."""
     problem = build()
-    return problem, dd.default_z0(problem)
+    return problem, dd.make_start(problem)
 
 
 def follow_at(problem_start, eps):

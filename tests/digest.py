@@ -94,7 +94,7 @@ def _small_reports(h) -> list:
     lines = []
     for build in (build_box, build_inf, build_unb, build_soc, build_tangent):
         problem = build()
-        start = dd.default_z0(problem)
+        start = dd.make_start(problem)
         for eps in SMALL_EPS:
             for max_iters in SMALL_MAX_ITERS:
                 for strict in (False, True):

@@ -9,8 +9,11 @@ compute the barrier's gradient, metric, margins and exit steps with plain
 numpy calls, to show that ``ddsolve.barriers`` gives the same bits.  The
 exact forms (end of the file) evaluate the dual linear equation's residual
 and the path parameter's three forms without rounding, to count the
-iterates a float check passes or fails by rounding alone.  All of them
-exist for the test suite and are not part of the installed package.
+iterates a float check passes or fails by rounding alone.  The property
+checks (after the oracles) each test one of the paper's claims about a run
+or a certificate and return its failure messages: a unit test asserts the
+list is empty, and an acceptance criterion reports it.  All of them exist
+for the test suite and are not part of the installed package.
 """
 
 from __future__ import annotations
@@ -33,8 +36,11 @@ from ddsolve.barriers import (
     _DiagonalBlock,
     _SocBlock,
 )
-from ddsolve.errors import DomainViolation, FactorizationFailure, SolverError
-from ddsolve.model import Problem, StartData, dual_residual, support_function
+from ddsolve.cli import main
+from ddsolve.errors import (DomainViolation, FactorizationFailure, ProjectionOutsideCone,
+                            SolverError)
+from ddsolve.model import Problem, StartData, dual_residual, gap_bounds, support_function
+from ddsolve.status import strict_infeasibility_certificate, verify_certificate
 
 T_SUP_SENTINEL = 1.0e6
 
@@ -267,6 +273,111 @@ def oracle_sigma_f(inst: OracleInstance, start: StartData) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+# ------------------------------------------------------- property checks
+
+
+def _failed(checks: dict) -> list:
+    """The messages of a ``{message: passed}`` dict whose check failed."""
+    return [message for message, passed in checks.items() if not passed]
+
+
+def feasibility_bound_failures(problem, start, iterates, sigma_f) -> list:
+    """sigma_f > 0, and tau - 1 >= sigma_f mu - 1/sigma_f (within 1e-8) at
+    each iterate, of at least one, with support(y) + y_tau0 + tau <c, x> <= 0."""
+    failures, qualifying = [], 0
+    for it in iterates:
+        y_tau = start.y_tau0 + it.tau * float(problem.c @ it.x)
+        ds = support_function(problem, it.y)
+        if np.isfinite(ds) and ds + y_tau <= 0.0:
+            qualifying += 1
+            if not it.tau - 1.0 >= sigma_f * it.mu - 1.0 / sigma_f - 1e-8:
+                failures.append(f"feasibility-measure bound fails at mu={it.mu:.3e}")
+    return failures + _failed({f"sigma_f {sigma_f} is not positive": sigma_f > 0.0,
+                               "no iterate has support(y) + y_tau <= 0": qualifying})
+
+
+def gap_sandwich_failures(problem, start, iterates) -> list:
+    """Each iterate's gap within 1e-8 of its ``gap_bounds``; NaN or inf fails."""
+    failures = []
+    for it in iterates:
+        gb = gap_bounds(problem, start, it.x, it.tau, it.y, it.mu)
+        if not gb.lower - 1e-8 <= gb.actual <= gb.upper + 1e-8:
+            failures.append(f"gap sandwich violated at mu={it.mu:.3e}")
+    return failures
+
+
+def tau_floor_failures(problem, iterates) -> list:
+    """tau >= (xi - 1 - kappa) / (2 xi) at each iterate with mu >= 1."""
+    floor = (problem.xi - 1.0 - problem.kappa) / (2.0 * problem.xi)
+    return [f"tau {it.tau:.4e} < {floor} at mu={it.mu:.3e}" for it in iterates
+            if it.mu >= 1.0 and not it.tau >= floor]
+
+
+def mu_cap(problem, eps) -> float:
+    """The mu at which a run ends IllConditioned: 1/(theta eps^3)."""
+    return 1.0 / (problem.theta * eps**3)
+
+
+def mu_growth_failures(run) -> list:
+    """mu strictly increasing along the trace; the fitted log-mu slope positive."""
+    mus = [row.mu for row in run.trace]
+    slope = run.report.diagnostics.get("mu_log_slope")
+    return _failed({"mu not strictly increasing": all(b > a for a, b in zip(mus, mus[1:])),
+                    f"log-mu slope {slope} not positive": slope is not None and slope > 0.0})
+
+
+def infeasibility_certificate_failures(problem, start, cert) -> list:
+    """A strict infeasibility certificate: ||A'y||_inf <= 1e-10, y interior
+    to D*, support(y) = -1 within 1e-12, and it verifies."""
+    ds = support_function(problem, cert.y)
+    check = verify_certificate(problem, start, cert)
+    return _failed({
+        "certificate is not strict": cert.strict,
+        "||A'y||_inf > 1e-10": np.max(np.abs(problem.A.T @ cert.y)) <= 1e-10,
+        "y not interior to the dual cone": problem.barrier.min_margin(cert.y, CONJUGATE) > 0.0,
+        f"support after scaling {ds} != -1": abs(ds + 1.0) <= 1e-12,
+        f"verification fails {check.failed_names()}": check.passed})
+
+
+def unboundedness_certificate_failures(problem, start, cert, eps) -> list:
+    """A strict unboundedness certificate: A x interior, <c, x> <= -1/eps,
+    and it verifies."""
+    margin = problem.barrier.min_margin(problem.A @ cert.x, PRIMAL)
+    check = verify_certificate(problem, start, cert)
+    return _failed({
+        "certificate is not strict": cert.strict,
+        f"projected point margin {margin:.3e} not positive": margin > 0.0,
+        "projected point objective above -1/eps": float(problem.c @ cert.x) <= -1.0 / eps,
+        f"verification fails {check.failed_names()}": check.passed})
+
+
+def false_infeasibility_failures(problem, start, iterates) -> list:
+    """The negative control on a feasible run: at each iterate the strict
+    infeasibility projection raises ProjectionOutsideCone."""
+    failures = []
+    for it in iterates:
+        try:
+            strict_infeasibility_certificate(problem, start, it)
+            failures.append(f"false certificate extracted at mu={it.mu:.3e}")
+        except ProjectionOutsideCone:
+            pass
+    return failures
+
+
+def repeat_run_failures(path, eps, tmp_path, capsys) -> list:
+    """Two ``ddsolve solve`` runs of ``path`` at ``eps``, each with a trace:
+    both exit 0, with byte-identical reports and traces."""
+    runs = []
+    for k in range(2):
+        trace = tmp_path / f"{k}.csv"
+        code = main(["solve", path, "--eps", eps, "--trace", str(trace)])
+        runs.append((code, capsys.readouterr().out, trace.read_bytes()))
+    (code0, out0, trace0), (code1, out1, trace1) = runs
+    return _failed({f"exit codes {code0}, {code1}": code0 == code1 == 0,
+                    "reports differ between runs": out0 == out1,
+                    "traces differ between runs": trace0 == trace1})
 
 
 # ------------------------------------------------- reference closed forms

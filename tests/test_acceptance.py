@@ -8,13 +8,16 @@ import time
 import numpy as np
 
 import ddsolve as dd
-from ddsolve.cli import main
 from ddsolve.model import shifted_image
-from oracles import OracleInstance, oracle_sigma_f, oracle_sigma_p, oracle_tp
+from oracles import (OracleInstance, false_infeasibility_failures, feasibility_bound_failures,
+                     gap_sandwich_failures, infeasibility_certificate_failures, mu_cap,
+                     mu_growth_failures, oracle_sigma_f, oracle_sigma_p, oracle_tp,
+                     repeat_run_failures, tau_floor_failures, unboundedness_certificate_failures)
 from ddsolve.status import Certificate, stop_params, verify_certificate
 
-from test_barriers import (ATOM_CASES, atom_eval, sample_dual_interior, sample_interior,
-                           sample_member)
+from test_barriers import (ATOM_CASES, fenchel_young_failures, finite_difference_failures,
+                           monotone_gradient_failures, round_trip_failures, sample_dual_interior,
+                           sample_interior, sample_member, theta_failures)
 
 PRIMAL, CONJUGATE = "primal", "conjugate"
 
@@ -34,67 +37,21 @@ def test_criterion_1_barrier_calculus():
     for kind, atom in sorted(ATOM_CASES.items()):
         for _ in range(100):
             z = sample_interior(atom, rng)
-            y = atom_eval(atom, z, PRIMAL, 1)
-            # conjugate round trip and Fenchel-Young equality
-            back = atom_eval(atom, y, CONJUGATE, 1)
-            if np.max(np.abs(back - z)) > 1e-10:
-                failures.append(f"{kind}: round trip {np.max(np.abs(back - z)):.2e}")
-                break
-            fy = atom_eval(atom, z, PRIMAL, 0) + atom_eval(atom, y, CONJUGATE, 0) \
-                - float(y @ z)
-            if abs(fy) > 1e-10:
-                failures.append(f"{kind}: Fenchel-Young {fy:.2e}")
-                break
-            # theta property
             w = sample_dual_interior(atom, rng)
             member = sample_member(atom, rng)
-            if float(w @ (member - atom_eval(atom, w, CONJUGATE, 1))) > atom.theta + 1e-10:
-                failures.append(f"{kind}: theta property violated")
-                break
-            # monotone-gradient self-concordance bound
             a, b = sample_interior(atom, rng), sample_interior(atom, rng)
-            ga, gb = atom_eval(atom, a, PRIMAL, 1), atom_eval(atom, b, PRIMAL, 1)
-            H = atom_eval(atom, a, PRIMAL, 2)
-            r = float(np.sqrt((b - a) @ H @ (b - a)))
-            if float((gb - ga) @ (b - a)) < r * r / (1.0 + r) - 1e-10:
-                failures.append(f"{kind}: monotone-gradient inequality violated")
+            found = (round_trip_failures(atom, z) + fenchel_young_failures(atom, z)
+                     + theta_failures(atom, w, member)
+                     + monotone_gradient_failures(atom, a, b, PRIMAL))
+            if found:
                 break
         # derivatives against central differences at a well-conditioned point
-        z = sample_interior(atom, rng, scale=1.0)
-        g = atom_eval(atom, z, PRIMAL, 1)
-        H = atom_eval(atom, z, PRIMAL, 2)
-        for i in range(atom.dim):
-            h = 1e-6 * max(1.0, abs(z[i]))
-            zp, zm = z.copy(), z.copy()
-            zp[i] += h
-            zm[i] -= h
-            fd = (atom_eval(atom, zp, PRIMAL, 0) - atom_eval(atom, zm, PRIMAL, 0)) / (2 * h)
-            if abs(fd - g[i]) > 1e-6 * (1.0 + abs(g[i])):
-                failures.append(f"{kind}: gradient vs finite differences")
-            fd_col = (atom_eval(atom, zp, PRIMAL, 1)
-                      - atom_eval(atom, zm, PRIMAL, 1)) / (2 * h)
-            if np.max(np.abs(fd_col - H[:, i])) > 1e-6 * (1.0 + np.max(np.abs(H))):
-                failures.append(f"{kind}: Hessian vs finite differences")
+        found += finite_difference_failures(atom, sample_interior(atom, rng, scale=1.0), PRIMAL)
+        failures += [f"{kind}: {msg}" for msg in found]
     elapsed = time.perf_counter() - t0
     if elapsed >= 5.0:
         failures.append(f"runtime {elapsed:.2f}s >= 5s")
     _report(1, "barrier calculus properties on 100 random points per atom kind", failures)
-
-
-def _path_invariant_failures(problem, start, run):
-    failures = []
-    tau_floor = (problem.xi - 1.0 - problem.kappa) / (2.0 * problem.xi)
-    for it in run.iterates:
-        if not dd.in_qdd(problem, start, it.x, it.tau, it.y):
-            failures.append(f"membership lost at mu={it.mu:.3e}")
-        if not it.proximity <= problem.kappa:
-            failures.append(f"proximity {it.proximity:.3e} > kappa at mu={it.mu:.3e}")
-        gb = dd.gap_bounds(problem, start, it.x, it.tau, it.y, it.mu)
-        if np.isfinite(gb.actual) and not (gb.lower - 1e-8 <= gb.actual <= gb.upper + 1e-8):
-            failures.append(f"gap sandwich violated at mu={it.mu:.3e}")
-        if it.mu >= 1.0 and not it.tau >= tau_floor:
-            failures.append(f"tau {it.tau:.4e} < {tau_floor} at mu={it.mu:.3e}")
-    return failures
 
 
 def test_criterion_2_path_invariants(box_problem, box_run, inf_problem, inf_run,
@@ -103,10 +60,16 @@ def test_criterion_2_path_invariants(box_problem, box_run, inf_problem, inf_run,
     for name, (problem, start), run in (
             ("box", box_problem, box_run), ("inf", inf_problem, inf_run),
             ("unb", unb_problem, unb_run), ("soc", soc_problem, soc_run)):
-        for msg in _path_invariant_failures(problem, start, run):
-            failures.append(f"{name}: {msg}")
+        found = (gap_sandwich_failures(problem, start, run.iterates)
+                 + tau_floor_failures(problem, run.iterates))
+        for it in run.iterates:
+            if not dd.in_qdd(problem, start, it.x, it.tau, it.y):
+                found.append(f"membership lost at mu={it.mu:.3e}")
+            if not it.proximity <= problem.kappa:
+                found.append(f"proximity {it.proximity:.3e} > kappa at mu={it.mu:.3e}")
         if run.invariant_violations:
-            failures.append(f"{name}: follower recorded {run.invariant_violations}")
+            found.append(f"follower recorded {run.invariant_violations}")
+        failures += [f"{name}: {msg}" for msg in found]
     _report(2, "membership, proximity <= kappa, gap sandwich, tau floor on all runs", failures)
 
 
@@ -128,12 +91,7 @@ def test_criterion_3_solvable_case(box_problem):
     if sp.max() > 1e-6:
         failures.append(f"stop parameters {sp} above 1e-6")
     sigma_f = oracle_sigma_f(OracleInstance(problem, box=((-3.0, 3.0),)), start)
-    for it in run.iterates:
-        y_tau = start.y_tau0 + it.tau * float(problem.c @ it.x)
-        ds = dd.support_function(problem, it.y)
-        if np.isfinite(ds) and ds + y_tau <= 0.0:
-            if not it.tau - 1.0 >= sigma_f * it.mu - 1.0 / sigma_f - 1e-8:
-                failures.append(f"feasibility-measure bound fails at mu={it.mu:.3e}")
+    failures += feasibility_bound_failures(problem, start, run.iterates, sigma_f)
     if elapsed >= 1.0:
         failures.append(f"runtime {elapsed:.2f}s >= 1s")
     _report(3, "box instance: eps-solution, objective, and tau growth bound", failures)
@@ -146,27 +104,14 @@ def test_criterion_4_infeasibility(inf_problem, inf_run, box_problem, box_run):
         failures.append(f"status {inf_run.report.status}")
     try:
         cert = dd.strict_infeasibility_certificate(problem, start, inf_run.iterates[-1])
-        if np.max(np.abs(problem.A.T @ cert.y)) > 1e-10:
-            failures.append("projected certificate has ||A'y||_inf > 1e-10")
-        if not problem.barrier.min_margin(cert.y, CONJUGATE) > 0.0:
-            failures.append("projected certificate not interior to the dual cone")
-        ds = dd.support_function(problem, cert.y)
-        if abs(ds + 1.0) > 1e-12:
-            failures.append(f"support after scaling {ds} != -1")
+        failures += infeasibility_certificate_failures(problem, start, cert)
         direction = cert.y / np.linalg.norm(cert.y)
         if np.max(np.abs(direction - np.array([-1.0, -1.0]) / np.sqrt(2.0))) > 1e-9:
             failures.append(f"certificate direction {cert.y} not proportional to (-1,-1)")
     except dd.SolverError as exc:
         failures.append(f"strict projection failed: {exc}")
     # negative control: no infeasibility certificate from the feasible box
-    box_p, box_s = box_problem
-    for it in box_run.iterates:
-        try:
-            dd.strict_infeasibility_certificate(box_p, box_s, it)
-            failures.append(f"false certificate extracted at mu={it.mu:.3e}")
-            break
-        except dd.SolverError:
-            pass
+    failures += false_infeasibility_failures(*box_problem, box_run.iterates)
     _report(4, "infeasible instance: weak status plus exact projected certificate", failures)
 
 
@@ -179,11 +124,7 @@ def test_criterion_5_unboundedness(unb_problem, unb_run):
         failures.append(f"objective {unb_run.report.objective_primal:.3e} > -1e6")
     try:
         cert = dd.strict_unboundedness_certificate(problem, start, unb_run.iterates[-1], 1e-6)
-        margin = problem.barrier.min_margin(problem.A @ cert.x, PRIMAL)
-        if not margin > 0.0:
-            failures.append(f"projected point margin {margin:.3e} not positive")
-        if not float(problem.c @ cert.x) <= -1e6:
-            failures.append("projected point objective above -1/eps")
+        failures += unboundedness_certificate_failures(problem, start, cert, 1e-6)
     except dd.SolverError as exc:
         failures.append(f"strict projection failed: {exc}")
     _report(5, "unbounded instance: weak status plus projected interior ray point", failures)
@@ -195,7 +136,7 @@ def test_criterion_6_ill_conditioned(soc_problem, soc_run, tangent_problem, tang
     # pairs exist for every eps, so EpsSolution takes precedence over the cap
     problem, start = soc_problem
     eps = 1e-4
-    cap = 1.0 / (problem.theta * eps**3)
+    cap = mu_cap(problem, eps)
     if soc_run.report.status != "EpsSolution":
         failures.append(f"soc: status {soc_run.report.status} at "
                         f"mu={soc_run.iterates[-1].mu:.3e}, expected EpsSolution")
@@ -251,7 +192,7 @@ def test_criterion_6_ill_conditioned(soc_problem, soc_run, tangent_problem, tang
     # eps-status can fire and the mu cap is the only trigger
     problem, start = tangent_problem
     eps = 1e-2
-    cap = 1.0 / (problem.theta * eps**3)
+    cap = mu_cap(problem, eps)
     final = tangent_run.iterates[-1]
     if tangent_run.report.status != "IllConditioned":
         failures.append(f"tangent: status {tangent_run.report.status}, "
@@ -296,28 +237,13 @@ def test_criterion_8_mu_growth(box_run, inf_run, unb_run, soc_run):
     failures = []
     for name, run in (("box", box_run), ("inf", inf_run),
                       ("unb", unb_run), ("soc", soc_run)):
-        mus = [row.mu for row in run.trace]
-        if not all(b > a for a, b in zip(mus, mus[1:])):
-            failures.append(f"{name}: mu not strictly increasing")
-        slope = run.report.diagnostics.get("mu_log_slope")
-        if slope is None:
-            failures.append(f"{name}: slope missing from diagnostics")
-        elif not slope > 0.0:
-            failures.append(f"{name}: log-mu slope {slope} not positive")
+        failures += [f"{name}: {msg}" for msg in mu_growth_failures(run)]
     _report(8, "log mu strictly increasing with positive fitted slope, reported", failures)
 
 
 def test_criterion_9_determinism(instance_path, tmp_path, capsys):
     failures = []
     for name, eps in (("inst_box.dd", "1e-6"), ("inst_soc.dd", "1e-4")):
-        outs, traces = [], []
-        for k in range(2):
-            trace = tmp_path / f"{name}.{k}.csv"
-            main(["solve", instance_path(name), "--eps", eps, "--trace", str(trace)])
-            outs.append(capsys.readouterr().out)
-            traces.append(trace.read_bytes())
-        if outs[0] != outs[1]:
-            failures.append(f"{name}: reports differ between runs")
-        if traces[0] != traces[1]:
-            failures.append(f"{name}: traces differ between runs")
+        found = repeat_run_failures(instance_path(name), eps, tmp_path, capsys)
+        failures += [f"{name}: {msg}" for msg in found]
     _report(9, "two invocations produce bit-identical reports and traces", failures)

@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 
 import ddsolve as dd
+from oracles import mu_cap
 from test_medium import MEDIUM_CASES, mixed_feasible
 
 
@@ -53,4 +54,4 @@ def test_weakly_infeasible_block_ends_ill_conditioned():
     problem = weakly_infeasible("mixed-60")
     report = dd.follow(problem, dd.make_start(problem), dd.FollowerOptions(eps=eps)).report
     assert report.status == "IllConditioned", report.diagnostics
-    assert report.diagnostics["mu"] >= 1.0 / (problem.theta * eps**3)
+    assert report.diagnostics["mu"] >= mu_cap(problem, eps)

@@ -15,6 +15,7 @@ from oracles import (
     exact_dual_residual_sq,
     exact_mu_forms,
     false_passes,
+    feasibility_bound_failures,
     mu_forms_agree,
     oracle_sigma_f,
     oracle_sigma_p,
@@ -131,13 +132,8 @@ def test_two_dimensional_oracle_grid():
     assert oracle_sigma_p(inst) == pytest.approx(0.0, abs=1e-6)
     assert np.isinf(oracle_tp(inst, start.z0))
     sigma_f = oracle_sigma_f(inst, start)
-    assert sigma_f > 0.0
     run = dd.follow(problem, start, dd.FollowerOptions(eps=1e-8))
-    for it in run.iterates:
-        y_tau = start.y_tau0 + it.tau * float(problem.c @ it.x)
-        ds = dd.support_function(problem, it.y)
-        if np.isfinite(ds) and ds + y_tau <= 0.0:
-            assert it.tau - 1.0 >= sigma_f * it.mu - 1.0 / sigma_f - 1e-8
+    assert feasibility_bound_failures(problem, start, run.iterates, sigma_f) == []
 
 
 def test_oracle_instance_size_limits(box_problem):

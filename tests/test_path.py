@@ -14,7 +14,8 @@ from ddsolve.cli import parse_problem_file
 from ddsolve.model import DUAL_EQ_TOL, dual_residual, make_iterate, member_image, shifted_image
 from conftest import SOC_RUN
 from probe import Probe
-from oracles import OracleInstance, oracle_sigma_f
+from oracles import (OracleInstance, feasibility_bound_failures, mu_growth_failures,
+                     oracle_sigma_f, tau_floor_failures)
 from ddsolve.path import _kkt_solve
 
 
@@ -596,9 +597,7 @@ def test_follow_emits_rows_through_sink(box_problem):
 
 def test_mu_strictly_increasing(box_run, inf_run, unb_run, soc_run):
     for result in (box_run, inf_run, unb_run, soc_run):
-        mus = [row.mu for row in result.trace]
-        assert all(b > a for a, b in zip(mus, mus[1:]))
-        assert result.report.diagnostics["mu_log_slope"] > 0.0
+        assert mu_growth_failures(result) == []
 
 
 @pytest.mark.parametrize("xi,kappa", [(3.0, 0.5), (1.5, 0.25), (2.0, 0.1)])
@@ -609,10 +608,7 @@ def test_follower_with_other_neighborhood_constants(xi, kappa):
     result = dd.follow(problem, start, dd.FollowerOptions(eps=1e-6))
     assert result.report.status == "EpsSolution"
     assert result.invariant_violations == []
-    floor = (xi - 1.0 - kappa) / (2.0 * xi)
-    for it in result.iterates:
-        if it.mu >= 1.0:
-            assert it.tau >= floor - 1e-8
+    assert tau_floor_failures(problem, result.iterates) == []
 
 
 @pytest.mark.parametrize("fixture,run,eps", [("box_problem", "box_run", 1e-6),
@@ -956,17 +952,8 @@ def test_feasibility_measure_bound_on_box(box_run, box_problem):
     # strictly feasible case: tau - 1 >= sigma_f * mu - 1/sigma_f at every
     # iterate satisfying support(y) + y_tau <= 0
     problem, start = box_problem
-    inst = OracleInstance(problem, box=((-3.0, 3.0),))
-    sigma_f = oracle_sigma_f(inst, start)
-    assert sigma_f > 0.0
-    qualifying = 0
-    for it in box_run.iterates:
-        y_tau = start.y_tau0 + it.tau * float(problem.c @ it.x)
-        ds = dd.support_function(problem, it.y)
-        if np.isfinite(ds) and ds + y_tau <= 0.0:
-            qualifying += 1
-            assert it.tau - 1.0 >= sigma_f * it.mu - 1.0 / sigma_f - 1e-8
-    assert qualifying > 0
+    sigma_f = oracle_sigma_f(OracleInstance(problem, box=((-3.0, 3.0),)), start)
+    assert feasibility_bound_failures(problem, start, box_run.iterates, sigma_f) == []
 
 
 def _random_strictly_feasible_problem(rng):

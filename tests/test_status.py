@@ -16,6 +16,8 @@ from ddsolve.status import (
     stop_params,
     verify_certificate,
 )
+from oracles import (false_infeasibility_failures, infeasibility_certificate_failures, mu_cap,
+                     unboundedness_certificate_failures)
 
 
 def test_stop_params_formulas(box_problem):
@@ -135,8 +137,7 @@ def test_ill_conditioned_via_mu_cap(tangent_run, tangent_problem):
     report = tangent_run.report
     assert report.status == "IllConditioned"
     assert report.exit_code == 3
-    cap = 1.0 / (problem.theta * 1e-2**3)
-    assert tangent_run.iterates[-1].mu >= cap
+    assert tangent_run.iterates[-1].mu >= mu_cap(problem, 1e-2)
     assert report.verification.passed  # eps-feasible pair checks
     assert tangent_run.invariant_violations == []
     # the dual objective estimate is exact here: every dual-cone point has
@@ -168,21 +169,13 @@ def test_ill_conditioned_precedence_synthetic(box_problem, box_run):
 def test_strict_infeasibility_projection(inf_run, inf_problem):
     problem, start = inf_problem
     cert = dd.strict_infeasibility_certificate(problem, start, inf_run.iterates[-1])
-    assert cert.strict
-    assert np.max(np.abs(problem.A.T @ cert.y)) <= 1e-10
-    assert problem.barrier.min_margin(cert.y, "conjugate") > 0.0
-    assert dd.support_function(problem, cert.y) == pytest.approx(-1.0, abs=1e-12)
+    assert infeasibility_certificate_failures(problem, start, cert) == []
     # analytic kernel of A' is span{(1,1)}: certificate proportional to (-1,-1)
     assert cert.y[0] == pytest.approx(cert.y[1], rel=1e-9)
-    rep = verify_certificate(problem, start, cert)
-    assert rep.passed
 
 
 def test_strict_infeasibility_refused_on_feasible(box_run, box_problem):
-    problem, start = box_problem
-    for it in box_run.iterates:
-        with pytest.raises((dd.ProjectionOutsideCone,)):
-            dd.strict_infeasibility_certificate(problem, start, it)
+    assert false_infeasibility_failures(*box_problem, box_run.iterates) == []
 
 
 def test_strict_infeasibility_refused_outside_the_dual_cone(soc_run, soc_problem):
@@ -196,10 +189,7 @@ def test_strict_infeasibility_refused_outside_the_dual_cone(soc_run, soc_problem
 def test_strict_unboundedness_projection(unb_run, unb_problem):
     problem, start = unb_problem
     cert = dd.strict_unboundedness_certificate(problem, start, unb_run.iterates[-1], 1e-6)
-    assert cert.strict
-    assert float(problem.c @ cert.x) <= -1e6
-    assert problem.barrier.min_margin(problem.A @ cert.x, "primal") > 0.0
-    assert verify_certificate(problem, start, cert).passed
+    assert unboundedness_certificate_failures(problem, start, cert, 1e-6) == []
 
 
 def test_strict_unboundedness_projection_with_active_cut(unb_run, unb_problem):
@@ -207,9 +197,7 @@ def test_strict_unboundedness_projection_with_active_cut(unb_run, unb_problem):
     # so the projection takes the cut as one more equality
     problem, start = unb_problem
     cert = dd.strict_unboundedness_certificate(problem, start, unb_run.iterates[0], 1e-6)
-    assert float(problem.c @ cert.x) <= -1e6
-    assert problem.barrier.min_margin(problem.A @ cert.x, "primal") > 0.0
-    assert verify_certificate(problem, start, cert).passed
+    assert unboundedness_certificate_failures(problem, start, cert, 1e-6) == []
 
 
 def test_strict_unboundedness_reports_a_singular_normal_matrix(unb_run, unb_problem,
@@ -223,6 +211,17 @@ def test_strict_unboundedness_reports_a_singular_normal_matrix(unb_run, unb_prob
                        match="projection system singular: Singular matrix") as info:
         dd.strict_unboundedness_certificate(problem, start, unb_run.iterates[-1], 1e-6)
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+def test_strict_unboundedness_reports_an_overflowing_projection():
+    # with c at 1e300 the cut's c' (A'HA)^-1 c overflows: numpy warned, and
+    # the projection then failed on its margin
+    problem = dd.validate_problem([[0.0], [3.0], [3.0]], [1e300], [dd.soc([0, 1, 2])])
+    start = dd.make_start(problem, [1.0, 0.5, -0.5])
+    run = dd.follow(problem, start, dd.FollowerOptions(eps=1e-4, max_iters=60))
+    assert run.report.status == "UnboundednessCertificate"
+    with pytest.raises(dd.ProjectionOutsideDomain, match="projection overflowed: overflow"):
+        dd.strict_unboundedness_certificate(problem, start, run.iterates[-1], 1e-4)
 
 
 def test_strict_unboundedness_fixed_point(unb_run, unb_problem):
@@ -480,7 +479,7 @@ def test_asymptotically_feasible_infeasible_hits_cap():
     start = dd.default_z0(problem)
     run = dd.follow(problem, start, dd.FollowerOptions(eps=1e-2, max_iters=300))
     assert run.report.status == "IllConditioned"
-    assert run.iterates[-1].mu >= 1.0 / (problem.theta * 1e-2**3)
+    assert run.iterates[-1].mu >= mu_cap(problem, 1e-2)
     assert run.invariant_violations == []
 
 
