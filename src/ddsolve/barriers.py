@@ -81,10 +81,21 @@ class BarrierAtom:
             takes = [name for name, used in zip(("lower", "upper"), takes) if used]
             raise ValueError(f"{kind} atom takes bounds {takes}, "
                              f"got lower={lower} upper={upper}")
-        if not all(map(math.isfinite, offset + tuple(v for v in (lower, upper) if v is not None))):
-            raise ValueError(f"{kind} atom bounds and offset must be finite")
-        if kind == BOX and not lower < upper:
-            raise ValueError("box atom requires lower < upper")
+        fault = _value_fault(kind, offset, lower, upper)
+        if fault is not None:
+            raise ValueError(fault)
+
+    @classmethod
+    def _checked(cls, kind: str, coords: tuple, offset: tuple, lower, upper) -> BarrierAtom:
+        """The atom of fields that hold every rule above, in the types
+        ``__post_init__`` gives them (a tuple of ints, a tuple of floats,
+        floats or None), built without testing them again: for a caller
+        that has tested each rule once already."""
+        atom = object.__new__(cls)
+        fields = atom.__dict__
+        fields["kind"], fields["coords"], fields["offset"] = kind, coords, offset
+        fields["lower"], fields["upper"], fields["theta"] = lower, upper, ATOM_THETA[kind]
+        return atom
 
     @property
     def dim(self) -> int:
@@ -93,6 +104,17 @@ class BarrierAtom:
     @property
     def offset_vec(self) -> np.ndarray:
         return np.asarray(self.offset, dtype=float)
+
+
+def _value_fault(kind: str, offset: tuple, lower, upper) -> str | None:
+    """Why an atom's numbers break the rules on them, finite bounds and
+    offset and then a box's lower < upper; None when they hold."""
+    if not (all(map(math.isfinite, offset)) and (lower is None or math.isfinite(lower))
+            and (upper is None or math.isfinite(upper))):
+        return f"{kind} atom bounds and offset must be finite"
+    if kind == BOX and not lower < upper:
+        return "box atom requires lower < upper"
+    return None
 
 
 def halfline_lower(coord: int, lower: float = 0.0, offset: float = 0.0) -> BarrierAtom:
@@ -157,26 +179,30 @@ class _IntervalGroup:
     before boxes, so each conjugate closed form acts on one slice.
     """
 
-    def __init__(self, atoms: Sequence[BarrierAtom]):
+    def __init__(self, atoms: Sequence[BarrierAtom], nh: int):
+        """``atoms``: the ``nh`` halflines, then the boxes."""
         self.block = _DiagonalBlock   # the metric block built from evaluate's arguments
-        atoms = sorted(atoms, key=lambda a: a.kind == BOX)
-        self.sel = _selector([a.coords[0] for a in atoms])
-        self.d = np.array([a.offset[0] for a in atoms])
-        self.lower = np.array([-np.inf if a.lower is None else a.lower for a in atoms])
-        self.upper = np.array([np.inf if a.upper is None else a.upper for a in atoms])
+        coords, d, lower, upper = zip(*[
+            (a.coords[0], a.offset[0], -np.inf if a.lower is None else a.lower,
+             np.inf if a.upper is None else a.upper) for a in atoms])
+        self.sel = _selector(coords)
+        self.d, self.lower, self.upper = np.array([d, lower, upper])
+        no_lower = self.lower == -np.inf
         self.bounds = {
             PRIMAL: (self.lower, self.upper),
-            CONJUGATE: (np.where(self.lower == -np.inf, 0.0, -np.inf),
+            CONJUGATE: (np.where(no_lower, 0.0, -np.inf),
                         np.where(self.upper == np.inf, 0.0, np.inf)),
         }
-        nh = self.nh = sum(a.kind != BOX for a in atoms)
+        self.nh = nh
         # bounds on the unshifted coordinate, for the support function and
         # the conjugates: each halfline's finite bound, each box's corner
-        # and width
-        self.lower_sh, self.upper_sh = self.lower - self.d, self.upper - self.d
-        self.half_bound = np.where(self.lower == -np.inf, self.upper_sh, self.lower_sh)[:nh]
+        # and width; one beyond float range is infinite, without a warning
+        # (a halfline's then leaves no finite interior point for make_start)
+        with np.errstate(over="ignore"):
+            self.lower_sh, self.upper_sh = self.lower - self.d, self.upper - self.d
+            self.box_width = (self.upper - self.lower)[nh:]
+        self.half_bound = np.where(no_lower, self.upper_sh, self.lower_sh)[:nh]
         self.box_lo = self.lower_sh[nh:]
-        self.box_width = (self.upper - self.lower)[nh:]
 
     def _slacks(self, z, side):
         """(w, s_lo, s_hi): the group's point and its slacks to the lower
@@ -473,18 +499,27 @@ class BlockMetric:
 class DomainBarrier:
     """Product barrier over an atom list covering the image space.
 
-    The atoms are grouped once, here: one interval group holds every
-    halfline and box, and each cone is a group of its own.  A group with
-    no atoms is not built.  Each method is a loop over the groups.
+    The atoms are grouped once, here, in one pass: one interval group holds
+    every halfline and box, and each cone is a group of its own.  A group
+    with no atoms is not built.  Each method is a loop over the groups.
     """
 
     def __init__(self, atoms: Sequence[BarrierAtom], m: int):
         self.atoms = tuple(atoms)
         self.m = int(m)
-        self.theta = float(sum(a.theta for a in self.atoms))
-        scalars = [a for a in self.atoms if a.kind != SOC]
-        self.groups = ([_IntervalGroup(scalars)] if scalars else []) \
-            + [_ConeGroup(a) for a in self.atoms if a.kind == SOC]
+        theta, coords, halflines, boxes, cones = 0.0, [], [], [], []
+        for a in self.atoms:
+            theta += a.theta
+            coords += a.coords
+            if a.kind == SOC:
+                cones.append(_ConeGroup(a))
+            else:
+                (boxes if a.kind == BOX else halflines).append(a)
+        self.theta = theta
+        # the atoms' coordinates in order: range(m) when they partition the image space
+        self.coords = sorted(coords)
+        self.groups = ([_IntervalGroup(halflines + boxes, len(halflines))]
+                       if halflines or boxes else []) + cones
 
     def _require_finite(self, z: np.ndarray, side: str) -> None:
         """DomainViolation unless z is finite, which no slack test checks at

@@ -31,10 +31,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import reprlib
 import sys
 from dataclasses import dataclass, fields, replace
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -124,12 +125,62 @@ def _parse_atom(entry, index):
         offset = [_numbers(entry.get("offset", 0.0), "offset", atom=index)]
     else:
         offset = _numbers(entry.get("offset", [0.0] * k), "offset", k, atom=index)
+    offset = tuple(map(float, offset))
+    lower = float(lower) if takes_lower else None
+    upper = float(upper) if takes_upper else None
+    fault = barriers._value_fault(kind, offset, lower, upper)
+    if fault is not None:
+        raise ParseError(f"atom {index}: {fault}", field=f"atoms[{index}]")
+    return barriers.BarrierAtom._checked(kind, tuple(zero_based), offset, lower, upper)
+
+
+def _atom_list(entries: list) -> list | None:
+    """The atoms of a file's atom list, each of :func:`_parse_atom`'s
+    checks made once over the whole list: objects of known keys and kinds,
+    integer coordinates >= 1 of the count each kind takes, bounds and an
+    offset of the kind's shapes, every number a finite JSON number a float
+    can hold, each box's lower bound below its upper.  None when a check
+    fails, for _parse_atom to take the entries one by one and name the
+    first bad field."""
+    if not (set(map(type, entries)) <= {dict} and set(chain.from_iterable(entries)) <= ATOM_KEYS):
+        return None
+    # () stands for a missing key, as no JSON value is a tuple
+    kinds, coords, bounds, offsets = (list(map(dict.get, entries, repeat(key), repeat(())))
+                                      for key in ("type", "coords", "bounds", "offset"))
+    if not (set(map(type, kinds)) <= {str} and set(kinds) <= barriers.ATOM_THETA.keys()
+            and set(map(type, coords)) <= {list}):
+        return None
+    flat = list(chain.from_iterable(coords))
+    if not (set(map(type, flat)) <= {int} and min(flat, default=1) >= 1):
+        return None
+    atoms, numbers, pairs = [], [], []
     try:
-        return barriers.BarrierAtom(kind, zero_based, offset,
-                                    lower=float(lower) if takes_lower else None,
-                                    upper=float(upper) if takes_upper else None)
-    except ValueError as exc:
-        raise ParseError(f"atom {index}: {exc}", field=f"atoms[{index}]") from exc
+        for kind, c, b, o in zip(kinds, coords, bounds, offsets):
+            k, (takes_lower, takes_upper) = len(c), barriers.ATOM_BOUNDS[kind]
+            # as lists of numbers: the bounds, a number for a kind that takes
+            # one, a pair for two and no key for none, and the offset, a
+            # number for one coordinate and a list for more, zero when missing
+            n = takes_lower + takes_upper
+            b = [b] if n == 1 else b if n == 2 else [] if b == () else None
+            o = ([0.0] if o == () else [o]) if k == 1 else [0.0] * k if o == () else o
+            if (not k or (k == 1) == (kind == barriers.SOC) or type(b) is not list
+                    or len(b) != n or type(o) is not list or len(o) != k):
+                return None
+            numbers += b
+            numbers += o
+            lower = float(b[0]) if takes_lower else None
+            upper = float(b[-1]) if takes_upper else None
+            if n == 2:
+                pairs.append((lower, upper))
+            # built before the numbers' types are checked, and dropped if one fails
+            atoms.append(barriers.BarrierAtom._checked(
+                kind, tuple([i - 1 for i in c]), tuple(map(float, o)), lower, upper))
+    except (TypeError, ValueError, OverflowError):   # a value that float() does not read
+        return None
+    if not ((set(map(type, numbers)) <= {float} or all(map(_is_number, numbers)))
+            and all(map(math.isfinite, numbers)) and all(lower < upper for lower, upper in pairs)):
+        return None
+    return atoms
 
 
 def _read_problem_file(path, constants) -> tuple[Problem, StartData]:
@@ -161,7 +212,9 @@ def _read_problem_file(path, constants) -> tuple[Problem, StartData]:
     c = np.array(_numbers(doc["c"], "c", n), dtype=float)
     if not isinstance(doc["atoms"], list):
         raise ParseError("atoms must be a list of atom objects", field="atoms")
-    atoms = [_parse_atom(entry, i) for i, entry in enumerate(doc["atoms"])]
+    atoms = _atom_list(doc["atoms"])
+    if atoms is None:
+        atoms = [_parse_atom(entry, i) for i, entry in enumerate(doc["atoms"])]
     constants = {k: _numbers(doc[k], k) for k in ("xi", "kappa") if k in doc} | constants
     z0 = None if doc.get("z0") is None else _numbers(doc["z0"], "z0", m)
     problem = validate_problem(A, c, atoms, **constants)

@@ -128,11 +128,11 @@ def validate_problem(A, c, atoms, xi: float = 2.0, kappa: float = 0.25) -> Probl
     atoms = tuple(atoms)
     if not atoms:
         raise AtomCoverage("a problem needs at least one atom; with none, m = 0 and theta = 0")
-    covered = sorted(i for a in atoms for i in a.coords)
+    problem = Problem(A=A, c=c, atoms=atoms, xi=float(xi), kappa=float(kappa))
+    covered = problem.barrier.coords
     if covered != list(range(m)):
         raise AtomCoverage(
             f"atom coords {covered} do not partition the {m} image coordinates")
-    problem = Problem(A=A, c=c, atoms=atoms, xi=float(xi), kappa=float(kappa))
     xi, kappa, theta = problem.xi, problem.kappa, problem.theta
     if not (1.0 < xi and xi * theta < np.inf):  # y_tau0 and mu are formed with xi * theta
         raise BadConstants(f"xi must exceed 1 and keep xi * theta finite, got xi={xi} "

@@ -1,5 +1,6 @@
 """Shared fixtures: the four canonical instances and their solver runs."""
 
+import random
 from pathlib import Path
 
 import pytest
@@ -39,6 +40,53 @@ def build_tangent():
     A = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, -1], [1, 0, -1]]
     atoms = [dd.soc([0, 1, 2]), dd.halfline_lower(3, 0.0), dd.halfline_upper(4, 0.0)]
     return dd.validate_problem(A, [0.0, -1.0, 0.0], atoms)
+
+
+MANY_ATOM_SEEDS = (0, 1)
+
+
+def many_atom_document(seed: int, shuffled: bool) -> tuple:
+    """(document, atoms): a problem file of 32 atoms, eight of each kind,
+    and the atoms the API constructors build for it.  The halflines come
+    first, in a seeded order, then the boxes and the cones.  Coordinates
+    are handed out in atom order, or in a seeded permutation when
+    ``shuffled``, so each group's selector is a slice or an index array.
+    Each bound and offset entry is an int or a float, and a quarter of the
+    offsets are left out."""
+    rng = random.Random(seed)
+    halflines = ["halfline_lower", "halfline_upper"] * 8
+    rng.shuffle(halflines)
+    kinds = halflines + ["box"] * 8 + ["soc"] * 8
+    dims = [rng.randint(2, 4) if kind == "soc" else 1 for kind in kinds]
+    image = list(range(sum(dims)))
+    if shuffled:
+        rng.shuffle(image)
+
+    def number():
+        return rng.randint(-3, 3) if rng.random() < 0.5 else rng.uniform(-3.0, 3.0)
+
+    entries, atoms, first = [], [], 0
+    for kind, k in zip(kinds, dims):
+        coords, first = image[first:first + k], first + k
+        entry = {"type": kind, "coords": [i + 1 for i in coords]}
+        offset = [number() for _ in coords] if rng.random() < 0.75 else None
+        if offset is not None:
+            entry["offset"] = offset if kind == "soc" else offset[0]
+        if kind == "soc":
+            atoms.append(dd.soc(coords, offset))
+        elif kind == "box":
+            lower = number()
+            entry["bounds"] = [lower, lower + rng.choice([1, 2.5])]
+            atoms.append(dd.box(coords[0], *entry["bounds"], *(offset or ())))
+        else:
+            entry["bounds"] = number()
+            build = dd.halfline_lower if kind == "halfline_lower" else dd.halfline_upper
+            atoms.append(build(coords[0], entry["bounds"], *(offset or ())))
+        entries.append(entry)
+    m, n = len(image), 3
+    document = {"n": n, "m": m, "A": [[rng.gauss(0.0, 1.0) for _ in range(n)] for _ in range(m)],
+                "c": [rng.gauss(0.0, 1.0) for _ in range(n)], "atoms": entries}
+    return document, atoms
 
 
 # The instance and eps of the box_run and soc_run fixtures; tests/noise.py

@@ -5,7 +5,7 @@ keeps them bit for bit.
     PYTHONPATH=src python tests/digest.py --runs           # a line per run first
     PYTHONPATH=src python tests/digest.py --parent ../parent
 
-Three digests and one line of counts:
+Three digests, one line of counts and a parse digest:
 
   cli       stdout, exit code and --trace CSV of
             ``ddsolve solve <f> --eps E --strict --trace`` for every
@@ -22,17 +22,25 @@ Three digests and one line of counts:
             violations of the iterate runs and of six two-cone runs,
             ``mixed_feasible(seed, 40, 0, (40, 40))`` for seeds 0-5 at
             eps 1e-6.  A change that moves only rounding changes the
-            digests; it is judged on these summed counts instead.
+            digests; it is judged on these summed counts instead;
+  parse     what ``cli.parse_problem_file`` makes of the first 4,000
+            seed-7 documents of ``tests/fuzz.py`` and of the
+            ``tests/conftest.py`` many-atom documents: the error's type,
+            text and field, or the float64 bytes of the problem's A and
+            c, its atoms' fields, xi, kappa and the start.  Warnings are
+            not part of it; the fuzz checks those.
 
-``--runs`` prints, before those four lines, one line per run that the
+``--runs`` prints, before those five lines, one line per run that the
 iterates digest or the counts line reads: its label, status, iterations,
 invariant violations and the sha256 of its iterates, hashed as the
-iterates digest hashes them, and then one line per short ``run_solve``
-run that only the reports digest reads: its label, status, exit code and
-the sha256 of its report JSON.  ``--parent ROOT`` runs this script with
+iterates digest hashes them, then one line per short ``run_solve`` run
+that only the reports digest reads: its label, status, exit code and the
+sha256 of its report JSON, then one line per parsed document: its label
+and the sha256 of its outcome.  ``--parent ROOT`` runs this script with
 ``--runs`` twice, on this checkout's ``src`` and on ``ROOT/src``, and
-prints only the runs whose lines differ, each side's line prefixed
-"change: " or "parent: "; a change that moves no bit prints nothing.
+prints only the runs and documents whose lines differ, each side's line
+prefixed "change: " or "parent: "; a change that moves no bit prints
+nothing.
 
 Only public API is used, so the script runs against any checkout's
 ``src`` put first on PYTHONPATH; compare its output between two of them.
@@ -44,6 +52,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -65,8 +74,12 @@ CONE_SEEDS = range(6)   # counted, not digested
 SMALL_EPS = (1e-2, 1e-3, 1e-6)
 SMALL_MAX_ITERS = (0, 2, 5, 100)
 
+PARSE_SEED, PARSE_COUNT = 7, 4000
+
 sys.path.insert(0, str(TESTS))
-from conftest import build_box, build_inf, build_soc, build_tangent, build_unb  # noqa: E402
+import fuzz  # noqa: E402
+from conftest import (MANY_ATOM_SEEDS, build_box, build_inf, build_soc,  # noqa: E402
+                      build_tangent, build_unb, many_atom_document)
 from test_medium import MEDIUM_CASES, mixed_feasible  # noqa: E402
 
 
@@ -123,6 +136,47 @@ def cli_digest() -> str:
                 h.update(out.getvalue().encode())
                 h.update(trace.read_bytes())
     return h.hexdigest()
+
+
+def _parse_documents():
+    """(label, document) of every document the parse digest reads."""
+    for k, doc in enumerate(fuzz.documents(PARSE_SEED, PARSE_COUNT)):
+        yield f"parse:fuzz-{k}", doc
+    for seed in MANY_ATOM_SEEDS:
+        for shuffled in (False, True):
+            order = "shuffled" if shuffled else "ordered"
+            yield f"parse:many-{seed}-{order}", many_atom_document(seed, shuffled)[0]
+
+
+def parse_outcome(path) -> bytes:
+    """What ``cli.parse_problem_file`` makes of the file at ``path``: its
+    error's type and text, or the bytes of the problem and its start."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            problem, start = cli.parse_problem_file(path)
+        except dd.SolverError as exc:
+            return f"{type(exc).__name__}: {exc} field={getattr(exc, 'field', None)}".encode()
+    atoms = [(a.kind, a.coords, a.offset, a.lower, a.upper, a.theta) for a in problem.atoms]
+    numbers = [problem.A, problem.c, [problem.xi, problem.kappa], start.z0, start.y0,
+               [start.y_tau0, start.aty0_inf, start.z0_norm], start.aty0]
+    return repr(atoms).encode() + b"".join(np.asarray(v, dtype=np.float64).tobytes()
+                                           for v in numbers)
+
+
+def parse_digest() -> tuple:
+    """(parse digest, one line per document: its label and the sha256 of
+    its outcome)."""
+    h, lines = hashlib.sha256(), []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.dd"
+        for label, doc in _parse_documents():
+            path.write_text(json.dumps(doc))
+            outcome = parse_outcome(path)
+            h.update(label.encode())
+            h.update(outcome)
+            lines.append(f"{label} {hashlib.sha256(outcome).hexdigest()}")
+    return h.hexdigest(), lines
 
 
 def _count(counts: Counter, result) -> None:
@@ -182,7 +236,7 @@ def _side_lines(root: Path) -> list:
                           env={**os.environ, "PYTHONPATH": path})
     if done.returncode != 0:
         raise SystemExit(f"{root}: digest exited {done.returncode}\n{done.stderr}")
-    return done.stdout.splitlines()[:-4]
+    return done.stdout.splitlines()[:-5]
 
 
 def differing(change: list, parent: list) -> list:
@@ -202,9 +256,10 @@ def differing(change: list, parent: list) -> list:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--runs", action="store_true",
-                        help="print one line per run before the four lines")
+                        help="print one line per run and document before the five lines")
     parser.add_argument("--parent", type=Path, metavar="ROOT",
-                        help="print only the runs whose lines differ from ROOT/src's")
+                        help="print only the runs and documents whose lines differ from "
+                             "ROOT/src's")
     return parser
 
 
@@ -220,12 +275,14 @@ def main(argv=None):
     warnings.simplefilter("error", RuntimeWarning)
     cli_line = "cli " + cli_digest()
     it, rep, counts, lines = solve_digests()
+    parse, parse_lines = parse_digest()
     if args.runs:
-        print(*lines, sep="\n")
+        print(*lines, *parse_lines, sep="\n")
     print(cli_line)
     print("iterates", it)
     print("reports", rep)
     print("counts", counts)
+    print("parse", parse)
 
 
 if __name__ == "__main__":

@@ -4,10 +4,13 @@
 
 Each document is the one-variable second-order-cone file ``BASE`` with one
 perturbation, drawn from ``seed``: with probability 0.3 one top-level key
-takes a value from ``POOL``; with probability 0.3 the atoms become one
+takes a value from ``POOL``; with probability 0.15 the atoms become one
 random atom (kind, coordinates, and bounds and offset from the pool plus
-a few pairs); otherwise A's and c's entries are drawn from small sets
-that include 1e-300 and 1e300, with an optional anchor, xi and kappa.
+a few pairs); with probability 0.15 they become the three halflines
+``HALFLINES`` on coordinates 1-3, one of them, at a random index,
+replaced by such a random atom, so that a bad entry can follow good
+ones; otherwise A's and c's entries are drawn from small sets that
+include 1e-300 and 1e300, with an optional anchor, xi and kappa.
 
 Every run must exit 0-5, print one JSON report and raise no warning.
 Printed: one line per document that failed, with its index, what went
@@ -35,10 +38,21 @@ POOL = [0, 1, -1, 1.5, -0.0, 1e308, -1e308, 1e-320, 10**400, "1", None, True,
 PAIRS = [[0.0, 1.0], [1.0, 0.0], [-1.0, 1e308], [0.0, 1e-320], [1.0, 2.0, 3.0]]
 KINDS = ["halfline_lower", "halfline_upper", "box", "soc"]
 COORDS = [[1], [1, 2, 3], [3], [2, 3], [1, 1, 2]]
+HALFLINES = [{"type": "halfline_lower", "coords": [i], "bounds": 0.0} for i in (1, 2, 3)]
 A_ENTRIES = [0.0, 1.0, -1.0, 3.0, 1e-300, 1e300]
 C_ENTRIES = [1.0, -1.0, 0.0, 1e300]
 ANCHORS = [[2.0, 0.0, 0.0], [1.0, 0.5, -0.5], [1e300, 0.0, 0.0], [1e-300, 0.0, 0.0]]
 ARGS = ["--eps", "1e-4", "--max-iters", "60", "--strict"]
+
+
+def _random_atom(rng: random.Random) -> dict:
+    """An atom entry of a random kind and coordinates, with bounds and an
+    offset each drawn from the pool plus the pairs half the time."""
+    atom = {"type": rng.choice(KINDS), "coords": rng.choice(COORDS)}
+    for key in ("bounds", "offset"):
+        if rng.random() < 0.5:
+            atom[key] = rng.choice(POOL + PAIRS)
+    return atom
 
 
 def documents(seed: int, count: int):
@@ -49,12 +63,12 @@ def documents(seed: int, count: int):
         draw = rng.random()
         if draw < 0.3:
             doc[rng.choice(KEYS)] = rng.choice(POOL)
+        elif draw < 0.45:
+            doc["atoms"] = [_random_atom(rng)]
         elif draw < 0.6:
-            atom = {"type": rng.choice(KINDS), "coords": rng.choice(COORDS)}
-            for key in ("bounds", "offset"):
-                if rng.random() < 0.5:
-                    atom[key] = rng.choice(POOL + PAIRS)
-            doc["atoms"] = [atom]
+            atoms = list(HALFLINES)
+            atoms[rng.randrange(len(atoms))] = _random_atom(rng)
+            doc["atoms"] = atoms
         else:
             doc["A"] = [[rng.choice(A_ENTRIES)] for _ in range(3)]
             doc["c"] = [rng.choice(C_ENTRIES)]

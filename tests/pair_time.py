@@ -14,13 +14,16 @@ by instance, one side right after the other; the side that goes first
 alternates from pair to pair, so a drift in the host's speed or a
 warm-cache advantage falls on both.  The set-up and the solve are timed
 apart.  A side's set-up is timed as the benchmark's ``setup_s`` times it:
-every instance set up back to back, ``setup_passes`` times over, and the
-time is given per set-up.  The set-up is ``cli.parse_problem_file`` on a
-CLI workload and ``validate_problem`` plus ``make_start`` otherwise, on
-the data each side parsed once beforehand.  The solve is timed up to the
-report JSON of ``cli.run_solve(strict=True)`` on a CLI workload and is
-``follow`` otherwise.  Each solve gets the problem its side set up in
-the last pass of the pair.
+``harness.SETUP_REPEATS`` back-to-back repeats, each setting up every
+instance ``setup_passes`` times over, on the benchmark's calibrated clock
+(``bench/calibrate.py``, only read), which scales each repeat's wall time
+by the speed probes on either side of it; the median repeat, per set-up,
+is the side's time in the pair.  The set-up is ``cli.parse_problem_file``
+on a CLI workload and ``validate_problem`` plus ``make_start``
+otherwise, on the data each side parsed once beforehand.  The solve is
+timed up to the report JSON of ``cli.run_solve(strict=True)`` on a CLI
+workload and is ``follow`` otherwise.  Each solve gets the problem its
+side set up in the last pass of the pair.
 
 Printed: the median over all solve pairs of the change's time divided by
 the parent's, the number of pairs, each side's median solve time, and the
@@ -47,6 +50,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+import calibrate  # noqa: E402
 import harness  # noqa: E402
 
 INSTANCES = 8   # solved per pair and side: 160 solve pairs at 20 pairs
@@ -66,22 +70,30 @@ def load_side(root: Path, name: str):
     return importlib.import_module(f"{name}.cli"), package
 
 
-def set_up_seconds(side, workload, data) -> tuple:
-    """Wall time per set-up of setting up every entry of ``data`` back to
-    back, ``workload.setup_passes`` times, and the (problem, start) pairs
-    of the last pass.  ``data`` holds problem files on a CLI workload and
-    (A, c, atoms) triples otherwise."""
+def set_up_seconds(side, workload, data, clock) -> tuple:
+    """Seconds per set-up of ``data`` as ``setup_s`` times it, and the
+    (problem, start) pairs of the last pass: the median of
+    ``harness.SETUP_REPEATS`` back-to-back repeats, each setting up every
+    entry of ``data`` ``workload.setup_passes`` times, timed by ``clock``,
+    the benchmark's calibrated clock.  ``data`` holds problem files on a
+    CLI workload and (A, c, atoms) triples otherwise."""
     cli, dd = side
-    t0 = time.perf_counter()
-    for _ in range(workload.setup_passes):
-        if workload.via_cli:
-            prepared = [cli.parse_problem_file(f) for f in data]
-        else:
-            prepared = []
-            for A, c, atoms in data:
-                problem = dd.validate_problem(A, c, atoms)
-                prepared.append((problem, dd.make_start(problem)))
-    return (time.perf_counter() - t0) / (workload.setup_passes * len(data)), prepared
+
+    def set_up_passes(_, split):
+        for _ in range(workload.setup_passes):
+            if workload.via_cli:
+                prepared = [cli.parse_problem_file(f) for f in data]
+            else:
+                prepared = []
+                for A, c, atoms in data:
+                    problem = dd.validate_problem(A, c, atoms)
+                    prepared.append((problem, dd.make_start(problem)))
+            split()
+        return prepared
+
+    setups, _, repeats = calibrate.timed_calls(clock, set_up_passes,
+                                               range(harness.SETUP_REPEATS))
+    return statistics.median(repeats) / (workload.setup_passes * len(data)), setups[-1]
 
 
 def set_up_data(side, workload, files) -> list:
@@ -104,16 +116,16 @@ def solve_seconds(side, workload, problem, start) -> float:
     return time.perf_counter() - t0
 
 
-def pair_times(sides, workload, files, pairs: int) -> tuple:
-    """(parent, change) seconds per set-up of each pair, and of every solve
-    pair, pair by pair."""
+def pair_times(sides, workload, files, pairs: int, clock) -> tuple:
+    """(parent, change) seconds per set-up of each pair, timed by
+    ``clock``, and of every solve pair, pair by pair."""
     data = [set_up_data(side, workload, files) for side in sides]
     setups, solves = [], []
     for p in range(pairs):
         order = (0, 1) if p % 2 == 0 else (1, 0)
         setup, prepared = [0.0, 0.0], [None, None]
         for i in order:
-            setup[i], prepared[i] = set_up_seconds(sides[i], workload, data[i])
+            setup[i], prepared[i] = set_up_seconds(sides[i], workload, data[i], clock)
         setups.append(tuple(setup))
         for k in range(len(files)):
             solve = [0.0, 0.0]
@@ -169,7 +181,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         instances = harness.make_instances(workload, args.seed, INSTANCES)
         files = harness.write_problem_files(instances, Path(tmp))
-        setups, solves = pair_times(sides, workload, files, args.pairs)
+        setups, solves = pair_times(sides, workload, files, args.pairs,
+                                    calibrate.CalibratedClock())
     ratio, parent, change, faster, spread = compare(solves, len(files))
     print(f"workload {args.workload}: {args.pairs} pairs of {len(files)} solves per side")
     print(f"median per-solve ratio change/parent {ratio:.4f}")

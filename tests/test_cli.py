@@ -12,6 +12,7 @@ import pytest
 import ddsolve as dd
 import ddsolve.cli as cli_module
 from ddsolve.cli import main, parse_problem_file, run_solve
+from conftest import MANY_ATOM_SEEDS, many_atom_document
 from fuzz import documents, run_failure
 from oracles import repeat_run_failures
 
@@ -56,6 +57,9 @@ def test_parse_rejects_several_coords_on_scalar_atom(tmp_path, capsys):
 
 BOX_DOC = {"n": 1, "m": 1, "A": [[1.0]], "c": [1.0],
            "atoms": [{"type": "box", "coords": [1], "bounds": [0.0, 1.0]}]}
+# three image rows, for atom lists whose bad entry follows good ones
+THREE = {"m": 3, "A": [[1.0], [0.5], [0.0]]}
+HALF = [{"type": "halfline_lower", "coords": [i], "bounds": 0.0} for i in (1, 2, 3)]
 
 
 @pytest.mark.parametrize("change,field", [
@@ -123,6 +127,18 @@ BOX_DOC = {"n": 1, "m": 1, "A": [[1.0]], "c": [1.0],
                 {"type": "halfline_lower", "coords": [2.9], "bounds": -1.0}]}, "atoms[0].coords"),
     ({"n": 2, "m": 3, "A": [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]], "c": [-1.0, 1.0],
       "atoms": [{"type": "soc", "coords": [1, 2, 3], "offset": 1.0}]}, "atoms[0].offset"),
+    # the first bad entry is named, past good ones
+    ({**THREE, "atoms": [HALF[0], {**HALF[1], "type": "mystery"}, HALF[2]]}, "atoms[1].type"),
+    ({**THREE, "atoms": [*HALF[:2], {**HALF[2], "coords": [3.5]}]}, "atoms[2].coords"),
+    ({**THREE, "atoms": [HALF[0], {**HALF[1], "bounds": "0"}, HALF[2]]}, "atoms[1].bounds"),
+    ({**THREE, "atoms": [*HALF[:2], {"type": "box", "coords": [3], "bounds": [0.0, 1.0],
+                                     "offset": [0.5]}]}, "atoms[2].offset"),
+    ({**THREE, "atoms": [HALF[0], {**HALF[1], "ofset": 0.5}, HALF[2]]}, "atoms[1].ofset"),
+    ({**THREE, "atoms": [*HALF[:2], {**HALF[2], "bounds": float("nan")}]}, "atoms[2]"),
+    ({**THREE, "atoms": [HALF[0], {**HALF[1], "bounds": "0"}, {**HALF[2], "type": "mystery"}]},
+     "atoms[1].bounds"),
+    ({**THREE, "atoms": [HALF[0], {**HALF[1], "bounds": float("inf")},
+                         {**HALF[2], "type": "mystery"}]}, "atoms[1]"),
 ], ids=["xi-null", "xi-text", "kappa-null", "kappa-list", "z0-text", "z0-null",
         "atoms-object", "atoms-number", "n-fractional", "m-fractional",
         "A-text", "A-bool", "c-text", "A-bool-among-numbers", "c-bool-among-numbers",
@@ -132,7 +148,8 @@ BOX_DOC = {"n": 1, "m": 1, "A": [[1.0]], "c": [1.0],
         "halfline-bounds-bool", "box-bounds-bool", "soc-bounds", "offset-list",
         "offset-bool", "unknown-key", "atom-unknown-key", "unknown-keys",
         "atom-not-object", "coords-empty", "coords-zero", "type-unknown", "coords-fractional",
-        "soc-offset-scalar"])
+        "soc-offset-scalar", "later-type", "later-coords", "later-bounds", "later-offset",
+        "later-unknown-key", "later-non-finite", "two-bad-entries", "bad-number-then-bad-type"])
 def test_parse_rejects_malformed_entry(change, field, tmp_path, capsys):
     path = tmp_path / "bad.dd"
     path.write_text(json.dumps({**BOX_DOC, **change}))
@@ -376,11 +393,64 @@ def test_stop_params_of_huge_data_are_finite(change, code, status, d_feas, tmp_p
 
 
 def test_fuzzed_documents_exit_with_one_report(tmp_path):
-    # the first 300 documents of tests/fuzz.py's seed 7, of which 43 made
-    # numpy warn when the stop parameters' norms overflowed
+    # the first 300 documents of tests/fuzz.py's seed 7; numpy warned once
+    # the stop parameters' norms overflowed, and on document 183 (a
+    # halfline bound and offset of -1e308 and 1e308) when its barrier was
+    # grouped
     failures = [(k, doc, failure) for k, doc in enumerate(documents(7, 300))
                 if (failure := run_failure(doc, tmp_path)) is not None]
     assert failures == []
+
+
+def _walked(entries):
+    """The atoms of ``entries`` read one entry at a time, None if one is bad."""
+    try:
+        return [cli_module._parse_atom(entry, i) for i, entry in enumerate(entries)]
+    except dd.ParseError:
+        return None
+
+
+def test_atom_list_takes_exactly_the_lists_the_walker_takes():
+    # every atom list of the fuzz's seed-7 documents, good or bad, and the
+    # many-atom files: the whole-list check builds the walker's atoms, or
+    # leaves the list to the walker, which then names a bad entry
+    lists = [doc["atoms"] for doc in documents(7, 4000) if type(doc["atoms"]) is list]
+    lists += [many_atom_document(seed, shuffled)[0]["atoms"]
+              for seed in MANY_ATOM_SEEDS for shuffled in (False, True)]
+    outcomes = [(cli_module._atom_list(atoms), _walked(atoms)) for atoms in lists]
+    assert [k for k, (bulk, walked) in enumerate(outcomes) if bulk != walked] == []
+    assert 0 < sum(walked is None for _, walked in outcomes) < len(outcomes)
+
+
+@pytest.mark.parametrize("shuffled", [False, True], ids=["ordered", "shuffled"])
+@pytest.mark.parametrize("seed", MANY_ATOM_SEEDS)
+def test_many_atom_file_round_trips(seed, shuffled, tmp_path):
+    # a file of every kind, its numbers a mix of ints and floats, reads in
+    # one pass as the atoms the API constructors build, and groups as they
+    # do, bit for bit
+    doc, atoms = many_atom_document(seed, shuffled)
+    values = [entry[key] for entry in doc["atoms"] for key in ("bounds", "offset") if key in entry]
+    numbers = [v for value in values for v in (value if type(value) is list else [value])]
+    assert {type(v) for v in numbers} == {int, float}
+    assert len(atoms) >= 30 and {a.kind for a in atoms} == set(dd.barriers.ATOM_THETA)
+    assert cli_module._atom_list(doc["atoms"]) == atoms
+    path = tmp_path / "many.dd"
+    path.write_text(json.dumps(doc))
+    problem, _ = parse_problem_file(str(path))
+    assert list(problem.atoms) == atoms
+    expected = dd.DomainBarrier(atoms, problem.m).groups
+    assert [type(g) for g in problem.barrier.groups] == [type(g) for g in expected]
+    for got, want in zip(problem.barrier.groups, expected):
+        # each selector a slice when the coordinates run in order
+        assert type(got.sel) is type(want.sel) and isinstance(got.sel, slice) != shuffled
+        if shuffled:
+            assert got.sel.tobytes() == want.sel.tobytes()
+        else:
+            assert got.sel == want.sel
+        arrays = [name for name in ("d", "lower", "upper") if hasattr(want, name)]
+        assert all(getattr(got, name).tobytes() == getattr(want, name).tobytes()
+                   for name in arrays)
+        assert getattr(got, "nh", None) == getattr(want, "nh", None)
 
 
 def test_strict_flag_upgrades_certificate(instance_path, capsys):

@@ -13,6 +13,7 @@ import digest
 ROOT = Path(__file__).resolve().parents[1]
 RUN = re.compile(r"\S+@\S+ \w+ iterations=\d+ violations=\d+ [0-9a-f]{64}")
 REPORT = re.compile(r"build_\w+@[0-9.e-]+/\d+/(True|False) \w+ exit=\d+ [0-9a-f]{64}")
+PARSE = re.compile(r"parse:(fuzz-\d+|many-\d+-(ordered|shuffled)) [0-9a-f]{64}")
 
 
 def _digest(*args) -> list:
@@ -28,29 +29,36 @@ def plain():
     return _digest()
 
 
-def test_digest_prints_three_digests_and_the_counts(plain):
+def test_digest_prints_three_digests_the_counts_and_the_parse_digest(plain):
     # the format only: a change of rounding may move the values
     lines = plain
-    assert [line.split(" ", 1)[0] for line in lines] == ["cli", "iterates", "reports", "counts"]
-    for line in lines[:3]:
+    assert [line.split(" ", 1)[0] for line in lines] == [
+        "cli", "iterates", "reports", "counts", "parse"]
+    for line in lines[:3] + lines[4:]:
         assert re.fullmatch(r"\w+ [0-9a-f]{64}", line), line
     assert re.fullmatch(r"counts \w+:\d+(,\w+:\d+)* iterations=\d+ violations=\d+", lines[3]), \
         lines[3]
 
 
-def test_runs_prints_a_line_per_run_then_the_four_lines(plain):
+def test_runs_prints_a_line_per_run_and_document_then_the_five_lines(plain):
     lines = _digest("--runs")
-    four = lines[-4:]
-    assert four == plain
-    # the follow runs, then one line per short run_solve report
+    five = lines[-5:]
+    assert five == plain
+    # the follow runs, then one line per short run_solve report, then one
+    # per parsed document
     n_runs = len(list(digest._runs())) + len(digest.CONE_SEEDS)
-    runs, reports = lines[:n_runs], lines[n_runs:-4]
+    n_reports = 5 * len(digest.SMALL_EPS) * len(digest.SMALL_MAX_ITERS) * 2
+    runs, reports = lines[:n_runs], lines[n_runs:n_runs + n_reports]
+    parsed = lines[n_runs + n_reports:-5]
     for line in runs:
         assert RUN.fullmatch(line), line
     for line in reports:
         assert REPORT.fullmatch(line), line
-    assert len(reports) == 5 * len(digest.SMALL_EPS) * len(digest.SMALL_MAX_ITERS) * 2 == 120
-    labels = [line.split(" ", 1)[0] for line in lines[:-4]]
+    assert len(reports) == 120
+    for line in parsed:
+        assert PARSE.fullmatch(line), line
+    assert len(parsed) == digest.PARSE_COUNT + 2 * len(digest.MANY_ATOM_SEEDS)
+    labels = [line.split(" ", 1)[0] for line in lines[:-5]]
     assert len(set(labels)) == len(labels)
     # the short runs reach all six statuses
     assert {line.split(" ")[1] for line in reports} == {

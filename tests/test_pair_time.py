@@ -1,6 +1,7 @@
 """The paired timing tool runs end to end on two checkouts."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -61,6 +62,14 @@ def pair_time(monkeypatch):
     return pair_time
 
 
+def stub_clock(calibrated, splits=None):
+    """A clock for ``calibrate.timed_calls`` that runs each call with a
+    safe point appending to ``splits`` and reads its calibrated time as
+    ``calibrated(item)``."""
+    split = (lambda: None) if splits is None else (lambda: splits.append(None))
+    return SimpleNamespace(time=lambda fn, item: (fn(item, split), 0.0, calibrated(item)))
+
+
 def test_pair_time_gain_rule_helpers(pair_time):
     times = [(1.0, 0.5), (3.0, 0.5), (2.0, 4.0), (2.0, 4.0), (5.0, 1.0), (9.0, 1.0)]
     assert pair_time.pair_medians(times, 2) == [(2.0, 0.5), (2.0, 4.0), (7.0, 1.0)]
@@ -73,10 +82,10 @@ def test_pair_time_gain_rule_helpers(pair_time):
 
 
 def test_pair_time_sets_up_back_to_back_and_solves_in_pairs(pair_time):
-    # each side sets up every file setup_passes times in a row, as the
-    # benchmark's setup_s does, before the solves go side by side file by
-    # file; the side that goes first alternates; each solve gets the
-    # problem of its side's last pass
+    # each side sets up every file setup_passes times in a row, in
+    # SETUP_REPEATS repeats, as the benchmark's setup_s does, before the
+    # solves go side by side file by file; the side that goes first
+    # alternates; each solve gets the problem of its side's last pass
     calls = []
 
     def side(name):
@@ -89,16 +98,40 @@ def test_pair_time_sets_up_back_to_back_and_solves_in_pairs(pair_time):
             return SimpleNamespace(to_json=str)
         return SimpleNamespace(parse_problem_file=parse, run_solve=run_solve), None
     workload = SimpleNamespace(via_cli=True, setup_passes=2)
-    setups, solves = pair_time.pair_times((side("p"), side("c")), workload, ["a", "b"], 2)
+    repeats = pair_time.harness.SETUP_REPEATS
+    setups, solves = pair_time.pair_times((side("p"), side("c")), workload, ["a", "b"], 2,
+                                          stub_clock(lambda repeat: 1.0))
     assert len(setups) == 2 and len(solves) == 4
     assert all(t > 0.0 for pair in setups + solves for t in pair)
-    set_up = lambda name: [(name, "set-up", f) for f in "abab"]
+    set_up = lambda name: [(name, "set-up", f) for f in "ab" * 2 * repeats]
+    # a side's set-ups take 4 * repeats calls; its last pass is the last two
+    last = 4 * repeats
     assert calls == (set_up("p") + set_up("c")
-                     + [("p", "solve", ("p", "a", 3)), ("c", "solve", ("c", "a", 7)),
-                        ("p", "solve", ("p", "b", 4)), ("c", "solve", ("c", "b", 8))]
+                     + [("p", "solve", ("p", "a", last - 1)),
+                        ("c", "solve", ("c", "a", 2 * last - 1)),
+                        ("p", "solve", ("p", "b", last)), ("c", "solve", ("c", "b", 2 * last))]
                      + set_up("c") + set_up("p")
-                     + [("c", "solve", ("c", "a", 15)), ("p", "solve", ("p", "a", 19)),
-                        ("c", "solve", ("c", "b", 16)), ("p", "solve", ("p", "b", 20))])
+                     + [("c", "solve", ("c", "a", 3 * last + 3)),
+                        ("p", "solve", ("p", "a", 4 * last + 3)),
+                        ("c", "solve", ("c", "b", 3 * last + 4)),
+                        ("p", "solve", ("p", "b", 4 * last + 4))])
+
+
+def test_pair_time_takes_the_median_repeat_per_set_up(pair_time):
+    # repeat i lasts durations[i] calibrated seconds on a stub clock, each
+    # setting up three files twice with a safe point after each pass: the
+    # side's time is the median repeat over six set-ups
+    repeats = pair_time.harness.SETUP_REPEATS
+    durations = random.Random(0).sample(range(1, repeats + 1), repeats)
+    splits = []
+    side = SimpleNamespace(parse_problem_file=lambda f: (f, len(splits))), None
+    workload = SimpleNamespace(via_cli=True, setup_passes=2)
+    seconds, prepared = pair_time.set_up_seconds(
+        side, workload, ["a", "b", "c"], stub_clock(durations.__getitem__, splits))
+    assert seconds == pytest.approx((repeats + 1) / 2 / 6, rel=1e-12)
+    assert len(splits) == 2 * repeats
+    last = 2 * repeats - 1
+    assert prepared == [("a", last), ("b", last), ("c", last)]
 
 
 def test_pair_time_rejects_a_checkout_without_sources(tmp_path):
