@@ -37,6 +37,8 @@ ATOM_THETA = {HALFLINE_LOWER: 1.0, HALFLINE_UPPER: 1.0, BOX: 2.0, SOC: 2.0}
 # which of (lower, upper) each kind takes
 ATOM_BOUNDS = {HALFLINE_LOWER: (True, False), HALFLINE_UPPER: (False, True),
                BOX: (True, True), SOC: (False, False)}
+# whether each kind is a cone: a cone takes at least two coordinates, the rest one
+ATOM_CONE = {HALFLINE_LOWER: False, HALFLINE_UPPER: False, BOX: False, SOC: True}
 
 PRIMAL = "primal"
 CONJUGATE = "conjugate"
@@ -71,9 +73,9 @@ class BarrierAtom:
         k = len(coords)
         if len(offset) != k:
             raise ValueError("offset length must match coords length")
-        if kind == SOC:
+        if ATOM_CONE[kind]:
             if k < 2:
-                raise ValueError("soc atom needs at least 2 coordinates")
+                raise ValueError(f"{kind} atom needs at least 2 coordinates")
         elif k != 1:
             raise ValueError(f"{kind} atom takes exactly one coordinate")
         takes = ATOM_BOUNDS[kind]
@@ -505,17 +507,15 @@ class DomainBarrier:
     """
 
     def __init__(self, atoms: Sequence[BarrierAtom], m: int):
-        self.atoms = tuple(atoms)
         self.m = int(m)
-        theta, coords, halflines, boxes, cones = 0.0, [], [], [], []
-        for a in self.atoms:
-            theta += a.theta
+        self.theta, coords, halflines, boxes, cones = 0.0, [], [], [], []
+        for a in atoms:
+            self.theta += a.theta
             coords += a.coords
             if a.kind == SOC:
                 cones.append(_ConeGroup(a))
             else:
                 (boxes if a.kind == BOX else halflines).append(a)
-        self.theta = theta
         # the atoms' coordinates in order: range(m) when they partition the image space
         self.coords = sorted(coords)
         self.groups = ([_IntervalGroup(halflines + boxes, len(halflines))]

@@ -105,8 +105,8 @@ def _parse_atom(entry, index):
         raise ParseError(f"atom {index} coords must be integers, got {coords}",
                          field=f"atoms[{index}].coords")
     k = len(coords)
-    if (k == 1) == (kind == barriers.SOC):
-        takes = "at least two coordinates" if kind == barriers.SOC else "exactly one coordinate"
+    if (k == 1) == barriers.ATOM_CONE[kind]:
+        takes = "at least two coordinates" if k == 1 else "exactly one coordinate"
         raise ParseError(f"atom {index}: a {kind} atom takes {takes}",
                          field=f"atoms[{index}].coords")
     zero_based = [int(i) - 1 for i in coords]
@@ -163,7 +163,7 @@ def _atom_list(entries: list) -> list | None:
             n = takes_lower + takes_upper
             b = [b] if n == 1 else b if n == 2 else [] if b == () else None
             o = ([0.0] if o == () else [o]) if k == 1 else [0.0] * k if o == () else o
-            if (not k or (k == 1) == (kind == barriers.SOC) or type(b) is not list
+            if (not k or (k == 1) == barriers.ATOM_CONE[kind] or type(b) is not list
                     or len(b) != n or type(o) is not list or len(o) != k):
                 return None
             numbers += b

@@ -8,22 +8,23 @@ share the interpreter, the numpy build and the machine's state.
 
 The instances are generated once, through ``bench/families.py`` with the
 workload definitions of ``bench/harness.py`` (both only read), and written
-as problem files that both sides parse.  Each pair sets up every instance
-on each side, one side right after the other, then solves them instance
-by instance, one side right after the other; the side that goes first
+as problem files that both sides parse.  Each pair makes one pass per
+side: that side's set-up, then its solves, each solve on the problem the
+side set up in the last pass of its set-up.  The side that goes first
 alternates from pair to pair, so a drift in the host's speed or a
-warm-cache advantage falls on both.  The set-up and the solve are timed
-apart.  A side's set-up is timed as the benchmark's ``setup_s`` times it:
+warm-cache advantage falls on both.  Both halves are timed as the
+benchmark times them, through ``calibrate.timed_calls`` on one calibrated
+clock (``bench/calibrate.py``, only read), which scales each timed call's
+wall time by the speed probes on either side of it and of its safe
+points.  A side's set-up is timed as ``setup_s`` is:
 ``harness.SETUP_REPEATS`` back-to-back repeats, each setting up every
-instance ``setup_passes`` times over, on the benchmark's calibrated clock
-(``bench/calibrate.py``, only read), which scales each repeat's wall time
-by the speed probes on either side of it; the median repeat, per set-up,
-is the side's time in the pair.  The set-up is ``cli.parse_problem_file``
-on a CLI workload and ``validate_problem`` plus ``make_start``
-otherwise, on the data each side parsed once beforehand.  The solve is
-timed up to the report JSON of ``cli.run_solve(strict=True)`` on a CLI
-workload and is ``follow`` otherwise.  Each solve gets the problem its
-side set up in the last pass of the pair.
+instance ``setup_passes`` times over; the median repeat, per set-up, is
+the side's time in the pair.  The set-up is ``cli.parse_problem_file`` on
+a CLI workload and ``validate_problem`` plus ``make_start`` otherwise, on
+the data each side parsed once beforehand.  Each solve is one timed call,
+as ``solve_s`` times it: up to the report JSON of
+``cli.run_solve(strict=True)`` on a CLI workload, and ``follow``
+otherwise, whose ``on_iterate`` is the clock's safe point.
 
 Printed: the median over all solve pairs of the change's time divided by
 the parent's, the number of pairs, each side's median solve time, and the
@@ -41,7 +42,7 @@ import os
 import statistics
 import sys
 import tempfile
-import time
+from functools import partial
 from pathlib import Path
 
 # one BLAS thread unless the caller says otherwise, as bench/run.py does
@@ -105,33 +106,30 @@ def set_up_data(side, workload, files) -> list:
     return [(p.A, p.c, p.atoms) for p, _ in map(cli.parse_problem_file, files)]
 
 
-def solve_seconds(side, workload, problem, start) -> float:
-    """Wall time of one solve."""
+def solve_one(side, workload, pair, split) -> None:
+    """One solve of the (problem, start) ``pair`` as ``harness.solve_one``
+    makes it, ``split`` called after every accepted iterate of ``follow``."""
     cli, dd = side
-    t0 = time.perf_counter()
+    problem, start = pair
     if workload.via_cli:
         cli.run_solve(problem, start, harness.EPS, strict=True).to_json()
     else:
-        dd.follow(problem, start, dd.FollowerOptions(eps=harness.EPS))
-    return time.perf_counter() - t0
+        dd.follow(problem, start, dd.FollowerOptions(eps=harness.EPS), lambda row: split())
 
 
 def pair_times(sides, workload, files, pairs: int, clock) -> tuple:
-    """(parent, change) seconds per set-up of each pair, timed by
-    ``clock``, and of every solve pair, pair by pair."""
+    """(parent, change) seconds per set-up of each pair, and calibrated
+    seconds of every solve pair, pair by pair, all timed by ``clock``."""
     data = [set_up_data(side, workload, files) for side in sides]
     setups, solves = [], []
     for p in range(pairs):
-        order = (0, 1) if p % 2 == 0 else (1, 0)
-        setup, prepared = [0.0, 0.0], [None, None]
-        for i in order:
-            setup[i], prepared[i] = set_up_seconds(sides[i], workload, data[i], clock)
+        setup, solve = [0.0, 0.0], [None, None]
+        for i in (0, 1) if p % 2 == 0 else (1, 0):
+            setup[i], prepared = set_up_seconds(sides[i], workload, data[i], clock)
+            solve[i] = calibrate.timed_calls(clock, partial(solve_one, sides[i], workload),
+                                             prepared)[2]
         setups.append(tuple(setup))
-        for k in range(len(files)):
-            solve = [0.0, 0.0]
-            for i in order:
-                solve[i] = solve_seconds(sides[i], workload, *prepared[i][k])
-            solves.append(tuple(solve))
+        solves += zip(*solve)
     return setups, solves
 
 

@@ -64,10 +64,12 @@ def pair_time(monkeypatch):
 
 def stub_clock(calibrated, splits=None):
     """A clock for ``calibrate.timed_calls`` that runs each call with a
-    safe point appending to ``splits`` and reads its calibrated time as
-    ``calibrated(item)``."""
-    split = (lambda: None) if splits is None else (lambda: splits.append(None))
-    return SimpleNamespace(time=lambda fn, item: (fn(item, split), 0.0, calibrated(item)))
+    safe point appending the call's item to ``splits`` and reads its
+    calibrated time as ``calibrated(item)``."""
+    def time(fn, item):
+        split = (lambda: None) if splits is None else (lambda: splits.append(item))
+        return fn(item, split), 0.0, calibrated(item)
+    return SimpleNamespace(time=time)
 
 
 def test_pair_time_gain_rule_helpers(pair_time):
@@ -82,10 +84,11 @@ def test_pair_time_gain_rule_helpers(pair_time):
 
 
 def test_pair_time_sets_up_back_to_back_and_solves_in_pairs(pair_time):
-    # each side sets up every file setup_passes times in a row, in
-    # SETUP_REPEATS repeats, as the benchmark's setup_s does, before the
-    # solves go side by side file by file; the side that goes first
-    # alternates; each solve gets the problem of its side's last pass
+    # each pair makes one pass per side: the side sets up every file
+    # setup_passes times in a row, in SETUP_REPEATS repeats, as the
+    # benchmark's setup_s does, then solves the problems of its last pass;
+    # the side that goes first alternates, and the solve pairs match the
+    # sides' solves file by file
     calls = []
 
     def side(name):
@@ -99,22 +102,41 @@ def test_pair_time_sets_up_back_to_back_and_solves_in_pairs(pair_time):
         return SimpleNamespace(parse_problem_file=parse, run_solve=run_solve), None
     workload = SimpleNamespace(via_cli=True, setup_passes=2)
     repeats = pair_time.harness.SETUP_REPEATS
-    setups, solves = pair_time.pair_times((side("p"), side("c")), workload, ["a", "b"], 2,
-                                          stub_clock(lambda repeat: 1.0))
-    assert len(setups) == 2 and len(solves) == 4
-    assert all(t > 0.0 for pair in setups + solves for t in pair)
+    # a solve's calibrated time is the call count at its problem's parse
+    clock = stub_clock(lambda item: 1.0 if isinstance(item, int) else float(item[0][2]))
+    setups, solves = pair_time.pair_times((side("p"), side("c")), workload, ["a", "b"], 2, clock)
     set_up = lambda name: [(name, "set-up", f) for f in "ab" * 2 * repeats]
+    solve = lambda name, a, b: [(name, "solve", (name, "a", a)), (name, "solve", (name, "b", b))]
     # a side's set-ups take 4 * repeats calls; its last pass is the last two
     last = 4 * repeats
-    assert calls == (set_up("p") + set_up("c")
-                     + [("p", "solve", ("p", "a", last - 1)),
-                        ("c", "solve", ("c", "a", 2 * last - 1)),
-                        ("p", "solve", ("p", "b", last)), ("c", "solve", ("c", "b", 2 * last))]
-                     + set_up("c") + set_up("p")
-                     + [("c", "solve", ("c", "a", 3 * last + 3)),
-                        ("p", "solve", ("p", "a", 4 * last + 3)),
-                        ("c", "solve", ("c", "b", 3 * last + 4)),
-                        ("p", "solve", ("p", "b", 4 * last + 4))])
+    assert calls == (set_up("p") + solve("p", last - 1, last)
+                     + set_up("c") + solve("c", 2 * last + 1, 2 * last + 2)
+                     + set_up("c") + solve("c", 3 * last + 3, 3 * last + 4)
+                     + set_up("p") + solve("p", 4 * last + 5, 4 * last + 6))
+    assert len(setups) == 2 and all(t > 0.0 for pair in setups for t in pair)
+    assert solves == [(last - 1, 2 * last + 1), (last, 2 * last + 2),
+                      (4 * last + 5, 3 * last + 3), (4 * last + 6, 3 * last + 4)]
+
+
+def test_pair_time_solves_on_the_clock_and_splits_each_iterate(pair_time):
+    # each solve is one clock.time call, as in the benchmark, and follow
+    # hands each accepted iterate to the clock's safe point
+    timed, splits = [], []
+
+    def follow(problem, start, options, on_iterate):
+        for row in range(3):
+            on_iterate(row)
+    files = {"a": SimpleNamespace(A="A", c=0, atoms=()), "b": SimpleNamespace(A="B", c=0, atoms=())}
+    cli = SimpleNamespace(parse_problem_file=lambda f: (files[f], None))
+    dd = SimpleNamespace(validate_problem=lambda A, c, atoms: A, make_start=str.lower,
+                         follow=follow, FollowerOptions=lambda eps: None)
+    workload = SimpleNamespace(via_cli=False, setup_passes=1)
+    repeats = pair_time.harness.SETUP_REPEATS
+    clock = stub_clock(lambda item: timed.append(item) or 1.0, splits)
+    pair_time.pair_times(((cli, dd), (cli, dd)), workload, ["a", "b"], 1, clock)
+    assert timed == 2 * (list(range(repeats)) + [("A", "a"), ("B", "b")])
+    # a set-up repeat's one pass is a safe point too
+    assert splits == 2 * (list(range(repeats)) + 3 * [("A", "a")] + 3 * [("B", "b")])
 
 
 def test_pair_time_takes_the_median_repeat_per_set_up(pair_time):

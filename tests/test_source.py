@@ -280,3 +280,11 @@ def test_each_follower_point_is_formed_once():
     assert _callers(path, "make_iterate") == ["follow"]
     assert _tau_over_mu(model) == ["_scale_dual"]
     assert _callers(status, "_scale_dual") == ["check_status", "strict_infeasibility_certificate"]
+
+
+def test_atom_kinds_are_known_in_barriers_only():
+    # the parser reads each kind's rules from barriers' tables and names
+    # no kind itself
+    cli = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    kinds = ("SOC", "BOX", "HALFLINE_LOWER", "HALFLINE_UPPER")
+    assert [kind for node in ast.walk(cli) for kind in kinds if _named(node, kind)] == []
