@@ -255,8 +255,9 @@ def corrector_step(problem: Problem, start: StartData, point: Iterate) -> Iterat
 
     Returns the last Newton point at its own path parameter, from
     :func:`mu_of`, with the proximity there on the point's own shifted
-    image; it keeps that point's primal evaluation, which
-    :func:`predictor_step` reads when handed it.
+    image (the exit test's, when that mu is the corrector's own float); it
+    keeps that point's primal evaluation, which :func:`predictor_step`
+    reads when handed it.
 
     Raises CorrectorStall if the exit rule is not met within
     CORRECTOR_MAX_STEPS steps; its message gives the proximity at the
@@ -299,7 +300,9 @@ def corrector_step(problem: Problem, start: StartData, point: Iterate) -> Iterat
             f"proximity {prox:.3e} above target {target:.3e} after "
             f"{CORRECTOR_MAX_STEPS} Newton steps")
     mu = mu_of(problem, start, point.x, point.tau, point.y)
-    return replace(point, mu=mu, proximity=proximity_at(problem, point.u, point.tau, point.y, mu))
+    if mu != point.mu:   # at the same float, the exit test's proximity is the same call's
+        prox = proximity_at(problem, point.u, point.tau, point.y, mu)
+    return replace(point, mu=mu, proximity=prox)
 
 
 def predictor_step(problem: Problem, start: StartData, point: Iterate, previous=None):
@@ -452,7 +455,7 @@ def follow(problem: Problem, start: StartData, options: FollowerOptions = Follow
                 point = corrector_step(problem, start, predicted)
         except (PredictorStall, CorrectorStall, DomainViolation, FactorizationFailure,
                 OverflowError, FloatingPointError) as exc:
-            report = status_engine.numerical_failure_report(problem, iterates, violations, sp, exc)
+            report = status_engine.numerical_failure_report(iterates, violations, sp, exc)
             break
         sp = record(point)
         report = status_engine.check_status(problem, start, iterates, violations, options.eps,
@@ -460,6 +463,6 @@ def follow(problem: Problem, start: StartData, options: FollowerOptions = Follow
         if report is not None:
             break
     else:
-        report = status_engine.iteration_limit_report(problem, iterates, violations, sp)
+        report = status_engine.iteration_limit_report(iterates, violations, sp)
     return FollowResult(report=report, trace=trace, iterates=iterates,
                         invariant_violations=violations)

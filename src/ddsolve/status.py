@@ -68,11 +68,15 @@ INFEASIBILITY_PROJECTION_FACTOR = 0.9
 
 @dataclass(frozen=True)
 class StopParams:
-    """Scaled duality gap and primal/dual feasibility measures."""
+    """Scaled duality gap and primal/dual feasibility measures, with the
+    <c, x>, support(y) and A'y they are formed from."""
 
     gap: float
     p_feas: float
     d_feas: float
+    cx: float = np.nan
+    support: float = np.nan
+    aty: np.ndarray | None = field(default=None, compare=False)
 
     def max(self) -> float:
         return max(self.gap, self.p_feas, self.d_feas)
@@ -94,9 +98,9 @@ def stop_params(problem: Problem, start: StartData, x, tau: float, y) -> StopPar
         dst = ds / tau
         gap = abs(cx + dst) / (1.0 + abs(cx) + abs(dst))
     p_feas = start.z0_norm / tau
-    r = problem.A.T @ y / tau + problem.c
-    d_feas = _safe_norm(r) / (1.0 + problem.c_norm)
-    return StopParams(gap=float(gap), p_feas=p_feas, d_feas=d_feas)
+    aty = problem.A.T @ y
+    d_feas = _safe_norm(aty / tau + problem.c) / (1.0 + problem.c_norm)
+    return StopParams(gap=float(gap), p_feas=p_feas, d_feas=d_feas, cx=cx, support=ds, aty=aty)
 
 
 @dataclass
@@ -258,20 +262,19 @@ def _eps_feasibility_report(problem, start, point: Iterate, sp: StopParams,
     return rep
 
 
-def _report(problem, iterates: list, violations: list, status: str, sp: StopParams, *,
+def _report(iterates: list, violations: list, status: str, sp: StopParams, *,
             verification=None, certificate=None, reason=None) -> StatusReport:
     """The finished report of ``status`` at the last of the run's
-    ``iterates``, whose stop parameters are ``sp``; a failure ``reason``
-    and then the run's facts close the diagnostics."""
+    ``iterates``, whose stop parameters ``sp`` give its objectives; a
+    failure ``reason`` and then the run's facts close the diagnostics."""
     point = iterates[-1]
-    ds = support_function(problem, point.y)
     return StatusReport(
         status=status,
         x=point.x,
         y_scaled=point.y / point.tau,
         certificate=certificate,
-        objective_primal=float(problem.c @ point.x),
-        objective_estimate=float(-ds / point.tau) if np.isfinite(ds) else None,
+        objective_primal=sp.cx,
+        objective_estimate=float(-sp.support / point.tau) if np.isfinite(sp.support) else None,
         verification=verification,
         diagnostics={
             "mu": point.mu, "tau": point.tau, "proximity": point.proximity,
@@ -293,8 +296,9 @@ def require_eps(eps: float) -> None:
 def check_status(problem: Problem, start: StartData, iterates: list, violations: list,
                  eps: float, *, sp: StopParams):
     """Run the termination checks in precedence order on the last of the
-    run's recorded ``iterates``, whose stop parameters are ``sp``; None if
-    none fired, else the report, counting the run's ``violations``.
+    run's recorded ``iterates``, whose stop parameters ``sp`` also give its
+    A'y and <c, x>; None if none fired, else the report, counting the run's
+    ``violations``.
 
     A certificate status is reported with its certificate re-verified from
     the problem data, and never with a payload that fails: then the report
@@ -306,44 +310,42 @@ def check_status(problem: Problem, start: StartData, iterates: list, violations:
     point = iterates[-1]
     x, tau, y, mu = point.x, point.tau, point.y, point.mu
     scaled = _scale_dual(tau, y, mu)   # the model's mu > 0 check
-    aty = problem.A.T @ y
     if sp.max() <= eps:
         status = EPS_SOLUTION
         cert = Certificate(kind="optimal-pair", strict=False, eps=eps, x=x, y=y / tau, tau=tau)
     # the support of the scaled dual is formed only where the cheap norm
     # test passes
-    elif (tau / mu) * _norm(aty) <= eps and support_function(problem, scaled) < 0.0:
+    elif (tau / mu) * _norm(sp.aty) <= eps and support_function(problem, scaled) < 0.0:
         status = INFEASIBILITY_CERTIFICATE
         cert = Certificate(kind="infeasibility", strict=False, eps=eps, y=scaled)
-    elif float(problem.c @ x) <= -1.0 / eps:
+    elif sp.cx <= -1.0 / eps:
         status = UNBOUNDEDNESS_CERTIFICATE
         cert = Certificate(kind="unboundedness", strict=False, eps=eps, x=x, tau=tau)
     # below eps ~ 1e-108, theta eps^3 underflows to 0.0: the cap is +inf
     elif (cap_scale := problem.theta * eps**3) > 0.0 and mu >= 1.0 / cap_scale:
-        return _report(problem, iterates, violations, ILL_CONDITIONED, sp,
+        return _report(iterates, violations, ILL_CONDITIONED, sp,
                        verification=_eps_feasibility_report(problem, start, point, sp, eps))
     else:
         return None
     verification = verify_certificate(problem, start, cert)
     if verification.passed:
-        return _report(problem, iterates, violations, status, sp, verification=verification,
+        return _report(iterates, violations, status, sp, verification=verification,
                        certificate=cert)
-    return _report(problem, iterates, violations, NUMERICAL_FAILURE, sp, verification=verification,
+    return _report(iterates, violations, NUMERICAL_FAILURE, sp, verification=verification,
                    reason="certificate failed verification: "
                    + ", ".join(verification.failed_names()))
 
 
-def numerical_failure_report(problem, iterates: list, violations: list, sp: StopParams,
+def numerical_failure_report(iterates: list, violations: list, sp: StopParams,
                              exc: Exception) -> StatusReport:
     """The report on the last recorded iterate, from its stop parameters ``sp``."""
-    return _report(problem, iterates, violations, NUMERICAL_FAILURE, sp,
+    return _report(iterates, violations, NUMERICAL_FAILURE, sp,
                    reason=f"{type(exc).__name__}: {exc}")
 
 
-def iteration_limit_report(problem, iterates: list, violations: list,
-                           sp: StopParams) -> StatusReport:
+def iteration_limit_report(iterates: list, violations: list, sp: StopParams) -> StatusReport:
     """The report on the last recorded iterate, from its stop parameters ``sp``."""
-    return _report(problem, iterates, violations, ITERATION_LIMIT, sp,
+    return _report(iterates, violations, ITERATION_LIMIT, sp,
                    reason="iteration cap reached before any status fired")
 
 

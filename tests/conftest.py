@@ -89,6 +89,13 @@ def many_atom_document(seed: int, shuffled: bool) -> tuple:
     return document, atoms
 
 
+def caller_rows(table, rule: str) -> list:
+    """A pytest row (call, bad value, rule) per (name, call, bad values)
+    entry of the input ``rule``'s ``table`` and per value."""
+    return [pytest.param(call, value, rule, id=f"{rule}-{name}-{type(value).__name__}-{value}")
+            for name, call, values in table for value in values]
+
+
 # The instance and eps of the box_run and soc_run fixtures; tests/noise.py
 # reruns these two runs from here.
 BOX_RUN = build_box, 1e-6
@@ -116,13 +123,13 @@ def box_problem():
 @pytest.fixture(scope="session")
 def inf_problem():
     problem = build_inf()
-    return problem, dd.default_z0(problem)
+    return problem, dd.make_start(problem)
 
 
 @pytest.fixture(scope="session")
 def unb_problem():
     problem = build_unb()
-    return problem, dd.default_z0(problem)
+    return problem, dd.make_start(problem)
 
 
 @pytest.fixture(scope="session")
@@ -133,7 +140,7 @@ def soc_problem():
 @pytest.fixture(scope="session")
 def tangent_problem():
     problem = build_tangent()
-    return problem, dd.default_z0(problem)
+    return problem, dd.make_start(problem)
 
 
 @pytest.fixture(scope="session")

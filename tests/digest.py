@@ -27,8 +27,9 @@ Three digests, one line of counts and a parse digest:
             seed-7 documents of ``tests/fuzz.py`` and of the
             ``tests/conftest.py`` many-atom documents: the error's type,
             text and field, or the float64 bytes of the problem's A and
-            c, its atoms' fields, xi, kappa and the start.  Warnings are
-            not part of it; the fuzz checks those.
+            c, its atoms' fields, xi, kappa and the start, so a parser
+            rewrite shows that it keeps every message and every accepted
+            problem.  Warnings are not part of it; the fuzz checks those.
 
 ``--runs`` prints, before those five lines, one line per run that the
 iterates digest or the counts line reads: its label, status, iterations,
@@ -39,8 +40,8 @@ sha256 of its report JSON, then one line per parsed document: its label
 and the sha256 of its outcome.  ``--parent ROOT`` runs this script with
 ``--runs`` twice, on this checkout's ``src`` and on ``ROOT/src``, and
 prints only the runs and documents whose lines differ, each side's line
-prefixed "change: " or "parent: "; a change that moves no bit prints
-nothing.
+prefixed "change: " or "parent: ", and exits 1 if it printed any; a
+change that moves no bit prints nothing and exits 0.
 
 Only public API is used, so the script runs against any checkout's
 ``src`` put first on PYTHONPATH; compare its output between two of them.
@@ -269,9 +270,10 @@ def main(argv=None):
         parent = args.parent.resolve()
         if not (parent / "src" / "ddsolve").is_dir():
             raise SystemExit(f"{parent} has no src/ddsolve")
-        for line in differing(_side_lines(TESTS.parent), _side_lines(parent)):
+        lines = differing(_side_lines(TESTS.parent), _side_lines(parent))
+        for line in lines:
             print(line)
-        return
+        return int(bool(lines))
     warnings.simplefilter("error", RuntimeWarning)
     cli_line = "cli " + cli_digest()
     it, rep, counts, lines = solve_digests()
@@ -286,4 +288,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

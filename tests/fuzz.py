@@ -12,7 +12,9 @@ replaced by such a random atom, so that a bad entry can follow good
 ones; otherwise A's and c's entries are drawn from small sets that
 include 1e-300 and 1e300, with an optional anchor, xi and kappa.
 
-Every run must exit 0-5, print one JSON report and raise no warning.
+Each document runs through ``ddsolve solve`` with ``ARGS``
+(``--eps 1e-4 --max-iters 60 --strict``), and every run must exit 0-5
+without raising, print one JSON report and raise no warning.
 Printed: one line per document that failed, with its index, what went
 wrong and the document, then how many of the documents failed.
 ``tests/test_cli.py`` runs the first 300 documents of seed 7.

@@ -22,10 +22,11 @@ line, its false passes and its mu-forms failures, how many seeds passed
 every test, and for each test that failed under some seed, in how many
 seeds it failed.  A test that fails under this noise is decided by
 rounding, not by the solver's behaviour; a change that moves bits is
-judged against the parent's table over the same seeds.  ``--parent ROOT``
-runs the same seeds and pytest arguments in the checkout at ROOT too, on
-its own ``src`` and ``tests``, and prints every line of each side
-prefixed "change: " or "parent: ".
+judged against the parent's table over the same seeds, and a test that
+fails at the same rate on both sides belongs to the rounding floor.
+``--parent ROOT`` runs the same seeds and pytest arguments in the
+checkout at ROOT too, on its own ``src`` and ``tests``, and prints every
+line of each side prefixed "change: " or "parent: ".
 The package is not changed.
 """
 

@@ -32,7 +32,9 @@ rule of a claimed gain: in how many pairs the change's median solve was
 faster than the parent's, and the parent's per-solve IQR, the distance
 between the quartiles of its pair medians (0 for one pair).  A last line
 gives the same figures for the set-up, one time per side and pair.  Only
-public API is used, like ``tests/digest.py``.
+public API is used, like ``tests/digest.py``, which shows that a perf
+change keeps the output; this tool, over more than ten pairs, shows its
+gain.
 """
 
 import argparse

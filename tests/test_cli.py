@@ -2,8 +2,10 @@
 
 import copy
 import dataclasses
+import functools
 import inspect
 import json
+import operator
 import re
 
 import numpy as np
@@ -30,16 +32,6 @@ def test_parse_soc_file(instance_path):
     assert problem.atoms[0].kind == "soc"
     # membership (x2, x1, 1) in the cone encodes x2 >= ||(x1, 1)||
     assert dd.in_qdd(problem, start, np.zeros(2), 1.0, start.y0)
-
-
-def test_parse_rejects_overlapping_coords(tmp_path):
-    doc = {"n": 1, "m": 2, "A": [[1.0], [-1.0]], "c": [1.0],
-           "atoms": [{"type": "halfline_lower", "coords": [1], "bounds": 0.0},
-                     {"type": "halfline_lower", "coords": [1], "bounds": 0.0}]}
-    path = tmp_path / "bad.dd"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(dd.AtomCoverage):
-        parse_problem_file(str(path))
 
 
 def test_parse_rejects_several_coords_on_scalar_atom(tmp_path, capsys):
@@ -248,32 +240,119 @@ def test_start_whose_metric_overflows_is_input_error(tmp_path, capsys):
             dd.make_start(problem, doc.get("z0"))
 
 
-@pytest.mark.parametrize("argv,change", [([], {"xi": 9e307}), (["--xi", "9e307"], {})],
-                         ids=["file", "option"])
-def test_overflowing_xi_theta_is_input_error(argv, change, tmp_path, capsys):
+def _outcome(name, source, argv, code, status, reads=None, raises=None):
+    """A row of OUTCOMES; ``raises`` is parse_problem_file's error, if any."""
+    return pytest.param(source, argv, code, status, reads or {}, raises, id=name)
+
+
+EPS_1E6, STRICT_1E4 = ["--eps", "1e-6"], ["--eps", "1e-4", "--strict"]
+HUGE_C = {"c": [1e300], "xi": 2.0, "kappa": 0.0}
+
+# a bundled instance, a document or a missing path, with the arguments
+# after it; "{tmp}" stands for the test's directory.  A report entry is
+# named by its keys joined with ".": a pattern searches its text, any
+# other value equals it, true not being 1
+OUTCOMES = [
+    _outcome("box", "inst_box.dd", EPS_1E6, 0, "EpsSolution"),
+    _outcome("infeasible", "inst_inf.dd", EPS_1E6, 1, "InfeasibilityCertificate"),
+    _outcome("unbounded", "inst_unb.dd", EPS_1E6, 2, "UnboundednessCertificate"),
+    _outcome("missing-file", "/nonexistent/problem.dd", [], 4, "InputError",
+             raises=dd.ParseError),
+    _outcome("constant-overrides", "inst_box.dd", [*EPS_1E6, "--xi", "3.0", "--kappa", "0.4"],
+             0, "EpsSolution"),
+    # the tangent slice: the path parameter cap is the only trigger
+    _outcome("mu-cap", {"n": 3, "m": 5,
+                        "A": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, -1], [1, 0, -1]],
+                        "c": [0.0, -1.0, 0.0],
+                        "atoms": [{"type": "soc", "coords": [1, 2, 3]},
+                                  {"type": "halfline_lower", "coords": [4], "bounds": 0.0},
+                                  {"type": "halfline_upper", "coords": [5], "bounds": 0.0}]},
+             ["--eps", "1e-2"], 3, "IllConditioned", {"objective_estimate": 0.0}),
+    _outcome("bad-eps", "inst_box.dd", ["--eps", "2.0"], 4, "InputError", {"exit_code": 4}),
+    _outcome("negative-max-iters", "inst_box.dd", ["--max-iters", "-3"], 4, "InputError",
+             {"exit_code": 4, "error": re.compile("--max-iters")}),
     # xi * theta = 1.8e308 overflowed y_tau0, and the first iterate raised
     # DomainViolation out of the solve
-    path = tmp_path / "bad.dd"
-    path.write_text(json.dumps({**BOX_DOC, **change}))
-    if change:
-        with pytest.raises(dd.BadConstants):
-            parse_problem_file(str(path))
-    assert main(["solve", str(path), *argv]) == 4
-    assert "xi * theta" in json.loads(capsys.readouterr().out)["error"]
-
-
-def test_unwritable_trace_path_is_input_error(instance_path, tmp_path, capsys):
+    _outcome("overflowing-xi-theta-file", {**BOX_DOC, "xi": 9e307}, [], 4, "InputError",
+             {"error": re.compile(r"xi \* theta")}, dd.BadConstants),
+    _outcome("overflowing-xi-theta-option", BOX_DOC, ["--xi", "9e307"], 4, "InputError",
+             {"error": re.compile(r"xi \* theta")}),
     # checked with the other inputs, before the solve, not after it
-    target = tmp_path / "missing" / "t.csv"
-    assert main(["solve", instance_path("inst_box.dd"), "--trace", str(target)]) == 4
-    out = json.loads(capsys.readouterr().out)
-    assert out["status"] == "InputError" and "--trace" in out["error"]
-    assert not target.parent.exists()
+    _outcome("unwritable-trace", "inst_box.dd", ["--trace", "{tmp}/missing/t.csv"], 4,
+             "InputError", {"error": re.compile("--trace")}),
+    _outcome("iteration-limit", "inst_box.dd", [*EPS_1E6, "--max-iters", "2"], 5,
+             "IterationLimit"),
+    # theta eps^3 underflows to 0.0 at this eps, so no mu cap can fire
+    _outcome("tiny-eps", "inst_box.dd", ["--eps", "1e-110", "--max-iters", "3"], 5,
+             "IterationLimit"),
+    # uncapped, the path runs on until tau**3, a Python float, overflows:
+    # that ends NumericalFailure, not a traceback with exit code 1
+    _outcome("tiny-eps-uncapped", "inst_box.dd", ["--eps", "1e-110"], 5, "NumericalFailure",
+             {"diagnostics.reason": re.compile("^OverflowError")}),
+    # A'HA overflows in the first tangent: the FloatingPointError is the
+    # reason, and numpy's RuntimeWarning is not on stderr
+    _outcome("numpy-overflow", {**BOX_DOC, "A": [[1e200]], "c": [1e-200]}, [], 5,
+             "NumericalFailure",
+             {"diagnostics.reason": re.compile("^FloatingPointError: overflow")}),
+    _outcome("strict-infeasible", "inst_inf.dd", [*EPS_1E6, "--strict"], 1,
+             "InfeasibilityCertificate", {
+                 "certificate.strict": True, "diagnostics.strict_projection": "succeeded",
+                 "certificate.y": pytest.approx([-1.0, -1.0], rel=0.0, abs=1e-9)}),
+    _outcome("strict-unbounded", "inst_unb.dd", [*EPS_1E6, "--strict"], 2,
+             "UnboundednessCertificate", {"certificate.kind": "unboundedness",
+                                          "certificate.strict": True,
+                                          "diagnostics.strict_projection": "succeeded"}),
+    _outcome("strict-box", "inst_box.dd", [*EPS_1E6, "--strict"], 0, "EpsSolution",
+             {"certificate.kind": "optimal-pair"}),
+    # ||A'y/tau + c|| and ||c||, formed as sums of squares, overflowed once
+    # an entry passed about 1.3e154: numpy warned on stderr, and D_feas
+    # read inf or NaN in the report
+    _outcome("huge-A", {**SOC_DOC, "A": [[1e300], [0.0], [3.0]]}, STRICT_1E4, 5,
+             "NumericalFailure", {"diagnostics.d_feas": pytest.approx(5e299, rel=1e-12)}),
+    _outcome("huge-c-stall", {**SOC_DOC, **HUGE_C, "A": [[3.0], [1.0], [1e-300]]}, STRICT_1E4, 5,
+             "NumericalFailure", {"diagnostics.d_feas": pytest.approx(1.0, rel=1e-12)}),
+    _outcome("huge-c-unbounded", {**SOC_DOC, **HUGE_C, "A": [[1e-300], [0.0], [1.0]]}, STRICT_1E4,
+             2, "UnboundednessCertificate", {"diagnostics.d_feas": pytest.approx(1.0, rel=1e-12)}),
+]
 
 
-def test_parse_missing_file():
-    with pytest.raises(dd.ParseError):
-        parse_problem_file("/nonexistent/problem.dd")
+@pytest.mark.parametrize("source,argv,code,status,reads,raises", OUTCOMES)
+def test_outcome(source, argv, code, status, reads, raises, instance_path, tmp_path, capsys):
+    if isinstance(source, dict):
+        (tmp_path / "doc.dd").write_text(json.dumps(source))
+        path = str(tmp_path / "doc.dd")
+    else:
+        path = source if "/" in source else instance_path(source)
+    assert main(["solve", path, *(arg.format(tmp=tmp_path) for arg in argv)]) == code
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert captured.err == "" and out["status"] == status
+    for key, want in reads.items():
+        got = functools.reduce(operator.getitem, key.split("."), out)
+        if isinstance(want, re.Pattern):
+            assert want.search(got), (key, got)
+        else:
+            assert got == want and isinstance(got, bool) == isinstance(want, bool), (key, got)
+    # nothing is written beside the document: no --trace directory either
+    assert [p.name for p in tmp_path.iterdir()] == (["doc.dd"] if isinstance(source, dict) else [])
+    if raises is not None:
+        with pytest.raises(raises):
+            parse_problem_file(path)
+
+
+OVERLAP_DOC = {**BOX_DOC, "m": 2, "A": [[1.0], [-1.0]], "atoms": HALF[:1] * 2}
+
+
+def test_parse_rejects_overlapping_coords(tmp_path):
+    (tmp_path / "bad.dd").write_text(json.dumps(OVERLAP_DOC))
+    with pytest.raises(dd.AtomCoverage):
+        parse_problem_file(str(tmp_path / "bad.dd"))
+
+
+def test_overlapping_coords_exit_code(instance_path, tmp_path, capsys):
+    # the outcome checks of test_outcome, on the same document
+    test_outcome(OVERLAP_DOC, [], 4, "InputError", {"error": re.compile("partition")}, None,
+                 instance_path, tmp_path, capsys)
 
 
 def test_parse_explicit_z0_and_constants(tmp_path):
@@ -285,111 +364,6 @@ def test_parse_explicit_z0_and_constants(tmp_path):
     problem, start = parse_problem_file(str(path))
     assert problem.xi == 3.0 and problem.kappa == 0.5
     assert start.z0[0] == 0.25
-
-
-def test_exit_codes(instance_path, capsys):
-    assert main(["solve", instance_path("inst_box.dd"), "--eps", "1e-6"]) == 0
-    assert main(["solve", instance_path("inst_inf.dd"), "--eps", "1e-6"]) == 1
-    assert main(["solve", instance_path("inst_unb.dd"), "--eps", "1e-6"]) == 2
-    assert main(["solve", "/nonexistent.dd"]) == 4
-    capsys.readouterr()
-
-
-def test_overlapping_coords_exit_code(tmp_path, capsys):
-    doc = {"n": 1, "m": 2, "A": [[1.0], [-1.0]], "c": [1.0],
-           "atoms": [{"type": "halfline_lower", "coords": [1], "bounds": 0.0},
-                     {"type": "halfline_lower", "coords": [1], "bounds": 0.0}]}
-    path = tmp_path / "overlap.dd"
-    path.write_text(json.dumps(doc))
-    assert main(["solve", str(path)]) == 4
-    out = json.loads(capsys.readouterr().out)
-    assert "partition" in out["error"]
-
-
-def test_mu_cap_exit_code(tmp_path, capsys):
-    # tangent-slice instance: the path parameter cap is the only trigger
-    doc = {"n": 3, "m": 5,
-           "A": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, -1], [1, 0, -1]],
-           "c": [0.0, -1.0, 0.0],
-           "atoms": [{"type": "soc", "coords": [1, 2, 3]},
-                     {"type": "halfline_lower", "coords": [4], "bounds": 0.0},
-                     {"type": "halfline_upper", "coords": [5], "bounds": 0.0}]}
-    path = tmp_path / "tangent.dd"
-    path.write_text(json.dumps(doc))
-    assert main(["solve", str(path), "--eps", "1e-2"]) == 3
-    out = json.loads(capsys.readouterr().out)
-    assert out["status"] == "IllConditioned"
-    assert out["objective_estimate"] == 0.0
-
-
-def test_bad_eps_is_input_error(instance_path, capsys):
-    assert main(["solve", instance_path("inst_box.dd"), "--eps", "2.0"]) == 4
-    out = json.loads(capsys.readouterr().out)
-    assert out["exit_code"] == 4
-
-
-def test_negative_max_iters_is_input_error(instance_path, capsys):
-    assert main(["solve", instance_path("inst_box.dd"), "--max-iters", "-3"]) == 4
-    out = json.loads(capsys.readouterr().out)
-    assert out["exit_code"] == 4 and "--max-iters" in out["error"]
-
-
-def test_iteration_limit_exit_code(instance_path, capsys):
-    assert main(["solve", instance_path("inst_box.dd"), "--eps", "1e-6",
-                 "--max-iters", "2"]) == 5
-    capsys.readouterr()
-
-
-def test_tiny_eps_runs_to_iteration_limit(instance_path, capsys):
-    # theta eps^3 underflows to 0.0 at this eps, so no mu cap can fire
-    code = main(["solve", instance_path("inst_box.dd"), "--eps", "1e-110", "--max-iters", "3"])
-    captured = capsys.readouterr()
-    assert code == 5 and captured.err == ""
-    assert json.loads(captured.out)["status"] == "IterationLimit"
-
-
-def test_tiny_eps_without_iteration_cap_ends_in_numerical_failure(instance_path, capsys):
-    # uncapped, the path runs on until tau**3, a Python float, overflows:
-    # that ends NumericalFailure, not a traceback with exit code 1
-    code = main(["solve", instance_path("inst_box.dd"), "--eps", "1e-110"])
-    captured = capsys.readouterr()
-    assert code == 5 and captured.err == ""
-    out = json.loads(captured.out)
-    assert out["status"] == "NumericalFailure"
-    assert out["diagnostics"]["reason"].startswith("OverflowError")
-
-
-def test_numpy_overflow_in_a_step_is_numerical_failure(tmp_path, capsys):
-    # A'HA overflows in the first tangent: exit 5 with the FloatingPointError
-    # as the reason and nothing on stderr, not numpy's RuntimeWarning
-    path = tmp_path / "overflow.dd"
-    path.write_text(json.dumps({**BOX_DOC, "A": [[1e200]], "c": [1e-200]}))
-    code = main(["solve", str(path)])
-    captured = capsys.readouterr()
-    assert code == 5 and captured.err == ""
-    out = json.loads(captured.out)
-    assert out["status"] == "NumericalFailure"
-    assert out["diagnostics"]["reason"].startswith("FloatingPointError: overflow")
-
-
-@pytest.mark.parametrize("change,code,status,d_feas", [
-    ({"A": [[1e300], [0.0], [3.0]]}, 5, "NumericalFailure", 5e299),
-    ({"A": [[3.0], [1.0], [1e-300]], "c": [1e300], "xi": 2.0, "kappa": 0.0},
-     5, "NumericalFailure", 1.0),
-    ({"A": [[1e-300], [0.0], [1.0]], "c": [1e300], "xi": 2.0, "kappa": 0.0},
-     2, "UnboundednessCertificate", 1.0),
-], ids=["huge-A", "huge-c-stall", "huge-c-unbounded"])
-def test_stop_params_of_huge_data_are_finite(change, code, status, d_feas, tmp_path, capsys):
-    # ||A'y/tau + c|| and ||c||, formed as sums of squares, overflowed once
-    # an entry passed about 1.3e154: numpy warned on stderr, and D_feas
-    # read inf or NaN in the report
-    path = tmp_path / "huge.dd"
-    path.write_text(json.dumps({**SOC_DOC, **change}))
-    assert main(["solve", str(path), "--eps", "1e-4", "--strict"]) == code
-    captured = capsys.readouterr()
-    out = json.loads(captured.out)
-    assert captured.err == "" and out["status"] == status
-    assert out["diagnostics"]["d_feas"] == pytest.approx(d_feas, rel=1e-12)
 
 
 def test_fuzzed_documents_exit_with_one_report(tmp_path):
@@ -453,26 +427,6 @@ def test_many_atom_file_round_trips(seed, shuffled, tmp_path):
         assert getattr(got, "nh", None) == getattr(want, "nh", None)
 
 
-def test_strict_flag_upgrades_certificate(instance_path, capsys):
-    code = main(["solve", instance_path("inst_inf.dd"), "--eps", "1e-6", "--strict"])
-    assert code == 1
-    out = json.loads(capsys.readouterr().out)
-    cert = out["certificate"]
-    assert cert["strict"] is True
-    y = np.array(cert["y"])
-    assert np.max(np.abs(y - np.array([-1.0, -1.0]))) <= 1e-9
-    assert out["diagnostics"]["strict_projection"] == "succeeded"
-
-
-def test_strict_flag_on_unbounded(instance_path, capsys):
-    code = main(["solve", instance_path("inst_unb.dd"), "--eps", "1e-6", "--strict"])
-    assert code == 2
-    out = json.loads(capsys.readouterr().out)
-    assert out["certificate"]["kind"] == "unboundedness"
-    assert out["certificate"]["strict"] is True
-    assert out["diagnostics"]["strict_projection"] == "succeeded"
-
-
 def _refused_projection(*args):
     raise dd.ProjectionOutsideCone("projected direction left the dual cone")
 
@@ -516,21 +470,6 @@ def test_problem_without_columns_solves(tmp_path, capsys):
     assert main(["solve", str(path)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["status"] == "EpsSolution" and out["certificate"]["x"] == []
-
-
-def test_strict_flag_no_false_positive_on_box(instance_path, capsys):
-    code = main(["solve", instance_path("inst_box.dd"), "--eps", "1e-6", "--strict"])
-    assert code == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["status"] == "EpsSolution"
-    assert out["certificate"]["kind"] == "optimal-pair"
-
-
-def test_constant_overrides(instance_path, capsys):
-    code = main(["solve", instance_path("inst_box.dd"), "--eps", "1e-6",
-                 "--xi", "3.0", "--kappa", "0.4"])
-    assert code == 0
-    capsys.readouterr()
 
 
 @pytest.mark.parametrize("change,argv,code,validated", [

@@ -85,3 +85,13 @@ def test_differing_prints_each_side_of_a_changed_or_missing_run():
 def test_parent_without_a_package_is_refused(tmp_path):
     with pytest.raises(SystemExit, match="has no src/ddsolve"):
         digest.main(["--parent", str(tmp_path)])
+
+
+def test_parent_exits_one_when_it_prints_a_differing_line(tmp_path, monkeypatch, capsys):
+    (tmp_path / "src" / "ddsolve").mkdir(parents=True)
+    change, moved = "a@1 EpsSolution iterations=3 h1", "a@1 EpsSolution iterations=4 h9"
+    for parent, printed in ((change, []), (moved, ["change: " + change, "parent: " + moved])):
+        monkeypatch.setattr(digest, "_side_lines",
+                            lambda root: [parent if root == tmp_path.resolve() else change])
+        assert digest.main(["--parent", str(tmp_path)]) == (1 if printed else 0)
+        assert capsys.readouterr().out.splitlines() == printed

@@ -2,13 +2,16 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import ddsolve as dd
 from ddsolve import barriers
-from ddsolve.model import _cholesky_full_rank, dual_residual, mu_of, scaled_dual, shifted_image
+from ddsolve.model import (_cholesky_full_rank, dual_residual, make_iterate, mu_of, scaled_dual,
+                           shifted_image)
+from conftest import caller_rows
 from oracles import gap_sandwich_failures, mu_forms_agree
 from probe import Probe
 
@@ -196,7 +199,7 @@ def test_default_start_box(box_problem):
 
 def test_default_start_halfline():
     problem = dd.validate_problem([[1.0]], [1.0], [dd.halfline_lower(0, 0.0)], xi=2.0)
-    start = dd.default_z0(problem)
+    start = dd.make_start(problem)
     assert start.z0[0] == pytest.approx(1.0)
     assert start.y0[0] == pytest.approx(-1.0)
     # y_tau0 = -<y0, z0> - xi*theta = 1 - xi (theta = 1 here)
@@ -297,15 +300,6 @@ def test_proximity_requires_membership(unb_problem):
         dd.proximity(problem, start, np.zeros(1), 1.0, 10.0 * start.y0)
 
 
-@pytest.mark.parametrize("mu", [0.0, -1.0, np.nan])
-def test_proximity_at_needs_a_positive_parameter(box_problem, mu):
-    problem, start = box_problem
-    with pytest.raises(dd.DomainViolation, match="path parameter must be positive"):
-        dd.proximity_at(problem, start.z0, 1.0, start.y0, mu)
-    with pytest.raises(dd.DomainViolation, match="path parameter must be positive"):
-        scaled_dual(problem, 1.0, start.y0, mu)
-
-
 def _dual_outside(problem, start, where):
     """y0 with the sign of its interval or cone part flipped: outside D*
     there, and still interior elsewhere."""
@@ -333,35 +327,6 @@ def test_proximity_at_rejects_a_dual_point_outside(fixture, where, request):
             dd.proximity_at(problem, start.z0, tau, y, 1.0)
         with pytest.raises(dd.DomainViolation, match=message):
             scaled_dual(problem, tau, y, 1.0)
-
-
-@pytest.mark.parametrize("tau", [0.0, -1.0])
-def test_proximity_at_needs_a_positive_tau(box_problem, tau):
-    # the box's conjugate domain is the whole line, so v = (tau/mu) y0
-    # passes the dual check; tau itself is then rejected, so a point
-    # outside Q gets no proximity
-    problem, start = box_problem
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with pytest.raises(dd.DomainViolation, match=f"tau must be positive, got {tau}"):
-            dd.proximity_at(problem, start.z0, tau, start.y0, 1.0)
-    assert caught == []
-
-
-@pytest.mark.parametrize("tau", [0.0, -1.0])
-def test_shifted_image_needs_a_positive_tau(box_problem, tau):
-    # tau = 0 divided by zero and tau = -1 gave the mirrored image
-    # A x - z0; every caller that forms the image shares this check
-    problem, start = box_problem
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        for t in (tau, np.float64(tau)):
-            with pytest.raises(dd.DomainViolation, match=f"tau must be positive, got {tau}"):
-                shifted_image(problem, start, [0.0], t)
-            with pytest.raises(dd.DomainViolation, match=f"tau must be positive, got {tau}"):
-                dd.residuals(problem, start, dd.Iterate(x=np.zeros(1), tau=t, y=start.y0, mu=1.0,
-                                                        proximity=np.nan))
-    assert caught == []
 
 
 @pytest.mark.parametrize("fixture,run", [("inf_problem", "inf_run"),
@@ -399,19 +364,6 @@ def test_gap_bounds_initial_point(box_problem):
     assert gb.upper - gb.lower == pytest.approx(width, rel=1e-12)
 
 
-@pytest.mark.parametrize("tau", [0.0, -1.0])
-def test_gap_bounds_needs_a_positive_tau(box_problem, tau):
-    # tau = 0 divided by zero and tau = -1 gave bounds for a point outside Q
-    problem, start = box_problem
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with pytest.raises(dd.DomainViolation, match=f"tau must be positive, got {tau}"):
-            dd.gap_bounds(problem, start, [0.0], tau, start.y0, 1.0)
-        with pytest.raises(dd.DomainViolation, match=f"tau must be positive, got {tau}"):
-            dd.gap_bounds(problem, start, [0.0], np.float64(tau), start.y0, 1.0)
-    assert caught == []
-
-
 def test_gap_bounds_hold_along_runs(box_run, box_problem, unb_run, unb_problem):
     for run, (problem, start) in ((box_run, box_problem), (unb_run, unb_problem)):
         assert gap_sandwich_failures(problem, start, run.iterates) == []
@@ -431,3 +383,53 @@ def test_qdd_dual_equality_tolerance(unb_problem):
     # a non-member fails before its dual residual is formed
     assert not dd.in_qdd(problem, start, np.array([1.0]), -tau, y_exact)
     assert dual_residual(problem, start, tau, y_exact) <= 1e-12
+
+
+def _proximity_at(problem, start, point):
+    """proximity_at at the point's tau, y and mu, with z0 as the image."""
+    return dd.proximity_at(problem, start.z0, point.tau, point.y, point.mu)
+
+
+BOTH_FORMS = (0.0, -1.0, np.float64(0.0), np.float64(-1.0))
+
+# tau > 0, model.positive_tau: each public caller and the values it was
+# tried on.  tau = 0 divided by zero, and tau = -1 gave the mirrored image
+# A x - z0, gap bounds for a point outside Q and a negative P_feas, which
+# passes P_feas <= eps.  On the box the conjugate domain is the whole
+# line, so proximity_at's v = (tau/mu) y0 passes its dual check and tau
+# itself is then rejected
+TAU_TABLE = [
+    ("proximity_at", _proximity_at, (0.0, -1.0)),
+    ("shifted_image", lambda p, s, pt: shifted_image(p, s, pt.x, pt.tau), BOTH_FORMS),
+    ("residuals", dd.residuals, BOTH_FORMS),
+    ("gap_bounds", lambda p, s, pt: dd.gap_bounds(p, s, pt.x, pt.tau, pt.y, pt.mu), BOTH_FORMS),
+    ("stop_params", lambda p, s, pt: dd.stop_params(p, s, pt.x, pt.tau, pt.y),
+     (0.0, -1.0, np.nan)),
+]
+
+# mu > 0, model._scale_dual: each public caller, at mu = 0, -1 and NaN.
+# They gave the predictor numpy's log warning and a PredictorStall, the
+# strict projection a bare ZeroDivisionError, residuals a scaled norm and
+# check_status a ZeroDivisionError or no status
+MU_TABLE = [(name, call, (0.0, -1.0, np.nan)) for name, call in [
+    ("proximity_at", _proximity_at),
+    ("scaled_dual", lambda p, s, pt: scaled_dual(p, pt.tau, pt.y, pt.mu)),
+    ("predictor", dd.predictor_step),
+    ("strict", dd.strict_infeasibility_certificate),
+    ("residuals", dd.residuals),
+    ("check_status", lambda p, s, pt: dd.check_status(
+        p, s, [pt], [], 1e-6, sp=dd.stop_params(p, s, pt.x, pt.tau, pt.y))),
+]]
+
+
+@pytest.mark.parametrize("call,value,rule", caller_rows(TAU_TABLE, "tau")
+                         + caller_rows(MU_TABLE, "mu"))
+def test_each_caller_needs_a_positive_tau_and_mu(box_problem, call, value, rule):
+    # on the anchor with tau or mu replaced by the row's value
+    problem, start = box_problem
+    point = replace(make_iterate(problem, start, np.zeros(1), 1.0, start.y0), **{rule: value})
+    message = {"tau": "tau must be positive", "mu": "path parameter must be positive"}[rule]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(dd.DomainViolation, match=f"{message}, got {value}"):
+            call(problem, start, point)

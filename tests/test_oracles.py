@@ -125,7 +125,7 @@ def test_two_dimensional_oracle_grid():
     problem = dd.validate_problem(
         [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [1.0, 0.0]], [0.0, 1.0],
         [dd.soc([0, 1, 2], [0.0, 0.0, 1.0]), dd.halfline_lower(3, 0.5)])
-    start = dd.default_z0(problem)
+    start = dd.make_start(problem)
     inst = OracleInstance(problem, box=((-3.0, 3.0), (-3.0, 3.0)))
     center = compute_xbar1(inst)
     assert np.max(np.abs(problem.A.T @ center.y + problem.c)) <= 1e-8

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import ddsolve as dd
+import ddsolve.path as path_module
 from ddsolve import status as status_module
 from ddsolve.model import make_iterate
 from ddsolve.status import (
@@ -16,6 +17,7 @@ from ddsolve.status import (
     stop_params,
     verify_certificate,
 )
+from conftest import caller_rows
 from oracles import (false_infeasibility_failures, infeasibility_certificate_failures, mu_cap,
                      unboundedness_certificate_failures)
 
@@ -50,14 +52,6 @@ def test_p_feas_decays_with_tau(box_problem):
               for t in (1.0, 10.0, 1e4)]
     assert values[0] > values[1] > values[2]
     assert values[2] == pytest.approx(0.5e-4)
-
-
-def test_check_status_rejects_bad_eps(box_run, box_problem):
-    problem, start = box_problem
-    point = box_run.iterates[-1]
-    sp = stop_params(problem, start, point.x, point.tau, point.y)
-    with pytest.raises(ValueError):
-        check_status(problem, start, [point], [], 2.0, sp=sp)
 
 
 def test_check_status_none_early(box_problem):
@@ -262,7 +256,7 @@ def test_tampered_point_of_certificate_with_tau_fails(atoms, c, kind):
     # moving x along a coordinate c does not weigh keeps <c, x> and every
     # stop parameter, but puts A x + z0/tau 9.5 outside the second box
     problem = dd.validate_problem(np.eye(2), c, atoms)
-    start = dd.default_z0(problem)
+    start = dd.make_start(problem)
     cert = dd.follow(problem, start, dd.FollowerOptions(eps=1e-6)).report.certificate
     assert cert.kind == kind and not cert.strict and cert.tau > 0.0
     assert verify_certificate(problem, start, cert).passed
@@ -284,7 +278,7 @@ def test_certificate_with_negative_tau_fails(atoms, c, kind):
     # and the weak unbounded point must fail on tau itself.  At tau = 0
     # nothing may be divided by it: every check that needs 1/tau fails
     problem = dd.validate_problem(np.eye(2), c, atoms)
-    start = dd.default_z0(problem)
+    start = dd.make_start(problem)
     cert = dd.follow(problem, start, dd.FollowerOptions(eps=1e-6)).report.certificate
     assert cert.kind == kind and not cert.strict
     rep = verify_certificate(problem, start, cert)
@@ -332,7 +326,7 @@ def _certificate(case, request):
         # min x over x in [0, 1] and x >= 0: bounded, so <c, x> = 0.5 fails
         problem = dd.validate_problem([[1.0], [1.0]], [1.0],
                                       [dd.box(0, 0.0, 1.0), dd.halfline_lower(1, 0.0)])
-        return (problem, dd.default_z0(problem),
+        return (problem, dd.make_start(problem),
                 Certificate(kind="unboundedness", strict=True, eps=0.5, x=np.array([0.5])))
     fixture = {"pair": "box", "infeasibility": "inf", "unboundedness": "unb",
                "strict-infeasibility": "inf", "strict-unboundedness": "unb"}[case]
@@ -375,13 +369,40 @@ def test_verification_fails_an_eps_outside_the_unit_interval(case, eps, request)
     assert not rep.passed
 
 
+# eps in (0, 1), status.require_eps: each public caller and the values it
+# was tried on; strict_unboundedness_certificate's rows are the test below
+EPS_TABLE = [
+    ("check_status", lambda p, s, pt, eps: check_status(
+        p, s, [pt], [], eps, sp=stop_params(p, s, pt.x, pt.tau, pt.y)), (2.0,)),
+    ("follow", lambda p, s, pt, eps: dd.follow(p, s, dd.FollowerOptions(eps=eps)),
+     (-1.0, 0.0, 1.0, np.nan)),
+]
+# follow's other option, beside them
+MAX_ITERS_TABLE = [("follow", lambda p, s, pt, n: dd.follow(p, s, dd.FollowerOptions(max_iters=n)),
+                    (-2, 2.5, True))]
+
+
+@pytest.mark.parametrize("call,value,rule", caller_rows(EPS_TABLE, "eps")
+                         + caller_rows(MAX_ITERS_TABLE, "max_iters"))
+def test_bad_eps_and_max_iters_are_refused_before_any_work(call, value, rule, unb_run,
+                                                           unb_problem, monkeypatch):
+    # ValueError, and follow builds no iterate and takes no step
+    for name in ("make_iterate", "predictor_step"):
+        monkeypatch.setattr(path_module, name, lambda *args: pytest.fail("follow started work"))
+    message = {"eps": "eps must lie in", "max_iters": "max_iters must be a non-negative integer"}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message[rule]):
+            call(*unb_problem, unb_run.iterates[-1], value)
+
+
 @pytest.mark.parametrize("eps", [0.0, -1.0, 1.0, np.nan])
-def test_strict_unboundedness_needs_eps_in_the_unit_interval(eps, unb_run, unb_problem):
+def test_strict_unboundedness_needs_eps_in_the_unit_interval(eps, unb_run, unb_problem,
+                                                             monkeypatch):
     # eps = 0 divided by zero, and eps = -1 gave a certificate the verifier
-    # passed
-    problem, start = unb_problem
-    with pytest.raises(ValueError, match="eps must lie in"):
-        dd.strict_unboundedness_certificate(problem, start, unb_run.iterates[-1], eps)
+    # passed; the checks of the eps table's rows
+    test_bad_eps_and_max_iters_are_refused_before_any_work(
+        dd.strict_unboundedness_certificate, eps, "eps", unb_run, unb_problem, monkeypatch)
 
 
 @pytest.mark.parametrize("case,missing,kept", [
@@ -427,18 +448,6 @@ def test_certificate_without_its_payload_fails(case, missing, kept, request):
             assert not check.passed and np.isnan(check.value)
 
 
-@pytest.mark.parametrize("tau", [0.0, -1.0, np.nan])
-def test_stop_params_needs_a_positive_tau(box_problem, tau):
-    # tau = 0 divided by zero, and tau = -1 gave a negative P_feas, which
-    # passes P_feas <= eps
-    problem, start = box_problem
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with pytest.raises(dd.DomainViolation, match=f"tau must be positive, got {tau}"):
-            stop_params(problem, start, np.zeros(1), tau, start.y0)
-    assert caught == []
-
-
 def test_emitted_certificates_always_verify(box_run, inf_run, unb_run, tangent_run):
     for run in (box_run, inf_run, unb_run, tangent_run):
         if run.report.verification is not None:
@@ -461,7 +470,7 @@ def test_boundary_ray_unboundedness_weak_only():
     # must refuse rather than claim an interior ray point
     problem = dd.validate_problem([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [-1.0, 0.0],
                                   [dd.soc([0, 1, 2])])
-    start = dd.default_z0(problem)
+    start = dd.make_start(problem)
     run = dd.follow(problem, start, dd.FollowerOptions(eps=1e-4, max_iters=300))
     assert run.report.status == "UnboundednessCertificate"
     assert run.report.objective_primal <= -1e4
@@ -476,7 +485,7 @@ def test_asymptotically_feasible_infeasible_hits_cap():
     # run ends at the path-parameter cap
     problem = dd.validate_problem([[1.0], [1.0], [0.0]], [1.0],
                                   [dd.soc([0, 1, 2], [0.0, 0.0, 1.0])])
-    start = dd.default_z0(problem)
+    start = dd.make_start(problem)
     run = dd.follow(problem, start, dd.FollowerOptions(eps=1e-2, max_iters=300))
     assert run.report.status == "IllConditioned"
     assert run.iterates[-1].mu >= mu_cap(problem, 1e-2)
