@@ -40,9 +40,9 @@ from itertools import chain, repeat
 import numpy as np
 
 from . import barriers, status as status_engine
-from .errors import ParseError, SolverError, ValidationError
+from .errors import ParseError, SolverError
 from .model import Problem, StartData, make_start, validate_problem
-from .path import FollowerOptions, FollowResult, TraceRow, follow
+from .path import FollowerOptions, FollowResult, TraceRow, follow, require_max_iters
 
 INPUT_ERROR_EXIT = 4
 FILE_KEYS = frozenset({"n", "m", "A", "c", "atoms", "z0", "xi", "kappa"})
@@ -352,10 +352,8 @@ def main(argv=None) -> int:
     try:
         problem, start = _read_problem_file(args.file, {
             key: getattr(args, key) for key in ("xi", "kappa") if getattr(args, key) is not None})
-        if not 0.0 < args.eps < 1.0:
-            raise ParseError(f"--eps must lie in (0, 1), got {args.eps}")
-        if args.max_iters < 0:
-            raise ParseError(f"--max-iters must not be negative, got {args.max_iters}")
+        status_engine.require_eps(args.eps)
+        require_max_iters(args.max_iters)
         if args.trace is not None:
             # append mode: an existing file stays as it is until the solve writes it
             try:
@@ -363,7 +361,7 @@ def main(argv=None) -> int:
                     pass
             except OSError as exc:
                 raise ParseError(f"--trace path is not writable: {exc}") from exc
-    except (ParseError, ValidationError, SolverError) as exc:
+    except (SolverError, ValueError) as exc:
         print(json.dumps({"status": "InputError", "exit_code": INPUT_ERROR_EXIT,
                           "error": str(exc)}, indent=2))
         return INPUT_ERROR_EXIT

@@ -401,6 +401,12 @@ def _check_invariants(problem, start, it: Iterate, violations: list):
                 f"tau {it.tau:.6e} below floor {tau_floor:.6e} at mu={it.mu:.3e}")
 
 
+def require_max_iters(max_iters) -> None:
+    """ValueError unless ``max_iters`` is a non-negative integer; a bool is not."""
+    if isinstance(max_iters, bool) or not isinstance(max_iters, numbers.Integral) or max_iters < 0:
+        raise ValueError(f"max_iters must be a non-negative integer, got {max_iters!r}")
+
+
 def follow(problem: Problem, start: StartData, options: FollowerOptions = FollowerOptions(),
            on_iterate=None) -> FollowResult:
     """Run the predictor-corrector loop from the mu = 1 point.
@@ -418,10 +424,7 @@ def follow(problem: Problem, start: StartData, options: FollowerOptions = Follow
     max_iters is a non-negative integer.
     """
     status_engine.require_eps(options.eps)
-    max_iters = options.max_iters
-    if (isinstance(max_iters, bool) or not isinstance(max_iters, numbers.Integral)
-            or max_iters < 0):
-        raise ValueError(f"max_iters must be a non-negative integer, got {max_iters!r}")
+    require_max_iters(options.max_iters)
     point = make_iterate(problem, start, np.zeros(problem.n), 1.0, start.y0)
     trace: list = []
     iterates: list = []

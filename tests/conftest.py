@@ -122,14 +122,12 @@ def box_problem():
 
 @pytest.fixture(scope="session")
 def inf_problem():
-    problem = build_inf()
-    return problem, dd.make_start(problem)
+    return started(build_inf)
 
 
 @pytest.fixture(scope="session")
 def unb_problem():
-    problem = build_unb()
-    return problem, dd.make_start(problem)
+    return started(build_unb)
 
 
 @pytest.fixture(scope="session")
@@ -139,8 +137,7 @@ def soc_problem():
 
 @pytest.fixture(scope="session")
 def tangent_problem():
-    problem = build_tangent()
-    return problem, dd.make_start(problem)
+    return started(build_tangent)
 
 
 @pytest.fixture(scope="session")
@@ -150,14 +147,12 @@ def box_run(box_problem):
 
 @pytest.fixture(scope="session")
 def inf_run(inf_problem):
-    problem, start = inf_problem
-    return dd.follow(problem, start, dd.FollowerOptions(eps=1e-6))
+    return follow_at(inf_problem, 1e-6)
 
 
 @pytest.fixture(scope="session")
 def unb_run(unb_problem):
-    problem, start = unb_problem
-    return dd.follow(problem, start, dd.FollowerOptions(eps=1e-6))
+    return follow_at(unb_problem, 1e-6)
 
 
 @pytest.fixture(scope="session")

@@ -270,7 +270,10 @@ OUTCOMES = [
              ["--eps", "1e-2"], 3, "IllConditioned", {"objective_estimate": 0.0}),
     _outcome("bad-eps", "inst_box.dd", ["--eps", "2.0"], 4, "InputError", {"exit_code": 4}),
     _outcome("negative-max-iters", "inst_box.dd", ["--max-iters", "-3"], 4, "InputError",
-             {"exit_code": 4, "error": re.compile("--max-iters")}),
+             {"exit_code": 4}),
+    # the file is read before the options are checked
+    _outcome("missing-file-bad-eps", "/nonexistent/problem.dd", ["--eps", "2.0"], 4,
+             "InputError", {"error": re.compile("^cannot read /nonexistent/problem.dd")}),
     # xi * theta = 1.8e308 overflowed y_tau0, and the first iterate raised
     # DomainViolation out of the solve
     _outcome("overflowing-xi-theta-file", {**BOX_DOC, "xi": 9e307}, [], 4, "InputError",

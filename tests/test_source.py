@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import ddsolve
 
 PACKAGE = Path(ddsolve.__file__).parent
@@ -145,6 +147,34 @@ def test_no_message_is_raised_from_two_modules():
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
     assert _shared_messages(trees) == {}
+
+
+def _raise_sites(trees: dict, phrase: str) -> list:
+    """Each raise whose literal message contains ``phrase``, as
+    "module:function" ("<module>" outside any function)."""
+    return [f"{name}:{around}" for name, tree in trees.items()
+            for around, node in _nodes_by_function(tree)
+            if isinstance(node, ast.Raise) and phrase in (_message(node.exc) or "")]
+
+
+def test_raise_site_check_sees_each_spelling():
+    tree = ast.parse("def f(e):\n"
+                     "    raise ValueError(f'eps must lie in (0, 1), got {e}')\n"
+                     "def g(e):\n"
+                     "    raise KeyError(f'--eps must lie in (0, 1), got {e!r}') from None\n"
+                     "raise OSError('eps must lie in (0, 2)')\n")
+    assert _raise_sites({"one": tree}, "eps must lie in (0, 1)") == ["one:f", "one:g"]
+
+
+@pytest.mark.parametrize("phrase,owner", [
+    ("eps must lie in (0, 1)", "status.py:require_eps"),
+    ("max_iters must be a non-negative integer", "path.py:require_max_iters"),
+])
+def test_option_rules_are_raised_by_their_owners_only(phrase, owner):
+    # the follower, the status checks and the CLI ask the owner
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert _raise_sites(trees, phrase) == [owner]
 
 
 def _nodes_by_function(tree: ast.Module):
