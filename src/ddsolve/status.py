@@ -173,8 +173,9 @@ def verify_certificate(problem: Problem, start: StartData, cert: Certificate) ->
 
     A malformed certificate fails instead of raising.  Without tau > 0, or
     without the x or y a check needs, that check fails unformed, with a
-    NaN value; an x that is not n real numbers or a y that is not m is
-    read as missing, and a tau that is not a real number as NaN.  An eps
+    NaN value, as the image check does when A x + z0/tau is not finite;
+    an x that is not n real numbers or a y that is not m is read as
+    missing, and a tau that is not a real number as NaN.  An eps
     outside (0, 1), or not a real number, fails every check that compares
     with it, keeping the check's value.
     """
@@ -196,7 +197,7 @@ def verify_certificate(problem: Problem, start: StartData, cert: Certificate) ->
             rep.add("y in dual cone (margins >= 0)", margin >= 0.0, margin)
             rep.add("support(y) <= -1 + 1e-8", ds <= -1.0 + 1e-8, ds)
         else:
-            aty_norm = float(np.linalg.norm(aty))
+            aty_norm = _safe_norm(aty)
             rep.add("||A'y|| <= eps", aty_norm <= eps, aty_norm)
             rep.add("y in dual cone (margins >= 0)", margin >= 0.0, margin)
             rep.add("support(y) < 0", ds < 0.0, ds)
@@ -239,12 +240,17 @@ def _add_image_check(rep: VerificationReport, problem, start, x, tau: float) -> 
     """tau > 0 and A x + z0/tau in D (margins >= 0), for a point reported
     with its tau: a negative tau flips the sign of P_feas and of z0/tau.
     Returns whether the image is formed: only with tau > 0, which NaN is
-    not, and with x given; otherwise its check fails with a NaN margin."""
+    not, with x given and with every entry finite (a tiny tau overflows
+    z0/tau, an infinite x meets it as inf - inf, and a non-finite point
+    is outside D); otherwise its check fails with a NaN margin."""
     positive = tau > 0.0
     rep.add("tau > 0", positive, tau)
     formed = positive and x is not None
-    margin = (problem.barrier.min_margin(shifted_image(problem, start, x, tau), PRIMAL)
-              if formed else np.nan)
+    if formed:
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = shifted_image(problem, start, x, tau)
+        formed = bool(np.isfinite(u).all())
+    margin = problem.barrier.min_margin(u, PRIMAL) if formed else np.nan
     rep.add("Ax + z0/tau in domain (margins >= 0)", margin >= 0.0, margin)
     return formed
 

@@ -96,8 +96,8 @@ def caller_rows(table, rule: str) -> list:
             for name, call, values in table for value in values]
 
 
-# The instance and eps of the box_run and soc_run fixtures; tests/noise.py
-# reruns these two runs from here.
+# The instance and eps of the box_run and soc_run fixtures;
+# tests/noise_plugin.py's seed_counts reruns these two runs from here.
 BOX_RUN = build_box, 1e-6
 SOC_RUN = build_soc, 1e-4
 

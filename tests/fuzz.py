@@ -111,6 +111,8 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--count", type=int, default=4000)
     args = parser.parse_args(argv)
+    if args.count < 1:
+        raise SystemExit("--count must be at least 1")
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
         for k, doc in enumerate(documents(args.seed, args.count)):

@@ -5,17 +5,17 @@
     python tests/noise.py --seeds 12 --parent ../parent       # both sides
 
 Each seed runs the tier-1 suite (or the pytest arguments after ``--``) in
-its own subprocess with ``tests/noise_plugin.py`` loaded, which scales
-every KKT solution ``(dx, dtau, dy)`` by ``1 + k * 2**-52``, k in [-1, 1]
-from a sha256 of the solution and the seed.  Each seed also prints the
-``counts`` line of ``tests/digest.py`` computed under the same noise, and
-the false passes over the iterates of the runs that line counts: iterates
-whose float dual-equality check passes while the exact residual
-(``oracles.exact_dual_residual_sq``) is above the tolerance.  It also
-prints, over the iterates of the ``box_run`` and ``soc_run`` fixtures'
-runs under the same noise, how many fail ``tests/test_model.py``'s float
-check of the three mu forms and how many fail the same check on the exact
-forms (``oracles.exact_mu_forms``).
+one subprocess with ``tests/noise_plugin.py`` loaded, which scales every
+KKT solution ``(dx, dtau, dy)`` by ``1 + k * 2**-52``, k in [-1, 1] from
+a sha256 of the solution and the seed.  When the tests have run, the
+plugin counts in the same process, under the same noise, the ``counts``
+line of ``tests/digest.py`` and the false passes over the iterates of
+the runs that line counts: iterates whose float dual-equality check
+passes while the exact residual (``oracles.exact_dual_residual_sq``) is
+above the tolerance.  It also counts, over the iterates of the
+``box_run`` and ``soc_run`` fixtures' runs, how many fail
+``tests/test_model.py``'s float check of the three mu forms and how many
+fail the same check on the exact forms (``oracles.exact_mu_forms``).
 
 Printed: one line per seed with its number of failed tests, its counts
 line, its false passes and its mu-forms failures, how many seeds passed
@@ -26,7 +26,8 @@ judged against the parent's table over the same seeds, and a test that
 fails at the same rate on both sides belongs to the rounding floor.
 ``--parent ROOT`` runs the same seeds and pytest arguments in the
 checkout at ROOT too, on its own ``src`` and ``tests``, and prints every
-line of each side prefixed "change: " or "parent: ".
+line of each side prefixed "change: " or "parent: "; a checkout whose
+plugin writes no counts is refused.
 The package is not changed.
 """
 
@@ -41,45 +42,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-COUNTS = """
-import noise
-print(*noise.seed_counts({seed}), sep="\\n")
-"""
-
-
-def seed_counts(seed: int) -> tuple:
-    """(digest counts line, false passes, iterates) of the digest's
-    counted runs under ``seed``'s noise, then (float mu-forms failures,
-    exact ones, iterates) of the ``box_run`` and ``soc_run`` runs.  It
-    perturbs every later KKT solve of the process, so it runs in a
-    subprocess of its own."""
-    # imported here: the tool's own process needs neither the package nor these
-    import conftest
-    import ddsolve
-    import digest
-    import noise_plugin
-    import oracles
-    from test_model import mu_forms
-    noise_plugin.install(seed)
-    follow, found, forms = ddsolve.follow, [0, 0], [0, 0, 0]
-
-    def counted(problem, start, options):
-        result = follow(problem, start, options)
-        found[0] += oracles.false_passes(problem, start, result.iterates)
-        found[1] += len(result.iterates)
-        return result
-    ddsolve.follow = counted
-    line = digest.solve_digests()[2]
-    ddsolve.follow = follow  # the fixtures' runs below are not the digest's
-    for build, eps in (conftest.BOX_RUN, conftest.SOC_RUN):
-        problem, start = pair = conftest.started(build)
-        for it in conftest.follow_at(pair, eps).iterates:
-            args = problem, start, it.x, it.tau, it.y
-            forms[0] += not oracles.mu_forms_agree(*mu_forms(*args))
-            forms[1] += not oracles.mu_forms_agree(*oracles.exact_mu_forms(*args))
-            forms[2] += 1
-    return (line, *found, *forms)
-
 
 def _env(root: Path) -> dict:
     """The environment of a run in the checkout at ``root``: its ``src``
@@ -92,10 +54,10 @@ def _env(root: Path) -> dict:
 
 
 def run_seed(seed: int, pytest_args, root: Path) -> tuple:
-    """(tests run, failed node ids, digest counts line, false passes,
-    iterates, then float and exact mu-forms failures and their iterates
-    where ``root``'s tests/noise.py counts them) under ``seed``, in the
-    checkout at ``root``."""
+    """(tests run, failed node ids, then the counts of ``root``'s
+    ``noise_plugin.seed_counts``: digest counts line, false passes,
+    iterates, float and exact mu-forms failures and their iterates) under
+    ``seed``, from one pytest process in the checkout at ``root``."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "outcomes.json"
         done = subprocess.run(
@@ -107,21 +69,17 @@ def run_seed(seed: int, pytest_args, root: Path) -> tuple:
             raise SystemExit(f"seed {seed}: pytest exited {done.returncode}\n"
                              f"{done.stdout}{done.stderr}")
         outcomes = json.loads(out.read_text())
-    counts = subprocess.run([sys.executable, "-c", COUNTS.format(seed=seed)], cwd=root,
-                            env=_env(root), capture_output=True, text=True, check=True)
-    line, *numbers = counts.stdout.splitlines()
-    return (outcomes["tests"], outcomes["failed"], line, *map(int, numbers))
+    if "counts" not in outcomes:
+        raise SystemExit(f"{root}: its tests/noise_plugin.py writes no counts")
+    return (outcomes["tests"], outcomes["failed"], *outcomes["counts"])
 
 
 def seed_line(seed: int, result: tuple) -> str:
-    """A seed's line; a parent checkout without the mu-forms counts
-    prints none."""
+    """A seed's line, from ``run_seed``'s result."""
     tests, failed, counts, false, iterates, *forms = result
-    line = (f"seed {seed}: {tests} tests, {len(failed)} failed; counts {counts}; "
-            f"false passes {false} of {iterates} iterates")
-    if forms:
-        line += "; mu forms fail float {} exact {} of {} iterates".format(*forms)
-    return line
+    return (f"seed {seed}: {tests} tests, {len(failed)} failed; counts {counts}; "
+            f"false passes {false} of {iterates} iterates; "
+            "mu forms fail float {} exact {} of {} iterates".format(*forms))
 
 
 def table(results: dict) -> list:

@@ -175,6 +175,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.pairs < 1:
         raise SystemExit("--pairs must be at least 1")
+    if args.seed < 0:
+        raise SystemExit("--seed must be at least 0")
     workload = harness.WORKLOADS[args.workload]
     sides = (load_side(args.parent.resolve(), "ddsolve_parent"),
              load_side(args.change.resolve(), "ddsolve_change"))

@@ -15,7 +15,7 @@ import ddsolve as dd
 import ddsolve.cli as cli_module
 from ddsolve.cli import main, parse_problem_file, run_solve
 from conftest import MANY_ATOM_SEEDS, many_atom_document
-from fuzz import documents, run_failure
+from fuzz import documents, main as fuzz_main, run_failure
 from oracles import repeat_run_failures
 
 
@@ -377,6 +377,12 @@ def test_fuzzed_documents_exit_with_one_report(tmp_path):
     failures = [(k, doc, failure) for k, doc in enumerate(documents(7, 300))
                 if (failure := run_failure(doc, tmp_path)) is not None]
     assert failures == []
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_fuzz_refuses_a_count_below_one(count):
+    with pytest.raises(SystemExit, match="--count must be at least 1"):
+        fuzz_main(["--count", count])
 
 
 def _walked(entries):

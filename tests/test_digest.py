@@ -16,22 +16,18 @@ REPORT = re.compile(r"build_\w+@[0-9.e-]+/\d+/(True|False) \w+ exit=\d+ [0-9a-f]
 PARSE = re.compile(r"parse:(fuzz-\d+|many-\d+-(ordered|shuffled)) [0-9a-f]{64}")
 
 
-def _digest(*args) -> list:
-    """The output lines of ``tests/digest.py ARGS`` on this checkout's src."""
+@pytest.fixture(scope="module")
+def printed():
+    """The output lines of ``tests/digest.py --runs`` on this checkout's src."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run([sys.executable, str(ROOT / "tests" / "digest.py"), *args], env=env,
-                          capture_output=True, text=True, timeout=120, check=True)
+    done = subprocess.run([sys.executable, str(ROOT / "tests" / "digest.py"), "--runs"],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
     return done.stdout.splitlines()
 
 
-@pytest.fixture(scope="module")
-def plain():
-    return _digest()
-
-
-def test_digest_prints_three_digests_the_counts_and_the_parse_digest(plain):
+def test_digest_prints_three_digests_the_counts_and_the_parse_digest(printed):
     # the format only: a change of rounding may move the values
-    lines = plain
+    lines = printed[-5:]
     assert [line.split(" ", 1)[0] for line in lines] == [
         "cli", "iterates", "reports", "counts", "parse"]
     for line in lines[:3] + lines[4:]:
@@ -40,10 +36,8 @@ def test_digest_prints_three_digests_the_counts_and_the_parse_digest(plain):
         lines[3]
 
 
-def test_runs_prints_a_line_per_run_and_document_then_the_five_lines(plain):
-    lines = _digest("--runs")
-    five = lines[-5:]
-    assert five == plain
+def test_runs_prints_a_line_per_run_and_document_then_the_five_lines(printed):
+    lines = printed
     # the follow runs, then one line per short run_solve report, then one
     # per parsed document
     n_runs = len(list(digest._runs())) + len(digest.CONE_SEEDS)
@@ -67,7 +61,18 @@ def test_runs_prints_a_line_per_run_and_document_then_the_five_lines(plain):
     # the counts line sums the run lines
     iterations = sum(int(re.search(r"iterations=(\d+)", line)[1]) for line in runs)
     violations = sum(int(re.search(r"violations=(\d+)", line)[1]) for line in runs)
-    assert plain[3].endswith(f" iterations={iterations} violations={violations}")
+    assert lines[-2].endswith(f" iterations={iterations} violations={violations}")
+
+
+def test_runs_prints_its_lines_then_the_five_lines_of_a_plain_run(monkeypatch, capsys):
+    monkeypatch.setattr(digest, "cli_digest", lambda: "c")
+    monkeypatch.setattr(digest, "solve_digests", lambda: ("i", "r", "n", ["run", "report"]))
+    monkeypatch.setattr(digest, "parse_digest", lambda: ("p", ["document"]))
+    digest.main([])
+    five = ["cli c", "iterates i", "reports r", "counts n", "parse p"]
+    assert capsys.readouterr().out.splitlines() == five
+    digest.main(["--runs"])
+    assert capsys.readouterr().out.splitlines() == ["run", "report", "document", *five]
 
 
 def test_differing_prints_each_side_of_a_changed_or_missing_run():

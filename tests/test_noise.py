@@ -1,9 +1,12 @@
 """The rounding-noise tool and its plugin."""
 
+import json
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,16 +20,11 @@ FAST = ["tests/test_status.py::test_eps_solution_branch",
 COUNTS = r"(\w+:\d+,)*\w+:\d+ iterations=\d+ violations=\d+"
 
 
-def _run(*args) -> list:
-    """The output lines of ``tests/noise.py --seeds 1 ARGS -- FAST``."""
+def test_noise_prints_a_line_per_seed_and_the_table():
+    # one seed end to end: its line, then its table
     done = subprocess.run([sys.executable, str(ROOT / "tests" / "noise.py"), "--seeds", "1",
-                           *args, "--", *FAST],
-                          capture_output=True, text=True, timeout=300, check=True)
-    return done.stdout.splitlines()
-
-
-def _check_one_seed(lines):
-    """One seed's line, then its table."""
+                           "--", *FAST], capture_output=True, text=True, timeout=300, check=True)
+    lines = done.stdout.splitlines()
     seed = re.fullmatch(rf"seed 1: {len(FAST)} tests, (\d+) failed; counts {COUNTS}; "
                         r"false passes (?P<false>\d+) of (?P<iterates>\d+) iterates; "
                         r"mu forms fail float (?P<float>\d+) exact (?P<exact>\d+) "
@@ -42,25 +40,75 @@ def _check_one_seed(lines):
         assert re.fullmatch(r"failed in 1 of 1 seeds: tests/\S+::\S+", line)
 
 
-def test_noise_prints_a_line_per_seed_and_the_table():
-    _check_one_seed(_run())
+def test_parent_side_prints_its_own_seed_lines_and_table(tmp_path, monkeypatch, capsys):
+    # each seed runs on the change, then on the parent, each of its lines
+    # prefixed by its side; then the change's table and the parent's
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "noise_plugin.py").touch()
+    calls = []
 
-
-def test_parent_side_prints_its_own_seed_lines_and_table():
-    # this checkout as its own parent: both sides print the same lines,
-    # the seed's two lines first, then each side's table
-    lines = _run("--parent", str(ROOT))
-    change = [line.removeprefix("change: ") for line in lines if line.startswith("change: ")]
-    parent = [line.removeprefix("parent: ") for line in lines if line.startswith("parent: ")]
-    assert len(change) + len(parent) == len(lines)
-    assert lines[0].startswith("change: seed 1: ") and lines[1].startswith("parent: seed 1: ")
-    assert change == parent
-    _check_one_seed(change)
+    def run_seed(seed, pytest_args, root):
+        calls.append((seed, pytest_args, root))
+        return (3, ["t"] if root == tmp_path and seed == 2 else [], "c", 0, 9, 0, 0, 5)
+    monkeypatch.setattr(noise, "run_seed", run_seed)
+    assert noise.main(["--seeds", "2", "--parent", str(tmp_path), "--", "x"]) == 0
+    assert calls == [(1, ["x"], ROOT), (1, ["x"], tmp_path), (2, ["x"], ROOT), (2, ["x"], tmp_path)]
+    line = "seed {}: 3 tests, {} failed; counts c; false passes 0 of 9 iterates; " \
+           "mu forms fail float 0 exact 0 of 5 iterates"
+    assert capsys.readouterr().out.splitlines() == [
+        "change: " + line.format(1, 0), "parent: " + line.format(1, 0),
+        "change: " + line.format(2, 0), "parent: " + line.format(2, 1),
+        "change: every test passed in 2 of 2 seeds",
+        "parent: every test passed in 1 of 2 seeds", "parent: failed in 1 of 2 seeds: t"]
 
 
 def test_parent_without_the_noise_plugin_is_refused(tmp_path):
     with pytest.raises(SystemExit, match="has no tests/noise_plugin.py"):
         noise.main(["--seeds", "1", "--parent", str(tmp_path)])
+
+
+def test_run_seed_reads_the_counts_and_refuses_a_plugin_without_them(tmp_path, monkeypatch):
+    # one pytest process per seed: its --noise-out JSON holds the counts
+    written = {"tests": 3, "failed": ["t"], "counts": ["c", 0, 9, 1, 0, 5]}
+
+    def run(args, **kwargs):
+        out, = [a.removeprefix("--noise-out=") for a in args if a.startswith("--noise-out=")]
+        Path(out).write_text(json.dumps(written))
+        return SimpleNamespace(returncode=1, stdout="", stderr="")
+    monkeypatch.setattr(noise.subprocess, "run", run)
+    assert noise.run_seed(1, [], tmp_path) == (3, ["t"], "c", 0, 9, 1, 0, 5)
+    del written["counts"]
+    with pytest.raises(SystemExit, match=f"{tmp_path}: its tests/noise_plugin.py writes no counts"):
+        noise.run_seed(1, [], tmp_path)
+
+
+def _warns_then_counts():
+    warnings.warn("overflow encountered in a counted run", RuntimeWarning)
+    return "c", 0, 9, 1, 0, 5
+
+
+def _raises():
+    raise FloatingPointError("a counted run failed")
+
+
+@pytest.mark.parametrize("counts", [_warns_then_counts, _raises])
+def test_outcomes_writes_the_tests_the_failures_and_the_counts(tmp_path, monkeypatch, counts):
+    monkeypatch.setattr(noise_plugin, "seed_counts", counts)
+    outcomes = noise_plugin.Outcomes(tmp_path / "out.json")
+    outcomes.pytest_collectreport(SimpleNamespace(nodeid="broken.py", failed=True))
+    for nodeid, failed in (("a", False), ("b", True), ("b", True), ("c", False)):
+        outcomes.pytest_runtest_logreport(SimpleNamespace(nodeid=nodeid, failed=failed))
+    written = {"tests": 3, "failed": ["broken.py", "b"]}
+    if counts is _raises:
+        with pytest.raises(FloatingPointError):
+            outcomes.pytest_sessionfinish()
+    else:
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("error", RuntimeWarning)
+            outcomes.pytest_sessionfinish()
+        assert [str(w.message) for w in shown] == ["overflow encountered in a counted run"]
+        written["counts"] = ["c", 0, 9, 1, 0, 5]
+    assert json.loads((tmp_path / "out.json").read_text()) == written
 
 
 def test_table_counts_clean_seeds_and_failures_per_test():
@@ -71,9 +119,6 @@ def test_table_counts_clean_seeds_and_failures_per_test():
     assert noise.seed_line(2, results[2]) == ("seed 2: 3 tests, 2 failed; counts c; "
                                               "false passes 4 of 9 iterates; "
                                               "mu forms fail float 2 exact 1 of 5 iterates")
-    # a parent checkout that counts no mu forms
-    assert noise.seed_line(1, (3, [], "c", 0, 9)) == ("seed 1: 3 tests, 0 failed; counts c; "
-                                                      "false passes 0 of 9 iterates")
 
 
 def test_noise_scales_a_solution_by_one_rounding_at_most():

@@ -156,6 +156,15 @@ def test_pair_time_takes_the_median_repeat_per_set_up(pair_time):
     assert prepared == [("a", last), ("b", last), ("c", last)]
 
 
+@pytest.mark.parametrize("args,message", [(["--pairs", "0"], "--pairs must be at least 1"),
+                                          (["--seed", "-1"], "--seed must be at least 0")],
+                         ids=["pairs-0", "seed-minus-1"])
+def test_pair_time_refuses_a_bad_argument_before_loading(pair_time, monkeypatch, args, message):
+    monkeypatch.setattr(pair_time, "load_side", lambda *_: pytest.fail("a side was loaded"))
+    with pytest.raises(SystemExit, match=message):
+        pair_time.main([str(ROOT), str(ROOT), "--workload", "certify", *args])
+
+
 def test_pair_time_rejects_a_checkout_without_sources(tmp_path):
     done = subprocess.run(
         [sys.executable, str(ROOT / "tests" / "pair_time.py"), str(tmp_path), str(ROOT),

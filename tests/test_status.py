@@ -17,7 +17,7 @@ from ddsolve.status import (
     stop_params,
     verify_certificate,
 )
-from conftest import caller_rows
+from conftest import build_box, build_inf, build_soc, caller_rows
 from oracles import (false_infeasibility_failures, infeasibility_certificate_failures, mu_cap,
                      unboundedness_certificate_failures)
 
@@ -317,6 +317,46 @@ def test_margin_checks_fail_on_a_nan_entry(inf_problem, box_run, box_problem):
     rep = verify_certificate(problem, start, replace(pair, x=np.array([np.nan])))
     check, = [ch for ch in rep.checks if ch.name == "Ax + z0/tau in domain (margins >= 0)"]
     assert not check.passed and np.isnan(check.value)
+
+
+IMAGE = "Ax + z0/tau in domain (margins >= 0)"
+_TINY_TAU = Certificate(kind="optimal-pair", strict=False, eps=1e-6, tau=1e-320)
+OVERFLOWING = {
+    # ||A'y|| = 1e200 of a weak infeasibility direction: its sum of
+    # squares overflows, its norm does not
+    "weak-infeasibility": (build_inf, None,
+                           Certificate(kind="infeasibility", strict=False, eps=1e-6,
+                                       y=np.array([-1e200, -1e-300])), "||A'y|| <= eps", 1e200),
+    # tau = 1e-320 overflows z0/tau: an image that is not finite is
+    # outside D, and is not formed
+    "pair-box": (build_box, None, replace(_TINY_TAU, x=np.zeros(1), y=np.zeros(1)),
+                 IMAGE, np.nan),
+    "unboundedness-box": (build_box, None,
+                          replace(_TINY_TAU, kind="unboundedness", x=np.zeros(1)), IMAGE, np.nan),
+    # an anchor whose cone tail is 0: the infinite head read as a margin
+    # of +inf, and the check passed
+    "pair-soc": (build_soc, [2.0, 0.0, 0.0], replace(_TINY_TAU, x=np.zeros(2), y=np.zeros(3)),
+                 IMAGE, np.nan),
+    "unboundedness-soc": (build_soc, [2.0, 0.0, 0.0],
+                          replace(_TINY_TAU, kind="unboundedness", x=np.zeros(2)), IMAGE, np.nan),
+    # an infinite x meets the overflowed z0/tau as -inf + inf
+    "unboundedness-infinite-x": (build_box, None,
+                                 replace(_TINY_TAU, kind="unboundedness", x=np.array([-np.inf])),
+                                 IMAGE, np.nan),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWING))
+def test_overflowing_certificate_fails_without_a_warning(case):
+    # the suite's error::RuntimeWarning filter makes a warning fail the row
+    build, z0, cert, name, value = OVERFLOWING[case]
+    problem = build()
+    rep = verify_certificate(problem, dd.make_start(problem, z0), cert)
+    check, = [ch for ch in rep.checks if ch.name == name]
+    assert not check.passed and np.array_equal(check.value, value, equal_nan=True)
+    if cert.kind == "optimal-pair":
+        # an image not formed leaves the stop parameters unformed too
+        assert rep.failed_names()[-3:] == ["gap <= eps", "P_feas <= eps", "D_feas <= eps"]
 
 
 def _certificate(case, request):
