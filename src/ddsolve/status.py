@@ -23,7 +23,7 @@ Certificate verification never consults solver state: it re-evaluates
 memberships, margins and support functions from the problem data alone,
 including tau > 0 and A x + z0/tau in D for every point reported with its
 tau.  A malformed certificate fails the checks it cannot back instead of
-raising.
+raising or warning.
 """
 
 from __future__ import annotations
@@ -171,11 +171,16 @@ def verify_certificate(problem: Problem, start: StartData, cert: Certificate) ->
     parameters <= eps (a dual point off D* has support +inf and fails the
     gap).
 
-    A malformed certificate fails instead of raising.  Without tau > 0, or
-    without the x or y a check needs, that check fails unformed, with a
-    NaN value, as the image check does when A x + z0/tau is not finite;
-    an x that is not n real numbers or a y that is not m is read as
-    missing, and a tau that is not a real number as NaN.  An eps
+    A malformed certificate fails instead of raising or warning.  Without
+    tau > 0, or without the x or y a check needs, that check fails
+    unformed, with a NaN value, as the image check does when A x + z0/tau
+    is not finite; an x that is not n real numbers or a y that is not m is
+    read as missing, and a tau that is not a real number as NaN.  So does
+    a check whose value cannot be formed: every value is formed under one
+    float policy (:func:`_formed`), and one whose forming overflows,
+    divides by zero or meets an invalid value is NaN.  A cone tail past
+    about 1.3e154 overflows the margin's norm, and an infinite entry of y
+    meets a zero of A or of an offset as 0 * inf.  An eps
     outside (0, 1), or not a real number, fails every check that compares
     with it, keeping the check's value.
     """
@@ -185,35 +190,30 @@ def verify_certificate(problem: Problem, start: StartData, cert: Certificate) ->
     eps = eps if 0.0 < eps < 1.0 else np.nan
     x, y = _vector(cert.x, problem.n), _vector(cert.y, problem.m)
     if cert.kind == "infeasibility":
-        if y is None:
-            aty, margin, ds = np.full(problem.n, np.nan), np.nan, np.nan
-        else:
-            aty = problem.A.T @ y
-            margin = problem.barrier.min_margin(y, CONJUGATE)
-            ds = support_function(problem, y)
+        margin = _formed(problem.barrier.min_margin, y, CONJUGATE)
+        ds = _formed(support_function, problem, y)
         if cert.strict:
-            aty_inf = float(np.max(np.abs(aty), initial=0.0))
+            aty_inf = _formed(lambda y: float(np.max(np.abs(problem.A.T @ y), initial=0.0)), y)
             rep.add("ATy_inf_norm <= 1e-8", aty_inf <= 1e-8, aty_inf)
             rep.add("y in dual cone (margins >= 0)", margin >= 0.0, margin)
             rep.add("support(y) <= -1 + 1e-8", ds <= -1.0 + 1e-8, ds)
         else:
-            aty_norm = _safe_norm(aty)
+            aty_norm = _formed(lambda y: _safe_norm(problem.A.T @ y), y)
             rep.add("||A'y|| <= eps", aty_norm <= eps, aty_norm)
             rep.add("y in dual cone (margins >= 0)", margin >= 0.0, margin)
             rep.add("support(y) < 0", ds < 0.0, ds)
     elif cert.kind == "unboundedness":
-        cx = np.nan if x is None else float(problem.c @ x)
+        cx = _formed(lambda x: float(problem.c @ x), x)
         rep.add("<c,x> <= -1/eps", cx <= -1.0 / eps, cx)
         if cert.strict:
-            margin = np.nan if x is None else problem.barrier.min_margin(problem.A @ x, PRIMAL)
+            margin = _formed(lambda x: problem.barrier.min_margin(problem.A @ x, PRIMAL), x)
             rep.add("Ax interior (margins > 0)", margin > 0.0, margin)
         else:
             _add_image_check(rep, problem, start, x, tau)
     elif cert.kind == "optimal-pair":
-        if _add_image_check(rep, problem, start, x, tau) and y is not None:
-            sp = stop_params(problem, start, x, tau, tau * y)
-        else:
-            sp = StopParams(gap=np.nan, p_feas=np.nan, d_feas=np.nan)
+        formed = _add_image_check(rep, problem, start, x, tau)
+        sp = _formed(lambda y: stop_params(problem, start, x, tau, tau * y),
+                     y if formed else None, unformed=StopParams(np.nan, np.nan, np.nan))
         rep.add("gap <= eps", sp.gap <= eps, sp.gap)
         rep.add("P_feas <= eps", sp.p_feas <= eps, sp.p_feas)
         rep.add("D_feas <= eps", sp.d_feas <= eps, sp.d_feas)
@@ -236,21 +236,33 @@ def _vector(value, size: int):
     return None
 
 
+def _formed(value, *args, unformed=np.nan):
+    """``value(*args)`` under the certificate checks' one float policy:
+    ``unformed``, so that its checks fail, where an argument is missing
+    (None) or where forming it overflows, divides by zero or meets an
+    invalid value (inf - inf, 0 * inf)."""
+    if any(arg is None for arg in args):
+        return unformed
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return value(*args)
+    except FloatingPointError:
+        return unformed
+
+
 def _add_image_check(rep: VerificationReport, problem, start, x, tau: float) -> bool:
     """tau > 0 and A x + z0/tau in D (margins >= 0), for a point reported
     with its tau: a negative tau flips the sign of P_feas and of z0/tau.
     Returns whether the image is formed: only with tau > 0, which NaN is
     not, with x given and with every entry finite (a tiny tau overflows
     z0/tau, an infinite x meets it as inf - inf, and a non-finite point
-    is outside D); otherwise its check fails with a NaN margin."""
+    is outside D); otherwise its check fails with a NaN margin, as it does
+    when the margin itself is not formed."""
     positive = tau > 0.0
     rep.add("tau > 0", positive, tau)
-    formed = positive and x is not None
-    if formed:
-        with np.errstate(over="ignore", invalid="ignore"):
-            u = shifted_image(problem, start, x, tau)
-        formed = bool(np.isfinite(u).all())
-    margin = problem.barrier.min_margin(u, PRIMAL) if formed else np.nan
+    u = _formed(lambda x: shifted_image(problem, start, x, tau), x if positive else None)
+    formed = bool(np.isfinite(u).all())
+    margin = _formed(problem.barrier.min_margin, u, PRIMAL) if formed else np.nan
     rep.add("Ax + z0/tau in domain (margins >= 0)", margin >= 0.0, margin)
     return formed
 
@@ -261,7 +273,7 @@ def _eps_feasibility_report(problem, start, point: Iterate, sp: StopParams,
     P_feas, D_feas <= eps, read from the point's stop parameters ``sp``."""
     rep = VerificationReport()
     _add_image_check(rep, problem, start, point.x, point.tau)
-    dual_margin = problem.barrier.min_margin(point.y / point.tau, CONJUGATE)
+    dual_margin = _formed(lambda: problem.barrier.min_margin(point.y / point.tau, CONJUGATE))
     rep.add("y/tau in dual cone (margins >= 0)", dual_margin >= 0.0, dual_margin)
     rep.add("P_feas <= eps", sp.p_feas <= eps, sp.p_feas)
     rep.add("D_feas <= eps", sp.d_feas <= eps, sp.d_feas)

@@ -22,7 +22,11 @@ Three digests, one line of counts and a parse digest:
             violations of the iterate runs and of six two-cone runs,
             ``mixed_feasible(seed, 40, 0, (40, 40))`` for seeds 0-5 at
             eps 1e-6.  A change that moves only rounding changes the
-            digests; it is judged on these summed counts instead;
+            digests; it is judged on these summed counts instead.
+            ``counted_runs`` solves each of these 21 runs once, the
+            cone runs first, and ``counts_line`` formats the line; the
+            iterates and reports digests read the same solves, and
+            ``tests/noise_plugin.py`` reads both under its noise;
   parse     what ``cli.parse_problem_file`` makes of the first 4,000
             seed-7 documents of ``tests/fuzz.py`` and of the
             ``tests/conftest.py`` many-atom documents: the error's type,
@@ -53,6 +57,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -180,12 +185,6 @@ def parse_digest() -> tuple:
     return h.hexdigest(), lines
 
 
-def _count(counts: Counter, result) -> None:
-    counts[result.report.status] += 1
-    counts["iterations"] += result.report.diagnostics["iterations"]
-    counts["violations"] += len(result.invariant_violations)
-
-
 def _iterate_bytes(result):
     """The bytes of a run's iterates and invariant messages, in the order
     the iterates digest reads them."""
@@ -207,27 +206,44 @@ def run_line(label: str, result) -> str:
             f"violations={len(result.invariant_violations)} {h.hexdigest()}")
 
 
+def counted_runs():
+    """(label, problem, start, eps, result) of each of the 21 runs the
+    counts line reads, each solved once by ``dd.follow``: the six cone runs,
+    which only that line reads, then the twelve file runs and the three
+    medium runs, which the iterates and reports digests read too."""
+    for label, problem, start, eps in itertools.chain(_cone_runs(), _runs()):
+        yield label, problem, start, eps, dd.follow(problem, start, dd.FollowerOptions(eps=eps))
+
+
+def counts_line(results) -> str:
+    """The counts line of the follow ``results``: each status's number of
+    runs, then the total iterations and invariant violations."""
+    counts = Counter()
+    for result in results:
+        counts[result.report.status] += 1
+        counts["iterations"] += result.report.diagnostics["iterations"]
+        counts["violations"] += len(result.invariant_violations)
+    totals = [f"{key}={counts.pop(key)}" for key in ("iterations", "violations")]
+    statuses = ",".join(f"{status}:{k}" for status, k in sorted(counts.items()))
+    return " ".join([statuses, *totals])
+
+
 def solve_digests() -> tuple:
     """(iterates digest, reports digest, counts line, the run lines and
     then the short report lines)."""
-    iterates, reports, counts, lines = hashlib.sha256(), hashlib.sha256(), Counter(), []
-    for label, problem, start, eps in _cone_runs():
-        result = dd.follow(problem, start, dd.FollowerOptions(eps=eps))
-        _count(counts, result)
+    iterates, reports, results, lines = hashlib.sha256(), hashlib.sha256(), [], []
+    for label, problem, start, eps, result in counted_runs():
+        results.append(result)
         lines.append(run_line(label, result))
-    for label, problem, start, eps in _runs():
-        result = dd.follow(problem, start, dd.FollowerOptions(eps=eps))
-        _count(counts, result)
-        lines.append(run_line(label, result))
+        if label.startswith("cones-"):   # counted, not digested
+            continue
         iterates.update(label.encode())
         for chunk in _iterate_bytes(result):
             iterates.update(chunk)
         reports.update(label.encode())
         reports.update(cli.run_solve(problem, start, eps).to_json().encode())
     lines += _small_reports(reports)
-    totals = [f"{key}={counts.pop(key)}" for key in ("iterations", "violations")]
-    statuses = ",".join(f"{status}:{k}" for status, k in sorted(counts.items()))
-    return iterates.hexdigest(), reports.hexdigest(), " ".join([statuses, *totals]), lines
+    return iterates.hexdigest(), reports.hexdigest(), counts_line(results), lines
 
 
 def _side_lines(root: Path) -> list:

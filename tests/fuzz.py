@@ -16,7 +16,9 @@ Each document runs through ``ddsolve solve`` with ``ARGS``
 (``--eps 1e-4 --max-iters 60 --strict``), and every run must exit 0-5
 without raising, print one JSON report and raise no warning.
 Printed: one line per document that failed, with its index, what went
-wrong and the document, then how many of the documents failed.
+wrong and the document, then how many of the documents failed.  The
+script exits 1 when any document failed and 0 otherwise, as
+``tests/digest.py --parent`` does when a line differs.
 ``tests/test_cli.py`` runs the first 300 documents of seed 7.
 """
 
@@ -26,6 +28,7 @@ import io
 import json
 import math
 import random
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -106,7 +109,7 @@ def run_failure(doc, directory) -> str | None:
     return None if isinstance(report, dict) and "status" in report else "report has no status"
 
 
-def main(argv=None):
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--count", type=int, default=4000)
@@ -121,7 +124,8 @@ def main(argv=None):
                 failed += 1
                 print(f"{k}: {failure}: {json.dumps(doc)}")
     print(f"{failed} of {args.count} documents warned, raised or misreported")
+    return int(bool(failed))
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

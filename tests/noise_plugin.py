@@ -10,8 +10,11 @@ as one rounding of the solve, deterministic per input and free of any
 algorithmic content.  ``--noise-out FILE`` writes to FILE, as JSON, the
 number of tests run, the node ids of the failed ones and the seed's
 counts (:func:`seed_counts`), which the session computes under the same
-noise once its tests have run.  A RuntimeWarning there is shown, not
-raised; counts that raise leave FILE without them (pytest exits 3).
+noise once its tests have run.  The counts solve only the runs they
+count: the 21 runs of ``digest.counted_runs``, each once, whose results
+``digest.counts_line`` formats, and the two fixture runs.  A
+RuntimeWarning there is shown, not raised; counts that raise leave FILE
+without them (pytest exits 3).
 """
 
 import hashlib
@@ -47,25 +50,20 @@ def perturbed(solve, seed: int):
 
 def seed_counts() -> tuple:
     """(digest counts line, false passes, iterates) of the digest's
-    counted runs under this process's noise, then (float mu-forms
-    failures, exact ones, iterates) of the ``box_run`` and ``soc_run``
-    runs.  The noise is the one ``pytest_configure`` put in; putting it in
-    again would perturb every KKT solution twice."""
+    counted runs under this process's noise, each solved once, then
+    (float mu-forms failures, exact ones, iterates) of the ``box_run`` and
+    ``soc_run`` runs.  The noise is the one ``pytest_configure`` put in;
+    putting it in again would perturb every KKT solution twice."""
     # imported at session end, so that pytest has imported them its own way
     import conftest
     import digest
     import oracles
     from test_model import mu_forms
-    follow, found, forms = ddsolve.follow, [0, 0], [0, 0, 0]
-
-    def counted(problem, start, options):
-        result = follow(problem, start, options)
+    results, found, forms = [], [0, 0], [0, 0, 0]
+    for _, problem, start, _, result in digest.counted_runs():
+        results.append(result)
         found[0] += oracles.false_passes(problem, start, result.iterates)
         found[1] += len(result.iterates)
-        return result
-    ddsolve.follow = counted
-    line = digest.solve_digests()[2]
-    ddsolve.follow = follow  # the fixtures' runs below are not the digest's
     for build, eps in (conftest.BOX_RUN, conftest.SOC_RUN):
         problem, start = pair = conftest.started(build)
         for it in conftest.follow_at(pair, eps).iterates:
@@ -73,7 +71,7 @@ def seed_counts() -> tuple:
             forms[0] += not oracles.mu_forms_agree(*mu_forms(*args))
             forms[1] += not oracles.mu_forms_agree(*oracles.exact_mu_forms(*args))
             forms[2] += 1
-    return (line, *found, *forms)
+    return (digest.counts_line(results), *found, *forms)
 
 
 def pytest_addoption(parser):

@@ -385,6 +385,22 @@ def test_fuzz_refuses_a_count_below_one(count):
         fuzz_main(["--count", count])
 
 
+@pytest.mark.parametrize("failing", [(), (1,)], ids=["none-failed", "one-failed"])
+def test_fuzz_exits_one_when_a_document_failed(monkeypatch, capsys, failing):
+    # the documents at the indices in ``failing`` fail
+    runs = []
+
+    def run_failure(doc, directory):
+        runs.append(doc)
+        return "raised" if len(runs) - 1 in failing else None
+    monkeypatch.setattr("fuzz.run_failure", run_failure)
+    assert fuzz_main(["--count", "3"]) == int(bool(failing))
+    assert len(runs) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == f"{len(failing)} of 3 documents warned, raised or misreported"
+    assert len(lines) == len(failing) + 1
+
+
 def _walked(entries):
     """The atoms of ``entries`` read one entry at a time, None if one is bad."""
     try:

@@ -11,8 +11,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import conftest
+import ddsolve as dd
+import digest
 import noise
 import noise_plugin
+import oracles
+from ddsolve import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 FAST = ["tests/test_status.py::test_eps_solution_branch",
@@ -109,6 +114,27 @@ def test_outcomes_writes_the_tests_the_failures_and_the_counts(tmp_path, monkeyp
         assert [str(w.message) for w in shown] == ["overflow encountered in a counted run"]
         written["counts"] = ["c", 0, 9, 1, 0, 5]
     assert json.loads((tmp_path / "out.json").read_text()) == written
+
+
+def test_seed_counts_solve_each_counted_run_once(monkeypatch):
+    # the digest's run tables cut to one toy run: the counts solve it once,
+    # with the fixtures' two runs, and build no report of the digest's
+    monkeypatch.setattr(digest, "CONE_SEEDS", range(0))
+    monkeypatch.setattr(digest, "INSTANCES", [ROOT / "instances" / "inst_box.dd"])
+    monkeypatch.setattr(digest, "FILE_EPS", (1e-4,))
+    monkeypatch.setattr(digest, "MEDIUM_CASES", {})
+    monkeypatch.setattr(cli, "run_solve", lambda *args, **kwargs: pytest.fail("run_solve ran"))
+    problem, start = cli.parse_problem_file(ROOT / "instances" / "inst_box.dd")
+    run = dd.follow(problem, start, dd.FollowerOptions(eps=1e-4))
+    solved, follow = [], dd.follow
+    monkeypatch.setattr(dd, "follow", lambda *args: solved.append(args[2].eps) or follow(*args))
+    line, false, iterates, *forms = noise_plugin.seed_counts()
+    assert line == (f"{run.report.status}:1 iterations={run.report.diagnostics['iterations']} "
+                    f"violations={len(run.invariant_violations)}")
+    assert (false, iterates) == (oracles.false_passes(problem, start, run.iterates),
+                                 len(run.iterates))
+    assert solved == [1e-4, conftest.BOX_RUN[1], conftest.SOC_RUN[1]]
+    assert len(forms) == 3 and forms[2] > 0
 
 
 def test_table_counts_clean_seeds_and_failures_per_test():

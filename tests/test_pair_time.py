@@ -1,4 +1,5 @@
-"""The paired timing tool runs end to end on two checkouts."""
+"""The paired timing tool: its output on this checkout as both sides, its
+pairing and set-up timing on stub sides and clocks, and its refusals."""
 
 import os
 import random
@@ -12,15 +13,19 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def check_pair_time_output(workload):
-    """Output of two pairs of eight solves of ``workload``, both sides
-    this checkout, checked line by line."""
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "tests" / "pair_time.py"), str(ROOT), str(ROOT),
-         "--workload", workload, "--pairs", "2"],
-        capture_output=True, text=True, timeout=120, check=True)
-    lines = done.stdout.splitlines()
-    assert lines[0] == f"workload {workload}: 2 pairs of 8 solves per side"
+def check_pair_time_output(pair_time, monkeypatch, capsys, workload):
+    """Output of two pairs of one solve of ``workload``, both sides this
+    checkout, run in this process and checked line by line; the two side
+    packages it loads are removed from ``sys.modules`` after."""
+    monkeypatch.setattr(pair_time, "INSTANCES", 1)
+    sides = ("ddsolve_parent", "ddsolve_change")
+    try:
+        assert pair_time.main([str(ROOT), str(ROOT), "--workload", workload, "--pairs", "2"]) == 0
+    finally:
+        for name in [name for name in sys.modules if name.split(".")[0] in sides]:
+            del sys.modules[name]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"workload {workload}: 2 pairs of 1 solves per side"
     ratio = float(lines[1].rsplit(" ", 1)[1])
     assert 0.0 < ratio < 10.0
     words = lines[2].split()
@@ -41,14 +46,14 @@ def check_pair_time_output(workload):
     assert len(lines) == 5
 
 
-def test_pair_time_prints_ratio_pairs_and_medians():
+def test_pair_time_prints_ratio_pairs_and_medians(pair_time, monkeypatch, capsys):
     # a CLI workload: the set-up is the parse
-    check_pair_time_output("certify")
+    check_pair_time_output(pair_time, monkeypatch, capsys, "certify")
 
 
-def test_pair_time_times_validate_and_start_as_the_set_up():
+def test_pair_time_times_validate_and_start_as_the_set_up(pair_time, monkeypatch, capsys):
     # a follow workload: the set-up is validate_problem + make_start
-    check_pair_time_output("soc-wide")
+    check_pair_time_output(pair_time, monkeypatch, capsys, "soc-wide")
 
 
 @pytest.fixture

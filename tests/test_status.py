@@ -320,43 +320,90 @@ def test_margin_checks_fail_on_a_nan_entry(inf_problem, box_run, box_problem):
 
 
 IMAGE = "Ax + z0/tau in domain (margins >= 0)"
+STOP = ["gap <= eps", "P_feas <= eps", "D_feas <= eps"]
+DUAL_CONE = "y in dual cone (margins >= 0)"
 _TINY_TAU = Certificate(kind="optimal-pair", strict=False, eps=1e-6, tau=1e-320)
+# tau = 1e-308 forms the finite image [1.7e308, 1e308, 0] from this
+# anchor; its cone tail's sum of squares overflows
+_TAIL_TAU = replace(_TINY_TAU, tau=1e-308)
+_TAIL_ANCHOR = [1.7, 1.0, 0.0]
+# a dual point inside the cone whose tail's sum of squares overflows
+_HUGE_Y = np.array([-1e300, 1e200, 1e200])
+_WEAK_INF = Certificate(kind="infeasibility", strict=False, eps=1e-6)
+_STRICT_INF = Certificate(kind="infeasibility", strict=True, eps=np.nan)
+# (build, anchor, certificate, every failed check with its value)
 OVERFLOWING = {
     # ||A'y|| = 1e200 of a weak infeasibility direction: its sum of
     # squares overflows, its norm does not
-    "weak-infeasibility": (build_inf, None,
-                           Certificate(kind="infeasibility", strict=False, eps=1e-6,
-                                       y=np.array([-1e200, -1e-300])), "||A'y|| <= eps", 1e200),
+    "weak-infeasibility": (build_inf, None, replace(_WEAK_INF, y=np.array([-1e200, -1e-300])),
+                           [("||A'y|| <= eps", 1e200)]),
     # tau = 1e-320 overflows z0/tau: an image that is not finite is
-    # outside D, and is not formed
+    # outside D, and is not formed; it leaves the stop parameters
+    # unformed too
     "pair-box": (build_box, None, replace(_TINY_TAU, x=np.zeros(1), y=np.zeros(1)),
-                 IMAGE, np.nan),
+                 [(name, np.nan) for name in (IMAGE, *STOP)]),
     "unboundedness-box": (build_box, None,
-                          replace(_TINY_TAU, kind="unboundedness", x=np.zeros(1)), IMAGE, np.nan),
+                          replace(_TINY_TAU, kind="unboundedness", x=np.zeros(1)),
+                          [("<c,x> <= -1/eps", 0.0), (IMAGE, np.nan)]),
     # an anchor whose cone tail is 0: the infinite head read as a margin
     # of +inf, and the check passed
     "pair-soc": (build_soc, [2.0, 0.0, 0.0], replace(_TINY_TAU, x=np.zeros(2), y=np.zeros(3)),
-                 IMAGE, np.nan),
+                 [(name, np.nan) for name in (IMAGE, *STOP)]),
     "unboundedness-soc": (build_soc, [2.0, 0.0, 0.0],
-                          replace(_TINY_TAU, kind="unboundedness", x=np.zeros(2)), IMAGE, np.nan),
+                          replace(_TINY_TAU, kind="unboundedness", x=np.zeros(2)),
+                          [("<c,x> <= -1/eps", 0.0), (IMAGE, np.nan)]),
     # an infinite x meets the overflowed z0/tau as -inf + inf
     "unboundedness-infinite-x": (build_box, None,
                                  replace(_TINY_TAU, kind="unboundedness", x=np.array([-np.inf])),
-                                 IMAGE, np.nan),
+                                 [(IMAGE, np.nan)]),
+    # a finite image whose margin is not formed; the pair's stop
+    # parameters are: P_feas = ||z0||/tau is +inf, and at y = 0 D_feas is
+    # ||c|| / (1 + ||c||)
+    "pair-soc-tail": (build_soc, _TAIL_ANCHOR, replace(_TAIL_TAU, x=np.zeros(2), y=np.zeros(3)),
+                      [(IMAGE, np.nan), ("P_feas <= eps", np.inf),
+                       ("D_feas <= eps", np.sqrt(2.0) / (1.0 + np.sqrt(2.0)))]),
+    "unboundedness-soc-tail": (build_soc, _TAIL_ANCHOR,
+                               replace(_TAIL_TAU, kind="unboundedness", x=np.zeros(2)),
+                               [("<c,x> <= -1/eps", 0.0), (IMAGE, np.nan)]),
+    # the dual cone margin and the support read the same tail norm
+    "weak-infeasibility-soc-tail": (build_soc, None, replace(_WEAK_INF, y=_HUGE_Y),
+                                    [("||A'y|| <= eps", 1e300), (DUAL_CONE, np.nan),
+                                     ("support(y) < 0", np.nan)]),
+    "strict-infeasibility-soc-tail": (build_soc, None, replace(_STRICT_INF, y=_HUGE_Y),
+                                      [("ATy_inf_norm <= 1e-8", 1e300), (DUAL_CONE, np.nan),
+                                       ("support(y) <= -1 + 1e-8", np.nan)]),
+    "pair-soc-tail-y": (build_soc, None,
+                        Certificate(kind="optimal-pair", strict=False, eps=1e-6, x=np.zeros(2),
+                                    y=_HUGE_Y, tau=1.0),
+                        [(name, np.nan) for name in STOP]),
+    "strict-unboundedness-soc-tail": (build_soc, None,
+                                      Certificate(kind="unboundedness", strict=True, eps=1e-6,
+                                                  x=np.array([1e200, 1e200])),
+                                      [("<c,x> <= -1/eps", 0.0),
+                                       ("Ax interior (margins > 0)", np.nan)]),
+    # an infinite entry of y: A'y meets it as 0 * inf, and so does the
+    # support with the cone's offset; the interval slacks as inf - inf
+    "weak-infeasibility-infinite-y-soc": (build_soc, None,
+                                          replace(_WEAK_INF, y=np.array([-np.inf, 1.0, 0.0])),
+                                          [("||A'y|| <= eps", np.nan),
+                                           ("support(y) < 0", np.nan)]),
+    "strict-infeasibility-infinite-y": (build_inf, None,
+                                        replace(_STRICT_INF, y=np.array([-np.inf, -1.0])),
+                                        [("ATy_inf_norm <= 1e-8", np.inf), (DUAL_CONE, np.nan),
+                                         ("support(y) <= -1 + 1e-8", np.nan)]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(OVERFLOWING))
 def test_overflowing_certificate_fails_without_a_warning(case):
     # the suite's error::RuntimeWarning filter makes a warning fail the row
-    build, z0, cert, name, value = OVERFLOWING[case]
+    build, z0, cert, failed = OVERFLOWING[case]
     problem = build()
     rep = verify_certificate(problem, dd.make_start(problem, z0), cert)
-    check, = [ch for ch in rep.checks if ch.name == name]
-    assert not check.passed and np.array_equal(check.value, value, equal_nan=True)
-    if cert.kind == "optimal-pair":
-        # an image not formed leaves the stop parameters unformed too
-        assert rep.failed_names()[-3:] == ["gap <= eps", "P_feas <= eps", "D_feas <= eps"]
+    got = [(ch.name, ch.value) for ch in rep.checks if not ch.passed]
+    assert [name for name, _ in got] == [name for name, _ in failed]
+    for (_, value), (_, expected) in zip(got, failed):
+        assert np.array_equal(value, expected, equal_nan=True), got
 
 
 def _certificate(case, request):
