@@ -29,6 +29,7 @@ raising or warning.
 from __future__ import annotations
 
 import contextlib
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -171,18 +172,17 @@ def verify_certificate(problem: Problem, start: StartData, cert: Certificate) ->
     parameters <= eps (a dual point off D* has support +inf and fails the
     gap).
 
-    A malformed certificate fails instead of raising or warning.  Without
-    tau > 0, or without the x or y a check needs, that check fails
-    unformed, with a NaN value, as the image check does when A x + z0/tau
-    is not finite; an x that is not n real numbers or a y that is not m is
-    read as missing, and a tau that is not a real number as NaN.  So does
-    a check whose value cannot be formed: every value is formed under one
-    float policy (:func:`_formed`), and one whose forming overflows,
-    divides by zero or meets an invalid value is NaN.  A cone tail past
-    about 1.3e154 overflows the margin's norm, and an infinite entry of y
-    meets a zero of A or of an offset as 0 * inf.  An eps
-    outside (0, 1), or not a real number, fails every check that compares
-    with it, keeping the check's value.
+    A malformed certificate fails instead of raising or warning.  Its one
+    input rule (:func:`_real`, :func:`_vector`): eps and tau are each one
+    finite real number, x is n finite reals and y is m, or the field is
+    missing, so a non-finite field is a missing one.  Without tau > 0, or
+    without the x or y a check needs, that check fails unformed, with a
+    NaN value.  So does a check whose value cannot be formed: every value
+    is formed under one float policy (:func:`_formed`), and one whose
+    forming overflows, divides by zero or meets an invalid value is NaN,
+    as a cone tail past about 1.3e154 overflows the margin's norm.  An eps
+    outside (0, 1), or missing, fails every check that compares with it,
+    keeping the check's value.
     """
     rep = VerificationReport()
     # NaN fails every comparison
@@ -223,15 +223,17 @@ def verify_certificate(problem: Problem, start: StartData, cert: Certificate) ->
 
 
 def _real(value) -> float:
-    """``value`` as a float if it is a real number, NaN otherwise (None,
-    text, ...)."""
-    return float(value) if isinstance(value, numbers.Real) else np.nan
+    """``value`` as a float if it is a finite real number, else NaN, the
+    missing field: None, text and +-inf or NaN alike."""
+    return float(value) if isinstance(value, numbers.Real) and math.isfinite(value) else np.nan
 
 
 def _vector(value, size: int):
-    """``value`` as a float array if it is ``size`` real numbers, else None."""
+    """``value`` as a float array if it is ``size`` finite real numbers,
+    else None, the missing field: a non-finite entry too."""
     with contextlib.suppress(ValueError):   # np.asarray refuses a ragged list
-        if (array := np.asarray(value)).shape == (size,) and array.dtype.kind in "biuf":
+        if ((array := np.asarray(value)).shape == (size,) and array.dtype.kind in "biuf"
+                and np.isfinite(array).all()):
             return array.astype(float, copy=False)
     return None
 
@@ -253,18 +255,16 @@ def _formed(value, *args, unformed=np.nan):
 def _add_image_check(rep: VerificationReport, problem, start, x, tau: float) -> bool:
     """tau > 0 and A x + z0/tau in D (margins >= 0), for a point reported
     with its tau: a negative tau flips the sign of P_feas and of z0/tau.
-    Returns whether the image is formed: only with tau > 0, which NaN is
-    not, with x given and with every entry finite (a tiny tau overflows
-    z0/tau, an infinite x meets it as inf - inf, and a non-finite point
-    is outside D); otherwise its check fails with a NaN margin, as it does
-    when the margin itself is not formed."""
+    Returns whether the image is formed: only from a finite x and a finite
+    tau > 0, which a missing field is not, and only where forming it does
+    not overflow, as z0/tau does for a tiny tau; otherwise its check fails
+    with a NaN margin, as it does when the margin itself is not formed."""
     positive = tau > 0.0
     rep.add("tau > 0", positive, tau)
-    u = _formed(lambda x: shifted_image(problem, start, x, tau), x if positive else None)
-    formed = bool(np.isfinite(u).all())
-    margin = _formed(problem.barrier.min_margin, u, PRIMAL) if formed else np.nan
+    u = _formed(shifted_image, problem, start, x if positive else None, tau, unformed=None)
+    margin = _formed(problem.barrier.min_margin, u, PRIMAL)
     rep.add("Ax + z0/tau in domain (margins >= 0)", margin >= 0.0, margin)
-    return formed
+    return u is not None
 
 
 def _eps_feasibility_report(problem, start, point: Iterate, sp: StopParams,

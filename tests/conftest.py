@@ -1,4 +1,4 @@
-"""Shared fixtures: the four canonical instances and their solver runs."""
+"""Shared fixtures: the canonical instances and their solver runs."""
 
 import random
 from pathlib import Path
@@ -31,6 +31,13 @@ def build_soc():
     # the only dual-feasible point sits on the dual cone boundary
     return dd.validate_problem([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]], [-1.0, 1.0],
                                [dd.soc([0, 1, 2], [0.0, 0.0, 1.0])])
+
+
+def build_cone_inf():
+    # (0, x, 0) + (-1, 0, 0) in the cone needs -1 >= |x|: infeasible, and
+    # y = (-1, 0, 0) has A'y = 0, dual margin 1 and support -1
+    return dd.validate_problem([[0.0], [1.0], [0.0]], [1.0],
+                               [dd.soc([0, 1, 2], [-1.0, 0.0, 0.0])])
 
 
 def build_tangent():
@@ -136,6 +143,11 @@ def soc_problem():
 
 
 @pytest.fixture(scope="session")
+def cone_inf_problem():
+    return started(build_cone_inf)
+
+
+@pytest.fixture(scope="session")
 def tangent_problem():
     return started(build_tangent)
 
@@ -158,6 +170,11 @@ def unb_run(unb_problem):
 @pytest.fixture(scope="session")
 def soc_run(soc_problem):
     return follow_at(soc_problem, SOC_RUN[1])
+
+
+@pytest.fixture(scope="session")
+def cone_inf_run(cone_inf_problem):
+    return follow_at(cone_inf_problem, 1e-6)
 
 
 @pytest.fixture(scope="session")

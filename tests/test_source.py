@@ -318,3 +318,32 @@ def test_atom_kinds_are_known_in_barriers_only():
     cli = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
     kinds = ("SOC", "BOX", "HALFLINE_LOWER", "HALFLINE_UPPER")
     assert [kind for node in ast.walk(cli) for kind in kinds if _named(node, kind)] == []
+
+
+def _raw_certificate_reads(tree: ast.Module) -> list:
+    """The function around each read of ``cert.x``, ``cert.y``,
+    ``cert.tau`` or ``cert.eps`` that is not an argument of ``_vector`` or
+    ``_real``, as "function:field"."""
+    owned = {arg for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and (_named(node.func, "_vector") or _named(node.func, "_real")) for arg in node.args}
+    return [f"{around}:{node.attr}" for around, node in _nodes_by_function(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("x", "y", "tau", "eps")
+            and _named(node.value, "cert") and isinstance(node.ctx, ast.Load)
+            and node not in owned]
+
+
+def test_raw_certificate_read_check_sees_each_spelling():
+    tree = ast.parse("top = cert.eps\n"
+                     "def f(cert, point):\n"
+                     "    x, tau = _vector(cert.x, 3), status._real(cert.tau)\n"
+                     "    cert.y = None\n"
+                     "    return point.x, cert.kind, _vector(cert.y + 1, 2), g(cert.eps)\n")
+    assert _raw_certificate_reads(tree) == ["<module>:eps", "f:y", "f:eps"]
+
+
+def test_certificate_fields_are_read_by_their_owners_only():
+    # status._real and status._vector own a certificate's input rule: a
+    # field is finite real numbers of its shape or it is missing, so a
+    # check that read a field itself could pass on a non-finite one
+    status = ast.parse((PACKAGE / "status.py").read_text(encoding="utf-8"))
+    assert _raw_certificate_reads(status) == []

@@ -290,33 +290,6 @@ def test_certificate_with_negative_tau_fails(atoms, c, kind):
         assert "tau > 0" in rep.failed_names()
         assert [ch.value for ch in rep.checks if ch.name == "tau > 0"] == [tau]
         assert needs_tau & {ch.name for ch in rep.checks} <= set(rep.failed_names())
-    # a certificate without a tau, the field's default, fails the same
-    # checks, with a NaN value
-    rep = verify_certificate(problem, start, replace(cert, tau=None))
-    check, = [ch for ch in rep.checks if ch.name == "tau > 0"]
-    assert not check.passed and np.isnan(check.value)
-    assert needs_tau & {ch.name for ch in rep.checks} <= set(rep.failed_names())
-
-
-def test_margin_checks_fail_on_a_nan_entry(inf_problem, box_run, box_problem):
-    # a NaN coordinate has no margin: min_margin propagates it, and the
-    # membership checks read it as failed
-    problem, start = inf_problem
-    direction = Certificate(kind="infeasibility", strict=True, eps=np.nan,
-                            y=np.array([-1.0, -1.0]))
-    assert verify_certificate(problem, start, direction).passed
-    for strict in (True, False):
-        rep = verify_certificate(problem, start, replace(direction, strict=strict, eps=1e-6,
-                                                         y=np.array([np.nan, -1.0])))
-        check, = [ch for ch in rep.checks if ch.name == "y in dual cone (margins >= 0)"]
-        assert not check.passed and np.isnan(check.value)
-
-    problem, start = box_problem
-    pair = box_run.report.certificate
-    assert pair.kind == "optimal-pair" and verify_certificate(problem, start, pair).passed
-    rep = verify_certificate(problem, start, replace(pair, x=np.array([np.nan])))
-    check, = [ch for ch in rep.checks if ch.name == "Ax + z0/tau in domain (margins >= 0)"]
-    assert not check.passed and np.isnan(check.value)
 
 
 IMAGE = "Ax + z0/tau in domain (margins >= 0)"
@@ -337,25 +310,20 @@ OVERFLOWING = {
     # squares overflows, its norm does not
     "weak-infeasibility": (build_inf, None, replace(_WEAK_INF, y=np.array([-1e200, -1e-300])),
                            [("||A'y|| <= eps", 1e200)]),
-    # tau = 1e-320 overflows z0/tau: an image that is not finite is
-    # outside D, and is not formed; it leaves the stop parameters
-    # unformed too
+    # tau = 1e-320 overflows z0/tau, so the image is not formed, and
+    # neither are the stop parameters that read it
     "pair-box": (build_box, None, replace(_TINY_TAU, x=np.zeros(1), y=np.zeros(1)),
                  [(name, np.nan) for name in (IMAGE, *STOP)]),
     "unboundedness-box": (build_box, None,
                           replace(_TINY_TAU, kind="unboundedness", x=np.zeros(1)),
                           [("<c,x> <= -1/eps", 0.0), (IMAGE, np.nan)]),
-    # an anchor whose cone tail is 0: the infinite head read as a margin
-    # of +inf, and the check passed
+    # an anchor whose cone tail is 0: only the head of z0/tau overflows,
+    # and a margin read off it alone would be +inf
     "pair-soc": (build_soc, [2.0, 0.0, 0.0], replace(_TINY_TAU, x=np.zeros(2), y=np.zeros(3)),
                  [(name, np.nan) for name in (IMAGE, *STOP)]),
     "unboundedness-soc": (build_soc, [2.0, 0.0, 0.0],
                           replace(_TINY_TAU, kind="unboundedness", x=np.zeros(2)),
                           [("<c,x> <= -1/eps", 0.0), (IMAGE, np.nan)]),
-    # an infinite x meets the overflowed z0/tau as -inf + inf
-    "unboundedness-infinite-x": (build_box, None,
-                                 replace(_TINY_TAU, kind="unboundedness", x=np.array([-np.inf])),
-                                 [(IMAGE, np.nan)]),
     # a finite image whose margin is not formed; the pair's stop
     # parameters are: P_feas = ||z0||/tau is +inf, and at y = 0 D_feas is
     # ||c|| / (1 + ||c||)
@@ -381,16 +349,6 @@ OVERFLOWING = {
                                                   x=np.array([1e200, 1e200])),
                                       [("<c,x> <= -1/eps", 0.0),
                                        ("Ax interior (margins > 0)", np.nan)]),
-    # an infinite entry of y: A'y meets it as 0 * inf, and so does the
-    # support with the cone's offset; the interval slacks as inf - inf
-    "weak-infeasibility-infinite-y-soc": (build_soc, None,
-                                          replace(_WEAK_INF, y=np.array([-np.inf, 1.0, 0.0])),
-                                          [("||A'y|| <= eps", np.nan),
-                                           ("support(y) < 0", np.nan)]),
-    "strict-infeasibility-infinite-y": (build_inf, None,
-                                        replace(_STRICT_INF, y=np.array([-np.inf, -1.0])),
-                                        [("ATy_inf_norm <= 1e-8", np.inf), (DUAL_CONE, np.nan),
-                                         ("support(y) <= -1 + 1e-8", np.nan)]),
 }
 
 
@@ -409,6 +367,12 @@ def test_overflowing_certificate_fails_without_a_warning(case):
 def _certificate(case, request):
     """(problem, start, certificate) for each kind; all but the strict
     unbounded point of a bounded problem verify."""
+    if case.endswith("cone-infeasibility"):
+        problem, start = request.getfixturevalue("cone_inf_problem")
+        strict = case.startswith("strict")
+        return (problem, start, Certificate(kind="infeasibility", strict=strict,
+                                            eps=np.nan if strict else 1e-6,
+                                            y=np.array([-1.0, 0.0, 0.0])))
     if case == "bounded-unboundedness":
         # min x over x in [0, 1] and x >= 0: bounded, so <c, x> = 0.5 fails
         problem = dd.validate_problem([[1.0], [1.0]], [1.0],
@@ -492,51 +456,56 @@ def test_strict_unboundedness_needs_eps_in_the_unit_interval(eps, unb_run, unb_p
         dd.strict_unboundedness_certificate, eps, "eps", unb_run, unb_problem, monkeypatch)
 
 
-@pytest.mark.parametrize("case,missing,kept", [
-    ("strict-infeasibility", "y", ()),
-    ("infeasibility", "y", ()),
-    ("strict-unboundedness", "x", ()),
-    ("unboundedness", "x", ("tau > 0",)),
-    ("pair", "x", ("tau > 0",)),
-    ("pair", "y", ("tau > 0", "Ax + z0/tau in domain (margins >= 0)")),
-    ("strict-unboundedness", "x-longer", ()),
-    ("strict-infeasibility", "y-longer", ()),
-    ("infeasibility", "y-shorter", ()),
-    ("unboundedness", "x-longer", ("tau > 0",)),
-    ("pair", "x-longer", ("tau > 0",)),
-    ("pair", "y-shorter", ("tau > 0", "Ax + z0/tau in domain (margins >= 0)")),
-    ("pair", "tau-text", ()),
-    ("unboundedness", "tau-text", ("<c,x> <= -1/eps",)),
-    ("strict-infeasibility", "y-strings", ()),
-    ("infeasibility", "y-strings", ()),
-    ("strict-unboundedness", "x-strings", ()),
-    ("unboundedness", "x-strings", ("tau > 0",)),
-    ("pair", "x-strings", ("tau > 0",)),
-    ("pair", "y-strings", ("tau > 0", "Ax + z0/tau in domain (margins >= 0)")),
-])
-def test_certificate_without_its_payload_fails(case, missing, kept, request):
-    # a missing x or y raised from the products that read it, and so did
-    # one of the wrong length or of text entries, or a tau that is not a
-    # number; each check that needs it now fails with a NaN value, as a
-    # missing tau does
+# the certificate fields each check reads
+READS = {"ATy_inf_norm <= 1e-8": "y", "||A'y|| <= eps": "y", DUAL_CONE: "y",
+         "support(y) <= -1 + 1e-8": "y", "support(y) < 0": "y", "<c,x> <= -1/eps": "x",
+         "Ax interior (margins > 0)": "x", "tau > 0": "tau", IMAGE: "x tau",
+         **dict.fromkeys(STOP, "x y tau")}
+# the fields each valid certificate of _certificate reads
+FIELDS = {"pair": "x y tau", "unboundedness": "x tau", "strict-unboundedness": "x",
+          "infeasibility": "y", "strict-infeasibility": "y", "cone-infeasibility": "y",
+          "strict-cone-infeasibility": "y"}
+
+
+def _entry_0(bad):
+    """The fault that puts ``bad`` in a vector's entry 0, or in place of tau."""
+    return lambda v: bad if np.ndim(v) == 0 else np.append(bad, v[1:])
+
+
+# each fault, as the malformed field it makes of the valid one
+FAULTS = {"missing": lambda v: None, "longer": lambda v: np.append(v, -1.0),
+          "shorter": lambda v: np.atleast_1d(v)[:-1], "text": lambda v: "1.0",
+          "strings": lambda v: ["a"] * np.size(v),
+          "inf": _entry_0(np.inf), "-inf": _entry_0(-np.inf), "nan": _entry_0(np.nan)}
+
+
+@pytest.mark.parametrize("case,field,fault", [
+    pytest.param(case, field, fault, id=f"{case}-{field}-{fault}")
+    for case, fields in FIELDS.items() for field in fields.split() for fault in FAULTS])
+def test_certificate_without_its_payload_fails(case, field, fault, request):
+    # a field that is missing, of another shape or type, or not finite
+    # reads as missing: each check that reads it fails unformed, with a
+    # NaN value, and every other check is the valid certificate's.  The
+    # suite's error::RuntimeWarning filter makes a warning fail the row
     problem, start, cert = _certificate(case, request)
     valid = verify_certificate(problem, start, cert)
     assert valid.passed
-    field, _, fault = missing.partition("-")
-    value = {"": None, "longer": lambda v: np.append(v, -1.0), "shorter": lambda v: v[:-1],
-             "text": "1.0", "strings": lambda v: ["a"] * len(v)}[fault]
-    value = value(getattr(cert, field)) if callable(value) else value
-    rep = verify_certificate(problem, start, replace(cert, **{field: value}))
+    assert {f for ch in valid.checks for f in READS[ch.name].split()} == set(FIELDS[case].split())
+    rep = verify_certificate(problem, start,
+                             replace(cert, **{field: FAULTS[fault](getattr(cert, field))}))
     assert [ch.name for ch in rep.checks] == [ch.name for ch in valid.checks]
     for check, reference in zip(rep.checks, valid.checks):
-        if check.name in kept:
-            assert check == reference
+        if field in READS[check.name].split():
+            assert not check.passed and np.isnan(check.value), check
         else:
-            assert not check.passed and np.isnan(check.value)
+            assert check == reference
 
 
-def test_emitted_certificates_always_verify(box_run, inf_run, unb_run, tangent_run):
-    for run in (box_run, inf_run, unb_run, tangent_run):
+def test_emitted_certificates_always_verify(box_run, inf_run, unb_run, tangent_run,
+                                            cone_inf_run):
+    # cone_inf_run's is an infeasibility certificate on a cone
+    assert cone_inf_run.report.status == "InfeasibilityCertificate"
+    for run in (box_run, inf_run, unb_run, tangent_run, cone_inf_run):
         if run.report.verification is not None:
             assert run.report.verification.passed
 
