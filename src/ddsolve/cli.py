@@ -24,7 +24,7 @@ here, in the file or in an atom entry: a misspelt optional key would
 silently solve another problem.
 
 Exit codes: 0 eps-solution, 1 infeasible, 2 unbounded, 3 ill-conditioned
-(mu cap), 4 input error, 5 numerical failure or iteration limit.
+(mu cap), 4 input or usage error, 5 numerical failure or iteration limit.
 """
 
 from __future__ import annotations
@@ -329,9 +329,16 @@ def write_trace(trace, path):
             handle.write(",".join([str(index), *(repr(float(v)) for v in values)]) + "\n")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error (``--eps abc``, no file) as an input error, a
+    ValueError, not exiting 2, the unbounded code; subparsers share it."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="ddsolve",
-                                     description="Barrier-domain convex solver")
+    parser = _Parser(prog="ddsolve", description="Barrier-domain convex solver")
     sub = parser.add_subparsers(dest="command", required=True)
     solve = sub.add_parser("solve", help="solve a problem file")
     solve.add_argument("file", help="problem file (JSON)")
@@ -348,8 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         problem, start = _read_problem_file(args.file, {
             key: getattr(args, key) for key in ("xi", "kappa") if getattr(args, key) is not None})
         status_engine.require_eps(args.eps)

@@ -315,24 +315,18 @@ def support_function(problem: Problem, y) -> float:
 class GapBounds:
     lower: float
     upper: float
-    actual: float
 
 
-def gap_bounds(problem: Problem, start: StartData, x, tau: float, y,
-               mu: float) -> GapBounds:
-    """Two-sided bound on  <c,x> + support(y)/tau  valid for points within
-    proximity kappa of path parameter ``mu``; ``actual`` may be +inf off
-    the dual cone.
+def gap_bounds(problem: Problem, start: StartData, tau: float, mu: float) -> GapBounds:
+    """Two-sided bound on the objective gap  <c,x> + support(y)/tau  of
+    points within proximity kappa of path parameter ``mu``: the bracket
+    alone, the gap being ``status.stop_params``'s ``objective_gap``.
 
     The bracket width is exactly (2*kappa*sqrt(theta) + theta) * mu / tau^2.
     Raises DomainViolation unless tau > 0, as :func:`proximity_at` does.
     """
-    x = np.asarray(x, dtype=float)
     tau = positive_tau(tau)
     th = problem.theta
     center = -(start.y_tau0 / tau + problem.xi * mu * th / tau**2)
     spread = problem.kappa * mu * np.sqrt(th) / tau**2
-    actual = float(problem.c @ x) + support_function(problem, y) / tau
-    return GapBounds(lower=center - spread,
-                     upper=center + spread + mu * th / tau**2,
-                     actual=actual)
+    return GapBounds(lower=center - spread, upper=center + spread + mu * th / tau**2)

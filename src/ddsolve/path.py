@@ -374,11 +374,12 @@ def predictor_step(problem: Problem, start: StartData, point: Iterate, previous=
     raise PredictorStall(f"could not advance the path parameter beyond {mu:.6e}")
 
 
-def _check_invariants(problem, start, it: Iterate, violations: list):
+def _check_invariants(problem, start, it: Iterate, sp, violations: list):
     """Per-iterate runtime assertions: membership, the dual equation,
     proximity, the gap sandwich (where tau > 0, which it needs) and the
-    tau floor.  The sandwich's upper half is also the weak detector's
-    inequality, rearranged."""
+    tau floor.  The sandwich brackets the objective gap of the stop
+    parameters ``sp`` :func:`follow` formed for the iterate; its upper half
+    is also the weak detector's inequality, rearranged."""
     slack = 1e-8
     if not it.tau > 0.0:
         violations.append(f"tau not positive at mu={it.mu:.3e}")
@@ -389,11 +390,11 @@ def _check_invariants(problem, start, it: Iterate, violations: list):
     if not it.proximity <= problem.kappa:
         violations.append(f"proximity {it.proximity:.3e} above kappa at mu={it.mu:.3e}")
     if it.tau > 0.0:
-        gb = gap_bounds(problem, start, it.x, it.tau, it.y, it.mu)
-        if np.isfinite(gb.actual) and not (gb.lower - slack <= gb.actual <= gb.upper + slack):
+        gb, actual = gap_bounds(problem, start, it.tau, it.mu), sp.objective_gap
+        if np.isfinite(actual) and not (gb.lower - slack <= actual <= gb.upper + slack):
             violations.append(
                 f"gap sandwich violated at mu={it.mu:.3e}: "
-                f"{gb.lower:.6e} <= {gb.actual:.6e} <= {gb.upper:.6e}")
+                f"{gb.lower:.6e} <= {actual:.6e} <= {gb.upper:.6e}")
     if it.mu >= 1.0:
         tau_floor = (problem.xi - 1.0 - problem.kappa) / (2.0 * problem.xi)
         if not it.tau >= tau_floor - slack:
@@ -437,7 +438,7 @@ def follow(problem: Problem, start: StartData, options: FollowerOptions = Follow
                        p_feas=sp.p_feas, d_feas=sp.d_feas, proximity=it.proximity)
         trace.append(row)
         iterates.append(it)
-        _check_invariants(problem, start, it, violations)
+        _check_invariants(problem, start, it, sp, violations)
         if on_iterate is not None:
             on_iterate(row)
         return sp

@@ -29,8 +29,8 @@ raising or warning.
 from __future__ import annotations
 
 import contextlib
-import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,13 +70,15 @@ INFEASIBILITY_PROJECTION_FACTOR = 0.9
 @dataclass(frozen=True)
 class StopParams:
     """Scaled duality gap and primal/dual feasibility measures, with the
-    <c, x>, support(y) and A'y they are formed from."""
+    <c, x>, support(y), objective gap <c, x> + support(y)/tau (+inf off D*,
+    bracketed by ``model.gap_bounds``) and A'y they are formed from."""
 
     gap: float
     p_feas: float
     d_feas: float
     cx: float = np.nan
     support: float = np.nan
+    objective_gap: float = np.nan
     aty: np.ndarray | None = field(default=None, compare=False)
 
     def max(self) -> float:
@@ -84,24 +86,21 @@ class StopParams:
 
 
 def stop_params(problem: Problem, start: StartData, x, tau: float, y) -> StopParams:
-    """gap = |<c,x> + support(y)/tau| / (1 + |<c,x>| + |support(y)/tau|)
-    with a sentinel value 1 when the support is +inf;
+    """The one owner of the objective gap g = <c,x> + support(y)/tau, and
+    gap = |g| / (1 + |<c,x>| + |support(y)/tau|), 1 when the support is +inf;
     P_feas = ||z0||/tau;  D_feas = ||A'y/tau + c|| / (1 + ||c||).
     Raises DomainViolation unless tau > 0, as :func:`gap_bounds` does."""
     tau = positive_tau(tau)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     cx = float(problem.c @ x)
     ds = support_function(problem, y)
-    if np.isinf(ds):
-        gap = 1.0
-    else:
-        dst = ds / tau
-        gap = abs(cx + dst) / (1.0 + abs(cx) + abs(dst))
+    dst = ds / tau
+    objective_gap = cx + dst
+    gap = 1.0 if np.isinf(ds) else abs(objective_gap) / (1.0 + abs(cx) + abs(dst))
     p_feas = start.z0_norm / tau
     aty = problem.A.T @ y
     d_feas = _safe_norm(aty / tau + problem.c) / (1.0 + problem.c_norm)
-    return StopParams(gap=float(gap), p_feas=p_feas, d_feas=d_feas, cx=cx, support=ds, aty=aty)
+    return StopParams(gap=float(gap), p_feas=p_feas, d_feas=d_feas, cx=cx, support=ds,
+                      objective_gap=objective_gap, aty=aty)
 
 
 @dataclass
@@ -223,9 +222,11 @@ def verify_certificate(problem: Problem, start: StartData, cert: Certificate) ->
 
 
 def _real(value) -> float:
-    """``value`` as a float if it is a finite real number, else NaN, the
-    missing field: None, text and +-inf or NaN alike."""
-    return float(value) if isinstance(value, numbers.Real) and math.isfinite(value) else np.nan
+    """``value`` as a float if it is a real number a float holds finitely,
+    else NaN, the missing field: None, text, +-inf, NaN and an int past
+    float range alike (compared exactly: float() would raise)."""
+    return (float(value) if isinstance(value, numbers.Real)
+            and abs(value) <= sys.float_info.max else np.nan)
 
 
 def _vector(value, size: int):

@@ -40,7 +40,7 @@ from ddsolve.cli import main
 from ddsolve.errors import (DomainViolation, FactorizationFailure, ProjectionOutsideCone,
                             SolverError)
 from ddsolve.model import Problem, StartData, dual_residual, gap_bounds, support_function
-from ddsolve.status import strict_infeasibility_certificate, verify_certificate
+from ddsolve.status import stop_params, strict_infeasibility_certificate, verify_certificate
 
 T_SUP_SENTINEL = 1.0e6
 
@@ -299,11 +299,13 @@ def feasibility_bound_failures(problem, start, iterates, sigma_f) -> list:
 
 
 def gap_sandwich_failures(problem, start, iterates) -> list:
-    """Each iterate's gap within 1e-8 of its ``gap_bounds``; NaN or inf fails."""
+    """Each iterate's objective gap, from its ``stop_params``, within 1e-8
+    of its ``gap_bounds``; NaN or inf fails."""
     failures = []
     for it in iterates:
-        gb = gap_bounds(problem, start, it.x, it.tau, it.y, it.mu)
-        if not gb.lower - 1e-8 <= gb.actual <= gb.upper + 1e-8:
+        gb = gap_bounds(problem, start, it.tau, it.mu)
+        actual = stop_params(problem, start, it.x, it.tau, it.y).objective_gap
+        if not gb.lower - 1e-8 <= actual <= gb.upper + 1e-8:
             failures.append(f"gap sandwich violated at mu={it.mu:.3e}")
     return failures
 

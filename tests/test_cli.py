@@ -271,6 +271,12 @@ OUTCOMES = [
     _outcome("bad-eps", "inst_box.dd", ["--eps", "2.0"], 4, "InputError", {"exit_code": 4}),
     _outcome("negative-max-iters", "inst_box.dd", ["--max-iters", "-3"], 4, "InputError",
              {"exit_code": 4}),
+    # usage errors: argparse printed its usage on stderr and exited 2, the
+    # unbounded status's code
+    _outcome("malformed-eps", "inst_box.dd", ["--eps", "abc"], 4, "InputError",
+             {"error": re.compile("^ddsolve solve: argument --eps: invalid float value")}),
+    _outcome("malformed-max-iters", "inst_box.dd", ["--max-iters", "2.5"], 4, "InputError",
+             {"error": re.compile("^ddsolve solve: argument --max-iters: invalid int value")}),
     # the file is read before the options are checked
     _outcome("missing-file-bad-eps", "/nonexistent/problem.dd", ["--eps", "2.0"], 4,
              "InputError", {"error": re.compile("^cannot read /nonexistent/problem.dd")}),
@@ -341,6 +347,25 @@ def test_outcome(source, argv, code, status, reads, raises, instance_path, tmp_p
     if raises is not None:
         with pytest.raises(raises):
             parse_problem_file(path)
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["solve"], "ddsolve solve: the following arguments are required: file"),
+    ([], "ddsolve: the following arguments are required: command"),
+], ids=["no-file", "no-command"])
+def test_usage_error_without_a_file_is_an_input_error(argv, error, capsys):
+    # test_outcome's checks, for the usage errors that name no file
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out) == {"status": "InputError", "exit_code": 4, "error": error}
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["solve", "--help"])
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ddsolve solve")
 
 
 OVERLAP_DOC = {**BOX_DOC, "m": 2, "A": [[1.0], [-1.0]], "atoms": HALF[:1] * 2}

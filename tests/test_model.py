@@ -357,8 +357,9 @@ def test_support_function_values(inf_problem):
 def test_gap_bounds_initial_point(box_problem):
     problem, start = box_problem
     mu = dd.mu_of(problem, start, np.zeros(1), 1.0, start.y0)
-    gb = dd.gap_bounds(problem, start, np.zeros(1), 1.0, start.y0, mu)
-    assert gb.lower <= gb.actual <= gb.upper
+    gb = dd.gap_bounds(problem, start, 1.0, mu)
+    sp = dd.stop_params(problem, start, np.zeros(1), 1.0, start.y0)
+    assert gb.lower <= sp.objective_gap <= gb.upper
     # width is exactly (2*kappa*sqrt(theta) + theta) * mu / tau^2
     width = (2.0 * problem.kappa * np.sqrt(problem.theta) + problem.theta)
     assert gb.upper - gb.lower == pytest.approx(width, rel=1e-12)
@@ -402,7 +403,7 @@ TAU_TABLE = [
     ("proximity_at", _proximity_at, (0.0, -1.0)),
     ("shifted_image", lambda p, s, pt: shifted_image(p, s, pt.x, pt.tau), BOTH_FORMS),
     ("residuals", dd.residuals, BOTH_FORMS),
-    ("gap_bounds", lambda p, s, pt: dd.gap_bounds(p, s, pt.x, pt.tau, pt.y, pt.mu), BOTH_FORMS),
+    ("gap_bounds", lambda p, s, pt: dd.gap_bounds(p, s, pt.tau, pt.mu), BOTH_FORMS),
     ("stop_params", lambda p, s, pt: dd.stop_params(p, s, pt.x, pt.tau, pt.y),
      (0.0, -1.0, np.nan)),
 ]

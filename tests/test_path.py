@@ -607,7 +607,11 @@ def test_evaluation_budget(fixture, run, eps, request, monkeypatch):
             (dd.model, "shifted_image", "predictor_images", {"inside": "tangents"}),
             (path_module, "shifted_image", "predictor_images", {"inside": "tangents"}),
             (dd.model, "shifted_image", "corrector_images", {"inside": "correctors"}),
-            (path_module, "shifted_image", "corrector_images", {"inside": "correctors"})]:
+            (path_module, "shifted_image", "corrector_images", {"inside": "correctors"}),
+            (dd.status, "check_status", "status_checks", {}),
+            (dd.status, "verify_certificate", "verifier", {}),
+            (barrier, "support", "iterate_supports",
+             {"when": lambda *args: not {"status_checks", "verifier"} & {*probe.active}})]:
         probe.count(owner, name, key, **options)
 
     result = dd.follow(problem, start, dd.FollowerOptions(eps=eps))
@@ -637,6 +641,10 @@ def test_evaluation_budget(fixture, run, eps, request, monkeypatch):
     # one image per trial, and one for the first tangent's plain iterate
     assert probe["predictor_images"] == probe["predictor_trials"] + 1
     assert probe["qr"] == probe["qr_of_A"] == 1
+    # outside the status checks and the verifier, each recorded iterate's
+    # support is formed once, by its stop parameters, which the gap
+    # sandwich reads
+    assert probe["iterate_supports"] == len(result.trace)
     dd.follow(problem, start, dd.FollowerOptions(eps=1e-6, max_iters=3))
     assert probe["qr"] == 1
 
@@ -747,20 +755,40 @@ def test_corrector_reads_handed_over_newton_point(fixture, request):
     (lambda it: replace(it, tau=0.1), "tau 1.000000e-01 below floor 1.875000e-01 at mu="),
 ], ids=["tau", "tau-zero", "interiority", "proximity", "sandwich", "tau-floor"])
 def test_check_invariants_reports_each_broken_invariant(box_problem, box_run, change, message):
-    # one field of a mu >= 1 iterate changed per case; the unchanged
-    # iterate appends nothing, and no case raises or warns (the gap
-    # sandwich is not formed where tau <= 0)
+    # one field of a mu >= 1 iterate changed per case, with the stop
+    # parameters follow formed for the iterate; the unchanged iterate
+    # appends nothing, and no case raises or warns (the gap sandwich is
+    # not formed where tau <= 0)
     problem, start = box_problem
     it = box_run.iterates[3]
     assert it.mu >= 1.0
+    sp = dd.stop_params(problem, start, it.x, it.tau, it.y)
     violations = []
-    path_module._check_invariants(problem, start, it, violations)
+    path_module._check_invariants(problem, start, it, sp, violations)
     assert violations == []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        path_module._check_invariants(problem, start, change(it), violations)
+        path_module._check_invariants(problem, start, change(it), sp, violations)
     assert caught == []
     assert any(v.startswith(message) for v in violations), violations
+
+
+def test_check_invariants_skips_the_sandwich_off_the_dual_cone(soc_problem, soc_run):
+    # y negated leaves D*, where the objective gap is +inf: interiority is
+    # reported lost, the sandwich is not checked, and nothing raises or
+    # warns.  On the box, the dual domain is the whole line
+    problem, start = soc_problem
+    for it in soc_run.iterates:
+        it = replace(it, y=-it.y)
+        sp = dd.stop_params(problem, start, it.x, it.tau, it.y)
+        assert sp.objective_gap == np.inf
+        violations = []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            path_module._check_invariants(problem, start, it, sp, violations)
+        assert caught == []
+        assert f"interiority lost at mu={it.mu:.3e}" in violations
+        assert not any("gap sandwich" in v for v in violations), violations
 
 
 def test_dual_equation_residual_has_one_owner(soc_problem, soc_run, monkeypatch):
@@ -809,7 +837,8 @@ def test_membership_and_invariants_share_the_dual_tolerance(fixture, run, reques
         assert (dual_residual(problem, start, it.tau, y) <= tol) == accepted
         assert dd.in_qdd(problem, start, it.x, it.tau, y) == accepted
         violations = []
-        path_module._check_invariants(problem, start, replace(it, y=y), violations)
+        path_module._check_invariants(problem, start, replace(it, y=y),
+                                      dd.stop_params(problem, start, it.x, it.tau, y), violations)
         dual_flagged = [v for v in violations
                         if v.startswith("dual equality residual above tolerance at mu=")]
         assert (dual_flagged == []) == accepted, violations

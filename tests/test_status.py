@@ -406,6 +406,8 @@ READS_EPS = {"||A'y|| <= eps", "<c,x> <= -1/eps", "gap <= eps", "P_feas <= eps",
     ("infeasibility", "0.1"),
     ("unboundedness", None),
     ("bounded-unboundedness", "0.1"),
+    # an int past float range raised OverflowError
+    pytest.param("pair", 10**400, id="pair-huge-int"),
 ])
 def test_verification_fails_an_eps_outside_the_unit_interval(case, eps, request):
     # the same rows with the same values; each row that reads eps fails,
@@ -476,17 +478,19 @@ def _entry_0(bad):
 FAULTS = {"missing": lambda v: None, "longer": lambda v: np.append(v, -1.0),
           "shorter": lambda v: np.atleast_1d(v)[:-1], "text": lambda v: "1.0",
           "strings": lambda v: ["a"] * np.size(v),
-          "inf": _entry_0(np.inf), "-inf": _entry_0(-np.inf), "nan": _entry_0(np.nan)}
+          "inf": _entry_0(np.inf), "-inf": _entry_0(-np.inf), "nan": _entry_0(np.nan),
+          "huge-int": _entry_0(10**400)}
 
 
 @pytest.mark.parametrize("case,field,fault", [
     pytest.param(case, field, fault, id=f"{case}-{field}-{fault}")
     for case, fields in FIELDS.items() for field in fields.split() for fault in FAULTS])
 def test_certificate_without_its_payload_fails(case, field, fault, request):
-    # a field that is missing, of another shape or type, or not finite
-    # reads as missing: each check that reads it fails unformed, with a
-    # NaN value, and every other check is the valid certificate's.  The
-    # suite's error::RuntimeWarning filter makes a warning fail the row
+    # a field that is missing, of another shape or type, not finite or an
+    # int past float range (tau's raised OverflowError) reads as missing:
+    # each check that reads it fails unformed, with a NaN value, and every
+    # other check is the valid certificate's.  The suite's
+    # error::RuntimeWarning filter makes a warning fail the row
     problem, start, cert = _certificate(case, request)
     valid = verify_certificate(problem, start, cert)
     assert valid.passed
