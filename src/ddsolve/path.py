@@ -24,12 +24,13 @@ along the tangent alone.
 
 Each point the steps work at is evaluated once, into a private _Point:
 the shifted image u and the primal barrier gradient and metric there.
-Residuals, KKT solves, step bounds and the corrector's exit proximity read
-it, and a predictor trial's u is formed once, by :func:`member_image`;
-every proximity is a :func:`proximity_at` call on such a u.  The
-predictor's point carries the mu it reached and the corrector's first
-Newton point, evaluated on that u; the corrector's last point carries its
-evaluation; ``follow`` hands it and the last tangent to the next predictor.
+Residuals, KKT solves and step bounds read it; a predictor trial's u is
+formed once, by :func:`member_image`, and every proximity is a
+:func:`proximity_at` call on such a u.  An accepted trial carries the mu
+it reached and the corrector's first Newton point, evaluated on its u.
+The mu = 1 anchor, evaluated once by ``follow``, and each corrector's
+last point are put at their own mu by one step and keep their evaluation,
+which ``follow`` hands, with the last tangent, to the next predictor.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .model import (
     dual_equation_residual,
     dual_residual,
     gap_bounds,
-    make_iterate,
     member_image,
     mu_of,
     proximity_at,
@@ -80,8 +80,8 @@ class _Point(Iterate):
     u = A x + z0/tau, checked interior to D with tau > 0, and the primal
     barrier gradient g and metric H at u.  ``mu`` is the parameter it is
     evaluated at: the corrector's on a Newton point, whose v = (tau/mu) y
-    is checked interior to D* but not kept, and its own on the point the
-    corrector returns.  ``proximity`` is NaN until that return sets it.
+    is checked interior to D* but not kept, NaN on ``follow``'s anchor, and
+    its own once :func:`_at_own_mu` sets it and ``proximity``, NaN before.
     """
 
     u: np.ndarray
@@ -253,11 +253,9 @@ def corrector_step(problem: Problem, start: StartData, point: Iterate) -> Iterat
     halves from the smaller of that bound and 1/2 until a trial is
     accepted.
 
-    Returns the last Newton point at its own path parameter, from
-    :func:`mu_of`, with the proximity there on the point's own shifted
-    image (the exit test's, when that mu is the corrector's own float); it
-    keeps that point's primal evaluation, which :func:`predictor_step`
-    reads when handed it.
+    Returns the last Newton point put at its own path parameter by
+    :func:`_at_own_mu`, handed the exit test's proximity; it keeps the
+    point's primal evaluation, which :func:`predictor_step` reads.
 
     Raises CorrectorStall if the exit rule is not met within
     CORRECTOR_MAX_STEPS steps; its message gives the proximity at the
@@ -299,8 +297,14 @@ def corrector_step(problem: Problem, start: StartData, point: Iterate) -> Iterat
         raise CorrectorStall(
             f"proximity {prox:.3e} above target {target:.3e} after "
             f"{CORRECTOR_MAX_STEPS} Newton steps")
+    return _at_own_mu(problem, start, point, prox)
+
+
+def _at_own_mu(problem, start, point: _Point, prox) -> _Point:
+    """``point`` at its own mu, :func:`mu_of`, with the proximity there on its
+    u; ``prox``, the one at ``point.mu``, is kept at the same float."""
     mu = mu_of(problem, start, point.x, point.tau, point.y)
-    if mu != point.mu:   # at the same float, the exit test's proximity is the same call's
+    if mu != point.mu:
         prox = proximity_at(problem, point.u, point.tau, point.y, mu)
     return replace(point, mu=mu, proximity=prox)
 
@@ -410,7 +414,8 @@ def require_max_iters(max_iters) -> None:
 
 def follow(problem: Problem, start: StartData, options: FollowerOptions = FollowerOptions(),
            on_iterate=None) -> FollowResult:
-    """Run the predictor-corrector loop from the mu = 1 point.
+    """Run the predictor-corrector loop from the mu = 1 anchor (0, 1, y0),
+    evaluated once for the first predictor, at its own mu (:func:`_at_own_mu`).
 
     After every corrector the status checks run in their precedence order;
     the loop stops at the first triggered status, the mu cap, or the
@@ -420,13 +425,15 @@ def follow(problem: Problem, start: StartData, options: FollowerOptions = Follow
     numerical trouble, a Python float's OverflowError and numpy's
     FloatingPointError (the steps run with over, divide and invalid raised)
     included, is reported as a NumericalFailure status rather than an
-    exception, except at an anchor not in Q, which raises DomainViolation.
+    exception, except at an anchor not in Q, which raises DomainViolation
+    before the loop: its image outside D, mu <= 0 or its v outside D*.
     Raises ValueError, before any work, unless eps lies in (0, 1) and
     max_iters is a non-negative integer.
     """
     status_engine.require_eps(options.eps)
     require_max_iters(options.max_iters)
-    point = make_iterate(problem, start, np.zeros(problem.n), 1.0, start.y0)
+    point = _at_own_mu(problem, start, _evaluate(problem, start, np.zeros(problem.n), 1.0,
+                                                 start.y0, np.nan), np.nan)
     trace: list = []
     iterates: list = []
     violations: list = []

@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -409,6 +410,32 @@ def test_soc_block_stays_finite_at_extreme_conditioning():
     assert np.isfinite(blk.quad(v)) and blk.quad(v) > 0
     assert np.isfinite(blk.inv_quad(v)) and blk.inv_quad(v) > 0
     assert np.all(np.isfinite(blk.solve(v)))
+
+
+def test_soc_matvec_against_the_exact_metric():
+    # the spectral matvec against -2J/q + 4(Jw)(Jw)'/q^2 applied in exact
+    # rationals to the same floats, at relative margins (head - t)/head
+    # down to 1e-9: the error grows as the inverse margin, so its ulps
+    # times the margin stay bounded.  A baseline for a q formed more
+    # accurately (compensated), which would lower it
+    rng = np.random.default_rng(RNG_SEED + 19)
+    worst = 0.0
+    for k in (3, 40):
+        for margin in (1e-2, 1e-4, 1e-6, 1e-9):
+            tail = rng.normal(size=k - 1)
+            w = np.concatenate([[np.sqrt(tail @ tail) / (1.0 - margin)], tail])
+            V = rng.normal(size=(k, 5))
+            got = dd.DomainBarrier([dd.soc(range(k))], k).hess(w, PRIMAL).matvec(V)
+            jw = [Fraction(x) * (1 if i == 0 else -1) for i, x in enumerate(w)]
+            q = sum(Fraction(x) * j for x, j in zip(w, jw))
+            for v, g in zip(V.T, got.T):
+                jv = [Fraction(x) * (1 if i == 0 else -1) for i, x in enumerate(v)]
+                s = sum(a * Fraction(x) for a, x in zip(jw, v))
+                exact = [-2 * a / q + 4 * b * s / (q * q) for a, b in zip(jv, jw)]
+                err = max(abs(Fraction(x) - e) for x, e in zip(g, exact))
+                worst = max(worst, float(err / max(map(abs, exact))) * 2.0**52 * margin)
+    # 1.65 is the largest on this grid at the parent (k = 40, margin 1e-9)
+    assert worst < 4 * 1.65
 
 
 # interleaved coordinates: every scalar kind, two cones of different sizes

@@ -239,13 +239,20 @@ def test_restoration_is_the_minimal_norm_correction(spread):
 
 
 def test_follow_raises_on_a_start_whose_anchor_is_not_in_q():
-    # a start not built by make_start: on min x, x >= 0, y0 = +1 lies
-    # outside D* = {y <= 0}, and the anchor's own path parameter is -0.0
-    problem = dd.validate_problem([[1.0]], [1.0], [dd.halfline_lower(0, 0.0)])
-    start = dd.make_start(problem)
-    start = replace(start, y0=-start.y0)
-    with pytest.raises(dd.DomainViolation, match="path parameter must be positive, got -0.0"):
-        dd.follow(problem, start, dd.FollowerOptions(eps=1e-6, max_iters=5))
+    # a start not built by make_start raises before the loop, on either
+    # side.  Dual: on min x, x >= 0, y0 = +1 lies outside D* = {y <= 0},
+    # and the anchor's own path parameter is -0.0.  Primal: on min x over
+    # the box [0, 1], the anchor's image z0 = 2 lies outside D
+    lower = dd.validate_problem([[1.0]], [1.0], [dd.halfline_lower(0, 0.0)])
+    box = dd.validate_problem([[1.0]], [1.0], [dd.box(0, 0.0, 1.0)])
+    for problem, change, message in [
+            (lower, lambda s: {"y0": -s.y0}, "path parameter must be positive, got -0.0"),
+            (box, lambda s: {"z0": np.array([2.0])},
+             "shifted image point left the domain interior")]:
+        start = dd.make_start(problem)
+        start = replace(start, **change(start))
+        with pytest.raises(dd.DomainViolation, match=message):
+            dd.follow(problem, start, dd.FollowerOptions(eps=1e-6, max_iters=5))
 
 
 @pytest.mark.parametrize("x,tau,message", [
@@ -561,9 +568,11 @@ def test_evaluation_budget(fixture, run, eps, request, monkeypatch):
     # every Newton point is evaluated once on the primal side, by one
     # grad_hess: at each corrector's start, which the predictor forms at
     # the trial it accepts and hands over, and at each accepted corrector
-    # trial, with no separate primal grad or hess.  A predictor tangent
-    # reuses the evaluation of the corrector before it, so only the first
-    # tangent, from the mu = 1 point, evaluates its own.  Each Newton point
+    # trial, with no separate primal grad or hess.  The mu = 1 anchor is
+    # evaluated once, by follow, and each predictor tangent reads the
+    # evaluation of the point before it: the anchor's, then each
+    # corrector's.  One shared step puts every recorded point at its own
+    # mu: the anchor and each corrector's exit point.  Each Newton point
     # gets one dual-side check, of (tau/mu) y after restoration, and on
     # these runs every full step is accepted, so the corrector never forms
     # a step-to-boundary bound.  Each KKT solve applies the metric once,
@@ -595,7 +604,10 @@ def test_evaluation_budget(fixture, run, eps, request, monkeypatch):
             (path_module, "corrector_step", "correctors", {}),
             (path_module, "corrector_step", "equal_mu_exits",
              {"when": lambda problem, start, point: point.mu in exit_mus}),
-            (path_module, "make_iterate", "iterates", {}),
+            (dd.model, "make_iterate", "iterates", {}),
+            (path_module, "_at_own_mu", "own_mu_steps", {}),
+            (path_module, "_evaluate", "anchors",
+             {"when": lambda *args, newton=False, u=None: not newton}),
             (path_module, "_evaluate", "newton_points", newton),
             (path_module, "_evaluate", "predictor_newton_points", {"inside": "tangents", **newton}),
             (dd.barriers.BlockMetric, "matvec", "kkt_matvec", {"inside": "kkt"}),
@@ -620,7 +632,7 @@ def test_evaluation_budget(fixture, run, eps, request, monkeypatch):
     assert probe["tangents"] == len(result.trace) - 1
     assert probe["correctors"] > 0
     assert probe["grad"] == probe["hess"] == 0
-    # one point for the first tangent, and per corrector its start plus
+    # one point for the anchor, and per corrector its start plus
     # one per step, each step's full trial accepted; each predictor forms
     # exactly one Newton point, its corrector's start, and the corrector
     # checks only its own trials' duals
@@ -628,6 +640,7 @@ def test_evaluation_budget(fixture, run, eps, request, monkeypatch):
     newton_points = probe["correctors"] + newton_steps
     assert probe["newton_points"] == newton_points
     assert probe["predictor_newton_points"] == probe["tangents"] == probe["correctors"]
+    assert probe["anchors"] == 1
     assert probe["grad_hess"] == 1 + newton_points
     assert probe["dual_checks"] == newton_points - probe["correctors"]
     assert probe["corrector_boundary"] == 0
@@ -635,11 +648,13 @@ def test_evaluation_budget(fixture, run, eps, request, monkeypatch):
     assert probe["kkt_matvec"] == probe["kkt"]
     assert probe["corrector_proximity"] == 2 * probe["correctors"] - probe["equal_mu_exits"]
     # one image per corrector trial, none at a corrector's start or exit,
-    # and make_iterate only for follow's mu = 1 point
+    # and no plain iterate: the anchor is a follower point too
     assert probe["corrector_images"] == newton_points - probe["correctors"]
-    assert probe["iterates"] == 1
-    # one image per trial, and one for the first tangent's plain iterate
-    assert probe["predictor_images"] == probe["predictor_trials"] + 1
+    assert probe["iterates"] == 0
+    assert probe["own_mu_steps"] == len(result.trace)
+    # one image per trial, none for the first tangent, which reads the
+    # anchor's
+    assert probe["predictor_images"] == probe["predictor_trials"]
     assert probe["qr"] == probe["qr_of_A"] == 1
     # outside the status checks and the verifier, each recorded iterate's
     # support is formed once, by its stop parameters, which the gap
@@ -659,15 +674,13 @@ def test_reused_evaluations_match_public_functions(fixture, run, request):
     # (from a plain Iterate copy, which residuals evaluates), bit for bit
     problem, start = request.getfixturevalue(fixture)
     iterates = request.getfixturevalue(run).iterates
-    # every iterate after the first is a corrector's point, which keeps the
-    # evaluation the follower formed at it
-    assert all(isinstance(it, path_module._Point) for it in iterates[1:])
+    # every iterate, the mu = 1 anchor included, keeps the evaluation the
+    # follower formed at it
+    assert all(isinstance(it, path_module._Point) for it in iterates)
     for it in iterates:
         assert dd.proximity_at(problem, shifted_image(problem, start, it.x, it.tau), it.tau, it.y,
                                it.mu) == it.proximity
-        point = (it if isinstance(it, path_module._Point)
-                 else path_module._evaluate(problem, start, it.x, it.tau, it.y, it.mu))
-        private = dd.residuals(problem, start, point)
+        private = dd.residuals(problem, start, it)
         public = dd.residuals(problem, start, _plain(it.x, it.tau, it.y, it.mu))
         assert np.array_equal(public.r_dual, private.r_dual)
         assert np.array_equal(public.r_cent, private.r_cent)
@@ -675,7 +688,7 @@ def test_reused_evaluations_match_public_functions(fixture, run, request):
         assert public.scaled_norm == private.scaled_norm
         fresh = path_module._evaluate(problem, start, it.x, it.tau, it.y, it.mu)
         for name in ("u", "g"):
-            assert np.array_equal(getattr(point, name), getattr(fresh, name))
+            assert np.array_equal(getattr(it, name), getattr(fresh, name))
 
 
 @pytest.mark.parametrize("fixture", ["inf_problem", "soc_problem", "tangent_problem"])

@@ -298,16 +298,16 @@ def test_per_point_check_sees_each_spelling():
 
 
 def test_each_follower_point_is_formed_once():
-    # path._evaluate forms every point's shifted image and follow's mu = 1
-    # point is the one iterate make_iterate forms: the corrector's exit
-    # reads its point's image.  model._scale_dual forms v = (tau/mu) y for
-    # scaled_dual, proximity_at and the status checks, and with it asks
-    # mu > 0
+    # path._evaluate forms every point's shifted image, the mu = 1
+    # anchor's included, and the follower forms no plain iterate: the step
+    # that puts a point at its own mu reads the image the point carries.
+    # model._scale_dual forms v = (tau/mu) y for scaled_dual, proximity_at
+    # and the status checks, and with it asks mu > 0
     path = ast.parse((PACKAGE / "path.py").read_text(encoding="utf-8"))
     model = ast.parse((PACKAGE / "model.py").read_text(encoding="utf-8"))
     status = ast.parse((PACKAGE / "status.py").read_text(encoding="utf-8"))
     assert _callers(path, "shifted_image") == ["_evaluate"]
-    assert _callers(path, "make_iterate") == ["follow"]
+    assert _callers(path, "make_iterate") == []
     assert _tau_over_mu(model) == ["_scale_dual"]
     assert _callers(status, "_scale_dual") == ["check_status", "strict_infeasibility_certificate"]
 

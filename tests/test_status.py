@@ -440,7 +440,7 @@ MAX_ITERS_TABLE = [("follow", lambda p, s, pt, n: dd.follow(p, s, dd.FollowerOpt
 def test_bad_eps_and_max_iters_are_refused_before_any_work(call, value, rule, unb_run,
                                                            unb_problem, monkeypatch):
     # ValueError, and follow builds no iterate and takes no step
-    for name in ("make_iterate", "predictor_step"):
+    for name in ("_evaluate", "predictor_step"):
         monkeypatch.setattr(path_module, name, lambda *args: pytest.fail("follow started work"))
     message = {"eps": "eps must lie in", "max_iters": "max_iters must be a non-negative integer"}
     with warnings.catch_warnings():
