@@ -44,7 +44,7 @@ from .model import (
     support_function,
     validate_problem,
 )
-from .path import FollowerOptions, FollowResult, Residuals, TraceRow, corrector_step, follow, predictor_step, residuals
+from .path import FollowerOptions, FollowResult, TraceRow, follow
 from .status import (
     Certificate,
     StatusReport,

@@ -27,7 +27,8 @@ the shifted image u and the primal barrier gradient and metric there.
 Residuals, KKT solves and step bounds read it; a predictor trial's u is
 formed once, by :func:`member_image`, and every proximity is a
 :func:`proximity_at` call on such a u.  An accepted trial carries the mu
-it reached and the corrector's first Newton point, evaluated on its u.
+it reached and the corrector's first Newton point, evaluated on its u,
+which ``follow`` hands to the corrector.
 The mu = 1 anchor, evaluated once by ``follow``, and each corrector's
 last point are put at their own mu by one step and keep their evaluation,
 which ``follow`` hands, with the last tangent, to the next predictor.
@@ -46,7 +47,6 @@ from .model import (
     Iterate,
     Problem,
     StartData,
-    _scale_dual,
     dual_equation_residual,
     dual_residual,
     gap_bounds,
@@ -153,14 +153,10 @@ def _evaluate(problem, start, x, tau, y, mu, *, newton=False, u=None) -> _Point:
     return _Point(x=x, tau=tau, y=y, mu=mu, proximity=np.nan, u=u, g=g, H=H)
 
 
-def residuals(problem: Problem, start: StartData, point: Iterate) -> Residuals:
-    """Residuals of equations (b), (c), (d) at a point and its mu, and their
-    scaled norm, the gap block scaled with <c, x> and <y, u>.  A point not
-    the follower's has its mu checked by the model and is first evaluated
-    and checked by :func:`_evaluate`."""
-    if not isinstance(point, _Point):
-        _scale_dual(point.tau, point.y, point.mu)   # the model's mu > 0 check
-        point = _evaluate(problem, start, point.x, point.tau, point.y, point.mu)
+def residuals(problem: Problem, start: StartData, point: _Point) -> Residuals:
+    """Residuals of equations (b), (c), (d) at a follower point and its mu,
+    read from the evaluation it carries, and their scaled norm, the gap
+    block scaled with <c, x> and <y, u>."""
     x, tau, y, mu = point.x, point.tau, point.y, point.mu
     r_dual = dual_equation_residual(problem, start, tau, y)
     r_cent = y - (mu / tau) * point.g
@@ -235,15 +231,16 @@ def _restore_dual_equality(problem, start, tau, y):
     return y - Q @ (r_inv_t @ dual_equation_residual(problem, start, tau, y))
 
 
-def corrector_step(problem: Problem, start: StartData, point: Iterate) -> Iterate:
-    """Damped Newton steps at fixed mu, ``point.mu``, until the point is
+def corrector_step(problem: Problem, start: StartData, point: _Point) -> _Point:
+    """Damped Newton steps at fixed mu, ``point.mu``, from a Newton point,
+    one :func:`_evaluate` formed with ``newton=True``, until the point is
     within CORRECTOR_TARGET * kappa of the path and its scaled residual has
     settled: at most CORRECTOR_RESIDUAL_TOL, or no longer falling below
     0.9 times the previous step's.
 
     Each Newton point, the starting point and each accepted trial, is
     checked and evaluated once by :func:`_evaluate`, the start by the
-    :func:`predictor_step` that returned it, if one did.  Each pass reads
+    :func:`predictor_step` that accepted its trial.  Each pass reads
     its residuals, KKT solve and step bound from that point.  Its proximity,
     :func:`proximity_at` on its u at the corrector's mu, is formed only
     where the residual has settled, since only there can the corrector stop.
@@ -259,13 +256,10 @@ def corrector_step(problem: Problem, start: StartData, point: Iterate) -> Iterat
 
     Raises CorrectorStall if the exit rule is not met within
     CORRECTOR_MAX_STEPS steps; its message gives the proximity at the
-    point the last step started from.  Raises DomainViolation if a plain
-    starting point fails its checks, and FactorizationFailure at a trial
-    point whose primal metric is not positive and finite.
+    point the last step started from.  Raises FactorizationFailure at a
+    trial point whose primal metric is not positive and finite.
     """
     target = CORRECTOR_TARGET * problem.kappa
-    point = (point.newton if isinstance(point, _Accepted) else
-             _evaluate(problem, start, point.x, point.tau, point.y, point.mu, newton=True))
     last_res = np.inf
     for k in range(CORRECTOR_MAX_STEPS):
         res = residuals(problem, start, point)
@@ -309,16 +303,15 @@ def _at_own_mu(problem, start, point: _Point, prox) -> _Point:
     return replace(point, mu=mu, proximity=prox)
 
 
-def predictor_step(problem: Problem, start: StartData, point: Iterate, previous=None):
+def predictor_step(problem: Problem, start: StartData, point: _Point, previous=None):
     """Advance along the path as far as the outer neighborhood allows;
     returns (predicted point, tangent), the point carrying its new mu.
 
     The tangent dp/dmu solves the mu-derivative of the path system with
-    the point's primal gradient and metric: those a point returned by
-    :func:`corrector_step` carries, or, for a plain Iterate, those of one
-    :func:`_evaluate` here.  Its first trial increase dmu is the
-    fraction-to-boundary cap along it, and the trials halve dmu until one
-    is accepted.
+    the primal gradient and metric the follower point carries: the mu = 1
+    anchor's, or those of the point :func:`corrector_step` returned.  Its
+    first trial increase dmu is the fraction-to-boundary cap along it, and
+    the trials halve dmu until one is accepted.
 
     The returned tangent is (s, dp/ds), with s = ln mu and dp/ds = mu * t;
     ``previous`` is the one the step before returned.  With a previous
@@ -336,12 +329,8 @@ def predictor_step(problem: Problem, start: StartData, point: Iterate, previous=
     on its u; a trial whose restored dual leaves D* there is rejected.
 
     Raises PredictorStall when no relative increase of at least 1e-12 is
-    acceptable, DomainViolation unless a plain Iterate's mu > 0, and the
-    Newton point's FactorizationFailure.
+    acceptable, and the Newton point's FactorizationFailure.
     """
-    if not isinstance(point, _Point):
-        _scale_dual(point.tau, point.y, point.mu)   # the model's mu > 0 check
-        point = _evaluate(problem, start, point.x, point.tau, point.y, point.mu)
     mu, x, tau, y = point.mu, point.x, point.tau, point.y
     tx, ttau, ty = _kkt_solve(problem, start, point, np.zeros(problem.n), point.g / tau,
                               -problem.theta * problem.xi / tau**2)
@@ -463,7 +452,7 @@ def follow(problem: Problem, start: StartData, options: FollowerOptions = Follow
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 predicted, tangent = predictor_step(problem, start, point, tangent)
-                point = corrector_step(problem, start, predicted)
+                point = corrector_step(problem, start, predicted.newton)
         except (PredictorStall, CorrectorStall, DomainViolation, FactorizationFailure,
                 OverflowError, FloatingPointError) as exc:
             report = status_engine.numerical_failure_report(iterates, violations, sp, exc)

@@ -3,9 +3,11 @@
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ddsolve as dd
+import ddsolve.path as path_module
 
 INSTANCE_DIR = Path(__file__).resolve().parents[1] / "instances"
 
@@ -101,6 +103,16 @@ def caller_rows(table, rule: str) -> list:
     entry of the input ``rule``'s ``table`` and per value."""
     return [pytest.param(call, value, rule, id=f"{rule}-{name}-{type(value).__name__}-{value}")
             for name, call, values in table for value in values]
+
+
+def follower_point(problem, start, x, tau, y):
+    """The follower point at (x, tau, y), built as ``follow`` builds its
+    mu = 1 anchor: one ``path._evaluate``, then ``path._at_own_mu``, which
+    puts it at its own mu with its proximity there.  ``residuals`` and
+    ``predictor_step`` take such points; a corrector starts from the
+    Newton point ``path._evaluate(..., newton=True)`` forms."""
+    point = path_module._evaluate(problem, start, x, tau, y, np.nan)
+    return path_module._at_own_mu(problem, start, point, np.nan)
 
 
 # The instance and eps of the box_run and soc_run fixtures;

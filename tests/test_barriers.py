@@ -412,30 +412,66 @@ def test_soc_block_stays_finite_at_extreme_conditioning():
     assert np.all(np.isfinite(blk.solve(v)))
 
 
+def _soc_grid():
+    """(k, margin, w, V) for k = 3 and 40 at each relative margin
+    (head - t)/head from 1e-2 down to 1e-9: a seeded cone point w of that
+    margin and five seeded columns V."""
+    rng = np.random.default_rng(RNG_SEED + 19)
+    for k in (3, 40):
+        for margin in (1e-2, 1e-4, 1e-6, 1e-9):
+            tail = rng.normal(size=k - 1)
+            w = np.concatenate([[np.sqrt(tail @ tail) / (1.0 - margin)], tail])
+            yield k, margin, w, rng.normal(size=(k, 5))
+
+
 def test_soc_matvec_against_the_exact_metric():
     # the spectral matvec against -2J/q + 4(Jw)(Jw)'/q^2 applied in exact
     # rationals to the same floats, at relative margins (head - t)/head
     # down to 1e-9: the error grows as the inverse margin, so its ulps
     # times the margin stay bounded.  A baseline for a q formed more
     # accurately (compensated), which would lower it
-    rng = np.random.default_rng(RNG_SEED + 19)
     worst = 0.0
-    for k in (3, 40):
-        for margin in (1e-2, 1e-4, 1e-6, 1e-9):
-            tail = rng.normal(size=k - 1)
-            w = np.concatenate([[np.sqrt(tail @ tail) / (1.0 - margin)], tail])
-            V = rng.normal(size=(k, 5))
-            got = dd.DomainBarrier([dd.soc(range(k))], k).hess(w, PRIMAL).matvec(V)
-            jw = [Fraction(x) * (1 if i == 0 else -1) for i, x in enumerate(w)]
-            q = sum(Fraction(x) * j for x, j in zip(w, jw))
-            for v, g in zip(V.T, got.T):
-                jv = [Fraction(x) * (1 if i == 0 else -1) for i, x in enumerate(v)]
-                s = sum(a * Fraction(x) for a, x in zip(jw, v))
-                exact = [-2 * a / q + 4 * b * s / (q * q) for a, b in zip(jv, jw)]
-                err = max(abs(Fraction(x) - e) for x, e in zip(g, exact))
-                worst = max(worst, float(err / max(map(abs, exact))) * 2.0**52 * margin)
+    for k, margin, w, V in _soc_grid():
+        got = dd.DomainBarrier([dd.soc(range(k))], k).hess(w, PRIMAL).matvec(V)
+        jw = [Fraction(x) * (1 if i == 0 else -1) for i, x in enumerate(w)]
+        q = sum(Fraction(x) * j for x, j in zip(w, jw))
+        for v, g in zip(V.T, got.T):
+            jv = [Fraction(x) * (1 if i == 0 else -1) for i, x in enumerate(v)]
+            s = sum(a * Fraction(x) for a, x in zip(jw, v))
+            exact = [-2 * a / q + 4 * b * s / (q * q) for a, b in zip(jv, jw)]
+            err = max(abs(Fraction(x) - e) for x, e in zip(g, exact))
+            worst = max(worst, float(err / max(map(abs, exact))) * 2.0**52 * margin)
     # 1.65 is the largest on this grid at the parent (k = 40, margin 1e-9)
     assert worst < 4 * 1.65
+
+
+def test_soc_solve_and_inv_quad_against_the_exact_inverse():
+    # the spectral solve and inv_quad against the inverse metric
+    # w w' - (q/2) J in exact rationals from the same floats, on the matvec
+    # test's grid.  Their error does not grow as the inverse margin: in
+    # ulps of the normwise sizes ||w||^2 ||v||_inf and ||w||^2 ||v||^2
+    # (||w||^2 lies between the inverse's largest eigenvalue and twice
+    # it) it stays below about one ulp at every margin
+    solve = quad = 0.0
+    for k, _, w, V in _soc_grid():
+        metric = dd.DomainBarrier([dd.soc(range(k))], k).hess(w, PRIMAL)
+        got = metric.solve(V)
+        ws = [Fraction(x) for x in w]
+        q = ws[0] * ws[0] - sum(x * x for x in ws[1:])
+        ww = sum(x * x for x in ws)
+        for v, g in zip(V.T, got.T):
+            vs = [Fraction(x) for x in v]
+            jv = [vs[0], *(-x for x in vs[1:])]
+            wv = sum(a * b for a, b in zip(ws, vs))
+            exact = [a * wv - q / 2 * b for a, b in zip(ws, jv)]
+            err = max(abs(Fraction(x) - e) for x, e in zip(g, exact))
+            solve = max(solve, float(err / (ww * max(map(abs, vs)))) * 2.0**52)
+            exact_quad = wv * wv - q / 2 * sum(a * b for a, b in zip(vs, jv))
+            err = abs(Fraction(metric.inv_quad(v)) - exact_quad)
+            quad = max(quad, float(err / (ww * sum(x * x for x in vs))) * 2.0**52)
+    # 0.75 and 1.02 are the largest on this grid at the parent (k = 3,
+    # margins 1e-6 and 1e-4)
+    assert solve < 4 * 0.75 and quad < 4 * 1.02
 
 
 # interleaved coordinates: every scalar kind, two cones of different sizes

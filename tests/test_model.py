@@ -402,22 +402,19 @@ BOTH_FORMS = (0.0, -1.0, np.float64(0.0), np.float64(-1.0))
 TAU_TABLE = [
     ("proximity_at", _proximity_at, (0.0, -1.0)),
     ("shifted_image", lambda p, s, pt: shifted_image(p, s, pt.x, pt.tau), BOTH_FORMS),
-    ("residuals", dd.residuals, BOTH_FORMS),
     ("gap_bounds", lambda p, s, pt: dd.gap_bounds(p, s, pt.tau, pt.mu), BOTH_FORMS),
     ("stop_params", lambda p, s, pt: dd.stop_params(p, s, pt.x, pt.tau, pt.y),
      (0.0, -1.0, np.nan)),
 ]
 
 # mu > 0, model._scale_dual: each public caller, at mu = 0, -1 and NaN.
-# They gave the predictor numpy's log warning and a PredictorStall, the
-# strict projection a bare ZeroDivisionError, residuals a scaled norm and
-# check_status a ZeroDivisionError or no status
+# They gave the strict projection a bare ZeroDivisionError and
+# check_status a ZeroDivisionError or no status.  The path steps ask
+# nothing: they take only the follower points ``follow`` forms
 MU_TABLE = [(name, call, (0.0, -1.0, np.nan)) for name, call in [
     ("proximity_at", _proximity_at),
     ("scaled_dual", lambda p, s, pt: scaled_dual(p, pt.tau, pt.y, pt.mu)),
-    ("predictor", dd.predictor_step),
     ("strict", dd.strict_infeasibility_certificate),
-    ("residuals", dd.residuals),
     ("check_status", lambda p, s, pt: dd.check_status(
         p, s, [pt], [], 1e-6, sp=dd.stop_params(p, s, pt.x, pt.tau, pt.y))),
 ]]

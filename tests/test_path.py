@@ -11,23 +11,18 @@ import ddsolve as dd
 import ddsolve.model as model_module
 import ddsolve.path as path_module
 from ddsolve.cli import parse_problem_file
-from ddsolve.model import DUAL_EQ_TOL, dual_residual, make_iterate, member_image, shifted_image
-from conftest import SOC_RUN
+from ddsolve.model import DUAL_EQ_TOL, dual_residual, member_image, shifted_image
+from ddsolve.path import _kkt_solve, corrector_step, predictor_step, residuals
+from conftest import SOC_RUN, follower_point
 from test_medium import mixed_feasible
 from probe import Probe
 from oracles import (OracleInstance, feasibility_bound_failures, mu_growth_failures,
                      oracle_sigma_f, tau_floor_failures)
-from ddsolve.path import _kkt_solve
-
-
-def _plain(x, tau, y, mu):
-    """(x, tau, y) at ``mu`` as a plain Iterate, which residuals evaluates."""
-    return dd.Iterate(x=x, tau=tau, y=y, mu=mu, proximity=np.nan)
 
 
 def test_residuals_vanish_at_initial_point(box_problem):
     problem, start = box_problem
-    res = dd.residuals(problem, start, _plain(np.zeros(1), 1.0, start.y0, 1.0))
+    res = residuals(problem, start, follower_point(problem, start, np.zeros(1), 1.0, start.y0))
     assert np.allclose(res.r_dual, 0.0, atol=1e-14)
     assert np.allclose(res.r_cent, 0.0, atol=1e-14)
     assert res.r_gap == pytest.approx(0.0, abs=1e-14)
@@ -38,21 +33,25 @@ def test_residuals_at_doubled_parameter(fixture, request):
     # at the mu=1 anchor evaluated with mu=2: the centering residual is
     # y0 - 2*Phi'(z0) = -y0 and the gap residual collapses to theta*xi
     problem, start = request.getfixturevalue(fixture)
-    res = dd.residuals(problem, start, _plain(np.zeros(problem.n), 1.0, start.y0, 2.0))
+    anchor = follower_point(problem, start, np.zeros(problem.n), 1.0, start.y0)
+    res = residuals(problem, start, replace(anchor, mu=2.0))
     assert np.allclose(res.r_cent, -start.y0, atol=1e-12)
     assert res.r_gap == pytest.approx(problem.theta * problem.xi, rel=1e-12)
 
 
 def test_residuals_raise_outside_domain(box_problem):
+    # a point whose image leaves D has no follower point to take the
+    # residuals at: its evaluation raises
     problem, start = box_problem
     with pytest.raises(dd.DomainViolation):
-        dd.residuals(problem, start, _plain(np.array([5.0]), 1.0, start.y0, 1.0))
+        residuals(problem, start, follower_point(problem, start, np.array([5.0]), 1.0, start.y0))
 
 
 def test_corrector_fixed_point_on_path(box_problem):
     problem, start = box_problem
-    point = make_iterate(problem, start, np.zeros(1), 1.0, start.y0)
-    out = dd.corrector_step(problem, start, point)
+    point = path_module._evaluate(problem, start, np.zeros(1), 1.0, start.y0, 1.0,
+                                  newton=True)
+    out = corrector_step(problem, start, point)
     assert np.allclose(out.x, point.x, atol=1e-12)
     assert out.tau == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(out.y, point.y, atol=1e-12)
@@ -62,10 +61,10 @@ def test_corrector_returns_to_known_path_point(box_problem, monkeypatch):
     # the mu=1 path point is (0, 1, y0) by construction and unique; a
     # perturbed start must come back to it
     problem, start = box_problem
-    x = np.array([1e-3])
-    point = dd.Iterate(x=x, tau=1.0, y=start.y0.copy(), mu=1.0, proximity=np.nan)
+    point = path_module._evaluate(problem, start, np.array([1e-3]), 1.0, start.y0, 1.0,
+                                  newton=True)
     monkeypatch.setattr(path_module, "CORRECTOR_MAX_STEPS", 5)
-    out = dd.corrector_step(problem, start, point)
+    out = corrector_step(problem, start, point)
     assert out.proximity <= 0.5 * problem.kappa
     assert abs(out.x[0]) <= 1e-8
     assert abs(out.tau - 1.0) <= 1e-8
@@ -74,44 +73,42 @@ def test_corrector_returns_to_known_path_point(box_problem, monkeypatch):
 
 def test_corrector_stall_raises(box_problem, monkeypatch):
     problem, start = box_problem
-    x = np.array([1e-3])
-    point = dd.Iterate(x=x, tau=1.0, y=start.y0.copy(), mu=1.0, proximity=np.nan)
+    point = path_module._evaluate(problem, start, np.array([1e-3]), 1.0, start.y0, 1.0,
+                                  newton=True)
     monkeypatch.setattr(path_module, "CORRECTOR_MAX_STEPS", 1)
     with pytest.raises(dd.CorrectorStall):
-        dd.corrector_step(problem, start, point)
+        corrector_step(problem, start, point)
 
 
 def test_corrector_stall_reports_last_proximity(box_problem, monkeypatch):
     # the stall message gives the proximity at the point the last step
     # started from: with one step allowed, the start point itself
     problem, start = box_problem
-    point = dd.Iterate(x=np.array([1e-3]), tau=1.0, y=start.y0.copy(), mu=1.0,
-                       proximity=np.nan)
+    point = path_module._evaluate(problem, start, np.array([1e-3]), 1.0, start.y0, 1.0,
+                                  newton=True)
     prox = dd.proximity_at(problem, shifted_image(problem, start, point.x, 1.0), 1.0, start.y0,
                            1.0)
     monkeypatch.setattr(path_module, "CORRECTOR_MAX_STEPS", 1)
     with pytest.raises(dd.CorrectorStall, match=f"proximity {prox:.3e} above target"):
-        dd.corrector_step(problem, start, point)
+        corrector_step(problem, start, point)
 
 
 def test_corrector_stalls_when_every_trial_is_rejected(box_problem, monkeypatch):
-    # only the starting point is evaluated; every trial point is rejected,
-    # so the step length halves from the boundary bound until it underflows
+    # the starting point is evaluated before the patch; every trial point
+    # is rejected, so the step length halves from the boundary bound until
+    # it underflows
     problem, start = box_problem
-    point = dd.Iterate(x=np.array([1e-3]), tau=1.0, y=start.y0.copy(), mu=1.0,
-                       proximity=np.nan)
-    original = path_module._evaluate
+    point = path_module._evaluate(problem, start, np.array([1e-3]), 1.0, start.y0, 1.0,
+                                  newton=True)
     evaluated = []
 
     def evaluate(*args, **kwargs):
         evaluated.append(args)
-        if len(evaluated) > 1:
-            raise dd.DomainViolation("trial rejected")
-        return original(*args, **kwargs)
+        raise dd.DomainViolation("trial rejected")
     monkeypatch.setattr(path_module, "_evaluate", evaluate)
     with pytest.raises(dd.CorrectorStall, match="step length underflow while correcting"):
-        dd.corrector_step(problem, start, point)
-    assert len(evaluated) > 2
+        corrector_step(problem, start, point)
+    assert len(evaluated) > 1
 
 
 def test_kkt_solve_reports_a_singular_system(box_problem, monkeypatch):
@@ -129,17 +126,14 @@ def test_kkt_solve_reports_a_singular_system(box_problem, monkeypatch):
 def test_corrector_rejects_restoration_leaving_dual_cone(inf_problem, monkeypatch):
     # the dual-cone check runs at every Newton point, not only where
     # proximity is evaluated: a restoration that leaves int D* at the
-    # starting point fails at once
+    # corrector's starting point fails as the point is formed
     problem, start = inf_problem
     assert not problem.barrier.interior(-start.y0, "conjugate")
-    point = make_iterate(problem, start, np.zeros(1), 1.0, start.y0)
     monkeypatch.setattr(path_module, "_restore_dual_equality",
                         lambda problem, start, tau, y: -y)
-    # the check comes before the residuals, which must not be reached
-    monkeypatch.setattr(path_module, "residuals", None)
     with pytest.raises(dd.DomainViolation,
                        match="scaled dual point left the dual cone interior"):
-        dd.corrector_step(problem, start, replace(point, mu=2.0))
+        path_module._evaluate(problem, start, np.zeros(1), 1.0, start.y0, 2.0, newton=True)
 
 
 def _first_newton_step(problem, start, x, tau, y, mu):
@@ -147,7 +141,7 @@ def _first_newton_step(problem, start, x, tau, y, mu):
     restored y it starts from."""
     y = path_module._restore_dual_equality(problem, start, tau, y)
     point = path_module._evaluate(problem, start, x, tau, y, mu)
-    res = dd.residuals(problem, start, point)
+    res = residuals(problem, start, point)
     return y, _kkt_solve(problem, start, point, -res.r_dual, -res.r_cent, -res.r_gap)
 
 
@@ -173,8 +167,8 @@ def test_corrector_falls_back_to_step_bound(box_problem, monkeypatch):
     assert tau + dtau <= 0.0
     assert member_image(problem, start, x + dx, tau + dtau, y + dy) is None
     bounds = _record_step_bounds(monkeypatch)
-    point = dd.Iterate(x=x, tau=tau, y=start.y0.copy(), mu=1.0, proximity=np.nan)
-    out = dd.corrector_step(problem, start, point)
+    point = path_module._evaluate(problem, start, x, tau, start.y0, 1.0, newton=True)
+    out = corrector_step(problem, start, point)
     assert bounds and all(0.0 < b <= 0.5 for b in bounds)
     assert out.proximity <= path_module.CORRECTOR_TARGET * problem.kappa
     assert abs(out.x[0]) <= 1e-8
@@ -190,22 +184,22 @@ def test_corrector_rejects_trial_whose_restoration_leaves_dual_cone(inf_problem,
     y, (dx, dtau, dy) = _first_newton_step(problem, start, x, tau, start.y0, 1.0)
     # unaltered, the full step would be accepted
     assert member_image(problem, start, x + dx, tau + dtau, y + dy) is not None
+    point = path_module._evaluate(problem, start, x, tau, start.y0, 1.0, newton=True)
     original = path_module._restore_dual_equality
     restored = []
 
     def restore(problem, start, tau, y):
         restored.append(original(problem, start, tau, y))
-        if len(restored) == 2:
-            # the first trial point, after the starting point: send its
-            # restored y out of D*
+        if len(restored) == 1:
+            # the first trial point, the starting point formed before the
+            # patch: send its restored y out of D*
             assert not problem.barrier.interior(-restored[-1], "conjugate")
             return -restored[-1]
         return restored[-1]
     monkeypatch.setattr(path_module, "_restore_dual_equality", restore)
     bounds = _record_step_bounds(monkeypatch)
-    point = dd.Iterate(x=x, tau=tau, y=start.y0.copy(), mu=1.0, proximity=np.nan)
-    out = dd.corrector_step(problem, start, point)
-    assert len(restored) > 2 and len(bounds) == 1
+    out = corrector_step(problem, start, point)
+    assert len(restored) > 1 and len(bounds) == 1
     assert out.proximity <= path_module.CORRECTOR_TARGET * problem.kappa
     assert abs(out.x[0]) <= 1e-8
     assert abs(out.tau - 1.0) <= 1e-8
@@ -260,10 +254,11 @@ def test_follow_raises_on_a_start_whose_anchor_is_not_in_q():
     (0.0, -1.0, "tau must be positive"),
 ])
 def test_corrector_rejects_start_outside_domain(box_problem, x, tau, message):
+    # the corrector's start is a Newton point, formed by _evaluate, which
+    # checks the start
     problem, start = box_problem
-    point = dd.Iterate(x=np.array([x]), tau=tau, y=start.y0.copy(), mu=1.0, proximity=np.nan)
     with pytest.raises(dd.DomainViolation, match=message):
-        dd.corrector_step(problem, start, point)
+        path_module._evaluate(problem, start, np.array([x]), tau, start.y0, 1.0, newton=True)
 
 
 @pytest.mark.parametrize("fixture,run", [("box_problem", "box_run"),
@@ -273,16 +268,15 @@ def test_scaled_residuals_small_at_iterates(fixture, run, request):
     problem, start = request.getfixturevalue(fixture)
     result = request.getfixturevalue(run)
     for it in result.iterates[1:]:
-        res = dd.residuals(problem, start, it)
+        res = residuals(problem, start, it)
         assert res.scaled_norm <= 1e-8
 
 
 def test_predictor_tangent_satisfies_dual_equation(box_problem):
     problem, start = box_problem
-    point = make_iterate(problem, start, np.zeros(1), 1.0, start.y0)
-    evaluated = path_module._evaluate(problem, start, point.x, point.tau, point.y, point.mu)
+    point = follower_point(problem, start, np.zeros(1), 1.0, start.y0)
     tx, ttau, ty = _kkt_solve(
-        problem, start, evaluated, np.zeros(problem.n), evaluated.g / point.tau,
+        problem, start, point, np.zeros(problem.n), point.g / point.tau,
         -problem.theta * problem.xi / point.tau**2)
     resid = problem.A.T @ ty + ttau * problem.c
     assert np.max(np.abs(resid)) <= 1e-9
@@ -327,7 +321,7 @@ def test_kkt_solve_matches_unreduced_system(fixture, run, request):
         if it.mu > 1e2:
             continue
         evaluated = path_module._evaluate(problem, start, it.x, it.tau, it.y, 2.0 * it.mu)
-        res = dd.residuals(problem, start, evaluated)
+        res = residuals(problem, start, evaluated)
         g = evaluated.g
         for point, rhs in [
             (replace(evaluated, mu=it.mu),
@@ -344,32 +338,32 @@ def test_kkt_solve_matches_unreduced_system(fixture, run, request):
 
 def test_predictor_increases_mu_and_respects_neighborhood(box_problem):
     problem, start = box_problem
-    point = make_iterate(problem, start, np.zeros(1), 1.0, start.y0)
-    predicted, _ = dd.predictor_step(problem, start, point)
+    point = follower_point(problem, start, np.zeros(1), 1.0, start.y0)
+    predicted, _ = predictor_step(problem, start, point)
     assert predicted.mu > 1.0
     assert dd.proximity_at(problem, shifted_image(problem, start, predicted.x, predicted.tau),
                            predicted.tau, predicted.y, predicted.mu) <= 2.0 * problem.kappa
     # composition: the corrector restores the inner neighborhood
-    corrected = dd.corrector_step(problem, start, predicted)
+    corrected = corrector_step(problem, start, predicted.newton)
     assert corrected.proximity <= 0.5 * problem.kappa
 
 
 def test_predictor_interiority_preserved(soc_problem):
     problem, start = soc_problem
-    point = make_iterate(problem, start, np.zeros(problem.n), 1.0, start.y0)
+    point = follower_point(problem, start, np.zeros(problem.n), 1.0, start.y0)
     for _ in range(5):
-        predicted, _ = dd.predictor_step(problem, start, point)
+        predicted, _ = predictor_step(problem, start, point)
         u = shifted_image(problem, start, predicted.x, predicted.tau)
         assert problem.barrier.min_margin(u, "primal") > 0.0
         assert problem.barrier.min_margin(predicted.y, "conjugate") > 0.0
-        point = dd.corrector_step(problem, start, predicted)
+        point = corrector_step(problem, start, predicted.newton)
 
 
 def test_predictor_rejects_a_trial_whose_proximity_raises(box_problem, monkeypatch):
     # a trial at which proximity_at raises DomainViolation is rejected like
     # one beyond the outer radius: dmu halves and the next trial is tried
     problem, start = box_problem
-    point = make_iterate(problem, start, np.zeros(1), 1.0, start.y0)
+    point = follower_point(problem, start, np.zeros(1), 1.0, start.y0)
     original = path_module.proximity_at
     trial_mus = []
 
@@ -379,7 +373,7 @@ def test_predictor_rejects_a_trial_whose_proximity_raises(box_problem, monkeypat
             raise dd.DomainViolation("trial rejected")
         return original(*args)
     monkeypatch.setattr(path_module, "proximity_at", proximity_at)
-    predicted, _ = dd.predictor_step(problem, start, point)
+    predicted, _ = predictor_step(problem, start, point)
     assert len(trial_mus) > 1 and predicted.mu == trial_mus[-1] < trial_mus[0]
     assert predicted.proximity <= path_module.PREDICTOR_RADIUS * problem.kappa
 
@@ -448,12 +442,12 @@ def _predict_and_correct(problem, start, steps):
     """``steps`` iterations of the follower's loop, each predictor given the
     tangent the one before returned; yields (point, predicted) per
     iteration."""
-    point = make_iterate(problem, start, np.zeros(problem.n), 1.0, start.y0)
+    point = follower_point(problem, start, np.zeros(problem.n), 1.0, start.y0)
     tangent = None
     for _ in range(steps):
-        predicted, tangent = dd.predictor_step(problem, start, point, tangent)
+        predicted, tangent = predictor_step(problem, start, point, tangent)
         yield point, predicted
-        point = dd.corrector_step(problem, start, predicted)
+        point = corrector_step(problem, start, predicted.newton)
 
 
 @pytest.mark.parametrize("fixture", ["box_problem", "inf_problem", "soc_problem"])
@@ -464,7 +458,7 @@ def test_predictor_without_previous_tangent_is_first_order(fixture, request):
     points = [point for point, _ in _predict_and_correct(problem, start, 4)]
     for point in points:
         xr, taur, yr, mur, proxr = _first_order_predictor(problem, start, point)
-        predicted, _ = dd.predictor_step(problem, start, point)
+        predicted, _ = predictor_step(problem, start, point)
         assert np.array_equal(predicted.x, xr) and np.array_equal(predicted.y, yr)
         assert (predicted.tau, predicted.mu, predicted.proximity) == (taur, mur, proxr)
 
@@ -478,7 +472,7 @@ def test_curve_points_keep_dual_equation_and_neighborhood(fixture, request):
     problem, start = request.getfixturevalue(fixture)
     curve_points = 0
     for k, (point, predicted) in enumerate(_predict_and_correct(problem, start, 8)):
-        first_order = dd.predictor_step(problem, start, point)[0]
+        first_order = predictor_step(problem, start, point)[0]
         if k == 0:
             assert np.array_equal(predicted.x, first_order.x)
             continue
@@ -502,8 +496,8 @@ def test_curve_bending_back_is_not_accepted(fixture, request):
     # are near the path at a smaller own mu and must be passed over
     problem, start = request.getfixturevalue(fixture)
     point = list(_predict_and_correct(problem, start, 4))[-1][0]
-    _, (s, vel) = dd.predictor_step(problem, start, point)
-    predicted, _ = dd.predictor_step(problem, start, point, (s - 1.0, 5.0 * vel))
+    _, (s, vel) = predictor_step(problem, start, point)
+    predicted, _ = predictor_step(problem, start, point, (s - 1.0, 5.0 * vel))
     own = dd.mu_of(problem, start, predicted.x, predicted.tau, predicted.y)
     assert predicted.mu == own > point.mu
 
@@ -670,8 +664,8 @@ def test_evaluation_budget(fixture, run, eps, request, monkeypatch):
 def test_reused_evaluations_match_public_functions(fixture, run, request):
     # the follower keeps each point's evaluation instead of forming it
     # again; the public functions, forming everything themselves, must give
-    # every recorded proximity, and the residuals of every recorded point
-    # (from a plain Iterate copy, which residuals evaluates), bit for bit
+    # every recorded proximity, and a fresh evaluation of each recorded
+    # point the image, gradient and residuals the point carries, bit for bit
     problem, start = request.getfixturevalue(fixture)
     iterates = request.getfixturevalue(run).iterates
     # every iterate, the mu = 1 anchor included, keeps the evaluation the
@@ -680,13 +674,13 @@ def test_reused_evaluations_match_public_functions(fixture, run, request):
     for it in iterates:
         assert dd.proximity_at(problem, shifted_image(problem, start, it.x, it.tau), it.tau, it.y,
                                it.mu) == it.proximity
-        private = dd.residuals(problem, start, it)
-        public = dd.residuals(problem, start, _plain(it.x, it.tau, it.y, it.mu))
+        fresh = path_module._evaluate(problem, start, it.x, it.tau, it.y, it.mu)
+        private = residuals(problem, start, it)
+        public = residuals(problem, start, fresh)
         assert np.array_equal(public.r_dual, private.r_dual)
         assert np.array_equal(public.r_cent, private.r_cent)
         assert public.r_gap == private.r_gap
         assert public.scaled_norm == private.scaled_norm
-        fresh = path_module._evaluate(problem, start, it.x, it.tau, it.y, it.mu)
         for name in ("u", "g"):
             assert np.array_equal(getattr(it, name), getattr(fresh, name))
 
@@ -720,18 +714,19 @@ def test_scaled_norm_reads_the_gap_products(fixture, request, monkeypatch):
 @pytest.mark.parametrize("fixture", ["box_problem", "soc_problem", "tangent_problem"])
 def test_predictor_reads_handed_over_evaluation(fixture, request):
     # follow hands each corrector's evaluated point to the next predictor;
-    # from a plain Iterate copy of that point, which the predictor
-    # evaluates itself, the prediction must be the same bit for bit
+    # from a copy of that point evaluated afresh, the prediction must be
+    # the same bit for bit
     problem, start = request.getfixturevalue(fixture)
-    point = make_iterate(problem, start, np.zeros(problem.n), 1.0, start.y0)
-    predicted, tangent = dd.predictor_step(problem, start, point)
+    point = follower_point(problem, start, np.zeros(problem.n), 1.0, start.y0)
+    predicted, tangent = predictor_step(problem, start, point)
     for _ in range(6):
-        point = dd.corrector_step(problem, start, predicted)
+        point = corrector_step(problem, start, predicted.newton)
         assert isinstance(point, path_module._Point)
-        plain = dd.Iterate(x=point.x.copy(), tau=point.tau, y=point.y.copy(), mu=point.mu,
-                           proximity=point.proximity)
-        own, own_tangent = dd.predictor_step(problem, start, plain, tangent)
-        predicted, tangent = dd.predictor_step(problem, start, point, tangent)
+        fresh = replace(path_module._evaluate(problem, start, point.x.copy(), point.tau,
+                                              point.y.copy(), point.mu),
+                        proximity=point.proximity)
+        own, own_tangent = predictor_step(problem, start, fresh, tangent)
+        predicted, tangent = predictor_step(problem, start, point, tangent)
         assert np.array_equal(predicted.x, own.x) and np.array_equal(predicted.y, own.y)
         assert (predicted.tau, predicted.mu, predicted.proximity) == \
             (own.tau, own.mu, own.proximity)
@@ -741,19 +736,18 @@ def test_predictor_reads_handed_over_evaluation(fixture, request):
 @pytest.mark.parametrize("fixture", ["box_problem", "soc_problem", "tangent_problem"])
 def test_corrector_reads_handed_over_newton_point(fixture, request):
     # each predictor hands its corrector the first Newton point, formed at
-    # the trial it accepted; from a plain Iterate copy of that trial, which
-    # the corrector evaluates itself, the correction must be the same bit
-    # for bit
+    # the trial it accepted; from a Newton point formed afresh at a copy of
+    # that trial, the correction must be the same bit for bit
     problem, start = request.getfixturevalue(fixture)
-    point = make_iterate(problem, start, np.zeros(problem.n), 1.0, start.y0)
+    point = follower_point(problem, start, np.zeros(problem.n), 1.0, start.y0)
     tangent = None
     for _ in range(6):
-        predicted, tangent = dd.predictor_step(problem, start, point, tangent)
+        predicted, tangent = predictor_step(problem, start, point, tangent)
         assert isinstance(predicted, path_module._Accepted)
-        plain = dd.Iterate(x=predicted.x.copy(), tau=predicted.tau, y=predicted.y.copy(),
-                           mu=predicted.mu, proximity=predicted.proximity)
-        own = dd.corrector_step(problem, start, plain)
-        point = dd.corrector_step(problem, start, predicted)
+        own = corrector_step(problem, start, path_module._evaluate(
+            problem, start, predicted.x.copy(), predicted.tau, predicted.y.copy(), predicted.mu,
+            newton=True))
+        point = corrector_step(problem, start, predicted.newton)
         for name in ("x", "y", "u", "g"):
             assert np.array_equal(getattr(point, name), getattr(own, name))
         assert (point.tau, point.mu, point.proximity) == (own.tau, own.mu, own.proximity)

@@ -312,6 +312,65 @@ def test_each_follower_point_is_formed_once():
     assert _callers(status, "_scale_dual") == ["check_status", "strict_infeasibility_certificate"]
 
 
+POINT_TYPES = ("_Point", "_Accepted", "Iterate")
+STEP_NAMES = ("residuals", "predictor_step", "corrector_step", "Residuals")
+
+
+def _point_type_tests(tree: ast.Module) -> list:
+    """The function around each ``isinstance`` test against one of
+    POINT_TYPES, alone or in a tuple of types, a name or an attribute."""
+    def types(node):
+        return node.elts if isinstance(node, ast.Tuple) else [node]
+    return [around for around, node in _nodes_by_function(tree)
+            if isinstance(node, ast.Call) and _named(node.func, "isinstance")
+            and len(node.args) == 2
+            and any(_named(t, name) for t in types(node.args[1]) for name in POINT_TYPES)]
+
+
+def _exported(tree: ast.Module, names) -> list:
+    """Each of ``names`` that the module's top level imports (under any
+    alias) or binds (as an import alias or an assignment target)."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [alias.name if alias.name in names else alias.asname
+                      for alias in node.names]
+        elif isinstance(node, ast.Assign):
+            found += [t.id for t in node.targets if isinstance(t, ast.Name)]
+    return [name for name in found if name in names]
+
+
+def test_point_type_check_sees_each_spelling():
+    tree = ast.parse("top = isinstance(p, _Point)\n"
+                     "def f(p):\n"
+                     "    def g(q):\n"
+                     "        return isinstance(q, (float, path._Accepted))\n"
+                     "    return isinstance(p, model.Iterate), isinstance(p, Point), type(p)\n"
+                     "class C:\n"
+                     "    def h(self, p):\n"
+                     "        return isinstance(p, (Iterate,)) or isinstance(p)\n")
+    assert _point_type_tests(tree) == ["<module>", "g", "f", "h"]
+    tree = ast.parse("from .path import follow, residuals\n"
+                     "from .path import corrector_step as step, TraceRow as Residuals\n"
+                     "from .model import proximity_at\n"
+                     "predictor_step = None\n"
+                     "def f():\n"
+                     "    from .path import predictor_step\n")
+    assert _exported(tree, STEP_NAMES) == ["residuals", "corrector_step", "Residuals",
+                                           "predictor_step"]
+
+
+def test_steps_take_follower_points_only():
+    # the path steps have one input type, a follower point: they test no
+    # point's type and ask no mu > 0, since only follow, which forms
+    # every point it hands them, calls them; so they are not exported
+    path = ast.parse((PACKAGE / "path.py").read_text(encoding="utf-8"))
+    init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert _point_type_tests(path) == []
+    assert _callers(path, "_scale_dual") == []
+    assert _exported(init, STEP_NAMES) == []
+
+
 def test_atom_kinds_are_known_in_barriers_only():
     # the parser reads each kind's rules from barriers' tables and names
     # no kind itself
