@@ -31,11 +31,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import reprlib
 import sys
 from dataclasses import dataclass, fields, replace
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -90,96 +89,60 @@ def _numbers(value, field, count=None, rows=None, atom=None):
     raise ParseError(f"{field} must be {shape}, got {reprlib.repr(value)}", field=field)
 
 
-def _parse_atom(entry, index):
-    if not isinstance(entry, dict):
-        raise ParseError(f"atom {index} must be an object", field=f"atoms[{index}]")
-    if not entry.keys() <= ATOM_KEYS:
-        raise _unknown_keys_error(entry, ATOM_KEYS, f"atoms[{index}].")
-    kind = entry.get("type")
-    coords = entry.get("coords")
-    if type(kind) is not str or kind not in barriers.ATOM_THETA:
-        raise ParseError(f"atom {index} has unknown type {kind!r}", field=f"atoms[{index}].type")
-    if not isinstance(coords, list) or not coords:
-        raise ParseError(f"atom {index} needs a coords list", field=f"atoms[{index}].coords")
-    if not all(map(_is_integral, coords)):
-        raise ParseError(f"atom {index} coords must be integers, got {coords}",
-                         field=f"atoms[{index}].coords")
-    k = len(coords)
-    if (k == 1) == barriers.ATOM_CONE[kind]:
-        takes = "at least two coordinates" if k == 1 else "exactly one coordinate"
-        raise ParseError(f"atom {index}: a {kind} atom takes {takes}",
-                         field=f"atoms[{index}].coords")
-    zero_based = [int(i) - 1 for i in coords]
-    if any(i < 0 for i in zero_based):
-        raise ParseError(f"atom {index} coords are 1-based", field=f"atoms[{index}].coords")
-    takes_lower, takes_upper = barriers.ATOM_BOUNDS[kind]
-    lower = upper = None
-    if takes_lower and takes_upper:
-        lower, upper = _numbers(entry.get("bounds"), "bounds", 2, atom=index)
-    elif takes_lower or takes_upper:
-        lower = upper = _numbers(entry.get("bounds"), "bounds", atom=index)
-    elif "bounds" in entry:
-        raise ParseError(f"atom {index}: a {kind} atom takes no bounds",
-                         field=f"atoms[{index}].bounds")
-    if k == 1:
-        offset = [_numbers(entry.get("offset", 0.0), "offset", atom=index)]
-    else:
-        offset = _numbers(entry.get("offset", [0.0] * k), "offset", k, atom=index)
-    offset = tuple(map(float, offset))
-    lower = float(lower) if takes_lower else None
-    upper = float(upper) if takes_upper else None
-    fault = barriers._value_fault(kind, offset, lower, upper)
-    if fault is not None:
-        raise ParseError(f"atom {index}: {fault}", field=f"atoms[{index}]")
-    return barriers.BarrierAtom._checked(kind, tuple(zero_based), offset, lower, upper)
-
-
-def _atom_list(entries: list) -> list | None:
-    """The atoms of a file's atom list, each of :func:`_parse_atom`'s
-    checks made once over the whole list: objects of known keys and kinds,
-    integer coordinates >= 1 of the count each kind takes, bounds and an
-    offset of the kind's shapes, every number a finite JSON number a float
-    can hold, each box's lower bound below its upper.  None when a check
-    fails, for _parse_atom to take the entries one by one and name the
-    first bad field."""
-    if not (set(map(type, entries)) <= {dict} and set(chain.from_iterable(entries)) <= ATOM_KEYS):
-        return None
-    # () stands for a missing key, as no JSON value is a tuple
-    kinds, coords, bounds, offsets = (list(map(dict.get, entries, repeat(key), repeat(())))
-                                      for key in ("type", "coords", "bounds", "offset"))
-    if not (set(map(type, kinds)) <= {str} and set(kinds) <= barriers.ATOM_THETA.keys()
-            and set(map(type, coords)) <= {list}):
-        return None
-    flat = list(chain.from_iterable(coords))
-    if not (set(map(type, flat)) <= {int} and min(flat, default=1) >= 1):
-        return None
-    atoms, numbers, pairs = [], [], []
-    try:
-        for kind, c, b, o in zip(kinds, coords, bounds, offsets):
-            k, (takes_lower, takes_upper) = len(c), barriers.ATOM_BOUNDS[kind]
-            # as lists of numbers: the bounds, a number for a kind that takes
-            # one, a pair for two and no key for none, and the offset, a
-            # number for one coordinate and a list for more, zero when missing
-            n = takes_lower + takes_upper
-            b = [b] if n == 1 else b if n == 2 else [] if b == () else None
-            o = ([0.0] if o == () else [o]) if k == 1 else [0.0] * k if o == () else o
-            if (not k or (k == 1) == barriers.ATOM_CONE[kind] or type(b) is not list
-                    or len(b) != n or type(o) is not list or len(o) != k):
-                return None
-            numbers += b
-            numbers += o
-            lower = float(b[0]) if takes_lower else None
-            upper = float(b[-1]) if takes_upper else None
-            if n == 2:
-                pairs.append((lower, upper))
-            # built before the numbers' types are checked, and dropped if one fails
-            atoms.append(barriers.BarrierAtom._checked(
-                kind, tuple([i - 1 for i in c]), tuple(map(float, o)), lower, upper))
-    except (TypeError, ValueError, OverflowError):   # a value that float() does not read
-        return None
-    if not ((set(map(type, numbers)) <= {float} or all(map(_is_number, numbers)))
-            and all(map(math.isfinite, numbers)) and all(lower < upper for lower, upper in pairs)):
-        return None
+def _atom_list(entries: list) -> list:
+    """The atoms of a file's atom list, read in one walk over its entries.
+    Each entry must be an object of known keys, of a known kind, with
+    integer coordinates >= 1 of the count the kind takes, bounds and an
+    offset of the kind's shapes holding JSON numbers, and values that
+    barriers._value_fault passes; the first rule an entry breaks is a
+    ParseError naming its field."""
+    # looked up once: a classmethod is bound anew at each lookup
+    atoms, checked = [], barriers.BarrierAtom._checked
+    for index, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ParseError(f"atom {index} must be an object", field=f"atoms[{index}]")
+        if not entry.keys() <= ATOM_KEYS:
+            raise _unknown_keys_error(entry, ATOM_KEYS, f"atoms[{index}].")
+        kind = entry.get("type")
+        coords = entry.get("coords")
+        if type(kind) is not str or kind not in barriers.ATOM_THETA:
+            raise ParseError(f"atom {index} has unknown type {kind!r}",
+                             field=f"atoms[{index}].type")
+        if not isinstance(coords, list) or not coords:
+            raise ParseError(f"atom {index} needs a coords list", field=f"atoms[{index}].coords")
+        k = len(coords)
+        # 0-based, in one pass when every coordinate is an int
+        zero_based = tuple([i - 1 for i in coords if type(i) is int])
+        if len(zero_based) < k:
+            if not all(map(_is_integral, coords)):
+                raise ParseError(f"atom {index} coords must be integers, got {coords}",
+                                 field=f"atoms[{index}].coords")
+            zero_based = tuple([int(i) - 1 for i in coords])
+        if (k == 1) == barriers.ATOM_CONE[kind]:
+            takes = "at least two coordinates" if k == 1 else "exactly one coordinate"
+            raise ParseError(f"atom {index}: a {kind} atom takes {takes}",
+                             field=f"atoms[{index}].coords")
+        if min(zero_based) < 0:
+            raise ParseError(f"atom {index} coords are 1-based", field=f"atoms[{index}].coords")
+        takes_lower, takes_upper = barriers.ATOM_BOUNDS[kind]
+        if takes_lower and takes_upper:
+            lower, upper = _numbers(entry.get("bounds"), "bounds", 2, atom=index)
+        elif takes_lower or takes_upper:
+            lower = upper = _numbers(entry.get("bounds"), "bounds", atom=index)
+        elif "bounds" in entry:
+            raise ParseError(f"atom {index}: a {kind} atom takes no bounds",
+                             field=f"atoms[{index}].bounds")
+        if k == 1:
+            offset = (float(_numbers(entry.get("offset", 0.0), "offset", atom=index)),)
+        else:
+            offset = _numbers(entry.get("offset", [0.0] * k), "offset", k, atom=index)
+            offset = tuple(map(float, offset))
+        lower = float(lower) if takes_lower else None
+        upper = float(upper) if takes_upper else None
+        fault = barriers._value_fault(kind, offset, lower, upper)
+        if fault is not None:
+            raise ParseError(f"atom {index}: {fault}", field=f"atoms[{index}]")
+        atoms.append(checked(kind, zero_based, offset, lower, upper))
     return atoms
 
 
@@ -213,8 +176,6 @@ def _read_problem_file(path, constants) -> tuple[Problem, StartData]:
     if not isinstance(doc["atoms"], list):
         raise ParseError("atoms must be a list of atom objects", field="atoms")
     atoms = _atom_list(doc["atoms"])
-    if atoms is None:
-        atoms = [_parse_atom(entry, i) for i, entry in enumerate(doc["atoms"])]
     constants = {k: _numbers(doc[k], k) for k in ("xi", "kappa") if k in doc} | constants
     z0 = None if doc.get("z0") is None else _numbers(doc["z0"], "z0", m)
     problem = validate_problem(A, c, atoms, **constants)

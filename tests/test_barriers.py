@@ -474,6 +474,205 @@ def test_soc_solve_and_inv_quad_against_the_exact_inverse():
     assert solve < 4 * 0.75 and quad < 4 * 1.02
 
 
+# the interval group's own order, halflines then boxes, on consecutive
+# coordinates, with bounds and offsets of mixed sizes and signs
+INTERVAL_ATOMS = [
+    dd.halfline_lower(0, lower=0.7, offset=-0.3),
+    dd.halfline_lower(1, lower=-1234.5678, offset=17.25),
+    dd.halfline_upper(2, upper=2.0, offset=0.4),
+    dd.halfline_upper(3, upper=-3.3e-3, offset=-0.1),
+    dd.box(4, -1.0, 2.5, offset=0.8),
+    dd.box(5, 1e-3, 7.0, offset=-2.2),
+]
+# relative margins from the boundary, and sizes of a dual point's entries
+EXACT_MARGINS = (1e-12, 1e-9, 1e-6, 1e-3, 0.5)
+EXACT_SIZES = (1e-12, 1e-6, 1.0, 1e6, 1e12)
+
+
+def _interval_grid(side):
+    """Points of INTERVAL_ATOMS' group on ``side``.  Primal: four at each
+    margin of EXACT_MARGINS, every atom that far inside a bound, relative
+    to 1 + |bound| (to a box's width), each box on a seeded side.
+    Conjugate: two at each size of EXACT_SIZES, every entry that size
+    times a seeded factor in [1, 10), of the sign of its halfline's dual
+    factor and of a seeded sign on a box."""
+    rng = np.random.default_rng(RNG_SEED + 23)
+    if side == PRIMAL:
+        for margin in EXACT_MARGINS:
+            for _ in range(4):
+                yield np.concatenate([_near_boundary(a, rng, PRIMAL, margin)
+                                      for a in INTERVAL_ATOMS])
+        return
+    signs = {"halfline_lower": [-1.0], "halfline_upper": [1.0], "box": [-1.0, 1.0]}
+    for size in EXACT_SIZES:
+        for _ in range(2):
+            yield np.array([rng.choice(signs[a.kind]) * size * rng.uniform(1.0, 10.0)
+                            for a in INTERVAL_ATOMS])
+
+
+def _exact_slacks(atom, w, side):
+    """(w - lower, upper - w) in rationals at an interval atom's float
+    point w on ``side``, None for an infinite bound.  On the conjugate
+    side a lower halfline's y lies below 0, an upper one's above it, and
+    a box's anywhere."""
+    lower, upper = atom.lower, atom.upper
+    if side == CONJUGATE:
+        lower = 0.0 if atom.kind == "halfline_upper" else None
+        upper = 0.0 if atom.kind == "halfline_lower" else None
+    w = Fraction(w)
+    return (None if lower is None else w - Fraction(lower),
+            None if upper is None else Fraction(upper) - w)
+
+
+def _ulps(got, exact, size) -> float:
+    """|got - exact| in units of 2^-52 ``size``: rounding a value of that
+    size to a float errs by at most one such unit."""
+    return float(abs(Fraction(got) - exact) / size) * 2.0**52
+
+
+def test_interval_evaluate_against_the_exact_forms():
+    # _IntervalGroup.evaluate against its closed forms in exact rationals
+    # from the same floats, at relative margins down to 1e-12 and |y| from
+    # 1e-12 to 1e12: the primal gradient -1/s_lo + 1/s_hi and metric
+    # 1/s_lo^2 + 1/s_hi^2 of every interval kind, and the halfline
+    # conjugate's gradient b - 1/y and metric 1/y^2, b the shifted bound.
+    # A gradient's error is in ulps of its terms' summed sizes, a metric
+    # entry's relative.  The primal forms' input is the shifted point
+    # w = z + d as the group rounds it
+    group = dd.DomainBarrier(INTERVAL_ATOMS, len(INTERVAL_ATOMS)).groups[0]
+    worst = dict.fromkeys(["grad", "metric", "conjugate grad", "conjugate metric"], 0.0)
+    for z in _interval_grid(PRIMAL):
+        g, (h,) = group.evaluate(z, PRIMAL)
+        for atom, w, g_i, h_i in zip(INTERVAL_ATOMS, z + group.d, g, h):
+            s_lo, s_hi = _exact_slacks(atom, w, PRIMAL)
+            terms = []
+            if s_lo is not None:
+                terms.append(-1 / s_lo)
+            if s_hi is not None:
+                terms.append(1 / s_hi)
+            metric = sum(t * t for t in terms)
+            worst["grad"] = max(worst["grad"], _ulps(g_i, sum(terms), sum(map(abs, terms))))
+            worst["metric"] = max(worst["metric"], _ulps(h_i, metric, metric))
+    for y in _interval_grid(CONJUGATE):
+        g, (h,) = group.evaluate(y, CONJUGATE)
+        for atom, y_i, g_i, h_i in zip(INTERVAL_ATOMS[:group.nh], y, g, h):
+            bound = atom.upper if atom.lower is None else atom.lower
+            b = Fraction(bound) - Fraction(atom.offset[0])
+            inv = 1 / Fraction(y_i)
+            worst["conjugate grad"] = max(worst["conjugate grad"],
+                                          _ulps(g_i, b - inv, abs(b) + abs(inv)))
+            worst["conjugate metric"] = max(worst["conjugate metric"],
+                                            _ulps(h_i, inv * inv, inv * inv))
+    # the largest on this grid at the parent
+    assert worst["grad"] < 4 * 0.60 and worst["metric"] < 4 * 0.86
+    assert worst["conjugate grad"] < 4 * 0.75 and worst["conjugate metric"] < 4 * 0.61
+
+
+def test_interval_support_and_step_against_the_exact_forms():
+    # DomainBarrier.support and step_to_boundary on INTERVAL_ATOMS against
+    # their forms in exact rationals from the same floats: the support
+    # sum of y times the shifted bound on y's side, in ulps of its terms'
+    # summed sizes, on the conjugate grid; the step, the least exit
+    # slack / |dw| over the coordinates that move toward a finite bound,
+    # in relative ulps, on both grids along seeded rays of sizes 1e-6 to
+    # 1e6.  The primal step's input is w = z + d as the group rounds it
+    barrier = dd.DomainBarrier(INTERVAL_ATOMS, len(INTERVAL_ATOMS))
+    shift = barrier.groups[0].d
+    support = step = 0.0
+    for y in _interval_grid(CONJUGATE):
+        terms = [(Fraction(atom.upper if y_i > 0 else atom.lower) - Fraction(atom.offset[0]))
+                 * Fraction(y_i) for atom, y_i in zip(INTERVAL_ATOMS, y)]
+        support = max(support, _ulps(barrier.support(y), sum(terms), sum(map(abs, terms))))
+    rng = np.random.default_rng(RNG_SEED + 29)
+    for side in (PRIMAL, CONJUGATE):
+        for z in _interval_grid(side):
+            w = z + shift if side == PRIMAL else z
+            for _ in range(5):
+                dz = rng.normal(size=z.size) * 10.0 ** rng.uniform(-6.0, 6.0)
+                exits = []
+                for atom, w_i, dw in zip(INTERVAL_ATOMS, w, dz):
+                    s_lo, s_hi = _exact_slacks(atom, w_i, side)
+                    if dw < 0.0 and s_lo is not None:
+                        exits.append(s_lo / -Fraction(dw))
+                    if dw > 0.0 and s_hi is not None:
+                        exits.append(s_hi / Fraction(dw))
+                got = barrier.step_to_boundary(z, dz, side)
+                if not exits:
+                    assert got == np.inf
+                    continue
+                step = max(step, _ulps(got, min(exits), min(exits)))
+    # the largest on this grid at the parent
+    assert support < 4 * 1.40 and step < 4 * 0.42
+
+
+def _exact_cone_grid():
+    """(k, margin, d, w) for k = 3 and 40, each relative margin
+    (head - t)/head of EXACT_MARGINS and tails of sizes 1e-12, 1 and 1e12:
+    a seeded cone point w of that margin, and a seeded offset d of the
+    tail's size."""
+    rng = np.random.default_rng(RNG_SEED + 31)
+    for k in (3, 40):
+        for margin in EXACT_MARGINS:
+            for size in (1e-12, 1.0, 1e12):
+                tail = rng.normal(size=k - 1) * size
+                w = np.concatenate([[np.sqrt(tail @ tail) / (1.0 - margin)], tail])
+                yield k, margin, rng.normal(size=k) * size, w
+
+
+def _exact_cone_exit(w, dw):
+    """The least s > 0 at which w + s dw, w strictly inside the cone, reaches
+    its boundary: the least positive root of the ray quadratic
+    a s^2 + b s + c, its coefficients exact in rationals and the root a
+    50-digit decimal, formed without cancellation; None when there is
+    none."""
+    def jdot(u, v):
+        return Fraction(u[0]) * Fraction(v[0]) - sum(Fraction(p) * Fraction(q)
+                                                     for p, q in zip(u[1:], v[1:]))
+    a, b, c = jdot(dw, dw), 2 * jdot(w, dw), jdot(w, w)
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return None
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a, b, c, disc = (Decimal(f.numerator) / f.denominator for f in (a, b, c, disc))
+        q = -(b + disc.sqrt().copy_sign(b)) / 2
+        return min((r for r in (q / a, c / q) if r > 0), default=None)
+
+
+def test_cone_support_and_step_against_the_exact_forms():
+    # DomainBarrier.support and step_to_boundary on one cone against exact
+    # references from the same floats: the support w'd at y = -w in
+    # rationals, in ulps of its terms' summed sizes, and the step, the
+    # least positive root of the ray quadratic as a 50-digit decimal, on
+    # both sides along five seeded rays of w's size.  The step's error,
+    # in relative ulps, grows as the inverse margin, where the float
+    # c = w'Jw cancels, and as the inverse of a/|dw|^2, where the root's
+    # -b + sqrt(disc) does; so its ulps times the margin stay bounded on
+    # this grid.  The primal step's input is w = z + d as the group
+    # rounds it
+    rng = np.random.default_rng(RNG_SEED + 37)
+    support = step = 0.0
+    for k, margin, d, w in _exact_cone_grid():
+        barrier = dd.DomainBarrier([dd.soc(range(k), d)], k)
+        terms = [Fraction(p) * Fraction(q) for p, q in zip(w, d)]
+        support = max(support, _ulps(barrier.support(-w), sum(terms), sum(map(abs, terms))))
+        for side, z in ((PRIMAL, w - d), (CONJUGATE, -w)):
+            for _ in range(5):
+                dz = rng.normal(size=k) * np.linalg.norm(w)
+                got = barrier.step_to_boundary(z, dz, side)
+                exact = (_exact_cone_exit(z + d, dz) if side == PRIMAL
+                         else _exact_cone_exit(-z, -dz))
+                if exact is None:
+                    assert got == np.inf
+                    continue
+                with localcontext() as ctx:
+                    ctx.prec = 50
+                    step = max(step, float(abs(Decimal(got) - exact) / exact) * 2.0**52 * margin)
+    # the largest on this grid at the parent; the step's at margin 0.5 on
+    # a ray of a/|dw|^2 = -0.026 (k = 3, conjugate side)
+    assert support < 4 * 0.46 and step < 4 * 18.83
+
+
 # interleaved coordinates: every scalar kind, two cones of different sizes
 GROUPED_ATOMS = [
     dd.soc([1, 5, 8], [0.1, -0.2, 0.3]),

@@ -49,6 +49,8 @@ def test_parse_rejects_several_coords_on_scalar_atom(tmp_path, capsys):
 
 BOX_DOC = {"n": 1, "m": 1, "A": [[1.0]], "c": [1.0],
            "atoms": [{"type": "box", "coords": [1], "bounds": [0.0, 1.0]}]}
+SOC_DOC = {"n": 1, "m": 3, "A": [[1.0], [0.0], [0.0]], "c": [1.0],
+           "atoms": [{"type": "soc", "coords": [1, 2, 3]}]}
 # three image rows, for atom lists whose bad entry follows good ones
 THREE = {"m": 3, "A": [[1.0], [0.5], [0.0]]}
 HALF = [{"type": "halfline_lower", "coords": [i], "bounds": 0.0} for i in (1, 2, 3)]
@@ -152,6 +154,31 @@ def test_parse_rejects_malformed_entry(change, field, tmp_path, capsys):
     assert f"(field: {field})" in json.loads(capsys.readouterr().out)["error"]
 
 
+@pytest.mark.parametrize("doc,integral", [
+    ({**BOX_DOC, "atoms": [{"type": "halfline_lower", "coords": [1.0], "bounds": 0.0}]}, [1]),
+    ({**SOC_DOC, "atoms": [{"type": "soc", "coords": [1.0, 2.0, 3.0]}]}, [1, 2, 3]),
+], ids=["halfline", "soc"])
+def test_integral_float_coords_read_as_integers(doc, integral, tmp_path):
+    # a writer may print an integer coordinate as 1.0: the file holds the
+    # atom its integer coordinates give, with int coordinates
+    path = tmp_path / "coords.dd"
+    problems = []
+    for coords in (doc["atoms"][0]["coords"], integral):
+        path.write_text(json.dumps({**doc, "atoms": [{**doc["atoms"][0], "coords": coords}]}))
+        problems.append(parse_problem_file(str(path))[0])
+    assert problems[0].atoms == problems[1].atoms
+    assert {type(i) for i in problems[0].atoms[0].coords} == {int}
+
+
+def test_boolean_coord_is_not_an_integer(tmp_path):
+    # True is an int to Python and 1 to int(); a coordinate is a JSON number
+    path = tmp_path / "coords.dd"
+    path.write_text(json.dumps({**BOX_DOC, "atoms": [{**BOX_DOC["atoms"][0], "coords": [True]}]}))
+    with pytest.raises(dd.ParseError, match="coords must be integers") as err:
+        parse_problem_file(str(path))
+    assert err.value.field == "atoms[0].coords"
+
+
 @pytest.mark.parametrize("data,message", [
     (b'{"n": 1, "m": 1,', "Expecting property name"),
     (b"[1.0]", "must hold a JSON object"),
@@ -185,10 +212,6 @@ def test_non_finite_data_is_input_error(change, message, tmp_path, capsys):
         parse_problem_file(str(path))
     assert main(["solve", str(path)]) == 4
     assert message in json.loads(capsys.readouterr().out)["error"]
-
-
-SOC_DOC = {"n": 1, "m": 3, "A": [[1.0], [0.0], [0.0]], "c": [1.0],
-           "atoms": [{"type": "soc", "coords": [1, 2, 3]}]}
 
 
 def test_start_whose_metric_overflows_is_input_error(tmp_path, capsys):
@@ -234,7 +257,7 @@ def test_start_whose_metric_overflows_is_input_error(tmp_path, capsys):
         # the library paths reject it too, a RuntimeWarning failing the suite
         with pytest.raises(error, match=re.escape(message)):
             parse_problem_file(str(path))
-        atoms = [cli_module._parse_atom(entry, i) for i, entry in enumerate(doc["atoms"])]
+        atoms = cli_module._atom_list(doc["atoms"])
         problem = dd.validate_problem(doc["A"], doc["c"], atoms)
         with pytest.raises(error, match=re.escape(message)):
             dd.make_start(problem, doc.get("z0"))
@@ -424,26 +447,6 @@ def test_fuzz_exits_one_when_a_document_failed(monkeypatch, capsys, failing):
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == f"{len(failing)} of 3 documents warned, raised or misreported"
     assert len(lines) == len(failing) + 1
-
-
-def _walked(entries):
-    """The atoms of ``entries`` read one entry at a time, None if one is bad."""
-    try:
-        return [cli_module._parse_atom(entry, i) for i, entry in enumerate(entries)]
-    except dd.ParseError:
-        return None
-
-
-def test_atom_list_takes_exactly_the_lists_the_walker_takes():
-    # every atom list of the fuzz's seed-7 documents, good or bad, and the
-    # many-atom files: the whole-list check builds the walker's atoms, or
-    # leaves the list to the walker, which then names a bad entry
-    lists = [doc["atoms"] for doc in documents(7, 4000) if type(doc["atoms"]) is list]
-    lists += [many_atom_document(seed, shuffled)[0]["atoms"]
-              for seed in MANY_ATOM_SEEDS for shuffled in (False, True)]
-    outcomes = [(cli_module._atom_list(atoms), _walked(atoms)) for atoms in lists]
-    assert [k for k, (bulk, walked) in enumerate(outcomes) if bulk != walked] == []
-    assert 0 < sum(walked is None for _, walked in outcomes) < len(outcomes)
 
 
 @pytest.mark.parametrize("shuffled", [False, True], ids=["ordered", "shuffled"])

@@ -379,6 +379,41 @@ def test_atom_kinds_are_known_in_barriers_only():
     assert [kind for node in ast.walk(cli) for kind in kinds if _named(node, kind)] == []
 
 
+ATOM_TABLES = ("ATOM_THETA", "ATOM_CONE", "ATOM_BOUNDS")
+
+
+def _table_readers(tree: ast.Module) -> dict:
+    """For each of ATOM_TABLES, the functions around its reads, a name or
+    an attribute, sorted and each named once ("<module>" outside any
+    function)."""
+    found = {name: set() for name in ATOM_TABLES}
+    for around, node in _nodes_by_function(tree):
+        for name in ATOM_TABLES:
+            if _named(node, name) and isinstance(node.ctx, ast.Load):
+                found[name].add(around)
+    return {name: sorted(functions) for name, functions in found.items()}
+
+
+def test_table_reader_check_sees_each_spelling():
+    tree = ast.parse("top = barriers.ATOM_THETA\n"
+                     "def f(kind):\n"
+                     "    def g():\n"
+                     "        return ATOM_CONE[kind], barriers.ATOM_CONE\n"
+                     "    return barriers.ATOM_BOUNDS[kind], ATOM_CONES\n"
+                     "def h(ATOM_THETA):\n"
+                     "    ATOM_BOUNDS = 1\n")
+    assert _table_readers(tree) == {"ATOM_THETA": ["<module>"], "ATOM_CONE": ["g"],
+                                    "ATOM_BOUNDS": ["f"]}
+
+
+def test_one_walk_reads_the_atom_tables():
+    # the parser tests each kind's rules in one walk over a file's atom
+    # list, so a second reader of the tables would be a second copy of
+    # the rules, free to drift from the first
+    cli = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert _table_readers(cli) == {name: ["_atom_list"] for name in ATOM_TABLES}
+
+
 def _raw_certificate_reads(tree: ast.Module) -> list:
     """The function around each read of ``cert.x``, ``cert.y``,
     ``cert.tau`` or ``cert.eps`` that is not an argument of ``_vector`` or
