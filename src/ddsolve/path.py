@@ -11,9 +11,10 @@ started at (x, tau, y) = (0, 1, y0), which solves the system at mu = 1.
 Equation (b)'s residual and tolerance are model.py's, formed there only.
 The follower alternates a predictor (increasing mu, staying within
 proximity PREDICTOR_RADIUS * kappa = 2 kappa) with a Newton corrector
-(restoring proximity CORRECTOR_TARGET * kappa = kappa/2 at fixed mu), and
-consults the status engine after every corrector.  Both neighbourhoods are
-constants of the complexity analysis.
+(steps at fixed mu until the proximity at the point's own mu is within
+CORRECTOR_TARGET * kappa = kappa/2), and consults the status engine after
+every corrector.  Both neighbourhoods are constants of the complexity
+analysis.
 
 The predictor is second-order in s = ln mu once a previous tangent exists:
 the secant of the tangents dp/ds at the last two iterates estimates
@@ -233,42 +234,45 @@ def _restore_dual_equality(problem, start, tau, y):
 
 def corrector_step(problem: Problem, start: StartData, point: _Point) -> _Point:
     """Damped Newton steps at fixed mu, ``point.mu``, from a Newton point,
-    one :func:`_evaluate` formed with ``newton=True``, until the point is
-    within CORRECTOR_TARGET * kappa of the path and its scaled residual has
-    settled: at most CORRECTOR_RESIDUAL_TOL, or no longer falling below
-    0.9 times the previous step's.
+    one :func:`_evaluate` formed with ``newton=True``, until the point, at
+    its own mu, is within CORRECTOR_TARGET * kappa of the path and its
+    scaled residual has settled: at most CORRECTOR_RESIDUAL_TOL, or no
+    longer falling below 0.9 times the previous step's.
 
     Each Newton point, the starting point and each accepted trial, is
     checked and evaluated once by :func:`_evaluate`, the start by the
     :func:`predictor_step` that accepted its trial.  Each pass reads
-    its residuals, KKT solve and step bound from that point.  Its proximity,
-    :func:`proximity_at` on its u at the corrector's mu, is formed only
-    where the residual has settled, since only there can the corrector stop.
+    its residuals, KKT solve and step bound from that point.  Only where
+    the residual has settled, since only there can the corrector stop, is
+    the point put at its own path parameter by :func:`_at_own_mu`; the exit
+    test reads the proximity there, the value the follower records.
 
     Each step tries the full Newton step first.  Only when that trial is
     rejected is the fraction-to-boundary bound formed, and the step length
     halves from the smaller of that bound and 1/2 until a trial is
     accepted.
 
-    Returns the last Newton point put at its own path parameter by
-    :func:`_at_own_mu`, handed the exit test's proximity; it keeps the
-    point's primal evaluation, which :func:`predictor_step` reads.
+    Returns the last Newton point at its own path parameter, as the exit
+    test formed it; it keeps the point's primal evaluation, which
+    :func:`predictor_step` reads.
 
     Raises CorrectorStall if the exit rule is not met within
-    CORRECTOR_MAX_STEPS steps; its message gives the proximity at the
-    point the last step started from.  Raises FactorizationFailure at a
-    trial point whose primal metric is not positive and finite.
+    CORRECTOR_MAX_STEPS steps; its message gives the proximity, at the
+    corrector's mu, of the point the last step started from.  Raises
+    FactorizationFailure at a trial point whose primal metric is not
+    positive and finite.
     """
     target = CORRECTOR_TARGET * problem.kappa
     last_res = np.inf
     for k in range(CORRECTOR_MAX_STEPS):
         res = residuals(problem, start, point)
         rnorm = res.scaled_norm
-        settled = rnorm <= CORRECTOR_RESIDUAL_TOL or rnorm >= 0.9 * last_res
-        if settled or k == CORRECTOR_MAX_STEPS - 1:
+        if rnorm <= CORRECTOR_RESIDUAL_TOL or rnorm >= 0.9 * last_res:
+            own = _at_own_mu(problem, start, point)
+            if own.proximity <= target:
+                return own
+        if k == CORRECTOR_MAX_STEPS - 1:
             prox = proximity_at(problem, point.u, point.tau, point.y, point.mu)
-            if settled and prox <= target:
-                break
         last_res = rnorm
         dx, dtau, dy = _kkt_solve(problem, start, point, -res.r_dual, -res.r_cent, -res.r_gap)
         alpha = 1.0
@@ -287,20 +291,14 @@ def corrector_step(problem: Problem, start: StartData, point: _Point) -> _Point:
         else:
             raise CorrectorStall("step length underflow while correcting")
         point = trial
-    else:
-        raise CorrectorStall(
-            f"proximity {prox:.3e} above target {target:.3e} after "
-            f"{CORRECTOR_MAX_STEPS} Newton steps")
-    return _at_own_mu(problem, start, point, prox)
+    raise CorrectorStall(f"proximity {prox:.3e} above target {target:.3e} after "
+                         f"{CORRECTOR_MAX_STEPS} Newton steps")
 
 
-def _at_own_mu(problem, start, point: _Point, prox) -> _Point:
-    """``point`` at its own mu, :func:`mu_of`, with the proximity there on its
-    u; ``prox``, the one at ``point.mu``, is kept at the same float."""
+def _at_own_mu(problem, start, point: _Point) -> _Point:
+    """``point`` at its own mu, :func:`mu_of`, with the proximity there on its u."""
     mu = mu_of(problem, start, point.x, point.tau, point.y)
-    if mu != point.mu:
-        prox = proximity_at(problem, point.u, point.tau, point.y, mu)
-    return replace(point, mu=mu, proximity=prox)
+    return replace(point, mu=mu, proximity=proximity_at(problem, point.u, point.tau, point.y, mu))
 
 
 def predictor_step(problem: Problem, start: StartData, point: _Point, previous=None):
@@ -422,7 +420,7 @@ def follow(problem: Problem, start: StartData, options: FollowerOptions = Follow
     status_engine.require_eps(options.eps)
     require_max_iters(options.max_iters)
     point = _at_own_mu(problem, start, _evaluate(problem, start, np.zeros(problem.n), 1.0,
-                                                 start.y0, np.nan), np.nan)
+                                                 start.y0, np.nan))
     trace: list = []
     iterates: list = []
     violations: list = []

@@ -112,7 +112,7 @@ def follower_point(problem, start, x, tau, y):
     ``predictor_step`` take such points; a corrector starts from the
     Newton point ``path._evaluate(..., newton=True)`` forms."""
     point = path_module._evaluate(problem, start, x, tau, y, np.nan)
-    return path_module._at_own_mu(problem, start, point, np.nan)
+    return path_module._at_own_mu(problem, start, point)
 
 
 # The instance and eps of the box_run and soc_run fixtures;

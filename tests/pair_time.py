@@ -30,11 +30,12 @@ Printed: the median over all solve pairs of the change's time divided by
 the parent's, the number of pairs, each side's median solve time, and the
 rule of a claimed gain: in how many pairs the change's median solve was
 faster than the parent's, and the parent's per-solve IQR, the distance
-between the quartiles of its pair medians (0 for one pair).  A last line
-gives the same figures for the set-up, one time per side and pair.  Only
-public API is used, like ``tests/digest.py``, which shows that a perf
-change keeps the output; this tool, over more than ten pairs, shows its
-gain.
+between the quartiles of its pair medians (0 for one pair).  A line
+beside it gives each side's first and third quartiles of its pair
+medians.  Two last lines give the same figures for the set-up, one time
+per side and pair.  Only public API is used, like ``tests/digest.py``,
+which shows that a perf change keeps the output; this tool, over more
+than ten pairs, shows its gain.
 """
 
 import argparse
@@ -141,24 +142,39 @@ def pair_medians(times, per_pair: int) -> list:
     return [tuple(statistics.median(t[i] for t in chunk) for i in (0, 1)) for chunk in chunks]
 
 
-def iqr(values) -> float:
-    """Third quartile less the first, by the default (exclusive) method of
-    ``statistics.quantiles``, as the BENCH_*.json files take them; 0 for a
-    single value."""
+def quartiles(values) -> tuple:
+    """(first, third) quartile by the default (exclusive) method of
+    ``statistics.quantiles``, as the BENCH_*.json files take them; both
+    the value itself for a single value."""
     if len(values) < 2:
-        return 0.0
+        return values[0], values[0]
     q1, _, q3 = statistics.quantiles(values, n=4)
+    return q1, q3
+
+
+def iqr(values) -> float:
+    """Third quartile less the first, by :func:`quartiles`; 0 for a single
+    value."""
+    q1, q3 = quartiles(values)
     return q3 - q1
 
 
 def compare(times, per_pair: int) -> tuple:
     """(median change/parent ratio, parent median s, change median s,
-    pairs the change was faster in, parent IQR of the pair medians)."""
+    pairs the change was faster in, parent IQR of the pair medians, and
+    the parent's and the change's (first, third) quartiles of them)."""
     medians = pair_medians(times, per_pair)
+    parents, changes = [t[0] for t in medians], [t[1] for t in medians]
     return (statistics.median(change / parent for parent, change in times),
             statistics.median(t[0] for t in times), statistics.median(t[1] for t in times),
             sum(change < parent for parent, change in medians),
-            iqr([parent for parent, _ in medians]))
+            iqr(parents), quartiles(parents), quartiles(changes))
+
+
+def quartile_line(what: str, parent: tuple, change: tuple) -> str:
+    """The printed line of each side's quartiles of its pair medians."""
+    return (f"{what} pair-median quartiles: parent q1 {parent[0]:.6f} q3 {parent[1]:.6f}; "
+            f"change q1 {change[0]:.6f} q3 {change[1]:.6f}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -185,15 +201,17 @@ def main(argv=None) -> int:
         files = harness.write_problem_files(instances, Path(tmp))
         setups, solves = pair_times(sides, workload, files, args.pairs,
                                     calibrate.CalibratedClock())
-    ratio, parent, change, faster, spread = compare(solves, len(files))
+    ratio, parent, change, faster, spread, *quarts = compare(solves, len(files))
     print(f"workload {args.workload}: {args.pairs} pairs of {len(files)} solves per side")
     print(f"median per-solve ratio change/parent {ratio:.4f}")
     print(f"median solve s parent {parent:.6f} change {change:.6f}")
     print(f"change faster in {faster} of {args.pairs} pairs; parent per-solve IQR {spread:.6f}")
-    ratio, parent, change, faster, spread = compare(setups, 1)
+    print(quartile_line("solve", *quarts))
+    ratio, parent, change, faster, spread, *quarts = compare(setups, 1)
     print(f"set-up: median per-set-up ratio change/parent {ratio:.4f}; median s parent "
           f"{parent:.6f} change {change:.6f}; change faster in {faster} of {args.pairs} "
           f"pairs; parent per-set-up IQR {spread:.6f}")
+    print(quartile_line("set-up", *quarts))
     return 0
 
 

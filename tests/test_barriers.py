@@ -673,6 +673,66 @@ def test_cone_support_and_step_against_the_exact_forms():
     assert support < 4 * 0.46 and step < 4 * 18.83
 
 
+def test_cone_gradient_against_the_exact_forms():
+    # _ConeGroup.evaluate's gradient against its closed forms in exact
+    # rationals from the same floats, on the support and step test's grid:
+    # -2Jw/q on the primal side, w = z + d as the group rounds it, and
+    # 2Jw/q - d on the conjugate side, w = -y, q = w'Jw both.  An error is
+    # in ulps of the largest entry of the terms' summed sizes.  Like the
+    # metric's, it grows as the inverse margin, where q cancels, so its
+    # ulps times the margin stay bounded
+    worst = {PRIMAL: 0.0, CONJUGATE: 0.0}
+    for k, margin, d, w in _exact_cone_grid():
+        group = dd.DomainBarrier([dd.soc(range(k), d)], k).groups[0]
+        for side, z in ((PRIMAL, w - d), (CONJUGATE, -w)):
+            g, _ = group.evaluate(z, side)
+            ws = [Fraction(x) for x in (z + d if side == PRIMAL else w)]
+            q = ws[0] * ws[0] - sum(x * x for x in ws[1:])
+            terms = [2 * x / q for x in (ws[0], *(-x for x in ws[1:]))]
+            if side == PRIMAL:
+                exact, sizes = [-t for t in terms], [abs(t) for t in terms]
+            else:
+                exact = [t - Fraction(x) for t, x in zip(terms, d)]
+                sizes = [abs(t) + abs(Fraction(x)) for t, x in zip(terms, d)]
+            err = max(abs(Fraction(x) - e) for x, e in zip(g, exact))
+            worst[side] = max(worst[side], float(err / max(sizes)) * 2.0**52 * margin)
+    # the largest on this grid at the parent
+    assert worst[PRIMAL] < 4 * 0.59 and worst[CONJUGATE] < 4 * 0.70
+
+
+def test_box_conjugate_against_a_decimal_maximizer():
+    # _IntervalGroup.evaluate's box conjugate, gradient box_lo + s and
+    # metric 1/(1/s^2 + 1/(width - s)^2), against the same forms at the
+    # maximizer s of y*s + ln s + ln(width - s) as a 50-digit decimal,
+    # formed without cancellation from the group's own width and box_lo.
+    # INTERVAL_ATOMS' boxes at |y| of each of EXACT_SIZES times seeded
+    # factors in [1, 10), on both signs.  The gradient's error is in ulps
+    # of |box_lo| + s, the metric's relative
+    group = dd.DomainBarrier(INTERVAL_ATOMS, len(INTERVAL_ATOMS)).groups[0]
+    halflines = [-1.0 if atom.kind == "halfline_lower" else 1.0
+                 for atom in INTERVAL_ATOMS[:group.nh]]
+    rng = np.random.default_rng(RNG_SEED + 41)
+    grad = metric = 0.0
+    for size in EXACT_SIZES:
+        for sign in (1.0, -1.0):
+            yb = sign * size * rng.uniform(1.0, 10.0, size=group.box_width.size)
+            g, (h,) = group.evaluate(np.concatenate([halflines, yb]), CONJUGATE)
+            for y, lo, width, g_i, h_i in zip(yb, group.box_lo, group.box_width,
+                                              g[group.nh:], h[group.nh:]):
+                with localcontext() as ctx:
+                    ctx.prec = 50
+                    w, t = Decimal(width), Decimal(y) * Decimal(width)
+                    small = 2 * w / (2 + abs(t) + (t * t + 4).sqrt())
+                    s = w - small if t > 0 else small
+                    exact_g = Decimal(lo) + s
+                    exact_h = 1 / (1 / s**2 + 1 / (w - s) ** 2)
+                    grad = max(grad, float(abs(Decimal(g_i) - exact_g) / (abs(Decimal(lo)) + s))
+                               * 2.0**52)
+                    metric = max(metric, float(abs(Decimal(h_i) - exact_h) / exact_h) * 2.0**52)
+    # the largest on this grid at the parent
+    assert grad < 4 * 0.45 and metric < 4 * 1.25
+
+
 # interleaved coordinates: every scalar kind, two cones of different sizes
 GROUPED_ATOMS = [
     dd.soc([1, 5, 8], [0.1, -0.2, 0.3]),

@@ -35,7 +35,8 @@ def check_pair_time_output(pair_time, monkeypatch, capsys, workload):
     assert words[:3] == ["change", "faster", "in"] and words[4:7] == ["of", "2", "pairs;"]
     assert 0 <= int(words[3]) <= 2
     assert words[7:10] == ["parent", "per-solve", "IQR"] and float(words[10]) >= 0.0
-    words = lines[4].split()
+    check_quartile_line(lines[4], "solve")
+    words = lines[5].split()
     assert words[:5] == ["set-up:", "median", "per-set-up", "ratio", "change/parent"]
     assert 0.0 < float(words[5].rstrip(";")) < 10.0
     assert words[6:9] == ["median", "s", "parent"] and words[10] == "change"
@@ -43,7 +44,18 @@ def check_pair_time_output(pair_time, monkeypatch, capsys, workload):
     assert words[12:15] == ["change", "faster", "in"] and words[16:19] == ["of", "2", "pairs;"]
     assert 0 <= int(words[15]) <= 2
     assert words[19:22] == ["parent", "per-set-up", "IQR"] and float(words[22]) >= 0.0
-    assert len(lines) == 5
+    check_quartile_line(lines[6], "set-up")
+    assert len(lines) == 7
+
+
+def check_quartile_line(line, what):
+    """A side's first and third quartiles of its pair medians, parent then
+    change, each pair ordered."""
+    words = line.split()
+    assert words[:5] == [what, "pair-median", "quartiles:", "parent", "q1"]
+    assert words[6] == "q3" and words[8:10] == ["change", "q1"] and words[11] == "q3"
+    for q1, q3 in ((words[5], words[7].rstrip(";")), (words[10], words[12])):
+        assert 0.0 < float(q1) <= float(q3)
 
 
 def test_pair_time_prints_ratio_pairs_and_medians(pair_time, monkeypatch, capsys):
@@ -81,8 +93,12 @@ def test_pair_time_gain_rule_helpers(pair_time):
     times = [(1.0, 0.5), (3.0, 0.5), (2.0, 4.0), (2.0, 4.0), (5.0, 1.0), (9.0, 1.0)]
     assert pair_time.pair_medians(times, 2) == [(2.0, 0.5), (2.0, 4.0), (7.0, 1.0)]
     # ratios 0.5, 1/6, 2, 2, 0.2, 1/9: median (0.2 + 0.5) / 2; two of three
-    # pairs faster; the IQR of the parent's pair medians 2, 2, 7
-    assert pair_time.compare(times, 2) == ((0.2 + 0.5) / 2, 2.5, 1.0, 2, 5.0)
+    # pairs faster; the IQR of the parent's pair medians 2, 2, 7, and the
+    # quartiles of both sides' pair medians
+    assert pair_time.compare(times, 2) == ((0.2 + 0.5) / 2, 2.5, 1.0, 2, 5.0,
+                                           (2.0, 7.0), (0.5, 4.0))
+    assert pair_time.quartiles([2.0, 2.0, 7.0]) == (2.0, 7.0)
+    assert pair_time.quartiles([3.0]) == (3.0, 3.0)
     assert pair_time.iqr([2.0, 2.0, 7.0]) == 5.0
     assert pair_time.iqr([1.0, 2.0, 3.0, 4.0, 5.0]) == 3.0
     assert pair_time.iqr([3.0]) == 0.0

@@ -553,6 +553,20 @@ def test_follower_with_other_neighborhood_constants(xi, kappa):
     assert tau_floor_failures(problem, result.iterates) == []
 
 
+@pytest.mark.parametrize("fixture,run", [("box_problem", "box_run"), ("inf_problem", "inf_run"),
+                                         ("unb_problem", "unb_run"), ("soc_problem", "soc_run"),
+                                         ("tangent_problem", "tangent_run")])
+def test_every_corrector_exit_is_within_the_target(fixture, run, request):
+    # the exit rule stated on the value the trace records: every iterate
+    # after the anchor is a corrector's exit point, recorded with the
+    # proximity at its own mu, which the exit test read
+    problem, _ = request.getfixturevalue(fixture)
+    trace = request.getfixturevalue(run).trace
+    assert len(trace) > 1
+    target = path_module.CORRECTOR_TARGET * problem.kappa
+    assert [row.iter for row in trace[1:] if not row.proximity <= target] == []
+
+
 @pytest.mark.parametrize("fixture,run,eps", [("box_problem", "box_run", 1e-6),
                                              ("inf_problem", "inf_run", 1e-6),
                                              ("unb_problem", "unb_run", 1e-6),
@@ -571,9 +585,8 @@ def test_evaluation_budget(fixture, run, eps, request, monkeypatch):
     # these runs every full step is accepted, so the corrector never forms
     # a step-to-boundary bound.  Each KKT solve applies the metric once,
     # residuals run once per corrector pass, A is factored once per
-    # problem, not per corrector step, and two proximities per corrector:
-    # one where its exit test holds, and one at the exit point's own mu
-    # unless that is the corrector's own float, which the test read.
+    # problem, not per corrector step, and one proximity per corrector: at
+    # the exit point's own mu, which its exit test reads.
     # Each corrector trial forms its shifted image once, in _evaluate, and
     # the exit reads it, as each predictor trial's proximity, and the
     # Newton point formed at the accepted trial, read the image the trial
@@ -583,7 +596,6 @@ def test_evaluation_budget(fixture, run, eps, request, monkeypatch):
     problem = replace(base)   # without the factors the reference run formed
     barrier = dd.barriers.DomainBarrier
     primal = {"when": lambda self, z, side="primal": side == "primal"}
-    exit_mus = {row.mu for row in reference.trace[1:]}
     newton = {"when": lambda *args, newton=False, u=None: newton}
     probe = Probe(monkeypatch)
     for owner, name, key, options in [
@@ -596,8 +608,6 @@ def test_evaluation_budget(fixture, run, eps, request, monkeypatch):
             (path_module, "predictor_step", "tangents", {}),
             (path_module, "_kkt_solve", "kkt", {}),
             (path_module, "corrector_step", "correctors", {}),
-            (path_module, "corrector_step", "equal_mu_exits",
-             {"when": lambda problem, start, point: point.mu in exit_mus}),
             (dd.model, "make_iterate", "iterates", {}),
             (path_module, "_at_own_mu", "own_mu_steps", {}),
             (path_module, "_evaluate", "anchors",
@@ -640,7 +650,7 @@ def test_evaluation_budget(fixture, run, eps, request, monkeypatch):
     assert probe["corrector_boundary"] == 0
     assert probe["residuals"] == probe["correctors"] + newton_steps
     assert probe["kkt_matvec"] == probe["kkt"]
-    assert probe["corrector_proximity"] == 2 * probe["correctors"] - probe["equal_mu_exits"]
+    assert probe["corrector_proximity"] == probe["correctors"]
     # one image per corrector trial, none at a corrector's start or exit,
     # and no plain iterate: the anchor is a follower point too
     assert probe["corrector_images"] == newton_points - probe["correctors"]
