@@ -33,13 +33,9 @@ from .model import (
     Iterate,
     Problem,
     StartData,
-    default_z0,
     gap_bounds,
-    in_qdd,
-    make_iterate,
     make_start,
     mu_of,
-    proximity,
     proximity_at,
     support_function,
     validate_problem,

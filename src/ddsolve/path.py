@@ -12,9 +12,10 @@ Equation (b)'s residual and tolerance are model.py's, formed there only.
 The follower alternates a predictor (increasing mu, staying within
 proximity PREDICTOR_RADIUS * kappa = 2 kappa) with a Newton corrector
 (steps at fixed mu until the proximity at the point's own mu is within
-CORRECTOR_TARGET * kappa = kappa/2), and consults the status engine after
-every corrector.  Both neighbourhoods are constants of the complexity
-analysis.
+CORRECTOR_TARGET * kappa = kappa/2, stalling where the point
+CORRECTOR_MAX_STEPS steps in is not), and consults the status engine
+after every corrector.  Both neighbourhoods are constants of the
+complexity analysis.
 
 The predictor is second-order in s = ln mu once a previous tangent exists:
 the secant of the tangents dp/ds at the last two iterates estimates
@@ -241,8 +242,8 @@ def corrector_step(problem: Problem, start: StartData, point: _Point) -> _Point:
 
     Each Newton point, the starting point and each accepted trial, is
     checked and evaluated once by :func:`_evaluate`, the start by the
-    :func:`predictor_step` that accepted its trial.  Each pass reads
-    its residuals, KKT solve and step bound from that point.  Only where
+    :func:`predictor_step` that accepted its trial, and tested by the exit
+    rule; a step is taken only from a point that failed it.  Only where
     the residual has settled, since only there can the corrector stop, is
     the point put at its own path parameter by :func:`_at_own_mu`; the exit
     test reads the proximity there, the value the follower records.
@@ -256,23 +257,26 @@ def corrector_step(problem: Problem, start: StartData, point: _Point) -> _Point:
     test formed it; it keeps the point's primal evaluation, which
     :func:`predictor_step` reads.
 
-    Raises CorrectorStall if the exit rule is not met within
-    CORRECTOR_MAX_STEPS steps; its message gives the proximity, at the
-    corrector's mu, of the point the last step started from.  Raises
-    FactorizationFailure at a trial point whose primal metric is not
-    positive and finite.
+    Raises CorrectorStall where the point CORRECTOR_MAX_STEPS steps in
+    fails the exit test; its message names the clause that failed: the
+    proximity at its own mu above the target, or the scaled residual still
+    falling from the previous point's.  Raises FactorizationFailure at a
+    trial point whose primal metric is not positive and finite.
     """
     target = CORRECTOR_TARGET * problem.kappa
     last_res = np.inf
-    for k in range(CORRECTOR_MAX_STEPS):
+    for k in range(CORRECTOR_MAX_STEPS + 1):
         res = residuals(problem, start, point)
         rnorm = res.scaled_norm
-        if rnorm <= CORRECTOR_RESIDUAL_TOL or rnorm >= 0.9 * last_res:
+        settled = rnorm <= CORRECTOR_RESIDUAL_TOL or rnorm >= 0.9 * last_res
+        if settled:
             own = _at_own_mu(problem, start, point)
             if own.proximity <= target:
                 return own
-        if k == CORRECTOR_MAX_STEPS - 1:
-            prox = proximity_at(problem, point.u, point.tau, point.y, point.mu)
+        if k == CORRECTOR_MAX_STEPS:
+            failed = (f"proximity {own.proximity:.3e} above target {target:.3e}" if settled
+                      else f"scaled residual {rnorm:.3e} still falling from {last_res:.3e}")
+            raise CorrectorStall(f"{failed} after {k} Newton steps")
         last_res = rnorm
         dx, dtau, dy = _kkt_solve(problem, start, point, -res.r_dual, -res.r_cent, -res.r_gap)
         alpha = 1.0
@@ -291,8 +295,6 @@ def corrector_step(problem: Problem, start: StartData, point: _Point) -> _Point:
         else:
             raise CorrectorStall("step length underflow while correcting")
         point = trial
-    raise CorrectorStall(f"proximity {prox:.3e} above target {target:.3e} after "
-                         f"{CORRECTOR_MAX_STEPS} Newton steps")
 
 
 def _at_own_mu(problem, start, point: _Point) -> _Point:

@@ -41,11 +41,15 @@ invariant violations and the sha256 of its iterates, hashed as the
 iterates digest hashes them, then one line per short ``run_solve`` run
 that only the reports digest reads: its label, status, exit code and the
 sha256 of its report JSON, then one line per parsed document: its label
-and the sha256 of its outcome.  ``--parent ROOT`` runs this script with
-``--runs`` twice, on this checkout's ``src`` and on ``ROOT/src``, and
-prints only the runs and documents whose lines differ, each side's line
-prefixed "change: " or "parent: ", and exits 1 if it printed any; a
-change that moves no bit prints nothing and exits 0.
+and the sha256 of its outcome.  Each run's line ends with its report's
+failure class, ``reason=`` and the reason's text before its first ":"
+(``CorrectorStall``, say), as ``bench/harness.failure_reason`` keys a
+stall, or ``reason=-`` where the report gives no reason.
+``--parent ROOT`` runs this script with ``--runs`` twice, on this
+checkout's ``src`` and on ``ROOT/src``, and prints only the runs and
+documents whose lines differ, each side's line prefixed "change: " or
+"parent: ", and exits 1 if it printed any; a change that moves no bit
+prints nothing and exits 0.
 
 Only public API is used, so the script runs against any checkout's
 ``src`` put first on PYTHONPATH; compare its output between two of them.
@@ -124,7 +128,7 @@ def _small_reports(h) -> list:
                     h.update(label.encode())
                     h.update(text)
                     lines.append(f"{label} {report.status} exit={report.exit_code} "
-                                 f"{hashlib.sha256(text).hexdigest()}")
+                                 f"{hashlib.sha256(text).hexdigest()} {failure_class(report)}")
     return lines
 
 
@@ -195,15 +199,23 @@ def _iterate_bytes(result):
     yield "\n".join(result.invariant_violations).encode()
 
 
+def failure_class(report) -> str:
+    """``reason=`` and the text of ``report``'s reason before its first
+    ":", or "-" where it has none."""
+    reason = report.diagnostics.get("reason")
+    return "reason=" + ("-" if reason is None else reason.split(":", 1)[0])
+
+
 def run_line(label: str, result) -> str:
-    """One run's line: label, status, iterations, violations and the
-    sha256 of its iterates."""
+    """One run's line: label, status, iterations, violations, the sha256
+    of its iterates and its failure class."""
     h = hashlib.sha256()
     for chunk in _iterate_bytes(result):
         h.update(chunk)
     return (f"{label} {result.report.status} "
             f"iterations={result.report.diagnostics['iterations']} "
-            f"violations={len(result.invariant_violations)} {h.hexdigest()}")
+            f"violations={len(result.invariant_violations)} {h.hexdigest()} "
+            f"{failure_class(result.report)}")
 
 
 def counted_runs():

@@ -63,7 +63,7 @@ def test_criterion_2_path_invariants(box_problem, box_run, inf_problem, inf_run,
         found = (gap_sandwich_failures(problem, start, run.iterates)
                  + tau_floor_failures(problem, run.iterates))
         for it in run.iterates:
-            if not dd.in_qdd(problem, start, it.x, it.tau, it.y):
+            if not dd.model.in_qdd(problem, start, it.x, it.tau, it.y):
                 found.append(f"membership lost at mu={it.mu:.3e}")
             if not it.proximity <= problem.kappa:
                 found.append(f"proximity {it.proximity:.3e} > kappa at mu={it.mu:.3e}")

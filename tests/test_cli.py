@@ -31,7 +31,7 @@ def test_parse_soc_file(instance_path):
     assert problem.theta == 2.0
     assert problem.atoms[0].kind == "soc"
     # membership (x2, x1, 1) in the cone encodes x2 >= ||(x1, 1)||
-    assert dd.in_qdd(problem, start, np.zeros(2), 1.0, start.y0)
+    assert dd.model.in_qdd(problem, start, np.zeros(2), 1.0, start.y0)
 
 
 def test_parse_rejects_several_coords_on_scalar_atom(tmp_path, capsys):

@@ -5,14 +5,17 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import digest
 
 ROOT = Path(__file__).resolve().parents[1]
-RUN = re.compile(r"\S+@\S+ \w+ iterations=\d+ violations=\d+ [0-9a-f]{64}")
-REPORT = re.compile(r"build_\w+@[0-9.e-]+/\d+/(True|False) \w+ exit=\d+ [0-9a-f]{64}")
+# a run's failure class: its reason's text before the first ":", or "-"
+REASON = r" reason=(-|[^:]+)"
+RUN = re.compile(r"\S+@\S+ \w+ iterations=\d+ violations=\d+ [0-9a-f]{64}" + REASON)
+REPORT = re.compile(r"build_\w+@[0-9.e-]+/\d+/(True|False) \w+ exit=\d+ [0-9a-f]{64}" + REASON)
 PARSE = re.compile(r"parse:(fuzz-\d+|many-\d+-(ordered|shuffled)) [0-9a-f]{64}")
 
 
@@ -58,6 +61,11 @@ def test_runs_prints_a_line_per_run_and_document_then_the_five_lines(printed):
     assert {line.split(" ")[1] for line in reports} == {
         "EpsSolution", "InfeasibilityCertificate", "UnboundednessCertificate", "IllConditioned",
         "IterationLimit", "NumericalFailure"}
+    # a run gives a failure class exactly where its report gives a reason:
+    # where it fails or reaches the iteration cap
+    for line in runs + reports:
+        failed = line.split(" ")[1] in ("NumericalFailure", "IterationLimit")
+        assert line.endswith(" reason=-") != failed, line
     # the counts line sums the run lines
     iterations = sum(int(re.search(r"iterations=(\d+)", line)[1]) for line in runs)
     violations = sum(int(re.search(r"violations=(\d+)", line)[1]) for line in runs)
@@ -73,6 +81,16 @@ def test_runs_prints_its_lines_then_the_five_lines_of_a_plain_run(monkeypatch, c
     assert capsys.readouterr().out.splitlines() == five
     digest.main(["--runs"])
     assert capsys.readouterr().out.splitlines() == ["run", "report", "document", *five]
+
+
+def test_failure_class_is_the_reason_before_its_first_colon():
+    def report(**diagnostics):
+        return SimpleNamespace(diagnostics={"iterations": 3, **diagnostics})
+    assert digest.failure_class(report()) == "reason=-"
+    assert digest.failure_class(report(reason="CorrectorStall: proximity 1: 2")) == \
+        "reason=CorrectorStall"
+    assert digest.failure_class(report(reason="iteration cap reached")) == \
+        "reason=iteration cap reached"
 
 
 def test_differing_prints_each_side_of_a_changed_or_missing_run():

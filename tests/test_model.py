@@ -264,7 +264,7 @@ def test_mu_matches_symbolic_on_unb_point(unb_problem):
     tau = 1.5
     y = np.array([start.y0[0] + (tau - 1.0)])  # A'y - A'y0 = -(tau-1)c with c = -1
     x = np.array([2.0])
-    assert dd.in_qdd(problem, start, x, tau, y)
+    assert dd.model.in_qdd(problem, start, x, tau, y)
     direct = -(y @ start.z0 + tau * (start.y_tau0
                + (problem.A.T @ start.y0 + problem.c) @ x)) / (problem.xi * problem.theta)
     assert dd.mu_of(problem, start, x, tau, y) == pytest.approx(float(direct), rel=1e-12)
@@ -272,7 +272,7 @@ def test_mu_matches_symbolic_on_unb_point(unb_problem):
 
 def test_proximity_zero_at_initial_point(box_problem):
     problem, start = box_problem
-    prox = dd.proximity(problem, start, np.zeros(1), 1.0, start.y0)
+    prox = dd.model.proximity(problem, start, np.zeros(1), 1.0, start.y0)
     assert prox == pytest.approx(0.0, abs=1e-12)
 
 
@@ -282,14 +282,14 @@ def test_proximity_matches_dense_algebra(box_problem):
     problem, start = box_problem
     x, tau = np.array([0.1]), 1.25
     y = np.array([start.y0[0] - (tau - 1.0) * problem.c[0]])
-    assert dd.in_qdd(problem, start, x, tau, y)
+    assert dd.model.in_qdd(problem, start, x, tau, y)
     mu = dd.mu_of(problem, start, x, tau, y)
     v = (tau / mu) * y
     u = shifted_image(problem, start, x, tau)
     resid = u - problem.barrier.grad(v, "conjugate")
     H = problem.barrier.hess(v, "conjugate").dense()
     expected = float(np.sqrt(resid @ np.linalg.solve(H, resid)))
-    assert dd.proximity(problem, start, x, tau, y) == pytest.approx(expected, rel=1e-12)
+    assert dd.model.proximity(problem, start, x, tau, y) == pytest.approx(expected, rel=1e-12)
     assert expected > 0.0
 
 
@@ -297,7 +297,7 @@ def test_proximity_requires_membership(unb_problem):
     # scaling y alone breaks the dual linear equation
     problem, start = unb_problem
     with pytest.raises(dd.DomainViolation):
-        dd.proximity(problem, start, np.zeros(1), 1.0, 10.0 * start.y0)
+        dd.model.proximity(problem, start, np.zeros(1), 1.0, 10.0 * start.y0)
 
 
 def _dual_outside(problem, start, where):
@@ -379,10 +379,10 @@ def test_qdd_dual_equality_tolerance(unb_problem):
     problem, start = unb_problem
     tau = 1.5
     y_exact = np.array([start.y0[0] + (tau - 1.0)])
-    assert dd.in_qdd(problem, start, np.array([1.0]), tau, y_exact)
-    assert not dd.in_qdd(problem, start, np.array([1.0]), tau, y_exact + 1e-6)
+    assert dd.model.in_qdd(problem, start, np.array([1.0]), tau, y_exact)
+    assert not dd.model.in_qdd(problem, start, np.array([1.0]), tau, y_exact + 1e-6)
     # a non-member fails before its dual residual is formed
-    assert not dd.in_qdd(problem, start, np.array([1.0]), -tau, y_exact)
+    assert not dd.model.in_qdd(problem, start, np.array([1.0]), -tau, y_exact)
     assert dual_residual(problem, start, tau, y_exact) <= 1e-12
 
 

@@ -80,17 +80,75 @@ def test_corrector_stall_raises(box_problem, monkeypatch):
         corrector_step(problem, start, point)
 
 
-def test_corrector_stall_reports_last_proximity(box_problem, monkeypatch):
-    # the stall message gives the proximity at the point the last step
-    # started from: with one step allowed, the start point itself
+def test_corrector_stall_reports_a_falling_residual(box_problem, monkeypatch):
+    # with one step allowed, the point it reaches is tested too: its
+    # scaled residual is still falling, so the stall names that clause
+    # with the values the two passes formed, second and first
     problem, start = box_problem
     point = path_module._evaluate(problem, start, np.array([1e-3]), 1.0, start.y0, 1.0,
                                   newton=True)
-    prox = dd.proximity_at(problem, shifted_image(problem, start, point.x, 1.0), 1.0, start.y0,
-                           1.0)
+    norms = []
+
+    def recorded(*args):
+        res = residuals(*args)
+        norms.append(res.scaled_norm)
+        return res
+    monkeypatch.setattr(path_module, "residuals", recorded)
     monkeypatch.setattr(path_module, "CORRECTOR_MAX_STEPS", 1)
-    with pytest.raises(dd.CorrectorStall, match=f"proximity {prox:.3e} above target"):
+    with pytest.raises(dd.CorrectorStall) as stall:
         corrector_step(problem, start, point)
+    assert len(norms) == 2
+    assert str(stall.value) == (f"scaled residual {norms[1]:.3e} still falling from "
+                                f"{norms[0]:.3e} after 1 Newton steps")
+
+
+def test_corrector_stall_reports_last_proximity(soc_problem, monkeypatch):
+    # where the last point's residual has settled, the stall message gives
+    # the proximity the exit test read there, at the point's own mu: the
+    # point two steps in settles, and the corrector returns it as
+    # _at_own_mu formed it; with the target below that proximity the
+    # corrector stalls there
+    problem, start = soc_problem
+    point = path_module._evaluate(problem, start, np.full(problem.n, 1e-3), 1.0, start.y0, 1.0,
+                                  newton=True)
+    monkeypatch.setattr(path_module, "CORRECTOR_MAX_STEPS", 2)
+    settled = corrector_step(problem, start, point)
+    assert settled.proximity > 0.0
+    monkeypatch.setattr(path_module, "CORRECTOR_TARGET", 0.5 * settled.proximity / problem.kappa)
+    target = path_module.CORRECTOR_TARGET * problem.kappa
+    with pytest.raises(dd.CorrectorStall) as stall:
+        corrector_step(problem, start, point)
+    assert str(stall.value) == (f"proximity {settled.proximity:.3e} above target "
+                                f"{target:.3e} after 2 Newton steps")
+
+
+def test_a_stalled_corrector_tests_every_point_it_forms(tangent_problem, monkeypatch):
+    # on the tangent slice at eps 1e-3 the corrector after iteration 26
+    # stalls: it takes CORRECTOR_MAX_STEPS Newton steps, none thrown away,
+    # tests each point it forms, the last one included, and forms each
+    # proximity at a point's own mu only
+    problem, start = tangent_problem
+    probe = Probe(monkeypatch)
+    probe.count(path_module, "corrector_step", "correctors")
+    probe.count(path_module, "_at_own_mu", "own_mu")
+    probe.count(path_module, "_kkt_solve", inside="correctors")
+    probe.count(path_module, "residuals", inside="correctors")
+    probe.count(path_module, "proximity_at", "stray_proximity", inside="correctors",
+                when=lambda *args: "own_mu" not in probe.active)
+    keys = ("_kkt_solve", "residuals", "stray_proximity")
+    counted, entered = path_module.corrector_step, []
+
+    def corrector(*args):
+        entered.append({key: probe[key] for key in keys})
+        return counted(*args)
+    monkeypatch.setattr(path_module, "corrector_step", corrector)
+    result = dd.follow(problem, start, dd.FollowerOptions(eps=1e-3))
+    assert result.report.status == "NumericalFailure"
+    assert result.report.diagnostics["iterations"] == 26
+    assert result.report.diagnostics["reason"].startswith("CorrectorStall: ")
+    steps = path_module.CORRECTOR_MAX_STEPS
+    assert {key: probe[key] - entered[-1][key] for key in keys} == {
+        "_kkt_solve": steps, "residuals": steps + 1, "stray_proximity": 0}
 
 
 def test_corrector_stalls_when_every_trial_is_rejected(box_problem, monkeypatch):
@@ -852,7 +910,7 @@ def test_membership_and_invariants_share_the_dual_tolerance(fixture, run, reques
     for scale, accepted in ((1.0 - 1e-3, True), (1.0 + 1e-3, False)):
         y = it.y + (scale * tol) * w
         assert (dual_residual(problem, start, it.tau, y) <= tol) == accepted
-        assert dd.in_qdd(problem, start, it.x, it.tau, y) == accepted
+        assert dd.model.in_qdd(problem, start, it.x, it.tau, y) == accepted
         violations = []
         path_module._check_invariants(problem, start, replace(it, y=y),
                                       dd.stop_params(problem, start, it.x, it.tau, y), violations)
