@@ -183,7 +183,6 @@ class _IntervalGroup:
 
     def __init__(self, atoms: Sequence[BarrierAtom], nh: int):
         """``atoms``: the ``nh`` halflines, then the boxes."""
-        self.block = _DiagonalBlock   # the metric block built from evaluate's arguments
         coords, d, lower, upper = zip(*[
             (a.coords[0], a.offset[0], -np.inf if a.lower is None else a.lower,
              np.inf if a.upper is None else a.upper) for a in atoms])
@@ -256,9 +255,9 @@ class _IntervalGroup:
                 + np.sum(yb * (self.box_lo + s_lo) + np.log(s_lo) + np.log(s_hi)))
 
     def evaluate(self, z, side):
-        """(gradient, (h,)) at z, h the metric's diagonal, which ``block``
-        takes; FactorizationFailure unless every entry of h is positive
-        and finite, so the gradient is accepted exactly where the metric is."""
+        """(gradient, metric block) at z, the block the diagonal h;
+        FactorizationFailure unless every entry of h is positive and
+        finite, so the gradient is accepted exactly where the metric is."""
         w, s_lo, s_hi = self._point(z, side)
         if side == PRIMAL:
             g, h = -1.0 / s_lo + 1.0 / s_hi, 1.0 / s_lo**2 + 1.0 / s_hi**2
@@ -271,7 +270,7 @@ class _IntervalGroup:
             np.divide(1.0, 1.0 / s_lo**2 + 1.0 / s_hi**2, out=h[nh:])
         if not ((h > 0.0) & (h < np.inf)).all():
             raise FactorizationFailure("diagonal metric entry is not positive and finite")
-        return g, (h,)
+        return g, _DiagonalBlock(h)
 
     def support(self, y):
         y, s_lo, s_hi = self._slacks(y, CONJUGATE)
@@ -297,7 +296,6 @@ class _ConeGroup:
     """One second-order cone atom: z + d in K (primal), -y in K (dual)."""
 
     def __init__(self, atom: BarrierAtom):
-        self.block = _SocBlock
         self.sel = _selector(atom.coords)
         self.d = atom.offset_vec
         self.sign = np.empty(atom.dim)   # (1, -1, ..., -1), without np.full's dispatch
@@ -338,9 +336,9 @@ class _ConeGroup:
         return -2.0 + np.log(4.0) - np.log(q) - z[self.sel] @ self.d
 
     def evaluate(self, z, side):
-        """(gradient, (w, t, lam_plus, lam_minus, lam_tail)) at z, the point,
-        its tail norm and the metric's three eigenvalues, which ``block``
-        takes; FactorizationFailure unless every eigenvalue is positive and
+        """(gradient, metric block) at z, the block the spectral form of the
+        point, its tail norm and the metric's three eigenvalues;
+        FactorizationFailure unless every eigenvalue is positive and
         finite, so the gradient is accepted exactly where the metric is."""
         # up to a constant, the conjugate at y is the primal barrier at
         # w = -y less <y, d>: its gradient is minus the primal one at w,
@@ -351,7 +349,8 @@ class _ConeGroup:
         if not (lam_minus > 0.0 and lam_plus < np.inf):
             raise FactorizationFailure("soc metric eigenvalue is not positive and finite")
         g = self.neg2sign * w / q
-        return (g if side == PRIMAL else -g - self.d), (w, t, lam_plus, lam_minus, 2.0 / q)
+        return ((g if side == PRIMAL else -g - self.d),
+                _SocBlock(w, t, lam_plus, lam_minus, 2.0 / q))
 
     def support(self, y):
         w, head, t = self._slacks(y, CONJUGATE)
@@ -503,7 +502,8 @@ class DomainBarrier:
 
     The atoms are grouped once, here, in one pass: one interval group holds
     every halfline and box, and each cone is a group of its own.  A group
-    with no atoms is not built.  Each method is a loop over the groups.
+    with no atoms is not built.  Each method is a loop over the groups;
+    ``grad`` and ``hess`` are the two halves of ``grad_hess``'s.
     """
 
     def __init__(self, atoms: Sequence[BarrierAtom], m: int):
@@ -538,18 +538,12 @@ class DomainBarrier:
         out = np.zeros(self.m)
         blocks = []
         for g in self.groups:
-            out[g.sel], args = g.evaluate(z, side)
-            blocks.append((g.sel, g.block(*args)))
+            out[g.sel], blk = g.evaluate(z, side)
+            blocks.append((g.sel, blk))
         return out, BlockMetric(self.m, blocks)
 
     def grad(self, z: np.ndarray, side: str = PRIMAL) -> np.ndarray:
-        """The gradient of :meth:`grad_hess`, bit for bit, with its checks,
-        without building the metric."""
-        self._require_finite(z, side)
-        out = np.zeros(self.m)
-        for g in self.groups:
-            out[g.sel] = g.evaluate(z, side)[0]
-        return out
+        return self.grad_hess(z, side)[0]
 
     def hess(self, z: np.ndarray, side: str = PRIMAL) -> BlockMetric:
         return self.grad_hess(z, side)[1]

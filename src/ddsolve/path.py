@@ -246,7 +246,8 @@ def corrector_step(problem: Problem, start: StartData, point: _Point) -> _Point:
     rule; a step is taken only from a point that failed it.  Only where
     the residual has settled, since only there can the corrector stop, is
     the point put at its own path parameter by :func:`_at_own_mu`; the exit
-    test reads the proximity there, the value the follower records.
+    test reads the proximity there, the value the follower records, +inf
+    where it raises DomainViolation.
 
     Each step tries the full Newton step first.  Only when that trial is
     rejected is the fraction-to-boundary bound formed, and the step length
@@ -270,7 +271,10 @@ def corrector_step(problem: Problem, start: StartData, point: _Point) -> _Point:
         rnorm = res.scaled_norm
         settled = rnorm <= CORRECTOR_RESIDUAL_TOL or rnorm >= 0.9 * last_res
         if settled:
-            own = _at_own_mu(problem, start, point)
+            try:
+                own = _at_own_mu(problem, start, point)
+            except DomainViolation:   # v outside D*, or mu not positive, at its own mu
+                own = replace(point, proximity=np.inf)
             if own.proximity <= target:
                 return own
         if k == CORRECTOR_MAX_STEPS:

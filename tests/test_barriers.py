@@ -542,8 +542,8 @@ def test_interval_evaluate_against_the_exact_forms():
     group = dd.DomainBarrier(INTERVAL_ATOMS, len(INTERVAL_ATOMS)).groups[0]
     worst = dict.fromkeys(["grad", "metric", "conjugate grad", "conjugate metric"], 0.0)
     for z in _interval_grid(PRIMAL):
-        g, (h,) = group.evaluate(z, PRIMAL)
-        for atom, w, g_i, h_i in zip(INTERVAL_ATOMS, z + group.d, g, h):
+        g, block = group.evaluate(z, PRIMAL)
+        for atom, w, g_i, h_i in zip(INTERVAL_ATOMS, z + group.d, g, block.h):
             s_lo, s_hi = _exact_slacks(atom, w, PRIMAL)
             terms = []
             if s_lo is not None:
@@ -554,8 +554,8 @@ def test_interval_evaluate_against_the_exact_forms():
             worst["grad"] = max(worst["grad"], _ulps(g_i, sum(terms), sum(map(abs, terms))))
             worst["metric"] = max(worst["metric"], _ulps(h_i, metric, metric))
     for y in _interval_grid(CONJUGATE):
-        g, (h,) = group.evaluate(y, CONJUGATE)
-        for atom, y_i, g_i, h_i in zip(INTERVAL_ATOMS[:group.nh], y, g, h):
+        g, block = group.evaluate(y, CONJUGATE)
+        for atom, y_i, g_i, h_i in zip(INTERVAL_ATOMS[:group.nh], y, g, block.h):
             bound = atom.upper if atom.lower is None else atom.lower
             b = Fraction(bound) - Fraction(atom.offset[0])
             inv = 1 / Fraction(y_i)
@@ -716,9 +716,9 @@ def test_box_conjugate_against_a_decimal_maximizer():
     for size in EXACT_SIZES:
         for sign in (1.0, -1.0):
             yb = sign * size * rng.uniform(1.0, 10.0, size=group.box_width.size)
-            g, (h,) = group.evaluate(np.concatenate([halflines, yb]), CONJUGATE)
+            g, block = group.evaluate(np.concatenate([halflines, yb]), CONJUGATE)
             for y, lo, width, g_i, h_i in zip(yb, group.box_lo, group.box_width,
-                                              g[group.nh:], h[group.nh:]):
+                                              g[group.nh:], block.h[group.nh:]):
                 with localcontext() as ctx:
                     ctx.prec = 50
                     w, t = Decimal(width), Decimal(y) * Decimal(width)

@@ -10,6 +10,7 @@ allows.
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 import ddsolve as dd
 from oracles import mu_cap
@@ -35,6 +36,22 @@ def weakly_infeasible(case):
     cone, so the infeasibility is weak."""
     return append_block(mixed_feasible(*MEDIUM_CASES[case]), [[1.0], [1.0], [0.0]],
                         [dd.soc([0, 1, 2], [0.0, 0.0, 1.0])], [1.0])
+
+
+def test_weak_block_alone_stalls_on_a_named_clause():
+    """The block (t, t, 1) in SOC with cost +t alone, at eps 1e-8: past
+    mu 1e22 a settled corrector point's v = (tau/mu) y leaves D* at its
+    own mu, which fails the exit test, so the corrector steps on and the
+    run ends in a CorrectorStall that names its clause, not in the
+    proximity's DomainViolation."""
+    problem = dd.validate_problem([[1.0], [1.0], [0.0]], [1.0],
+                                  [dd.soc([0, 1, 2], [0.0, 0.0, 1.0])])
+    report = dd.follow(problem, dd.make_start(problem), dd.FollowerOptions(eps=1e-8)).report
+    assert report.status == "NumericalFailure"
+    assert report.diagnostics["iterations"] == 66
+    assert report.diagnostics["mu"] == pytest.approx(1.151337e22, rel=1e-6)
+    assert report.diagnostics["reason"] == ("CorrectorStall: scaled residual 6.697e+00 still "
+                                            "falling from 8.282e+00 after 50 Newton steps")
 
 
 def test_weakly_infeasible_block_ends_ill_conditioned():

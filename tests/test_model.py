@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import ddsolve as dd
-from ddsolve import barriers
 from ddsolve.model import (_cholesky_full_rank, dual_residual, make_iterate, mu_of, scaled_dual,
                            shifted_image)
 from conftest import caller_rows
@@ -210,24 +209,6 @@ def test_default_start_soc_offset(soc_problem):
     problem, start = soc_problem
     assert np.allclose(start.z0, [2.0, 0.0, -1.0])  # offset subtracted
     assert np.allclose(start.z0 + [0.0, 0.0, 1.0], [2.0, 0.0, 0.0])
-
-
-def test_make_start_builds_no_metric_block(monkeypatch):
-    # y0 is the barrier gradient at z0; its metric is never read
-    probe = Probe(monkeypatch)
-    blocks = (barriers._SocBlock, barriers._DiagonalBlock, barriers.BlockMetric)
-    for cls in blocks:
-        probe.count(cls, "__init__", cls)
-    atoms = [dd.halfline_lower(0, 0.0), dd.box(1, -1.0, 2.0), dd.halfline_upper(2, 3.0),
-             dd.soc([3, 4, 5], [0.5, 0.0, 0.0])]
-    A = np.vstack([np.eye(3), np.eye(3)])
-    problem = dd.validate_problem(A, [1.0, -1.0, 0.5], atoms)
-    start = dd.make_start(problem)
-    dd.make_start(problem, start.z0 + 0.1)
-    assert [probe[cls] for cls in blocks] == [0, 0, 0]
-    # the counters see a metric
-    problem.barrier.grad_hess(start.z0)
-    assert [probe[cls] for cls in blocks] == [1, 1, 1]
 
 
 def test_explicit_z0_must_be_interior(box_problem):

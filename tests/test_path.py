@@ -122,6 +122,38 @@ def test_corrector_stall_reports_last_proximity(soc_problem, monkeypatch):
                                 f"{target:.3e} after 2 Newton steps")
 
 
+def test_a_settled_point_whose_proximity_raises_fails_the_exit_test(box_problem, monkeypatch):
+    # the mu = 1 path point settles at once; where its proximity at its
+    # own mu raises DomainViolation, the exit test fails with proximity
+    # +inf and the corrector steps on, to a point that passes, or stalls
+    # on the proximity clause where no step is left
+    problem, start = box_problem
+    point = path_module._evaluate(problem, start, np.zeros(1), 1.0, start.y0, 1.0,
+                                  newton=True)
+    original, calls = path_module._at_own_mu, []
+
+    def at_own_mu(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise dd.DomainViolation("scaled dual point left the dual cone interior")
+        return original(*args)
+    monkeypatch.setattr(path_module, "_at_own_mu", at_own_mu)
+    probe = Probe(monkeypatch)
+    probe.count(path_module, "_kkt_solve")
+    out = corrector_step(problem, start, point)
+    assert len(calls) == 2 and probe["_kkt_solve"] == 1
+    assert out.proximity <= path_module.CORRECTOR_TARGET * problem.kappa
+
+    def outside(*args):
+        raise dd.DomainViolation("scaled dual point left the dual cone interior")
+    monkeypatch.setattr(path_module, "_at_own_mu", outside)
+    monkeypatch.setattr(path_module, "CORRECTOR_MAX_STEPS", 1)
+    target = path_module.CORRECTOR_TARGET * problem.kappa
+    with pytest.raises(dd.CorrectorStall) as stall:
+        corrector_step(problem, start, point)
+    assert str(stall.value) == f"proximity inf above target {target:.3e} after 1 Newton steps"
+
+
 def test_a_stalled_corrector_tests_every_point_it_forms(tangent_problem, monkeypatch):
     # on the tangent slice at eps 1e-3 the corrector after iteration 26
     # stalls: it takes CORRECTOR_MAX_STEPS Newton steps, none thrown away,

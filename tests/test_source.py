@@ -381,6 +381,14 @@ def test_atom_kinds_are_known_in_barriers_only():
     assert [kind for node in ast.walk(cli) for kind in kinds if _named(node, kind)] == []
 
 
+def test_one_loop_evaluates_the_barrier_groups():
+    # each group's evaluate returns its gradient and its metric block, and
+    # grad_hess is the one loop that calls it: grad and hess read its two
+    # halves, so no second loop can drift from it
+    barriers = ast.parse((PACKAGE / "barriers.py").read_text(encoding="utf-8"))
+    assert _callers(barriers, "evaluate") == ["grad_hess"]
+
+
 ATOM_TABLES = ("ATOM_THETA", "ATOM_CONE", "ATOM_BOUNDS")
 
 
