@@ -232,8 +232,7 @@ class _IntervalGroup:
         return np.minimum(s_lo, s_hi)
 
     def interior(self, z, side):
-        _, s_lo, s_hi = self._slacks(z, side)
-        return np.minimum(s_lo, s_hi).min() > 0.0
+        return self.margins(z, side).min() > 0.0
 
     def _point(self, z, side):
         """(w, s_lo, s_hi) read by the closed forms at a strictly interior

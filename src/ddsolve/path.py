@@ -44,7 +44,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .barriers import CONJUGATE, PRIMAL
-from .errors import CorrectorStall, DomainViolation, FactorizationFailure, PredictorStall
+from .errors import (CorrectorStall, DomainViolation, FactorizationFailure, PredictorStall,
+                     SolverError)
 from .model import (
     Iterate,
     Problem,
@@ -262,7 +263,7 @@ def corrector_step(problem: Problem, start: StartData, point: _Point) -> _Point:
     fails the exit test; its message names the clause that failed: the
     proximity at its own mu above the target, or the scaled residual still
     falling from the previous point's.  Raises FactorizationFailure at a
-    trial point whose primal metric is not positive and finite.
+    singular reduced path system or a trial metric not positive and finite.
     """
     target = CORRECTOR_TARGET * problem.kappa
     last_res = np.inf
@@ -333,7 +334,8 @@ def predictor_step(problem: Problem, start: StartData, point: _Point, previous=N
     on its u; a trial whose restored dual leaves D* there is rejected.
 
     Raises PredictorStall when no relative increase of at least 1e-12 is
-    acceptable, and the Newton point's FactorizationFailure.
+    acceptable; FactorizationFailure at the tangent's singular reduced path
+    system (:func:`_kkt_solve`) or at the Newton point.
     """
     mu, x, tau, y = point.mu, point.x, point.tau, point.y
     tx, ttau, ty = _kkt_solve(problem, start, point, np.zeros(problem.n), point.g / tau,
@@ -415,11 +417,11 @@ def follow(problem: Problem, start: StartData, options: FollowerOptions = Follow
     iteration cap.  ``on_iterate`` (if given) receives each TraceRow.
 
     ``start`` must come from :func:`make_start`.  Returns the full trace;
-    numerical trouble, a Python float's OverflowError and numpy's
-    FloatingPointError (the steps run with over, divide and invalid raised)
-    included, is reported as a NumericalFailure status rather than an
-    exception, except at an anchor not in Q, which raises DomainViolation
-    before the loop: its image outside D, mu <= 0 or its v outside D*.
+    a step that raises any SolverError, a Python float's OverflowError or
+    numpy's FloatingPointError (the steps run with over, divide and invalid
+    raised) ends the run as a NumericalFailure status that names the error,
+    except at an anchor not in Q, which raises DomainViolation before the
+    loop: its image outside D, mu <= 0 or its v outside D*.
     Raises ValueError, before any work, unless eps lies in (0, 1) and
     max_iters is a non-negative integer.
     """
@@ -427,9 +429,7 @@ def follow(problem: Problem, start: StartData, options: FollowerOptions = Follow
     require_max_iters(options.max_iters)
     point = _at_own_mu(problem, start, _evaluate(problem, start, np.zeros(problem.n), 1.0,
                                                  start.y0, np.nan))
-    trace: list = []
-    iterates: list = []
-    violations: list = []
+    trace, iterates, violations = [], [], []
 
     def record(it: Iterate):
         """Trace, check and emit the iterate; returns its stop parameters."""
@@ -457,8 +457,7 @@ def follow(problem: Problem, start: StartData, options: FollowerOptions = Follow
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 predicted, tangent = predictor_step(problem, start, point, tangent)
                 point = corrector_step(problem, start, predicted.newton)
-        except (PredictorStall, CorrectorStall, DomainViolation, FactorizationFailure,
-                OverflowError, FloatingPointError) as exc:
+        except (SolverError, OverflowError, FloatingPointError) as exc:
             report = status_engine.numerical_failure_report(iterates, violations, sp, exc)
             break
         sp = record(point)

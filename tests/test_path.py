@@ -1000,6 +1000,18 @@ def test_numpy_overflow_in_a_step_is_numerical_failure(overflow_problem):
     assert result.report.diagnostics["iterations"] == 0
 
 
+def test_any_solver_error_from_a_step_is_numerical_failure(box_problem, monkeypatch):
+    # follow ends a run on the SolverError family, not on a list of its
+    # members: an error no step raises today is reported, not propagated
+    def corrector(*args):
+        raise dd.ProjectionOutsideCone("planted")
+    monkeypatch.setattr(path_module, "corrector_step", corrector)
+    result = dd.follow(*box_problem)
+    assert result.report.status == "NumericalFailure"
+    assert result.report.diagnostics["reason"] == "ProjectionOutsideCone: planted"
+    assert result.report.diagnostics["iterations"] == 0
+
+
 @pytest.mark.parametrize("source,options,status", [
     ("box_problem", {"eps": 1e-6}, "EpsSolution"),
     ("inf_problem", {"eps": 1e-6}, "InfeasibilityCertificate"),
