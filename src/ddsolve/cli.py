@@ -146,11 +146,12 @@ def _atom_list(entries: list) -> list:
     return atoms
 
 
-def _read_problem_file(path, constants) -> tuple[Problem, StartData]:
+def parse_problem_file(path, constants=None) -> tuple[Problem, StartData]:
     """The problem a file holds, validated with ``constants`` (a dict of xi
-    and kappa) replacing the file's, and its start from the file's z0 or
-    the default one.  :func:`make_start` rejects a start whose values
-    overflow, divide by zero or are invalid, without a warning."""
+    and kappa, if given) replacing the file's, and its start from the
+    file's z0 or the default one.  :func:`make_start` rejects a start
+    whose values overflow, divide by zero or are invalid, without a
+    warning."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
@@ -176,16 +177,10 @@ def _read_problem_file(path, constants) -> tuple[Problem, StartData]:
     if not isinstance(doc["atoms"], list):
         raise ParseError("atoms must be a list of atom objects", field="atoms")
     atoms = _atom_list(doc["atoms"])
-    constants = {k: _numbers(doc[k], k) for k in ("xi", "kappa") if k in doc} | constants
+    constants = {k: _numbers(doc[k], k) for k in ("xi", "kappa") if k in doc} | (constants or {})
     z0 = None if doc.get("z0") is None else _numbers(doc["z0"], "z0", m)
     problem = validate_problem(A, c, atoms, **constants)
     return problem, make_start(problem, z0)
-
-
-def parse_problem_file(path) -> tuple[Problem, StartData]:
-    """Parse and validate a problem file; synthesize the default starting
-    point when the file does not carry one."""
-    return _read_problem_file(path, {})
 
 
 @dataclass
@@ -200,13 +195,10 @@ class RunReport:
     diagnostics: dict
     verification: list
 
-    def to_dict(self) -> dict:
-        """The fields by name, in order; the nested certificate,
-        diagnostics and verification are the report's own, not copies."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        """The fields by name, in order, as JSON; the nested certificate,
+        diagnostics and verification are the report's own, not copies."""
+        return json.dumps({f.name: getattr(self, f.name) for f in fields(self)}, indent=2)
 
 
 def _certificate_dict(cert) -> dict | None:
@@ -318,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        problem, start = _read_problem_file(args.file, {
+        problem, start = parse_problem_file(args.file, {
             key: getattr(args, key) for key in ("xi", "kappa") if getattr(args, key) is not None})
         status_engine.require_eps(args.eps)
         require_max_iters(args.max_iters)

@@ -629,13 +629,13 @@ def test_report_round_trips(box_problem):
     problem, start = box_problem
     report = run_solve(problem, start, 1e-6)
     blob = report.to_json()
-    assert json.loads(blob) == report.to_dict()
+    assert json.loads(blob) == dataclasses.asdict(report)
 
 
 @pytest.mark.parametrize("name", ["inst_box.dd", "inst_inf.dd", "inst_soc.dd", "inst_unb.dd"])
 def test_report_json_matches_deep_copy(name, instance_path):
-    # to_dict copies the fields shallowly; the JSON must be the bytes the
-    # deep-copying dataclasses.asdict form gives
+    # to_json dumps the fields without copying them; the JSON must be the
+    # bytes the deep-copying dataclasses.asdict form gives
     problem, start = parse_problem_file(instance_path(name))
     report = run_solve(problem, start, 1e-6, strict=True)
     assert report.to_json() == json.dumps(dataclasses.asdict(report), indent=2)
