@@ -24,14 +24,14 @@ curve is accepted at its own path parameter mu_of(point), the one the gap
 equation (d) gives, not at a declared one.  The first iteration steps
 along the tangent alone.
 
-Each point the steps work at is evaluated once, into a private _Point:
-the shifted image u and the primal barrier gradient and metric there.
-Residuals, KKT solves and step bounds read it; a predictor trial's u is
-formed once, by :func:`member_image`, and every proximity is a
+Each point the steps work at is formed once, by :func:`_evaluate`, into a
+private _Point: the shifted image u, the primal barrier gradient and
+metric there, and y restored to equation (b), with (tau/mu) y checked in
+D*.  Residuals, KKT solves and step bounds read it; a predictor trial's u
+is formed once, by :func:`member_image`, and every proximity is a
 :func:`proximity_at` call on such a u.  An accepted trial carries the mu
-it reached and the corrector's first Newton point, evaluated on its u,
-which ``follow`` hands to the corrector.
-The mu = 1 anchor, evaluated once by ``follow``, and each corrector's
+it reached and the corrector's first point, evaluated on its u.  The
+mu = 1 anchor, formed by ``follow`` at its own mu, and each corrector's
 last point are put at their own mu by one step and keep their evaluation,
 which ``follow`` hands, with the last tangent, to the next predictor.
 """
@@ -82,9 +82,9 @@ class _Point(Iterate):
     """An iterate with the evaluation formed at it once: the shifted image
     u = A x + z0/tau, checked interior to D with tau > 0, and the primal
     barrier gradient g and metric H at u.  ``mu`` is the parameter it is
-    evaluated at: the corrector's on a Newton point, whose v = (tau/mu) y
-    is checked interior to D* but not kept, NaN on ``follow``'s anchor, and
-    its own once :func:`_at_own_mu` sets it and ``proximity``, NaN before.
+    evaluated at, where v = (tau/mu) y is checked interior to D* but not
+    kept, and its own once :func:`_at_own_mu` sets it and ``proximity``,
+    NaN before.
     """
 
     u: np.ndarray
@@ -134,15 +134,14 @@ class FollowResult:
     invariant_violations: list
 
 
-def _evaluate(problem, start, x, tau, y, mu, *, newton=False, u=None) -> _Point:
-    """The point (x, tau, y) at ``mu`` with its primal evaluation: u (unless
-    given), and g and H at u from one pass over the barrier groups.  A
-    corrector's Newton point (``newton``) then has y restored to the dual
-    linear equation, and v = (tau/mu) y on the restored y is checked by
-    :func:`scaled_dual` and dropped: the Newton point's one cheap dual check.
+def _evaluate(problem, start, x, tau, y, mu, *, u=None) -> _Point:
+    """The follower point (x, tau, y) at ``mu``: u (unless given), g and H
+    at u from one pass over the barrier groups, y restored to the dual
+    linear equation, and v = (tau/mu) y on the restored y checked by
+    :func:`scaled_dual` and dropped, the point's one cheap dual check.
 
-    Raises DomainViolation unless tau > 0, u is interior to D and, on a
-    Newton point, v is interior to D*; FactorizationFailure if H is not
+    Raises DomainViolation unless tau > 0, u is interior to D, mu > 0 and v
+    is interior to D*, in that order; FactorizationFailure if H is not
     positive and finite.
     """
     u = shifted_image(problem, start, x, tau) if u is None else u
@@ -150,9 +149,8 @@ def _evaluate(problem, start, x, tau, y, mu, *, newton=False, u=None) -> _Point:
         g, H = problem.barrier.grad_hess(u, PRIMAL)
     except DomainViolation as exc:
         raise DomainViolation("shifted image point left the domain interior") from exc
-    if newton:
-        y = _restore_dual_equality(problem, start, tau, y)
-        scaled_dual(problem, tau, y, mu)
+    y = _restore_dual_equality(problem, start, tau, y)
+    scaled_dual(problem, tau, y, mu)
     return _Point(x=x, tau=tau, y=y, mu=mu, proximity=np.nan, u=u, g=g, H=H)
 
 
@@ -235,20 +233,20 @@ def _restore_dual_equality(problem, start, tau, y):
 
 
 def corrector_step(problem: Problem, start: StartData, point: _Point) -> _Point:
-    """Damped Newton steps at fixed mu, ``point.mu``, from a Newton point,
-    one :func:`_evaluate` formed with ``newton=True``, until the point, at
-    its own mu, is within CORRECTOR_TARGET * kappa of the path and its
-    scaled residual has settled: at most CORRECTOR_RESIDUAL_TOL, or no
-    longer falling below 0.9 times the previous step's.
+    """Damped Newton steps at fixed mu, ``point.mu``, from a follower point
+    :func:`_evaluate` formed at that mu, until the point, at its own mu, is
+    within CORRECTOR_TARGET * kappa of the path and its scaled residual has
+    settled: at most CORRECTOR_RESIDUAL_TOL, or no longer falling below 0.9
+    times the previous step's.
 
-    Each Newton point, the starting point and each accepted trial, is
-    checked and evaluated once by :func:`_evaluate`, the start by the
-    :func:`predictor_step` that accepted its trial, and tested by the exit
-    rule; a step is taken only from a point that failed it.  Only where
-    the residual has settled, since only there can the corrector stop, is
-    the point put at its own path parameter by :func:`_at_own_mu`; the exit
-    test reads the proximity there, the value the follower records, +inf
-    where it raises DomainViolation.
+    Each Newton point, the start and each accepted trial, is formed once
+    by :func:`_evaluate`, the start by the :func:`predictor_step` that
+    accepted its trial, and tested by the exit rule; a step is taken only
+    from a point that failed it.  Only where the residual has settled,
+    since only there can the corrector stop, is the point put at its own
+    path parameter by :func:`_at_own_mu`; the exit test reads the
+    proximity there, the value the follower records, +inf where it raises
+    DomainViolation.
 
     Each step tries the full Newton step first.  Only when that trial is
     rejected is the fraction-to-boundary bound formed, and the step length
@@ -288,7 +286,7 @@ def corrector_step(problem: Problem, start: StartData, point: _Point) -> _Point:
         while alpha > 1e-18:
             try:
                 trial = _evaluate(problem, start, point.x + alpha * dx, point.tau + alpha * dtau,
-                                  point.y + alpha * dy, point.mu, newton=True)
+                                  point.y + alpha * dy, point.mu)
                 break
             except DomainViolation:
                 pass
@@ -364,7 +362,7 @@ def predictor_step(problem: Problem, start: StartData, point: _Point, previous=N
                 try:
                     prox = proximity_at(problem, u, taun, yn, mun)
                     if prox <= radius:
-                        newton = _evaluate(problem, start, xn, taun, yn, mun, newton=True, u=u)
+                        newton = _evaluate(problem, start, xn, taun, yn, mun, u=u)
                         return _Accepted(x=xn, tau=taun, y=yn, mu=mun, proximity=prox,
                                          newton=newton), (s, vel)
                 except DomainViolation:
@@ -410,7 +408,7 @@ def require_max_iters(max_iters) -> None:
 def follow(problem: Problem, start: StartData, options: FollowerOptions = FollowerOptions(),
            on_iterate=None) -> FollowResult:
     """Run the predictor-corrector loop from the mu = 1 anchor (0, 1, y0),
-    evaluated once for the first predictor, at its own mu (:func:`_at_own_mu`).
+    formed once at its own mu for the first predictor (:func:`_at_own_mu`).
 
     After every corrector the status checks run in their precedence order;
     the loop stops at the first triggered status, the mu cap, or the
@@ -427,8 +425,9 @@ def follow(problem: Problem, start: StartData, options: FollowerOptions = Follow
     """
     status_engine.require_eps(options.eps)
     require_max_iters(options.max_iters)
-    point = _at_own_mu(problem, start, _evaluate(problem, start, np.zeros(problem.n), 1.0,
-                                                 start.y0, np.nan))
+    x0 = np.zeros(problem.n)
+    point = _at_own_mu(problem, start, _evaluate(problem, start, x0, 1.0, start.y0,
+                                                 mu_of(problem, start, x0, 1.0, start.y0)))
     trace, iterates, violations = [], [], []
 
     def record(it: Iterate):

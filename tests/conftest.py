@@ -107,12 +107,13 @@ def caller_rows(table, rule: str) -> list:
 
 def follower_point(problem, start, x, tau, y):
     """The follower point at (x, tau, y), built as ``follow`` builds its
-    mu = 1 anchor: one ``path._evaluate``, then ``path._at_own_mu``, which
-    puts it at its own mu with its proximity there.  ``residuals`` and
-    ``predictor_step`` take such points; a corrector starts from the
-    Newton point ``path._evaluate(..., newton=True)`` forms."""
-    point = path_module._evaluate(problem, start, x, tau, y, np.nan)
-    return path_module._at_own_mu(problem, start, point)
+    mu = 1 anchor: one ``path._evaluate`` at the point's own mu, then
+    ``path._at_own_mu``, which puts it there with its proximity.
+    ``residuals`` and ``predictor_step`` take such points; a corrector
+    starts from the point ``path._evaluate`` forms at the corrector's mu."""
+    mu = dd.model.mu_of(problem, start, x, tau, y)
+    return path_module._at_own_mu(problem, start,
+                                  path_module._evaluate(problem, start, x, tau, y, mu))
 
 
 # The instance and eps of the box_run and soc_run fixtures;

@@ -1,8 +1,11 @@
 """Predictor-corrector mechanics and end-to-end follower behavior."""
 
 import math
+import sys
 import warnings
 from dataclasses import replace
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,11 +16,15 @@ import ddsolve.path as path_module
 from ddsolve.cli import parse_problem_file
 from ddsolve.model import DUAL_EQ_TOL, dual_residual, member_image, shifted_image
 from ddsolve.path import _kkt_solve, corrector_step, predictor_step, residuals
-from conftest import SOC_RUN, follower_point
+from conftest import (SOC_RUN, build_box, build_cone_inf, build_inf, build_soc, build_tangent,
+                      build_unb, follower_point)
 from test_medium import mixed_feasible
 from probe import Probe
 from oracles import (OracleInstance, feasibility_bound_failures, mu_growth_failures,
                      oracle_sigma_f, tau_floor_failures)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import families  # noqa: E402
 
 
 def test_residuals_vanish_at_initial_point(box_problem):
@@ -49,8 +56,7 @@ def test_residuals_raise_outside_domain(box_problem):
 
 def test_corrector_fixed_point_on_path(box_problem):
     problem, start = box_problem
-    point = path_module._evaluate(problem, start, np.zeros(1), 1.0, start.y0, 1.0,
-                                  newton=True)
+    point = path_module._evaluate(problem, start, np.zeros(1), 1.0, start.y0, 1.0)
     out = corrector_step(problem, start, point)
     assert np.allclose(out.x, point.x, atol=1e-12)
     assert out.tau == pytest.approx(1.0, abs=1e-12)
@@ -61,8 +67,7 @@ def test_corrector_returns_to_known_path_point(box_problem, monkeypatch):
     # the mu=1 path point is (0, 1, y0) by construction and unique; a
     # perturbed start must come back to it
     problem, start = box_problem
-    point = path_module._evaluate(problem, start, np.array([1e-3]), 1.0, start.y0, 1.0,
-                                  newton=True)
+    point = path_module._evaluate(problem, start, np.array([1e-3]), 1.0, start.y0, 1.0)
     monkeypatch.setattr(path_module, "CORRECTOR_MAX_STEPS", 5)
     out = corrector_step(problem, start, point)
     assert out.proximity <= 0.5 * problem.kappa
@@ -73,8 +78,7 @@ def test_corrector_returns_to_known_path_point(box_problem, monkeypatch):
 
 def test_corrector_stall_raises(box_problem, monkeypatch):
     problem, start = box_problem
-    point = path_module._evaluate(problem, start, np.array([1e-3]), 1.0, start.y0, 1.0,
-                                  newton=True)
+    point = path_module._evaluate(problem, start, np.array([1e-3]), 1.0, start.y0, 1.0)
     monkeypatch.setattr(path_module, "CORRECTOR_MAX_STEPS", 1)
     with pytest.raises(dd.CorrectorStall):
         corrector_step(problem, start, point)
@@ -85,8 +89,7 @@ def test_corrector_stall_reports_a_falling_residual(box_problem, monkeypatch):
     # scaled residual is still falling, so the stall names that clause
     # with the values the two passes formed, second and first
     problem, start = box_problem
-    point = path_module._evaluate(problem, start, np.array([1e-3]), 1.0, start.y0, 1.0,
-                                  newton=True)
+    point = path_module._evaluate(problem, start, np.array([1e-3]), 1.0, start.y0, 1.0)
     norms = []
 
     def recorded(*args):
@@ -109,8 +112,7 @@ def test_corrector_stall_reports_last_proximity(soc_problem, monkeypatch):
     # _at_own_mu formed it; with the target below that proximity the
     # corrector stalls there
     problem, start = soc_problem
-    point = path_module._evaluate(problem, start, np.full(problem.n, 1e-3), 1.0, start.y0, 1.0,
-                                  newton=True)
+    point = path_module._evaluate(problem, start, np.full(problem.n, 1e-3), 1.0, start.y0, 1.0)
     monkeypatch.setattr(path_module, "CORRECTOR_MAX_STEPS", 2)
     settled = corrector_step(problem, start, point)
     assert settled.proximity > 0.0
@@ -128,8 +130,7 @@ def test_a_settled_point_whose_proximity_raises_fails_the_exit_test(box_problem,
     # +inf and the corrector steps on, to a point that passes, or stalls
     # on the proximity clause where no step is left
     problem, start = box_problem
-    point = path_module._evaluate(problem, start, np.zeros(1), 1.0, start.y0, 1.0,
-                                  newton=True)
+    point = path_module._evaluate(problem, start, np.zeros(1), 1.0, start.y0, 1.0)
     original, calls = path_module._at_own_mu, []
 
     def at_own_mu(*args):
@@ -188,8 +189,7 @@ def test_corrector_stalls_when_every_trial_is_rejected(box_problem, monkeypatch)
     # is rejected, so the step length halves from the boundary bound until
     # it underflows
     problem, start = box_problem
-    point = path_module._evaluate(problem, start, np.array([1e-3]), 1.0, start.y0, 1.0,
-                                  newton=True)
+    point = path_module._evaluate(problem, start, np.array([1e-3]), 1.0, start.y0, 1.0)
     evaluated = []
 
     def evaluate(*args, **kwargs):
@@ -223,16 +223,15 @@ def test_corrector_rejects_restoration_leaving_dual_cone(inf_problem, monkeypatc
                         lambda problem, start, tau, y: -y)
     with pytest.raises(dd.DomainViolation,
                        match="scaled dual point left the dual cone interior"):
-        path_module._evaluate(problem, start, np.zeros(1), 1.0, start.y0, 2.0, newton=True)
+        path_module._evaluate(problem, start, np.zeros(1), 1.0, start.y0, 2.0)
 
 
 def _first_newton_step(problem, start, x, tau, y, mu):
     """The corrector's first Newton direction from (x, tau, y), and the
     restored y it starts from."""
-    y = path_module._restore_dual_equality(problem, start, tau, y)
     point = path_module._evaluate(problem, start, x, tau, y, mu)
     res = residuals(problem, start, point)
-    return y, _kkt_solve(problem, start, point, -res.r_dual, -res.r_cent, -res.r_gap)
+    return point.y, _kkt_solve(problem, start, point, -res.r_dual, -res.r_cent, -res.r_gap)
 
 
 def _record_step_bounds(monkeypatch) -> list:
@@ -257,7 +256,7 @@ def test_corrector_falls_back_to_step_bound(box_problem, monkeypatch):
     assert tau + dtau <= 0.0
     assert member_image(problem, start, x + dx, tau + dtau, y + dy) is None
     bounds = _record_step_bounds(monkeypatch)
-    point = path_module._evaluate(problem, start, x, tau, start.y0, 1.0, newton=True)
+    point = path_module._evaluate(problem, start, x, tau, start.y0, 1.0)
     out = corrector_step(problem, start, point)
     assert bounds and all(0.0 < b <= 0.5 for b in bounds)
     assert out.proximity <= path_module.CORRECTOR_TARGET * problem.kappa
@@ -274,7 +273,7 @@ def test_corrector_rejects_trial_whose_restoration_leaves_dual_cone(inf_problem,
     y, (dx, dtau, dy) = _first_newton_step(problem, start, x, tau, start.y0, 1.0)
     # unaltered, the full step would be accepted
     assert member_image(problem, start, x + dx, tau + dtau, y + dy) is not None
-    point = path_module._evaluate(problem, start, x, tau, start.y0, 1.0, newton=True)
+    point = path_module._evaluate(problem, start, x, tau, start.y0, 1.0)
     original = path_module._restore_dual_equality
     restored = []
 
@@ -325,18 +324,57 @@ def test_restoration_is_the_minimal_norm_correction(spread):
 def test_follow_raises_on_a_start_whose_anchor_is_not_in_q():
     # a start not built by make_start raises before the loop, on either
     # side.  Dual: on min x, x >= 0, y0 = +1 lies outside D* = {y <= 0},
-    # and the anchor's own path parameter is -0.0.  Primal: on min x over
-    # the box [0, 1], the anchor's image z0 = 2 lies outside D
+    # and the anchor's own path parameter is -0.0, which is reported
+    # first; on the cone instance y0 = (-1, 3, 0) lies outside D* at its
+    # own mu, 1.  Primal: on min x over the box [0, 1], the anchor's image
+    # z0 = 2 lies outside D, and an image outside D is reported before
+    # the dual side
     lower = dd.validate_problem([[1.0]], [1.0], [dd.halfline_lower(0, 0.0)])
     box = dd.validate_problem([[1.0]], [1.0], [dd.box(0, 0.0, 1.0)])
     for problem, change, message in [
             (lower, lambda s: {"y0": -s.y0}, "path parameter must be positive, got -0.0"),
+            (build_soc(), lambda s: {"y0": s.y0 + [0.0, 3.0, 0.0]},
+             "scaled dual point left the dual cone interior"),
             (box, lambda s: {"z0": np.array([2.0])},
+             "shifted image point left the domain interior"),
+            (lower, lambda s: {"z0": -s.z0, "y0": -s.y0},
              "shifted image point left the domain interior")]:
         start = dd.make_start(problem)
         start = replace(start, **change(start))
         with pytest.raises(dd.DomainViolation, match=message):
             dd.follow(problem, start, dd.FollowerOptions(eps=1e-6, max_iters=5))
+
+
+def family_problem(kind):
+    """A small seeded ``bench/families.py`` instance of ``kind``, validated."""
+    inst = getattr(families, kind)(np.random.default_rng(0), kind, 4, 6, (3, 3))
+    return dd.validate_problem(inst.A, inst.c, inst.atoms)
+
+
+CONFTEST_BUILDS = (build_box, build_inf, build_unb, build_soc, build_cone_inf, build_tangent)
+FAMILY_KINDS = (families.FEASIBLE, families.INFEASIBLE, families.UNBOUNDED)
+
+
+@pytest.mark.parametrize("build", [*CONFTEST_BUILDS,
+                                   *(partial(family_problem, kind) for kind in FAMILY_KINDS)],
+                         ids=[*(build.__name__ for build in CONFTEST_BUILDS), *FAMILY_KINDS])
+def test_follow_forms_its_anchor_as_every_point(build, monkeypatch):
+    # the mu = 1 anchor is a follower point like any other: before any
+    # step, follow restores its y, which keeps every bit of y0, signed
+    # zeros included, and checks (tau/mu) y0 in D* once; the recorded
+    # iterate's own checks are not counted
+    problem = build()
+    start = dd.make_start(problem)
+    probe = Probe(monkeypatch)
+    probe.count(path_module, "_check_invariants")
+    probe.count(dd.status, "stop_params")
+    probe.count(path_module, "_restore_dual_equality")
+    probe.count(dd.barriers.DomainBarrier, "interior", "dual_checks",
+                when=lambda self, z, side="primal": side == "conjugate"
+                and not {"_check_invariants", "stop_params"} & {*probe.active})
+    result = dd.follow(problem, start, dd.FollowerOptions(max_iters=0))
+    assert probe["_restore_dual_equality"] == probe["dual_checks"] == 1
+    assert result.iterates[0].y.tobytes() == start.y0.tobytes()
 
 
 @pytest.mark.parametrize("x,tau,message", [
@@ -348,7 +386,7 @@ def test_corrector_rejects_start_outside_domain(box_problem, x, tau, message):
     # checks the start
     problem, start = box_problem
     with pytest.raises(dd.DomainViolation, match=message):
-        path_module._evaluate(problem, start, np.array([x]), tau, start.y0, 1.0, newton=True)
+        path_module._evaluate(problem, start, np.array([x]), tau, start.y0, 1.0)
 
 
 @pytest.mark.parametrize("fixture,run", [("box_problem", "box_run"),
@@ -670,10 +708,10 @@ def test_evaluation_budget(fixture, run, eps, request, monkeypatch):
     # evaluated once, by follow, and each predictor tangent reads the
     # evaluation of the point before it: the anchor's, then each
     # corrector's.  One shared step puts every recorded point at its own
-    # mu: the anchor and each corrector's exit point.  Each Newton point
-    # gets one dual-side check, of (tau/mu) y after restoration, and on
-    # these runs every full step is accepted, so the corrector never forms
-    # a step-to-boundary bound.  Each KKT solve applies the metric once,
+    # mu: the anchor and each corrector's exit point.  Every point, the
+    # anchor included, gets one dual-side check, of (tau/mu) y after
+    # restoration, and on these runs every full step is accepted, so the
+    # corrector never forms a step-to-boundary bound.  Each KKT solve applies the metric once,
     # residuals run once per corrector pass, A is factored once per
     # problem, not per corrector step, and one proximity per corrector: at
     # the exit point's own mu, which its exit test reads.
@@ -686,7 +724,6 @@ def test_evaluation_budget(fixture, run, eps, request, monkeypatch):
     problem = replace(base)   # without the factors the reference run formed
     barrier = dd.barriers.DomainBarrier
     primal = {"when": lambda self, z, side="primal": side == "primal"}
-    newton = {"when": lambda *args, newton=False, u=None: newton}
     probe = Probe(monkeypatch)
     for owner, name, key, options in [
             (np.linalg, "qr", None, {}),
@@ -700,13 +737,11 @@ def test_evaluation_budget(fixture, run, eps, request, monkeypatch):
             (path_module, "corrector_step", "correctors", {}),
             (dd.model, "make_iterate", "iterates", {}),
             (path_module, "_at_own_mu", "own_mu_steps", {}),
-            (path_module, "_evaluate", "anchors",
-             {"when": lambda *args, newton=False, u=None: not newton}),
-            (path_module, "_evaluate", "newton_points", newton),
-            (path_module, "_evaluate", "predictor_newton_points", {"inside": "tangents", **newton}),
+            (path_module, "_evaluate", "points", {}),
+            (path_module, "_evaluate", "predictor_newton_points", {"inside": "tangents"}),
             (dd.barriers.BlockMetric, "matvec", "kkt_matvec", {"inside": "kkt"}),
             (barrier, "interior", "dual_checks",
-             {"inside": "correctors", "when": lambda self, z, side="primal": side == "conjugate"}),
+             {"inside": "points", "when": lambda self, z, side="primal": side == "conjugate"}),
             (barrier, "step_to_boundary", "corrector_boundary", {"inside": "correctors"}),
             (path_module, "proximity_at", "corrector_proximity", {"inside": "correctors"}),
             (path_module, "member_image", "predictor_trials", {"inside": "tangents"}),
@@ -728,15 +763,13 @@ def test_evaluation_budget(fixture, run, eps, request, monkeypatch):
     assert probe["grad"] == probe["hess"] == 0
     # one point for the anchor, and per corrector its start plus
     # one per step, each step's full trial accepted; each predictor forms
-    # exactly one Newton point, its corrector's start, and the corrector
-    # checks only its own trials' duals
+    # exactly one Newton point, its corrector's start, and every point
+    # checks its dual once
     newton_steps = probe["kkt"] - probe["tangents"]
     newton_points = probe["correctors"] + newton_steps
-    assert probe["newton_points"] == newton_points
+    assert probe["points"] == probe["grad_hess"] == 1 + newton_points
     assert probe["predictor_newton_points"] == probe["tangents"] == probe["correctors"]
-    assert probe["anchors"] == 1
-    assert probe["grad_hess"] == 1 + newton_points
-    assert probe["dual_checks"] == newton_points - probe["correctors"]
+    assert probe["dual_checks"] == 1 + newton_points
     assert probe["corrector_boundary"] == 0
     assert probe["residuals"] == probe["correctors"] + newton_steps
     assert probe["kkt_matvec"] == probe["kkt"]
@@ -845,8 +878,7 @@ def test_corrector_reads_handed_over_newton_point(fixture, request):
         predicted, tangent = predictor_step(problem, start, point, tangent)
         assert isinstance(predicted, path_module._Accepted)
         own = corrector_step(problem, start, path_module._evaluate(
-            problem, start, predicted.x.copy(), predicted.tau, predicted.y.copy(), predicted.mu,
-            newton=True))
+            problem, start, predicted.x.copy(), predicted.tau, predicted.y.copy(), predicted.mu))
         point = corrector_step(problem, start, predicted.newton)
         for name in ("x", "y", "u", "g"):
             assert np.array_equal(getattr(point, name), getattr(own, name))

@@ -296,6 +296,10 @@ RULES = [
     # every point it hands them, calls them
     ("point-type", "path.py", point_type_test, []),
     ("path-scale-dual", "path.py", calls("_scale_dual"), []),
+    # path._evaluate forms the dual side of every follower point, the
+    # anchor's included: it restores y and checks (tau/mu) y in D*
+    ("restore-dual", "path.py", calls("_restore_dual_equality"), ["path.py:_evaluate"]),
+    ("dual-check", "path.py", calls("scaled_dual"), ["path.py:_evaluate"]),
     # the parser reads each kind's rules from barriers' tables and names
     # no kind itself
     ("atom-kinds", "cli.py", mentions(*ATOM_KINDS), []),
